@@ -2,15 +2,19 @@
 
 A D-dimensional embedding z -> x(z) has generalized velocity components
 w^G = det of the DxD Jacobian submatrix picked by each strictly increasing
-multi-index G of target coordinates, C(dimM, D) of them. The induced metric
+multi-index G of target coordinates, C(dimM, D) of them: the components of
+the wedge product J_1 ^ ... ^ J_D of the Jacobian columns. The induced metric
 on those components is the Gram determinant g_{G1 G2} = det [g_{a_i b_j}],
 and by Cauchy-Binet
 
     sum_{G1,G2} g_{G1 G2} w^{G1} w^{G2} = det(J^T g J),
 
 whose square root integrated over the parameter box is the minimal-surface
-(world-volume) functional. For D = 1 everything reduces to the point
-particle: minors are plain derivatives and the Gram sum is g(v, v).
+(world-volume) functional. For a constant metric the radicand is evaluated
+as the left-hand side, w^T G w with the C x C matrix G built once; a
+position-dependent metric takes det(J^T g(x) J) per cell. For D = 1
+everything reduces to the point particle: minors are plain derivatives and
+the Gram sum is g(v, v).
 """
 
 from __future__ import annotations
@@ -142,10 +146,29 @@ class GeneralizedVelocity:
         return self.components[self.indices.index(tuple(gamma))]
 
 
-def _minors(J: np.ndarray, combos) -> np.ndarray:
-    """Minor determinants for a batch of Jacobians: (n, dimM, D) -> (n, C)."""
-    cols = [np.linalg.det(J[:, combo, :]) for combo in combos]
-    return np.stack(cols, axis=-1)
+def _minors(J: np.ndarray) -> np.ndarray:
+    """All DxD minors of a batch of Jacobians: (n, dimM, D) -> (n, C).
+
+    The minors are the components of the wedge product J_1 ^ ... ^ J_D of the
+    Jacobian columns, built up one column at a time by Laplace expansion
+    along the newest column k: the (k+1)x(k+1) minor on rows r_0 < ... < r_k
+    is sum_p (-1)^(p+k) J[r_p, k] * (the k x k minor on the other rows).
+    Each level is filled in combinations() order, so the columns come out in
+    minor_indices() order. Elementwise products only, so the result is exact
+    in exact arithmetic for every 1 <= D <= dimM.
+    """
+    _, dim_m, d = J.shape
+    level = {(r,): J[:, r, 0] for r in range(dim_m)}
+    for k in range(1, d):
+        wider = {}
+        for rows in itertools.combinations(range(dim_m), k + 1):
+            acc = 0.0
+            for p, r in enumerate(rows):
+                term = J[:, r, k] * level[rows[:p] + rows[p + 1:]]
+                acc = acc - term if (p + k) % 2 else acc + term
+            wider[rows] = acc
+        level = wider
+    return np.stack(list(level.values()), axis=-1)
 
 
 def generalized_velocity(emb: BraneEmbedding, z) -> GeneralizedVelocity:
@@ -155,9 +178,9 @@ def generalized_velocity(emb: BraneEmbedding, z) -> GeneralizedVelocity:
         raise DimensionMismatch(f"parameter point must have length {emb.d}")
     if not emb.contains(z):
         raise DimensionMismatch(f"parameter point {z.tolist()} outside the box")
-    combos = minor_indices(emb.dim_m, emb.d)
     J = emb.jacobians(z[None, :])
-    return GeneralizedVelocity(components=_minors(J, combos)[0], z=z, indices=combos)
+    return GeneralizedVelocity(components=_minors(J)[0], z=z,
+                               indices=minor_indices(emb.dim_m, emb.d))
 
 
 def multivector_metric(g, gamma1, gamma2) -> float:
@@ -170,6 +193,17 @@ def multivector_metric(g, gamma1, gamma2) -> float:
     if list(g1) != sorted(set(g1)) or list(g2) != sorted(set(g2)):
         raise DimensionMismatch("multi-indices must be strictly increasing")
     return float(np.linalg.det(g[np.ix_(g1, g2)]))
+
+
+def _multivector_metric_matrix(g, d: int) -> np.ndarray:
+    """C x C matrix of multivector_metric over minor_indices(dimM, D).
+
+    Entry (G1, G2) is the minor on rows G1 of the column block g[:, G2], so
+    each column of the matrix is one row of the minors kernel's output.
+    """
+    g = np.asarray(g, dtype=float)
+    blocks = np.stack([g[:, list(c)] for c in minor_indices(g.shape[0], d)])
+    return _minors(blocks).T
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +265,12 @@ def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
     """Midpoint-rule quadrature of the brane Lagrangian density over the box.
 
     Density per cell: q A_G w^G + m sqrt(det(J^T g J)) + sum Q_n S_n(w..w)^(1/n).
+    For a constant metric the volume radicand is evaluated as w^T G w, which
+    equals det(J^T g J) by Cauchy-Binet; otherwise det(J^T g(x) J) per cell.
     A negative volume radicand raises NegativeRadicand carrying the cell index.
+    details=True also returns the cell count, the component count, the
+    smallest radicand and the integral-gauge deviation (see
+    integral_gauge_check), all from the one Jacobian pass.
     """
     combos = minor_indices(emb.dim_m, emb.d)
     n_comp = len(combos)
@@ -246,15 +285,15 @@ def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
     Z = emb.cell_centers()
     X = emb.points(Z)
     J = emb.jacobians(Z)
-    omega = _minors(J, combos)
+    omega = _minors(J)
 
-    # volume radicand det(J^T g J) per cell
     if spec.metric.is_constant:
-        g = spec.metric(X[0])
-        gram = np.einsum("nad,ab,nbe->nde", J, g, J)
+        G = _multivector_metric_matrix(spec.metric(X[0]), emb.d)
+        # row sums as a product with ones: a numpy sum over the short axis is slower
+        radicand = ((omega @ G) * omega) @ np.ones(n_comp)
     else:
         gram = np.stack([Jk.T @ spec.metric(xk) @ Jk for Jk, xk in zip(J, X)])
-    radicand = np.linalg.det(gram) if emb.d > 1 else gram[:, 0, 0]
+        radicand = np.linalg.det(gram) if emb.d > 1 else gram[:, 0, 0]
     bad = np.flatnonzero(radicand < 0.0)
     if bad.size and spec.mass != 0.0:
         cell = np.unravel_index(bad[0], emb.resolution)
@@ -287,19 +326,23 @@ def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
         "cells": emb.n_cells,
         "component_count": n_comp,
         "min_radicand": float(np.min(radicand)),
+        "gauge_deviation": _gauge_deviation(omega),
     }
 
 
-def integral_gauge_check(emb: BraneEmbedding) -> float:
-    """Deviation of the internal minor w^(1..D) from 1, maximized over cell centers.
+def _gauge_deviation(omega: np.ndarray) -> float:
+    # column 0 of the minors is the internal minor w^(0..D-1)
+    return float(np.max(np.abs(omega[:, 0] - 1.0)))
 
+
+def integral_gauge_check(emb: BraneEmbedding) -> float:
+    """Deviation of the internal minor w^(0..D-1) from 1, maximized over cell centers.
+
+    Reads the first minor (rows 0..D-1) of the Jacobian at each cell centre.
     Zero exactly when the first D target coordinates restrict to a
     unit-Jacobian chart of the parameters (integral sub-manifold gauge).
     """
-    Z = emb.cell_centers()
-    J = emb.jacobians(Z)
-    internal = np.linalg.det(J[:, :emb.d, :])
-    return float(np.max(np.abs(internal - 1.0)))
+    return _gauge_deviation(_minors(emb.jacobians(emb.cell_centers())))
 
 
 def nonrelativistic_brane_expansion(spec: BraneSpec, emb: BraneEmbedding,
@@ -313,21 +356,18 @@ def nonrelativistic_brane_expansion(spec: BraneSpec, emb: BraneEmbedding,
     cell = tuple(int(c) for c in cell)
     if len(cell) != emb.d:
         raise DimensionMismatch(f"cell index must have {emb.d} entries")
-    flat = np.ravel_multi_index(cell, emb.resolution)
-    z = emb.cell_centers()[flat]
+    if any(not 0 <= c < r for c, r in zip(cell, emb.resolution)):
+        raise DimensionMismatch(f"cell {cell} outside the grid {emb.resolution}")
+    # the same arithmetic as cell_centers(), for this one cell
+    step = (emb.box[:, 1] - emb.box[:, 0]) / np.asarray(emb.resolution)
+    z = emb.box[:, 0] + np.asarray(cell) * step + 0.5 * step
     x = emb.points(z[None, :])[0]
-    gv = generalized_velocity(emb, z)
-    w = gv.components
+    w = generalized_velocity(emb, z).components
     if abs(w[0] - 1.0) > 1e-8:
         raise GaugeViolation(f"internal minor {w[0]} != 1; not in the integral gauge")
 
-    combos = gv.indices
-    g = spec.metric(x)
-    n_comp = len(combos)
-    G = np.empty((n_comp, n_comp))
-    for i, c1 in enumerate(combos):
-        for j, c2 in enumerate(combos):
-            G[i, j] = multivector_metric(g, c1, c2)
+    n_comp = w.size
+    G = _multivector_metric_matrix(spec.metric(x), emb.d)
     off = G - np.diag(np.diag(G))
     d = np.diag(G)
     if np.max(np.abs(off)) > 1e-10 or abs(d[0] - 1.0) > 1e-10 or np.any(d[1:] >= 0.0):
@@ -426,12 +466,24 @@ def curve_embedding(fn, jacobian=None, box=(0.0, 1.0), resolution=256,
                           jacobian=jacobian)
 
 
+def _evenly_spaced(a: np.ndarray) -> bool:
+    """Every node spacing equals the mean to a relative 1e-9, plus node-value rounding."""
+    if a.size < 3:
+        return True
+    step = (a[-1] - a[0]) / (a.size - 1)
+    slack = 1e-9 * step + 8.0 * np.finfo(float).eps * float(np.max(np.abs(a)))
+    return bool(np.all(np.abs(np.diff(a) - step) <= slack))
+
+
 def gridded_embedding(axes: Sequence[np.ndarray], values: np.ndarray) -> BraneEmbedding:
     """Embedding from sampled values on a regular node grid (linear interpolation).
 
-    axes are D strictly increasing node-coordinate arrays; values has shape
-    (n1, ..., nD, dimM). Minors come from central differences of the
-    interpolant, so the effective resolution is the node count minus one.
+    axes are D strictly increasing, evenly spaced node-coordinate arrays;
+    values has shape (n1, ..., nD, dimM). Minors come from central
+    differences of the interpolant, so the effective resolution is the node
+    count minus one. Unevenly spaced axes raise DimensionMismatch, because
+    the uniform quadrature cells would not line up with the data cells; the
+    spacing check is relative, so linspace nodes read back from text pass.
     """
     axes = [np.asarray(a, dtype=float) for a in axes]
     values = np.asarray(values, dtype=float)
@@ -441,6 +493,11 @@ def gridded_embedding(axes: Sequence[np.ndarray], values: np.ndarray) -> BraneEm
     for a, n in zip(axes, values.shape[:d]):
         if a.ndim != 1 or a.size != n or np.any(np.diff(a) <= 0):
             raise DimensionMismatch("axes must be strictly increasing and match values")
+        if not _evenly_spaced(a):
+            raise DimensionMismatch(
+                f"axis nodes must be evenly spaced: spacings range from "
+                f"{np.min(np.diff(a)):.6g} to {np.max(np.diff(a)):.6g}"
+            )
     dim_m = values.shape[-1]
     interp = RegularGridInterpolator(tuple(axes), values, method="linear",
                                      bounds_error=False, fill_value=None)

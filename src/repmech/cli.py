@@ -31,7 +31,6 @@ from .brane import (
     cylinder_patch_embedding,
     graph_embedding,
     gridded_embedding,
-    integral_gauge_check,
     minor_indices,
     tilted_plane_embedding,
 )
@@ -46,7 +45,7 @@ from .clifford import (
     vector_covariance_check,
     verify_lie_closure,
 )
-from .errors import ConfigError, RepMechError
+from .errors import ConfigError, DimensionMismatch, RepMechError
 from .fields import (
     constant_potential,
     symmetric_tensor,
@@ -499,7 +498,7 @@ def _parse_brane(root: Section, warnings):
 
 
 def _load_grid_csv(path: Path, d: int, dim_m: int, esec: Section):
-    """CSV rows: z coordinates then x coordinates; nodes on a regular grid."""
+    """CSV rows: z coordinates then x coordinates; nodes on an evenly spaced grid."""
     if not path.exists():
         raise ConfigError(f"{esec.where('path')}: file '{path}' not found")
     rows = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -519,7 +518,10 @@ def _load_grid_csv(path: Path, d: int, dim_m: int, esec: Section):
     values[idx] = xs
     if np.any(np.isnan(values)):
         raise ConfigError(f"{esec.where('path')}: grid has missing nodes")
-    return gridded_embedding(axes, values)
+    try:
+        return gridded_embedding(axes, values)
+    except DimensionMismatch as exc:
+        raise ConfigError(f"{esec.where('path')}: file '{path}': {exc}") from None
 
 
 def _parse_clifford(root: Section, warnings):
@@ -637,7 +639,7 @@ def _run_brane(cfg, out_dir):
     return {
         "action": action,
         "component_count": details["component_count"],
-        "gauge_deviation": integral_gauge_check(emb),
+        "gauge_deviation": details["gauge_deviation"],
         "cells": details["cells"],
         "min_radicand": details["min_radicand"],
     }, []

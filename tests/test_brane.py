@@ -1,0 +1,287 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repmech import (
+    BraneSpec,
+    DimensionMismatch,
+    LagrangianSpec,
+    NegativeRadicand,
+    brane_action,
+    brane_potential_from_function,
+    curve_embedding,
+    cylinder_patch_embedding,
+    discrete_action,
+    generalized_velocity,
+    graph_embedding,
+    gridded_embedding,
+    integral_gauge_check,
+    minkowski_metric,
+    minor_indices,
+    multivector_metric,
+    nonrelativistic_brane_expansion,
+    reparameterized,
+    straight_chord_path,
+    tilted_plane_embedding,
+    uniform_magnetic_potential,
+)
+from repmech.brane import _minors, _multivector_metric_matrix
+from repmech.cli import main, parse_config, run
+from repmech.errors import ConfigError
+from repmech.geometry import (
+    MetricField,
+    constant_diagonal_metric,
+    euclidean_metric,
+    weak_field_metric,
+)
+
+EUCLID3 = euclidean_metric(3)
+ONE_TIME3 = constant_diagonal_metric([1.0, 1.0, -1.0])
+
+
+def _dims():
+    return st.integers(1, 5).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m)))
+
+
+def _random_symmetric(rng, n):
+    a = rng.normal(size=(n, n))
+    return a + a.T
+
+
+def _square_graph():
+    """x3 = z1^2 over the unit square, with its analytic gradient."""
+    return graph_embedding(lambda Z: np.atleast_2d(Z)[:, 0] ** 2,
+                           grad=lambda Z: np.column_stack([2.0 * np.atleast_2d(Z)[:, 0],
+                                                           np.zeros(len(np.atleast_2d(Z)))]),
+                           resolution=(8, 4))
+
+
+def _interpolant_area(nodes):
+    """Exact area of the piecewise-linear interpolant of x3 = z1^2 on z1 nodes, z2 in [0, 1]."""
+    dz = np.diff(nodes)
+    slopes = np.diff(nodes ** 2) / dz
+    return float(np.sum(dz * np.sqrt(1.0 + slopes ** 2)))
+
+
+def _square_nodes(z1):
+    z2 = np.linspace(0.0, 1.0, 5)
+    Z1, Z2 = np.meshgrid(z1, z2, indexing="ij")
+    values = np.stack([Z1, Z2, Z1 ** 2], axis=-1)
+    return [z1, z2], values
+
+
+class TestMinors:
+    @settings(max_examples=60, deadline=None)
+    @given(_dims(), st.integers(0, 2 ** 31 - 1))
+    def test_minors_match_submatrix_determinants(self, dims, seed):
+        dim_m, d = dims
+        J = np.random.default_rng(seed).normal(size=(7, dim_m, d))
+        expect = np.stack([np.linalg.det(J[:, list(c), :]) for c in minor_indices(dim_m, d)],
+                          axis=-1)
+        assert np.max(np.abs(_minors(J) - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_dims(), st.integers(0, 2 ** 31 - 1))
+    def test_cauchy_binet(self, dims, seed):
+        dim_m, d = dims
+        rng = np.random.default_rng(seed)
+        J = rng.normal(size=(5, dim_m, d))
+        g = _random_symmetric(rng, dim_m)
+        G = _multivector_metric_matrix(g, d)
+        combos = minor_indices(dim_m, d)
+        reference = np.array([[multivector_metric(g, c1, c2) for c2 in combos] for c1 in combos])
+        assert np.max(np.abs(G - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
+        w = _minors(J)
+        lhs = np.einsum("ni,ij,nj->n", w, G, w)
+        gram = np.einsum("nad,ab,nbe->nde", J, g, J)
+        rhs = np.linalg.det(gram)
+        # rounding scales: the absolute terms of the sum, Hadamard's bound on the det
+        scale = np.maximum(np.einsum("ni,ij,nj->n", np.abs(w), np.abs(G), np.abs(w)),
+                           np.prod(np.linalg.norm(gram, axis=2), axis=1))
+        assert np.all(np.abs(lhs - rhs) <= 1e-13 * scale)
+
+    def test_generalized_velocity_reads_minors_by_index(self):
+        emb = cylinder_patch_embedding(2.0)
+        gv = generalized_velocity(emb, np.array([0.3, 0.4]))
+        assert gv[(0, 1)] == pytest.approx(-2.0 * math.sin(0.4), abs=1e-15)
+        assert gv[(0, 2)] == pytest.approx(2.0 * math.cos(0.4), abs=1e-15)
+        assert gv[(1, 2)] == 0.0
+
+
+class TestBraneAction:
+    @pytest.mark.parametrize("slope", [0.0, 0.75, 1.4])
+    def test_tilted_plane(self, slope):
+        box = ((-0.3, 0.9), (0.2, 1.7))
+        emb = tilted_plane_embedding(slope, box=box, resolution=(32, 16))
+        expect = 1.7 * math.sqrt(1.0 + slope ** 2) * 1.2 * 1.5
+        action, details = brane_action(BraneSpec(EUCLID3, mass=1.7, charge=0.0), emb,
+                                       details=True)
+        assert action == pytest.approx(expect, rel=1e-12)
+        assert details["min_radicand"] == pytest.approx(1.0 + slope ** 2, rel=1e-14)
+        assert details["gauge_deviation"] == 0.0
+
+    def test_cylinder_patch(self):
+        box = ((0.0, 1.3), (0.4, 2.9))
+        emb = cylinder_patch_embedding(0.8, box=box, resolution=(16, 64))
+        action = brane_action(BraneSpec(EUCLID3, mass=1.1, charge=0.0), emb)
+        assert action == pytest.approx(1.1 * 0.8 * 1.3 * 2.5, rel=1e-12)
+
+    def test_constant_metric_matches_per_cell_determinant(self):
+        # same constant matrix, one marked constant (w^T G w) and one not (det(J^T g J))
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(3, 3))
+        g = a @ a.T + 3.0 * np.eye(3)
+        emb = graph_embedding(lambda Z: np.sin(np.atleast_2d(Z)).sum(axis=1),
+                              grad=lambda Z: np.cos(np.atleast_2d(Z)), resolution=(12, 10))
+        fast = brane_action(BraneSpec(MetricField(3, "constant", lambda x: g), mass=1.0), emb)
+        generic = brane_action(BraneSpec(MetricField(3, "user", lambda x: g), mass=1.0), emb)
+        assert fast == pytest.approx(generic, rel=1e-13)
+
+    def test_reparameterization_invariance(self):
+        # minors pick up det(psi'), so the midpoint sums converge to one integral
+        emb = cylinder_patch_embedding(1.5, box=((0.0, 1.0), (0.0, 1.0)))
+        exact = 1.5
+        spec = BraneSpec(EUCLID3, mass=1.0, charge=0.0)
+
+        def psi(Z):
+            Z = np.atleast_2d(Z)
+            return np.column_stack([np.expm1(Z[:, 0]) / math.expm1(1.0), Z[:, 1] ** 2])
+
+        def psi_jacobian(Z):
+            Z = np.atleast_2d(Z)
+            out = np.zeros((Z.shape[0], 2, 2))
+            out[:, 0, 0] = np.exp(Z[:, 0]) / math.expm1(1.0)
+            out[:, 1, 1] = 2.0 * Z[:, 1]
+            return out
+
+        moved = reparameterized(emb, psi, psi_jacobian)
+        z = np.array([0.3, 0.7])
+        w_moved = generalized_velocity(moved, z).components
+        w_orig = generalized_velocity(emb, psi(z)[0]).components
+        assert np.allclose(w_moved, np.linalg.det(psi_jacobian(z)[0]) * w_orig,
+                           rtol=1e-14, atol=1e-15)
+
+        errors = []
+        for n in (16, 32, 64):
+            coarse = reparameterized(cylinder_patch_embedding(1.5, box=((0.0, 1.0), (0.0, 1.0)),
+                                                              resolution=(n, n)),
+                                     psi, psi_jacobian)
+            errors.append(abs(brane_action(spec, coarse) - exact))
+        assert errors[-1] < 1e-4
+        assert errors[0] / errors[1] > 3.5 and errors[1] / errors[2] > 3.5
+
+    @pytest.mark.parametrize("metric", [minkowski_metric(4),
+                                        weak_field_metric(4, lambda x: 0.05 * math.sin(x[1]))],
+                             ids=["minkowski", "weak_field"])
+    def test_curve_matches_point_particle_discrete_action(self, metric):
+        # one cell per chord segment: the cell centre is the segment midpoint
+        # and the cell width is 1, so each cell is one term of discrete_action
+        rng = np.random.default_rng(7)
+        end = np.array([2.0, 0.4, -0.3, 0.2])
+        path = straight_chord_path(np.zeros(4), end, 5,
+                                   perturbation=0.05 * rng.normal(size=(5, 4)) * [0, 1, 1, 1])
+        nodes = np.vstack([path.x_start, path.interior, path.x_end])
+        steps = np.diff(nodes, axis=0)
+        k_grid = np.arange(nodes.shape[0], dtype=float)
+
+        def fn(Z):
+            z = np.atleast_2d(Z)[:, 0]
+            return np.column_stack([np.interp(z, k_grid, nodes[:, a]) for a in range(4)])
+
+        def jac(Z):
+            k = np.clip(np.floor(np.atleast_2d(Z)[:, 0]).astype(int), 0, len(steps) - 1)
+            return steps[k][:, :, None]
+
+        potential = uniform_magnetic_potential(4, 0.7)
+        particle = LagrangianSpec(metric=metric, mass=1.3, charge=0.6, potential=potential)
+        brane_spec = BraneSpec(metric=metric, mass=1.3, charge=0.6,
+                               potential=brane_potential_from_function(4, 4, potential))
+        emb = curve_embedding(fn, jacobian=jac, box=(0.0, float(len(steps))),
+                              resolution=len(steps))
+        assert brane_action(brane_spec, emb) == pytest.approx(discrete_action(particle, path),
+                                                              rel=1e-13)
+
+    def test_negative_radicand_carries_first_bad_cell(self):
+        # det(J^T g J) = 1 - (2 z1)^2 in diag(1, 1, -1): negative from z1 > 1/2,
+        # first reached at cell centre z1 = 0.5625, row 4 of 8
+        emb = _square_graph()
+        with pytest.raises(NegativeRadicand) as info:
+            brane_action(BraneSpec(ONE_TIME3, mass=1.0, charge=0.0), emb)
+        assert info.value.cell == (4, 0)
+        brane_action(BraneSpec(ONE_TIME3, mass=0.0, charge=0.0), emb)
+
+    def test_negative_radicand_on_timelike_slope(self):
+        emb = tilted_plane_embedding(0.5, resolution=(4, 4))
+        with pytest.raises(NegativeRadicand) as info:
+            brane_action(BraneSpec(minkowski_metric(3), mass=1.0, charge=0.0), emb)
+        assert info.value.cell == (0, 0)
+
+
+class TestGauge:
+    @pytest.mark.parametrize("emb,deviation", [
+        (_square_graph(), 0.0),
+        (cylinder_patch_embedding(2.0, box=((0.0, 1.0), (0.0, 0.5)), resolution=(4, 4)),
+         1.0 + 2.0 * math.sin(0.4375)),
+    ], ids=["graph", "cylinder"])
+    def test_action_details_agree_with_integral_gauge_check(self, emb, deviation):
+        _, details = brane_action(BraneSpec(EUCLID3, mass=1.0, charge=0.0), emb, details=True)
+        assert details["gauge_deviation"] == integral_gauge_check(emb)
+        assert details["gauge_deviation"] == pytest.approx(deviation, abs=1e-15)
+
+    def test_nonrelativistic_expansion_at_one_cell(self):
+        slope = 0.01
+        emb = graph_embedding(lambda Z: slope * np.atleast_2d(Z)[:, 0] ** 2,
+                              grad=lambda Z: np.column_stack(
+                                  [2.0 * slope * np.atleast_2d(Z)[:, 0],
+                                   np.zeros(len(np.atleast_2d(Z)))]),
+                              resolution=(8, 4))
+        spec = BraneSpec(ONE_TIME3, mass=1.2, charge=0.0)
+        exact, quadratic = nonrelativistic_brane_expansion(spec, emb, (5, 2))
+        z1 = emb.cell_centers()[np.ravel_multi_index((5, 2), emb.resolution)][0]
+        velocity = 2.0 * slope * z1
+        assert exact == pytest.approx(1.2 * math.sqrt(1.0 - velocity ** 2), rel=1e-15)
+        assert quadratic == pytest.approx(1.2 * (1.0 - 0.5 * velocity ** 2), rel=1e-15)
+        with pytest.raises(DimensionMismatch):
+            nonrelativistic_brane_expansion(spec, emb, (8, 0))
+
+
+class TestGriddedEmbedding:
+    def test_uniform_nodes_integrate_the_interpolant(self):
+        z1 = np.linspace(0.0, 1.0, 6)
+        axes, values = _square_nodes(z1)
+        action = brane_action(BraneSpec(EUCLID3, mass=1.0, charge=0.0),
+                              gridded_embedding(axes, values))
+        assert action == pytest.approx(_interpolant_area(z1), rel=1e-14)
+
+    def test_uneven_nodes_rejected(self):
+        axes, values = _square_nodes(np.array([0.0, 0.1, 0.15, 0.5, 0.6, 1.0]))
+        with pytest.raises(DimensionMismatch, match="evenly spaced"):
+            gridded_embedding(axes, values)
+
+    def _write_csv(self, path, z1):
+        axes, values = _square_nodes(z1)
+        Z1, Z2 = np.meshgrid(*axes, indexing="ij")
+        rows = np.column_stack([Z1.ravel(), Z2.ravel(), values.reshape(-1, 3)])
+        np.savetxt(path, rows, delimiter=",", fmt="%.17g")
+        return (f"embedding: {{kind: grid_csv, path: '{path.as_posix()}', d: 2, dim_m: 3}}\n"
+                "spec: {metric: {kind: euclidean, dim: 3}, mass: 1.0, charge: 0.0}\n")
+
+    def test_csv_linspace_nodes_pass_the_spacing_check(self, tmp_path):
+        # nodes read back from text differ from an exact spacing in the last bits
+        z1 = np.linspace(-0.7, 0.3, 129)
+        text = self._write_csv(tmp_path / "nodes.csv", z1)
+        summary, _ = run("brane", parse_config(text, "brane"), tmp_path)
+        assert summary["action"] == pytest.approx(_interpolant_area(z1), rel=1e-13)
+        assert summary["gauge_deviation"] <= 1e-12
+
+    def test_csv_uneven_nodes_are_a_config_error(self, tmp_path):
+        text = self._write_csv(tmp_path / "uneven.csv",
+                               np.array([0.0, 0.1, 0.15, 0.5, 0.6, 1.0]))
+        with pytest.raises(ConfigError, match="uneven.csv.*evenly spaced"):
+            parse_config(text, "brane")
+        config = tmp_path / "brane.yaml"
+        config.write_text(text)
+        assert main(["brane", "--config", str(config), "--out", str(tmp_path)]) == 2
