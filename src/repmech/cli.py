@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -108,6 +109,32 @@ def to_json(obj, indent: int = 0) -> str:
 # ---------------------------------------------------------------------------
 # YAML with key line numbers
 # ---------------------------------------------------------------------------
+
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader that also reads `1e-3` and `1.0e3` as floats.
+
+    YAML 1.1 wants a dot and a signed exponent, so plain PyYAML resolves
+    both to strings and `step: 1e-3` would fail as not a number.
+    """
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
+
+
+def _load_yaml(text: str):
+    """(data, node) of one YAML document, both from a single parse."""
+    loader = _ConfigLoader(text)
+    try:
+        node = loader.get_single_node()
+        data = loader.construct_document(node) if node is not None else None
+    finally:
+        loader.dispose()
+    return data, node
+
 
 def _key_lines(node, prefix=()):
     lines = {}
@@ -304,8 +331,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand '{subcommand}'")
     try:
-        data = yaml.safe_load(text)
-        node = yaml.compose(text)
+        data, node = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}")
     if data is None:
@@ -529,15 +555,20 @@ def _parse_clifford(root: Section, warnings):
     algebra = root.string("algebra", "lorentz", choices={"lorentz", "so3", "abelian"})
     form = root.string("form", "minkowski", choices={"minkowski", "euclidean"})
     perturbation = root.number("perturbation", 0.0)
+    if perturbation < 0.0:
+        raise ConfigError(f"{root.where('perturbation')} must be >= 0")
     trials = root.integer("trials", 1)
     if trials < 1:
         raise ConfigError(f"{root.where('trials')} must be >= 1")
+    det_samples = root.integer("det_samples", 1000)
+    if det_samples < 1:
+        raise ConfigError(f"{root.where('det_samples')} must be >= 1")
     return {
         "algebra": algebra,
         "form": form,
         "perturbation": perturbation,
         "trials": trials,
-        "det_samples": root.integer("det_samples", 1000),
+        "det_samples": det_samples,
     }
 
 
@@ -656,23 +687,29 @@ def _run_clifford(cfg, out_dir):
         alg = abelian_algebra(4)
     rng = np.random.default_rng(cfg.seed)
 
-    trial_residuals = []
-    last = None
-    for _ in range(p["trials"]):
-        gam_t = gam if p["perturbation"] == 0.0 else perturb_gammas(gam, p["perturbation"], rng)
-        sol = solve_quadratic_generators(alg, gam_t)
-        trial_residuals.append(float(np.max(sol.residuals)))
-        last = (gam_t, sol)
-    gam_t, sol = last
+    if p["perturbation"] == 0.0:
+        # every trial would solve the same system
+        gam_t, sol = gam, solve_quadratic_generators(alg, gam)
+        trial_residuals = [float(np.max(sol.residuals))] * p["trials"]
+    else:
+        trial_residuals = []
+        for _ in range(p["trials"]):
+            gam_t = perturb_gammas(gam, p["perturbation"], rng)
+            sol = solve_quadratic_generators(alg, gam_t)
+            trial_residuals.append(float(np.max(sol.residuals)))
 
-    det_worst = 0.0
+    # each sample draws its momentum, then its mass: drawing all momenta in
+    # one call would change the samples a seed gives
+    n = p["det_samples"]
+    pis = np.empty((n, 4))
+    masses = np.empty(n)
+    for k in range(n):
+        pis[k] = rng.normal(size=4) * 1.5
+        masses[k] = rng.uniform(0.0, 2.0)
     mink = build_dirac_gammas("minkowski")
-    for _ in range(p["det_samples"]):
-        pi = rng.normal(size=4) * 1.5
-        m = float(rng.uniform(0.0, 2.0))
-        target = (float(pi @ np.linalg.inv(mink.form) @ pi) - m * m) ** 2
-        res = mass_shell_determinant_residual(0.0, m, np.zeros(4), pi, mink)
-        det_worst = max(det_worst, res / max(1.0, abs(target)))
+    target = (np.sum((pis @ np.linalg.inv(mink.form)) * pis, axis=-1) - masses ** 2) ** 2
+    res = mass_shell_determinant_residual(0.0, masses, np.zeros(4), pis, mink)
+    det_worst = float(np.max(res / np.maximum(1.0, np.abs(target))))
 
     return {
         "algebra": p["algebra"],

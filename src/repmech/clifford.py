@@ -166,7 +166,6 @@ class LieAlgebraSpec:
             raise DimensionMismatch("structure constants must be antisymmetric in (i, j)")
         if _jacobi_residual(c) > 1e-12:
             raise DimensionMismatch("structure constants violate the Jacobi identity")
-        _, closure = _structure_constants_from_rep(rho)
         cols = rho.reshape(rho.shape[0], -1).T
         worst = 0.0
         for i in range(rho.shape[0]):
@@ -386,32 +385,47 @@ def extract_vector_rep(generators: Sequence[np.ndarray], gam: GammaSet):
 _MINKOWSKI4 = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-def dirac_operator(q: float, m: float, a_const, p, gam: GammaSet) -> np.ndarray:
+def dirac_operator(q: float, m, a_const, p, gam: GammaSet) -> np.ndarray:
     """H = g^a (p_a - q A_a) - m I for a Minkowski 4x4 gamma set.
 
-    Only the electromagnetic and mass terms enter; higher tensor terms have
-    no defined reduction here.
+    p has shape (4,) or (..., 4) and m is a scalar or has a shape that
+    broadcasts against p's leading shape; A is one constant 4-covector. The
+    result has shape (..., 4, 4), one operator per batch entry. Only the
+    electromagnetic and mass terms enter; higher tensor terms have no defined
+    reduction here.
     """
     if gam.n != 4 or not np.allclose(gam.form, _MINKOWSKI4, atol=1e-12):
         raise FormMismatch("dirac_operator requires the Minkowski 4x4 gamma set")
     p = np.asarray(p, dtype=float)
     a = np.asarray(a_const, dtype=float)
-    if p.shape != (4,) or a.shape != (4,):
+    m = np.asarray(m, dtype=float)
+    if p.ndim == 0 or p.shape[-1] != 4 or a.shape != (4,):
         raise DimensionMismatch("p and A must be 4-covectors")
+    try:
+        np.broadcast_shapes(m.shape, p.shape[:-1])
+    except ValueError:
+        raise DimensionMismatch(
+            f"mass shape {m.shape} does not broadcast against p shape {p.shape}") from None
     pi = p - q * a
-    h = -m * np.eye(4, dtype=complex)
+    h = -m[..., None, None] * np.eye(4, dtype=complex)
     for alpha in range(4):
-        h = h + gam.matrices[alpha] * pi[alpha]
+        h = h + gam.matrices[alpha] * pi[..., alpha, None, None]
     return h
 
 
-def mass_shell_determinant_residual(q: float, m: float, a_const, p,
-                                    gam: GammaSet) -> float:
-    """|det(g.pi - m I) - (pi.pi - m^2)^2| with pi = p - qA raised by the form."""
+def mass_shell_determinant_residual(q: float, m, a_const, p, gam: GammaSet):
+    """|det(g.pi - m I) - (pi.pi - m^2)^2| with pi = p - qA raised by the form.
+
+    Takes the shapes of dirac_operator. A scalar m with p of shape (4,)
+    gives a float; otherwise the result is an array of the broadcast batch
+    shape (...), from one stacked determinant.
+    """
     h = dirac_operator(q, m, a_const, p, gam)
     pi = np.asarray(p, dtype=float) - q * np.asarray(a_const, dtype=float)
-    pi_sq = float(pi @ np.linalg.inv(gam.form) @ pi)
-    return float(abs(np.linalg.det(h) - (pi_sq - m * m) ** 2))
+    pi_sq = np.sum((pi @ np.linalg.inv(gam.form)) * pi, axis=-1)
+    m = np.asarray(m, dtype=float)
+    res = np.abs(np.linalg.det(h) - (pi_sq - m * m) ** 2)
+    return float(res) if res.ndim == 0 else res
 
 
 def mass_term_trace_identity(gam: GammaSet, g) -> float:
