@@ -10,12 +10,14 @@ continuum reparametrization freedom survives discretely as flat directions
 (points sliding along the curve). Stationarity is therefore sought by
 driving the gradient to zero via least squares on grad S rather than by
 descending S itself; flat directions are counted and reported.
+
+Each function evaluates the Lagrangian kernels once per path, on the
+(K+1, N) arrays of segment midpoints and segments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -87,16 +89,16 @@ def straight_chord_path(x_start, x_end, K: int, perturbation=None) -> DiscretePa
 def _check_segments(spec, path):
     if spec.mass <= 0.0:
         return
-    for k, (mid, dx) in enumerate(zip(path.midpoints(), path.segments())):
-        if quadratic_form(spec.metric(mid), dx) < 0.0:
-            raise SpacelikeSegment(f"segment {k} is spacelike while the mass term is on")
+    gvv = quadratic_form(spec.metric(path.midpoints()), path.segments())
+    bad = np.flatnonzero(gvv < 0.0)
+    if bad.size:
+        raise SpacelikeSegment(f"segment {bad[0]} is spacelike while the mass term is on")
 
 
 def discrete_action(spec: LagrangianSpec, path: DiscretePath) -> float:
     """sum_k L(midpoint_k, dx_k); equals the parameterized sum for any dt_k > 0."""
     _check_segments(spec, path)
-    return float(sum(eval_L(spec, mid, dx)
-                     for mid, dx in zip(path.midpoints(), path.segments())))
+    return float(np.sum(eval_L(spec, path.midpoints(), path.segments())))
 
 
 def reparam_invariance_residual(spec: LagrangianSpec, path: DiscretePath, dtau) -> float:
@@ -106,65 +108,62 @@ def reparam_invariance_residual(spec: LagrangianSpec, path: DiscretePath, dtau) 
         raise DimensionMismatch(f"need {path.K + 1} parameter steps, got {dtau.shape}")
     if np.any(dtau <= 0):
         raise ValueError("parameter steps must be positive")
-    total = sum(eval_L(spec, mid, dx / dt) * dt
-                for mid, dx, dt in zip(path.midpoints(), path.segments(), dtau))
+    total = np.sum(eval_L(spec, path.midpoints(), path.segments() / dtau[:, None]) * dtau)
     return abs(float(total) - discrete_action(spec, path))
 
 
 def action_gradient(spec: LagrangianSpec, path: DiscretePath) -> np.ndarray:
-    """dS/d(interior points), shape (K, N), from the closed-form momenta."""
+    """dS/d(interior points), shape (K, N), from the closed-form momenta.
+
+    grad_j = p_j - p_{j+1} + (dL/dx_j + dL/dx_{j+1}) / 2 over the segments
+    j, j+1 that meet at interior point j; the position term is absent when
+    every field is constant.
+    """
     _check_segments(spec, path)
     mids = path.midpoints()
     segs = path.segments()
-    p = [momentum(spec, mid, dx) for mid, dx in zip(mids, segs)]
-    if spec.all_fields_constant:
-        dLdx = None
-    else:
-        dLdx = [position_gradient(spec, mid, dx) for mid, dx in zip(mids, segs)]
-    grad = np.empty((path.K, path.dim))
-    for j in range(path.K):
-        g = p[j] - p[j + 1]
-        if dLdx is not None:
-            g = g + 0.5 * (dLdx[j] + dLdx[j + 1])
-        grad[j] = g
+    p = momentum(spec, mids, segs)
+    grad = p[:-1] - p[1:]
+    if not spec.all_fields_constant:
+        dLdx = position_gradient(spec, mids, segs)
+        grad = grad + 0.5 * (dLdx[:-1] + dLdx[1:])
     return grad
 
 
 def action_hessian(spec: LagrangianSpec, path: DiscretePath) -> np.ndarray:
     """d2 S / d(interior)2 as a (K*N, K*N) matrix (block tridiagonal).
 
-    Velocity blocks use the analytic velocity Hessian of L; position-coupled
-    blocks vanish for constant fields and are otherwise filled by central
-    differences of the action gradient with a fixed absolute step, which
-    keeps the assembly exactly translation-equivariant.
+    For constant fields L depends on the segments alone, and the blocks are
+    assembled from the analytic velocity Hessians of the segments. Otherwise
+    every column is a central difference of action_gradient with a fixed
+    absolute step, which keeps the assembly exactly translation-equivariant.
     """
     k, n = path.interior.shape
     mids = path.midpoints()
     segs = path.segments()
-    hv = [velocity_hessian(spec, mid, dx) for mid, dx in zip(mids, segs)]
-    hess = np.zeros((k, n, k, n))
-    for j in range(k):
-        hess[j, :, j, :] += hv[j] + hv[j + 1]
-        if j > 0:
-            hess[j, :, j - 1, :] += -hv[j]
-        if j + 1 < k:
-            hess[j, :, j + 1, :] += -hv[j + 1]
-    if not spec.all_fields_constant:
-        step = 1e-6
-        base = path.interior
-        for col in range(k * n):
-            jj, aa = divmod(col, n)
-            zp = base.copy()
-            zm = base.copy()
-            zp[jj, aa] += step
-            zm[jj, aa] -= step
-            gp = action_gradient(spec, path.with_interior(zp))
-            gm = action_gradient(spec, path.with_interior(zm))
-            fd_col = ((gp - gm) / (2 * step)).reshape(k, n)
-            an_col = hess[:, :, jj, aa]
-            # keep the analytic velocity part, add the field-coupled remainder
-            hess[:, :, jj, aa] = fd_col if True else an_col
-    return hess.reshape(k * n, k * n)
+    if spec.all_fields_constant:
+        hv = velocity_hessian(spec, mids, segs)
+        hess = np.zeros((k, n, k, n))
+        j = np.arange(k)
+        hess[j, :, j, :] = hv[:-1] + hv[1:]
+        hess[j[1:], :, j[:-1], :] = -hv[1:-1]
+        hess[j[:-1], :, j[1:], :] = -hv[1:-1]
+        return hess.reshape(k * n, k * n)
+    # the columns perturb one point at a time, so check the unperturbed
+    # segments first, with the same errors as the analytic branch
+    momentum(spec, mids, segs)
+    step = 1e-6
+    hess = np.empty((k * n, k * n))
+    for col in range(k * n):
+        jj, aa = divmod(col, n)
+        zp = path.interior.copy()
+        zm = path.interior.copy()
+        zp[jj, aa] += step
+        zm[jj, aa] -= step
+        gp = action_gradient(spec, path.with_interior(zp))
+        gm = action_gradient(spec, path.with_interior(zm))
+        hess[:, col] = ((gp - gm) / (2 * step)).ravel()
+    return hess
 
 
 @dataclass(frozen=True)
@@ -182,11 +181,13 @@ def extremize(spec: LagrangianSpec, path0: DiscretePath,
               max_iters: int = 200, grad_tol: float = 1e-8) -> ExtremizeResult:
     """Drive grad S to zero over the interior points.
 
-    Levenberg-Marquardt on the residual r = grad S with its analytic
-    Jacobian (the action Hessian). The damping and step logic depend only on
-    residuals and Jacobians, never on coordinate magnitudes, so the solve is
-    exactly equivariant under rigid translations of the problem. Trial
-    points that leave the causal domain are rejected like any uphill step.
+    Levenberg-Marquardt on the residual r = grad S with the action Hessian
+    as its Jacobian: analytic blocks for constant fields, central-difference
+    columns of the gradient otherwise (see action_hessian). The damping and
+    step logic depend only on residuals and Jacobians, never on coordinate
+    magnitudes, so the solve is exactly equivariant under rigid translations
+    of the problem. Trial points that leave the causal domain are rejected
+    like any uphill step.
 
     Returns the best iterate with diagnostics; converged is False when the
     gradient tolerance was not reached within max_iters accepted steps.

@@ -676,6 +676,22 @@ def _run_brane(cfg, out_dir):
     }, []
 
 
+def _draw_det_samples(rng, n):
+    """n momenta with N(0, 1.5^2) components and n masses from U(0, 2).
+
+    Each sample draws its momentum, then its mass: drawing all momenta in one
+    call would change the samples a seed gives. The raw draws are scaled
+    once afterwards, which gives the same numbers as rng.normal(size=4) * 1.5
+    and rng.uniform(0, 2) per sample.
+    """
+    pis = np.empty((n, 4))
+    masses = np.empty(n)
+    for k in range(n):
+        rng.standard_normal(out=pis[k])
+        masses[k] = rng.random()
+    return pis * 1.5, masses * 2.0
+
+
 def _run_clifford(cfg, out_dir):
     p = cfg.payload
     gam = build_dirac_gammas(p["form"])
@@ -698,14 +714,7 @@ def _run_clifford(cfg, out_dir):
             sol = solve_quadratic_generators(alg, gam_t)
             trial_residuals.append(float(np.max(sol.residuals)))
 
-    # each sample draws its momentum, then its mass: drawing all momenta in
-    # one call would change the samples a seed gives
-    n = p["det_samples"]
-    pis = np.empty((n, 4))
-    masses = np.empty(n)
-    for k in range(n):
-        pis[k] = rng.normal(size=4) * 1.5
-        masses[k] = rng.uniform(0.0, 2.0)
+    pis, masses = _draw_det_samples(rng, p["det_samples"])
     mink = build_dirac_gammas("minkowski")
     target = (np.sum((pis @ np.linalg.inv(mink.form)) * pis, axis=-1) - masses ** 2) ** 2
     res = mass_shell_determinant_residual(0.0, masses, np.zeros(4), pis, mink)

@@ -16,6 +16,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch
+from .geometry import pointwise
 
 Index = Tuple[int, ...]
 
@@ -35,14 +36,20 @@ class VectorPotentialField:
     fd_step: float = 1e-6
 
     def __call__(self, x) -> np.ndarray:
-        a = np.asarray(self._eval(np.asarray(x, dtype=float)), dtype=float)
+        """A at x of shape (..., N), as (..., N); a constant A is evaluated once."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim > 1 and not self.is_constant:
+            return pointwise(self, x)
+        a = np.asarray(self._eval(x), dtype=float)
         if a.shape != (self.dim,):
             raise DimensionMismatch(f"potential evaluator returned shape {a.shape}")
-        return a
+        return a if x.ndim < 2 else np.broadcast_to(a, x.shape[:-1] + a.shape)
 
     def jacobian(self, x) -> np.ndarray:
-        """J[a, c] = d A_a / d x^c; analytic when available, else central FD."""
+        """J[..., a, c] = d A_a / d x^c; analytic when available, else central FD."""
         x = np.asarray(x, dtype=float)
+        if x.ndim > 1:
+            return pointwise(self.jacobian, x)
         if self._jac is not None:
             return np.asarray(self._jac(x), dtype=float)
         out = np.empty((self.dim, self.dim))
@@ -58,6 +65,10 @@ class VectorPotentialField:
     @property
     def has_analytic_jacobian(self) -> bool:
         return self._jac is not None
+
+    @property
+    def is_constant(self) -> bool:
+        return self.kind in ("zero", "constant")
 
 
 def zero_potential(dim: int) -> VectorPotentialField:
@@ -173,64 +184,89 @@ class SymmetricTensorField:
         return self._build_weights(entries)
 
     # -- contraction and its velocity derivatives -------------------------
-    def contraction(self, x, v) -> float:
-        """Full n-fold contraction S(v, ..., v)."""
+    # v has shape (..., N). The loops run over the stored rows only and index
+    # v.T, whose first axis is the component, so one row updates every point
+    # of a batch at once; a single point is the batch shape ().
+
+    def contraction(self, x, v):
+        """Full n-fold contraction S(v, ..., v), shape (...)."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
+        if v.shape[-1:] != (self.dim,):
             raise DimensionMismatch(f"velocity shape {v.shape} vs tensor dim {self.dim}")
-        total = 0.0
+        if v.ndim > 1 and not self.is_constant:
+            return pointwise(self.contraction, np.broadcast_to(x, v.shape), v)
+        vt = v.T
+        total = np.zeros(vt.shape[1:])
         for _idx, counts, mult, coeff in self._rows(x):
             prod = 1.0
             for d, k in counts:
-                prod *= v[d] ** k
-            total += coeff * mult * prod
-        return total
+                prod *= vt[d] ** k
+            total = total + coeff * mult * prod
+        return total.T
 
     def contraction_gradient(self, x, v) -> np.ndarray:
-        """d/dv of the full contraction; equals n * S_{a b...} v^{b} ... v."""
+        """d/dv of the full contraction, shape (..., N); equals n * S_{a b...} v^b ... v."""
         v = np.asarray(v, dtype=float)
-        grad = np.zeros(self.dim)
+        if v.ndim > 1 and not self.is_constant:
+            return pointwise(self.contraction_gradient, np.broadcast_to(x, v.shape), v)
+        vt = v.T
+        grad = np.zeros(vt.shape)
         for _idx, counts, mult, coeff in self._rows(x):
             for d, k in counts:
-                prod = 1.0 if k == 1 else k * v[d] ** (k - 1)
+                prod = 1.0 if k == 1 else k * vt[d] ** (k - 1)
                 for e, m in counts:
                     if e != d:
-                        prod *= v[e] ** m
+                        prod *= vt[e] ** m
                 grad[d] += coeff * mult * prod
-        return grad
+        return grad.T
 
     def contraction_hessian(self, x, v) -> np.ndarray:
-        """d2/dv2 of the full contraction; equals n(n-1) * S_{a b c...} v ... v."""
+        """d2/dv2 of the full contraction, shape (..., N, N).
+
+        Equals n(n-1) * S_{a b c...} v ... v.
+        """
         v = np.asarray(v, dtype=float)
-        hess = np.zeros((self.dim, self.dim))
+        if v.ndim > 1 and not self.is_constant:
+            return pointwise(self.contraction_hessian, np.broadcast_to(x, v.shape), v)
+        vt = v.T
+        # (N, N, reversed batch): the final .T restores (..., N, N) and, the
+        # matrix being filled symmetrically, swapping its two axes is harmless
+        hess = np.zeros((self.dim,) + vt.shape)
         for _idx, counts, mult, coeff in self._rows(x):
             for d, k in counts:
                 # diagonal block
                 if k >= 2:
-                    prod = k * (k - 1) * v[d] ** (k - 2)
+                    prod = k * (k - 1) * vt[d] ** (k - 2)
                     for e, m in counts:
                         if e != d:
-                            prod *= v[e] ** m
+                            prod *= vt[e] ** m
                     hess[d, d] += coeff * mult * prod
                 # off-diagonal blocks
                 for e, m in counts:
                     if e <= d:
                         continue
                     prod = k * m
-                    prod *= v[d] ** (k - 1)
-                    prod *= v[e] ** (m - 1)
+                    prod *= vt[d] ** (k - 1)
+                    prod *= vt[e] ** (m - 1)
                     for f, p in counts:
                         if f != d and f != e:
-                            prod *= v[f] ** p
+                            prod *= vt[f] ** p
                     hess[d, e] += coeff * mult * prod
                     hess[e, d] += coeff * mult * prod
-        return hess
+        return hess.T
 
     def position_gradient_of_contraction(self, x, v, fd_step: float = 1e-6) -> np.ndarray:
-        """d/dx of S(x; v, ..., v); zero for constant tensors, central FD otherwise."""
+        """d/dx of S(x; v, ..., v), shape (..., N).
+
+        Zero for constant tensors, central differences otherwise.
+        """
         x = np.asarray(x, dtype=float)
         if self.is_constant:
-            return np.zeros(x.shape)
+            return np.zeros(np.shape(v))
+        if np.ndim(v) > 1:
+            return pointwise(
+                lambda xi, vi: self.position_gradient_of_contraction(xi, vi, fd_step),
+                np.broadcast_to(x, np.shape(v)), np.asarray(v, dtype=float))
         out = np.empty(x.shape)
         for c in range(x.size):
             h = fd_step * max(1.0, abs(x[c]))

@@ -31,7 +31,9 @@ class MetricField:
     """Position-dependent symmetric metric g_ab(x) on an N-dimensional target.
 
     kind is one of "constant", "diagonal-analytic", "user". The evaluator must
-    return a symmetric matrix (checked to 1e-14) with |det| > 1e-12.
+    return a symmetric matrix (checked to 1e-14) with |det| > 1e-12. A
+    constant metric is checked once, when it is built; any other is checked
+    at every point it is evaluated at.
     """
 
     dim: int
@@ -39,13 +41,27 @@ class MetricField:
     _eval: Callable[[np.ndarray], np.ndarray]
     _grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fd_step: float = 1e-6
+    _constant: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                            compare=False)
+
+    def __post_init__(self):
+        if self.is_constant:
+            object.__setattr__(self, "_constant", self._at(np.zeros(self.dim)))
 
     def __call__(self, x) -> np.ndarray:
+        """g at x of shape (..., N), as (..., N, N); a single point is the shape (N,)."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
+        if x.shape[-1:] != (self.dim,):
             raise DimensionMismatch(
                 f"metric expects a position of length {self.dim}, got shape {x.shape}"
             )
+        if self.is_constant:
+            return self._constant if x.ndim == 1 else np.broadcast_to(
+                self._constant, x.shape + (self.dim,))
+        return self._at(x) if x.ndim == 1 else pointwise(self._at, x)
+
+    def _at(self, x) -> np.ndarray:
+        """The evaluator's matrix at one point, after the shape, symmetry and degeneracy checks."""
         g = np.asarray(self._eval(x), dtype=float)
         if g.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"metric evaluator returned shape {g.shape}")
@@ -56,10 +72,12 @@ class MetricField:
         return g
 
     def gradient(self, x) -> np.ndarray:
-        """d g_ab / d x^c as an array G[c, a, b]; central differences by default."""
+        """d g_ab / d x^c as an array G[..., c, a, b]; central differences by default."""
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
-            return np.zeros((self.dim, self.dim, self.dim))
+            return np.zeros(x.shape + (self.dim, self.dim))
+        if x.ndim > 1:
+            return pointwise(self.gradient, x)
         if self._grad is not None:
             return np.asarray(self._grad(x), dtype=float)
         out = np.empty((self.dim, self.dim, self.dim))
@@ -75,6 +93,17 @@ class MetricField:
     @property
     def is_constant(self) -> bool:
         return self.kind == "constant"
+
+
+def pointwise(fn, *points) -> np.ndarray:
+    """fn applied to each point of equally shaped (..., N) batches, stacked.
+
+    The result has the batch shape followed by the shape of one fn value;
+    fields whose value varies with position are evaluated through it.
+    """
+    rows = zip(*(p.reshape(-1, p.shape[-1]) for p in points))
+    out = np.array([fn(*row) for row in rows], dtype=float)
+    return out.reshape(points[0].shape[:-1] + out.shape[1:])
 
 
 def constant_metric(matrix) -> MetricField:
@@ -135,17 +164,17 @@ def metric_from_function(dim: int, fn: Callable[[np.ndarray], np.ndarray],
 # quadratic form and signature
 # ---------------------------------------------------------------------------
 
-def quadratic_form(g, v) -> float:
-    """Bilinear contraction v.g.v."""
+def quadratic_form(g, v):
+    """Bilinear contraction v.g.v of g (..., N, N) and v (..., N), shape (...)."""
     g = np.asarray(g, dtype=float)
     v = np.asarray(v, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {g.shape}")
-    if v.shape != (g.shape[0],):
+    if v.shape[-1:] != g.shape[-1:]:
         raise DimensionMismatch(
-            f"vector of length {v.shape} does not match metric dim {g.shape[0]}"
+            f"vector of length {v.shape} does not match metric dim {g.shape[-1]}"
         )
-    return float(v @ g @ v)
+    return np.vecdot(np.matvec(g, v), v)
 
 
 @dataclass(frozen=True)

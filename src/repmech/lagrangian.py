@@ -9,12 +9,19 @@ the generalized momentum pi = m g v / sqrt(g(v,v)).
 
 Derivatives come in two modes: closed-form term-wise formulas (primary) and
 central finite differences of eval_L (independent oracle).
+
+eval_L, momentum, velocity_hessian and position_gradient take x and v of
+one shape (..., N) and return shapes (...), (..., N), (..., N, N) and
+(..., N): a single point is the batch shape (), and a batch of points costs
+one numpy call per term. Fields that do not vary with position are
+evaluated once per call; the others once per point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+import functools
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -23,6 +30,7 @@ from .errors import (
     NegativeEvenRadicand,
     NotOneTimeMetric,
     NullVelocity,
+    RepMechError,
     SpacelikeVelocity,
     ZeroRadicand,
 )
@@ -63,79 +71,117 @@ class LagrangianSpec:
     def _check_point(self, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        if x.shape != (self.dim,) or v.shape != (self.dim,):
+        if x.shape != v.shape or x.shape[-1:] != (self.dim,):
             raise DimensionMismatch(
-                f"position/velocity must have length {self.dim}, got {x.shape}, {v.shape}"
+                f"position/velocity must have shape (..., {self.dim}), got {x.shape}, {v.shape}"
             )
         return x, v
 
     @property
     def all_fields_constant(self) -> bool:
         return (self.metric.is_constant
-                and self.potential.kind in ("zero", "constant")
+                and self.potential.is_constant
                 and all(s.is_constant for _, s in self.extra_terms))
 
 
-def signed_root(value: float, n: int) -> float:
+def _any(mask) -> bool:
+    """Whether a domain check flags any point of a batch.
+
+    A single point's mask is a numpy or Python bool; numpy's .any() on it
+    would cost a sizeable share of a single-point kernel call.
+    """
+    return bool(mask.any()) if getattr(mask, "ndim", 0) else bool(mask)
+
+
+def _first_bad_point(kernel):
+    """Make a batch that fails a domain check raise what its first failing point raises.
+
+    The checks run term by term over the whole batch, so a batch whose points
+    fail different checks would otherwise raise by term, not by point order.
+    """
+    @functools.wraps(kernel)
+    def checked(spec, x, v):
+        try:
+            return kernel(spec, x, v)
+        except RepMechError:
+            x = np.asarray(x, dtype=float)
+            v = np.asarray(v, dtype=float)
+            if v.ndim < 2 or x.shape != v.shape:
+                raise
+            n = v.shape[-1]
+            for i, (xi, vi) in enumerate(zip(x.reshape(-1, n), v.reshape(-1, n))):
+                try:
+                    kernel(spec, xi, vi)
+                except RepMechError as err:
+                    index = np.unravel_index(i, v.shape[:-1])
+                    raise type(err)(f"{err} (batch index {tuple(map(int, index))})") from None
+            raise
+
+    return checked
+
+
+def signed_root(value, n: int):
     """Real n-th root; odd ranks use the signed root, even ranks require value >= 0."""
     if n % 2 == 0:
-        if value < 0:
-            raise NegativeEvenRadicand(f"rank-{n} radicand is negative ({value})")
+        if _any(value < 0):
+            raise NegativeEvenRadicand(f"rank-{n} radicand is negative ({np.min(value)})")
         return value ** (1.0 / n)
-    if value < 0:
-        return -((-value) ** (1.0 / n))
-    return value ** (1.0 / n)
+    return np.copysign(np.abs(value) ** (1.0 / n), value)
 
 
-def eval_L(spec: LagrangianSpec, x, v) -> float:
-    """Evaluate the canonical Lagrangian at (x, v)."""
+@_first_bad_point
+def eval_L(spec: LagrangianSpec, x, v):
+    """Evaluate the canonical Lagrangian at (x, v); shape (...)."""
     x, v = spec._check_point(x, v)
-    total = 0.0
+    total = np.zeros(v.shape[:-1])[()]  # [()]: a single point's zero is a scalar
     if spec.charge != 0.0:
-        total += spec.charge * float(spec.potential(x) @ v)
+        total = total + spec.charge * np.vecdot(spec.potential(x), v)
     if spec.mass > 0.0:
         gvv = quadratic_form(spec.metric(x), v)
-        if gvv < 0.0:
-            raise SpacelikeVelocity(f"g(v,v) = {gvv} < 0 with a mass term present")
-        total += spec.mass * np.sqrt(gvv)
+        if _any(gvv < 0.0):
+            raise SpacelikeVelocity(f"g(v,v) = {np.min(gvv)} < 0 with a mass term present")
+        total = total + spec.mass * np.sqrt(gvv)
     for q_n, tensor in spec.extra_terms:
-        total += q_n * signed_root(tensor.contraction(x, v), tensor.rank)
+        total = total + q_n * signed_root(tensor.contraction(x, v), tensor.rank)
     return total
 
 
 def _mass_term_data(spec, x, v):
+    """g, g.v and g(v,v) of the mass term, where g(v,v) must be positive."""
     g = spec.metric(x)
-    gvv = quadratic_form(g, v)
-    if gvv < 0.0:
-        raise SpacelikeVelocity(f"g(v,v) = {gvv} < 0")
-    if gvv == 0.0:
+    gv = np.matvec(g, v)
+    gvv = np.vecdot(gv, v)
+    if _any(gvv <= 0.0):
+        if _any(gvv < 0.0):
+            raise SpacelikeVelocity(f"g(v,v) = {np.min(gvv)} < 0")
         raise NullVelocity("momentum of the mass term is undefined on the light cone")
-    return g, gvv
+    return g, gv, gvv
 
 
 def _tensor_radicand(tensor, x, v):
     c = tensor.contraction(x, v)
-    if tensor.rank % 2 == 0 and c < 0.0:
-        raise NegativeEvenRadicand(f"rank-{tensor.rank} radicand is negative ({c})")
-    if c == 0.0:
+    if tensor.rank % 2 == 0 and _any(c < 0.0):
+        raise NegativeEvenRadicand(f"rank-{tensor.rank} radicand is negative ({np.min(c)})")
+    if _any(c == 0.0):
         raise ZeroRadicand(f"rank-{tensor.rank} contraction vanishes; derivative undefined")
     return c
 
 
+@_first_bad_point
 def momentum(spec: LagrangianSpec, x, v) -> np.ndarray:
-    """Canonical momentum p_a = dL/dv^a, term-wise closed form."""
+    """Canonical momentum p_a = dL/dv^a, term-wise closed form; shape (..., N)."""
     x, v = spec._check_point(x, v)
-    p = np.zeros(spec.dim)
+    p = np.zeros(v.shape)
     if spec.charge != 0.0:
         p += spec.charge * spec.potential(x)
     if spec.mass > 0.0:
-        g, gvv = _mass_term_data(spec, x, v)
-        p += spec.mass * (g @ v) / np.sqrt(gvv)
+        _, gv, gvv = _mass_term_data(spec, x, v)
+        p += spec.mass * gv / np.sqrt(gvv)[..., None]
     for q_n, tensor in spec.extra_terms:
         n = tensor.rank
         c = _tensor_radicand(tensor, x, v)
         s_contr = tensor.contraction_gradient(x, v) / n  # S_{a b...} v...v
-        p += q_n * s_contr / abs(c) ** (1.0 - 1.0 / n)
+        p += q_n * s_contr / (np.abs(c) ** (1.0 - 1.0 / n))[..., None]
     return p
 
 
@@ -165,8 +211,8 @@ def generalized_momentum(spec: LagrangianSpec, x, v, mode: str = "analytic") -> 
     if mode == "fd":
         stripped = LagrangianSpec(metric=spec.metric, mass=spec.mass)
         return momentum_fd(stripped, x, v)
-    g, gvv = _mass_term_data(spec, x, v)
-    return spec.mass * (g @ v) / np.sqrt(gvv)
+    _, gv, gvv = _mass_term_data(spec, x, v)
+    return spec.mass * gv / np.sqrt(gvv)
 
 
 def hamiltonian_residual(spec: LagrangianSpec, x, v, mode: str = "analytic",
@@ -196,44 +242,51 @@ def homogeneity_residual(spec: LagrangianSpec, x, v, lam: float) -> float:
 # second derivatives and position derivatives (used by the dynamics modules)
 # ---------------------------------------------------------------------------
 
+@_first_bad_point
 def velocity_hessian(spec: LagrangianSpec, x, v) -> np.ndarray:
-    """d2 L / dv dv. Singular along v (degree-0 homogeneity of the momentum)."""
+    """d2 L / dv dv, shape (..., N, N). Singular along v (degree-0 homogeneity of the momentum)."""
     x, v = spec._check_point(x, v)
-    H = np.zeros((spec.dim, spec.dim))
+    H = np.zeros(v.shape + v.shape[-1:])
     if spec.mass > 0.0:
-        g, gvv = _mass_term_data(spec, x, v)
-        s = np.sqrt(gvv)
-        gv = g @ v
-        H += spec.mass * (g / s - np.outer(gv, gv) / s ** 3)
+        g, gv, gvv = _mass_term_data(spec, x, v)
+        s = np.sqrt(gvv)[..., None, None]
+        H += spec.mass * (g / s - gv[..., :, None] * gv[..., None, :] / s ** 3)
     for q_n, tensor in spec.extra_terms:
         n = tensor.rank
         c = _tensor_radicand(tensor, x, v)
         s_a = tensor.contraction_gradient(x, v) / n
         s_ab = tensor.contraction_hessian(x, v) / (n * (n - 1))
+        abs_c = np.abs(c)[..., None, None]
         H += q_n * (n - 1) * (
-            s_ab * abs(c) ** (1.0 / n - 1.0)
-            - np.sign(c) * np.outer(s_a, s_a) * abs(c) ** (1.0 / n - 2.0)
+            s_ab * abs_c ** (1.0 / n - 1.0)
+            - np.sign(c)[..., None, None] * (s_a[..., :, None] * s_a[..., None, :])
+            * abs_c ** (1.0 / n - 2.0)
         )
     return H
 
 
+@_first_bad_point
 def position_gradient(spec: LagrangianSpec, x, v) -> np.ndarray:
-    """dL/dx_c at fixed v; exact for constant fields, FD-backed field gradients otherwise."""
+    """dL/dx_c at fixed v, shape (..., N).
+
+    Exact for constant fields, FD-backed field gradients otherwise.
+    """
     x, v = spec._check_point(x, v)
-    out = np.zeros(spec.dim)
-    if spec.charge != 0.0 and spec.potential.kind not in ("zero", "constant"):
-        out += spec.charge * (v @ spec.potential.jacobian(x))
+    out = np.zeros(v.shape)
+    if spec.charge != 0.0 and not spec.potential.is_constant:
+        out += spec.charge * np.vecmat(v, spec.potential.jacobian(x))
     if spec.mass > 0.0 and not spec.metric.is_constant:
-        g, gvv = _mass_term_data(spec, x, v)
-        dg = spec.metric.gradient(x)  # [c, a, b]
-        out += spec.mass * np.einsum("cab,a,b->c", dg, v, v) / (2.0 * np.sqrt(gvv))
+        _, _, gvv = _mass_term_data(spec, x, v)
+        dg = spec.metric.gradient(x)  # [..., c, a, b]
+        out += (spec.mass * np.einsum("...cab,...a,...b->...c", dg, v, v)
+                / (2.0 * np.sqrt(gvv))[..., None])
     for q_n, tensor in spec.extra_terms:
         if tensor.is_constant:
             continue
         n = tensor.rank
         c = _tensor_radicand(tensor, x, v)
         dc = tensor.position_gradient_of_contraction(x, v)
-        out += q_n * dc * abs(c) ** (1.0 / n - 1.0) / n
+        out += q_n * dc * (np.abs(c) ** (1.0 / n - 1.0))[..., None] / n
     return out
 
 
@@ -242,13 +295,13 @@ def momentum_position_directional(spec: LagrangianSpec, x, v, direction) -> np.n
     x, v = spec._check_point(x, v)
     w = np.asarray(direction, dtype=float)
     out = np.zeros(spec.dim)
-    if spec.charge != 0.0 and spec.potential.kind not in ("zero", "constant"):
+    if spec.charge != 0.0 and not spec.potential.is_constant:
         out += spec.charge * (spec.potential.jacobian(x) @ w)
     if spec.mass > 0.0 and not spec.metric.is_constant:
-        g, gvv = _mass_term_data(spec, x, v)
+        _, gv, gvv = _mass_term_data(spec, x, v)
         s = np.sqrt(gvv)
         dg_w = np.einsum("cab,c->ab", spec.metric.gradient(x), w)
-        out += spec.mass * (dg_w @ v / s - (g @ v) * (v @ dg_w @ v) / (2.0 * s ** 3))
+        out += spec.mass * (dg_w @ v / s - gv * (v @ dg_w @ v) / (2.0 * s ** 3))
     for q_n, tensor in spec.extra_terms:
         if tensor.is_constant:
             continue

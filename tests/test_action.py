@@ -2,21 +2,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import CyclotronOracle, lateral_deviation
+import repmech.action as action_module
+from oracles import CyclotronOracle, fd_gradient, lateral_deviation
 from repmech import (
     DiscretePath,
     LagrangianSpec,
+    NullVelocity,
+    RepMechError,
     SpacelikeSegment,
+    ZeroRadicand,
     action_gradient,
+    constant_diagonal_metric,
     constant_potential,
     discrete_action,
+    eval_L,
     extremize,
     minkowski_metric,
+    momentum,
+    position_gradient,
+    potential_from_function,
     reparam_invariance_residual,
     straight_chord_path,
+    symmetric_tensor,
+    symmetric_tensor_field,
     uniform_magnetic_potential,
+    velocity_hessian,
+    weak_field_metric,
 )
+from repmech.action import action_hessian
 from repmech.sweeps import draw_spec_state
 
 MINK = minkowski_metric(4)
@@ -167,3 +183,165 @@ class TestChargedArc:
         d2 = abs(actions[16] - actions[32])
         order = math.log2(d1 / d2) / math.log2(2.0)
         assert abs(order - 2.0) <= 0.3
+
+
+# specs of the derivative checks: analytic Hessian blocks (rank-3 and rank-4
+# terms, constant potential) and central-difference columns (magnetic)
+DERIVATIVE_SPECS = {
+    "rank3_rank4": LagrangianSpec(metric=MINK, mass=1.0, extra_terms=(
+        (0.4, symmetric_tensor(3, 4, {(0, 0, 0): 0.8, (0, 1, 1): -0.1, (1, 2, 3): 0.05})),
+        (0.3, symmetric_tensor(4, 4, {(0, 0, 0, 0): 0.6, (0, 0, 2, 2): 0.1})),
+    )),
+    "constant_potential": LagrangianSpec(metric=MINK, mass=1.0, charge=1.0,
+                                         potential=constant_potential([0.4, 0.2, -0.1, 0.3])),
+    "magnetic": LagrangianSpec(metric=MINK, mass=1.0, charge=1.0,
+                               potential=uniform_magnetic_potential(4, 1.0)),
+}
+
+
+def perturbed_chord(k=5, seed=0):
+    pert = 0.02 * np.random.default_rng(seed).normal(size=(k, 4))
+    pert[:, 0] = 0.0
+    return straight_chord_path(START, END, k, pert)
+
+
+class TestDerivatives:
+    @pytest.mark.parametrize("name", sorted(DERIVATIVE_SPECS))
+    def test_gradient_matches_central_differences_of_action(self, name):
+        spec, path = DERIVATIVE_SPECS[name], perturbed_chord()
+        shape = path.interior.shape
+        ref = fd_gradient(lambda z: discrete_action(spec, path.with_interior(z.reshape(shape))),
+                          path.interior.ravel())
+        grad = action_gradient(spec, path).ravel()
+        assert np.max(np.abs(grad - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("name", sorted(DERIVATIVE_SPECS))
+    def test_hessian_matches_central_differences_of_gradient(self, name):
+        spec, path = DERIVATIVE_SPECS[name], perturbed_chord()
+        shape = path.interior.shape
+        z0 = path.interior.ravel()
+        ref = np.array([
+            fd_gradient(lambda z: action_gradient(spec, path.with_interior(z.reshape(shape)))
+                        .ravel()[row], z0, step=1e-5)
+            for row in range(z0.size)
+        ])
+        hess = action_hessian(spec, path)
+        assert hess.shape == (z0.size, z0.size)
+        assert np.max(np.abs(hess - ref)) <= 1e-7 * max(1.0, np.max(np.abs(ref)))
+
+
+def random_spec(rng, n):
+    """A timelike-friendly spec in n dimensions, mixing constant and varying fields."""
+    if rng.random() < 0.5:
+        metric = constant_diagonal_metric([1.0] + [-1.0] * (n - 1))
+    else:
+        a = rng.uniform(0.01, 0.05)
+        grad = None
+        if rng.random() < 0.5:
+            def grad(x):
+                out = np.zeros(n)
+                out[1] = a * np.cos(x[1])
+                return out
+        metric = weak_field_metric(n, lambda x: a * float(np.sin(x[1])), grad)
+    kind = int(rng.integers(0, 4))
+    charge, potential = 0.0, None
+    if kind == 1:
+        charge, potential = 0.7, constant_potential(rng.uniform(-1, 1, size=n))
+    elif kind == 2 and n >= 3:
+        charge, potential = 1.0, uniform_magnetic_potential(n, rng.uniform(0.5, 2.0))
+    elif kind == 3:
+        charge, potential = 0.5, potential_from_function(n, lambda x: 0.2 * np.sin(x))
+    terms = []
+    if rng.random() < 0.5:
+        entries = {(0, 0, 0): 1.0, (0, 1, 1): float(rng.uniform(-0.1, 0.1))}
+        if rng.random() < 0.5:
+            terms.append((0.3, symmetric_tensor(3, n, entries)))
+        else:
+            terms.append((0.3, symmetric_tensor_field(
+                3, n, lambda x: {**entries, (0, 0, 0): 1.0 + 0.1 * float(np.sin(x[0]))})))
+    if rng.random() < 0.5:
+        terms.append((0.2, symmetric_tensor(4, n, {(0, 0, 0, 0): 1.0,
+                                                   (0, 0, 1, 1): float(rng.uniform(-0.2, 0.2))})))
+    return LagrangianSpec(metric=metric, mass=float(rng.uniform(0.5, 2.0)), charge=charge,
+                          potential=potential, extra_terms=tuple(terms))
+
+
+class TestBatchedKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(2, 5), st.integers(0, 2 ** 31 - 1))
+    def test_batch_equals_single_point_loop(self, k, n, seed):
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng, n)
+        x = rng.uniform(-1.0, 1.0, size=(k, n))
+        v = np.hstack([np.ones((k, 1)), rng.uniform(-0.3, 0.3, size=(k, n - 1))])
+        for kernel in (eval_L, momentum, velocity_hessian, position_gradient):
+            loop = np.array([kernel(spec, xi, vi) for xi, vi in zip(x, v)])
+            batch = kernel(spec, x, v)
+            assert batch.shape == loop.shape
+            assert np.max(np.abs(batch - loop)) <= 1e-14 * max(1.0, np.max(np.abs(loop)))
+            # any leading batch shape gives the same values
+            nested = kernel(spec, x.reshape(k, 1, n), v.reshape(k, 1, n)).reshape(loop.shape)
+            assert np.max(np.abs(nested - loop)) <= 1e-14 * max(1.0, np.max(np.abs(loop)))
+
+
+class TestBatchedErrors:
+    def test_spacelike_segment_names_the_first_bad_one(self):
+        # segments 1, 3 and 4 are spacelike
+        interior = [[0.2, 0.0, 0, 0], [0.25, 0.5, 0, 0], [0.6, 0.5, 0, 0], [0.65, 1.0, 0, 0]]
+        path = DiscretePath(START, END, np.array(interior))
+        for fn in (discrete_action, action_gradient):
+            with pytest.raises(SpacelikeSegment, match="segment 1 is spacelike"):
+                fn(MASS_SPEC, path)
+
+    @pytest.mark.parametrize("name", ["mass", "magnetic"])
+    def test_null_segment_raises_null_velocity(self, name):
+        spec = MASS_SPEC if name == "mass" else DERIVATIVE_SPECS["magnetic"]
+        path = DiscretePath(START, np.array([1.0, 0.6, 0, 0]), np.array([[0.5, 0.5, 0, 0]]))
+        assert math.isfinite(discrete_action(spec, path))
+        with pytest.raises(NullVelocity):
+            action_gradient(spec, path)
+        with pytest.raises(NullVelocity):
+            action_hessian(spec, path)
+
+    def test_vanishing_rank3_contraction_raises_zero_radicand(self):
+        # S(v,v,v) = 3 v0 v1^2 vanishes on segment 1, where v1 = 0
+        spec = LagrangianSpec(metric=MINK, mass=1.0,
+                              extra_terms=((0.5, symmetric_tensor(3, 4, {(0, 1, 1): 1.0})),))
+        path = DiscretePath(START, END, np.array([[0.5, 0.3, 0.1, 0.0]]))
+        assert math.isfinite(discrete_action(spec, path))
+        with pytest.raises(ZeroRadicand):
+            action_gradient(spec, path)
+        with pytest.raises(ZeroRadicand):
+            action_hessian(spec, path)
+
+    def test_batch_raises_the_error_of_its_first_failing_point(self):
+        # point 0 has a vanishing rank-3 contraction, point 1 a spacelike
+        # velocity; the mass term is checked first, but point 0 comes first
+        spec = LagrangianSpec(metric=MINK, mass=1.0,
+                              extra_terms=((0.5, symmetric_tensor(3, 4, {(0, 1, 1): 1.0})),))
+        x = np.zeros((2, 4))
+        v = np.array([[1.0, 0.0, 0.2, 0.0], [1.0, 2.0, 0.0, 0.0]])
+        for kernel in (momentum, velocity_hessian):
+            with pytest.raises(ZeroRadicand, match=r"batch index \(0,\)"):
+                kernel(spec, x, v)
+
+    def test_extremize_rejects_a_trial_step_that_raises(self, monkeypatch):
+        spec = LagrangianSpec(metric=MINK, mass=1.0, extra_terms=(
+            (0.71, symmetric_tensor(3, 4, {(0, 0, 0): 1.0, (0, 1, 1): -0.58})),))
+        path0 = straight_chord_path(START, np.array([1.0, 0.67, 0.0, 0.0]), 1,
+                                    [[-0.068, 0.035, 0.042, -0.091]])
+        raised = []
+        gradient = action_module.action_gradient
+
+        def spy(spec, path):
+            try:
+                return gradient(spec, path)
+            except RepMechError as err:
+                raised.append(err)
+                raise
+
+        monkeypatch.setattr(action_module, "action_gradient", spy)
+        res = extremize(spec, path0)
+        assert raised and all(isinstance(err, SpacelikeSegment) for err in raised)
+        assert res.converged
+        assert res.grad_norm_inf <= 1e-8

@@ -1,10 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from repmech.cli import _key_lines, _load_yaml, main, parse_config, run
+from oracles import CyclotronOracle
+
+from repmech.cli import _draw_det_samples, _key_lines, _load_yaml, main, parse_config, run
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = sorted(CONFIGS.glob("*.yaml"))
@@ -16,6 +19,35 @@ def test_clifford_summary_is_byte_identical_on_rerun(tmp_path):
         assert main(["clifford", "--config", config, "--out", str(tmp_path / out)]) == 0
     first = (tmp_path / "first" / "clifford_summary.json").read_bytes()
     assert first == (tmp_path / "second" / "clifford_summary.json").read_bytes()
+
+
+def arc_config(tmp_path):
+    """A charged arc in 2+1 dimensions whose ends lie on the cyclotron orbit."""
+    end = CyclotronOracle().position(1.0)
+    config = tmp_path / "arc.yaml"
+    config.write_text(
+        "seed: 3\n"
+        "spec:\n"
+        "  mass: 1.0\n"
+        "  charge: 1.0\n"
+        "  metric: {kind: minkowski, dim: 3}\n"
+        "  potential: {kind: uniform_magnetic, strength: 1.0, plane: [1, 2]}\n"
+        "start: [0.0, 0.0, 0.0]\n"
+        f"end: [1.0, {float(end[0])!r}, {float(end[1])!r}]\n"
+        "interior_points: 5\n"
+        "perturbation: 0.002\n"
+    )
+    return config
+
+
+@pytest.mark.parametrize("which", ["extremize.yaml", "magnetic_arc"])
+def test_extremize_summary_is_byte_identical_on_rerun(tmp_path, which):
+    config = CONFIGS / which if which.endswith(".yaml") else arc_config(tmp_path)
+    for out in ("first", "second"):
+        assert main(["extremize", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+    first = (tmp_path / "first" / "extremize_summary.json").read_bytes()
+    assert first == (tmp_path / "second" / "extremize_summary.json").read_bytes()
+    assert json.loads(first)["converged"] is True
 
 
 @pytest.mark.parametrize("line, key", [
@@ -86,3 +118,12 @@ def test_seed_flag_overrides_the_config_seed(tmp_path):
     assert summaries["zero_as_seven"]["seed"] == 7
     assert summaries["zero_as_seven"] == summaries["seven"]
     assert summaries["zero"]["trial_max_residuals"] != summaries["seven"]["trial_max_residuals"]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 99])
+def test_determinant_samples_equal_the_per_sample_draws(seed):
+    pis, masses = _draw_det_samples(np.random.default_rng(seed), 500)
+    rng = np.random.default_rng(seed)
+    for k in range(500):
+        assert np.array_equal(pis[k], rng.normal(size=4) * 1.5)
+        assert masses[k] == rng.uniform(0.0, 2.0)
