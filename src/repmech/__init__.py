@@ -81,7 +81,6 @@ from .fields import (
     SymmetricTensorField,
     VectorPotentialField,
     constant_potential,
-    eval_S,
     multiplicity,
     potential_from_function,
     symmetric_tensor,

@@ -17,12 +17,12 @@ Each function evaluates the Lagrangian kernels once per path, on the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, RepMechError, SpacelikeSegment
-from .geometry import quadratic_form
+from .geometry import central_difference, quadratic_form
 from .lagrangian import (
     LagrangianSpec,
     eval_L,
@@ -30,6 +30,10 @@ from .lagrangian import (
     position_gradient,
     velocity_hessian,
 )
+
+# absolute step of the finite-difference Hessian columns; a step that does
+# not scale with |x| keeps extremize exactly translation-equivariant
+HESSIAN_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,7 @@ class DiscretePath:
     x_start: np.ndarray
     x_end: np.ndarray
     interior: np.ndarray  # (K, N)
+    _points: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xs = np.asarray(self.x_start, dtype=float)
@@ -51,6 +56,9 @@ class DiscretePath:
         object.__setattr__(self, "x_start", xs)
         object.__setattr__(self, "x_end", xe)
         object.__setattr__(self, "interior", pts)
+        stacked = np.vstack([xs, pts, xe])
+        stacked.setflags(write=False)
+        object.__setattr__(self, "_points", stacked)
 
     @property
     def K(self) -> int:
@@ -61,7 +69,8 @@ class DiscretePath:
         return self.x_start.shape[0]
 
     def points(self) -> np.ndarray:
-        return np.vstack([self.x_start, self.interior, self.x_end])
+        """The K + 2 points, endpoints included, as a read-only (K + 2, N) array."""
+        return self._points
 
     def segments(self) -> np.ndarray:
         pts = self.points()
@@ -152,18 +161,9 @@ def action_hessian(spec: LagrangianSpec, path: DiscretePath) -> np.ndarray:
     # the columns perturb one point at a time, so check the unperturbed
     # segments first, with the same errors as the analytic branch
     momentum(spec, mids, segs)
-    step = 1e-6
-    hess = np.empty((k * n, k * n))
-    for col in range(k * n):
-        jj, aa = divmod(col, n)
-        zp = path.interior.copy()
-        zm = path.interior.copy()
-        zp[jj, aa] += step
-        zm[jj, aa] -= step
-        gp = action_gradient(spec, path.with_interior(zp))
-        gm = action_gradient(spec, path.with_interior(zm))
-        hess[:, col] = ((gp - gm) / (2 * step)).ravel()
-    return hess
+    return central_difference(
+        lambda z: action_gradient(spec, path.with_interior(z.reshape(k, n))).ravel(),
+        path.interior.ravel(), np.full(k * n, HESSIAN_FD_STEP))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from .errors import DimensionMismatch, GaugeViolation, NegativeRadicand, NotOneTimeMetric
 from .fields import SymmetricTensorField
-from .geometry import MetricField
+from .geometry import FD_STEP, MetricField, central_difference
 from .lagrangian import signed_root
 
 
@@ -56,7 +56,8 @@ class BraneEmbedding:
 
     evaluator takes a (D,) point; it may also accept an (n, D) batch. An
     analytic jacobian callable gives exact minors; otherwise central
-    differences with step fd_step are used.
+    differences with the step FD_STEP * max(1, |box bounds of axis a|) are
+    used, one per parameter axis.
     """
 
     d: int
@@ -65,7 +66,6 @@ class BraneEmbedding:
     resolution: Tuple[int, ...]
     evaluator: Callable
     jacobian: Optional[Callable] = None
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         box = np.asarray(self.box, dtype=float)
@@ -105,15 +105,8 @@ class BraneEmbedding:
             except Exception:
                 pass
             return np.stack([np.asarray(self.jacobian(z), dtype=float) for z in Z])
-        out = np.empty((Z.shape[0], self.dim_m, self.d))
-        for a in range(self.d):
-            h = self.fd_step * max(1.0, float(np.max(np.abs(self.box[a]))))
-            zp = Z.copy()
-            zm = Z.copy()
-            zp[:, a] += h
-            zm[:, a] -= h
-            out[:, :, a] = (self.points(zp) - self.points(zm)) / (2.0 * h)
-        return out
+        step = FD_STEP * np.maximum(1.0, np.max(np.abs(self.box), axis=1))
+        return central_difference(self.points, Z, step)
 
     # -- quadrature grid ----------------------------------------------------
     def cell_centers(self) -> np.ndarray:
@@ -503,7 +496,7 @@ def gridded_embedding(axes: Sequence[np.ndarray], values: np.ndarray) -> BraneEm
                                      bounds_error=False, fill_value=None)
     box = np.array([[a[0], a[-1]] for a in axes])
     resolution = tuple(a.size - 1 for a in axes)
-    steps = [0.5 * float(np.min(np.diff(a))) for a in axes]
+    steps = np.array([0.5 * float(np.min(np.diff(a))) for a in axes])
 
     def evaluate(Z):
         return interp(np.atleast_2d(Z))
@@ -511,15 +504,7 @@ def gridded_embedding(axes: Sequence[np.ndarray], values: np.ndarray) -> BraneEm
     def jac(Z):
         # absolute half-spacing steps keep the stencil inside the data grid
         # when evaluated at cell centers
-        Z = np.atleast_2d(Z)
-        out = np.empty((Z.shape[0], dim_m, d))
-        for a in range(d):
-            zp = Z.copy()
-            zm = Z.copy()
-            zp[:, a] += steps[a]
-            zm[:, a] -= steps[a]
-            out[:, :, a] = (interp(zp) - interp(zm)) / (2.0 * steps[a])
-        return out
+        return central_difference(interp, np.atleast_2d(Z), steps)
 
     return BraneEmbedding(d=d, dim_m=dim_m, box=box, resolution=resolution,
                           evaluator=evaluate, jacobian=jac)

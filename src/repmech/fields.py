@@ -16,7 +16,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import pointwise
+from .geometry import FD_STEP, central_difference, pointwise
 
 Index = Tuple[int, ...]
 
@@ -27,40 +27,39 @@ Index = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class VectorPotentialField:
-    """Covector field A_a(x); kind in {"zero", "constant", "uniform-magnetic", "user"}."""
+    """Covector field A_a(x); kind in {"zero", "constant", "uniform-magnetic", "user"}.
+
+    The built-in kinds evaluate A and its Jacobian on the last axis of a
+    (..., N) batch in one call; a "user" field is evaluated point by point.
+    """
 
     dim: int
     kind: str
     _eval: Callable[[np.ndarray], np.ndarray]
     _jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = 1e-6
 
     def __call__(self, x) -> np.ndarray:
-        """A at x of shape (..., N), as (..., N); a constant A is evaluated once."""
+        """A at x of shape (..., N), as (..., N)."""
         x = np.asarray(x, dtype=float)
-        if x.ndim > 1 and not self.is_constant:
+        if x.ndim > 1 and self.kind == "user":
             return pointwise(self, x)
         a = np.asarray(self._eval(x), dtype=float)
-        if a.shape != (self.dim,):
+        if a.shape != x.shape[:-1] + (self.dim,):
             raise DimensionMismatch(f"potential evaluator returned shape {a.shape}")
-        return a if x.ndim < 2 else np.broadcast_to(a, x.shape[:-1] + a.shape)
+        return a
 
     def jacobian(self, x) -> np.ndarray:
-        """J[..., a, c] = d A_a / d x^c; analytic when available, else central FD."""
+        """J[..., a, c] = d A_a / d x^c.
+
+        Analytic when available, else central differences of the evaluator
+        with the relative step FD_STEP * max(1, |x_c|).
+        """
         x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
+        if x.ndim > 1 and self.kind == "user":
             return pointwise(self.jacobian, x)
         if self._jac is not None:
             return np.asarray(self._jac(x), dtype=float)
-        out = np.empty((self.dim, self.dim))
-        for c in range(self.dim):
-            h = self.fd_step * max(1.0, abs(x[c]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[c] += h
-            xm[c] -= h
-            out[:, c] = (self._eval(xp) - self._eval(xm)) / (2.0 * h)
-        return out
+        return central_difference(self._eval, x, FD_STEP * np.maximum(1.0, np.abs(x)))
 
     @property
     def has_analytic_jacobian(self) -> bool:
@@ -71,17 +70,21 @@ class VectorPotentialField:
         return self.kind in ("zero", "constant")
 
 
+def _uniform(value):
+    """Evaluator of a value that does not vary with x, broadcast over x's batch shape."""
+    value.setflags(write=False)
+    return lambda x: value if x.ndim < 2 else np.broadcast_to(value, x.shape[:-1] + value.shape)
+
+
 def zero_potential(dim: int) -> VectorPotentialField:
-    z = np.zeros(dim)
-    jz = np.zeros((dim, dim))
-    return VectorPotentialField(dim, "zero", lambda x: z, lambda x: jz)
+    return VectorPotentialField(dim, "zero", _uniform(np.zeros(dim)),
+                                _uniform(np.zeros((dim, dim))))
 
 
 def constant_potential(values) -> VectorPotentialField:
     a = np.asarray(values, dtype=float).copy()
-    a.setflags(write=False)
-    jz = np.zeros((a.size, a.size))
-    return VectorPotentialField(a.size, "constant", lambda x: a, lambda x: jz)
+    return VectorPotentialField(a.size, "constant", _uniform(a),
+                                _uniform(np.zeros((a.size, a.size))))
 
 
 def uniform_magnetic_potential(dim: int, strength: float,
@@ -96,16 +99,18 @@ def uniform_magnetic_potential(dim: int, strength: float,
     b2 = 0.5 * float(strength)
 
     def evaluate(x):
-        a = np.zeros(dim)
-        a[i] = b2 * x[j]
-        a[j] = -b2 * x[i]
+        # through the transposes, whose first axis is the component, one
+        # assignment fills a whole batch and a single point stays cheap
+        a = np.zeros(x.shape)
+        at, xt = a.T, x.T
+        at[i] = b2 * xt[j]
+        at[j] = -b2 * xt[i]
         return a
 
     jac = np.zeros((dim, dim))
     jac[i, j] = b2
     jac[j, i] = -b2
-    jac.setflags(write=False)
-    return VectorPotentialField(dim, "uniform-magnetic", evaluate, lambda x: jac)
+    return VectorPotentialField(dim, "uniform-magnetic", evaluate, _uniform(jac))
 
 
 def potential_from_function(dim: int, fn, jacobian=None) -> VectorPotentialField:
@@ -255,27 +260,20 @@ class SymmetricTensorField:
                     hess[e, d] += coeff * mult * prod
         return hess.T
 
-    def position_gradient_of_contraction(self, x, v, fd_step: float = 1e-6) -> np.ndarray:
+    def position_gradient_of_contraction(self, x, v) -> np.ndarray:
         """d/dx of S(x; v, ..., v), shape (..., N).
 
-        Zero for constant tensors, central differences otherwise.
+        Zero for constant tensors, otherwise central differences with the
+        relative step FD_STEP * max(1, |x_c|).
         """
         x = np.asarray(x, dtype=float)
         if self.is_constant:
             return np.zeros(np.shape(v))
         if np.ndim(v) > 1:
-            return pointwise(
-                lambda xi, vi: self.position_gradient_of_contraction(xi, vi, fd_step),
-                np.broadcast_to(x, np.shape(v)), np.asarray(v, dtype=float))
-        out = np.empty(x.shape)
-        for c in range(x.size):
-            h = fd_step * max(1.0, abs(x[c]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[c] += h
-            xm[c] -= h
-            out[c] = (self.contraction(xp, v) - self.contraction(xm, v)) / (2.0 * h)
-        return out
+            return pointwise(self.position_gradient_of_contraction,
+                             np.broadcast_to(x, np.shape(v)), np.asarray(v, dtype=float))
+        return central_difference(lambda xx: self.contraction(xx, v), x,
+                                  FD_STEP * np.maximum(1.0, np.abs(x)))
 
 
 def symmetric_tensor(rank: int, dim: int, entries: Mapping[Index, float]) -> SymmetricTensorField:
@@ -286,8 +284,3 @@ def symmetric_tensor(rank: int, dim: int, entries: Mapping[Index, float]) -> Sym
 def symmetric_tensor_field(rank: int, dim: int, evaluator) -> SymmetricTensorField:
     return SymmetricTensorField(rank=rank, dim=dim, entries=None,
                                 evaluator=evaluator, kind="analytic")
-
-
-def eval_S(tensor: SymmetricTensorField, x, v) -> float:
-    """Full contraction S(x; v, ..., v) with multiplicity weights."""
-    return tensor.contraction(x, v)

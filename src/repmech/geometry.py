@@ -20,6 +20,9 @@ from .errors import DegenerateMetric, DimensionMismatch
 SYMMETRY_TOL = 1e-14
 DEGENERACY_TOL = 1e-12
 DEFAULT_EIG_TOL = 1e-10
+# central-difference step for derivatives without a closed form, scaled by
+# max(1, |coordinate|): h_c = FD_STEP * max(1, |x_c|)
+FD_STEP = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +43,6 @@ class MetricField:
     kind: str
     _eval: Callable[[np.ndarray], np.ndarray]
     _grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = 1e-6
     _constant: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                             compare=False)
 
@@ -72,7 +74,11 @@ class MetricField:
         return g
 
     def gradient(self, x) -> np.ndarray:
-        """d g_ab / d x^c as an array G[..., c, a, b]; central differences by default."""
+        """d g_ab / d x^c as an array G[..., c, a, b].
+
+        Analytic when the metric has a gradient, else central differences of
+        the evaluator with the relative step FD_STEP * max(1, |x_c|).
+        """
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
             return np.zeros(x.shape + (self.dim, self.dim))
@@ -80,15 +86,8 @@ class MetricField:
             return pointwise(self.gradient, x)
         if self._grad is not None:
             return np.asarray(self._grad(x), dtype=float)
-        out = np.empty((self.dim, self.dim, self.dim))
-        for c in range(self.dim):
-            h = self.fd_step * max(1.0, abs(x[c]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[c] += h
-            xm[c] -= h
-            out[c] = (self._eval(xp) - self._eval(xm)) / (2.0 * h)
-        return out
+        dg = central_difference(self._eval, x, FD_STEP * np.maximum(1.0, np.abs(x)))
+        return np.ascontiguousarray(np.moveaxis(dg, -1, 0))
 
     @property
     def is_constant(self) -> bool:
@@ -104,6 +103,30 @@ def pointwise(fn, *points) -> np.ndarray:
     rows = zip(*(p.reshape(-1, p.shape[-1]) for p in points))
     out = np.array([fn(*row) for row in rows], dtype=float)
     return out.reshape(points[0].shape[:-1] + out.shape[1:])
+
+
+def central_difference(fn, x, step) -> np.ndarray:
+    """Central differences of fn at x of shape (..., N), the derivative axis last.
+
+    step holds one absolute step h_c per axis; column c is
+    (fn(x + h_c e_c) - fn(x - h_c e_c)) / (2 h_c), so the result has the
+    shape of fn(x) followed by (N,). fn receives the whole batch at once.
+    """
+    x = np.asarray(x, dtype=float)
+    step = np.asarray(step, dtype=float)
+    if step.shape != x.shape[-1:]:
+        raise DimensionMismatch(f"need one step per axis of x {x.shape}, got {step.shape}")
+    out = None
+    for c, h in enumerate(step):
+        xp = x.copy()
+        xm = x.copy()
+        xp[..., c] += h
+        xm[..., c] -= h
+        col = (fn(xp) - fn(xm)) / (2.0 * h)
+        if out is None:
+            out = np.empty(np.shape(col) + step.shape)
+        out[..., c] = col
+    return out
 
 
 def constant_metric(matrix) -> MetricField:

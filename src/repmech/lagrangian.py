@@ -35,7 +35,11 @@ from .errors import (
     ZeroRadicand,
 )
 from .fields import SymmetricTensorField, VectorPotentialField, zero_potential
-from .geometry import MetricField, quadratic_form
+from .geometry import FD_STEP, MetricField, central_difference, quadratic_form
+
+# relative step of the finite-difference momentum oracle in v:
+# h_a = MOMENTUM_FD_STEP * max(1, |v_a|)
+MOMENTUM_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -185,49 +189,47 @@ def momentum(spec: LagrangianSpec, x, v) -> np.ndarray:
     return p
 
 
-def momentum_fd(spec: LagrangianSpec, x, v, step: float = 1e-5) -> np.ndarray:
-    """Independent oracle: central finite differences of eval_L in v."""
+def momentum_fd(spec: LagrangianSpec, x, v) -> np.ndarray:
+    """Independent oracle: central finite differences of eval_L in v at one point."""
     x, v = spec._check_point(x, v)
-    p = np.empty(spec.dim)
-    for a in range(spec.dim):
-        h = step * max(1.0, abs(v[a]))
-        vp = v.copy()
-        vm = v.copy()
-        vp[a] += h
-        vm[a] -= h
-        p[a] = (eval_L(spec, x, vp) - eval_L(spec, x, vm)) / (2.0 * h)
-    return p
+    return central_difference(lambda vv: eval_L(spec, x, vv), v,
+                              MOMENTUM_FD_STEP * np.maximum(1.0, np.abs(v)))
 
 
 def generalized_momentum(spec: LagrangianSpec, x, v, mode: str = "analytic") -> np.ndarray:
     """pi_a = p_a minus the potential and tensor contributions = m g v / sqrt(g(v,v)).
 
-    mode="fd" recomputes pi as the finite-difference momentum of the stripped
-    (mass-only) Lagrangian, keeping the oracle route independent.
+    Takes x and v of shape (..., N) in the analytic mode. mode="fd"
+    recomputes pi at one point as the finite-difference momentum of the
+    stripped (mass-only) Lagrangian, keeping the oracle route independent.
     """
     x, v = spec._check_point(x, v)
     if spec.mass == 0.0:
-        return np.zeros(spec.dim)
+        return np.zeros(v.shape)
     if mode == "fd":
         stripped = LagrangianSpec(metric=spec.metric, mass=spec.mass)
         return momentum_fd(stripped, x, v)
     _, gv, gvv = _mass_term_data(spec, x, v)
-    return spec.mass * gv / np.sqrt(gvv)
+    return spec.mass * gv / np.sqrt(gvv)[..., None]
 
 
-def hamiltonian_residual(spec: LagrangianSpec, x, v, mode: str = "analytic",
-                         fd_step: float = 1e-5) -> float:
+def hamiltonian_residual(spec: LagrangianSpec, x, v, mode: str = "analytic") -> float:
     """p.v - L; identically zero by Euler's theorem for degree-1 homogeneity."""
-    p = momentum(spec, x, v) if mode == "analytic" else momentum_fd(spec, x, v, fd_step)
+    p = momentum(spec, x, v) if mode == "analytic" else momentum_fd(spec, x, v)
     return float(p @ np.asarray(v, dtype=float)) - eval_L(spec, x, v)
 
 
-def mass_shell_residual(spec: LagrangianSpec, x, v, mode: str = "analytic") -> float:
-    """pi . g^{-1} . pi - m^2; an algebraic identity whenever the mass term is on."""
+def mass_shell_residual(spec: LagrangianSpec, x, v, mode: str = "analytic"):
+    """pi . g^{-1} . pi - m^2; an algebraic identity whenever the mass term is on.
+
+    x and v have shape (..., N); the result has shape (...), a float for a
+    single point.
+    """
     x, v = spec._check_point(x, v)
     pi = generalized_momentum(spec, x, v, mode=mode)
     g = spec.metric(x)
-    return float(pi @ np.linalg.solve(g, pi)) - spec.mass ** 2
+    res = np.vecdot(pi, np.linalg.solve(g, pi[..., None])[..., 0]) - spec.mass ** 2
+    return float(res) if res.ndim == 0 else res
 
 
 def homogeneity_residual(spec: LagrangianSpec, x, v, lam: float) -> float:
@@ -305,15 +307,16 @@ def momentum_position_directional(spec: LagrangianSpec, x, v, direction) -> np.n
     for q_n, tensor in spec.extra_terms:
         if tensor.is_constant:
             continue
-        # directional FD of this term's momentum contribution in x
+        # FD of this term's momentum contribution along w, in the parameter
+        # t of x + t w with the absolute step FD_STEP
         n = tensor.rank
-        h = 1e-6
 
-        def term_p(xx):
+        def term_p(t):
+            xx = x + t[0] * w
             c = _tensor_radicand(tensor, xx, v)
             return q_n * (tensor.contraction_gradient(xx, v) / n) / abs(c) ** (1.0 - 1.0 / n)
 
-        out += (term_p(x + h * w) - term_p(x - h * w)) / (2.0 * h)
+        out += central_difference(term_p, np.zeros(1), np.full(1, FD_STEP))[..., 0]
     return out
 
 

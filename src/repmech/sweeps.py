@@ -187,14 +187,14 @@ def mass_shell_sweep(samples: int = 1000, seed: int = 2,
     return _run("mass_shell_identity", samples, tolerance, seed, kernel)
 
 
-def momentum_fd_sweep(samples: int = 500, seed: int = 3, step: float = 1e-5,
+def momentum_fd_sweep(samples: int = 500, seed: int = 3,
                       tolerance: float = 1e-6) -> SweepResult:
     """Closed-form momentum against central differences of eval_L."""
 
     def kernel(rng):
         spec, x, v = draw_spec_state(rng)
         pa = momentum(spec, x, v)
-        pf = momentum_fd(spec, x, v, step=step)
+        pf = momentum_fd(spec, x, v)
         return float(np.max(np.abs(pa - pf)) / max(1.0, np.max(np.abs(pa))))
 
     return _run("momentum_vs_fd", samples, tolerance, seed, kernel)

@@ -268,18 +268,6 @@ def _integrate_proper(spec, x0, v0, n_steps, step):
 # public entry points
 # ---------------------------------------------------------------------------
 
-def _drift_log(spec, xs, vs):
-    if spec.mass == 0.0:
-        return np.zeros(xs.shape[0])
-    if spec.metric.is_constant:
-        g = spec.metric(xs[0])
-        ginv = np.linalg.inv(g)
-        gvv = np.einsum("ka,ab,kb->k", vs, g, vs)
-        pi = spec.mass * (vs @ g) / np.sqrt(gvv)[:, None]
-        return np.einsum("ka,ab,kb->k", pi, ginv, pi) - spec.mass ** 2
-    return np.array([mass_shell_residual(spec, x, v) for x, v in zip(xs, vs)])
-
-
 def integrate(spec: LagrangianSpec, gauge: GaugeChoice, x0, v0,
               tau_end: float, step: float) -> Worldline:
     """Fixed-step RK4 world line from (x0, v0) in the chosen gauge.
@@ -321,14 +309,14 @@ def integrate(spec: LagrangianSpec, gauge: GaugeChoice, x0, v0,
     else:
         raise DimensionMismatch(f"unknown gauge {gauge!r}")
 
-    drift = _drift_log(spec, xs, vs)
+    drift = mass_shell_residual(spec, xs, vs)
     return Worldline(tau=taus, x=xs, v=vs, gauge=gauge,
                      drift=drift, gauge_residual=gauge_res)
 
 
 def conserved_drift(wl: Worldline, spec: LagrangianSpec) -> float:
     """Maximum |mass-shell residual| over the samples, recomputed from (x, v)."""
-    return float(np.max(np.abs(_drift_log(spec, wl.x, wl.v))))
+    return float(np.max(np.abs(mass_shell_residual(spec, wl.x, wl.v))))
 
 
 def energy_drift(wl: Worldline, spec: LagrangianSpec) -> float:
@@ -337,14 +325,13 @@ def energy_drift(wl: Worldline, spec: LagrangianSpec) -> float:
     In the coordinate-time gauge the reduced Hamiltonian is nonzero and, for
     parameter-independent fields, conserved by the exact flow; its RK4 drift
     is the practical accuracy instrument. In general it is bounded by the
-    integrator's step^4 (fitted order 3.94 on a static weak-field metric).
+    integrator's step^4: on a static weak-field metric with an analytic
+    phi_grad the measured order is 3.998, and the drift test asserts 4 +- 0.1.
     On a uniform magnetic rotation it falls as step^5 instead, because RK4's
     amplitude error there is |R(iz)|^2 = 1 - z^6/72 + O(z^8), z = omega*step.
     """
     if wl.gauge is not GaugeChoice.COORDINATE_TIME:
         raise DimensionMismatch("energy_drift is defined for the coordinate-time gauge")
-    energies = np.empty(len(wl))
-    for k in range(len(wl)):
-        p = momentum(spec, wl.x[k], wl.v[k])
-        energies[k] = float(p[1:] @ wl.v[k][1:]) - eval_L(spec, wl.x[k], wl.v[k])
+    p = momentum(spec, wl.x, wl.v)
+    energies = np.vecdot(p[:, 1:], wl.v[:, 1:]) - eval_L(spec, wl.x, wl.v)
     return float(np.max(np.abs(energies - energies[0])))

@@ -283,6 +283,13 @@ class TestBatchedKernels:
             nested = kernel(spec, x.reshape(k, 1, n), v.reshape(k, 1, n)).reshape(loop.shape)
             assert np.max(np.abs(nested - loop)) <= 1e-14 * max(1.0, np.max(np.abs(loop)))
 
+    def test_points_are_stacked_once_and_read_only(self):
+        path = straight_chord_path(START, END, 3)
+        pts = path.points()
+        assert pts is path.points()
+        assert not pts.flags.writeable
+        assert np.array_equal(pts, np.vstack([path.x_start, path.interior, path.x_end]))
+
 
 class TestBatchedErrors:
     def test_spacelike_segment_names_the_first_bad_one(self):

@@ -7,7 +7,6 @@ from oracles import dense_contraction, dense_symmetric_tensor, fd_gradient
 from repmech import (
     DimensionMismatch,
     constant_potential,
-    eval_S,
     multiplicity,
     potential_from_function,
     symmetric_tensor,
@@ -15,21 +14,22 @@ from repmech import (
     uniform_magnetic_potential,
     zero_potential,
 )
+from repmech.geometry import pointwise
 
 
 class TestSymmetricTensor:
     def test_single_diagonal_entry(self):
         s = symmetric_tensor(3, 2, {(0, 0, 0): 2.0})
-        assert eval_S(s, np.zeros(2), [3, 0]) == 54.0
+        assert s.contraction(np.zeros(2), [3, 0]) == 54.0
 
     def test_zero_velocity(self):
         s = symmetric_tensor(3, 2, {(0, 0, 1): 1.0, (1, 1, 1): -0.4})
-        assert eval_S(s, np.zeros(2), [0, 0]) == 0.0
+        assert s.contraction(np.zeros(2), [0, 0]) == 0.0
 
     def test_multiplicity_weighted_entry(self):
         # (0,0,1) has 3 permutations: 3 * 1 * 1 * 2 = 6
         s = symmetric_tensor(3, 2, {(0, 0, 1): 1.0})
-        assert eval_S(s, np.zeros(2), [1, 2]) == 6.0
+        assert s.contraction(np.zeros(2), [1, 2]) == 6.0
 
     def test_multiplicity_counts(self):
         assert multiplicity((0, 0, 0)) == 1
@@ -41,7 +41,7 @@ class TestSymmetricTensor:
         a = symmetric_tensor(3, 3, {(2, 0, 1): 1.5})
         b = symmetric_tensor(3, 3, {(0, 1, 2): 1.5})
         v = np.array([0.3, -0.7, 1.1])
-        assert eval_S(a, np.zeros(3), v) == eval_S(b, np.zeros(3), v)
+        assert a.contraction(np.zeros(3), v) == b.contraction(np.zeros(3), v)
 
     def test_duplicate_entries_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -68,7 +68,7 @@ class TestSymmetricTensor:
         s = symmetric_tensor(rank, dim, entries)
         dense = dense_symmetric_tensor(rank, dim, s.entries)
         v = rng.uniform(-2, 2, size=dim)
-        assert eval_S(s, np.zeros(dim), v) == pytest.approx(
+        assert s.contraction(np.zeros(dim), v) == pytest.approx(
             dense_contraction(dense, v), rel=1e-12, abs=1e-12)
 
     def test_gradient_and_hessian_match_fd(self):
@@ -120,6 +120,12 @@ class TestVectorPotential:
         for a in range(4):
             ref = fd_gradient(lambda y: pot(y)[a], x)
             assert np.max(np.abs(jac[a] - ref)) < 1e-9
+
+    def test_uniform_magnetic_batch_equals_pointwise(self):
+        pot = uniform_magnetic_potential(4, 1.7, plane=(3, 1))
+        x = np.random.default_rng(4).normal(size=(3, 5, 4))
+        assert np.array_equal(pot(x), pointwise(pot, x))
+        assert np.array_equal(pot.jacobian(x), pointwise(pot.jacobian, x))
 
     def test_user_potential_fd_jacobian(self):
         pot = potential_from_function(3, lambda x: np.array(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import fd_gradient
 from repmech import (
     CausalityKind,
     DegenerateMetric,
@@ -16,6 +17,7 @@ from repmech import (
     signature,
     weak_field_metric,
 )
+from repmech.geometry import central_difference
 
 MINK = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -159,3 +161,38 @@ class TestMetricField:
     def test_constant_metric_symmetrized_input(self):
         with pytest.raises(DegenerateMetric):
             constant_metric(np.array([[1.0, 0.3], [0.0, -1.0]]))
+
+
+class TestCentralDifference:
+    def test_relative_steps_equal_the_oracle_bit_for_bit(self):
+        fn = lambda x: float(np.sin(x[0]) * x[1] ** 3 + np.exp(0.3 * x[2]) * x[0])
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            x = rng.uniform(-4.0, 4.0, size=3)
+            out = central_difference(fn, x, 1e-6 * np.maximum(1.0, np.abs(x)))
+            assert np.array_equal(out, fd_gradient(fn, x))
+
+    def test_batch_with_per_axis_steps_equals_row_by_row(self):
+        def fn(x):
+            return np.stack([np.sin(x[..., 0]) * x[..., 1], x[..., 2] ** 2,
+                             x[..., 0] * x[..., 1] * x[..., 2]], axis=-1)
+
+        x = np.random.default_rng(12).uniform(-2.0, 2.0, size=(4, 5, 3))
+        step = np.array([1e-6, 2e-5, 3e-4])
+        batch = central_difference(fn, x, step)
+        assert batch.shape == (4, 5, 3, 3)
+        rows = np.array([[central_difference(fn, xi, step) for xi in row] for row in x])
+        assert np.array_equal(batch, rows)
+
+    def test_matrix_valued_fn_puts_the_derivative_axis_last(self):
+        x = np.array([0.5, -1.5, 2.0])
+        out = central_difference(lambda y: np.outer(y, y)[:2], x, np.full(3, 1e-5))
+        assert out.shape == (2, 3, 3)
+        # d(x_i x_j)/dx_c = delta_ic x_j + x_i delta_jc
+        eye = np.eye(3)
+        exact = eye[:2, None, :] * x[None, :, None] + x[:2, None, None] * eye[None, :, :]
+        assert np.max(np.abs(out - exact)) < 1e-9
+
+    def test_one_step_per_axis_required(self):
+        with pytest.raises(DimensionMismatch):
+            central_difference(np.sum, np.zeros(3), np.full(2, 1e-6))

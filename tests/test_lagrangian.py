@@ -30,7 +30,12 @@ from repmech import (
     velocity_hessian,
     weak_field_metric,
 )
-from repmech.sweeps import draw_spec_state
+from repmech.sweeps import (
+    draw_spec_state,
+    euler_identity_sweep,
+    mass_shell_sweep,
+    momentum_fd_sweep,
+)
 
 MINK = minkowski_metric(4)
 X0 = np.zeros(4)
@@ -159,6 +164,29 @@ class TestIdentities:
             v = np.concatenate(([1.0], rng.uniform(-0.3, 0.3, size=3)))
             assert abs(mass_shell_residual(spec, x, v)) <= 1e-9
             assert abs(mass_shell_residual(spec, x, v, mode="fd")) <= 1e-9
+
+    @pytest.mark.parametrize("curved", [False, True])
+    def test_mass_shell_batch_equals_point_loop(self, curved):
+        metric = (weak_field_metric(4, lambda x: 0.05 * float(np.sin(x[1]))) if curved
+                  else MINK)
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-1, 1, size=(3, 4, 4))
+        v = np.concatenate((np.ones((3, 4, 1)), rng.uniform(-0.4, 0.4, size=(3, 4, 3))), axis=-1)
+        for mass in (1.3, 0.0):
+            spec = LagrangianSpec(metric=metric, mass=mass, charge=0.4,
+                                  potential=uniform_magnetic_potential(4, 1.0))
+            loop = np.array([[mass_shell_residual(spec, xi, vi) for xi, vi in zip(xr, vr)]
+                             for xr, vr in zip(x, v)])
+            batch = mass_shell_residual(spec, x, v)
+            assert batch.shape == (3, 4)
+            assert np.array_equal(batch, loop)
+        assert np.all(batch == 0.0)  # no mass term: zeros of the batch shape
+
+    def test_finite_difference_sweeps_pass(self):
+        for result in (euler_identity_sweep("fd", samples=30, seed=2),
+                       mass_shell_sweep(samples=30, seed=3),
+                       momentum_fd_sweep(samples=30, seed=4)):
+            assert result.passed, result
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=-3, max_value=3), st.integers(0, 2 ** 31 - 1))
