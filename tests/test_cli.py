@@ -50,6 +50,36 @@ def test_extremize_summary_is_byte_identical_on_rerun(tmp_path, which):
     assert json.loads(first)["converged"] is True
 
 
+SIMULATE_VARIANTS = {
+    "shipped": {},
+    "proper_time": {"gauge": "proper_time", "initial": {"velocity": [1.25, 0.75, 0.0, 0.0]},
+                    "tau_end": 0.5, "step": 0.01},
+    "tensor": {"spec": {"extra_terms": [{"coupling": 0.2, "rank": 3,
+                                         "entries": {"0,0,0": 1.0, "0,1,1": 0.1}}]},
+               "tau_end": 0.5, "step": 0.01},
+}
+
+
+@pytest.mark.parametrize("variant", SIMULATE_VARIANTS)
+def test_simulate_outputs_are_byte_identical_on_rerun(tmp_path, variant):
+    doc = yaml.safe_load((CONFIGS / "simulate.yaml").read_text())
+    for key, value in SIMULATE_VARIANTS[variant].items():
+        if isinstance(value, dict):
+            doc[key].update(value)
+        else:
+            doc[key] = value
+    config = tmp_path / "simulate.yaml"
+    config.write_text(yaml.safe_dump(doc, sort_keys=False))
+    for out in ("first", "second"):
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+    for name in ("simulate_summary.json", "trajectory.csv"):
+        first = (tmp_path / "first" / name).read_bytes()
+        assert first == (tmp_path / "second" / name).read_bytes()
+    summary = json.loads((tmp_path / "first" / "simulate_summary.json").read_bytes())
+    assert summary["gauge"] == doc["gauge"]
+    assert summary["max_mass_shell_residual"] <= 1e-12
+
+
 @pytest.mark.parametrize("line, key", [
     ("det_samples: 0", "det_samples"),
     ("det_samples: -5", "det_samples"),

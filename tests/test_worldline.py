@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from oracles import CyclotronOracle, fit_circle
+import repmech.worldline as worldline
 from repmech import (
     GaugeChoice,
     GaugeViolation,
     LagrangianSpec,
     SingularReducedHessian,
+    constant_diagonal_metric,
+    constant_potential,
     conserved_drift,
     el_residual,
     energy_drift,
@@ -16,6 +19,7 @@ from repmech import (
     symmetric_tensor,
     uniform_magnetic_potential,
     weak_field_metric,
+    zero_potential,
 )
 
 MINK = minkowski_metric(4)
@@ -126,6 +130,36 @@ class TestCoordinateTimeIntegration:
                       np.zeros(4), np.array([1.5, 0.1, 0, 0.0]), 1.0, 0.01)
 
 
+class TestCoordinateDerivatives:
+    @pytest.mark.parametrize("metric", [MINK, constant_diagonal_metric([2, -1, -3, -0.5])],
+                             ids=["minkowski", "diagonal"])
+    @pytest.mark.parametrize("potential", [zero_potential(4),
+                                           constant_potential([0.3, -0.2, 0.5, 0.1]),
+                                           uniform_magnetic_potential(4, 1.1)],
+                             ids=["zero", "constant", "magnetic"])
+    def test_scalar_and_generic_derivatives_agree(self, metric, potential):
+        spec = LagrangianSpec(metric=metric, mass=1.3, charge=0.7, potential=potential)
+        assert worldline._fast_diag_em_eligible(spec)
+        scalar = worldline._diag_em_deriv(spec)
+        generic = worldline._coordinate_deriv(spec)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            t = float(rng.uniform(-2.0, 2.0))
+            z = rng.uniform(-1.0, 1.0, 3).tolist() + rng.uniform(-0.3, 0.3, 3).tolist()
+            assert np.max(np.abs(np.subtract(scalar(t, z), generic(t, z)))) <= 1e-13
+
+
+def curved_spec():
+    """Static weak field with an analytic phi_grad, a magnetic field and a rank-3 term."""
+    metric = weak_field_metric(
+        4, lambda x: 0.05 * float(np.sin(x[1])) + 0.03 * float(np.cos(x[2])),
+        lambda x: np.array([0.0, 0.05 * np.cos(x[1]), -0.03 * np.sin(x[2]), 0.0]))
+    s3 = symmetric_tensor(3, 4, {(0, 0, 0): 1.0, (0, 1, 1): 0.1, (0, 2, 3): -0.05})
+    return LagrangianSpec(metric=metric, mass=1.0, charge=0.8,
+                          potential=uniform_magnetic_potential(4, 0.9),
+                          extra_terms=((0.2, s3),))
+
+
 class TestProperTimeIntegration:
     def test_free_particle_exact(self):
         spec = LagrangianSpec(metric=MINK, mass=1.0)
@@ -150,6 +184,46 @@ class TestProperTimeIntegration:
             pi = np.interp(t_common, wlp.x[:, 0], wlp.x[:, i])
             worst = max(worst, float(np.max(np.abs(ci - pi))))
         assert worst <= 1e-6
+
+    def test_bordered_acceleration_solves_el_and_gauge_row(self):
+        spec = curved_spec()
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            x = rng.uniform(-1.0, 1.0, 4)
+            v = np.concatenate(([1.0], rng.uniform(-0.4, 0.4, 3)))
+            g = spec.metric(x)
+            v /= np.sqrt(v @ g @ v)
+            a = worldline._proper_accel(spec, x, v)
+            assert np.max(np.abs(el_residual(spec, x, v, a))) <= 1e-12
+            # d/dtau g(v, v) = 2 g(v, a) + d_c g_ab v^c v^a v^b = 0
+            gauge_row = 2.0 * (g @ v) @ a + np.einsum("cab,c,a,b->", spec.metric.gradient(x),
+                                                      v, v, v)
+            assert abs(gauge_row) <= 1e-14
+
+    def test_curved_gauges_agree(self):
+        # proper time run for tau = 1, then coordinate time to the same x^0 in
+        # as many steps: the two end states are the same physical point (the
+        # end states differ by 3.8e-12 at 100 steps, falling as step^4)
+        spec = curved_spec()
+        x0 = np.array([0.0, 0.2, -0.1, 0.3])
+        u = np.array([1.0, 0.4, -0.2, 0.1])
+        v0 = u / np.sqrt(u @ spec.metric(x0) @ u)
+        n = 100
+        wlp = integrate(spec, GaugeChoice.PROPER_TIME, x0, v0, 1.0, 1.0 / n)
+        t_end = float(wlp.x[-1, 0])
+        wlc = integrate(spec, GaugeChoice.COORDINATE_TIME, x0, u, t_end, t_end / n)
+        assert len(wlc) == n + 1 and wlc.x[-1, 0] == pytest.approx(t_end, abs=1e-14)
+        assert np.max(np.abs(wlc.x[-1] - wlp.x[-1])) <= 1e-9
+        assert np.max(np.abs(wlc.v[-1] - wlp.v[-1] / wlp.v[-1, 0])) <= 1e-9
+        assert np.max(wlp.gauge_residual) <= 1e-8
+
+    def test_singular_bordered_system_raises(self, monkeypatch):
+        monkeypatch.setattr(worldline, "velocity_hessian",
+                            lambda spec, x, v: np.zeros((spec.dim, spec.dim)))
+        gamma = 1.25
+        with pytest.raises(SingularReducedHessian):
+            integrate(cyclotron_spec(), GaugeChoice.PROPER_TIME, np.zeros(4),
+                      gamma * np.array([1, 0.6, 0, 0.0]), 0.1, 0.01)
 
     def test_bad_normalization_rejected(self):
         spec = LagrangianSpec(metric=MINK, mass=1.0)
