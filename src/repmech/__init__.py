@@ -20,13 +20,10 @@ from .action import (
 )
 from .brane import (
     BraneEmbedding,
-    BranePotential,
     BraneSpec,
     GeneralizedVelocity,
     brane_action,
-    brane_potential_from_function,
     component_count,
-    constant_brane_potential,
     curve_embedding,
     cylinder_patch_embedding,
     generalized_velocity,
@@ -38,7 +35,6 @@ from .brane import (
     nonrelativistic_brane_expansion,
     reparameterized,
     tilted_plane_embedding,
-    zero_brane_potential,
 )
 from .clifford import (
     GammaSet,
@@ -81,7 +77,6 @@ from .fields import (
     SymmetricTensorField,
     VectorPotentialField,
     constant_potential,
-    multiplicity,
     potential_from_function,
     symmetric_tensor,
     symmetric_tensor_field,

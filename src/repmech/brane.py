@@ -28,7 +28,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import DimensionMismatch, GaugeViolation, NegativeRadicand, NotOneTimeMetric
-from .fields import SymmetricTensorField
+from .fields import SymmetricTensorField, VectorPotentialField
 from .geometry import FD_STEP, MetricField, central_difference
 from .lagrangian import signed_root
 
@@ -204,49 +204,21 @@ def _multivector_metric_matrix(g, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BranePotential:
-    """Covector field over the target space valued on minor components A_G(x)."""
-
-    dim_m: int
-    n_components: int
-    kind: str
-    _eval: Callable
-
-    def __call__(self, x) -> np.ndarray:
-        a = np.asarray(self._eval(np.asarray(x, dtype=float)), dtype=float)
-        if a.shape != (self.n_components,):
-            raise DimensionMismatch(f"brane potential returned shape {a.shape}")
-        return a
-
-
-def zero_brane_potential(dim_m: int, n_components: int) -> BranePotential:
-    z = np.zeros(n_components)
-    return BranePotential(dim_m, n_components, "zero", lambda x: z)
-
-
-def constant_brane_potential(dim_m: int, values) -> BranePotential:
-    a = np.asarray(values, dtype=float).copy()
-    a.setflags(write=False)
-    return BranePotential(dim_m, a.size, "constant", lambda x: a)
-
-
-def brane_potential_from_function(dim_m: int, n_components: int, fn) -> BranePotential:
-    return BranePotential(dim_m, n_components, "user", fn)
-
-
-@dataclass(frozen=True)
 class BraneSpec:
     """Backgrounds for the canonical brane Lagrangian.
 
-    charge/mass/couplings default to 1, the normalization in which the
-    canonical form is usually written; setting them explicitly makes a D = 1
-    brane reproduce the point-particle spec exactly.
+    The potential and the tensors are the particle's field types, of
+    dimension C = binom(dimM, D): they are evaluated at target points x and
+    act on the minor components w. charge/mass/couplings default to 1, the
+    normalization in which the canonical form is usually written; setting
+    them explicitly makes a D = 1 brane reproduce the point-particle spec
+    exactly.
     """
 
     metric: MetricField
     charge: float = 1.0
     mass: float = 1.0
-    potential: Optional[BranePotential] = None
+    potential: Optional[VectorPotentialField] = None
     extra_terms: Tuple[Tuple[float, SymmetricTensorField], ...] = ()
 
     def __post_init__(self):
@@ -257,7 +229,8 @@ class BraneSpec:
 def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
     """Midpoint-rule quadrature of the brane Lagrangian density over the box.
 
-    Density per cell: q A_G w^G + m sqrt(det(J^T g J)) + sum Q_n S_n(w..w)^(1/n).
+    Density per cell: q A_G w^G + m sqrt(det(J^T g J)) + sum Q_n S_n(w..w)^(1/n),
+    each term evaluated over all cells in one call.
     For a constant metric the volume radicand is evaluated as w^T G w, which
     equals det(J^T g J) by Cauchy-Binet; otherwise det(J^T g(x) J) per cell.
     A negative volume radicand raises NegativeRadicand carrying the cell index.
@@ -269,7 +242,7 @@ def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
     n_comp = len(combos)
     if spec.metric.dim != emb.dim_m:
         raise DimensionMismatch("brane metric dimension differs from target dimension")
-    if spec.potential is not None and spec.potential.n_components != n_comp:
+    if spec.potential is not None and spec.potential.dim != n_comp:
         raise DimensionMismatch("brane potential has wrong number of minor components")
     for _, s in spec.extra_terms:
         if s.dim != n_comp:
@@ -299,18 +272,9 @@ def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
     if spec.mass != 0.0:
         density += spec.mass * np.sqrt(radicand)
     if spec.potential is not None and spec.charge != 0.0:
-        if spec.potential.kind in ("zero", "constant"):
-            a = spec.potential(X[0])
-            density += spec.charge * (omega @ a)
-        else:
-            density += spec.charge * np.array(
-                [float(spec.potential(xk) @ wk) for xk, wk in zip(X, omega)]
-            )
+        density += spec.charge * np.vecdot(spec.potential(X), omega)
     for q_n, tensor in spec.extra_terms:
-        density += q_n * np.array(
-            [signed_root(tensor.contraction(xk, wk), tensor.rank)
-             for xk, wk in zip(X, omega)]
-        )
+        density += q_n * signed_root(tensor.contraction(X, omega), tensor.rank)
 
     action = float(np.sum(density) * emb.cell_volume)
     if not details:
@@ -366,8 +330,11 @@ def nonrelativistic_brane_expansion(spec: BraneSpec, emb: BraneEmbedding,
     if np.max(np.abs(off)) > 1e-10 or abs(d[0] - 1.0) > 1e-10 or np.any(d[1:] >= 0.0):
         raise NotOneTimeMetric("multivector metric is not one-time diagonal in this chart")
 
+    radicand = float(w @ G @ w)
+    if radicand < 0.0 and spec.mass != 0.0:
+        raise NegativeRadicand(f"volume radicand {radicand:.6e} < 0 at cell {cell}", cell=cell)
     a = spec.potential(x) if spec.potential is not None else np.zeros(n_comp)
-    exact = spec.charge * float(a @ w) + spec.mass * math.sqrt(float(w @ G @ w))
+    exact = spec.charge * float(a @ w) + spec.mass * math.sqrt(max(radicand, 0.0))
     for q_n, tensor in spec.extra_terms:
         exact += q_n * signed_root(tensor.contraction(x, w), tensor.rank)
     ws = w[1:]

@@ -28,7 +28,6 @@ from .brane import (
     BraneSpec,
     brane_action,
     component_count,
-    constant_brane_potential,
     cylinder_patch_embedding,
     graph_embedding,
     gridded_embedding,
@@ -517,7 +516,7 @@ def _parse_brane(root: Section, warnings):
                 f"dimension mismatch: {psec.where('components')} has {comp.size} entries "
                 f"but the embedding has {n_comp} minor components"
             )
-        potential = constant_brane_potential(emb.dim_m, comp)
+        potential = constant_potential(comp)
     spec = BraneSpec(metric=metric, mass=ssec.number("mass", 1.0),
                      charge=ssec.number("charge", 1.0), potential=potential)
     return {"embedding": emb, "spec": spec}

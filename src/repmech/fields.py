@@ -1,15 +1,25 @@
 """Background interaction fields: covector potentials and symmetric tensors.
 
-Symmetric rank-n tensors are stored sparsely by sorted multi-index; each
-stored entry is the common value of all its index permutations and enters
-contractions weighted by the multinomial multiplicity n! / prod(k_d!).
-Symmetry is therefore structural rather than enforced numerically.
+A symmetric rank-n tensor over N components is stored as one dense numpy
+array S of shape (N,) * n, filled from its sorted-index entries through all
+index permutations, so symmetry is structural rather than enforced
+numerically. Its memory is N^n floats: 625 for the largest tensor in use
+(rank 4 in dim 5). A tensor with more than MAX_DENSE_ENTRIES = 2^24 entries
+raises DimensionMismatch instead of allocating.
+
+One partial-contraction kernel contracts S with v until k free axes remain,
+for v of shape (..., N): k = 0 is the full contraction S(v, ..., v), k = 1
+times n its velocity gradient, k = 2 times n(n - 1) its velocity Hessian.
+
+The point particle evaluates these fields on its velocity (N = dim of the
+target); the brane evaluates the same types on its Jacobian minors, with N
+the number of minor components.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
@@ -118,16 +128,11 @@ def potential_from_function(dim: int, fn, jacobian=None) -> VectorPotentialField
 
 
 # ---------------------------------------------------------------------------
-# symmetric tensors, sorted multi-index storage
+# symmetric tensors, dense storage
 # ---------------------------------------------------------------------------
 
-def multiplicity(idx: Index) -> int:
-    """Number of distinct permutations of a multi-index."""
-    c = Counter(idx)
-    m = math.factorial(len(idx))
-    for k in c.values():
-        m //= math.factorial(k)
-    return m
+# largest dense tensor, dim ** rank entries (128 MiB of floats)
+MAX_DENSE_ENTRIES = 2 ** 24
 
 
 def _canonical_entries(rank: int, dim: int, entries: Mapping[Index, float]) -> Dict[Index, float]:
@@ -145,12 +150,32 @@ def _canonical_entries(rank: int, dim: int, entries: Mapping[Index, float]) -> D
     return out
 
 
+@functools.lru_cache(maxsize=4)  # each holds dim ** rank indices, as many as S has entries
+def _sorted_flat_index(rank: int, dim: int) -> np.ndarray:
+    """For each flat index of a (dim,) * rank array, the flat index of its sorted multi-index."""
+    shape = (dim,) * rank
+    idx = np.indices(shape).reshape(rank, -1)
+    out = np.ravel_multi_index(np.sort(idx, axis=0), shape)
+    out.setflags(write=False)
+    return out
+
+
+def _dense(rank: int, dim: int, entries: Mapping[Index, float]) -> np.ndarray:
+    """The (dim,) * rank symmetric array holding each sorted-index entry at all its permutations."""
+    shape = (dim,) * rank
+    keys = np.array(list(entries), dtype=np.intp).reshape(-1, rank)
+    flat = np.zeros(dim ** rank)
+    flat[np.ravel_multi_index(tuple(keys.T), shape)] = list(entries.values())
+    return flat[_sorted_flat_index(rank, dim)].reshape(shape)
+
+
 @dataclass(frozen=True)
 class SymmetricTensorField:
-    """Fully symmetric rank-n tensor field S(x), n >= 3, over sorted multi-indices.
+    """Fully symmetric rank-n tensor field S(x), n >= 3, stored dense.
 
-    Constant tensors carry their entries directly; analytic ones supply an
-    evaluator returning the entry mapping at a position.
+    Constant tensors carry their sorted-index entries and the dense array S
+    built from them; analytic ones supply an evaluator returning the entry
+    mapping at a position, from which S is built per point.
     """
 
     rank: int
@@ -158,120 +183,96 @@ class SymmetricTensorField:
     entries: Optional[Mapping[Index, float]] = None
     evaluator: Optional[Callable[[np.ndarray], Mapping[Index, float]]] = None
     kind: str = "constant"
-    _weights: tuple = field(default=None, repr=False)  # cached (idx, counts, mult, coeff)
+    S: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rank < 3:
             raise DimensionMismatch("extra tensor terms start at rank 3")
         if (self.entries is None) == (self.evaluator is None):
             raise DimensionMismatch("provide exactly one of entries / evaluator")
+        if self.dim ** self.rank > MAX_DENSE_ENTRIES:
+            raise DimensionMismatch(
+                f"a rank-{self.rank} tensor in dim {self.dim} has {self.dim ** self.rank} "
+                f"dense entries, more than {MAX_DENSE_ENTRIES}")
         if self.entries is not None:
             canon = _canonical_entries(self.rank, self.dim, self.entries)
+            dense = _dense(self.rank, self.dim, canon)
+            dense.setflags(write=False)
             object.__setattr__(self, "entries", canon)
-            object.__setattr__(self, "_weights", self._build_weights(canon))
-
-    @staticmethod
-    def _build_weights(entries: Mapping[Index, float]):
-        rows = []
-        for idx, coeff in sorted(entries.items()):
-            counts = tuple(sorted(Counter(idx).items()))
-            rows.append((idx, counts, float(multiplicity(idx)), coeff))
-        return tuple(rows)
+            object.__setattr__(self, "S", dense)
 
     @property
     def is_constant(self) -> bool:
         return self.entries is not None
 
-    def _rows(self, x):
-        if self.is_constant:
-            return self._weights
-        entries = _canonical_entries(self.rank, self.dim, self.evaluator(np.asarray(x, dtype=float)))
-        return self._build_weights(entries)
+    def _derivative(self, method, x, v, k: int):
+        """The k-th velocity derivative of S(x; v, ..., v): n!/(n-k)! S(v, ..., v, .^k).
 
-    # -- contraction and its velocity derivatives -------------------------
-    # v has shape (..., N). The loops run over the stored rows only and index
-    # v.T, whose first axis is the component, so one row updates every point
-    # of a batch at once; a single point is the batch shape ().
+        The one contraction kernel: S is contracted with v until k free axes
+        remain, shape (...,) + (N,) * k for v of shape (..., N). S being
+        symmetric, which axes are contracted does not matter. A single point
+        goes through ndarray.dot, which sums v against the second-to-last
+        axis of an array of any rank and is the cheapest numpy product at
+        these sizes. A batch contracts axis 0 for every point in one matrix
+        product, then the remaining axes point by point.
 
-    def contraction(self, x, v):
-        """Full n-fold contraction S(v, ..., v), shape (...)."""
+        A position-dependent tensor builds S per point; on a batch it runs
+        method point by point, with x broadcast over v's batch shape. x keeps
+        its own length: a brane's tensor acts on minor components, not on
+        target coordinates.
+        """
         v = np.asarray(v, dtype=float)
         if v.shape[-1:] != (self.dim,):
             raise DimensionMismatch(f"velocity shape {v.shape} vs tensor dim {self.dim}")
-        if v.ndim > 1 and not self.is_constant:
-            return pointwise(self.contraction, np.broadcast_to(x, v.shape), v)
-        vt = v.T
-        total = np.zeros(vt.shape[1:])
-        for _idx, counts, mult, coeff in self._rows(x):
-            prod = 1.0
-            for d, k in counts:
-                prod *= vt[d] ** k
-            total = total + coeff * mult * prod
-        return total.T
+        S = self.S
+        if S is None:
+            x = np.asarray(x, dtype=float)
+            if v.ndim > 1:
+                return pointwise(method, np.broadcast_to(x, v.shape[:-1] + x.shape[-1:]), v)
+            S = _dense(self.rank, self.dim,
+                       _canonical_entries(self.rank, self.dim, self.evaluator(x)))
+        if v.ndim == 1:
+            t = S
+            for _ in range(self.rank - k):
+                t = v.dot(t)
+        else:
+            n = self.dim
+            t = v.dot(S.reshape(n, -1))
+            for _ in range(self.rank - k - 1):
+                t = np.matvec(t.reshape(v.shape[:-1] + (-1, n)), v)
+            t = t.reshape(v.shape[:-1] + (n,) * k)
+        if k:
+            t *= math.perm(self.rank, k)  # in place: t is a fresh array
+        return t
+
+    def contraction(self, x, v):
+        """Full n-fold contraction S(v, ..., v), shape (...)."""
+        return self._derivative(self.contraction, x, v, 0)
 
     def contraction_gradient(self, x, v) -> np.ndarray:
         """d/dv of the full contraction, shape (..., N); equals n * S_{a b...} v^b ... v."""
-        v = np.asarray(v, dtype=float)
-        if v.ndim > 1 and not self.is_constant:
-            return pointwise(self.contraction_gradient, np.broadcast_to(x, v.shape), v)
-        vt = v.T
-        grad = np.zeros(vt.shape)
-        for _idx, counts, mult, coeff in self._rows(x):
-            for d, k in counts:
-                prod = 1.0 if k == 1 else k * vt[d] ** (k - 1)
-                for e, m in counts:
-                    if e != d:
-                        prod *= vt[e] ** m
-                grad[d] += coeff * mult * prod
-        return grad.T
+        return self._derivative(self.contraction_gradient, x, v, 1)
 
     def contraction_hessian(self, x, v) -> np.ndarray:
         """d2/dv2 of the full contraction, shape (..., N, N).
 
         Equals n(n-1) * S_{a b c...} v ... v.
         """
-        v = np.asarray(v, dtype=float)
-        if v.ndim > 1 and not self.is_constant:
-            return pointwise(self.contraction_hessian, np.broadcast_to(x, v.shape), v)
-        vt = v.T
-        # (N, N, reversed batch): the final .T restores (..., N, N) and, the
-        # matrix being filled symmetrically, swapping its two axes is harmless
-        hess = np.zeros((self.dim,) + vt.shape)
-        for _idx, counts, mult, coeff in self._rows(x):
-            for d, k in counts:
-                # diagonal block
-                if k >= 2:
-                    prod = k * (k - 1) * vt[d] ** (k - 2)
-                    for e, m in counts:
-                        if e != d:
-                            prod *= vt[e] ** m
-                    hess[d, d] += coeff * mult * prod
-                # off-diagonal blocks
-                for e, m in counts:
-                    if e <= d:
-                        continue
-                    prod = k * m
-                    prod *= vt[d] ** (k - 1)
-                    prod *= vt[e] ** (m - 1)
-                    for f, p in counts:
-                        if f != d and f != e:
-                            prod *= vt[f] ** p
-                    hess[d, e] += coeff * mult * prod
-                    hess[e, d] += coeff * mult * prod
-        return hess.T
+        return self._derivative(self.contraction_hessian, x, v, 2)
 
     def position_gradient_of_contraction(self, x, v) -> np.ndarray:
-        """d/dx of S(x; v, ..., v), shape (..., N).
+        """d/dx of S(x; v, ..., v), shape (..., len(x)).
 
         Zero for constant tensors, otherwise central differences with the
         relative step FD_STEP * max(1, |x_c|).
         """
         x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
         if self.is_constant:
-            return np.zeros(np.shape(v))
-        if np.ndim(v) > 1:
+            return np.zeros(v.shape[:-1] + x.shape[-1:])
+        if v.ndim > 1:
             return pointwise(self.position_gradient_of_contraction,
-                             np.broadcast_to(x, np.shape(v)), np.asarray(v, dtype=float))
+                             np.broadcast_to(x, v.shape[:-1] + x.shape[-1:]), v)
         return central_difference(lambda xx: self.contraction(xx, v), x,
                                   FD_STEP * np.maximum(1.0, np.abs(x)))
 

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_contraction, dense_symmetric_tensor
 from repmech import (
+    BraneEmbedding,
     BraneSpec,
     DimensionMismatch,
     LagrangianSpec,
     NegativeRadicand,
     brane_action,
-    brane_potential_from_function,
     curve_embedding,
     cylinder_patch_embedding,
     discrete_action,
@@ -23,8 +24,11 @@ from repmech import (
     minor_indices,
     multivector_metric,
     nonrelativistic_brane_expansion,
+    potential_from_function,
     reparameterized,
     straight_chord_path,
+    symmetric_tensor,
+    symmetric_tensor_field,
     tilted_plane_embedding,
     uniform_magnetic_potential,
 )
@@ -71,6 +75,53 @@ def _square_nodes(z1):
     Z1, Z2 = np.meshgrid(z1, z2, indexing="ij")
     values = np.stack([Z1, Z2, Z1 ** 2], axis=-1)
     return [z1, z2], values
+
+
+def _chord_curve():
+    """A perturbed 5-point chord in 3+1 and the D = 1 embedding that walks it.
+
+    One cell per chord segment: the cell centre is the segment midpoint and
+    the cell width is 1, so each cell is one term of discrete_action.
+    """
+    rng = np.random.default_rng(7)
+    end = np.array([2.0, 0.4, -0.3, 0.2])
+    path = straight_chord_path(np.zeros(4), end, 5,
+                               perturbation=0.05 * rng.normal(size=(5, 4)) * [0, 1, 1, 1])
+    nodes = np.vstack([path.x_start, path.interior, path.x_end])
+    steps = np.diff(nodes, axis=0)
+    k_grid = np.arange(nodes.shape[0], dtype=float)
+
+    def fn(Z):
+        z = np.atleast_2d(Z)[:, 0]
+        return np.column_stack([np.interp(z, k_grid, nodes[:, a]) for a in range(4)])
+
+    def jac(Z):
+        k = np.clip(np.floor(np.atleast_2d(Z)[:, 0]).astype(int), 0, len(steps) - 1)
+        return steps[k][:, :, None]
+
+    return path, curve_embedding(fn, jacobian=jac, box=(0.0, float(len(steps))),
+                                 resolution=len(steps))
+
+
+def _surface_in_4d():
+    """x(z) = (z1, z2, 0.3 z1 z2, 0.4 sin z1) over [0, 1] x [0.5, 1.5], analytic Jacobian."""
+
+    def evaluate(Z):
+        Z = np.atleast_2d(Z)
+        return np.column_stack([Z[:, 0], Z[:, 1], 0.3 * Z[:, 0] * Z[:, 1], 0.4 * np.sin(Z[:, 0])])
+
+    def jac(Z):
+        Z = np.atleast_2d(Z)
+        J = np.zeros((Z.shape[0], 4, 2))
+        J[:, 0, 0] = 1.0
+        J[:, 1, 1] = 1.0
+        J[:, 2, 0] = 0.3 * Z[:, 1]
+        J[:, 2, 1] = 0.3 * Z[:, 0]
+        J[:, 3, 0] = 0.4 * np.cos(Z[:, 0])
+        return J
+
+    return BraneEmbedding(d=2, dim_m=4, box=np.array([[0.0, 1.0], [0.5, 1.5]]),
+                          resolution=(6, 5), evaluator=evaluate, jacobian=jac)
 
 
 class TestMinors:
@@ -177,32 +228,45 @@ class TestBraneAction:
                                         weak_field_metric(4, lambda x: 0.05 * math.sin(x[1]))],
                              ids=["minkowski", "weak_field"])
     def test_curve_matches_point_particle_discrete_action(self, metric):
-        # one cell per chord segment: the cell centre is the segment midpoint
-        # and the cell width is 1, so each cell is one term of discrete_action
-        rng = np.random.default_rng(7)
-        end = np.array([2.0, 0.4, -0.3, 0.2])
-        path = straight_chord_path(np.zeros(4), end, 5,
-                                   perturbation=0.05 * rng.normal(size=(5, 4)) * [0, 1, 1, 1])
-        nodes = np.vstack([path.x_start, path.interior, path.x_end])
-        steps = np.diff(nodes, axis=0)
-        k_grid = np.arange(nodes.shape[0], dtype=float)
-
-        def fn(Z):
-            z = np.atleast_2d(Z)[:, 0]
-            return np.column_stack([np.interp(z, k_grid, nodes[:, a]) for a in range(4)])
-
-        def jac(Z):
-            k = np.clip(np.floor(np.atleast_2d(Z)[:, 0]).astype(int), 0, len(steps) - 1)
-            return steps[k][:, :, None]
-
+        path, emb = _chord_curve()
         potential = uniform_magnetic_potential(4, 0.7)
         particle = LagrangianSpec(metric=metric, mass=1.3, charge=0.6, potential=potential)
-        brane_spec = BraneSpec(metric=metric, mass=1.3, charge=0.6,
-                               potential=brane_potential_from_function(4, 4, potential))
-        emb = curve_embedding(fn, jacobian=jac, box=(0.0, float(len(steps))),
-                              resolution=len(steps))
+        brane_spec = BraneSpec(metric=metric, mass=1.3, charge=0.6, potential=potential)
         assert brane_action(brane_spec, emb) == pytest.approx(discrete_action(particle, path),
                                                               rel=1e-13)
+
+    def test_curve_with_a_tensor_term_matches_discrete_action(self):
+        path, emb = _chord_curve()
+        metric = weak_field_metric(4, lambda x: 0.05 * math.sin(x[1]))
+        terms = ((0.4, symmetric_tensor(3, 4, {(0, 0, 0): 0.9, (0, 1, 1): -0.2, (1, 2, 3): 0.1})),)
+        particle = LagrangianSpec(metric=metric, mass=1.3, charge=0.6,
+                                  potential=uniform_magnetic_potential(4, 0.7), extra_terms=terms)
+        brane_spec = BraneSpec(metric=metric, mass=1.3, charge=0.6,
+                               potential=particle.potential, extra_terms=terms)
+        assert brane_action(brane_spec, emb) == pytest.approx(discrete_action(particle, path),
+                                                              rel=1e-13)
+
+    def test_tensor_and_user_potential_terms_match_a_per_cell_sum(self):
+        # D = 2 in dimM = 4: the fields act on C = 6 minor components at 4 coordinates
+        emb = _surface_in_4d()
+        potential = potential_from_function(6, lambda x: np.array(
+            [x[0], x[1] * x[2], np.sin(x[3]), 1.0, -x[0] * x[3], 0.5]))
+        constant = symmetric_tensor(3, 6, {(0, 0, 0): 0.8, (0, 1, 5): -0.3, (2, 4, 4): 0.2})
+        varying = symmetric_tensor_field(3, 6, lambda x: {(0, 0, 0): 1.0 + x[0] * x[3],
+                                                          (1, 2, 3): float(x[2])})
+        spec = BraneSpec(euclidean_metric(4), mass=1.1, charge=0.7, potential=potential,
+                         extra_terms=((0.4, constant), (-0.25, varying)))
+        densities = []
+        for z in emb.cell_centers():
+            x = emb.points(z[None, :])[0]
+            w = generalized_velocity(emb, z).components
+            density = 1.1 * math.sqrt(w @ w) + 0.7 * float(potential(x) @ w)
+            for q_n, entries in ((0.4, constant.entries), (-0.25, varying.evaluator(x))):
+                c = dense_contraction(dense_symmetric_tensor(3, 6, entries), w)
+                density += q_n * math.copysign(abs(c) ** (1.0 / 3.0), c)
+            densities.append(density)
+        assert brane_action(spec, emb) == pytest.approx(
+            math.fsum(densities) * emb.cell_volume, rel=1e-14)
 
     def test_negative_radicand_carries_first_bad_cell(self):
         # det(J^T g J) = 1 - (2 z1)^2 in diag(1, 1, -1): negative from z1 > 1/2,
@@ -246,6 +310,19 @@ class TestGauge:
         assert quadratic == pytest.approx(1.2 * (1.0 - 0.5 * velocity ** 2), rel=1e-15)
         with pytest.raises(DimensionMismatch):
             nonrelativistic_brane_expansion(spec, emb, (8, 0))
+
+    def test_nonrelativistic_expansion_negative_radicand_carries_the_cell(self):
+        # x = 0.9 z^2 in 1+1 Minkowski: w = (1, 1.8 z), and at the centre
+        # z = 0.9375 of cell 7 of 8 the radicand 1 - (1.8 z)^2 is negative
+        emb = graph_embedding(lambda Z: 0.9 * np.atleast_2d(Z)[:, 0] ** 2,
+                              grad=lambda Z: 1.8 * np.atleast_2d(Z), box=((0.0, 1.0),),
+                              resolution=(8,))
+        spec = BraneSpec(minkowski_metric(2), mass=1.0, charge=0.0)
+        with pytest.raises(NegativeRadicand) as info:
+            nonrelativistic_brane_expansion(spec, emb, (7,))
+        assert info.value.cell == (7,)
+        exact, _ = nonrelativistic_brane_expansion(spec, emb, (0,))
+        assert exact == pytest.approx(math.sqrt(1.0 - (1.8 * 0.0625) ** 2), rel=1e-15)
 
 
 class TestGriddedEmbedding:

@@ -1,5 +1,9 @@
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,14 +11,54 @@ from oracles import dense_contraction, dense_symmetric_tensor, fd_gradient
 from repmech import (
     DimensionMismatch,
     constant_potential,
-    multiplicity,
     potential_from_function,
     symmetric_tensor,
     symmetric_tensor_field,
     uniform_magnetic_potential,
     zero_potential,
 )
+from repmech.cli import main
+from repmech.fields import MAX_DENSE_ENTRIES
 from repmech.geometry import pointwise
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@functools.lru_cache(maxsize=None)
+def _sympy_kernel(rank, dim, keys):
+    """S(v, ..., v), its gradient and its Hessian as sympy polynomials, lambdified.
+
+    Entry I (a sorted multi-index with k_d copies of d) enters with its
+    multinomial weight n! / prod(k_d!) times prod v_d^k_d, so no dense array
+    is involved. Each function takes v of shape (..., N) and c of shape
+    (..., len(keys)), one coefficient per key, and returns the flat
+    components (..., m). At |v| and |c| it gives the size of the terms that
+    rounding acts on.
+    """
+    v = sp.symbols(f"v0:{dim}")
+    c = sp.symbols(f"c0:{len(keys)}")
+    poly = sum(ci * sp.factorial(rank) / sp.prod([sp.factorial(idx.count(d)) for d in set(idx)])
+               * sp.prod([v[d] for d in idx]) for ci, idx in zip(c, keys))
+    grad = [sp.diff(poly, va) for va in v]
+    hess = [sp.diff(poly, va, vb) for va in v for vb in v]
+
+    def compiled(exprs):
+        fn = sp.lambdify([v, c], exprs, "numpy")
+
+        def evaluate(vv, cc):
+            values = fn(list(np.moveaxis(vv, -1, 0)), list(np.moveaxis(cc, -1, 0)))
+            return np.stack([np.broadcast_to(np.asarray(e, dtype=float), vv.shape[:-1])
+                             for e in values], axis=-1)
+        return evaluate
+
+    return compiled([poly]), compiled(grad), compiled(hess)
+
+
+def _coefficients(base, x):
+    """Entry values of the position-dependent test tensor: each entry scaled by its own wave in x."""
+    x = np.asarray(x, dtype=float)
+    phase = np.arange(1, len(base) + 1) * (x.sum(axis=-1, keepdims=True) + x[..., -1:])
+    return np.asarray(base) * (1.0 + 0.5 * np.sin(phase))
 
 
 class TestSymmetricTensor:
@@ -30,12 +74,6 @@ class TestSymmetricTensor:
         # (0,0,1) has 3 permutations: 3 * 1 * 1 * 2 = 6
         s = symmetric_tensor(3, 2, {(0, 0, 1): 1.0})
         assert s.contraction(np.zeros(2), [1, 2]) == 6.0
-
-    def test_multiplicity_counts(self):
-        assert multiplicity((0, 0, 0)) == 1
-        assert multiplicity((0, 0, 1)) == 3
-        assert multiplicity((0, 1, 2)) == 6
-        assert multiplicity((0, 0, 1, 1)) == 6
 
     def test_unsorted_indices_canonicalized(self):
         a = symmetric_tensor(3, 3, {(2, 0, 1): 1.5})
@@ -96,6 +134,70 @@ class TestSymmetricTensor:
         assert field.contraction(x, v) == pytest.approx(29.0)
         dc = field.position_gradient_of_contraction(x, v)
         assert dc[0] == pytest.approx(1.0, abs=1e-8)
+
+
+class TestSympyOracle:
+    """The dense kernel against sympy derivatives of the monomial polynomial, to 1e-12."""
+
+    @pytest.mark.parametrize("varying", [False, True], ids=["constant", "position_dependent"])
+    @pytest.mark.parametrize("batch", [(), (7,), (3, 5)], ids=["point", "b7", "b3x5"])
+    @pytest.mark.parametrize("rank,dim", [(r, d) for r in (3, 4, 5) for d in (2, 3, 4, 5)])
+    def test_contraction_gradient_hessian(self, rank, dim, batch, varying):
+        rng = np.random.default_rng(100 * rank + dim)
+        keys = tuple(sorted({tuple(sorted(rng.integers(0, dim, size=rank))) for _ in range(6)}))
+        base = rng.uniform(-1.0, 1.0, size=len(keys))
+        v = rng.uniform(-1.5, 1.5, size=batch + (dim,))
+        # positions one longer than the tensor's dim, as for a brane's minor components
+        x = rng.uniform(-1.0, 1.0, size=batch + (dim + 1,))
+        if varying:
+            tensor = symmetric_tensor_field(
+                rank, dim, lambda y: dict(zip(keys, _coefficients(base, y).tolist())))
+            coefs = _coefficients(base, x)
+        else:
+            tensor = symmetric_tensor(rank, dim, dict(zip(keys, base)))
+            coefs = np.broadcast_to(base, batch + base.shape)
+        methods = (tensor.contraction, tensor.contraction_gradient, tensor.contraction_hessian)
+        shapes = (batch, batch + (dim,), batch + (dim, dim))
+        for method, oracle, shape in zip(methods, _sympy_kernel(rank, dim, keys), shapes):
+            got = method(x, v)
+            assert np.shape(got) == shape
+            ref = oracle(v, coefs).reshape(shape)
+            scale = oracle(np.abs(v), np.abs(coefs)).reshape(shape)
+            assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+    def test_one_position_broadcasts_over_a_batch(self):
+        keys = ((0, 0, 1), (1, 2, 2))
+        base = np.array([0.7, -0.4])
+        tensor = symmetric_tensor_field(
+            3, 3, lambda y: dict(zip(keys, _coefficients(base, y).tolist())))
+        x = np.array([0.3, -0.2, 0.5, 0.1])  # four coordinates, three components
+        v = np.random.default_rng(2).uniform(-1.0, 1.0, size=(5, 3))
+        for method in (tensor.contraction, tensor.contraction_gradient,
+                       tensor.contraction_hessian, tensor.position_gradient_of_contraction):
+            assert np.array_equal(method(x, v), np.stack([method(x, vk) for vk in v]))
+
+
+class TestDenseSize:
+    def test_oversized_tensor_is_a_dimension_mismatch(self):
+        assert 40 ** 5 > MAX_DENSE_ENTRIES
+        with pytest.raises(DimensionMismatch, match="dense entries"):
+            symmetric_tensor(5, 40, {(0,) * 5: 1.0})
+        with pytest.raises(DimensionMismatch, match="dense entries"):
+            symmetric_tensor_field(5, 40, lambda x: {})
+
+    def test_oversized_config_tensor_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "simulate.yaml"
+        index = ",".join(["0"] * 13)  # 4^13 dense entries
+        config.write_text((CONFIGS / "simulate.yaml").read_text().replace(
+            "gauge:", f"  extra_terms: [{{coupling: 0.1, rank: 13, entries: {{'{index}': 1.0}}}}]\n"
+                      "gauge:"))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("DimensionMismatch:")
+
+    def test_empty_entries_give_the_zero_tensor(self):
+        s = symmetric_tensor(3, 2, {})
+        assert s.contraction(np.zeros(2), [1.0, 2.0]) == 0.0
+        assert not np.any(s.S)
 
 
 class TestVectorPotential:
