@@ -2,19 +2,19 @@
 
 A D-dimensional embedding z -> x(z) has generalized velocity components
 w^G = det of the DxD Jacobian submatrix picked by each strictly increasing
-multi-index G of target coordinates, C(dimM, D) of them: the components of
-the wedge product J_1 ^ ... ^ J_D of the Jacobian columns. The induced metric
-on those components is the Gram determinant g_{G1 G2} = det [g_{a_i b_j}],
-and by Cauchy-Binet
+multi-index G of target coordinates, C = binom(dimM, D) of them: the
+components of the wedge product J_1 ^ ... ^ J_D of the Jacobian columns.
+The metric induced on those components is the D-th compound
+G(x) = Lambda^D g(x), G_{G1 G2} = det [g_{a_i b_j}], and by Cauchy-Binet
 
-    sum_{G1,G2} g_{G1 G2} w^{G1} w^{G2} = det(J^T g J),
+    sum_{G1,G2} G_{G1 G2} w^{G1} w^{G2} = det(J^T g J),
 
 whose square root integrated over the parameter box is the minimal-surface
-(world-volume) functional. For a constant metric the radicand is evaluated
-as the left-hand side, w^T G w with the C x C matrix G built once; a
-position-dependent metric takes det(J^T g(x) J) per cell. For D = 1
-everything reduces to the point particle: minors are plain derivatives and
-the Gram sum is g(v, v).
+(world-volume) functional. The brane Lagrangian is the point particle's on
+these components: BraneSpec.lagrangian(D) is a LagrangianSpec with metric
+G(x) at the dimM target coordinates and velocities the C minors, so
+brane_action is one batched eval_L over all cells. For D = 1 everything
+reduces to the point particle: minors are plain derivatives and G = g.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .errors import DimensionMismatch, GaugeViolation, NegativeRadicand, NotOneTimeMetric
+from .errors import DimensionMismatch, GaugeViolation, NegativeRadicand, SpacelikeVelocity
 from .fields import SymmetricTensorField, VectorPotentialField
-from .geometry import FD_STEP, MetricField, central_difference
-from .lagrangian import signed_root
+from .geometry import FD_STEP, MetricField, central_difference, compound_metric, quadratic_form
+from .geometry import _minors, _multivector_metric_matrix  # noqa: F401  (importable from brane)
+from .lagrangian import LagrangianSpec, eval_L, nonrelativistic_expansion
 
 
 def component_count(dim_m: int, d: int) -> int:
@@ -112,8 +113,9 @@ class BraneEmbedding:
     def cell_centers(self) -> np.ndarray:
         axes = [np.linspace(lo, hi, r, endpoint=False) + 0.5 * (hi - lo) / r
                 for (lo, hi), r in zip(self.box, self.resolution)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        # one write pass: stack the broadcast meshgrid views, not raveled copies
+        mesh = np.meshgrid(*axes, indexing="ij", copy=False)
+        return np.stack(mesh, axis=-1).reshape(-1, self.d)
 
     @property
     def cell_volume(self) -> float:
@@ -137,31 +139,6 @@ class GeneralizedVelocity:
 
     def __getitem__(self, gamma):
         return self.components[self.indices.index(tuple(gamma))]
-
-
-def _minors(J: np.ndarray) -> np.ndarray:
-    """All DxD minors of a batch of Jacobians: (n, dimM, D) -> (n, C).
-
-    The minors are the components of the wedge product J_1 ^ ... ^ J_D of the
-    Jacobian columns, built up one column at a time by Laplace expansion
-    along the newest column k: the (k+1)x(k+1) minor on rows r_0 < ... < r_k
-    is sum_p (-1)^(p+k) J[r_p, k] * (the k x k minor on the other rows).
-    Each level is filled in combinations() order, so the columns come out in
-    minor_indices() order. Elementwise products only, so the result is exact
-    in exact arithmetic for every 1 <= D <= dimM.
-    """
-    _, dim_m, d = J.shape
-    level = {(r,): J[:, r, 0] for r in range(dim_m)}
-    for k in range(1, d):
-        wider = {}
-        for rows in itertools.combinations(range(dim_m), k + 1):
-            acc = 0.0
-            for p, r in enumerate(rows):
-                term = J[:, r, k] * level[rows[:p] + rows[p + 1:]]
-                acc = acc - term if (p + k) % 2 else acc + term
-            wider[rows] = acc
-        level = wider
-    return np.stack(list(level.values()), axis=-1)
 
 
 def generalized_velocity(emb: BraneEmbedding, z) -> GeneralizedVelocity:
@@ -188,31 +165,21 @@ def multivector_metric(g, gamma1, gamma2) -> float:
     return float(np.linalg.det(g[np.ix_(g1, g2)]))
 
 
-def _multivector_metric_matrix(g, d: int) -> np.ndarray:
-    """C x C matrix of multivector_metric over minor_indices(dimM, D).
-
-    Entry (G1, G2) is the minor on rows G1 of the column block g[:, G2], so
-    each column of the matrix is one row of the minors kernel's output.
-    """
-    g = np.asarray(g, dtype=float)
-    blocks = np.stack([g[:, list(c)] for c in minor_indices(g.shape[0], d)])
-    return _minors(blocks).T
-
-
 # ---------------------------------------------------------------------------
 # brane Lagrangian data and action
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BraneSpec:
-    """Backgrounds for the canonical brane Lagrangian.
+    """Backgrounds for the canonical brane Lagrangian
 
-    The potential and the tensors are the particle's field types, of
-    dimension C = binom(dimM, D): they are evaluated at target points x and
-    act on the minor components w. charge/mass/couplings default to 1, the
-    normalization in which the canonical form is usually written; setting
-    them explicitly makes a D = 1 brane reproduce the point-particle spec
-    exactly.
+        L(x, w) = q A_G(x) w^G + m sqrt(w^T G(x) w) + sum_n Q_n S_n(x; w, ..., w)^(1/n),
+
+    the particle's Lagrangian on the minors w with G(x) = Lambda^D g(x);
+    lagrangian(D) builds it. The potential and the tensors are the
+    particle's field types of dimension C, evaluated at target points.
+    charge and mass default to 1, the usual normalization of the canonical
+    form; with no potential there is no charge term.
     """
 
     metric: MetricField
@@ -221,68 +188,44 @@ class BraneSpec:
     potential: Optional[VectorPotentialField] = None
     extra_terms: Tuple[Tuple[float, SymmetricTensorField], ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "extra_terms",
-                           tuple((float(q), s) for q, s in self.extra_terms))
+    def lagrangian(self, d: int) -> LagrangianSpec:
+        """The LagrangianSpec of a D-brane: velocities of C components, positions of dimM."""
+        return LagrangianSpec(metric=compound_metric(self.metric, d), mass=self.mass,
+                              charge=self.charge if self.potential is not None else 0.0,
+                              potential=self.potential, extra_terms=self.extra_terms)
 
 
 def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
-    """Midpoint-rule quadrature of the brane Lagrangian density over the box.
+    """Midpoint-rule quadrature of the brane Lagrangian over the parameter box.
 
-    Density per cell: q A_G w^G + m sqrt(det(J^T g J)) + sum Q_n S_n(w..w)^(1/n),
-    each term evaluated over all cells in one call.
-    For a constant metric the volume radicand is evaluated as w^T G w, which
-    equals det(J^T g J) by Cauchy-Binet; otherwise det(J^T g(x) J) per cell.
-    A negative volume radicand raises NegativeRadicand carrying the cell index.
-    details=True also returns the cell count, the component count, the
-    smallest radicand and the integral-gauge deviation (see
-    integral_gauge_check), all from the one Jacobian pass.
+    One batched eval_L of spec.lagrangian(D) at the cell centres. The volume
+    radicand w^T G w = det(J^T g J) is checked over all cells first: with a
+    mass term a negative one raises NegativeRadicand carrying the first such
+    cell. details=True also returns the cell and component counts, the
+    smallest radicand and the integral-gauge deviation (integral_gauge_check).
     """
-    combos = minor_indices(emb.dim_m, emb.d)
-    n_comp = len(combos)
     if spec.metric.dim != emb.dim_m:
         raise DimensionMismatch("brane metric dimension differs from target dimension")
-    if spec.potential is not None and spec.potential.dim != n_comp:
-        raise DimensionMismatch("brane potential has wrong number of minor components")
-    for _, s in spec.extra_terms:
-        if s.dim != n_comp:
-            raise DimensionMismatch("brane tensor term must act on minor components")
-
+    lag = spec.lagrangian(emb.d)
     Z = emb.cell_centers()
     X = emb.points(Z)
-    J = emb.jacobians(Z)
-    omega = _minors(J)
+    omega = _minors(emb.jacobians(Z))
 
-    if spec.metric.is_constant:
-        G = _multivector_metric_matrix(spec.metric(X[0]), emb.d)
-        # row sums as a product with ones: a numpy sum over the short axis is slower
-        radicand = ((omega @ G) * omega) @ np.ones(n_comp)
-    else:
-        gram = np.stack([Jk.T @ spec.metric(xk) @ Jk for Jk, xk in zip(J, X)])
-        radicand = np.linalg.det(gram) if emb.d > 1 else gram[:, 0, 0]
-    bad = np.flatnonzero(radicand < 0.0)
-    if bad.size and spec.mass != 0.0:
-        cell = np.unravel_index(bad[0], emb.resolution)
-        raise NegativeRadicand(
-            f"volume radicand {radicand[bad[0]]:.6e} < 0 at cell {tuple(int(c) for c in cell)}",
-            cell=tuple(int(c) for c in cell),
-        )
-
-    density = np.zeros(emb.n_cells)
-    if spec.mass != 0.0:
-        density += spec.mass * np.sqrt(radicand)
-    if spec.potential is not None and spec.charge != 0.0:
-        density += spec.charge * np.vecdot(spec.potential(X), omega)
-    for q_n, tensor in spec.extra_terms:
-        density += q_n * signed_root(tensor.contraction(X, omega), tensor.rank)
-
-    action = float(np.sum(density) * emb.cell_volume)
+    radicand = quadratic_form(lag.metric(X), omega)
+    min_radicand = float(np.min(radicand))
+    if min_radicand < 0.0 and spec.mass != 0.0:
+        first = int(np.argmax(radicand < 0.0))
+        cell = tuple(int(c) for c in np.unravel_index(first, emb.resolution))
+        raise NegativeRadicand(f"volume radicand {radicand[first]:.6e} < 0 at cell {cell}",
+                               cell=cell)
+    del radicand  # freed before eval_L, whose temporaries can then reuse its memory
+    action = float(np.sum(eval_L(lag, X, omega)) * emb.cell_volume)
     if not details:
         return action
     return action, {
         "cells": emb.n_cells,
-        "component_count": n_comp,
-        "min_radicand": float(np.min(radicand)),
+        "component_count": omega.shape[-1],
+        "min_radicand": min_radicand,
         "gauge_deviation": _gauge_deviation(omega),
     }
 
@@ -306,9 +249,10 @@ def nonrelativistic_brane_expansion(spec: BraneSpec, emb: BraneEmbedding,
                                     cell: Tuple[int, ...]):
     """Exact cell integrand vs its small-slope quadratic model.
 
-    Requires the integral gauge (internal minor = 1 at the cell) and a
-    one-time multivector metric: diagonal with G_00 = 1 and the remaining
-    diagonal entries negative.
+    nonrelativistic_expansion of spec.lagrangian(D) at the cell centre, the
+    minors after the internal one being the spatial velocity. Requires the
+    integral gauge (internal minor = 1) and a one-time diagonal G. A negative
+    radicand with a mass term raises NegativeRadicand carrying the cell.
     """
     cell = tuple(int(c) for c in cell)
     if len(cell) != emb.d:
@@ -322,25 +266,10 @@ def nonrelativistic_brane_expansion(spec: BraneSpec, emb: BraneEmbedding,
     w = generalized_velocity(emb, z).components
     if abs(w[0] - 1.0) > 1e-8:
         raise GaugeViolation(f"internal minor {w[0]} != 1; not in the integral gauge")
-
-    n_comp = w.size
-    G = _multivector_metric_matrix(spec.metric(x), emb.d)
-    off = G - np.diag(np.diag(G))
-    d = np.diag(G)
-    if np.max(np.abs(off)) > 1e-10 or abs(d[0] - 1.0) > 1e-10 or np.any(d[1:] >= 0.0):
-        raise NotOneTimeMetric("multivector metric is not one-time diagonal in this chart")
-
-    radicand = float(w @ G @ w)
-    if radicand < 0.0 and spec.mass != 0.0:
-        raise NegativeRadicand(f"volume radicand {radicand:.6e} < 0 at cell {cell}", cell=cell)
-    a = spec.potential(x) if spec.potential is not None else np.zeros(n_comp)
-    exact = spec.charge * float(a @ w) + spec.mass * math.sqrt(max(radicand, 0.0))
-    for q_n, tensor in spec.extra_terms:
-        exact += q_n * signed_root(tensor.contraction(x, w), tensor.rank)
-    ws = w[1:]
-    quadratic = (spec.charge * (a[0] + float(a[1:] @ ws))
-                 + spec.mass * (1.0 - 0.5 * float(np.abs(d[1:]) @ (ws * ws))))
-    return exact, quadratic
+    try:
+        return nonrelativistic_expansion(spec.lagrangian(emb.d), x, w[1:])
+    except SpacelikeVelocity as err:
+        raise NegativeRadicand(f"volume radicand < 0 at cell {cell}: {err}", cell=cell) from None
 
 
 # ---------------------------------------------------------------------------

@@ -182,17 +182,22 @@ class Section:
     def get(self, key, default=None):
         return self.data.get(key, default)
 
-    def number(self, key, default=None):
+    def number(self, key, default=None, minimum=None):
         val = self.data.get(key, default)
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ConfigError(f"{self.where(key)} must be a number")
-        return float(val)
+        return self._at_least(key, float(val), minimum)
 
-    def integer(self, key, default=None):
+    def integer(self, key, default=None, minimum=None):
         val = self.data.get(key, default)
         if not isinstance(val, int) or isinstance(val, bool):
             raise ConfigError(f"{self.where(key)} must be an integer")
-        return int(val)
+        return self._at_least(key, int(val), minimum)
+
+    def _at_least(self, key, val, minimum):
+        if minimum is not None and val < minimum:
+            raise ConfigError(f"{self.where(key)} must be >= {minimum}")
+        return val
 
     def string(self, key, default=None, choices=None):
         val = self.data.get(key, default)
@@ -307,14 +312,12 @@ def _build_spec(sec: Section, warnings: list) -> LagrangianSpec:
     for i, _ in enumerate(raw_terms):
         tsec = Section(raw_terms[i], sec.path + ("extra_terms", str(i)), sec.lines)
         tsec.require_keys({"coupling", "rank", "entries"}, required=("coupling", "rank", "entries"))
-        rank = tsec.integer("rank")
-        if rank < 3:
-            raise ConfigError(f"{tsec.where('rank')} must be >= 3")
+        rank = tsec.integer("rank", minimum=3)
         entries = _parse_tensor_entries(tsec, rank, dim, warnings)
         terms.append((tsec.number("coupling"), symmetric_tensor(rank, dim, entries)))
     return LagrangianSpec(
         metric=metric,
-        mass=sec.number("mass", 0.0),
+        mass=sec.number("mass", 0.0, minimum=0),
         charge=sec.number("charge", 0.0),
         potential=potential,
         extra_terms=tuple(terms),
@@ -341,9 +344,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
 
     seed = 0
     if "seed" in root.data:
-        seed = root.integer("seed")
-        if seed < 0:
-            raise ConfigError(f"{root.where('seed')} must be nonnegative")
+        seed = root.integer("seed", minimum=0)
 
     parser = {
         "signature": _parse_signature,
@@ -367,9 +368,7 @@ def _parse_signature(root: Section, warnings):
 
 def _parse_check(root: Section, warnings):
     root.require_keys({"seed", "samples"})
-    samples = root.integer("samples", 1000)
-    if samples < 10:
-        raise ConfigError(f"{root.where('samples')} must be at least 10")
+    samples = root.integer("samples", 1000, minimum=10)
     return {"samples": samples}
 
 
@@ -414,9 +413,7 @@ def _parse_extremize(root: Section, warnings):
                 f"dimension mismatch: {root.where('spec')} metric has dim {spec.dim} "
                 f"but {root.where(name)} has {vec.size} components"
             )
-    k = root.integer("interior_points", 9)
-    if k < 1:
-        raise ConfigError(f"{root.where('interior_points')} must be >= 1")
+    k = root.integer("interior_points", 9, minimum=1)
     return {
         "spec": spec,
         "start": start,
@@ -517,7 +514,7 @@ def _parse_brane(root: Section, warnings):
                 f"but the embedding has {n_comp} minor components"
             )
         potential = constant_potential(comp)
-    spec = BraneSpec(metric=metric, mass=ssec.number("mass", 1.0),
+    spec = BraneSpec(metric=metric, mass=ssec.number("mass", 1.0, minimum=0),
                      charge=ssec.number("charge", 1.0), potential=potential)
     return {"embedding": emb, "spec": spec}
 
@@ -526,7 +523,10 @@ def _load_grid_csv(path: Path, d: int, dim_m: int, esec: Section):
     """CSV rows: z coordinates then x coordinates; nodes on an evenly spaced grid."""
     if not path.exists():
         raise ConfigError(f"{esec.where('path')}: file '{path}' not found")
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{esec.where('path')}: cannot read '{path}': {exc}") from None
     if rows.shape[1] != d + dim_m:
         raise ConfigError(
             f"{esec.where('path')}: expected {d + dim_m} columns (z then x), "
@@ -553,15 +553,9 @@ def _parse_clifford(root: Section, warnings):
     root.require_keys({"seed", "algebra", "form", "perturbation", "trials", "det_samples"})
     algebra = root.string("algebra", "lorentz", choices={"lorentz", "so3", "abelian"})
     form = root.string("form", "minkowski", choices={"minkowski", "euclidean"})
-    perturbation = root.number("perturbation", 0.0)
-    if perturbation < 0.0:
-        raise ConfigError(f"{root.where('perturbation')} must be >= 0")
-    trials = root.integer("trials", 1)
-    if trials < 1:
-        raise ConfigError(f"{root.where('trials')} must be >= 1")
-    det_samples = root.integer("det_samples", 1000)
-    if det_samples < 1:
-        raise ConfigError(f"{root.where('det_samples')} must be >= 1")
+    perturbation = root.number("perturbation", 0.0, minimum=0)
+    trials = root.integer("trials", 1, minimum=1)
+    det_samples = root.integer("det_samples", 1000, minimum=1)
     return {
         "algebra": algebra,
         "form": form,

@@ -72,10 +72,6 @@ class VectorPotentialField:
         return central_difference(self._eval, x, FD_STEP * np.maximum(1.0, np.abs(x)))
 
     @property
-    def has_analytic_jacobian(self) -> bool:
-        return self._jac is not None
-
-    @property
     def is_constant(self) -> bool:
         return self.kind in ("zero", "constant")
 

@@ -9,6 +9,8 @@ one positive direction spatial speeds are bounded by 1.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -33,45 +35,67 @@ FD_STEP = 1e-6
 class MetricField:
     """Position-dependent symmetric metric g_ab(x) on an N-dimensional target.
 
-    kind is one of "constant", "diagonal-analytic", "user". The evaluator must
-    return a symmetric matrix (checked to 1e-14) with |det| > 1e-12. A
-    constant metric is checked once, when it is built; any other is checked
-    at every point it is evaluated at.
+    kind is one of "constant", "diagonal-analytic", "user", "compound". The
+    evaluator must return a symmetric matrix (checked to 1e-14) with
+    |det| > 1e-12. A constant metric is checked once, when it is built, and
+    stored symmetrized; any other is checked at every point it is evaluated
+    at, except a compound (see compound_metric), whose g is. position_dim,
+    the length of the positions, defaults to dim.
     """
 
     dim: int
     kind: str
     _eval: Callable[[np.ndarray], np.ndarray]
     _grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    position_dim: Optional[int] = None
     _constant: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                             compare=False)
 
     def __post_init__(self):
+        if self.position_dim is None:
+            object.__setattr__(self, "position_dim", self.dim)
         if self.is_constant:
-            object.__setattr__(self, "_constant", self._at(np.zeros(self.dim)))
+            g = self._at(np.zeros(self.position_dim))
+            g = 0.5 * (g + g.T)
+            g.setflags(write=False)
+            object.__setattr__(self, "_constant", g)
 
     def __call__(self, x) -> np.ndarray:
-        """g at x of shape (..., N), as (..., N, N); a single point is the shape (N,)."""
+        """g at x (..., position_dim) as (..., dim, dim); a single point is (position_dim,)."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.dim,):
+        if x.shape[-1:] != (self.position_dim,):
             raise DimensionMismatch(
-                f"metric expects a position of length {self.dim}, got shape {x.shape}"
+                f"metric expects a position of length {self.position_dim}, got shape {x.shape}"
             )
         if self.is_constant:
             return self._constant if x.ndim == 1 else np.broadcast_to(
-                self._constant, x.shape + (self.dim,))
-        return self._at(x) if x.ndim == 1 else pointwise(self._at, x)
+                self._constant, x.shape[:-1] + self._constant.shape)
+        if self.kind == "compound":
+            return self._eval(x)
+        return self._at(x)
 
     def _at(self, x) -> np.ndarray:
-        """The evaluator's matrix at one point, after the shape, symmetry and degeneracy checks."""
-        g = np.asarray(self._eval(x), dtype=float)
-        if g.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"metric evaluator returned shape {g.shape}")
-        if np.max(np.abs(g - g.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(g))):
-            raise DegenerateMetric("metric evaluator returned a non-symmetric matrix")
-        if abs(np.linalg.det(g)) <= DEGENERACY_TOL:
-            raise DegenerateMetric(f"metric is degenerate at x={x.tolist()}")
-        return g
+        """The evaluator's matrices at x (..., position_dim), after the shape, symmetry
+        and degeneracy checks; a batch raises the error of its first failing point.
+
+        The evaluator takes one point at a time.
+        """
+        points = x.reshape(-1, x.shape[-1])
+        mats = [np.asarray(self._eval(p), dtype=float) for p in points]
+        shape = (self.dim, self.dim)
+        n_ok = next((i for i, m in enumerate(mats) if m.shape != shape), len(mats))
+        g = np.array(mats[:n_ok]).reshape((n_ok,) + shape)
+        asymmetric = (np.abs(g - g.swapaxes(-1, -2)).max(axis=(-2, -1))
+                      > SYMMETRY_TOL * np.maximum(np.abs(g).max(axis=(-2, -1)), 1.0))
+        bad = asymmetric | (np.abs(np.linalg.det(g)) <= DEGENERACY_TOL)
+        if bad.any():
+            first = int(np.argmax(bad))
+            where = "" if self.is_constant else f" at x={points[first].tolist()}"
+            raise DegenerateMetric(
+                f"metric is {'not symmetric' if asymmetric[first] else 'degenerate'}{where}")
+        if n_ok < len(mats):
+            raise DimensionMismatch(f"metric evaluator returned shape {mats[n_ok].shape}")
+        return g.reshape(x.shape[:-1] + shape)
 
     def gradient(self, x) -> np.ndarray:
         """d g_ab / d x^c as an array G[..., c, a, b].
@@ -80,7 +104,7 @@ class MetricField:
         the evaluator with the relative step FD_STEP * max(1, |x_c|).
         """
         x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
+        if self.is_constant:
             return np.zeros(x.shape + (self.dim, self.dim))
         if x.ndim > 1:
             return pointwise(self.gradient, x)
@@ -133,12 +157,6 @@ def constant_metric(matrix) -> MetricField:
     g = np.asarray(matrix, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatch("constant metric needs a square matrix")
-    if np.max(np.abs(g - g.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(g))):
-        raise DegenerateMetric("constant metric must be symmetric")
-    if abs(np.linalg.det(g)) <= DEGENERACY_TOL:
-        raise DegenerateMetric("constant metric is degenerate")
-    g = 0.5 * (g + g.T)
-    g.setflags(write=False)
     return MetricField(dim=g.shape[0], kind="constant", _eval=lambda x, _g=g: _g)
 
 
@@ -183,12 +201,82 @@ def metric_from_function(dim: int, fn: Callable[[np.ndarray], np.ndarray],
     return MetricField(dim=dim, kind="user", _eval=fn, _grad=grad)
 
 
+def _minors(J: np.ndarray) -> np.ndarray:
+    """All DxD minors of a batch of N x D matrices: (..., N, D) -> (..., C).
+
+    The minors are the components of the wedge product J_1 ^ ... ^ J_D of the
+    columns, built up one column at a time by Laplace expansion along the
+    newest column k: the (k+1)x(k+1) minor on rows r_0 < ... < r_k is
+    sum_p (-1)^(p+k) J[r_p, k] * (the k x k minor on the other rows). Each
+    level is filled in combinations() order, so the C = binom(N, D) columns
+    come out in increasing multi-index order. Elementwise products only, so
+    the result is exact in exact arithmetic for every 1 <= D <= N.
+    """
+    if J.ndim == 2:  # a batch of one, so that every term below is an array
+        return _minors(J[None])[0]
+    dim_m, d = J.shape[-2:]
+    level = {(r,): J[..., r, 0] for r in range(dim_m)}
+    for k in range(1, d):
+        wider = {}
+        for rows in itertools.combinations(range(dim_m), k + 1):
+            acc = None
+            for p, r in enumerate(rows):
+                # each term is a fresh array, so the sum accumulates in place
+                term = J[..., r, k] * level[rows[:p] + rows[p + 1:]]
+                if acc is None:
+                    acc = np.negative(term, out=term) if (p + k) % 2 else term
+                elif (p + k) % 2:
+                    acc -= term
+                else:
+                    acc += term
+            wider[rows] = acc
+        level = wider
+    return np.stack(list(level.values()), axis=-1)
+
+
+def _multivector_metric_matrix(g, d: int) -> np.ndarray:
+    """The D-th compound of g (..., N, N): the (..., C, C) matrix of its DxD minors.
+
+    Entry (G1, G2) is det g[G1, G2], the minor on rows G1 of the column
+    block g[:, G2], so one _minors call over the stacked column blocks fills
+    every entry of every matrix of the batch.
+    """
+    g = np.asarray(g, dtype=float)
+    blocks = np.stack([g[..., list(c)] for c in itertools.combinations(range(g.shape[-1]), d)],
+                      axis=-3)
+    # contiguous: a matrix product with the transposed view is several times slower
+    return np.ascontiguousarray(np.swapaxes(_minors(blocks), -1, -2))
+
+
+def compound_metric(metric: MetricField, d: int) -> MetricField:
+    """G(x) = Lambda^D g(x), the metric g induces on D-vectors, at g's positions.
+
+    By Cauchy-Binet w^T G w = det(J^T g J) for w the DxD minors of J. G is
+    built once for a constant g, else by one batched _minors call over the
+    stacked g(x); G is not checked again, since g is. For D = 1, G is g.
+    """
+    if d == 1:
+        return metric
+    dim = math.comb(metric.dim, d)
+    if metric.is_constant:
+        G = _multivector_metric_matrix(metric(np.zeros(metric.position_dim)), d)
+        return MetricField(dim=dim, kind="constant", _eval=lambda x, _G=G: _G,
+                           position_dim=metric.position_dim)
+    return MetricField(dim=dim, kind="compound",
+                       _eval=lambda x: _multivector_metric_matrix(metric(x), d),
+                       position_dim=metric.position_dim)
+
+
 # ---------------------------------------------------------------------------
 # quadratic form and signature
 # ---------------------------------------------------------------------------
 
 def quadratic_form(g, v):
-    """Bilinear contraction v.g.v of g (..., N, N) and v (..., N), shape (...)."""
+    """Bilinear contraction v.g.v of g (..., N, N) and v (..., N), shape (...).
+
+    A batch under one matrix (g is (N, N) or broadcast, as a constant metric
+    returns it) is one matrix product: a per-point matvec costs about 10x more.
+    """
     g = np.asarray(g, dtype=float)
     v = np.asarray(v, dtype=float)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
@@ -197,6 +285,9 @@ def quadratic_form(g, v):
         raise DimensionMismatch(
             f"vector of length {v.shape} does not match metric dim {g.shape[-1]}"
         )
+    if v.ndim > 1 and g.ndim <= v.ndim + 1 and not any(g.strides[:-2]):
+        # row sums as a product with ones: a numpy sum over the short axis is slower
+        return ((v @ g[(0,) * (g.ndim - 2)]) * v) @ np.ones(g.shape[-1])
     return np.vecdot(np.matvec(g, v), v)
 
 

@@ -10,11 +10,12 @@ the generalized momentum pi = m g v / sqrt(g(v,v)).
 Derivatives come in two modes: closed-form term-wise formulas (primary) and
 central finite differences of eval_L (independent oracle).
 
-eval_L, momentum, velocity_hessian and position_gradient take x and v of
-one shape (..., N) and return shapes (...), (..., N), (..., N, N) and
-(..., N): a single point is the batch shape (), and a batch of points costs
-one numpy call per term. Fields that do not vary with position are
-evaluated once per call; the others once per point.
+eval_L, momentum, velocity_hessian and position_gradient take x of shape
+(..., P) and v of shape (..., N) and return shapes (...), (..., N),
+(..., N, N) and (..., P): a single point is the batch shape (), and a batch
+costs one numpy call per term. Constant fields are evaluated once per call,
+the others once per point. P is the metric's position_dim: N for a
+particle, dimM for a brane whose velocities are its N Jacobian minors.
 """
 
 from __future__ import annotations
@@ -60,9 +61,6 @@ class LagrangianSpec:
         if self.potential.dim != self.metric.dim:
             raise DimensionMismatch("potential and metric dimensions differ")
         terms = tuple((float(q), s) for q, s in self.extra_terms)
-        ranks = [s.rank for _, s in terms]
-        if len(set(ranks)) != len(ranks):
-            raise DimensionMismatch("extra-term ranks must be distinct")
         for _, s in terms:
             if s.dim != self.metric.dim:
                 raise DimensionMismatch("tensor term dimension differs from metric")
@@ -75,9 +73,11 @@ class LagrangianSpec:
     def _check_point(self, x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        if x.shape != v.shape or x.shape[-1:] != (self.dim,):
+        metric = self.metric
+        if x.shape != v.shape[:-1] + (metric.position_dim,) or v.shape[-1:] != (metric.dim,):
             raise DimensionMismatch(
-                f"position/velocity must have shape (..., {self.dim}), got {x.shape}, {v.shape}"
+                f"position/velocity must have shapes (..., {metric.position_dim}) and "
+                f"(..., {metric.dim}), got {x.shape}, {v.shape}"
             )
         return x, v
 
@@ -110,10 +110,10 @@ def _first_bad_point(kernel):
         except RepMechError:
             x = np.asarray(x, dtype=float)
             v = np.asarray(v, dtype=float)
-            if v.ndim < 2 or x.shape != v.shape:
+            if v.ndim < 2 or x.shape[:-1] != v.shape[:-1]:
                 raise
-            n = v.shape[-1]
-            for i, (xi, vi) in enumerate(zip(x.reshape(-1, n), v.reshape(-1, n))):
+            for i, (xi, vi) in enumerate(zip(x.reshape(-1, x.shape[-1]),
+                                             v.reshape(-1, v.shape[-1]))):
                 try:
                     kernel(spec, xi, vi)
                 except RepMechError as err:
@@ -139,14 +139,14 @@ def eval_L(spec: LagrangianSpec, x, v):
     x, v = spec._check_point(x, v)
     total = np.zeros(v.shape[:-1])[()]  # [()]: a single point's zero is a scalar
     if spec.charge != 0.0:
-        total = total + spec.charge * np.vecdot(spec.potential(x), v)
+        total += spec.charge * np.vecdot(spec.potential(x), v)
     if spec.mass > 0.0:
         gvv = quadratic_form(spec.metric(x), v)
         if _any(gvv < 0.0):
             raise SpacelikeVelocity(f"g(v,v) = {np.min(gvv)} < 0 with a mass term present")
-        total = total + spec.mass * np.sqrt(gvv)
+        total += spec.mass * np.sqrt(gvv)
     for q_n, tensor in spec.extra_terms:
-        total = total + q_n * signed_root(tensor.contraction(x, v), tensor.rank)
+        total += q_n * signed_root(tensor.contraction(x, v), tensor.rank)
     return total
 
 
@@ -269,12 +269,12 @@ def velocity_hessian(spec: LagrangianSpec, x, v) -> np.ndarray:
 
 @_first_bad_point
 def position_gradient(spec: LagrangianSpec, x, v) -> np.ndarray:
-    """dL/dx_c at fixed v, shape (..., N).
+    """dL/dx_c at fixed v, shape (..., P).
 
     Exact for constant fields, FD-backed field gradients otherwise.
     """
     x, v = spec._check_point(x, v)
-    out = np.zeros(v.shape)
+    out = np.zeros(x.shape)
     if spec.charge != 0.0 and not spec.potential.is_constant:
         out += spec.charge * np.vecmat(v, spec.potential.jacobian(x))
     if spec.mass > 0.0 and not spec.metric.is_constant:
@@ -324,32 +324,22 @@ def momentum_position_directional(spec: LagrangianSpec, x, v, direction) -> np.n
 # non-relativistic expansion in the one-time chart
 # ---------------------------------------------------------------------------
 
-def _check_one_time_chart(g, tol=1e-10):
-    off = g - np.diag(np.diag(g))
-    if np.max(np.abs(off)) > tol:
-        raise NotOneTimeMetric("expansion chart requires a diagonal metric")
-    d = np.diag(g)
-    if abs(d[0] - 1.0) > tol or np.any(d[1:] >= 0.0):
-        raise NotOneTimeMetric(
-            "expansion chart requires g_00 = 1 and negative spatial diagonal"
-        )
-    return d
-
-
 def nonrelativistic_expansion(spec: LagrangianSpec, x, omega_space) -> Tuple[float, float]:
     """Exact L at v = (1, omega) and its small-velocity quadratic model.
 
     quadratic = q A_0 + q A_i omega^i + m (1 - 0.5 |g_ii| omega^i omega^i);
     both values are returned so callers can measure the quartic remainder.
+    The chart must be one-time diagonal (g_00 = 1, g_ii < 0); whether v is
+    timelike is eval_L's check, which raises when the mass term is on.
     """
     omega = np.asarray(omega_space, dtype=float)
-    x = np.asarray(x, dtype=float)
     if omega.shape != (spec.dim - 1,):
         raise DimensionMismatch(f"expected {spec.dim - 1} spatial velocity components")
     g = spec.metric(x)
-    d = _check_one_time_chart(g)
-    if float(omega @ omega) >= 1.0:
-        raise SpacelikeVelocity("expansion requires |omega| < 1")
+    d = np.diag(g)
+    if np.max(np.abs(g - np.diag(d))) > 1e-10 or abs(d[0] - 1.0) > 1e-10 or np.any(d[1:] >= 0):
+        raise NotOneTimeMetric("expansion chart requires a diagonal metric with g_00 = 1 "
+                               "and a negative spatial diagonal")
     v = np.concatenate(([1.0], omega))
     exact = eval_L(spec, x, v)
     a = spec.potential(x)

@@ -9,6 +9,7 @@ claims themselves hold on the whole open domain.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -55,18 +56,16 @@ def _random_rank3(rng, dim):
 def _random_rank4(rng, dim):
     # sum of 4th powers of linear forms keeps the even radicand nonnegative;
     # the forms get a guaranteed time component
-    entries = {}
+    keys = list(itertools.combinations_with_replacement(range(dim), 4))
+    i, j, k, l = np.array(keys).T
+    total = 0.0
     for _ in range(2):
         u = rng.uniform(-0.7, 0.7, size=dim)
         u[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.4, 1.0)
         w = float(rng.uniform(0.2, 1.0))
-        for i in range(dim):
-            for j in range(i, dim):
-                for k in range(j, dim):
-                    for l in range(k, dim):
-                        key = (i, j, k, l)
-                        entries[key] = entries.get(key, 0.0) + w * u[i] * u[j] * u[k] * u[l]
-    return symmetric_tensor(4, dim, entries)
+        # left to right, as the entry w u_i u_j u_k u_l is written
+        total = total + w * u[i] * u[j] * u[k] * u[l]
+    return symmetric_tensor(4, dim, dict(zip(keys, total.tolist())))
 
 
 def random_spec(rng: np.random.Generator, dim: int = 4, curved: bool = False,

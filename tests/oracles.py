@@ -128,3 +128,34 @@ def lateral_deviation(points, x_start, x_end):
         lat = rel - (rel @ chord) * chord
         worst = max(worst, float(np.linalg.norm(lat)))
     return worst
+
+
+def brane_action_per_cell(evaluate, jacobian, box, resolution, metric, mass,
+                          charge=0.0, potential=None, tensors=()):
+    """Midpoint-rule brane action summed one cell at a time with math.fsum.
+
+    At each cell centre z (computed here from box and resolution) the density
+    is m sqrt(det(J^T g(x) J)) + q A(x).w + sum_k Q_k S_k(x; w, ..., w)^(1/n),
+    with J the (dimM, D) Jacobian, w its DxD minors taken by np.linalg.det in
+    increasing multi-index order, and S_k the dense tensor of the entries
+    that tensors[k] = (Q_k, rank, entries_at) gives at x. metric and
+    potential take one target point.
+    """
+    box = np.asarray(box, dtype=float)
+    steps = (box[:, 1] - box[:, 0]) / np.asarray(resolution)
+    densities = []
+    for cell in itertools.product(*(range(r) for r in resolution)):
+        z = box[:, 0] + (np.asarray(cell) + 0.5) * steps
+        x = np.asarray(evaluate(z[None, :]), dtype=float)[0]
+        J = np.asarray(jacobian(z[None, :]), dtype=float)[0]
+        dim_m, d = J.shape
+        w = np.array([np.linalg.det(J[list(rows), :])
+                      for rows in itertools.combinations(range(dim_m), d)])
+        density = mass * math.sqrt(np.linalg.det(J.T @ metric(x) @ J))
+        if potential is not None:
+            density += charge * float(np.asarray(potential(x)) @ w)
+        for q_k, rank, entries_at in tensors:
+            c = dense_contraction(dense_symmetric_tensor(rank, w.size, entries_at(x)), w)
+            density += q_k * math.copysign(abs(c) ** (1.0 / rank), c)
+        densities.append(density)
+    return math.fsum(densities) * float(np.prod(steps))

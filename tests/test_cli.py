@@ -157,3 +157,30 @@ def test_determinant_samples_equal_the_per_sample_draws(seed):
     for k in range(500):
         assert np.array_equal(pis[k], rng.normal(size=4) * 1.5)
         assert masses[k] == rng.uniform(0.0, 2.0)
+
+
+GRID_CONFIG = ("embedding: {{kind: grid_csv, path: '{path}', d: 2, dim_m: 3}}\n"
+               "spec: {{metric: {{kind: euclidean, dim: 3}}}}\n")
+
+
+@pytest.mark.parametrize("target", ["non_numeric", "directory"])
+def test_unreadable_grid_csv_exits_2_naming_the_path_key(tmp_path, capsys, target):
+    if target == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "nodes.csv"
+        path.write_text("0,0,0,0,0\n0,1,zero,1,0\n")
+    config = tmp_path / "brane.yaml"
+    config.write_text(GRID_CONFIG.format(path=path.as_posix()))
+    assert main(["brane", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "'embedding.path' (line 1): cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand,line", [("brane", 12), ("simulate", 4), ("extremize", 4)])
+def test_negative_mass_exits_2_naming_the_key(tmp_path, capsys, subcommand, line):
+    text = (CONFIGS / f"{subcommand}.yaml").read_text()
+    assert text.splitlines()[line - 1].strip() == "mass: 1.0"
+    config = tmp_path / "config.yaml"
+    config.write_text(text.replace("mass: 1.0", "mass: -1.0"))
+    assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"'spec.mass' (line {line}) must be >= 0" in capsys.readouterr().err

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from repmech import (
     signature,
     weak_field_metric,
 )
-from repmech.geometry import central_difference
+from repmech.geometry import MetricField, _minors, central_difference
 
 MINK = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -161,6 +164,81 @@ class TestMetricField:
     def test_constant_metric_symmetrized_input(self):
         with pytest.raises(DegenerateMetric):
             constant_metric(np.array([[1.0, 0.3], [0.0, -1.0]]))
+
+    def test_constant_metric_is_stored_symmetric_and_read_only(self):
+        g = constant_metric(np.array([[1.0, 0.3], [0.3 + 1e-15, -1.0]]))(np.zeros(2))
+        assert np.array_equal(g, g.T)
+        assert not g.flags.writeable
+
+    def test_stored_constant_is_not_a_constructor_field(self):
+        with pytest.raises(TypeError):
+            MetricField(dim=2, kind="user", _eval=lambda x: np.eye(2), _constant=np.eye(2))
+
+
+class TestMetricBatches:
+    @staticmethod
+    def _metric(bad=None):
+        def g(x):
+            out = np.diag([1.0 + 0.1 * np.sin(x[1]), -1.0, -1.0 - 0.2 * x[0] ** 2])
+            out[0, 2] = out[2, 0] = 0.05 * x[2]
+            if bad is not None:
+                out = bad(x, out)
+            return out
+        return metric_from_function(3, g)
+
+    def test_batch_equals_the_points_bit_for_bit(self):
+        x = np.random.default_rng(2).normal(size=(4, 5, 3))
+        metric = self._metric()
+        batch = metric(x)
+        assert batch.shape == (4, 5, 3, 3)
+        assert np.array_equal(batch, np.array([[metric(p) for p in row] for row in x]))
+
+    @pytest.mark.parametrize("bad,error", [
+        (lambda x, g: np.diag([1.0, 0.0, -1.0]) if x[0] > 0.5 else g, DegenerateMetric),
+        (lambda x, g: g + np.triu(np.ones((3, 3)), 1) if x[0] > 0.5 else g, DegenerateMetric),
+        (lambda x, g: g[:2, :2] if x[0] > 0.5 else g, DimensionMismatch),
+        # a point before the first wrongly shaped one fails the symmetry check
+        (lambda x, g: (g + np.triu(np.ones((3, 3)), 1) if x[0] < 0.8 else g[:2, :2])
+         if x[0] > 0.5 else g, DegenerateMetric),
+    ], ids=["degenerate", "nonsymmetric", "shape", "nonsymmetric_then_shape"])
+    def test_batch_raises_the_first_bad_points_error(self, bad, error):
+        x = np.zeros((6, 3))
+        x[[2, 4], 0] = [0.7, 0.9]
+        metric = self._metric(bad)
+        with pytest.raises(error) as batch_err:
+            metric(x)
+        with pytest.raises(error) as point_err:
+            metric(x[2])
+        assert str(batch_err.value) == str(point_err.value)
+
+
+@pytest.mark.parametrize("dim_m,d", [(3, 1), (3, 2), (4, 2), (4, 3), (3, 3)])
+def test_minors_of_one_unbatched_matrix(dim_m, d):
+    J = np.random.default_rng(10 * dim_m + d).normal(size=(dim_m, d))
+    expect = [np.linalg.det(J[list(c), :]) for c in itertools.combinations(range(dim_m), d)]
+    w = _minors(J)
+    assert w.shape == (math.comb(dim_m, d),)
+    assert np.array_equal(w, _minors(J[None])[0])
+    assert np.max(np.abs(w - expect)) <= 1e-13 * max(1.0, np.max(np.abs(expect)))
+
+
+class TestSharedMatrixQuadraticForm:
+    def test_broadcast_stack_equals_the_points_to_rounding(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(4, 4))
+        g = a + a.T
+        v = rng.normal(size=(3, 7, 4))
+        per_point = np.array([[quadratic_form(g, p) for p in row] for row in v])
+        scale = np.einsum("...i,ij,...j->...", np.abs(v), np.abs(g), np.abs(v))
+        for shared in (g, np.broadcast_to(g, (3, 7, 4, 4)), np.broadcast_to(g, (7, 4, 4))):
+            assert np.all(np.abs(quadratic_form(shared, v) - per_point) <= 4e-16 * scale)
+
+    def test_distinct_matrices_take_the_per_point_product(self):
+        rng = np.random.default_rng(6)
+        g = rng.normal(size=(5, 3, 3))
+        v = rng.normal(size=(5, 3))
+        expect = np.array([vk @ gk @ vk for gk, vk in zip(g, v)])
+        assert np.allclose(quadratic_form(g, v), expect, rtol=1e-14, atol=1e-14)
 
 
 class TestCentralDifference:

@@ -284,7 +284,36 @@ class TestNonrelExpansion:
         with pytest.raises(NotOneTimeMetric):
             nonrelativistic_expansion(spec, X0, [0.1, 0, 0])
 
+    def test_timelike_velocity_beyond_unit_speed(self):
+        # g = diag(1, -1/4, -1/4): omega = (1.5, 0) has g(v, v) = 0.4375 > 0 although |omega| > 1
+        spec = LagrangianSpec(metric=constant_diagonal_metric([1.0, -0.25, -0.25]), mass=1.0)
+        exact, quad = nonrelativistic_expansion(spec, np.zeros(3), [1.5, 0.0])
+        assert exact == pytest.approx(math.sqrt(0.4375), rel=1e-15)
+        assert quad == pytest.approx(1.0 - 0.5 * 0.25 * 2.25, rel=1e-15)
+
+    def test_spacelike_velocity_raises_only_with_a_mass_term(self):
+        metric = constant_diagonal_metric([1.0, -0.25, -0.25])
+        with pytest.raises(SpacelikeVelocity):
+            nonrelativistic_expansion(LagrangianSpec(metric=metric, mass=1.0),
+                                      np.zeros(3), [2.5, 0.0])
+        spec = LagrangianSpec(metric=metric, charge=0.5,
+                              potential=constant_potential([1.0, 2.0, 0.0]))
+        assert nonrelativistic_expansion(spec, np.zeros(3), [2.5, 0.0]) == (3.0, 3.0)
+
     def test_unnormalized_time_rejected(self):
         spec = LagrangianSpec(metric=constant_diagonal_metric([2, -1, -1, -1]), mass=1.0)
         with pytest.raises(NotOneTimeMetric):
             nonrelativistic_expansion(spec, X0, [0.1, 0, 0])
+
+
+def test_terms_of_one_rank_add():
+    a = symmetric_tensor(3, 4, {(0, 0, 0): 1.0, (0, 1, 2): 0.3})
+    b = symmetric_tensor(3, 4, {(0, 0, 0): 0.5, (1, 1, 3): -0.2})
+    x = np.zeros(4)
+    v = np.array([1.0, 0.2, -0.1, 0.3])
+    both = LagrangianSpec(metric=MINK, mass=1.0, extra_terms=((0.4, a), (-0.3, b)))
+    parts = [LagrangianSpec(metric=MINK, mass=m, extra_terms=t)
+             for m, t in ((1.0, ()), (0.0, ((0.4, a),)), (0.0, ((-0.3, b),)))]
+    assert eval_L(both, x, v) == pytest.approx(sum(eval_L(p, x, v) for p in parts), rel=1e-15)
+    assert np.allclose(momentum(both, x, v), sum(momentum(p, x, v) for p in parts),
+                       rtol=1e-14, atol=1e-15)

@@ -54,6 +54,31 @@ SWEEPS = {
 }
 
 
+def _rank4_entries_by_loops(rng, dim):
+    """The rank-4 draw written out as four nested loops over sorted indices."""
+    entries = {}
+    for _ in range(2):
+        u = rng.uniform(-0.7, 0.7, size=dim)
+        u[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.4, 1.0)
+        w = float(rng.uniform(0.2, 1.0))
+        for i in range(dim):
+            for j in range(i, dim):
+                for k in range(j, dim):
+                    for l in range(k, dim):
+                        key = (i, j, k, l)
+                        entries[key] = entries.get(key, 0.0) + w * u[i] * u[j] * u[k] * u[l]
+    return entries
+
+
+@pytest.mark.parametrize("dim", [2, 4, 5])
+def test_rank4_draw_equals_the_nested_loops(dim):
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = sweeps._random_rank4(rng, dim)
+        assert list(drawn.entries.items()) == list(_rank4_entries_by_loops(ref_rng, dim).items())
+        assert rng.random() == ref_rng.random()
+
+
 class TestDraws:
     @pytest.mark.parametrize("curved", [False, True], ids=["flat", "curved"])
     def test_same_seed_same_spec_and_state(self, curved):
