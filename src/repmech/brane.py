@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import DimensionMismatch, GaugeViolation, NegativeRadicand, SpacelikeVelocity
 from .fields import SymmetricTensorField, VectorPotentialField
@@ -280,18 +279,16 @@ def tilted_plane_embedding(slope: float, box=((0.0, 1.0), (0.0, 1.0)),
                            resolution=(128, 128)) -> BraneEmbedding:
     """x(z1, z2) = (z1, z2, slope * z1): a graph plane in a 3-dim target."""
     a = float(slope)
+    J = np.array([[1.0, 0.0], [0.0, 1.0], [a, 0.0]])
+    J.setflags(write=False)
 
     def evaluate(Z):
         Z = np.atleast_2d(Z)
         return np.column_stack([Z[:, 0], Z[:, 1], a * Z[:, 0]])
 
     def jac(Z):
-        Z = np.atleast_2d(Z)
-        J = np.zeros((Z.shape[0], 3, 2))
-        J[:, 0, 0] = 1.0
-        J[:, 1, 1] = 1.0
-        J[:, 2, 0] = a
-        return J
+        # the Jacobian is constant: one read-only matrix broadcast over the batch
+        return np.broadcast_to(J, (np.atleast_2d(Z).shape[0], 3, 2))
 
     return BraneEmbedding(d=2, dim_m=3, box=np.asarray(box), resolution=resolution,
                           evaluator=evaluate, jacobian=jac)
@@ -365,14 +362,22 @@ def _evenly_spaced(a: np.ndarray) -> bool:
 
 
 def gridded_embedding(axes: Sequence[np.ndarray], values: np.ndarray) -> BraneEmbedding:
-    """Embedding from sampled values on a regular node grid (linear interpolation).
+    """Embedding from sampled values on a regular node grid (multilinear interpolation).
 
     axes are D strictly increasing, evenly spaced node-coordinate arrays;
-    values has shape (n1, ..., nD, dimM). Minors come from central
-    differences of the interpolant, so the effective resolution is the node
-    count minus one. Unevenly spaced axes raise DimensionMismatch, because
-    the uniform quadrature cells would not line up with the data cells; the
-    spacing check is relative, so linspace nodes read back from text pass.
+    values has shape (n1, ..., nD, dimM). A point z lies in the cell
+    i = clip(floor(t), 0, n - 2) of each axis, t = (z - a_0) / h, and its
+    value interpolates the cell's 2^D corner nodes multilinearly in the
+    fractions f = t - i; outside the box the edge cell extrapolates linearly.
+    The Jacobian is the exact derivative of the same interpolant inside the
+    point's cell: (v_1 - v_0) / h along each axis, interpolated in the
+    others. At cell centres that is the central difference across the cell;
+    on a cell face it is the derivative of the cell floor() picks, not an
+    average over the cells that meet there. The effective resolution is the
+    node count minus one. Unevenly spaced axes raise DimensionMismatch,
+    because the uniform quadrature cells would not line up with the data
+    cells; the spacing check is relative, so linspace nodes read back from
+    text pass.
     """
     axes = [np.asarray(a, dtype=float) for a in axes]
     values = np.asarray(values, dtype=float)
@@ -388,21 +393,45 @@ def gridded_embedding(axes: Sequence[np.ndarray], values: np.ndarray) -> BraneEm
                 f"{np.min(np.diff(a)):.6g} to {np.max(np.diff(a)):.6g}"
             )
     dim_m = values.shape[-1]
-    interp = RegularGridInterpolator(tuple(axes), values, method="linear",
-                                     bounds_error=False, fill_value=None)
+    # one contiguous row of node values per target coordinate: every gather
+    # and interpolation step below then runs along the long point axis
+    nodes = np.ascontiguousarray(np.moveaxis(values, -1, 0).reshape(dim_m, -1))
     box = np.array([[a[0], a[-1]] for a in axes])
-    resolution = tuple(a.size - 1 for a in axes)
-    steps = np.array([0.5 * float(np.min(np.diff(a))) for a in axes])
+    counts = np.array(values.shape[:d])
+    h = (box[:, 1] - box[:, 0]) / (counts - 1)
+    strides = np.array([int(np.prod(counts[a + 1:])) for a in range(d)])
+    # flat offsets of the 2^D cell corners, axis 0 slowest
+    corner_offsets = np.array(list(itertools.product((0, 1), repeat=d))) @ strides
+
+    def cell_corners(Z):
+        """Corner values (2, ..., 2, dimM, n) of each point's cell, and its fractions (D, n)."""
+        t = (np.atleast_2d(Z).T - box[:, :1]) / h[:, None]
+        i = np.clip(np.floor(t), 0, counts[:, None] - 2)
+        v = np.take(nodes, strides @ i.astype(np.intp) + corner_offsets[:, None], axis=1)
+        return np.moveaxis(v.reshape((dim_m,) + (2,) * d + (-1,)), 0, d), t - i
+
+    def lerp(v, f):
+        """Contract the first corner axis of v at the fractions f (n,)."""
+        return v[0] + f * (v[1] - v[0])
 
     def evaluate(Z):
-        return interp(np.atleast_2d(Z))
+        v, f = cell_corners(Z)
+        for a in range(d):
+            v = lerp(v, f[a])
+        return v.T
 
     def jac(Z):
-        # absolute half-spacing steps keep the stencil inside the data grid
-        # when evaluated at cell centers
-        return central_difference(interp, np.atleast_2d(Z), steps)
+        v, f = cell_corners(Z)
+        columns = []
+        for a in range(d):
+            u = np.moveaxis(v, a, d - 1)  # axis a becomes the last corner axis
+            for b in range(d):
+                if b != a:
+                    u = lerp(u, f[b])
+            columns.append((u[1] - u[0]) / h[a])
+        return np.stack(columns).T
 
-    return BraneEmbedding(d=d, dim_m=dim_m, box=box, resolution=resolution,
+    return BraneEmbedding(d=d, dim_m=dim_m, box=box, resolution=tuple(counts - 1),
                           evaluator=evaluate, jacobian=jac)
 
 

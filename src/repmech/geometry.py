@@ -37,10 +37,11 @@ class MetricField:
 
     kind is one of "constant", "diagonal-analytic", "user", "compound". The
     evaluator must return a symmetric matrix (checked to 1e-14) with
-    |det| > 1e-12. A constant metric is checked once, when it is built, and
-    stored symmetrized; any other is checked at every point it is evaluated
-    at, except a compound (see compound_metric), whose g is. position_dim,
-    the length of the positions, defaults to dim.
+    |det g| > 1e-12 * max|g_ab|^dim, a test of no scale. A constant metric
+    is checked once, when it is built, and stored symmetrized; any other is
+    checked at every point it is evaluated at, except a compound (see
+    compound_metric), whose g is. position_dim, the length of the positions,
+    defaults to dim.
     """
 
     dim: int
@@ -85,9 +86,12 @@ class MetricField:
         shape = (self.dim, self.dim)
         n_ok = next((i for i, m in enumerate(mats) if m.shape != shape), len(mats))
         g = np.array(mats[:n_ok]).reshape((n_ok,) + shape)
+        scale = np.abs(g).max(axis=(-2, -1))
         asymmetric = (np.abs(g - g.swapaxes(-1, -2)).max(axis=(-2, -1))
-                      > SYMMETRY_TOL * np.maximum(np.abs(g).max(axis=(-2, -1)), 1.0))
-        bad = asymmetric | (np.abs(np.linalg.det(g)) <= DEGENERACY_TOL)
+                      > SYMMETRY_TOL * np.maximum(scale, 1.0))
+        # relative to the largest entry, so that a metric's scale (and the
+        # power of it a compound takes) does not make it read as degenerate
+        bad = asymmetric | (np.abs(np.linalg.det(g)) <= DEGENERACY_TOL * scale ** self.dim)
         if bad.any():
             first = int(np.argmax(bad))
             where = "" if self.is_constant else f" at x={points[first].tolist()}"

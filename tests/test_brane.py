@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from oracles import dense_contraction, dense_symmetric_tensor
 from repmech import (
@@ -362,3 +363,125 @@ class TestGriddedEmbedding:
         config = tmp_path / "brane.yaml"
         config.write_text(text)
         assert main(["brane", "--config", str(config), "--out", str(tmp_path)]) == 2
+
+
+def _curved_nodes(d):
+    """Evenly spaced axes on boxes of unequal sides and non-linear node values.
+
+    The target has D + 2 coordinates: the parameters, a product of sines and
+    a cubic, so that every corner term of the interpolant is exercised.
+    """
+    rng = np.random.default_rng(0)
+    axes = [np.linspace(-0.4 + 0.3 * a, 0.6 + 0.7 * a, 5 + 2 * a) for a in range(d)]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    wave = np.prod(np.sin(1.7 * mesh + rng.uniform(0.0, 1.0, d)), axis=-1)
+    cubic = np.sum(mesh ** 3, axis=-1) - mesh[..., 0] * mesh[..., -1]
+    return axes, np.concatenate([mesh, wave[..., None], cubic[..., None]], axis=-1)
+
+
+def _cell_centre_jacobians(values, steps):
+    """Derivative of the multilinear interpolant at every cell centre.
+
+    Along axis a it is the node difference over the step, averaged over the
+    2^(D-1) cell edges parallel to a; cells come in row-major order.
+    """
+    d = values.ndim - 1
+    columns = []
+    for a in range(d):
+        g = np.diff(values, axis=a) / steps[a]
+        for b in range(d):
+            if b != a:
+                lo = [slice(None)] * g.ndim
+                hi = list(lo)
+                lo[b], hi[b] = slice(None, -1), slice(1, None)
+                g = 0.5 * (g[tuple(lo)] + g[tuple(hi)])
+        columns.append(g.reshape(-1, values.shape[-1]))
+    return np.stack(columns, axis=-1)
+
+
+class TestGridInterpolantOracle:
+    """gridded_embedding against scipy's RegularGridInterpolator and the closed-form derivative."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_points_match_scipy_at_centres_and_interior_points(self, d):
+        axes, values = _curved_nodes(d)
+        emb = gridded_embedding(axes, values)
+        oracle = RegularGridInterpolator(tuple(axes), values, method="linear")
+        rng = np.random.default_rng(d)
+        inner = np.column_stack([rng.uniform(a[0], a[-1], 200) for a in axes])
+        scale = np.max(np.abs(values))
+        for Z in (emb.cell_centers(), inner):
+            assert np.max(np.abs(emb.points(Z) - oracle(Z))) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_jacobians_at_centres_are_the_multilinear_derivative(self, d):
+        axes, values = _curved_nodes(d)
+        emb = gridded_embedding(axes, values)
+        steps = [a[1] - a[0] for a in axes]
+        expected = _cell_centre_jacobians(values, steps)
+        assert np.max(np.abs(emb.jacobians(emb.cell_centers()) - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_jacobians_off_centre_are_their_cells_derivative(self, d):
+        # the interpolant is linear along each axis inside a cell, so a short
+        # central difference of scipy's interpolant that stays in the cell is exact
+        axes, values = _curved_nodes(d)
+        emb = gridded_embedding(axes, values)
+        oracle = RegularGridInterpolator(tuple(axes), values, method="linear")
+        rng = np.random.default_rng(10 + d)
+        Z = np.column_stack([rng.uniform(a[0], a[-1], 100) for a in axes])
+        spacing = np.array([a[1] - a[0] for a in axes])
+        frac = (Z - emb.box[:, 0]) / spacing % 1.0
+        Z = Z[np.all((frac > 1e-3) & (frac < 1 - 1e-3), axis=1)]
+        step = 1e-6 * spacing
+        fd = np.stack([(oracle(Z + step[a] * np.eye(d)[a]) - oracle(Z - step[a] * np.eye(d)[a]))
+                       / (2.0 * step[a]) for a in range(d)], axis=-1)
+        assert len(Z) > 90
+        assert np.max(np.abs(emb.jacobians(Z) - fd)) <= 1e-7 * np.max(np.abs(values))
+
+    def test_extrapolates_linearly_from_the_edge_cell(self):
+        axes, values = _curved_nodes(2)
+        emb = gridded_embedding(axes, values)
+        oracle = RegularGridInterpolator(tuple(axes), values, method="linear",
+                                         bounds_error=False, fill_value=None)
+        Z = emb.box[:, 0] + np.array([[-0.2, 0.1], [0.3, 1.4], [-0.1, -0.3]]) * np.ptp(emb.box, axis=1)
+        assert np.max(np.abs(emb.points(Z) - oracle(Z))) <= 1e-14 * np.max(np.abs(values))
+
+    def test_action_on_513_nodes_matches_the_interpolator_path(self):
+        # the scipy interpolant with half-spacing central differences at the
+        # cell centres, as the action was computed before the numpy interpolant
+        z1 = np.linspace(-0.5, 0.5, 513)
+        z2 = np.linspace(0.0, 2.0, 513)
+        Z1, Z2 = np.meshgrid(z1, z2, indexing="ij")
+        values = np.stack([Z1, Z2, 0.3 * np.sin(2.0 * Z1) * np.cos(Z2) + Z1 ** 3], axis=-1)
+        interp = RegularGridInterpolator((z1, z2), values, method="linear")
+        half = 0.5 * np.array([z1[1] - z1[0], z2[1] - z2[0]])
+
+        def jac(Z):
+            return np.stack([(interp(Z + half[a] * np.eye(2)[a]) - interp(Z - half[a] * np.eye(2)[a]))
+                             / (2.0 * half[a]) for a in range(2)], axis=-1)
+
+        emb = gridded_embedding([z1, z2], values)
+        reference = BraneEmbedding(d=2, dim_m=3, box=emb.box, resolution=emb.resolution,
+                                   evaluator=interp, jacobian=jac)
+        spec = BraneSpec(EUCLID3, mass=1.0, charge=0.0)
+        assert brane_action(spec, emb) == pytest.approx(brane_action(spec, reference), rel=1e-13)
+
+
+class TestFiniteDifferenceJacobians:
+    @pytest.mark.parametrize("make", [lambda: tilted_plane_embedding(0.75, resolution=(6, 5)),
+                                      lambda: cylinder_patch_embedding(1.3, resolution=(6, 5))],
+                             ids=["tilted_plane", "cylinder_patch"])
+    def test_an_embedding_without_a_jacobian_matches_the_analytic_one(self, make):
+        emb = make()
+        fd = BraneEmbedding(d=emb.d, dim_m=emb.dim_m, box=emb.box, resolution=emb.resolution,
+                            evaluator=emb.evaluator)
+        Z = emb.cell_centers()
+        assert np.max(np.abs(fd.jacobians(Z) - emb.jacobians(Z))) <= 1e-8
+
+
+def test_a_small_spatial_scale_builds_the_compound_metric():
+    # |det G| = |det g|^3 = 2e-14 here: the degeneracy test is relative to the scale of G
+    g = constant_diagonal_metric([1.0, -0.03, -0.03, -0.03])
+    lag = BraneSpec(g).lagrangian(2)
+    assert np.array_equal(lag.metric(np.zeros(4)), _multivector_metric_matrix(g(np.zeros(4)), 2))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,8 @@ from oracles import CyclotronOracle
 
 from repmech.cli import _draw_det_samples, _key_lines, _load_yaml, main, parse_config, run
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 SHIPPED = sorted(CONFIGS.glob("*.yaml"))
 
 
@@ -184,3 +188,13 @@ def test_negative_mass_exits_2_naming_the_key(tmp_path, capsys, subcommand, line
     config.write_text(text.replace("mass: 1.0", "mass: -1.0"))
     assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert f"'spec.mass' (line {line}) must be >= 0" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # every CLI process pays the import: scipy.interpolate alone costs several
+    # times numpy's start-up, and nothing in the program needs it
+    code = "import sys, repmech.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

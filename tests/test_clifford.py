@@ -9,10 +9,12 @@ from repmech import (
     LieAlgebraSpec,
     abelian_algebra,
     build_dirac_gammas,
+    build_pauli_gammas,
     dirac_operator,
     extract_vector_rep,
     lorentz_vector_algebra,
     mass_shell_determinant_residual,
+    mass_term_trace_identity,
     perturb_gammas,
     rotation_vector_algebra,
     solve_quadratic_generators,
@@ -159,3 +161,30 @@ class TestDeterminantIdentity:
             dirac_operator(0.0, m, a, p, gam)
         with pytest.raises(DimensionMismatch):
             mass_shell_determinant_residual(0.0, m, a, p, gam)
+
+
+PAULI_FORMS = {"euclidean": np.eye(2), "minkowski": np.diag([1.0, -1.0])}
+
+
+@pytest.mark.parametrize("form", PAULI_FORMS)
+def test_pauli_anticommutators_are_twice_the_form(form):
+    gam = build_pauli_gammas(form)
+    g = PAULI_FORMS[form]
+    assert np.array_equal(gam.form, g)
+    for a, ga in enumerate(gam.matrices):
+        for b, gb in enumerate(gam.matrices):
+            assert np.array_equal(ga @ gb + gb @ ga, 2.0 * g[a, b] * np.eye(2))
+
+
+@pytest.mark.parametrize("build, form", [(build_dirac_gammas, f) for f in FORMS]
+                         + [(build_pauli_gammas, f) for f in PAULI_FORMS])
+def test_mass_term_trace_identity_is_the_closed_form(build, form):
+    # with {g^a, g^b} = 2 h^ab I and a diagonal form of entries +-1,
+    # g_ab g^a g^b = sum_a h_aa (g^a)^2 = sum_a h_aa h^aa I = N I exactly
+    gam = build(form)
+    contraction = np.einsum("ab,aij,bjk->ik", gam.form, np.array(gam.matrices),
+                            np.array(gam.matrices))
+    assert np.array_equal(contraction, gam.n * np.eye(gam.matrix_dim))
+    assert mass_term_trace_identity(gam, gam.form) == 0.0
+    with pytest.raises(FormMismatch):
+        mass_term_trace_identity(gam, -gam.form)

@@ -156,6 +156,20 @@ class TestMetricField:
         with pytest.raises(DegenerateMetric):
             constant_metric(np.diag([1.0, 0.0]))
 
+    def test_a_scaled_minkowski_metric_is_not_degenerate(self):
+        g = 1e-6 * MINK
+        assert np.array_equal(constant_metric(g)(np.zeros(4)), g)
+        assert np.array_equal(metric_from_function(4, lambda x: g)(np.zeros(4)), g)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_a_rank_deficient_metric_is_degenerate_at_any_scale(self, scale):
+        u, v = np.array([1.0, 2.0, -1.0]), np.array([0.5, -1.0, 3.0])
+        g = scale * (np.outer(u, u) - np.outer(v, v))
+        with pytest.raises(DegenerateMetric):
+            constant_metric(g)
+        with pytest.raises(DegenerateMetric):
+            metric_from_function(3, lambda x: g)(np.zeros(3))
+
     def test_nonsymmetric_evaluator_rejected(self):
         bad = metric_from_function(2, lambda x: np.array([[1.0, 0.5], [0.0, -1.0]]))
         with pytest.raises(DegenerateMetric):
