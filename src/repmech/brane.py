@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, GaugeViolation, NegativeRadicand, SpacelikeVelocity
 from .fields import SymmetricTensorField, VectorPotentialField
-from .geometry import FD_STEP, MetricField, central_difference, compound_metric, quadratic_form
+from .geometry import (FD_STEP, MetricField, central_difference, compound_metric, evaluated,
+                       quadratic_form)
 from .geometry import _minors, _multivector_metric_matrix  # noqa: F401  (importable from brane)
 from .lagrangian import LagrangianSpec, eval_L, nonrelativistic_expansion
 
@@ -54,10 +55,10 @@ def minor_indices(dim_m: int, d: int) -> Tuple[Tuple[int, ...], ...]:
 class BraneEmbedding:
     """Map from a D-dimensional parameter box into an M-dimensional target.
 
-    evaluator takes a (D,) point; it may also accept an (n, D) batch. An
-    analytic jacobian callable gives exact minors; otherwise central
-    differences with the step FD_STEP * max(1, |box bounds of axis a|) are
-    used, one per parameter axis.
+    evaluator maps an (n, D) batch of parameter points to (n, dimM), and an
+    analytic jacobian callable to the (n, dimM, D) Jacobians, which give exact
+    minors; otherwise central differences with the step
+    FD_STEP * max(1, |box bounds of axis a|) are used, one per parameter axis.
     """
 
     d: int
@@ -83,28 +84,15 @@ class BraneEmbedding:
         z = np.asarray(z, dtype=float)
         return bool(np.all(z >= self.box[:, 0] - 1e-12) and np.all(z <= self.box[:, 1] + 1e-12))
 
-    # -- batched evaluation with pointwise fallback ------------------------
     def points(self, Z) -> np.ndarray:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        try:
-            out = np.asarray(self.evaluator(Z), dtype=float)
-            if out.shape == (Z.shape[0], self.dim_m):
-                return out
-        except Exception:
-            pass
-        return np.stack([np.asarray(self.evaluator(z), dtype=float) for z in Z])
+        return evaluated(self.evaluator, Z, (self.dim_m,), "embedding evaluator")
 
     def jacobians(self, Z) -> np.ndarray:
         """Batch of (dimM, D) Jacobians dx/dz."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         if self.jacobian is not None:
-            try:
-                out = np.asarray(self.jacobian(Z), dtype=float)
-                if out.shape == (Z.shape[0], self.dim_m, self.d):
-                    return out
-            except Exception:
-                pass
-            return np.stack([np.asarray(self.jacobian(z), dtype=float) for z in Z])
+            return evaluated(self.jacobian, Z, (self.dim_m, self.d), "embedding jacobian")
         step = FD_STEP * np.maximum(1.0, np.max(np.abs(self.box), axis=1))
         return central_difference(self.points, Z, step)
 
@@ -197,11 +185,11 @@ class BraneSpec:
 def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
     """Midpoint-rule quadrature of the brane Lagrangian over the parameter box.
 
-    One batched eval_L of spec.lagrangian(D) at the cell centres. The volume
-    radicand w^T G w = det(J^T g J) is checked over all cells first: with a
-    mass term a negative one raises NegativeRadicand carrying the first such
-    cell. details=True also returns the cell and component counts, the
-    smallest radicand and the integral-gauge deviation (integral_gauge_check).
+    One batched eval_L of spec.lagrangian(D) at the cell centres. With a mass
+    term, a negative volume radicand w^T G w = det(J^T g J) fails eval_L's
+    check, raised as NegativeRadicand carrying the first such cell.
+    details=True also returns the cell and component counts, the smallest
+    radicand and the integral-gauge deviation (integral_gauge_check).
     """
     if spec.metric.dim != emb.dim_m:
         raise DimensionMismatch("brane metric dimension differs from target dimension")
@@ -209,22 +197,20 @@ def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
     Z = emb.cell_centers()
     X = emb.points(Z)
     omega = _minors(emb.jacobians(Z))
-
-    radicand = quadratic_form(lag.metric(X), omega)
-    min_radicand = float(np.min(radicand))
-    if min_radicand < 0.0 and spec.mass != 0.0:
-        first = int(np.argmax(radicand < 0.0))
-        cell = tuple(int(c) for c in np.unravel_index(first, emb.resolution))
-        raise NegativeRadicand(f"volume radicand {radicand[first]:.6e} < 0 at cell {cell}",
-                               cell=cell)
-    del radicand  # freed before eval_L, whose temporaries can then reuse its memory
-    action = float(np.sum(eval_L(lag, X, omega)) * emb.cell_volume)
+    try:
+        action = float(np.sum(eval_L(lag, X, omega)) * emb.cell_volume)
+    except SpacelikeVelocity as err:
+        index = err.batch_index
+        cell = index and tuple(map(int, np.unravel_index(index[0], emb.resolution)))
+        raise NegativeRadicand(f"volume radicand < 0 at cell {cell}: {err}", cell=cell) from None
     if not details:
         return action
+    # after eval_L has freed its per-cell array, so the two do not add to the peak memory
+    radicand = quadratic_form(lag.metric(X), omega)
     return action, {
         "cells": emb.n_cells,
         "component_count": omega.shape[-1],
-        "min_radicand": min_radicand,
+        "min_radicand": float(np.min(radicand)),
         "gauge_deviation": _gauge_deviation(omega),
     }
 
@@ -283,12 +269,11 @@ def tilted_plane_embedding(slope: float, box=((0.0, 1.0), (0.0, 1.0)),
     J.setflags(write=False)
 
     def evaluate(Z):
-        Z = np.atleast_2d(Z)
         return np.column_stack([Z[:, 0], Z[:, 1], a * Z[:, 0]])
 
     def jac(Z):
         # the Jacobian is constant: one read-only matrix broadcast over the batch
-        return np.broadcast_to(J, (np.atleast_2d(Z).shape[0], 3, 2))
+        return np.broadcast_to(J, (Z.shape[0], 3, 2))
 
     return BraneEmbedding(d=2, dim_m=3, box=np.asarray(box), resolution=resolution,
                           evaluator=evaluate, jacobian=jac)
@@ -298,25 +283,22 @@ def graph_embedding(f, grad=None, box=((0.0, 1.0), (0.0, 1.0)),
                     resolution=(64, 64)) -> BraneEmbedding:
     """x = (z, f(z)) over a D-box: height-function surface in D+1 target dims.
 
-    f maps (D,) -> float and may also accept (n, D) batches; grad, when
-    given, returns df/dz with matching batching.
+    f maps an (n, D) batch of parameter points to its n heights; grad, when
+    given, maps it to the (n, D) gradients df/dz.
     """
     box = np.asarray(box, dtype=float)
     d = box.shape[0]
 
     def evaluate(Z):
-        Z = np.atleast_2d(Z)
-        vals = np.asarray(f(Z), dtype=float).reshape(Z.shape[0])
-        return np.column_stack([Z, vals])
+        return np.column_stack([Z, f(Z)])
 
     jac = None
     if grad is not None:
         def jac(Z):
-            Z = np.atleast_2d(Z)
             J = np.zeros((Z.shape[0], d + 1, d))
             for a in range(d):
                 J[:, a, a] = 1.0
-            J[:, d, :] = np.asarray(grad(Z), dtype=float).reshape(Z.shape[0], d)
+            J[:, d, :] = grad(Z)
             return J
 
     return BraneEmbedding(d=d, dim_m=d + 1, box=box, resolution=resolution,
@@ -329,11 +311,9 @@ def cylinder_patch_embedding(radius: float, box=((0.0, 1.0), (0.0, math.pi)),
     r = float(radius)
 
     def evaluate(Z):
-        Z = np.atleast_2d(Z)
         return np.column_stack([Z[:, 0], r * np.cos(Z[:, 1]), r * np.sin(Z[:, 1])])
 
     def jac(Z):
-        Z = np.atleast_2d(Z)
         J = np.zeros((Z.shape[0], 3, 2))
         J[:, 0, 0] = 1.0
         J[:, 1, 1] = -r * np.sin(Z[:, 1])
@@ -346,7 +326,7 @@ def cylinder_patch_embedding(radius: float, box=((0.0, 1.0), (0.0, math.pi)),
 
 def curve_embedding(fn, jacobian=None, box=(0.0, 1.0), resolution=256,
                     dim_m: int = 4) -> BraneEmbedding:
-    """D = 1 embedding (a world line) from a curve z -> x(z)."""
+    """D = 1 embedding (a world line) from a curve z -> x(z), fn mapping (n, 1) to (n, dimM)."""
     return BraneEmbedding(d=1, dim_m=dim_m, box=np.asarray([box]),
                           resolution=(int(resolution),), evaluator=fn,
                           jacobian=jacobian)
@@ -405,7 +385,7 @@ def gridded_embedding(axes: Sequence[np.ndarray], values: np.ndarray) -> BraneEm
 
     def cell_corners(Z):
         """Corner values (2, ..., 2, dimM, n) of each point's cell, and its fractions (D, n)."""
-        t = (np.atleast_2d(Z).T - box[:, :1]) / h[:, None]
+        t = (Z.T - box[:, :1]) / h[:, None]
         i = np.clip(np.floor(t), 0, counts[:, None] - 2)
         v = np.take(nodes, strides @ i.astype(np.intp) + corner_offsets[:, None], axis=1)
         return np.moveaxis(v.reshape((dim_m,) + (2,) * d + (-1,)), 0, d), t - i
@@ -436,19 +416,18 @@ def gridded_embedding(axes: Sequence[np.ndarray], values: np.ndarray) -> BraneEm
 
 
 def reparameterized(emb: BraneEmbedding, psi, psi_jacobian=None) -> BraneEmbedding:
-    """Compose an embedding with a parameter diffeomorphism z' -> psi(z') of its box."""
+    """Compose an embedding with a parameter diffeomorphism z' -> psi(z') of its box.
+
+    psi maps an (n, D) batch to (n, D), psi_jacobian to the (n, D, D) Jacobians.
+    """
 
     def evaluate(Z):
-        return emb.points(np.atleast_2d(np.asarray(psi(np.atleast_2d(Z)), dtype=float)))
+        return emb.points(psi(Z))
 
     jac = None
     if psi_jacobian is not None and emb.jacobian is not None:
         def jac(Z):
-            Z = np.atleast_2d(Z)
-            W = np.atleast_2d(np.asarray(psi(Z), dtype=float))
-            Jx = emb.jacobians(W)
-            Jp = np.asarray(psi_jacobian(Z), dtype=float).reshape(Z.shape[0], emb.d, emb.d)
-            return np.einsum("nab,nbc->nac", Jx, Jp)
+            return np.einsum("nab,nbc->nac", emb.jacobians(psi(Z)), psi_jacobian(Z))
 
     return BraneEmbedding(d=emb.d, dim_m=emb.dim_m, box=emb.box,
                           resolution=emb.resolution, evaluator=evaluate, jacobian=jac)

@@ -8,6 +8,8 @@ RepMechError so callers can map physics-domain failures to one exit code.
 class RepMechError(Exception):
     """Base class for physics-domain errors."""
 
+    batch_index = None  # a batched kernel's error: the index of the first failing point
+
 
 class DimensionMismatch(RepMechError):
     pass

@@ -5,7 +5,8 @@ array S of shape (N,) * n, filled from its sorted-index entries through all
 index permutations, so symmetry is structural rather than enforced
 numerically. Its memory is N^n floats: 625 for the largest tensor in use
 (rank 4 in dim 5). A tensor with more than MAX_DENSE_ENTRIES = 2^24 entries
-raises DimensionMismatch instead of allocating.
+raises DimensionMismatch instead of allocating. A position-dependent
+tensor holds one such array per point of the batch it is evaluated on.
 
 One partial-contraction kernel contracts S with v until k free axes remain,
 for v of shape (..., N): k = 0 is the full contraction S(v, ..., v), k = 1
@@ -26,7 +27,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import FD_STEP, central_difference, pointwise
+from .geometry import FD_STEP, central_difference, evaluated
 
 Index = Tuple[int, ...]
 
@@ -39,8 +40,8 @@ Index = Tuple[int, ...]
 class VectorPotentialField:
     """Covector field A_a(x); kind in {"zero", "constant", "uniform-magnetic", "user"}.
 
-    The built-in kinds evaluate A and its Jacobian on the last axis of a
-    (..., N) batch in one call; a "user" field is evaluated point by point.
+    Every kind evaluates A on positions (..., P) in one call, as (..., N),
+    and its Jacobian as (..., N, P); P is N for a particle, dimM for a brane.
     """
 
     dim: int
@@ -49,27 +50,21 @@ class VectorPotentialField:
     _jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, x) -> np.ndarray:
-        """A at x of shape (..., N), as (..., N)."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1 and self.kind == "user":
-            return pointwise(self, x)
-        a = np.asarray(self._eval(x), dtype=float)
-        if a.shape != x.shape[:-1] + (self.dim,):
-            raise DimensionMismatch(f"potential evaluator returned shape {a.shape}")
-        return a
+        """A at x of shape (..., P), as (..., N)."""
+        return evaluated(self._eval, np.asarray(x, dtype=float), (self.dim,), "potential")
 
     def jacobian(self, x) -> np.ndarray:
         """J[..., a, c] = d A_a / d x^c.
 
         Analytic when available, else central differences of the evaluator
-        with the relative step FD_STEP * max(1, |x_c|).
+        with the relative step FD_STEP * max(1, |x_c|) of each point.
         """
         x = np.asarray(x, dtype=float)
-        if x.ndim > 1 and self.kind == "user":
-            return pointwise(self.jacobian, x)
+        if self.is_constant:
+            return np.zeros(x.shape[:-1] + (self.dim, x.shape[-1]))
         if self._jac is not None:
-            return np.asarray(self._jac(x), dtype=float)
-        return central_difference(self._eval, x, FD_STEP * np.maximum(1.0, np.abs(x)))
+            return evaluated(self._jac, x, (self.dim, x.shape[-1]), "potential jacobian")
+        return central_difference(self, x, FD_STEP * np.maximum(1.0, np.abs(x)))
 
     @property
     def is_constant(self) -> bool:
@@ -83,14 +78,12 @@ def _uniform(value):
 
 
 def zero_potential(dim: int) -> VectorPotentialField:
-    return VectorPotentialField(dim, "zero", _uniform(np.zeros(dim)),
-                                _uniform(np.zeros((dim, dim))))
+    return VectorPotentialField(dim, "zero", _uniform(np.zeros(dim)))
 
 
 def constant_potential(values) -> VectorPotentialField:
     a = np.asarray(values, dtype=float).copy()
-    return VectorPotentialField(a.size, "constant", _uniform(a),
-                                _uniform(np.zeros((a.size, a.size))))
+    return VectorPotentialField(a.size, "constant", _uniform(a))
 
 
 def uniform_magnetic_potential(dim: int, strength: float,
@@ -131,7 +124,9 @@ def potential_from_function(dim: int, fn, jacobian=None) -> VectorPotentialField
 MAX_DENSE_ENTRIES = 2 ** 24
 
 
-def _canonical_entries(rank: int, dim: int, entries: Mapping[Index, float]) -> Dict[Index, float]:
+def _canonical_entries(rank: int, dim: int, entries: Mapping[Index, float],
+                       batch=None) -> Dict[Index, float]:
+    """Entries by sorted multi-index: floats, or numbers and arrays of the given batch shape."""
     out: Dict[Index, float] = {}
     for idx, val in entries.items():
         idx = tuple(int(i) for i in idx)
@@ -142,7 +137,11 @@ def _canonical_entries(rank: int, dim: int, entries: Mapping[Index, float]) -> D
         key = tuple(sorted(idx))
         if key in out:
             raise DimensionMismatch(f"duplicate entry for multi-index {key}")
-        out[key] = float(val)
+        if batch is None:
+            val = float(val)
+        elif np.shape(val) not in ((), batch):
+            raise DimensionMismatch(f"tensor entry {key} of shape {np.shape(val)}, batch {batch}")
+        out[key] = val
     return out
 
 
@@ -156,13 +155,18 @@ def _sorted_flat_index(rank: int, dim: int) -> np.ndarray:
     return out
 
 
-def _dense(rank: int, dim: int, entries: Mapping[Index, float]) -> np.ndarray:
-    """The (dim,) * rank symmetric array holding each sorted-index entry at all its permutations."""
+def _dense(rank: int, dim: int, entries: Mapping[Index, float], batch=()) -> np.ndarray:
+    """The batch + (dim,) * rank symmetric arrays: each sorted-index entry at all permutations."""
     shape = (dim,) * rank
     keys = np.array(list(entries), dtype=np.intp).reshape(-1, rank)
-    flat = np.zeros(dim ** rank)
-    flat[np.ravel_multi_index(tuple(keys.T), shape)] = list(entries.values())
-    return flat[_sorted_flat_index(rank, dim)].reshape(shape)
+    columns = np.ravel_multi_index(tuple(keys.T), shape)
+    flat = np.zeros(batch + (dim ** rank,))
+    if batch:  # each entry a number or an array of the batch shape
+        for c, val in zip(columns, entries.values()):
+            flat[..., c] = val
+    else:
+        flat[columns] = list(entries.values())
+    return flat[..., _sorted_flat_index(rank, dim)].reshape(batch + shape)
 
 
 @dataclass(frozen=True)
@@ -170,8 +174,9 @@ class SymmetricTensorField:
     """Fully symmetric rank-n tensor field S(x), n >= 3, stored dense.
 
     Constant tensors carry their sorted-index entries and the dense array S
-    built from them; analytic ones supply an evaluator returning the entry
-    mapping at a position, from which S is built per point.
+    built from them. Analytic ones supply an evaluator that maps positions
+    (..., P) to the entry mapping, each value a number or an array of the
+    batch shape; S is built for the whole batch in one call.
     """
 
     rank: int
@@ -201,38 +206,44 @@ class SymmetricTensorField:
     def is_constant(self) -> bool:
         return self.entries is not None
 
-    def _derivative(self, method, x, v, k: int):
+    def _derivative(self, x, v, k: int):
         """The k-th velocity derivative of S(x; v, ..., v): n!/(n-k)! S(v, ..., v, .^k).
 
         The one contraction kernel: S is contracted with v until k free axes
         remain, shape (...,) + (N,) * k for v of shape (..., N). S being
-        symmetric, which axes are contracted does not matter. A single point
-        goes through ndarray.dot, which sums v against the second-to-last
-        axis of an array of any rank and is the cheapest numpy product at
-        these sizes. A batch contracts axis 0 for every point in one matrix
-        product, then the remaining axes point by point.
+        symmetric, which axes are contracted does not matter. A constant S
+        at a single point goes through ndarray.dot, which sums v against the
+        second-to-last axis of an array of any rank and is the cheapest numpy
+        product at these sizes; on a batch, it contracts axis 0 for every
+        point in one matrix product, then the remaining axes by np.matvec.
 
-        A position-dependent tensor builds S per point; on a batch it runs
-        method point by point, with x broadcast over v's batch shape. x keeps
-        its own length: a brane's tensor acts on minor components, not on
-        target coordinates.
+        A position-dependent tensor builds S for x's batch, which broadcasts
+        against v's, and contracts it one component of v at a time by
+        elementwise products and sums, whose rounding, unlike a matrix
+        product's, does not depend on the batch: a batch equals its points bit
+        for bit. x keeps its own length: a brane's tensor acts on minor
+        components, not on target coordinates.
         """
         v = np.asarray(v, dtype=float)
         if v.shape[-1:] != (self.dim,):
             raise DimensionMismatch(f"velocity shape {v.shape} vs tensor dim {self.dim}")
+        n = self.dim
         S = self.S
         if S is None:
             x = np.asarray(x, dtype=float)
-            if v.ndim > 1:
-                return pointwise(method, np.broadcast_to(x, v.shape[:-1] + x.shape[-1:]), v)
-            S = _dense(self.rank, self.dim,
-                       _canonical_entries(self.rank, self.dim, self.evaluator(x)))
-        if v.ndim == 1:
+            entries = _canonical_entries(self.rank, n, self.evaluator(x), x.shape[:-1])
+            t = _dense(self.rank, n, entries, x.shape[:-1])
+            for free in range(self.rank - 1, k - 1, -1):
+                w = v.reshape(v.shape[:-1] + (1,) * free + (n,))
+                acc = t[..., 0] * w[..., 0]
+                for c in range(1, n):
+                    acc += t[..., c] * w[..., c]
+                t = acc
+        elif v.ndim == 1:
             t = S
             for _ in range(self.rank - k):
                 t = v.dot(t)
         else:
-            n = self.dim
             t = v.dot(S.reshape(n, -1))
             for _ in range(self.rank - k - 1):
                 t = np.matvec(t.reshape(v.shape[:-1] + (-1, n)), v)
@@ -243,32 +254,29 @@ class SymmetricTensorField:
 
     def contraction(self, x, v):
         """Full n-fold contraction S(v, ..., v), shape (...)."""
-        return self._derivative(self.contraction, x, v, 0)
+        return self._derivative(x, v, 0)
 
     def contraction_gradient(self, x, v) -> np.ndarray:
         """d/dv of the full contraction, shape (..., N); equals n * S_{a b...} v^b ... v."""
-        return self._derivative(self.contraction_gradient, x, v, 1)
+        return self._derivative(x, v, 1)
 
     def contraction_hessian(self, x, v) -> np.ndarray:
         """d2/dv2 of the full contraction, shape (..., N, N).
 
         Equals n(n-1) * S_{a b c...} v ... v.
         """
-        return self._derivative(self.contraction_hessian, x, v, 2)
+        return self._derivative(x, v, 2)
 
     def position_gradient_of_contraction(self, x, v) -> np.ndarray:
         """d/dx of S(x; v, ..., v), shape (..., len(x)).
 
         Zero for constant tensors, otherwise central differences with the
-        relative step FD_STEP * max(1, |x_c|).
+        relative step FD_STEP * max(1, |x_c|) of each point.
         """
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         if self.is_constant:
             return np.zeros(v.shape[:-1] + x.shape[-1:])
-        if v.ndim > 1:
-            return pointwise(self.position_gradient_of_contraction,
-                             np.broadcast_to(x, v.shape[:-1] + x.shape[-1:]), v)
         return central_difference(lambda xx: self.contraction(xx, v), x,
                                   FD_STEP * np.maximum(1.0, np.abs(x)))
 

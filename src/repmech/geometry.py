@@ -31,17 +31,29 @@ FD_STEP = 1e-6
 # metric fields
 # ---------------------------------------------------------------------------
 
+def evaluated(fn, x, shape, what) -> np.ndarray:
+    """fn(x) as floats, checked against the evaluator contract: positions x of shape
+    (..., P) give x's batch shape followed by the value's own shape."""
+    value = np.asarray(fn(x), dtype=float)
+    batch = x.shape[:-1]
+    if value.shape != batch + shape:
+        got = (f"{value.shape[len(batch):]} per point" if value.shape[:len(batch)] == batch
+               else f"{value.shape} for positions of shape {x.shape}")
+        raise DimensionMismatch(f"{what} returned shape {got}, expected {shape} per point")
+    return value
+
+
 @dataclass(frozen=True)
 class MetricField:
     """Position-dependent symmetric metric g_ab(x) on an N-dimensional target.
 
     kind is one of "constant", "diagonal-analytic", "user", "compound". The
-    evaluator must return a symmetric matrix (checked to 1e-14) with
-    |det g| > 1e-12 * max|g_ab|^dim, a test of no scale. A constant metric
-    is checked once, when it is built, and stored symmetrized; any other is
-    checked at every point it is evaluated at, except a compound (see
-    compound_metric), whose g is. position_dim, the length of the positions,
-    defaults to dim.
+    evaluator maps positions (..., position_dim) to symmetric (..., dim, dim)
+    matrices (checked to 1e-14) with |det g| > 1e-12 * max|g_ab|^dim, a test
+    of no scale. A constant metric is checked once, when it is built, and
+    stored symmetrized; any other is checked on each batch, except a
+    compound (see compound_metric), whose g is. position_dim, the length of
+    the positions, defaults to dim.
     """
 
     dim: int
@@ -76,16 +88,9 @@ class MetricField:
         return self._at(x)
 
     def _at(self, x) -> np.ndarray:
-        """The evaluator's matrices at x (..., position_dim), after the shape, symmetry
-        and degeneracy checks; a batch raises the error of its first failing point.
-
-        The evaluator takes one point at a time.
-        """
-        points = x.reshape(-1, x.shape[-1])
-        mats = [np.asarray(self._eval(p), dtype=float) for p in points]
-        shape = (self.dim, self.dim)
-        n_ok = next((i for i, m in enumerate(mats) if m.shape != shape), len(mats))
-        g = np.array(mats[:n_ok]).reshape((n_ok,) + shape)
+        """The evaluator's matrices at x (..., position_dim) from one call, checked for shape,
+        symmetry and degeneracy on the whole stack; an error names the first bad point."""
+        g = evaluated(self._eval, x, (self.dim, self.dim), "metric evaluator")
         scale = np.abs(g).max(axis=(-2, -1))
         asymmetric = (np.abs(g - g.swapaxes(-1, -2)).max(axis=(-2, -1))
                       > SYMMETRY_TOL * np.maximum(scale, 1.0))
@@ -93,66 +98,56 @@ class MetricField:
         # power of it a compound takes) does not make it read as degenerate
         bad = asymmetric | (np.abs(np.linalg.det(g)) <= DEGENERACY_TOL * scale ** self.dim)
         if bad.any():
-            first = int(np.argmax(bad))
-            where = "" if self.is_constant else f" at x={points[first].tolist()}"
+            first = np.unravel_index(np.argmax(bad), bad.shape)
+            where = "" if self.is_constant else f" at x={x[first].tolist()}"
             raise DegenerateMetric(
                 f"metric is {'not symmetric' if asymmetric[first] else 'degenerate'}{where}")
-        if n_ok < len(mats):
-            raise DimensionMismatch(f"metric evaluator returned shape {mats[n_ok].shape}")
-        return g.reshape(x.shape[:-1] + shape)
+        return g
 
     def gradient(self, x) -> np.ndarray:
         """d g_ab / d x^c as an array G[..., c, a, b].
 
         Analytic when the metric has a gradient, else central differences of
-        the evaluator with the relative step FD_STEP * max(1, |x_c|).
+        the metric with the relative step FD_STEP * max(1, |x_c|) per point.
         """
         x = np.asarray(x, dtype=float)
         if self.is_constant:
             return np.zeros(x.shape + (self.dim, self.dim))
-        if x.ndim > 1:
-            return pointwise(self.gradient, x)
         if self._grad is not None:
-            return np.asarray(self._grad(x), dtype=float)
-        dg = central_difference(self._eval, x, FD_STEP * np.maximum(1.0, np.abs(x)))
-        return np.ascontiguousarray(np.moveaxis(dg, -1, 0))
+            return evaluated(self._grad, x, x.shape[-1:] + (self.dim, self.dim), "metric gradient")
+        dg = central_difference(self, x, FD_STEP * np.maximum(1.0, np.abs(x)))
+        return np.ascontiguousarray(np.moveaxis(dg, -1, -3))
 
     @property
     def is_constant(self) -> bool:
         return self.kind == "constant"
 
 
-def pointwise(fn, *points) -> np.ndarray:
-    """fn applied to each point of equally shaped (..., N) batches, stacked.
-
-    The result has the batch shape followed by the shape of one fn value;
-    fields whose value varies with position are evaluated through it.
-    """
-    rows = zip(*(p.reshape(-1, p.shape[-1]) for p in points))
-    out = np.array([fn(*row) for row in rows], dtype=float)
-    return out.reshape(points[0].shape[:-1] + out.shape[1:])
-
-
 def central_difference(fn, x, step) -> np.ndarray:
     """Central differences of fn at x of shape (..., N), the derivative axis last.
 
-    step holds one absolute step h_c per axis; column c is
+    step holds the absolute steps h_c, one per axis (shape (N,)) or one per
+    axis of each point (x's shape); column c is
     (fn(x + h_c e_c) - fn(x - h_c e_c)) / (2 h_c), so the result has the
     shape of fn(x) followed by (N,). fn receives the whole batch at once.
     """
     x = np.asarray(x, dtype=float)
     step = np.asarray(step, dtype=float)
-    if step.shape != x.shape[-1:]:
+    if step.shape not in (x.shape[-1:], x.shape):
         raise DimensionMismatch(f"need one step per axis of x {x.shape}, got {step.shape}")
     out = None
-    for c, h in enumerate(step):
+    for c in range(x.shape[-1]):
+        h = step[..., c]
         xp = x.copy()
         xm = x.copy()
         xp[..., c] += h
         xm[..., c] -= h
-        col = (fn(xp) - fn(xm)) / (2.0 * h)
+        diff = fn(xp) - fn(xm)
+        if h.ndim:  # one step per point: line it up with the batch axes of fn's value
+            h = h.reshape(h.shape + (1,) * (diff.ndim - h.ndim))
+        col = diff / (2.0 * h)
         if out is None:
-            out = np.empty(np.shape(col) + step.shape)
+            out = np.empty(np.shape(col) + x.shape[-1:])
         out[..., c] = col
     return out
 
@@ -179,22 +174,24 @@ def euclidean_metric(dim: int) -> MetricField:
     return constant_diagonal_metric(np.ones(dim))
 
 
-def weak_field_metric(dim: int, phi: Callable[[np.ndarray], float],
+def weak_field_metric(dim: int, phi: Callable[[np.ndarray], np.ndarray],
                       phi_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
                       ) -> MetricField:
-    """Diagonal family g_00 = 1 + 2*phi(x), g_ii = -1 for a small analytic phi."""
+    """Diagonal family g_00 = 1 + 2*phi(x), g_ii = -1 for a small analytic phi.
+
+    phi maps positions (..., dim) to (...), phi_grad to (..., dim).
+    """
 
     def evaluate(x):
-        g = -np.eye(dim)
-        g[0, 0] = 1.0 + 2.0 * float(phi(x))
+        g = np.full(x.shape[:-1] + (dim, dim), -np.eye(dim))
+        g[..., 0, 0] = 1.0 + 2.0 * evaluated(phi, x, (), "phi")
         return g
 
     grad = None
     if phi_grad is not None:
         def grad(x):
-            out = np.zeros((dim, dim, dim))
-            dphi = np.asarray(phi_grad(x), dtype=float)
-            out[:, 0, 0] = 2.0 * dphi
+            out = np.zeros(x.shape + (dim, dim))
+            out[..., 0, 0] = 2.0 * evaluated(phi_grad, x, (dim,), "phi_grad")
             return out
 
     return MetricField(dim=dim, kind="diagonal-analytic", _eval=evaluate, _grad=grad)

@@ -13,9 +13,9 @@ central finite differences of eval_L (independent oracle).
 eval_L, momentum, velocity_hessian and position_gradient take x of shape
 (..., P) and v of shape (..., N) and return shapes (...), (..., N),
 (..., N, N) and (..., P): a single point is the batch shape (), and a batch
-costs one numpy call per term. Constant fields are evaluated once per call,
-the others once per point. P is the metric's position_dim: N for a
-particle, dimM for a brane whose velocities are its N Jacobian minors.
+costs one numpy call per term. Every field is evaluated once per call, on
+the whole batch. P is the metric's position_dim: N for a particle, dimM
+for a brane whose velocities are its N Jacobian minors.
 """
 
 from __future__ import annotations
@@ -102,6 +102,8 @@ def _first_bad_point(kernel):
 
     The checks run term by term over the whole batch, so a batch whose points
     fail different checks would otherwise raise by term, not by point order.
+    Bisection finds that point in O(log n) batched calls; its error, run alone,
+    is raised with its batch_index (also in the message), else the batch's own.
     """
     @functools.wraps(kernel)
     def checked(spec, x, v):
@@ -112,13 +114,24 @@ def _first_bad_point(kernel):
             v = np.asarray(v, dtype=float)
             if v.ndim < 2 or x.shape[:-1] != v.shape[:-1]:
                 raise
-            for i, (xi, vi) in enumerate(zip(x.reshape(-1, x.shape[-1]),
-                                             v.reshape(-1, v.shape[-1]))):
+            xs = x.reshape(-1, x.shape[-1])
+            vs = v.reshape(-1, v.shape[-1])
+            lo, hi = 0, len(vs)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
                 try:
-                    kernel(spec, xi, vi)
-                except RepMechError as err:
-                    index = np.unravel_index(i, v.shape[:-1])
-                    raise type(err)(f"{err} (batch index {tuple(map(int, index))})") from None
+                    kernel(spec, xs[lo:mid], vs[lo:mid])
+                except RepMechError:
+                    hi = mid
+                else:
+                    lo = mid
+            try:
+                kernel(spec, xs[lo], vs[lo])
+            except RepMechError as err:
+                index = tuple(map(int, np.unravel_index(lo, v.shape[:-1])))
+                found = type(err)(f"{err} (batch index {index})")
+                found.batch_index = index
+                raise found from None
             raise
 
     return checked

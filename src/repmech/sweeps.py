@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import constant_potential, symmetric_tensor
+from .fields import constant_potential, potential_from_function, symmetric_tensor
 from .geometry import constant_diagonal_metric, quadratic_form, weak_field_metric
 from .lagrangian import (
     LagrangianSpec,
@@ -76,7 +76,7 @@ def random_spec(rng: np.random.Generator, dim: int = 4, curved: bool = False,
         b = rng.uniform(0.5, 2.0)
         metric = weak_field_metric(
             dim,
-            phi=lambda x, a=a, b=b: float(a @ np.sin(b * x)),
+            phi=lambda x, a=a, b=b: np.vecdot(np.sin(b * x), a),
             phi_grad=lambda x, a=a, b=b: a * b * np.cos(b * x),
         )
     else:
@@ -231,11 +231,11 @@ def gauge_shift_sweep(samples: int = 200, seed: int = 5,
 
         # f(x) = c * sin(w . x); df = c cos(w . x) w
         def shifted(xx, base=spec.potential):
-            return base(xx) + c * np.cos(float(w @ xx)) * w
+            return base(xx) + c * np.cos(np.vecdot(xx, w))[..., None] * w
 
         spec2 = LagrangianSpec(
             metric=spec.metric, mass=spec.mass, charge=spec.charge,
-            potential=type(spec.potential)(spec.dim, "user", shifted),
+            potential=potential_from_function(spec.dim, shifted),
             extra_terms=spec.extra_terms,
         )
         grad_f = c * np.cos(float(w @ x)) * w

@@ -101,6 +101,17 @@ def fd_gradient(fn, x, step=1e-6):
     return out
 
 
+def per_point(fn, *points):
+    """fn applied to each point of equally shaped (..., N) batches, stacked.
+
+    The per-point reference for batched field evaluation: the result has the
+    batch shape followed by the shape of one fn value.
+    """
+    rows = zip(*(p.reshape(-1, p.shape[-1]) for p in points))
+    out = np.array([fn(*row) for row in rows], dtype=float)
+    return out.reshape(points[0].shape[:-1] + out.shape[1:])
+
+
 def dense_symmetric_tensor(rank, dim, entries):
     """Expand sorted-index storage into the full dense symmetric array."""
     t = np.zeros((dim,) * rank)

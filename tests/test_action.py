@@ -239,10 +239,10 @@ def random_spec(rng, n):
         grad = None
         if rng.random() < 0.5:
             def grad(x):
-                out = np.zeros(n)
-                out[1] = a * np.cos(x[1])
+                out = np.zeros(x.shape)
+                out[..., 1] = a * np.cos(x[..., 1])
                 return out
-        metric = weak_field_metric(n, lambda x: a * float(np.sin(x[1])), grad)
+        metric = weak_field_metric(n, lambda x: a * np.sin(x[..., 1]), grad)
     kind = int(rng.integers(0, 4))
     charge, potential = 0.0, None
     if kind == 1:
@@ -258,7 +258,7 @@ def random_spec(rng, n):
             terms.append((0.3, symmetric_tensor(3, n, entries)))
         else:
             terms.append((0.3, symmetric_tensor_field(
-                3, n, lambda x: {**entries, (0, 0, 0): 1.0 + 0.1 * float(np.sin(x[0]))})))
+                3, n, lambda x: {**entries, (0, 0, 0): 1.0 + 0.1 * np.sin(x[..., 0])})))
     if rng.random() < 0.5:
         terms.append((0.2, symmetric_tensor(4, n, {(0, 0, 0, 0): 1.0,
                                                    (0, 0, 1, 1): float(rng.uniform(-0.2, 0.2))})))

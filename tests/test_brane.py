@@ -189,7 +189,8 @@ class TestBraneAction:
         emb = graph_embedding(lambda Z: np.sin(np.atleast_2d(Z)).sum(axis=1),
                               grad=lambda Z: np.cos(np.atleast_2d(Z)), resolution=(12, 10))
         fast = brane_action(BraneSpec(MetricField(3, "constant", lambda x: g), mass=1.0), emb)
-        generic = brane_action(BraneSpec(MetricField(3, "user", lambda x: g), mass=1.0), emb)
+        generic = brane_action(BraneSpec(MetricField(
+            3, "user", lambda x: np.broadcast_to(g, x.shape[:-1] + g.shape)), mass=1.0), emb)
         assert fast == pytest.approx(generic, rel=1e-13)
 
     def test_reparameterization_invariance(self):
@@ -226,7 +227,7 @@ class TestBraneAction:
         assert errors[0] / errors[1] > 3.5 and errors[1] / errors[2] > 3.5
 
     @pytest.mark.parametrize("metric", [minkowski_metric(4),
-                                        weak_field_metric(4, lambda x: 0.05 * math.sin(x[1]))],
+                                        weak_field_metric(4, lambda x: 0.05 * np.sin(x[..., 1]))],
                              ids=["minkowski", "weak_field"])
     def test_curve_matches_point_particle_discrete_action(self, metric):
         path, emb = _chord_curve()
@@ -238,7 +239,7 @@ class TestBraneAction:
 
     def test_curve_with_a_tensor_term_matches_discrete_action(self):
         path, emb = _chord_curve()
-        metric = weak_field_metric(4, lambda x: 0.05 * math.sin(x[1]))
+        metric = weak_field_metric(4, lambda x: 0.05 * np.sin(x[..., 1]))
         terms = ((0.4, symmetric_tensor(3, 4, {(0, 0, 0): 0.9, (0, 1, 1): -0.2, (1, 2, 3): 0.1})),)
         particle = LagrangianSpec(metric=metric, mass=1.3, charge=0.6,
                                   potential=uniform_magnetic_potential(4, 0.7), extra_terms=terms)
@@ -250,11 +251,12 @@ class TestBraneAction:
     def test_tensor_and_user_potential_terms_match_a_per_cell_sum(self):
         # D = 2 in dimM = 4: the fields act on C = 6 minor components at 4 coordinates
         emb = _surface_in_4d()
-        potential = potential_from_function(6, lambda x: np.array(
-            [x[0], x[1] * x[2], np.sin(x[3]), 1.0, -x[0] * x[3], 0.5]))
+        potential = potential_from_function(6, lambda x: np.stack(np.broadcast_arrays(
+            x[..., 0], x[..., 1] * x[..., 2], np.sin(x[..., 3]), 1.0, -x[..., 0] * x[..., 3], 0.5),
+            axis=-1))
         constant = symmetric_tensor(3, 6, {(0, 0, 0): 0.8, (0, 1, 5): -0.3, (2, 4, 4): 0.2})
-        varying = symmetric_tensor_field(3, 6, lambda x: {(0, 0, 0): 1.0 + x[0] * x[3],
-                                                          (1, 2, 3): float(x[2])})
+        varying = symmetric_tensor_field(3, 6, lambda x: {(0, 0, 0): 1.0 + x[..., 0] * x[..., 3],
+                                                          (1, 2, 3): x[..., 2]})
         spec = BraneSpec(euclidean_metric(4), mass=1.1, charge=0.7, potential=potential,
                          extra_terms=((0.4, constant), (-0.25, varying)))
         densities = []
@@ -277,6 +279,20 @@ class TestBraneAction:
             brane_action(BraneSpec(ONE_TIME3, mass=1.0, charge=0.0), emb)
         assert info.value.cell == (4, 0)
         brane_action(BraneSpec(ONE_TIME3, mass=0.0, charge=0.0), emb)
+
+    def test_negative_radicand_in_one_cell_of_a_fine_grid(self):
+        # the Jacobian's slope is 1.5 in cell (200, 137) of 256 x 256 and 0.5 in every
+        # other, so det(J^T g J) = 1 - slope^2 in diag(1, 1, -1) is negative there only
+        resolution = (256, 256)
+
+        def grad(Z):
+            inside = np.all(np.floor(Z * resolution) == (200, 137), axis=1)
+            return np.column_stack([np.where(inside, 1.5, 0.5), np.zeros(len(Z))])
+
+        emb = graph_embedding(lambda Z: 0.5 * Z[:, 0], grad=grad, resolution=resolution)
+        with pytest.raises(NegativeRadicand, match=r"at cell \(200, 137\)") as info:
+            brane_action(BraneSpec(ONE_TIME3, mass=1.0, charge=0.0), emb)
+        assert info.value.cell == (200, 137)
 
     def test_negative_radicand_on_timelike_slope(self):
         emb = tilted_plane_embedding(0.5, resolution=(4, 4))
@@ -478,6 +494,45 @@ class TestFiniteDifferenceJacobians:
                             evaluator=emb.evaluator)
         Z = emb.cell_centers()
         assert np.max(np.abs(fd.jacobians(Z) - emb.jacobians(Z))) <= 1e-8
+
+
+class TestEmbeddingContract:
+    """Evaluators and Jacobians take the (n, D) batch and are called once per batch."""
+
+    @staticmethod
+    def _with(evaluator=None, jacobian=None):
+        emb = _surface_in_4d()
+        return BraneEmbedding(d=2, dim_m=4, box=emb.box, resolution=emb.resolution,
+                              evaluator=evaluator or emb.evaluator,
+                              jacobian=jacobian or emb.jacobian)
+
+    def test_a_wrongly_shaped_evaluator_or_jacobian_is_a_dimension_mismatch(self):
+        emb = self._with(evaluator=lambda Z: np.zeros((len(Z), 5)))
+        with pytest.raises(DimensionMismatch, match="embedding evaluator"):
+            emb.points(emb.cell_centers())
+        with pytest.raises(DimensionMismatch, match="embedding evaluator"):
+            brane_action(BraneSpec(euclidean_metric(4)), emb)
+        emb = self._with(jacobian=lambda Z: np.zeros((len(Z), 5, 2)))
+        with pytest.raises(DimensionMismatch, match="embedding jacobian"):
+            emb.jacobians(emb.cell_centers())
+        with pytest.raises(DimensionMismatch, match="embedding jacobian"):
+            brane_action(BraneSpec(euclidean_metric(4)), emb)
+
+    @pytest.mark.parametrize("which", ["evaluator", "jacobian"])
+    def test_an_evaluators_own_error_propagates_from_its_one_call(self, which):
+        class EvaluatorError(Exception):
+            pass
+
+        calls = []
+
+        def failing(Z):
+            calls.append(Z.shape)
+            raise EvaluatorError("no batch")
+
+        emb = self._with(**{which: failing})
+        with pytest.raises(EvaluatorError, match="no batch"):
+            brane_action(BraneSpec(euclidean_metric(4)), emb)
+        assert calls == [(emb.n_cells, 2)]
 
 
 def test_a_small_spatial_scale_builds_the_compound_metric():

@@ -56,25 +56,31 @@ EMB = BraneEmbedding(d=2, dim_m=4, box=np.array(BOX), resolution=RESOLUTION,
 
 def _user_g(x):
     """I + B B^T with B varying smoothly in x: symmetric positive definite everywhere."""
-    b = np.array([[np.sin(x[0]), 0.3, 0.1 * x[2], 0.0],
-                  [0.2, np.cos(x[1]), 0.0, 0.4 * x[3]],
-                  [0.1 * x[0] * x[1], 0.0, 0.5, 0.2],
-                  [0.0, 0.3 * x[2], 0.1, np.sin(x[3])]])
-    return np.eye(4) + b @ b.T
+    x0, x1, x2, x3 = np.moveaxis(x, -1, 0)
+    rows = [[np.sin(x0), 0.3, 0.1 * x2, 0.0],
+            [0.2, np.cos(x1), 0.0, 0.4 * x3],
+            [0.1 * x0 * x1, 0.0, 0.5, 0.2],
+            [0.0, 0.3 * x2, 0.1, np.sin(x3)]]
+    b = np.empty(x.shape[:-1] + (4, 4))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            b[..., i, j] = entry
+    return np.eye(4) + b @ np.swapaxes(b, -1, -2)
 
 
 USER_METRIC = metric_from_function(4, _user_g)
 
 
 def _potential(x):
-    return np.array([x[0], x[1] * x[2], np.sin(x[3]), 1.0, -x[0] * x[3], 0.5])
+    x0, x1, x2, x3 = np.moveaxis(x, -1, 0)
+    return np.stack(np.broadcast_arrays(x0, x1 * x2, np.sin(x3), 1.0, -x0 * x3, 0.5), axis=-1)
 
 
 CONSTANT = {(0, 0, 0): 0.8, (0, 1, 5): -0.3, (2, 4, 4): 0.2}
 
 
 def _varying(x):
-    return {(0, 0, 0): 1.0 + x[0] * x[3], (1, 2, 3): float(x[2])}
+    return {(0, 0, 0): 1.0 + x[..., 0] * x[..., 3], (1, 2, 3): x[..., 2]}
 
 
 def _spec(with_terms):

@@ -7,7 +7,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_contraction, dense_symmetric_tensor, fd_gradient
+from oracles import dense_contraction, dense_symmetric_tensor, fd_gradient, per_point
 from repmech import (
     DimensionMismatch,
     constant_potential,
@@ -19,7 +19,6 @@ from repmech import (
 )
 from repmech.cli import main
 from repmech.fields import MAX_DENSE_ENTRIES
-from repmech.geometry import pointwise
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -127,7 +126,7 @@ class TestSymmetricTensor:
 
     def test_position_dependent_tensor(self):
         field = symmetric_tensor_field(
-            3, 2, lambda x: {(0, 0, 0): float(x[0]), (0, 1, 1): 1.0})
+            3, 2, lambda x: {(0, 0, 0): x[..., 0], (0, 1, 1): 1.0})
         x = np.array([2.0, 0.0])
         v = np.array([1.0, 3.0])
         # 2*1 + 3*1*9
@@ -151,7 +150,7 @@ class TestSympyOracle:
         x = rng.uniform(-1.0, 1.0, size=batch + (dim + 1,))
         if varying:
             tensor = symmetric_tensor_field(
-                rank, dim, lambda y: dict(zip(keys, _coefficients(base, y).tolist())))
+                rank, dim, lambda y: dict(zip(keys, np.moveaxis(_coefficients(base, y), -1, 0))))
             coefs = _coefficients(base, x)
         else:
             tensor = symmetric_tensor(rank, dim, dict(zip(keys, base)))
@@ -169,12 +168,36 @@ class TestSympyOracle:
         keys = ((0, 0, 1), (1, 2, 2))
         base = np.array([0.7, -0.4])
         tensor = symmetric_tensor_field(
-            3, 3, lambda y: dict(zip(keys, _coefficients(base, y).tolist())))
+            3, 3, lambda y: dict(zip(keys, np.moveaxis(_coefficients(base, y), -1, 0))))
         x = np.array([0.3, -0.2, 0.5, 0.1])  # four coordinates, three components
         v = np.random.default_rng(2).uniform(-1.0, 1.0, size=(5, 3))
         for method in (tensor.contraction, tensor.contraction_gradient,
                        tensor.contraction_hessian, tensor.position_gradient_of_contraction):
             assert np.array_equal(method(x, v), np.stack([method(x, vk) for vk in v]))
+
+
+class TestPositionDependentBatches:
+    """A position-dependent tensor on a batch against the per-point reference, to 1e-15."""
+
+    @pytest.mark.parametrize("rank,dim", [(3, 2), (3, 4), (4, 3), (5, 2)])
+    def test_batch_equals_the_points(self, rank, dim):
+        rng = np.random.default_rng(10 * rank + dim)
+        keys = tuple(sorted({tuple(sorted(rng.integers(0, dim, size=rank))) for _ in range(5)}))
+        base = rng.uniform(-1.0, 1.0, size=len(keys))
+        tensor = symmetric_tensor_field(
+            rank, dim, lambda y: dict(zip(keys, np.moveaxis(_coefficients(base, y), -1, 0))))
+        x = rng.uniform(-2.0, 2.0, size=(3, 4, dim + 1))
+        v = rng.uniform(-1.5, 1.5, size=(3, 4, dim))
+        for method in (tensor.contraction, tensor.contraction_gradient,
+                       tensor.contraction_hessian, tensor.position_gradient_of_contraction):
+            batch, ref = method(x, v), per_point(lambda xk, vk: method(xk, vk), x, v)
+            assert batch.shape == ref.shape
+            assert np.max(np.abs(batch - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_an_entry_of_the_wrong_shape_is_a_dimension_mismatch(self):
+        tensor = symmetric_tensor_field(3, 2, lambda y: {(0, 0, 0): y[0], (0, 1, 1): 1.0})
+        with pytest.raises(DimensionMismatch, match="tensor entry"):
+            tensor.contraction(np.zeros((5, 2)), np.ones((5, 2)))
 
 
 class TestDenseSize:
@@ -226,17 +249,44 @@ class TestVectorPotential:
     def test_uniform_magnetic_batch_equals_pointwise(self):
         pot = uniform_magnetic_potential(4, 1.7, plane=(3, 1))
         x = np.random.default_rng(4).normal(size=(3, 5, 4))
-        assert np.array_equal(pot(x), pointwise(pot, x))
-        assert np.array_equal(pot.jacobian(x), pointwise(pot.jacobian, x))
+        assert np.array_equal(pot(x), per_point(pot, x))
+        assert np.array_equal(pot.jacobian(x), per_point(pot.jacobian, x))
 
     def test_user_potential_fd_jacobian(self):
-        pot = potential_from_function(3, lambda x: np.array(
-            [np.sin(x[1]), x[0] * x[2], 0.0]))
+        pot = potential_from_function(3, lambda x: np.stack(
+            [np.sin(x[..., 1]), x[..., 0] * x[..., 2], np.zeros(x.shape[:-1])], axis=-1))
         x = np.array([0.4, 0.2, -0.7])
         jac = pot.jacobian(x)
         for a in range(3):
             ref = fd_gradient(lambda y: pot(y)[a], x)
             assert np.max(np.abs(jac[a] - ref)) < 1e-8
+
+    def test_zero_and_constant_batches_equal_the_points(self):
+        x = np.random.default_rng(5).normal(size=(3, 5, 4))
+        for pot in (zero_potential(4), constant_potential([0.5, -0.2, 0.1, 0.3])):
+            assert np.array_equal(pot(x), per_point(pot, x))
+            assert np.array_equal(pot.jacobian(x), per_point(pot.jacobian, x))
+        # a brane's potential has one component per minor, at target positions
+        pot = constant_potential(np.arange(6.0))
+        assert pot.jacobian(x).shape == (3, 5, 6, 4)
+
+    def test_user_potential_fd_jacobian_batch_equals_the_points(self):
+        pot = potential_from_function(3, lambda x: np.stack(
+            [np.sin(x[..., 1]), x[..., 0] * x[..., 2], np.exp(0.3 * x[..., 0])], axis=-1))
+        x = np.random.default_rng(6).uniform(-3.0, 3.0, size=(4, 6, 3))
+        batch, ref = pot.jacobian(x), per_point(pot.jacobian, x)
+        assert batch.shape == ref.shape == (4, 6, 3, 3)
+        assert np.max(np.abs(batch - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_wrongly_shaped_values_are_dimension_mismatches(self):
+        x = np.random.default_rng(7).normal(size=(5, 3))
+        good = lambda y: np.sin(y)
+        with pytest.raises(DimensionMismatch, match="potential jacobian"):
+            potential_from_function(3, good, jacobian=lambda y: np.cos(y)).jacobian(x)
+        with pytest.raises(DimensionMismatch, match="potential jacobian"):
+            potential_from_function(3, good, jacobian=lambda y: np.eye(3)).jacobian(x)
+        with pytest.raises(DimensionMismatch, match="potential returned"):
+            potential_from_function(3, lambda y: np.sin(y[0]))(x)
 
     def test_bad_plane_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd_gradient
+from oracles import fd_gradient, per_point
 from repmech import (
     CausalityKind,
+    LagrangianSpec,
     DegenerateMetric,
     DimensionMismatch,
     SignatureReport,
@@ -16,11 +17,13 @@ from repmech import (
     euclidean_metric,
     metric_from_function,
     minkowski_metric,
+    position_gradient,
     quadratic_form,
     signature,
     weak_field_metric,
 )
-from repmech.geometry import MetricField, _minors, central_difference
+from repmech.geometry import MetricField, _minors, central_difference, compound_metric
+from repmech.sweeps import random_spec
 
 MINK = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -137,7 +140,7 @@ class TestMetricField:
                            np.diag([2.0, -1.0]))
 
     def test_weak_field_family(self):
-        phi = lambda x: 0.01 * float(np.sin(x[1]))
+        phi = lambda x: 0.01 * np.sin(x[..., 1])
         g = weak_field_metric(4, phi)
         x = np.array([0.0, 0.5, 0.0, 0.0])
         out = g(x)
@@ -145,8 +148,9 @@ class TestMetricField:
         assert np.allclose(np.diag(out)[1:], -1.0)
 
     def test_weak_field_gradient_matches_fd(self):
-        phi = lambda x: 0.02 * float(np.sin(x[0] + 2 * x[1]))
-        phi_grad = lambda x: 0.02 * np.cos(x[0] + 2 * x[1]) * np.array([1.0, 2.0, 0.0, 0.0])
+        phi = lambda x: 0.02 * np.sin(x[..., 0] + 2 * x[..., 1])
+        phi_grad = lambda x: (0.02 * np.cos(x[..., 0] + 2 * x[..., 1])[..., None]
+                              * np.array([1.0, 2.0, 0.0, 0.0]))
         g_an = weak_field_metric(4, phi, phi_grad)
         g_fd = weak_field_metric(4, phi)
         x = np.array([0.3, -0.2, 0.1, 0.0])
@@ -193,8 +197,11 @@ class TestMetricBatches:
     @staticmethod
     def _metric(bad=None):
         def g(x):
-            out = np.diag([1.0 + 0.1 * np.sin(x[1]), -1.0, -1.0 - 0.2 * x[0] ** 2])
-            out[0, 2] = out[2, 0] = 0.05 * x[2]
+            out = np.zeros(x.shape[:-1] + (3, 3))
+            out[..., 0, 0] = 1.0 + 0.1 * np.sin(x[..., 1])
+            out[..., 1, 1] = -1.0
+            out[..., 2, 2] = -1.0 - 0.2 * x[..., 0] ** 2
+            out[..., 0, 2] = out[..., 2, 0] = 0.05 * x[..., 2]
             if bad is not None:
                 out = bad(x, out)
             return out
@@ -205,16 +212,15 @@ class TestMetricBatches:
         metric = self._metric()
         batch = metric(x)
         assert batch.shape == (4, 5, 3, 3)
-        assert np.array_equal(batch, np.array([[metric(p) for p in row] for row in x]))
+        assert np.array_equal(batch, per_point(metric, x))
 
     @pytest.mark.parametrize("bad,error", [
-        (lambda x, g: np.diag([1.0, 0.0, -1.0]) if x[0] > 0.5 else g, DegenerateMetric),
-        (lambda x, g: g + np.triu(np.ones((3, 3)), 1) if x[0] > 0.5 else g, DegenerateMetric),
-        (lambda x, g: g[:2, :2] if x[0] > 0.5 else g, DimensionMismatch),
-        # a point before the first wrongly shaped one fails the symmetry check
-        (lambda x, g: (g + np.triu(np.ones((3, 3)), 1) if x[0] < 0.8 else g[:2, :2])
-         if x[0] > 0.5 else g, DegenerateMetric),
-    ], ids=["degenerate", "nonsymmetric", "shape", "nonsymmetric_then_shape"])
+        (lambda x, g: np.where((x[..., 0] > 0.5)[..., None, None], np.diag([1.0, 0.0, -1.0]), g),
+         DegenerateMetric),
+        (lambda x, g: g + (x[..., 0] > 0.5)[..., None, None] * np.triu(np.ones((3, 3)), 1),
+         DegenerateMetric),
+        (lambda x, g: g[..., :2, :2] if np.any(x[..., 0] > 0.5) else g, DimensionMismatch),
+    ], ids=["degenerate", "nonsymmetric", "shape"])
     def test_batch_raises_the_first_bad_points_error(self, bad, error):
         x = np.zeros((6, 3))
         x[[2, 4], 0] = [0.7, 0.9]
@@ -224,6 +230,75 @@ class TestMetricBatches:
         with pytest.raises(error) as point_err:
             metric(x[2])
         assert str(batch_err.value) == str(point_err.value)
+
+
+class TestBatchAgainstPoints:
+    """One evaluator call on a batch against the per-point reference."""
+
+    @staticmethod
+    def _weak_field(seed):
+        return random_spec(np.random.default_rng(seed), curved=True, with_extras=False).metric
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_builtin_weak_field_is_bit_identical(self, seed):
+        metric = self._weak_field(seed)
+        x = np.random.default_rng(100 + seed).uniform(-1.0, 1.0, size=(6, 7, 4))
+        assert np.array_equal(metric(x), per_point(metric, x))
+        assert np.array_equal(metric.gradient(x), per_point(metric.gradient, x))
+
+    @staticmethod
+    def _close(batch, ref):
+        assert batch.shape == ref.shape
+        assert np.max(np.abs(batch - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_finite_difference_gradient(self):
+        phi = lambda x: 0.02 * np.sin(x[..., 0] + 2 * x[..., 1]) * np.cos(x[..., 3])
+        x = np.random.default_rng(7).uniform(-3.0, 3.0, size=(5, 8, 4))
+        for metric in (weak_field_metric(4, phi), TestMetricBatches._metric()):
+            x3 = x[..., :metric.position_dim]
+            self._close(metric.gradient(x3), per_point(metric.gradient, x3))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_compound_of_a_varying_metric(self, d):
+        x = np.random.default_rng(8).uniform(-1.0, 1.0, size=(9, 4))
+        for metric in (self._weak_field(1), TestMetricBatches._metric()):
+            G = compound_metric(metric, d)
+            x_g = x[..., :metric.position_dim]
+            self._close(G(x_g), per_point(G, x_g))
+            self._close(G.gradient(x_g), per_point(G.gradient, x_g))
+
+
+class TestEvaluatorShapes:
+    """A field evaluator returns the batch shape followed by the field's own shape."""
+
+    def test_a_wrongly_shaped_analytic_gradient_is_a_dimension_mismatch(self):
+        metric = metric_from_function(3, lambda x: np.broadcast_to(np.diag([1.0, -1.0, -1.0]),
+                                                                    x.shape[:-1] + (3, 3)),
+                                      grad=lambda x: np.zeros(x.shape[:-1] + (3, 3)))
+        x = np.array([0.1, 0.2, 0.3])
+        for points in (x, np.tile(x, (5, 1))):
+            with pytest.raises(DimensionMismatch, match="metric gradient"):
+                metric.gradient(points)
+        # which escaped position_gradient as a numpy broadcasting error
+        with pytest.raises(DimensionMismatch, match="metric gradient"):
+            position_gradient(LagrangianSpec(metric=metric, mass=1.0), x, np.array([1.0, 0.2, 0.0]))
+
+    def test_weak_field_phi_and_phi_grad_shapes(self):
+        x = np.random.default_rng(9).uniform(-1.0, 1.0, size=(5, 4))
+        # written for one point: on a batch they return the values of row 1 or of the
+        # columns, shape (4,), which broadcast silently into wrong metrics and gradients
+        per_point_phi = lambda y: 0.01 * np.sin(y[1])
+        per_point_grad = lambda y: 0.02 * np.cos(y[0] + 2 * y[1]) * np.array([1.0, 2.0, 0.0, 0.0])
+        with pytest.raises(DimensionMismatch, match="phi returned shape"):
+            weak_field_metric(4, per_point_phi)(x)
+        with pytest.raises(DimensionMismatch, match="phi_grad returned shape"):
+            weak_field_metric(4, lambda y: 0.01 * np.sin(y[..., 1]), per_point_grad).gradient(x)
+        # and at a single point, a gradient of the wrong length or a scalar
+        for grad in (lambda y: np.zeros(3), lambda y: 0.5):
+            with pytest.raises(DimensionMismatch, match="phi_grad returned shape"):
+                weak_field_metric(4, lambda y: 0.01 * np.sin(y[..., 1]), grad).gradient(x[0])
+        with pytest.raises(DimensionMismatch, match="phi returned shape"):
+            weak_field_metric(4, lambda y: np.zeros(2))(x[0])
 
 
 @pytest.mark.parametrize("dim_m,d", [(3, 1), (3, 2), (4, 2), (4, 3), (3, 3)])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import fd_gradient
 from repmech import (
+    GaugeViolation,
     LagrangianSpec,
     NegativeEvenRadicand,
     NotOneTimeMetric,
@@ -156,7 +158,7 @@ class TestIdentities:
         assert mass_shell_residual(spec, X0, [1, 0, 0, 0]) == pytest.approx(0.0, abs=1e-14)
 
     def test_mass_shell_curved_fd(self):
-        metric = weak_field_metric(4, lambda x: 0.03 * float(np.sin(x[0] + x[1])))
+        metric = weak_field_metric(4, lambda x: 0.03 * np.sin(x[..., 0] + x[..., 1]))
         spec = LagrangianSpec(metric=metric, mass=1.3)
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -167,7 +169,7 @@ class TestIdentities:
 
     @pytest.mark.parametrize("curved", [False, True])
     def test_mass_shell_batch_equals_point_loop(self, curved):
-        metric = (weak_field_metric(4, lambda x: 0.05 * float(np.sin(x[1]))) if curved
+        metric = (weak_field_metric(4, lambda x: 0.05 * np.sin(x[..., 1])) if curved
                   else MINK)
         rng = np.random.default_rng(8)
         x = rng.uniform(-1, 1, size=(3, 4, 4))
@@ -248,7 +250,7 @@ class TestDerivatives:
             assert np.max(np.abs(h[a] - ref)) < 1e-6
 
     def test_position_gradient_matches_fd(self):
-        metric = weak_field_metric(4, lambda x: 0.05 * float(np.sin(x[0] - 2 * x[2])))
+        metric = weak_field_metric(4, lambda x: 0.05 * np.sin(x[..., 0] - 2 * x[..., 2]))
         spec = LagrangianSpec(metric=metric, mass=1.2, charge=0.8,
                               potential=uniform_magnetic_potential(4, 1.0))
         x = np.array([0.3, 0.7, -0.2, 0.4])
@@ -304,6 +306,43 @@ class TestNonrelExpansion:
         spec = LagrangianSpec(metric=constant_diagonal_metric([2, -1, -1, -1]), mass=1.0)
         with pytest.raises(NotOneTimeMetric):
             nonrelativistic_expansion(spec, X0, [0.1, 0, 0])
+
+
+class TestFirstBadPoint:
+    @staticmethod
+    def _counting_spec(calls, fail_on_batches=False):
+        def potential(x):
+            calls.append(x.shape)
+            if fail_on_batches and x.ndim > 1:
+                raise GaugeViolation("fails on every batch")
+            return 0.1 * x
+        return LagrangianSpec(metric=MINK, mass=1.0, charge=0.5,
+                              potential=potential_from_function(4, potential))
+
+    @pytest.mark.parametrize("shape,bad", [((4096,), (3999,)), ((64, 64), (62, 31))])
+    def test_a_late_bad_point_is_found_by_bisection(self, shape, bad):
+        calls = []
+        spec = self._counting_spec(calls)
+        x = np.zeros(shape + (4,))
+        v = np.broadcast_to([1.0, 0.3, 0.0, 0.0], shape + (4,)).copy()
+        v[bad] = [1.0, 2.0, 0.0, 0.0]
+        v[shape[0] - 1] = [1.0, 0.0, 3.0, 0.0]  # a later spacelike point
+        with pytest.raises(SpacelikeVelocity, match=re.escape(f"batch index {bad}")) as info:
+            eval_L(spec, x, v)
+        assert info.value.batch_index == bad
+        # the whole batch, one halving call per level, and the point alone
+        assert len(calls) <= math.log2(math.prod(shape)) + 3
+        assert calls[-1] == (4,)
+
+    def test_a_batch_whose_points_pass_alone_raises_its_own_error(self):
+        calls = []
+        spec = self._counting_spec(calls, fail_on_batches=True)
+        x = np.zeros((8, 4))
+        v = np.tile([1.0, 0.3, 0.0, 0.0], (8, 1))
+        with pytest.raises(GaugeViolation, match="^fails on every batch$") as info:
+            eval_L(spec, x, v)
+        assert info.value.batch_index is None
+        assert len(calls) == 1 + 3 + 1
 
 
 def test_terms_of_one_rank_add():

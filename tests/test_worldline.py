@@ -101,7 +101,8 @@ class TestCoordinateTimeIntegration:
         # a user-kind potential (no analytic jacobian) forces the generic path
         b = 1.0
         pot_user = potential_from_function(
-            4, lambda x: np.array([0.0, 0.5 * b * x[2], -0.5 * b * x[1], 0.0]))
+            4, lambda x: np.stack([np.zeros(x.shape[:-1]), 0.5 * b * x[..., 2],
+                                   -0.5 * b * x[..., 1], np.zeros(x.shape[:-1])], axis=-1))
         spec_fast = cyclotron_spec()
         spec_gen = LagrangianSpec(metric=MINK, mass=1.0, charge=1.0, potential=pot_user)
         args = (np.zeros(4), np.array([1, 0.6, 0, 0.0]), 1.0, 1e-2)
@@ -110,7 +111,7 @@ class TestCoordinateTimeIntegration:
         assert np.max(np.abs(wl_f.x - wl_g.x)) < 1e-11
 
     def test_curved_metric_runs_and_conserves_identity(self):
-        metric = weak_field_metric(4, lambda x: 0.01 * float(np.sin(x[1])))
+        metric = weak_field_metric(4, lambda x: 0.01 * np.sin(x[..., 1]))
         spec = LagrangianSpec(metric=metric, mass=1.0)
         wl = integrate(spec, GaugeChoice.COORDINATE_TIME,
                        np.zeros(4), np.array([1, 0.2, 0.1, 0.0]), 1.0, 1e-2)
@@ -152,8 +153,9 @@ class TestCoordinateDerivatives:
 def curved_spec():
     """Static weak field with an analytic phi_grad, a magnetic field and a rank-3 term."""
     metric = weak_field_metric(
-        4, lambda x: 0.05 * float(np.sin(x[1])) + 0.03 * float(np.cos(x[2])),
-        lambda x: np.array([0.0, 0.05 * np.cos(x[1]), -0.03 * np.sin(x[2]), 0.0]))
+        4, lambda x: 0.05 * np.sin(x[..., 1]) + 0.03 * np.cos(x[..., 2]),
+        lambda x: np.stack([np.zeros(x.shape[:-1]), 0.05 * np.cos(x[..., 1]),
+                            -0.03 * np.sin(x[..., 2]), np.zeros(x.shape[:-1])], axis=-1))
     s3 = symmetric_tensor(3, 4, {(0, 0, 0): 1.0, (0, 1, 1): 0.1, (0, 2, 3): -0.05})
     return LagrangianSpec(metric=metric, mass=1.0, charge=0.8,
                           potential=uniform_magnetic_potential(4, 0.9),
@@ -275,8 +277,11 @@ class TestDriftInstruments:
         # gradient is analytic: central differences of g would put a rounding
         # floor under the smallest drift.
         spec = LagrangianSpec(
-            metric=weak_field_metric(4, lambda x: 0.05 * float(np.sin(x[1])),
-                                     lambda x: np.array([0.0, 0.05 * np.cos(x[1]), 0.0, 0.0])),
+            metric=weak_field_metric(4, lambda x: 0.05 * np.sin(x[..., 1]),
+                                     lambda x: np.stack([np.zeros(x.shape[:-1]),
+                                                         0.05 * np.cos(x[..., 1]),
+                                                         np.zeros(x.shape[:-1]),
+                                                         np.zeros(x.shape[:-1])], axis=-1)),
             mass=1.0)
         drifts, slope, ratios = drift_law(spec, [1, 0.3, 0.1, 0])
         assert abs(slope - 4.0) <= 0.1
