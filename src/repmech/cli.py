@@ -31,7 +31,6 @@ from .brane import (
     cylinder_patch_embedding,
     graph_embedding,
     gridded_embedding,
-    minor_indices,
     tilted_plane_embedding,
 )
 from .clifford import (

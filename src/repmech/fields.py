@@ -9,8 +9,10 @@ raises DimensionMismatch instead of allocating. A position-dependent
 tensor holds one such array per point of the batch it is evaluated on.
 
 One partial-contraction kernel contracts S with v until k free axes remain,
-for v of shape (..., N): k = 0 is the full contraction S(v, ..., v), k = 1
-times n its velocity gradient, k = 2 times n(n - 1) its velocity Hessian.
+for v of shape (..., N): S(v, ..., v, .^k), the full contraction at k = 0.
+The velocity gradient and Hessian of the full contraction are n and
+n(n - 1) times its k = 1 and k = 2 values; the Lagrangian's kernels, which
+would divide those factors out again, call the bare kernel.
 
 The point particle evaluates these fields on its velocity (N = dim of the
 target); the brane evaluates the same types on its Jacobian minors, with N
@@ -20,7 +22,6 @@ the number of minor components.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
@@ -159,14 +160,19 @@ def _dense(rank: int, dim: int, entries: Mapping[Index, float], batch=()) -> np.
     """The batch + (dim,) * rank symmetric arrays: each sorted-index entry at all permutations."""
     shape = (dim,) * rank
     keys = np.array(list(entries), dtype=np.intp).reshape(-1, rank)
-    columns = np.ravel_multi_index(tuple(keys.T), shape)
-    flat = np.zeros(batch + (dim ** rank,))
+    # row c holds entry c and the last row the zero of every index without an
+    # entry; the batch axes go last, so that each row is contiguous, and come
+    # first again in the returned view
+    rows = np.zeros((len(keys) + 1,) + batch)
     if batch:  # each entry a number or an array of the batch shape
-        for c, val in zip(columns, entries.values()):
-            flat[..., c] = val
+        for c, val in enumerate(entries.values()):
+            rows[c] = val
     else:
-        flat[columns] = list(entries.values())
-    return flat[..., _sorted_flat_index(rank, dim)].reshape(batch + shape)
+        rows[:-1] = list(entries.values())
+    row_of = np.full(dim ** rank, len(keys))
+    row_of[np.ravel_multi_index(tuple(keys.T), shape)] = np.arange(len(keys))
+    dense = rows[row_of[_sorted_flat_index(rank, dim)]].reshape(shape + batch)
+    return np.moveaxis(dense, range(rank), range(-rank, 0))
 
 
 @dataclass(frozen=True)
@@ -206,8 +212,8 @@ class SymmetricTensorField:
     def is_constant(self) -> bool:
         return self.entries is not None
 
-    def _derivative(self, x, v, k: int):
-        """The k-th velocity derivative of S(x; v, ..., v): n!/(n-k)! S(v, ..., v, .^k).
+    def partial_contraction(self, x, v, k: int):
+        """S(x; v, ..., v, .^k), the k-th velocity derivative of S(x; v, ..., v) over n!/(n-k)!.
 
         The one contraction kernel: S is contracted with v until k free axes
         remain, shape (...,) + (N,) * k for v of shape (..., N). S being
@@ -248,24 +254,26 @@ class SymmetricTensorField:
             for _ in range(self.rank - k - 1):
                 t = np.matvec(t.reshape(v.shape[:-1] + (-1, n)), v)
             t = t.reshape(v.shape[:-1] + (n,) * k)
-        if k:
-            t *= math.perm(self.rank, k)  # in place: t is a fresh array
         return t
 
     def contraction(self, x, v):
         """Full n-fold contraction S(v, ..., v), shape (...)."""
-        return self._derivative(x, v, 0)
+        return self.partial_contraction(x, v, 0)
 
     def contraction_gradient(self, x, v) -> np.ndarray:
         """d/dv of the full contraction, shape (..., N); equals n * S_{a b...} v^b ... v."""
-        return self._derivative(x, v, 1)
+        t = self.partial_contraction(x, v, 1)
+        t *= self.rank  # in place: t is a fresh array
+        return t
 
     def contraction_hessian(self, x, v) -> np.ndarray:
         """d2/dv2 of the full contraction, shape (..., N, N).
 
         Equals n(n-1) * S_{a b c...} v ... v.
         """
-        return self._derivative(x, v, 2)
+        t = self.partial_contraction(x, v, 2)
+        t *= self.rank * (self.rank - 1)
+        return t
 
     def position_gradient_of_contraction(self, x, v) -> np.ndarray:
         """d/dx of S(x; v, ..., v), shape (..., len(x)).

@@ -16,12 +16,16 @@ eval_L, momentum, velocity_hessian and position_gradient take x of shape
 costs one numpy call per term. Every field is evaluated once per call, on
 the whole batch. P is the metric's position_dim: N for a particle, dimM
 for a brane whose velocities are its N Jacobian minors.
+
+The couplings m, q and Q_n are floats, or arrays of the batch shape that
+give each point its own value; a stack of specs is one spec whose couplings
+are such arrays and whose fields return one value per point.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -43,28 +47,61 @@ from .geometry import FD_STEP, MetricField, central_difference, quadratic_form
 MOMENTUM_FD_STEP = 1e-5
 
 
+def _coupling(value):
+    """A coupling as a float, or as a read-only float array of the batch shape."""
+    if np.ndim(value) == 0:
+        return float(value)
+    value = np.array(value, dtype=float)
+    value.setflags(write=False)
+    return value
+
+
+def _per_point(coupling, axes: int = 1):
+    """A coupling as a factor of arrays with `axes` per-point axes after the batch.
+
+    A float as it is; an array of the batch shape with `axes` unit axes appended.
+    """
+    return coupling if type(coupling) is float else coupling.reshape(coupling.shape + (1,) * axes)
+
+
 @dataclass(frozen=True)
 class LagrangianSpec:
-    """Couplings plus background fields; the single source of truth for all terms."""
+    """Couplings plus background fields; the single source of truth for all terms.
+
+    Each coupling (mass, charge, the Q_n of extra_terms) is a float or an
+    array that broadcasts against the batch shape of the points the kernels
+    are called on. Whether the mass and charge terms are on is settled here,
+    once: a term is on when any of its couplings is nonzero.
+    """
 
     metric: MetricField
     mass: float = 0.0
     charge: float = 0.0
     potential: VectorPotentialField = None
     extra_terms: Tuple[Tuple[float, SymmetricTensorField], ...] = ()
+    _mass_on: bool = field(default=False, init=False, repr=False, compare=False)
+    _charge_on: bool = field(default=False, init=False, repr=False, compare=False)
+    _stacked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mass < 0:
+        mass, charge = _coupling(self.mass), _coupling(self.charge)
+        if np.any(mass < 0):
             raise DimensionMismatch("mass must be nonnegative")
         if self.potential is None:
             object.__setattr__(self, "potential", zero_potential(self.metric.dim))
         if self.potential.dim != self.metric.dim:
             raise DimensionMismatch("potential and metric dimensions differ")
-        terms = tuple((float(q), s) for q, s in self.extra_terms)
+        terms = tuple((_coupling(q), s) for q, s in self.extra_terms)
         for _, s in terms:
             if s.dim != self.metric.dim:
                 raise DimensionMismatch("tensor term dimension differs from metric")
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "charge", charge)
         object.__setattr__(self, "extra_terms", terms)
+        object.__setattr__(self, "_mass_on", bool(np.any(mass > 0.0)))
+        object.__setattr__(self, "_charge_on", bool(np.any(charge != 0.0)))
+        object.__setattr__(self, "_stacked", any(
+            type(c) is not float for c in (mass, charge) + tuple(q for q, _ in terms)))
 
     @property
     def dim(self) -> int:
@@ -104,6 +141,8 @@ def _first_bad_point(kernel):
     fail different checks would otherwise raise by term, not by point order.
     Bisection finds that point in O(log n) batched calls; its error, run alone,
     is raised with its batch_index (also in the message), else the batch's own.
+    A spec with per-point couplings holds one value per point of its batch and
+    cannot be cut down with it, so its batch raises its own error.
     """
     @functools.wraps(kernel)
     def checked(spec, x, v):
@@ -112,7 +151,7 @@ def _first_bad_point(kernel):
         except RepMechError:
             x = np.asarray(x, dtype=float)
             v = np.asarray(v, dtype=float)
-            if v.ndim < 2 or x.shape[:-1] != v.shape[:-1]:
+            if v.ndim < 2 or x.shape[:-1] != v.shape[:-1] or spec._stacked:
                 raise
             xs = x.reshape(-1, x.shape[-1])
             vs = v.reshape(-1, v.shape[-1])
@@ -151,9 +190,9 @@ def eval_L(spec: LagrangianSpec, x, v):
     """Evaluate the canonical Lagrangian at (x, v); shape (...)."""
     x, v = spec._check_point(x, v)
     total = np.zeros(v.shape[:-1])[()]  # [()]: a single point's zero is a scalar
-    if spec.charge != 0.0:
+    if spec._charge_on:
         total += spec.charge * np.vecdot(spec.potential(x), v)
-    if spec.mass > 0.0:
+    if spec._mass_on:
         gvv = quadratic_form(spec.metric(x), v)
         if _any(gvv < 0.0):
             raise SpacelikeVelocity(f"g(v,v) = {np.min(gvv)} < 0 with a mass term present")
@@ -189,21 +228,21 @@ def momentum(spec: LagrangianSpec, x, v) -> np.ndarray:
     """Canonical momentum p_a = dL/dv^a, term-wise closed form; shape (..., N)."""
     x, v = spec._check_point(x, v)
     p = np.zeros(v.shape)
-    if spec.charge != 0.0:
-        p += spec.charge * spec.potential(x)
-    if spec.mass > 0.0:
+    if spec._charge_on:
+        p += _per_point(spec.charge) * spec.potential(x)
+    if spec._mass_on:
         _, gv, gvv = _mass_term_data(spec, x, v)
-        p += spec.mass * gv / np.sqrt(gvv)[..., None]
+        p += _per_point(spec.mass) * gv / np.sqrt(gvv)[..., None]
     for q_n, tensor in spec.extra_terms:
         n = tensor.rank
         c = _tensor_radicand(tensor, x, v)
-        s_contr = tensor.contraction_gradient(x, v) / n  # S_{a b...} v...v
-        p += q_n * s_contr / (np.abs(c) ** (1.0 - 1.0 / n))[..., None]
+        s_contr = tensor.partial_contraction(x, v, 1)  # S_{a b...} v...v
+        p += _per_point(q_n) * s_contr / (np.abs(c) ** (1.0 - 1.0 / n))[..., None]
     return p
 
 
 def momentum_fd(spec: LagrangianSpec, x, v) -> np.ndarray:
-    """Independent oracle: central finite differences of eval_L in v at one point."""
+    """Independent oracle: central finite differences of eval_L in v, shape (..., N)."""
     x, v = spec._check_point(x, v)
     return central_difference(lambda vv: eval_L(spec, x, vv), v,
                               MOMENTUM_FD_STEP * np.maximum(1.0, np.abs(v)))
@@ -217,13 +256,13 @@ def generalized_momentum(spec: LagrangianSpec, x, v, mode: str = "analytic") -> 
     stripped (mass-only) Lagrangian, keeping the oracle route independent.
     """
     x, v = spec._check_point(x, v)
-    if spec.mass == 0.0:
+    if not spec._mass_on:
         return np.zeros(v.shape)
     if mode == "fd":
         stripped = LagrangianSpec(metric=spec.metric, mass=spec.mass)
         return momentum_fd(stripped, x, v)
     _, gv, gvv = _mass_term_data(spec, x, v)
-    return spec.mass * gv / np.sqrt(gvv)[..., None]
+    return _per_point(spec.mass) * gv / np.sqrt(gvv)[..., None]
 
 
 def hamiltonian_residual(spec: LagrangianSpec, x, v, mode: str = "analytic") -> float:
@@ -245,12 +284,13 @@ def mass_shell_residual(spec: LagrangianSpec, x, v, mode: str = "analytic"):
     return float(res) if res.ndim == 0 else res
 
 
-def homogeneity_residual(spec: LagrangianSpec, x, v, lam: float) -> float:
-    """L(x, lam*v) - lam*L(x, v) for lam > 0."""
-    if lam <= 0:
+def homogeneity_residual(spec: LagrangianSpec, x, v, lam):
+    """L(x, lam*v) - lam*L(x, v) for lam > 0, a float or one scale per point."""
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 0):
         raise DimensionMismatch("homogeneity scale must be positive")
     x, v = spec._check_point(x, v)
-    return eval_L(spec, x, lam * v) - lam * eval_L(spec, x, v)
+    return eval_L(spec, x, lam[..., None] * v) - lam * eval_L(spec, x, v)
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +302,17 @@ def velocity_hessian(spec: LagrangianSpec, x, v) -> np.ndarray:
     """d2 L / dv dv, shape (..., N, N). Singular along v (degree-0 homogeneity of the momentum)."""
     x, v = spec._check_point(x, v)
     H = np.zeros(v.shape + v.shape[-1:])
-    if spec.mass > 0.0:
+    if spec._mass_on:
         g, gv, gvv = _mass_term_data(spec, x, v)
         s = np.sqrt(gvv)[..., None, None]
-        H += spec.mass * (g / s - gv[..., :, None] * gv[..., None, :] / s ** 3)
+        H += _per_point(spec.mass, 2) * (g / s - gv[..., :, None] * gv[..., None, :] / s ** 3)
     for q_n, tensor in spec.extra_terms:
         n = tensor.rank
         c = _tensor_radicand(tensor, x, v)
-        s_a = tensor.contraction_gradient(x, v) / n
-        s_ab = tensor.contraction_hessian(x, v) / (n * (n - 1))
+        s_a = tensor.partial_contraction(x, v, 1)
+        s_ab = tensor.partial_contraction(x, v, 2)
         abs_c = np.abs(c)[..., None, None]
-        H += q_n * (n - 1) * (
+        H += _per_point(q_n, 2) * (n - 1) * (
             s_ab * abs_c ** (1.0 / n - 1.0)
             - np.sign(c)[..., None, None] * (s_a[..., :, None] * s_a[..., None, :])
             * abs_c ** (1.0 / n - 2.0)
@@ -288,12 +328,12 @@ def position_gradient(spec: LagrangianSpec, x, v) -> np.ndarray:
     """
     x, v = spec._check_point(x, v)
     out = np.zeros(x.shape)
-    if spec.charge != 0.0 and not spec.potential.is_constant:
-        out += spec.charge * np.vecmat(v, spec.potential.jacobian(x))
-    if spec.mass > 0.0 and not spec.metric.is_constant:
+    if spec._charge_on and not spec.potential.is_constant:
+        out += _per_point(spec.charge) * np.vecmat(v, spec.potential.jacobian(x))
+    if spec._mass_on and not spec.metric.is_constant:
         _, _, gvv = _mass_term_data(spec, x, v)
         dg = spec.metric.gradient(x)  # [..., c, a, b]
-        out += (spec.mass * np.einsum("...cab,...a,...b->...c", dg, v, v)
+        out += (_per_point(spec.mass) * np.einsum("...cab,...a,...b->...c", dg, v, v)
                 / (2.0 * np.sqrt(gvv))[..., None])
     for q_n, tensor in spec.extra_terms:
         if tensor.is_constant:
@@ -301,7 +341,7 @@ def position_gradient(spec: LagrangianSpec, x, v) -> np.ndarray:
         n = tensor.rank
         c = _tensor_radicand(tensor, x, v)
         dc = tensor.position_gradient_of_contraction(x, v)
-        out += q_n * dc * (np.abs(c) ** (1.0 / n - 1.0))[..., None] / n
+        out += _per_point(q_n) * dc * (np.abs(c) ** (1.0 / n - 1.0))[..., None] / n
     return out
 
 
@@ -310,9 +350,9 @@ def momentum_position_directional(spec: LagrangianSpec, x, v, direction) -> np.n
     x, v = spec._check_point(x, v)
     w = np.asarray(direction, dtype=float)
     out = np.zeros(spec.dim)
-    if spec.charge != 0.0 and not spec.potential.is_constant:
+    if spec._charge_on and not spec.potential.is_constant:
         out += spec.charge * (spec.potential.jacobian(x) @ w)
-    if spec.mass > 0.0 and not spec.metric.is_constant:
+    if spec._mass_on and not spec.metric.is_constant:
         _, gv, gvv = _mass_term_data(spec, x, v)
         s = np.sqrt(gvv)
         dg_w = np.einsum("cab,c->ab", spec.metric.gradient(x), w)
@@ -327,7 +367,7 @@ def momentum_position_directional(spec: LagrangianSpec, x, v, direction) -> np.n
         def term_p(t):
             xx = x + t[0] * w
             c = _tensor_radicand(tensor, xx, v)
-            return q_n * (tensor.contraction_gradient(xx, v) / n) / abs(c) ** (1.0 - 1.0 / n)
+            return q_n * tensor.partial_contraction(xx, v, 1) / abs(c) ** (1.0 - 1.0 / n)
 
         out += central_difference(term_p, np.zeros(1), np.full(1, FD_STEP))[..., 0]
     return out

@@ -1,27 +1,45 @@
 """Seeded random-spec property sweeps over the homogeneous-Lagrangian identities.
 
-Each sweep draws (spec, x, v) samples spanning EM + metric + rank-3/4 tensor
-terms, evaluates one identity, and reports the worst residual against its
-tolerance. Draws are rejection-sampled so radicands stay away from zero,
-keeping finite-difference oracles inside their validity region; the identity
-claims themselves hold on the whole open domain.
+Each sweep draws S samples (spec, x, v) spanning EM + metric + rank-3/4
+tensor terms, evaluates one identity on all of them in one batched kernel
+call, and reports the worst residual against its tolerance.
+
+The draw is a stack. random_spec draws the S specs as arrays, one row per
+sample (a SpecStack); its spec() is one LagrangianSpec whose couplings and
+fields hold one value per sample, so the kernels run on the (S, N) states
+directly, and its row(i) is sample i's ordinary LagrangianSpec, for
+per-point checks of the batch. States are rejection-sampled so radicands
+stay away from zero, keeping finite-difference oracles inside their
+validity region; the identity claims themselves hold on the whole open
+domain. random_state draws candidates only for the rows not yet accepted,
+at most `attempts` per row, and draw_spec_state gives a row that runs out
+of attempts a fresh spec.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .fields import constant_potential, potential_from_function, symmetric_tensor
-from .geometry import constant_diagonal_metric, quadratic_form, weak_field_metric
+from .fields import (
+    constant_potential,
+    potential_from_function,
+    symmetric_tensor,
+    symmetric_tensor_field,
+)
+from .geometry import (
+    constant_diagonal_metric,
+    metric_from_function,
+    quadratic_form,
+    weak_field_metric,
+)
 from .lagrangian import (
     LagrangianSpec,
     eval_L,
     generalized_momentum,
-    hamiltonian_residual,
     homogeneity_residual,
     mass_shell_residual,
     momentum,
@@ -41,104 +59,278 @@ class SweepResult:
     seconds: float
 
 
-def _random_rank3(rng, dim):
-    # a solid (0,0,0) entry keeps the contraction well-conditioned for
-    # velocities near the time axis
-    entries = {(0,) * 3: float(rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 0.6))}
-    for _ in range(5):
-        idx = tuple(sorted(rng.integers(0, dim, size=3)))
-        if idx == (0, 0, 0):
-            continue
-        entries[idx] = float(rng.uniform(-0.35, 0.35))
-    return symmetric_tensor(3, dim, entries)
+def _sorted_indices(rank: int, dim: int):
+    """The sorted multi-indices of a symmetric tensor, in combinations order."""
+    return list(itertools.combinations_with_replacement(range(dim), rank))
 
 
-def _random_rank4(rng, dim):
-    # sum of 4th powers of linear forms keeps the even radicand nonnegative;
-    # the forms get a guaranteed time component
-    keys = list(itertools.combinations_with_replacement(range(dim), 4))
-    i, j, k, l = np.array(keys).T
-    total = 0.0
-    for _ in range(2):
-        u = rng.uniform(-0.7, 0.7, size=dim)
-        u[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.4, 1.0)
-        w = float(rng.uniform(0.2, 1.0))
-        # left to right, as the entry w u_i u_j u_k u_l is written
-        total = total + w * u[i] * u[j] * u[k] * u[l]
-    return symmetric_tensor(4, dim, dict(zip(keys, total.tolist())))
+def _per_sample_potential(values):
+    """The potential whose value at sample i's point is values[i], for (S, N) points."""
+    return potential_from_function(values.shape[-1], lambda x: values)
 
 
-def random_spec(rng: np.random.Generator, dim: int = 4, curved: bool = False,
-                with_extras: bool = True) -> LagrangianSpec:
-    """Random one-time-metric spec with EM coupling and rank-3/4 terms."""
-    if curved:
-        a = rng.uniform(-0.05, 0.05, size=dim)
-        b = rng.uniform(0.5, 2.0)
-        metric = weak_field_metric(
-            dim,
-            phi=lambda x, a=a, b=b: np.vecdot(np.sin(b * x), a),
-            phi_grad=lambda x, a=a, b=b: a * b * np.cos(b * x),
-        )
+@dataclass(frozen=True)
+class SpecStack:
+    """S random one-time-metric specs as arrays, one row per sample.
+
+    Row i's metric is diag(diagonal[i]) + 2 phi_i(x) e_0 e_0^T with
+    phi_i(x) = amplitude[i] . sin(frequency[i] x): a flat row has amplitude
+    0, a curved (weak-field) row the diagonal (1, -1, ..., -1). Its potential
+    is the constant potential[i], and its extra terms are
+    couplings[i, 0] * S3^(1/3) + couplings[i, 1] * S4^(1/4), with the
+    sorted-index entries rank3[i] and rank4[i] of the symmetric tensors.
+    """
+
+    curved: np.ndarray  # (S,) bool
+    diagonal: np.ndarray  # (S, N)
+    amplitude: np.ndarray  # (S, N)
+    frequency: np.ndarray  # (S,)
+    mass: np.ndarray  # (S,)
+    charge: np.ndarray  # (S,)
+    potential: np.ndarray  # (S, N)
+    couplings: np.ndarray  # (S, 2)
+    rank3: np.ndarray  # (S, C3)
+    rank4: np.ndarray  # (S, C4)
+
+    def __len__(self) -> int:
+        return len(self.mass)
+
+    @property
+    def dim(self) -> int:
+        return self.diagonal.shape[-1]
+
+    def take(self, rows) -> "SpecStack":
+        """The stack of the given rows."""
+        return SpecStack(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def put(self, rows, other: "SpecStack") -> None:
+        """Overwrite the given rows with the rows of other, in order."""
+        for f in fields(self):
+            getattr(self, f.name)[rows] = getattr(other, f.name)
+
+    def _tensors(self):
+        return ((3, self.rank3), (4, self.rank4))
+
+    def spec(self) -> LagrangianSpec:
+        """The stack as one LagrangianSpec on (S, N) points, row i at sample i's point."""
+        dim = self.dim
+        diagonal, amplitude = self.diagonal, self.amplitude
+        frequency = self.frequency[:, None]
+
+        def metric(x):
+            g = diagonal[:, :, None] * np.eye(dim)
+            g[:, 0, 0] += 2.0 * np.vecdot(np.sin(frequency * x), amplitude)
+            return g
+
+        extras = []
+        for t, (rank, entries) in enumerate(self._tensors()):
+            by_index = dict(zip(_sorted_indices(rank, dim), entries.T))
+            extras.append((self.couplings[:, t],
+                           symmetric_tensor_field(rank, dim, lambda x, e=by_index: e)))
+        return LagrangianSpec(metric=metric_from_function(dim, metric), mass=self.mass,
+                              charge=self.charge,
+                              potential=_per_sample_potential(self.potential),
+                              extra_terms=tuple(extras))
+
+    def row(self, i: int) -> LagrangianSpec:
+        """Sample i as an ordinary LagrangianSpec: a constant diagonal or weak-field
+        metric, a constant potential and constant tensors."""
+        dim = self.dim
+        if self.curved[i]:
+            a, b = self.amplitude[i].copy(), float(self.frequency[i])
+            metric = weak_field_metric(
+                dim,
+                phi=lambda x: np.vecdot(np.sin(b * x), a),
+                phi_grad=lambda x: a * b * np.cos(b * x),
+            )
+        else:
+            metric = constant_diagonal_metric(self.diagonal[i])
+        extras = tuple(
+            (float(self.couplings[i, t]),
+             symmetric_tensor(rank, dim, dict(zip(_sorted_indices(rank, dim), entries[i]))))
+            for t, (rank, entries) in enumerate(self._tensors()))
+        return LagrangianSpec(metric=metric, mass=float(self.mass[i]),
+                              charge=float(self.charge[i]),
+                              potential=constant_potential(self.potential[i]),
+                              extra_terms=extras)
+
+
+def _signs(rng, size):
+    return rng.choice([-1.0, 1.0], size=size)
+
+
+def _random_rank3(rng, samples: int, dim: int) -> np.ndarray:
+    """(S, C3) sorted-index entries: a solid (0,0,0) entry, which keeps the
+    contraction well-conditioned for velocities near the time axis, and five
+    draws at random sorted indices, a later draw of an index replacing an
+    earlier one and a draw of (0,0,0) keeping the solid entry."""
+    keys = np.array(_sorted_indices(3, dim))
+    shape = (dim,) * 3
+    column = np.zeros(dim ** 3, dtype=np.intp)
+    column[np.ravel_multi_index(tuple(keys.T), shape)] = np.arange(len(keys))
+    entries = np.zeros((samples, len(keys)))
+    entries[:, 0] = _signs(rng, samples) * rng.uniform(0.25, 0.6, size=samples)
+    idx = np.sort(rng.integers(0, dim, size=(samples, 5, 3)), axis=-1)
+    cols = column[np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), shape)]
+    values = np.where(cols == 0, entries[:, :1], rng.uniform(-0.35, 0.35, size=(samples, 5)))
+    rows = np.arange(samples)
+    for k in range(5):  # in draw order: the last draw of an index is its entry
+        entries[rows, cols[:, k]] = values[:, k]
+    return entries
+
+
+def _random_rank4(rng, samples: int, dim: int) -> np.ndarray:
+    """(S, C4) sorted-index entries of a sum of two weighted 4th powers of linear forms.
+
+    The 4th powers keep the even radicand nonnegative; the forms get a
+    guaranteed time component.
+    """
+    u = rng.uniform(-0.7, 0.7, size=(samples, 2, dim))
+    u[..., 0] = _signs(rng, (samples, 2)) * rng.uniform(0.4, 1.0, size=(samples, 2))
+    w = rng.uniform(0.2, 1.0, size=(samples, 2, 1))
+    i, j, k, l = np.array(_sorted_indices(4, dim)).T
+    # left to right, as the entry w u_i u_j u_k u_l is written
+    terms = w * u[..., i] * u[..., j] * u[..., k] * u[..., l]
+    return terms[:, 0] + terms[:, 1]
+
+
+def random_spec(rng: np.random.Generator, samples: int, dim: int = 4,
+                curved=None) -> SpecStack:
+    """`samples` random one-time-metric specs with EM coupling and rank-3/4 terms.
+
+    curved=None draws each row flat or weak-field with probability 1/2.
+    """
+    if curved is None:
+        curved_rows = rng.integers(0, 2, size=samples).astype(bool)
     else:
-        diag = np.concatenate(([rng.uniform(0.8, 1.2)], -rng.uniform(0.8, 1.2, size=dim - 1)))
-        metric = constant_diagonal_metric(diag)
-    extras = ()
-    if with_extras:
-        extras = (
-            (float(rng.uniform(-0.6, 0.6)), _random_rank3(rng, dim)),
-            (float(rng.uniform(0.1, 0.6)), _random_rank4(rng, dim)),
-        )
-    return LagrangianSpec(
-        metric=metric,
-        mass=float(rng.uniform(0.5, 2.0)),
-        charge=float(rng.uniform(-1.5, 1.5)),
-        potential=constant_potential(rng.uniform(-1.0, 1.0, size=dim)),
-        extra_terms=extras,
+        curved_rows = np.full(samples, bool(curved))
+    diagonal = np.concatenate((rng.uniform(0.8, 1.2, size=(samples, 1)),
+                               -rng.uniform(0.8, 1.2, size=(samples, dim - 1))), axis=1)
+    diagonal[curved_rows] = np.concatenate(([1.0], -np.ones(dim - 1)))
+    amplitude = rng.uniform(-0.05, 0.05, size=(samples, dim))
+    amplitude[~curved_rows] = 0.0
+    return SpecStack(
+        curved=curved_rows,
+        diagonal=diagonal,
+        amplitude=amplitude,
+        frequency=rng.uniform(0.5, 2.0, size=samples),
+        mass=rng.uniform(0.5, 2.0, size=samples),
+        charge=rng.uniform(-1.5, 1.5, size=samples),
+        potential=rng.uniform(-1.0, 1.0, size=(samples, dim)),
+        couplings=np.column_stack((rng.uniform(-0.6, 0.6, size=samples),
+                                   rng.uniform(0.1, 0.6, size=samples))),
+        rank3=_random_rank3(rng, samples, dim),
+        rank4=_random_rank4(rng, samples, dim),
     )
 
 
-def random_state(rng: np.random.Generator, spec: LagrangianSpec,
+def random_state(rng: np.random.Generator, stack: SpecStack,
                  radicand_floor: float = 0.05, attempts: int = 100):
-    """(x, v) with a timelike v whose tensor radicands are bounded away from 0.
+    """(x, v, found): per row, x and a timelike v with g(v,v) >= 0.3 (v^0)^2 whose
+    tensor radicands are at least radicand_floor |v^0|^n.
 
-    Returns None when the spec admits no such draw within the attempt budget.
+    Each round draws candidates for the rows not yet accepted, about as many
+    in all as there are rows, and accepts each row's first candidate that
+    passes, which is what drawing them one at a time would accept. found is
+    False on a row none of whose `attempts` candidates passed.
     """
-    dim = spec.dim
-    for _ in range(attempts):
-        x = rng.uniform(-1.0, 1.0, size=dim)
-        u = rng.uniform(-1.0, 1.0, size=dim - 1)
-        norm = np.linalg.norm(u)
-        if norm > 1e-9:
-            u *= rng.uniform(0.05, 0.55) / norm
-        v = np.concatenate(([1.0], u)) * rng.uniform(0.5, 2.0)
-        if quadratic_form(spec.metric(x), v) < 0.3 * v[0] ** 2:
-            continue
-        ok = True
+    samples, dim = len(stack), stack.dim
+    x = np.zeros((samples, dim))
+    v = np.zeros((samples, dim))
+    todo = np.arange(samples)
+    used = 0  # every row not yet accepted has failed this many candidates
+    while todo.size and used < attempts:
+        k = min(samples // todo.size, attempts - used)
+        n = todo.size * k
+        xs = rng.uniform(-1.0, 1.0, size=(n, dim))
+        u = rng.uniform(-1.0, 1.0, size=(n, dim - 1))
+        norm = np.linalg.norm(u, axis=-1, keepdims=True)
+        speed = rng.uniform(0.05, 0.55, size=(n, 1))
+        u *= np.divide(speed, norm, out=np.ones_like(norm), where=norm > 1e-9)
+        vs = np.concatenate((np.ones((n, 1)), u), axis=1) * rng.uniform(0.5, 2.0, size=(n, 1))
+        spec = stack.take(np.repeat(todo, k)).spec()
+        ok = quadratic_form(spec.metric(xs), vs) >= 0.3 * vs[:, 0] ** 2
         for _q, tensor in spec.extra_terms:
-            if abs(tensor.contraction(x, v)) < radicand_floor * abs(v[0]) ** tensor.rank:
-                ok = False
-                break
-        if ok:
-            return x, v
-    return None
+            ok &= (np.abs(tensor.contraction(xs, vs))
+                   >= radicand_floor * np.abs(vs[:, 0]) ** tensor.rank)
+        ok = ok.reshape(todo.size, k)
+        hit = ok.any(axis=1)
+        first = np.flatnonzero(hit) * k + ok[hit].argmax(axis=1)
+        x[todo[hit]] = xs[first]
+        v[todo[hit]] = vs[first]
+        todo = todo[~hit]
+        used += k
+    found = np.ones(samples, dtype=bool)
+    found[todo] = False
+    return x, v, found
 
 
-def draw_spec_state(rng: np.random.Generator, curved=None, with_extras: bool = True):
-    """A (spec, x, v) triple, retrying fresh specs until the state draw succeeds."""
-    while True:
-        use_curved = bool(rng.integers(0, 2)) if curved is None else curved
-        spec = random_spec(rng, curved=use_curved, with_extras=with_extras)
-        state = random_state(rng, spec)
-        if state is not None:
-            return spec, state[0], state[1]
+def draw_spec_state(rng: np.random.Generator, samples: int, curved=None):
+    """(stack, x, v) for `samples` rows; a row whose state draw fails gets a fresh spec."""
+    stack = random_spec(rng, samples, curved=curved)
+    x, v, found = random_state(rng, stack)
+    while not found.all():
+        redo = np.flatnonzero(~found)
+        fresh = random_spec(rng, redo.size, curved=curved)
+        x[redo], v[redo], found[redo] = random_state(rng, fresh)
+        stack.put(redo, fresh)
+    return stack, x, v
 
 
-def _run(name, samples, tolerance, seed, kernel):
+# ---------------------------------------------------------------------------
+# per-sample residuals of each identity, one batched kernel call each
+# ---------------------------------------------------------------------------
+
+def homogeneity_residuals(spec, x, v, lam) -> np.ndarray:
+    """|L(x, lam v) - lam L(x, v)| / (lam max(|L(x, v)|, 1)) per sample."""
+    res = homogeneity_residual(spec, x, v, lam)
+    return np.abs(res) / (lam * np.maximum(np.abs(eval_L(spec, x, v)), 1.0))
+
+
+def euler_residuals(spec, x, v, mode: str = "analytic") -> np.ndarray:
+    """|p.v - L| / (|p.v| + |L|) per sample, p closed-form or finite-difference."""
+    p = momentum(spec, x, v) if mode == "analytic" else momentum_fd(spec, x, v)
+    pv = np.vecdot(p, v)
+    lag = eval_L(spec, x, v)
+    return np.abs(pv - lag) / np.maximum(np.abs(pv) + np.abs(lag), _TINY)
+
+
+def momentum_fd_residuals(spec, x, v) -> np.ndarray:
+    """max |p - p_fd| / max(1, max |p|) per sample."""
+    pa = momentum(spec, x, v)
+    pf = momentum_fd(spec, x, v)
+    return np.max(np.abs(pa - pf), axis=-1) / np.maximum(1.0, np.max(np.abs(pa), axis=-1))
+
+
+def pi_invariance_residuals(spec, x, v, charge, potential, couplings) -> np.ndarray:
+    """max |pi' - pi| per sample, pi' with the charges, potentials and tensor couplings
+    replaced by the given (S,), (S, N) and (S, T) arrays."""
+    other = replace(spec, charge=charge, potential=_per_sample_potential(potential),
+                    extra_terms=tuple((q, s) for q, (_q, s) in zip(couplings.T, spec.extra_terms)))
+    return np.max(np.abs(generalized_momentum(other, x, v) - generalized_momentum(spec, x, v)),
+                  axis=-1)
+
+
+def gauge_shift_residuals(spec, x, v, w, c) -> np.ndarray:
+    """A -> A + df with f = c sin(w.x): max of |p' - p - q df| and |pi' - pi| per sample."""
+
+    def shifted(xx, base=spec.potential):
+        return base(xx) + (c * np.cos(np.vecdot(xx, w)))[..., None] * w
+
+    spec2 = replace(spec, potential=potential_from_function(spec.dim, shifted))
+    grad_f = (c * np.cos(np.vecdot(x, w)))[..., None] * w
+    dp = (momentum(spec2, x, v) - momentum(spec, x, v)
+          - np.expand_dims(spec.charge, -1) * grad_f)
+    dpi = generalized_momentum(spec2, x, v) - generalized_momentum(spec, x, v)
+    return np.maximum(np.max(np.abs(dp), axis=-1), np.max(np.abs(dpi), axis=-1))
+
+
+def _run(name, samples, tolerance, seed, residuals, curved=None):
+    """The worst of residuals(rng, spec, x, v) over one stacked draw of `samples` rows."""
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    worst = 0.0
-    for _ in range(samples):
-        worst = max(worst, kernel(rng))
+    stack, x, v = draw_spec_state(rng, samples, curved=curved)
+    worst = float(np.max(residuals(rng, stack.spec(), x, v)))
     elapsed = time.perf_counter() - start
     return SweepResult(name=name, samples=samples, max_residual=worst,
                        tolerance=tolerance, passed=worst <= tolerance,
@@ -149,14 +341,11 @@ def homogeneity_sweep(samples: int = 1000, seed: int = 0,
                       tolerance: float = 1e-11) -> SweepResult:
     """max relative |L(x, lam v) - lam L(x, v)| over random draws and scales."""
 
-    def kernel(rng):
-        spec, x, v = draw_spec_state(rng)
-        lam = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))
-        res = homogeneity_residual(spec, x, v, lam)
-        scale = lam * max(abs(eval_L(spec, x, v)), 1.0)
-        return abs(res) / scale
+    def residuals(rng, spec, x, v):
+        lam = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=len(x)))
+        return homogeneity_residuals(spec, x, v, lam)
 
-    return _run("homogeneity", samples, tolerance, seed, kernel)
+    return _run("homogeneity", samples, tolerance, seed, residuals)
 
 
 def euler_identity_sweep(mode: str = "analytic", samples: int = 1000, seed: int = 1,
@@ -164,86 +353,48 @@ def euler_identity_sweep(mode: str = "analytic", samples: int = 1000, seed: int 
     """max relative |p.v - L|, normalized by |p.v| + |L|."""
     if tolerance is None:
         tolerance = 1e-10 if mode == "analytic" else 1e-6
-
-    def kernel(rng):
-        spec, x, v = draw_spec_state(rng)
-        p = momentum(spec, x, v) if mode == "analytic" else momentum_fd(spec, x, v)
-        pv = float(p @ v)
-        lag = eval_L(spec, x, v)
-        return abs(pv - lag) / max(abs(pv) + abs(lag), _TINY)
-
-    return _run(f"euler_identity_{mode}", samples, tolerance, seed, kernel)
+    return _run(f"euler_identity_{mode}", samples, tolerance, seed,
+                lambda rng, spec, x, v: euler_residuals(spec, x, v, mode))
 
 
 def mass_shell_sweep(samples: int = 1000, seed: int = 2,
                      tolerance: float = 1e-9) -> SweepResult:
     """max |pi . g^{-1} . pi - m^2| over the draw family."""
-
-    def kernel(rng):
-        spec, x, v = draw_spec_state(rng)
-        return abs(mass_shell_residual(spec, x, v))
-
-    return _run("mass_shell_identity", samples, tolerance, seed, kernel)
+    return _run("mass_shell_identity", samples, tolerance, seed,
+                lambda rng, spec, x, v: np.abs(mass_shell_residual(spec, x, v)))
 
 
 def momentum_fd_sweep(samples: int = 500, seed: int = 3,
                       tolerance: float = 1e-6) -> SweepResult:
     """Closed-form momentum against central differences of eval_L."""
-
-    def kernel(rng):
-        spec, x, v = draw_spec_state(rng)
-        pa = momentum(spec, x, v)
-        pf = momentum_fd(spec, x, v)
-        return float(np.max(np.abs(pa - pf)) / max(1.0, np.max(np.abs(pa))))
-
-    return _run("momentum_vs_fd", samples, tolerance, seed, kernel)
+    return _run("momentum_vs_fd", samples, tolerance, seed,
+                lambda rng, spec, x, v: momentum_fd_residuals(spec, x, v))
 
 
 def pi_invariance_sweep(samples: int = 300, seed: int = 4,
                         tolerance: float = 1e-12) -> SweepResult:
     """pi depends only on (m, g, v): re-randomize q, A, Q_n at fixed (m, g, v)."""
 
-    def kernel(rng):
-        spec, x, v = draw_spec_state(rng)
-        pi0 = generalized_momentum(spec, x, v)
-        other = LagrangianSpec(
-            metric=spec.metric,
-            mass=spec.mass,
-            charge=float(rng.uniform(-5.0, 5.0)),
-            potential=constant_potential(rng.uniform(-10.0, 10.0, size=spec.dim)),
-            extra_terms=tuple((float(rng.uniform(-2.0, 2.0)), s)
-                              for _q, s in spec.extra_terms),
-        )
-        pi1 = generalized_momentum(other, x, v)
-        return float(np.max(np.abs(pi1 - pi0)))
+    def residuals(rng, spec, x, v):
+        n = len(x)
+        return pi_invariance_residuals(
+            spec, x, v,
+            charge=rng.uniform(-5.0, 5.0, size=n),
+            potential=rng.uniform(-10.0, 10.0, size=x.shape),
+            couplings=rng.uniform(-2.0, 2.0, size=(n, len(spec.extra_terms))))
 
-    return _run("pi_invariance", samples, tolerance, seed, kernel)
+    return _run("pi_invariance", samples, tolerance, seed, residuals)
 
 
 def gauge_shift_sweep(samples: int = 200, seed: int = 5,
                       tolerance: float = 1e-10) -> SweepResult:
     """A -> A + df shifts p by q df and leaves pi unchanged."""
 
-    def kernel(rng):
-        spec, x, v = draw_spec_state(rng, curved=False)
-        w = rng.uniform(-1.0, 1.0, size=spec.dim)
-        c = float(rng.uniform(0.5, 1.5))
+    def residuals(rng, spec, x, v):
+        w = rng.uniform(-1.0, 1.0, size=x.shape)
+        return gauge_shift_residuals(spec, x, v, w, rng.uniform(0.5, 1.5, size=len(x)))
 
-        # f(x) = c * sin(w . x); df = c cos(w . x) w
-        def shifted(xx, base=spec.potential):
-            return base(xx) + c * np.cos(np.vecdot(xx, w))[..., None] * w
-
-        spec2 = LagrangianSpec(
-            metric=spec.metric, mass=spec.mass, charge=spec.charge,
-            potential=potential_from_function(spec.dim, shifted),
-            extra_terms=spec.extra_terms,
-        )
-        grad_f = c * np.cos(float(w @ x)) * w
-        dp = momentum(spec2, x, v) - momentum(spec, x, v) - spec.charge * grad_f
-        dpi = generalized_momentum(spec2, x, v) - generalized_momentum(spec, x, v)
-        return float(max(np.max(np.abs(dp)), np.max(np.abs(dpi))))
-
-    return _run("gauge_shift", samples, tolerance, seed, kernel)
+    return _run("gauge_shift", samples, tolerance, seed, residuals, curved=False)
 
 
 def standard_sweeps(seed: int = 0, samples: int = 1000):

@@ -84,9 +84,10 @@ class TestReparamInvariance:
 
     def test_sweep_across_specs(self):
         rng = np.random.default_rng(8)
+        stack, xs, vs = draw_spec_state(rng, 200, curved=False)
         worst = 0.0
-        for _ in range(200):
-            spec, x, v = draw_spec_state(rng, curved=False)
+        for i in range(200):
+            spec, x, v = stack.row(i), xs[i], vs[i]
             k = int(rng.integers(1, 6))
             scale = rng.uniform(0.05, 0.2)
             start = x

@@ -237,7 +237,7 @@ class TestBatchAgainstPoints:
 
     @staticmethod
     def _weak_field(seed):
-        return random_spec(np.random.default_rng(seed), curved=True, with_extras=False).metric
+        return random_spec(np.random.default_rng(seed), 1, curved=True).row(0).metric
 
     @pytest.mark.parametrize("seed", range(5))
     def test_builtin_weak_field_is_bit_identical(self, seed):

@@ -133,17 +133,17 @@ class TestIdentities:
         assert hamiltonian_residual(spec, X0, [1, 0, 0, 0]) == 0.0
 
     def test_euler_identity_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            spec, x, v = draw_spec_state(rng)
+        stack, xs, vs = draw_spec_state(np.random.default_rng(0), 100)
+        for i in range(100):
+            spec, x, v = stack.row(i), xs[i], vs[i]
             p = momentum(spec, x, v)
             scale = abs(float(p @ v)) + abs(eval_L(spec, x, v))
             assert abs(hamiltonian_residual(spec, x, v)) <= 1e-10 * max(scale, 1e-300)
 
     def test_euler_identity_fd_mode(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            spec, x, v = draw_spec_state(rng)
+        stack, xs, vs = draw_spec_state(np.random.default_rng(1), 50)
+        for i in range(50):
+            spec, x, v = stack.row(i), xs[i], vs[i]
             res = hamiltonian_residual(spec, x, v, mode="fd")
             p = momentum_fd(spec, x, v)
             scale = abs(float(p @ v)) + abs(eval_L(spec, x, v))
@@ -194,8 +194,8 @@ class TestIdentities:
     @given(st.floats(min_value=-3, max_value=3), st.integers(0, 2 ** 31 - 1))
     def test_homogeneity_property(self, log_lam, seed):
         lam = math.exp(log_lam)
-        rng = np.random.default_rng(seed)
-        spec, x, v = draw_spec_state(rng)
+        stack, xs, vs = draw_spec_state(np.random.default_rng(seed), 1)
+        spec, x, v = stack.row(0), xs[0], vs[0]
         res = homogeneity_residual(spec, x, v, lam)
         assert abs(res) <= 1e-11 * lam * max(1.0, abs(eval_L(spec, x, v)))
 
