@@ -28,9 +28,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, GaugeViolation, NegativeRadicand, SpacelikeVelocity
 from .fields import SymmetricTensorField, VectorPotentialField
-from .geometry import (FD_STEP, MetricField, central_difference, compound_metric, evaluated,
-                       quadratic_form)
-from .geometry import _minors, _multivector_metric_matrix  # noqa: F401  (importable from brane)
+from .geometry import (FD_STEP, MetricField, _minors, central_difference, compound_metric,
+                       evaluated, quadratic_form)
 from .lagrangian import LagrangianSpec, eval_L, nonrelativistic_expansion
 
 

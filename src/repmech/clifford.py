@@ -1,18 +1,18 @@
 """Gamma-matrix algebra from Lie-algebra covariance, and the H = 0 operator.
 
 Generators of a Lie algebra acting on the gamma vector by
-[X_i, gamma^a] = rho(X_i)^a_b gamma^b are sought inside the 16-dimensional
-real span of gamma products (the quadratic ansatz X = x_ab gamma^a gamma^b
-and its completion by higher products). For each generator this is a linear
-system; it is solvable precisely when the gammas satisfy the Clifford
-anticommutation relations, which is what the solvability probe measures on
-perturbed sets.
+[X_i, gamma^a] = rho(X_i)^a_b gamma^b are sought inside the real span of
+the 2^N products of the N gammas (the quadratic ansatz X = x_ab gamma^a
+gamma^b and its completion by higher products). For each generator this is
+a linear system; it is solvable precisely when the gammas satisfy the
+Clifford anticommutation relations, which is what the solvability probe
+measures on perturbed sets.
 
-The unconstrained system always has a one-dimensional kernel, the identity
-direction, which commutes with everything; the trace-zero constraint removes
-it and makes the solution unique (the commutator form (1/4)[gamma^a, gamma^b]
-rather than (1/2) gamma^a gamma^b, which differs from it by a multiple of
-the identity).
+For the 2- and 4-gamma sets built here the unconstrained system has a
+one-dimensional kernel, the identity direction; the trace-zero constraint
+removes it and makes the solution unique (the commutator form
+(1/4)[gamma^a, gamma^b] rather than (1/2) gamma^a gamma^b). For odd N the
+product of all N gammas is central too: kernels of 2, 5 and 17 were measured.
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
 """Background interaction fields: covector potentials and symmetric tensors.
 
-A symmetric rank-n tensor over N components is stored as one dense numpy
-array S of shape (N,) * n, filled from its sorted-index entries through all
-index permutations, so symmetry is structural rather than enforced
-numerically. Its memory is N^n floats: 625 for the largest tensor in use
-(rank 4 in dim 5). A tensor with more than MAX_DENSE_ENTRIES = 2^24 entries
-raises DimensionMismatch instead of allocating. A position-dependent
-tensor holds one such array per point of the batch it is evaluated on.
+A symmetric rank-n tensor over N components is one float array of its
+C = binom(N + n - 1, n) sorted-index entries, shape batch + (C,), in the
+column order that tensor_indices(n, N) defines for every module. A
+constant tensor keeps its (C,) entries, checked once when it is built; a
+position-dependent one maps positions (..., P) to entries (..., C), checked
+by geometry.evaluated like every other field. Contractions gather the
+entries into a dense array S of shape (N,) * n through all index
+permutations, so symmetry is structural: N^n floats, 256 for the rank-4
+tensors of the check sweeps in dim 4. A tensor with more than
+MAX_DENSE_ENTRIES = 2^24 dense entries raises DimensionMismatch instead.
 
 One partial-contraction kernel contracts S with v until k free axes remain,
 for v of shape (..., N): S(v, ..., v, .^k), the full contraction at k = 0.
@@ -22,8 +25,9 @@ the number of minor components.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -118,17 +122,49 @@ def potential_from_function(dim: int, fn, jacobian=None) -> VectorPotentialField
 
 
 # ---------------------------------------------------------------------------
-# symmetric tensors, dense storage
+# symmetric tensors: sorted-index entries, expanded dense for contraction
 # ---------------------------------------------------------------------------
 
 # largest dense tensor, dim ** rank entries (128 MiB of floats)
 MAX_DENSE_ENTRIES = 2 ** 24
 
 
-def _canonical_entries(rank: int, dim: int, entries: Mapping[Index, float],
-                       batch=None) -> Dict[Index, float]:
-    """Entries by sorted multi-index: floats, or numbers and arrays of the given batch shape."""
-    out: Dict[Index, float] = {}
+@functools.lru_cache(maxsize=16)
+def tensor_indices(rank: int, dim: int) -> np.ndarray:
+    """The sorted multi-indices, shape (C, rank): row c is the index of entry column c.
+
+    The order is itertools.combinations_with_replacement(range(dim), rank). A rank
+    below 3 or more than MAX_DENSE_ENTRIES dense entries raises DimensionMismatch.
+    """
+    if rank < 3:
+        raise DimensionMismatch("extra tensor terms start at rank 3")
+    if dim ** rank > MAX_DENSE_ENTRIES:
+        raise DimensionMismatch(
+            f"a rank-{rank} tensor in dim {dim} has {dim ** rank} "
+            f"dense entries, more than {MAX_DENSE_ENTRIES}")
+    idx = np.array(list(itertools.combinations_with_replacement(range(dim), rank)),
+                   dtype=np.intp).reshape(-1, rank)
+    idx.setflags(write=False)
+    return idx
+
+
+@functools.lru_cache(maxsize=4)  # each holds dim ** rank columns, as many as S has entries
+def tensor_columns(rank: int, dim: int) -> np.ndarray:
+    """For each flat index of a (dim,) * rank array, the entry column of its sorted multi-index."""
+    shape = (dim,) * rank
+    # in combinations order the sorted multi-indices have increasing flat indices
+    keys = np.ravel_multi_index(tuple(tensor_indices(rank, dim).T), shape)
+    idx = np.sort(np.indices(shape).reshape(rank, -1), axis=0)
+    out = np.searchsorted(keys, np.ravel_multi_index(idx, shape))
+    out.setflags(write=False)
+    return out
+
+
+def _canonical_entries(rank: int, dim: int, entries: Mapping[Index, float]) -> np.ndarray:
+    """The (C,) entry array of {multi-index: value}, each index sorted; absent entries are 0."""
+    column = tensor_columns(rank, dim)
+    values = np.zeros(len(tensor_indices(rank, dim)))
+    seen = set()
     for idx, val in entries.items():
         idx = tuple(int(i) for i in idx)
         if len(idx) != rank:
@@ -136,76 +172,51 @@ def _canonical_entries(rank: int, dim: int, entries: Mapping[Index, float],
         if any(i < 0 or i >= dim for i in idx):
             raise DimensionMismatch(f"multi-index {idx} out of range for dim {dim}")
         key = tuple(sorted(idx))
-        if key in out:
+        if key in seen:
             raise DimensionMismatch(f"duplicate entry for multi-index {key}")
-        if batch is None:
-            val = float(val)
-        elif np.shape(val) not in ((), batch):
-            raise DimensionMismatch(f"tensor entry {key} of shape {np.shape(val)}, batch {batch}")
-        out[key] = val
-    return out
+        seen.add(key)
+        values[column[np.ravel_multi_index(key, (dim,) * rank)]] = float(val)
+    return values
 
 
-@functools.lru_cache(maxsize=4)  # each holds dim ** rank indices, as many as S has entries
-def _sorted_flat_index(rank: int, dim: int) -> np.ndarray:
-    """For each flat index of a (dim,) * rank array, the flat index of its sorted multi-index."""
-    shape = (dim,) * rank
-    idx = np.indices(shape).reshape(rank, -1)
-    out = np.ravel_multi_index(np.sort(idx, axis=0), shape)
-    out.setflags(write=False)
-    return out
-
-
-def _dense(rank: int, dim: int, entries: Mapping[Index, float], batch=()) -> np.ndarray:
-    """The batch + (dim,) * rank symmetric arrays: each sorted-index entry at all permutations."""
-    shape = (dim,) * rank
-    keys = np.array(list(entries), dtype=np.intp).reshape(-1, rank)
-    # row c holds entry c and the last row the zero of every index without an
-    # entry; the batch axes go last, so that each row is contiguous, and come
-    # first again in the returned view
-    rows = np.zeros((len(keys) + 1,) + batch)
-    if batch:  # each entry a number or an array of the batch shape
-        for c, val in enumerate(entries.values()):
-            rows[c] = val
-    else:
-        rows[:-1] = list(entries.values())
-    row_of = np.full(dim ** rank, len(keys))
-    row_of[np.ravel_multi_index(tuple(keys.T), shape)] = np.arange(len(keys))
-    dense = rows[row_of[_sorted_flat_index(rank, dim)]].reshape(shape + batch)
+def _dense(rank: int, dim: int, entries: np.ndarray) -> np.ndarray:
+    """The batch + (dim,) * rank symmetric arrays of entries of shape batch + (C,):
+    each entry at all permutations of its multi-index, in one gather."""
+    # the batch axes go last, so that each of the dim ** rank rows is
+    # contiguous, and come first again in the returned view
+    dense = np.take(np.moveaxis(entries, -1, 0), tensor_columns(rank, dim), axis=0)
+    dense = dense.reshape((dim,) * rank + entries.shape[:-1])
     return np.moveaxis(dense, range(rank), range(-rank, 0))
 
 
 @dataclass(frozen=True)
 class SymmetricTensorField:
-    """Fully symmetric rank-n tensor field S(x), n >= 3, stored dense.
+    """Fully symmetric rank-n tensor field S(x), n >= 3, stored by its sorted-index entries.
 
-    Constant tensors carry their sorted-index entries and the dense array S
-    built from them. Analytic ones supply an evaluator that maps positions
-    (..., P) to the entry mapping, each value a number or an array of the
-    batch shape; S is built for the whole batch in one call.
+    A constant tensor holds its entries, a read-only (C,) array in
+    tensor_indices order, and the dense array S built from them once. A
+    position-dependent one holds an evaluator that maps positions (..., P)
+    to entries (..., C); S is built for the whole batch on each contraction.
     """
 
     rank: int
     dim: int
-    entries: Optional[Mapping[Index, float]] = None
-    evaluator: Optional[Callable[[np.ndarray], Mapping[Index, float]]] = None
-    kind: str = "constant"
+    entries: Optional[np.ndarray] = field(default=None, compare=False)
+    evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
     S: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.rank < 3:
-            raise DimensionMismatch("extra tensor terms start at rank 3")
+        count = len(tensor_indices(self.rank, self.dim))  # refuses rank < 3 and oversized S
         if (self.entries is None) == (self.evaluator is None):
             raise DimensionMismatch("provide exactly one of entries / evaluator")
-        if self.dim ** self.rank > MAX_DENSE_ENTRIES:
-            raise DimensionMismatch(
-                f"a rank-{self.rank} tensor in dim {self.dim} has {self.dim ** self.rank} "
-                f"dense entries, more than {MAX_DENSE_ENTRIES}")
         if self.entries is not None:
-            canon = _canonical_entries(self.rank, self.dim, self.entries)
-            dense = _dense(self.rank, self.dim, canon)
+            entries = np.array(self.entries, dtype=float)
+            if entries.shape != (count,):
+                raise DimensionMismatch(f"entries of shape {entries.shape}, need ({count},)")
+            entries.setflags(write=False)
+            dense = _dense(self.rank, self.dim, entries)
             dense.setflags(write=False)
-            object.__setattr__(self, "entries", canon)
+            object.__setattr__(self, "entries", entries)
             object.__setattr__(self, "S", dense)
 
     @property
@@ -237,8 +248,8 @@ class SymmetricTensorField:
         S = self.S
         if S is None:
             x = np.asarray(x, dtype=float)
-            entries = _canonical_entries(self.rank, n, self.evaluator(x), x.shape[:-1])
-            t = _dense(self.rank, n, entries, x.shape[:-1])
+            shape = tensor_indices(self.rank, n).shape[:1]
+            t = _dense(self.rank, n, evaluated(self.evaluator, x, shape, "tensor evaluator"))
             for free in range(self.rank - 1, k - 1, -1):
                 w = v.reshape(v.shape[:-1] + (1,) * free + (n,))
                 acc = t[..., 0] * w[..., 0]
@@ -290,10 +301,10 @@ class SymmetricTensorField:
 
 
 def symmetric_tensor(rank: int, dim: int, entries: Mapping[Index, float]) -> SymmetricTensorField:
-    """Constant tensor from {multi-index: value}; indices are sorted on entry."""
-    return SymmetricTensorField(rank=rank, dim=dim, entries=dict(entries))
+    """Constant tensor from {multi-index: value}; indices are sorted and checked here, once."""
+    return SymmetricTensorField(rank, dim, entries=_canonical_entries(rank, dim, entries))
 
 
 def symmetric_tensor_field(rank: int, dim: int, evaluator) -> SymmetricTensorField:
-    return SymmetricTensorField(rank=rank, dim=dim, entries=None,
-                                evaluator=evaluator, kind="analytic")
+    """Position-dependent tensor: evaluator maps positions (..., P) to entries (..., C)."""
+    return SymmetricTensorField(rank=rank, dim=dim, evaluator=evaluator)

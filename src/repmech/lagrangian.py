@@ -251,9 +251,9 @@ def momentum_fd(spec: LagrangianSpec, x, v) -> np.ndarray:
 def generalized_momentum(spec: LagrangianSpec, x, v, mode: str = "analytic") -> np.ndarray:
     """pi_a = p_a minus the potential and tensor contributions = m g v / sqrt(g(v,v)).
 
-    Takes x and v of shape (..., N) in the analytic mode. mode="fd"
-    recomputes pi at one point as the finite-difference momentum of the
-    stripped (mass-only) Lagrangian, keeping the oracle route independent.
+    Takes x and v of shape (..., N) in either mode. mode="fd" recomputes pi,
+    for the whole batch, as the finite-difference momentum of the stripped
+    (mass-only) Lagrangian, keeping the oracle route independent.
     """
     x, v = spec._check_point(x, v)
     if not spec._mass_on:

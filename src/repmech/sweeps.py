@@ -18,17 +18,18 @@ of attempts a fresh spec.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .fields import (
+    SymmetricTensorField,
     constant_potential,
     potential_from_function,
-    symmetric_tensor,
     symmetric_tensor_field,
+    tensor_columns,
+    tensor_indices,
 )
 from .geometry import (
     constant_diagonal_metric,
@@ -59,11 +60,6 @@ class SweepResult:
     seconds: float
 
 
-def _sorted_indices(rank: int, dim: int):
-    """The sorted multi-indices of a symmetric tensor, in combinations order."""
-    return list(itertools.combinations_with_replacement(range(dim), rank))
-
-
 def _per_sample_potential(values):
     """The potential whose value at sample i's point is values[i], for (S, N) points."""
     return potential_from_function(values.shape[-1], lambda x: values)
@@ -78,7 +74,7 @@ class SpecStack:
     0, a curved (weak-field) row the diagonal (1, -1, ..., -1). Its potential
     is the constant potential[i], and its extra terms are
     couplings[i, 0] * S3^(1/3) + couplings[i, 1] * S4^(1/4), with the
-    sorted-index entries rank3[i] and rank4[i] of the symmetric tensors.
+    entry arrays rank3[i] and rank4[i] of the symmetric tensors.
     """
 
     curved: np.ndarray  # (S,) bool
@@ -122,15 +118,13 @@ class SpecStack:
             g[:, 0, 0] += 2.0 * np.vecdot(np.sin(frequency * x), amplitude)
             return g
 
-        extras = []
-        for t, (rank, entries) in enumerate(self._tensors()):
-            by_index = dict(zip(_sorted_indices(rank, dim), entries.T))
-            extras.append((self.couplings[:, t],
-                           symmetric_tensor_field(rank, dim, lambda x, e=by_index: e)))
+        extras = tuple(
+            (self.couplings[:, t], symmetric_tensor_field(rank, dim, lambda x, e=entries: e))
+            for t, (rank, entries) in enumerate(self._tensors()))
         return LagrangianSpec(metric=metric_from_function(dim, metric), mass=self.mass,
                               charge=self.charge,
                               potential=_per_sample_potential(self.potential),
-                              extra_terms=tuple(extras))
+                              extra_terms=extras)
 
     def row(self, i: int) -> LagrangianSpec:
         """Sample i as an ordinary LagrangianSpec: a constant diagonal or weak-field
@@ -146,8 +140,7 @@ class SpecStack:
         else:
             metric = constant_diagonal_metric(self.diagonal[i])
         extras = tuple(
-            (float(self.couplings[i, t]),
-             symmetric_tensor(rank, dim, dict(zip(_sorted_indices(rank, dim), entries[i]))))
+            (float(self.couplings[i, t]), SymmetricTensorField(rank, dim, entries=entries[i]))
             for t, (rank, entries) in enumerate(self._tensors()))
         return LagrangianSpec(metric=metric, mass=float(self.mass[i]),
                               charge=float(self.charge[i]),
@@ -160,18 +153,14 @@ def _signs(rng, size):
 
 
 def _random_rank3(rng, samples: int, dim: int) -> np.ndarray:
-    """(S, C3) sorted-index entries: a solid (0,0,0) entry, which keeps the
+    """(S, C3) entries: a solid (0,0,0) entry (column 0), which keeps the
     contraction well-conditioned for velocities near the time axis, and five
-    draws at random sorted indices, a later draw of an index replacing an
+    draws at random multi-indices, a later draw of an index replacing an
     earlier one and a draw of (0,0,0) keeping the solid entry."""
-    keys = np.array(_sorted_indices(3, dim))
-    shape = (dim,) * 3
-    column = np.zeros(dim ** 3, dtype=np.intp)
-    column[np.ravel_multi_index(tuple(keys.T), shape)] = np.arange(len(keys))
-    entries = np.zeros((samples, len(keys)))
+    entries = np.zeros((samples, len(tensor_indices(3, dim))))
     entries[:, 0] = _signs(rng, samples) * rng.uniform(0.25, 0.6, size=samples)
-    idx = np.sort(rng.integers(0, dim, size=(samples, 5, 3)), axis=-1)
-    cols = column[np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), shape)]
+    idx = rng.integers(0, dim, size=(samples, 5, 3))
+    cols = tensor_columns(3, dim)[np.ravel_multi_index(tuple(np.moveaxis(idx, -1, 0)), (dim,) * 3)]
     values = np.where(cols == 0, entries[:, :1], rng.uniform(-0.35, 0.35, size=(samples, 5)))
     rows = np.arange(samples)
     for k in range(5):  # in draw order: the last draw of an index is its entry
@@ -188,7 +177,7 @@ def _random_rank4(rng, samples: int, dim: int) -> np.ndarray:
     u = rng.uniform(-0.7, 0.7, size=(samples, 2, dim))
     u[..., 0] = _signs(rng, (samples, 2)) * rng.uniform(0.4, 1.0, size=(samples, 2))
     w = rng.uniform(0.2, 1.0, size=(samples, 2, 1))
-    i, j, k, l = np.array(_sorted_indices(4, dim)).T
+    i, j, k, l = tensor_indices(4, dim).T
     # left to right, as the entry w u_i u_j u_k u_l is written
     terms = w * u[..., i] * u[..., j] * u[..., k] * u[..., l]
     return terms[:, 0] + terms[:, 1]

@@ -121,6 +121,19 @@ def dense_symmetric_tensor(rank, dim, entries):
     return t
 
 
+def entry_array(rank, dim, entries):
+    """The (..., C) entry array of {sorted multi-index: number or (...) array}.
+
+    Column c holds the entry of the c-th multi-index of
+    itertools.combinations_with_replacement(range(dim), rank), and 0 where
+    the mapping has none; the values broadcast to one batch shape.
+    """
+    keys = list(itertools.combinations_with_replacement(range(dim), rank))
+    assert set(entries) <= set(keys), f"not sorted multi-indices of rank {rank} in dim {dim}"
+    values = np.broadcast_arrays(*(np.asarray(entries.get(k, 0.0), dtype=float) for k in keys))
+    return np.stack(values, axis=-1)
+
+
 def dense_contraction(tensor, v):
     """Full n-fold contraction of a dense tensor by repeated tensordot."""
     out = np.asarray(tensor, dtype=float)

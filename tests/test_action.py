@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repmech.action as action_module
-from oracles import CyclotronOracle, fd_gradient, lateral_deviation
+from oracles import CyclotronOracle, entry_array, fd_gradient, lateral_deviation
 from repmech import (
     DiscretePath,
     LagrangianSpec,
@@ -259,7 +259,8 @@ def random_spec(rng, n):
             terms.append((0.3, symmetric_tensor(3, n, entries)))
         else:
             terms.append((0.3, symmetric_tensor_field(
-                3, n, lambda x: {**entries, (0, 0, 0): 1.0 + 0.1 * np.sin(x[..., 0])})))
+                3, n, lambda x: entry_array(
+                    3, n, {**entries, (0, 0, 0): 1.0 + 0.1 * np.sin(x[..., 0])}))))
     if rng.random() < 0.5:
         terms.append((0.2, symmetric_tensor(4, n, {(0, 0, 0, 0): 1.0,
                                                    (0, 0, 1, 1): float(rng.uniform(-0.2, 0.2))})))

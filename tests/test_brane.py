@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
-from oracles import dense_contraction, dense_symmetric_tensor
+from oracles import dense_contraction, dense_symmetric_tensor, entry_array
 from repmech import (
     BraneEmbedding,
     BraneSpec,
@@ -33,11 +33,12 @@ from repmech import (
     tilted_plane_embedding,
     uniform_magnetic_potential,
 )
-from repmech.brane import _minors, _multivector_metric_matrix
 from repmech.cli import main, parse_config, run
 from repmech.errors import ConfigError
 from repmech.geometry import (
     MetricField,
+    _minors,
+    _multivector_metric_matrix,
     constant_diagonal_metric,
     euclidean_metric,
     weak_field_metric,
@@ -254,17 +255,21 @@ class TestBraneAction:
         potential = potential_from_function(6, lambda x: np.stack(np.broadcast_arrays(
             x[..., 0], x[..., 1] * x[..., 2], np.sin(x[..., 3]), 1.0, -x[..., 0] * x[..., 3], 0.5),
             axis=-1))
-        constant = symmetric_tensor(3, 6, {(0, 0, 0): 0.8, (0, 1, 5): -0.3, (2, 4, 4): 0.2})
-        varying = symmetric_tensor_field(3, 6, lambda x: {(0, 0, 0): 1.0 + x[..., 0] * x[..., 3],
-                                                          (1, 2, 3): x[..., 2]})
+        constant = {(0, 0, 0): 0.8, (0, 1, 5): -0.3, (2, 4, 4): 0.2}
+
+        def varying(x):
+            return {(0, 0, 0): 1.0 + x[..., 0] * x[..., 3], (1, 2, 3): x[..., 2]}
+
+        terms = ((0.4, symmetric_tensor(3, 6, constant)),
+                 (-0.25, symmetric_tensor_field(3, 6, lambda x: entry_array(3, 6, varying(x)))))
         spec = BraneSpec(euclidean_metric(4), mass=1.1, charge=0.7, potential=potential,
-                         extra_terms=((0.4, constant), (-0.25, varying)))
+                         extra_terms=terms)
         densities = []
         for z in emb.cell_centers():
             x = emb.points(z[None, :])[0]
             w = generalized_velocity(emb, z).components
             density = 1.1 * math.sqrt(w @ w) + 0.7 * float(potential(x) @ w)
-            for q_n, entries in ((0.4, constant.entries), (-0.25, varying.evaluator(x))):
+            for q_n, entries in ((0.4, constant), (-0.25, varying(x))):
                 c = dense_contraction(dense_symmetric_tensor(3, 6, entries), w)
                 density += q_n * math.copysign(abs(c) ** (1.0 / 3.0), c)
             densities.append(density)

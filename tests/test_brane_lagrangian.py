@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brane_action_per_cell, fd_gradient
+from oracles import brane_action_per_cell, entry_array, fd_gradient
 from repmech import (
     BraneEmbedding,
     BraneSpec,
@@ -87,7 +87,7 @@ def _spec(with_terms):
     if not with_terms:
         return BraneSpec(USER_METRIC, mass=1.3, charge=0.0), {}
     terms = ((0.4, symmetric_tensor(3, 6, CONSTANT)),
-             (-0.25, symmetric_tensor_field(3, 6, _varying)))
+             (-0.25, symmetric_tensor_field(3, 6, lambda x: entry_array(3, 6, _varying(x)))))
     spec = BraneSpec(USER_METRIC, mass=1.3, charge=0.7,
                      potential=potential_from_function(6, _potential), extra_terms=terms)
     oracle_terms = {"charge": 0.7, "potential": _potential,

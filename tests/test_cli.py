@@ -190,6 +190,49 @@ def test_negative_mass_exits_2_naming_the_key(tmp_path, capsys, subcommand, line
     assert f"'spec.mass' (line {line}) must be >= 0" in capsys.readouterr().err
 
 
+def _tensor_config(tmp_path, entries):
+    """simulate.yaml, shortened, with one rank-3 term: (path, line of its entries key)."""
+    line = f"      entries: {entries}"
+    text = (CONFIGS / "simulate.yaml").read_text().replace(
+        "gauge:", f"  extra_terms:\n    - coupling: 0.2\n      rank: 3\n{line}\ngauge:").replace(
+        "tau_end: 10.0", "tau_end: 0.5").replace("step: 0.001", "step: 0.01")
+    config = tmp_path / "simulate.yaml"
+    config.write_text(text)
+    return config, text.splitlines().index(line) + 1
+
+
+@pytest.mark.parametrize("entries, message", [
+    ("{}", "must be a non-empty mapping"),
+    ("[1.0]", "must be a non-empty mapping"),
+    ("{'0,x,1': 1.0}", "bad multi-index '0,x,1'"),
+    ("{'0,0': 1.0}", "index '0,0' does not have rank 3"),
+    ("{'0,0,4': 1.0}", "index '0,0,4' out of range for dim 4"),
+    ("{'0,0,1': 1.0, '1,0,0': 2.0}", "duplicate multi-index (0, 0, 1)"),
+    ("{'0,0,0': big}", "value for '0,0,0' must be a number"),
+    ("{'0,0,0': true}", "value for '0,0,0' must be a number"),
+], ids=["empty", "not_a_mapping", "bad_index", "wrong_rank", "out_of_range", "duplicate",
+        "not_a_number", "boolean"])
+def test_bad_tensor_entries_exit_2_naming_the_key(tmp_path, capsys, entries, message):
+    config, line = _tensor_config(tmp_path, entries)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"'spec.extra_terms.0.entries' (line {line})" in err
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unsorted_tensor_index_warns_and_runs_as_sorted(tmp_path, capsys):
+    trajectories = []
+    for name, entries in (("unsorted", "{'0,0,0': 1.0, '1,1,0': 0.1}"),
+                          ("sorted", "{'0,0,0': 1.0, '0,1,1': 0.1}")):
+        config, _ = _tensor_config(tmp_path, entries)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+        trajectories.append((tmp_path / name / "trajectory.csv").read_bytes())
+        warned = "tensor entry index (1, 1, 0) normalized to sorted form (0, 1, 1)"
+        assert (warned in capsys.readouterr().err) == (name == "unsorted")
+    assert trajectories[0] == trajectories[1]
+
+
 def test_importing_the_cli_loads_no_scipy():
     # every CLI process pays the import: scipy.interpolate alone costs several
     # times numpy's start-up, and nothing in the program needs it

@@ -1,4 +1,5 @@
 import functools
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_contraction, dense_symmetric_tensor, fd_gradient, per_point
+import repmech.fields as fields
+from oracles import dense_contraction, dense_symmetric_tensor, entry_array, fd_gradient, per_point
 from repmech import (
     DimensionMismatch,
     constant_potential,
@@ -18,7 +20,8 @@ from repmech import (
     zero_potential,
 )
 from repmech.cli import main
-from repmech.fields import MAX_DENSE_ENTRIES
+from repmech.fields import MAX_DENSE_ENTRIES, SymmetricTensorField, tensor_indices
+from repmech.sweeps import standard_sweeps
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -92,6 +95,39 @@ class TestSymmetricTensor:
         with pytest.raises(DimensionMismatch):
             symmetric_tensor(3, 2, {(0, 1, 2): 1.0})
 
+    @pytest.mark.parametrize("rank,dim", [(3, 2), (3, 4), (4, 4), (5, 3)])
+    def test_entries_are_one_read_only_array_in_combinations_order(self, rank, dim):
+        keys = list(itertools.combinations_with_replacement(range(dim), rank))
+        assert tensor_indices(rank, dim).tolist() == [list(k) for k in keys]
+        rng = np.random.default_rng(rank * dim)
+        entries = {keys[c]: float(rng.uniform(-1.0, 1.0))
+                   for c in rng.choice(len(keys), size=3, replace=False)}
+        # the mapping's indices in any order land in the column of the sorted one
+        s = symmetric_tensor(rank, dim, {k[::-1]: val for k, val in entries.items()})
+        assert np.array_equal(s.entries, entry_array(rank, dim, entries))
+        assert np.array_equal(s.S, dense_symmetric_tensor(rank, dim, entries))
+        assert not s.entries.flags.writeable and not s.S.flags.writeable
+        # the array constructor takes the same entries and only that many
+        same = SymmetricTensorField(rank, dim, entries=s.entries)
+        assert np.array_equal(same.S, s.S)
+        with pytest.raises(DimensionMismatch, match=rf"need \({len(keys)},\)"):
+            SymmetricTensorField(rank, dim, entries=np.append(s.entries, 0.0))
+
+    def test_no_mapping_is_checked_during_a_contraction(self, monkeypatch):
+        constant = symmetric_tensor(3, 3, {(0, 0, 0): 1.0, (0, 1, 2): -0.3})
+
+        def refuse(*args):
+            raise AssertionError("a mapping was checked after construction")
+
+        monkeypatch.setattr(fields, "_canonical_entries", refuse)
+        varying = symmetric_tensor_field(3, 3, lambda x: x[..., :1] * constant.entries)
+        x = np.random.default_rng(8).uniform(-1.0, 1.0, size=(6, 3))
+        v = x + np.array([2.0, 0.0, 0.0])
+        for tensor in (constant, varying):
+            for k in range(3):
+                tensor.partial_contraction(x, v, k)
+        assert all(r.passed for r in standard_sweeps(samples=20))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_contraction_matches_dense_oracle(self, seed):
@@ -103,7 +139,7 @@ class TestSymmetricTensor:
             idx = tuple(sorted(rng.integers(0, dim, size=rank)))
             entries[idx] = float(rng.uniform(-1, 1))
         s = symmetric_tensor(rank, dim, entries)
-        dense = dense_symmetric_tensor(rank, dim, s.entries)
+        dense = dense_symmetric_tensor(rank, dim, entries)
         v = rng.uniform(-2, 2, size=dim)
         assert s.contraction(np.zeros(dim), v) == pytest.approx(
             dense_contraction(dense, v), rel=1e-12, abs=1e-12)
@@ -126,7 +162,7 @@ class TestSymmetricTensor:
 
     def test_position_dependent_tensor(self):
         field = symmetric_tensor_field(
-            3, 2, lambda x: {(0, 0, 0): x[..., 0], (0, 1, 1): 1.0})
+            3, 2, lambda x: entry_array(3, 2, {(0, 0, 0): x[..., 0], (0, 1, 1): 1.0}))
         x = np.array([2.0, 0.0])
         v = np.array([1.0, 3.0])
         # 2*1 + 3*1*9
@@ -149,8 +185,8 @@ class TestSympyOracle:
         # positions one longer than the tensor's dim, as for a brane's minor components
         x = rng.uniform(-1.0, 1.0, size=batch + (dim + 1,))
         if varying:
-            tensor = symmetric_tensor_field(
-                rank, dim, lambda y: dict(zip(keys, np.moveaxis(_coefficients(base, y), -1, 0))))
+            tensor = symmetric_tensor_field(rank, dim, lambda y: entry_array(
+                rank, dim, dict(zip(keys, np.moveaxis(_coefficients(base, y), -1, 0)))))
             coefs = _coefficients(base, x)
         else:
             tensor = symmetric_tensor(rank, dim, dict(zip(keys, base)))
@@ -167,8 +203,8 @@ class TestSympyOracle:
     def test_one_position_broadcasts_over_a_batch(self):
         keys = ((0, 0, 1), (1, 2, 2))
         base = np.array([0.7, -0.4])
-        tensor = symmetric_tensor_field(
-            3, 3, lambda y: dict(zip(keys, np.moveaxis(_coefficients(base, y), -1, 0))))
+        tensor = symmetric_tensor_field(3, 3, lambda y: entry_array(
+            3, 3, dict(zip(keys, np.moveaxis(_coefficients(base, y), -1, 0)))))
         x = np.array([0.3, -0.2, 0.5, 0.1])  # four coordinates, three components
         v = np.random.default_rng(2).uniform(-1.0, 1.0, size=(5, 3))
         for method in (tensor.contraction, tensor.contraction_gradient,
@@ -184,8 +220,8 @@ class TestPositionDependentBatches:
         rng = np.random.default_rng(10 * rank + dim)
         keys = tuple(sorted({tuple(sorted(rng.integers(0, dim, size=rank))) for _ in range(5)}))
         base = rng.uniform(-1.0, 1.0, size=len(keys))
-        tensor = symmetric_tensor_field(
-            rank, dim, lambda y: dict(zip(keys, np.moveaxis(_coefficients(base, y), -1, 0))))
+        tensor = symmetric_tensor_field(rank, dim, lambda y: entry_array(
+            rank, dim, dict(zip(keys, np.moveaxis(_coefficients(base, y), -1, 0)))))
         x = rng.uniform(-2.0, 2.0, size=(3, 4, dim + 1))
         v = rng.uniform(-1.5, 1.5, size=(3, 4, dim))
         for method in (tensor.contraction, tensor.contraction_gradient,
@@ -195,9 +231,13 @@ class TestPositionDependentBatches:
             assert np.max(np.abs(batch - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_an_entry_of_the_wrong_shape_is_a_dimension_mismatch(self):
-        tensor = symmetric_tensor_field(3, 2, lambda y: {(0, 0, 0): y[0], (0, 1, 1): 1.0})
-        with pytest.raises(DimensionMismatch, match="tensor entry"):
-            tensor.contraction(np.zeros((5, 2)), np.ones((5, 2)))
+        # C = 4 entries for rank 3 in dim 2; positions (5, 2) need entries (5, 4)
+        for evaluator in (lambda y: entry_array(3, 2, {(0, 0, 0): y[0], (0, 1, 1): 1.0}),
+                          lambda y: entry_array(3, 2, {(0, 0, 0): 2.0}),
+                          lambda y: np.ones(y.shape[:-1] + (3,))):
+            tensor = symmetric_tensor_field(3, 2, evaluator)
+            with pytest.raises(DimensionMismatch, match="tensor evaluator returned"):
+                tensor.contraction(np.zeros((5, 2)), np.ones((5, 2)))
 
 
 class TestDenseSize:

@@ -121,10 +121,14 @@ class TestGeneralizedMomentum:
         assert np.max(np.abs(pi1 - pi2)) == 0.0
 
     def test_fd_mode(self):
-        v = np.array([1.0, 0.3, 0.1, -0.2])
-        pi_a = generalized_momentum(rich_spec(), X0, v)
-        pi_f = generalized_momentum(rich_spec(), X0, v, mode="fd")
-        assert np.max(np.abs(pi_a - pi_f)) < 1e-7
+        stack, xs, vs = draw_spec_state(np.random.default_rng(2), 50)
+        # one point, and a stacked draw of 50 rows in one call
+        for spec, x, v in ((rich_spec(), X0, np.array([1.0, 0.3, 0.1, -0.2])),
+                           (stack.spec(), xs, vs)):
+            pi_a = generalized_momentum(spec, x, v)
+            pi_f = generalized_momentum(spec, x, v, mode="fd")
+            assert pi_f.shape == v.shape
+            assert np.max(np.abs(pi_a - pi_f)) < 1e-7
 
 
 class TestIdentities:

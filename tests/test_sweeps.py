@@ -113,7 +113,7 @@ class TestDraws:
             assert np.array_equal(ra.metric(x), rb.metric(x))
             assert np.array_equal(ra.potential(x), rb.potential(x))
             for (qa, sa), (qb, sb) in zip(ra.extra_terms, rb.extra_terms, strict=True):
-                assert qa == qb and sa.entries == sb.entries
+                assert qa == qb and np.array_equal(sa.entries, sb.entries)
                 assert np.array_equal(sa.S, sb.S)
         xa, va, _ = random_state(np.random.default_rng(9), a)
         xb, vb, _ = random_state(np.random.default_rng(9), b)
