@@ -100,6 +100,7 @@ from .geometry import (
 )
 from .lagrangian import (
     LagrangianSpec,
+    el_system,
     eval_L,
     generalized_momentum,
     hamiltonian_residual,

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 physics-domain error, 2 config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import re
@@ -108,11 +109,13 @@ def to_json(obj, indent: int = 0) -> str:
 # YAML with key line numbers
 # ---------------------------------------------------------------------------
 
-class _ConfigLoader(yaml.SafeLoader):
-    """SafeLoader that also reads `1e-3` and `1.0e3` as floats.
+class _ConfigLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader that also reads `1e-3` and `1.0e3` as floats.
 
     YAML 1.1 wants a dot and a signed exponent, so plain PyYAML resolves
-    both to strings and `step: 1e-3` would fail as not a number.
+    both to strings and `step: 1e-3` would fail as not a number. It parses
+    with libyaml, and with PyYAML's pure-Python SafeLoader only where PyYAML
+    was built without libyaml.
     """
 
 
@@ -569,10 +572,12 @@ def _parse_clifford(root: Section, warnings):
 # ---------------------------------------------------------------------------
 
 def _write_csv(path: Path, header, rows):
+    """One line per row of floats, each written with 17 significant digits by one % format."""
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
+            fh.write(fmt % tuple(row))
 
 
 def _run_signature(cfg, out_dir):
@@ -756,7 +761,9 @@ def run(subcommand: str, cfg: RunConfig, out_dir: Path):
     return summary, [summary_path] + artifacts
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main call and reused by the next ones."""
     parser = argparse.ArgumentParser(
         prog="repmech",
         description="Reparametrization-invariant mechanics toolkit",
@@ -770,7 +777,11 @@ def main(argv=None) -> int:
                         help="override the config seed")
         sp.add_argument("--json", action="store_true",
                         help="print the JSON summary to stdout")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _arg_parser().parse_args(argv)
 
     try:
         text = Path(args.config).read_text()

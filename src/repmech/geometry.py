@@ -34,7 +34,12 @@ FD_STEP = 1e-6
 def evaluated(fn, x, shape, what) -> np.ndarray:
     """fn(x) as floats, checked against the evaluator contract: positions x of shape
     (..., P) give x's batch shape followed by the value's own shape."""
-    value = np.asarray(fn(x), dtype=float)
+    value = fn(x)
+    try:
+        value = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(
+            f"{what} returned {type(value).__name__}, not an array of numbers: {exc}") from None
     batch = x.shape[:-1]
     if value.shape != batch + shape:
         got = (f"{value.shape[len(batch):]} per point" if value.shape[:len(batch)] == batch

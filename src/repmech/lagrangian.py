@@ -17,6 +17,13 @@ costs one numpy call per term. Every field is evaluated once per call, on
 the whole batch. P is the metric's position_dim: N for a particle, dimM
 for a brane whose velocities are its N Jacobian minors.
 
+el_system(spec, x, v) -> (H, F) is the Euler-Lagrange system H a = F of
+one particle point, which the world-line integrators solve at every RK4
+stage: H is velocity_hessian and F is position_gradient minus
+momentum_position_directional along v, from one evaluation of each field.
+The term formulas are private helpers that both it and those three kernels
+call; the kernels stay as the batched forms and as its test oracle.
+
 The couplings m, q and Q_n are floats, or arrays of the batch shape that
 give each point its own value; a stack of specs is one spec whose couplings
 are such arrays and whose fields return one value per point.
@@ -215,11 +222,15 @@ def _mass_term_data(spec, x, v):
 
 
 def _tensor_radicand(tensor, x, v):
-    c = tensor.contraction(x, v)
-    if tensor.rank % 2 == 0 and _any(c < 0.0):
-        raise NegativeEvenRadicand(f"rank-{tensor.rank} radicand is negative ({np.min(c)})")
+    return _checked_radicand(tensor.rank, tensor.contraction(x, v))
+
+
+def _checked_radicand(n, c):
+    """A rank-n contraction c whose root can be differentiated: nonzero, and positive for even n."""
+    if n % 2 == 0 and _any(c < 0.0):
+        raise NegativeEvenRadicand(f"rank-{n} radicand is negative ({np.min(c)})")
     if _any(c == 0.0):
-        raise ZeroRadicand(f"rank-{tensor.rank} contraction vanishes; derivative undefined")
+        raise ZeroRadicand(f"rank-{n} contraction vanishes; derivative undefined")
     return c
 
 
@@ -297,26 +308,78 @@ def homogeneity_residual(spec: LagrangianSpec, x, v, lam):
 # second derivatives and position derivatives (used by the dynamics modules)
 # ---------------------------------------------------------------------------
 
+def _mass_hessian(mass, g, gv, gvv):
+    """d2/dv2 of m sqrt(g(v,v)), from g, g.v and g(v,v)."""
+    s = np.sqrt(gvv)[..., None, None]
+    return _per_point(mass, 2) * (g / s - gv[..., :, None] * gv[..., None, :] / s ** 3)
+
+
+def _tensor_hessian(q_n, n, c, s_a, s_ab):
+    """d2/dv2 of Q_n c^(1/n), from c = S(v, ..., v) and its k = 1 and k = 2 partial contractions."""
+    abs_c = np.abs(c)[..., None, None]
+    return _per_point(q_n, 2) * (n - 1) * (
+        s_ab * abs_c ** (1.0 / n - 1.0)
+        - np.sign(c)[..., None, None] * (s_a[..., :, None] * s_a[..., None, :])
+        * abs_c ** (1.0 / n - 2.0)
+    )
+
+
+def _charge_gradient(charge, jac, v):
+    """d/dx^c of q A_a v^a: q v^a d_c A_a."""
+    return _per_point(charge) * np.vecmat(v, jac)
+
+
+def _charge_directional(charge, jac, w):
+    """(d p_a / d x^c) w^c of the charge term, at one point: q d_c A_a w^c."""
+    return charge * (jac @ w)
+
+
+def _mass_gradient(mass, dg, v, gvv):
+    """d/dx^c of m sqrt(g(v,v)): m d_c g_ab v^a v^b / (2 sqrt(g(v,v)))."""
+    return (_per_point(mass) * np.einsum("...cab,...a,...b->...c", dg, v, v)
+            / (2.0 * np.sqrt(gvv))[..., None])
+
+
+def _mass_directional(mass, dg_w, v, gv, gvv):
+    """(d p_a / d x^c) w^c of the mass term at one point, from dg_w = d_c g w^c."""
+    s = np.sqrt(gvv)
+    return mass * (dg_w @ v / s - gv * (v @ dg_w @ v) / (2.0 * s ** 3))
+
+
+def _tensor_gradient(q_n, tensor, x, v, c):
+    """d/dx of Q_n c^(1/n) for c = S(x; v, ..., v), through the FD contraction gradient."""
+    n = tensor.rank
+    dc = tensor.position_gradient_of_contraction(x, v)
+    return _per_point(q_n) * dc * (np.abs(c) ** (1.0 / n - 1.0))[..., None] / n
+
+
+def _tensor_directional(q_n, tensor, x, v, w):
+    """(d p_a / d x^c) w^c of a tensor term at one point.
+
+    FD of the term's momentum along w, in the parameter t of x + t w with
+    the absolute step FD_STEP.
+    """
+    n = tensor.rank
+
+    def term_p(t):
+        xx = x + t[0] * w
+        c = _tensor_radicand(tensor, xx, v)
+        return q_n * tensor.partial_contraction(xx, v, 1) / abs(c) ** (1.0 - 1.0 / n)
+
+    return central_difference(term_p, np.zeros(1), np.full(1, FD_STEP))[..., 0]
+
+
 @_first_bad_point
 def velocity_hessian(spec: LagrangianSpec, x, v) -> np.ndarray:
     """d2 L / dv dv, shape (..., N, N). Singular along v (degree-0 homogeneity of the momentum)."""
     x, v = spec._check_point(x, v)
     H = np.zeros(v.shape + v.shape[-1:])
     if spec._mass_on:
-        g, gv, gvv = _mass_term_data(spec, x, v)
-        s = np.sqrt(gvv)[..., None, None]
-        H += _per_point(spec.mass, 2) * (g / s - gv[..., :, None] * gv[..., None, :] / s ** 3)
+        H += _mass_hessian(spec.mass, *_mass_term_data(spec, x, v))
     for q_n, tensor in spec.extra_terms:
-        n = tensor.rank
         c = _tensor_radicand(tensor, x, v)
-        s_a = tensor.partial_contraction(x, v, 1)
-        s_ab = tensor.partial_contraction(x, v, 2)
-        abs_c = np.abs(c)[..., None, None]
-        H += _per_point(q_n, 2) * (n - 1) * (
-            s_ab * abs_c ** (1.0 / n - 1.0)
-            - np.sign(c)[..., None, None] * (s_a[..., :, None] * s_a[..., None, :])
-            * abs_c ** (1.0 / n - 2.0)
-        )
+        H += _tensor_hessian(q_n, tensor.rank, c, tensor.partial_contraction(x, v, 1),
+                             tensor.partial_contraction(x, v, 2))
     return H
 
 
@@ -329,19 +392,13 @@ def position_gradient(spec: LagrangianSpec, x, v) -> np.ndarray:
     x, v = spec._check_point(x, v)
     out = np.zeros(x.shape)
     if spec._charge_on and not spec.potential.is_constant:
-        out += _per_point(spec.charge) * np.vecmat(v, spec.potential.jacobian(x))
+        out += _charge_gradient(spec.charge, spec.potential.jacobian(x), v)
     if spec._mass_on and not spec.metric.is_constant:
         _, _, gvv = _mass_term_data(spec, x, v)
-        dg = spec.metric.gradient(x)  # [..., c, a, b]
-        out += (_per_point(spec.mass) * np.einsum("...cab,...a,...b->...c", dg, v, v)
-                / (2.0 * np.sqrt(gvv))[..., None])
+        out += _mass_gradient(spec.mass, spec.metric.gradient(x), v, gvv)
     for q_n, tensor in spec.extra_terms:
-        if tensor.is_constant:
-            continue
-        n = tensor.rank
-        c = _tensor_radicand(tensor, x, v)
-        dc = tensor.position_gradient_of_contraction(x, v)
-        out += _per_point(q_n) * dc * (np.abs(c) ** (1.0 / n - 1.0))[..., None] / n
+        if not tensor.is_constant:
+            out += _tensor_gradient(q_n, tensor, x, v, _tensor_radicand(tensor, x, v))
     return out
 
 
@@ -351,26 +408,59 @@ def momentum_position_directional(spec: LagrangianSpec, x, v, direction) -> np.n
     w = np.asarray(direction, dtype=float)
     out = np.zeros(spec.dim)
     if spec._charge_on and not spec.potential.is_constant:
-        out += spec.charge * (spec.potential.jacobian(x) @ w)
+        out += _charge_directional(spec.charge, spec.potential.jacobian(x), w)
     if spec._mass_on and not spec.metric.is_constant:
         _, gv, gvv = _mass_term_data(spec, x, v)
-        s = np.sqrt(gvv)
         dg_w = np.einsum("cab,c->ab", spec.metric.gradient(x), w)
-        out += spec.mass * (dg_w @ v / s - gv * (v @ dg_w @ v) / (2.0 * s ** 3))
+        out += _mass_directional(spec.mass, dg_w, v, gv, gvv)
     for q_n, tensor in spec.extra_terms:
-        if tensor.is_constant:
-            continue
-        # FD of this term's momentum contribution along w, in the parameter
-        # t of x + t w with the absolute step FD_STEP
-        n = tensor.rank
-
-        def term_p(t):
-            xx = x + t[0] * w
-            c = _tensor_radicand(tensor, xx, v)
-            return q_n * tensor.partial_contraction(xx, v, 1) / abs(c) ** (1.0 - 1.0 / n)
-
-        out += central_difference(term_p, np.zeros(1), np.full(1, FD_STEP))[..., 0]
+        if not tensor.is_constant:
+            out += _tensor_directional(q_n, tensor, x, v, w)
     return out
+
+
+def el_system(spec: LagrangianSpec, x, v, gauge_row: bool = False):
+    """(H, F) at one point (x, v) of shape (N,): H a = F are the Euler-Lagrange equations.
+
+    H is velocity_hessian and F = position_gradient - (dp/dx).v, the rows
+    that the acceleration must balance, so F - H a is the Euler-Lagrange
+    residual; both come from one evaluation of each field, with the same
+    domain checks. Each tensor is contracted once, down to S(v, ..., v, .^2),
+    which v then contracts to its k = 1 and k = 0 values.
+
+    With gauge_row, also returns g.v and -1/2 d_c g_ab v^c v^a v^b, the
+    differentiated proper-time gauge row that borders H; g.v needs the
+    mass term.
+    """
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if x.shape != (spec.dim,) or v.shape != (spec.dim,):
+        raise DimensionMismatch(f"el_system takes one point (x, v) of shapes ({spec.dim},), "
+                                f"got {x.shape}, {v.shape}")
+    H = np.zeros((v.size, v.size))
+    F = np.zeros(v.size)
+    gv, row = None, 0.0
+    if spec._mass_on:
+        g, gv, gvv = _mass_term_data(spec, x, v)
+        H += _mass_hessian(spec.mass, g, gv, gvv)
+        if not spec.metric.is_constant:
+            dg = spec.metric.gradient(x)
+            dg_v = np.einsum("cab,c->ab", dg, v)
+            F += (_mass_gradient(spec.mass, dg, v, gvv)
+                  - _mass_directional(spec.mass, dg_v, v, gv, gvv))
+            row = -0.5 * (v @ dg_v @ v)
+    for q_n, tensor in spec.extra_terms:
+        s_ab = tensor.partial_contraction(x, v, 2)
+        s_a = v.dot(s_ab)
+        c = _checked_radicand(tensor.rank, v.dot(s_a))
+        H += _tensor_hessian(q_n, tensor.rank, c, s_a, s_ab)
+        if not tensor.is_constant:
+            F += (_tensor_gradient(q_n, tensor, x, v, c)
+                  - _tensor_directional(q_n, tensor, x, v, v))
+    if spec._charge_on and not spec.potential.is_constant:
+        jac = spec.potential.jacobian(x)
+        F += _charge_gradient(spec.charge, jac, v) - _charge_directional(spec.charge, jac, v)
+    return (H, F, gv, row) if gauge_row else (H, F)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,15 @@ along v, so dynamics only become well posed after a gauge choice:
   velocity is renormalized onto the constraint surface after every step.
 
 One fixed-step classical RK4 stepper (_rk4_step) serves both gauges; each
-supplies only its derivative and its after-step rule. For a constant
+supplies only its derivative and its after-step rule. Each stage of a
+generic derivative solves the Euler-Lagrange system H a = F of
+lagrangian.el_system, which evaluates each field once. For a constant
 diagonal metric with EM coupling only, the coordinate-time derivative is
-written in plain floats: on a 2-vCPU VM an RK4 step costs 17-29 us with it,
-49-93 us with a closed-form numpy derivative of the same equations and
-150-250 us with the generic one, so it stays while it pays for itself.
+written in plain floats: on a 2-vCPU VM (a busy one: each range spans
+medians of repeated timeit runs) an RK4 step costs 16-30 us with it and
+110-235 us with the generic one on the same spec, so it stays while it pays
+for itself. The generic step costs 200-325 us with a constant rank-3 term,
+and the proper-time step 130-235 us with EM coupling only.
 
 The per-sample drift log records the mass-shell residual
 pi.g^{-1}.pi - m^2, which is an algebraic identity of the momentum map and
@@ -36,15 +40,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GaugeViolation, SingularReducedHessian
 from .geometry import quadratic_form
-from .lagrangian import (
-    LagrangianSpec,
-    eval_L,
-    mass_shell_residual,
-    momentum,
-    momentum_position_directional,
-    position_gradient,
-    velocity_hessian,
-)
+from .lagrangian import LagrangianSpec, el_system, eval_L, mass_shell_residual, momentum
 
 GAUGE_TOL = 1e-8
 _COND_LIMIT = 1e12
@@ -78,17 +74,10 @@ class Worldline:
         return self.tau.shape[0]
 
 
-def _el_force(spec, x, v) -> np.ndarray:
-    """dL/dx - (dp/dx).v: the Euler-Lagrange rows that the acceleration must balance."""
-    return position_gradient(spec, x, v) - momentum_position_directional(spec, x, v, v)
-
-
 def el_residual(spec: LagrangianSpec, x, v, a) -> np.ndarray:
     """Euler-Lagrange residual d/dtau[dL/dv] - dL/dx expanded through (v, a)."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    a = np.asarray(a, dtype=float)
-    return velocity_hessian(spec, x, v) @ a - _el_force(spec, x, v)
+    H, F = el_system(spec, x, v)
+    return H @ np.asarray(a, dtype=float) - F
 
 
 def _rk4_step(deriv, t, z, h):
@@ -118,12 +107,9 @@ def _march(deriv, t0, z, n_steps, h, after_step=None):
 # ---------------------------------------------------------------------------
 
 def _coordinate_accel(spec, t, y, u):
-    x = np.concatenate(([t], y))
-    v = np.concatenate(([1.0], u))
-    M = velocity_hessian(spec, x, v)[1:, 1:]
-    rhs = _el_force(spec, x, v)[1:]
+    H, F = el_system(spec, np.array([t, *y]), np.array([1.0, *u]))
     try:
-        return np.linalg.solve(M, rhs)
+        return np.linalg.solve(H[1:, 1:], F[1:])
     except np.linalg.LinAlgError as exc:
         raise SingularReducedHessian(f"reduced Hessian singular at t={t}") from exc
 
@@ -139,8 +125,8 @@ def _coordinate_deriv(spec):
 
 
 def _check_reduced_hessian(spec, x, v):
-    M = velocity_hessian(spec, x, v)[1:, 1:]
-    if np.linalg.cond(M) > _COND_LIMIT:
+    H, _ = el_system(spec, x, v)
+    if np.linalg.cond(H[1:, 1:]) > _COND_LIMIT:
         raise SingularReducedHessian(
             "reduced velocity Hessian is numerically singular at the initial point"
         )
@@ -223,12 +209,13 @@ def _proper_accel(spec, x, v):
     square, and regular whenever H is nondegenerate on g(v, .)^perp.
     """
     n = spec.dim
-    gv = spec.metric(x) @ v
+    H, F, gv, row = el_system(spec, x, v, gauge_row=True)
     A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = velocity_hessian(spec, x, v)
+    A[:n, :n] = H
     A[:n, n] = A[n, :n] = gv
-    b = np.append(_el_force(spec, x, v),
-                  -0.5 * np.einsum("cab,c,a,b->", spec.metric.gradient(x), v, v, v))
+    b = np.zeros(n + 1)
+    b[:n] = F
+    b[n] = row
     try:
         return np.linalg.solve(A, b)[:n]
     except np.linalg.LinAlgError as exc:

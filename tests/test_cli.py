@@ -10,7 +10,17 @@ import yaml
 
 from oracles import CyclotronOracle
 
-from repmech.cli import _draw_det_samples, _key_lines, _load_yaml, main, parse_config, run
+from repmech.cli import (
+    _ConfigLoader,
+    _arg_parser,
+    _draw_det_samples,
+    _write_csv,
+    _key_lines,
+    _load_yaml,
+    main,
+    parse_config,
+    run,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -105,12 +115,30 @@ def test_exponent_without_dot_or_sign_is_a_float(text):
     assert payload == parse_config("perturbation: 0.001\n", "clifford").payload
 
 
-@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
-def test_one_pass_parse_matches_safe_load(path):
-    text = path.read_text()
+class _PurePythonConfigLoader(yaml.SafeLoader):
+    """yaml.safe_load's pure-Python loader plus the config loader's exponent resolver."""
+
+    yaml_implicit_resolvers = _ConfigLoader.yaml_implicit_resolvers
+
+
+EXPONENTS_NESTED = ("a:\n  b: [1e-3, [2E+4, {c: -1.5e2}], 0.5]\n  d:\n"
+                    "    - [1, 2.0e-1, [3e0, [-4E-2]]]\n    - e: 5e1\n      f: [[6e-1]]\n")
+
+
+@pytest.mark.parametrize("text", [path.read_text() for path in SHIPPED] + [EXPONENTS_NESTED],
+                         ids=[path.name for path in SHIPPED] + ["exponents_nested"])
+def test_one_pass_parse_matches_safe_load(text):
+    assert _ConfigLoader.__bases__ == (
+        (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader),)
     data, node = _load_yaml(text)
-    assert data == yaml.safe_load(text)
+    assert data == yaml.load(text, Loader=_PurePythonConfigLoader)
     assert _key_lines(node) == _key_lines(yaml.compose(text))
+
+
+def test_exponents_in_nested_lists_are_floats():
+    data, _ = _load_yaml(EXPONENTS_NESTED)
+    assert data == {"a": {"b": [1e-3, [2e4, {"c": -150.0}], 0.5],
+                          "d": [[1, 0.2, [3.0, [-0.04]]], {"e": 50.0, "f": [[0.6]]}]}}
 
 
 @pytest.mark.parametrize("perturbation", [0.0, 1e-3])
@@ -231,6 +259,40 @@ def test_unsorted_tensor_index_warns_and_runs_as_sorted(tmp_path, capsys):
         warned = "tensor entry index (1, 1, 0) normalized to sorted form (0, 1, 1)"
         assert (warned in capsys.readouterr().err) == (name == "unsorted")
     assert trajectories[0] == trajectories[1]
+
+
+def test_csv_rows_match_the_per_value_format(tmp_path):
+    special = [-0.0, 0.0, 5e-324, 1e308, -1e308, np.nan, np.inf, -np.inf, 1.0 / 3.0, -2.5e-7]
+    scales = 10.0 ** np.arange(-4, 3)[:, None]
+    rows = np.vstack([np.random.default_rng(0).normal(size=(7, len(special))) * scales, special])
+    header = [f"c{i}" for i in range(len(special))]
+    _write_csv(tmp_path / "rows.csv", header, rows)
+    _write_csv(tmp_path / "list.csv", header, list(rows))
+    reference = ",".join(header) + "\n" + "".join(
+        ",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
+    assert (tmp_path / "rows.csv").read_text() == reference
+    assert (tmp_path / "list.csv").read_text() == reference
+    assert "-0,0,4.9406564584124654e-324,1e+308,-1e+308,nan,inf,-inf," in reference
+
+
+def test_repeated_main_calls_each_get_their_own_arguments(tmp_path, capsys):
+    config = str(CONFIGS / "signature.yaml")
+    for call in range(6):
+        seed = ["--seed", str(call)] if call % 2 else []
+        json_flag = ["--json"] if call % 3 == 0 else []
+        out = tmp_path / str(call)
+        assert main(["signature", "--config", config, "--out", str(out), *seed, *json_flag]) == 0
+        summary = json.loads((out / "signature_summary.json").read_text())
+        assert summary["seed"] == (call if call % 2 else 0)
+        printed = capsys.readouterr().out
+        assert (json.loads(printed) == summary) if json_flag else printed == ""
+    # one parser serves every call, and importing the cli does not build it
+    assert _arg_parser.cache_info().currsize == 1
+    code = "import repmech.cli; print(repmech.cli._arg_parser.cache_info().currsize)"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
 
 
 def test_importing_the_cli_loads_no_scipy():

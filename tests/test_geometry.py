@@ -15,11 +15,13 @@ from repmech import (
     constant_diagonal_metric,
     constant_metric,
     euclidean_metric,
+    eval_L,
     metric_from_function,
     minkowski_metric,
     position_gradient,
     quadratic_form,
     signature,
+    symmetric_tensor_field,
     weak_field_metric,
 )
 from repmech.geometry import MetricField, _minors, central_difference, compound_metric
@@ -282,6 +284,19 @@ class TestEvaluatorShapes:
         # which escaped position_gradient as a numpy broadcasting error
         with pytest.raises(DimensionMismatch, match="metric gradient"):
             position_gradient(LagrangianSpec(metric=metric, mass=1.0), x, np.array([1.0, 0.2, 0.0]))
+
+    def test_a_value_that_is_not_numbers_is_a_dimension_mismatch(self):
+        # a mapping (the old tensor entry format) or a string escaped as a bare TypeError
+        # or ValueError from the float conversion
+        tensor = symmetric_tensor_field(3, 2, lambda y: {(0, 0, 0): 1.0})
+        metric = metric_from_function(3, lambda y: "diag(1, -1, -1)")
+        for points in (np.zeros(2), np.zeros((5, 2))):
+            with pytest.raises(DimensionMismatch, match="tensor evaluator returned dict"):
+                tensor.contraction(points, np.ones(2))
+        with pytest.raises(DimensionMismatch, match="metric evaluator returned str"):
+            metric(np.zeros(3))
+        with pytest.raises(DimensionMismatch, match="metric evaluator returned str"):
+            eval_L(LagrangianSpec(metric=metric, mass=1.0), np.zeros((4, 3)), np.ones((4, 3)))
 
     def test_weak_field_phi_and_phi_grad_shapes(self):
         x = np.random.default_rng(9).uniform(-1.0, 1.0, size=(5, 4))

@@ -6,16 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_gradient
+from oracles import entry_array, fd_gradient
 from repmech import (
+    DimensionMismatch,
     GaugeViolation,
     LagrangianSpec,
     NegativeEvenRadicand,
     NotOneTimeMetric,
     NullVelocity,
     SpacelikeVelocity,
+    ZeroRadicand,
     constant_diagonal_metric,
     constant_potential,
+    el_system,
     eval_L,
     generalized_momentum,
     hamiltonian_residual,
@@ -24,10 +27,12 @@ from repmech import (
     minkowski_metric,
     momentum,
     momentum_fd,
+    momentum_position_directional,
     nonrelativistic_expansion,
     position_gradient,
     potential_from_function,
     symmetric_tensor,
+    symmetric_tensor_field,
     uniform_magnetic_potential,
     velocity_hessian,
     weak_field_metric,
@@ -261,6 +266,94 @@ class TestDerivatives:
         v = np.array([1.0, 0.2, -0.1, 0.3])
         ref = fd_gradient(lambda y: eval_L(spec, y, v), x)
         assert np.max(np.abs(position_gradient(spec, x, v) - ref)) < 1e-7
+
+
+def _user_potential(x):
+    return np.stack([0.2 * np.sin(x[..., 1]), 0.3 * x[..., 0] * x[..., 2],
+                     -0.1 * x[..., 3] ** 2, 0.25 * np.cos(x[..., 0])], axis=-1)
+
+
+EL_METRICS = {
+    "constant": MINK,
+    "weak_field": weak_field_metric(4, lambda x: 0.05 * np.sin(x[..., 0] - 2 * x[..., 2])),
+}
+EL_POTENTIALS = {
+    "magnetic": uniform_magnetic_potential(4, 1.3),
+    "user_fd": potential_from_function(4, _user_potential),
+}
+EL_TENSORS = {
+    "none": (),
+    "constant": (
+        (0.5, symmetric_tensor(3, 4, {(0, 0, 0): 0.4, (0, 1, 2): -0.2, (1, 1, 3): 0.3})),
+        (0.4, symmetric_tensor(4, 4, {(0, 0, 0, 0): 0.5, (0, 0, 1, 1): 0.1}))),
+    "varying": (
+        (0.5, symmetric_tensor_field(3, 4, lambda y: entry_array(3, 4, {
+            (0, 0, 0): 0.4 + 0.1 * np.sin(y[..., 1]), (0, 1, 2): -0.2 * np.cos(y[..., 0]),
+            (1, 1, 3): 0.3}))),
+        (0.4, symmetric_tensor_field(4, 4, lambda y: entry_array(4, 4, {
+            (0, 0, 0, 0): 0.5 + 0.1 * y[..., 2] ** 2, (0, 0, 1, 1): 0.1 * np.cos(y[..., 3])})))),
+}
+
+
+class TestELSystem:
+    """el_system against the three kernels it fuses: H = velocity_hessian and
+    F = position_gradient - momentum_position_directional(v)."""
+
+    @pytest.mark.parametrize("tensors", EL_TENSORS)
+    @pytest.mark.parametrize("potential", EL_POTENTIALS)
+    @pytest.mark.parametrize("metric", EL_METRICS)
+    def test_matches_the_separate_kernels(self, metric, potential, tensors):
+        spec = LagrangianSpec(metric=EL_METRICS[metric], mass=1.2, charge=0.8,
+                              potential=EL_POTENTIALS[potential], extra_terms=EL_TENSORS[tensors])
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            x = rng.uniform(-1.0, 1.0, 4)
+            v = np.concatenate(([1.0], rng.uniform(-0.4, 0.4, 3)))
+            H, F, gv, row = el_system(spec, x, v, gauge_row=True)
+            H_ref = velocity_hessian(spec, x, v)
+            grad = position_gradient(spec, x, v)
+            dpv = momentum_position_directional(spec, x, v, v)
+            assert np.max(np.abs(H - H_ref)) <= 1e-14 * np.max(np.abs(H_ref))
+            assert np.max(np.abs(F - (grad - dpv))) <= 1e-14 * max(np.max(np.abs(grad)),
+                                                                   np.max(np.abs(dpv)))
+            assert np.array_equal(el_system(spec, x, v)[0], H)
+            g = spec.metric(x)
+            assert np.max(np.abs(gv - g @ v)) <= 1e-15
+            dgvvv = np.einsum("cab,c,a,b->", spec.metric.gradient(x), v, v, v)
+            assert abs(row + 0.5 * dgvvv) <= 1e-15
+
+    @pytest.mark.parametrize("error,mass,extra,v", [
+        (SpacelikeVelocity, 1.0, (), [0.5, 1.0, 0.0, 0.0]),
+        (NullVelocity, 1.0, (), [1.0, 1.0, 0.0, 0.0]),
+        (ZeroRadicand, 0.0, "rank3", [0.0, 1.0, 0.3, 0.0]),
+        (NegativeEvenRadicand, 0.0, "rank4", [1.0, 0.3, 0.0, 0.0]),
+        (NegativeEvenRadicand, 1.0, "rank4", [1.0, 0.3, 0.0, 0.0]),
+    ], ids=["spacelike", "null", "zero_radicand", "negative_radicand", "negative_with_mass"])
+    @pytest.mark.parametrize("varying", [False, True], ids=["constant", "varying"])
+    def test_raises_what_the_separate_kernels_raise(self, error, mass, extra, v, varying):
+        entries = {"rank3": (3, {(0, 0, 0): 0.4}), "rank4": (4, {(0, 0, 0, 0): -0.5})}
+        terms = ()
+        if extra:
+            rank, values = entries[extra]
+            tensor = (symmetric_tensor_field(rank, 4, lambda y: (1.0 + 0.1 * y[..., :1]) *
+                                             entry_array(rank, 4, values))
+                      if varying else symmetric_tensor(rank, 4, values))
+            terms = ((0.3, tensor),)
+        metric = EL_METRICS["weak_field" if varying else "constant"]
+        spec = LagrangianSpec(metric=metric, mass=mass, charge=0.5,
+                              potential=EL_POTENTIALS["user_fd"], extra_terms=terms)
+        x = np.array([0.0, 0.2, 0.0, 0.3])  # where the weak field's phi vanishes
+        v = np.asarray(v, dtype=float)
+        with pytest.raises(error):
+            velocity_hessian(spec, x, v)
+        with pytest.raises(error):
+            el_system(spec, x, v)
+
+    def test_takes_one_point(self):
+        x = np.zeros((3, 4))
+        v = np.tile([1.0, 0.2, 0.0, 0.0], (3, 1))
+        with pytest.raises(DimensionMismatch, match="one point"):
+            el_system(rich_spec(), x, v)
 
 
 class TestNonrelExpansion:

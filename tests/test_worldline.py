@@ -150,6 +150,38 @@ class TestCoordinateDerivatives:
             assert np.max(np.abs(np.subtract(scalar(t, z), generic(t, z)))) <= 1e-13
 
 
+class TestStageFieldCalls:
+    @staticmethod
+    def _counted_spec(calls):
+        def counted(name, fn):
+            def wrapped(x):
+                calls[name] += 1
+                return fn(x)
+            return wrapped
+
+        metric = weak_field_metric(
+            4, counted("phi", lambda x: 0.05 * np.sin(x[..., 1])),
+            counted("phi_grad", lambda x: 0.05 * np.cos(x[..., 1:2]) * np.array([0.0, 1.0, 0, 0])))
+        jac = np.zeros((4, 4))
+        jac[1, 2], jac[2, 1] = 0.45, -0.45
+        potential = potential_from_function(
+            4, counted("potential", lambda x: np.matvec(jac, x)),
+            counted("potential_jacobian", lambda x: np.broadcast_to(jac, x.shape[:-1] + (4, 4))))
+        s3 = symmetric_tensor(3, 4, {(0, 0, 0): 1.0, (0, 1, 1): 0.1})
+        return LagrangianSpec(metric=metric, mass=1.0, charge=0.8, potential=potential,
+                              extra_terms=((0.2, s3),))
+
+    def test_one_stage_evaluates_each_field_once(self):
+        calls = dict.fromkeys(["phi", "phi_grad", "potential", "potential_jacobian"], 0)
+        spec = self._counted_spec(calls)
+        worldline._coordinate_deriv(spec)(0.1, [0.2, -0.1, 0.3, 0.3, 0.1, -0.2])
+        assert calls == {"phi": 1, "phi_grad": 1, "potential": 0, "potential_jacobian": 1}
+        calls.update(dict.fromkeys(calls, 0))
+        worldline._proper_accel(spec, np.array([0.1, 0.2, -0.1, 0.3]),
+                                np.array([1.1, 0.3, 0.1, -0.2]))
+        assert calls == {"phi": 1, "phi_grad": 1, "potential": 0, "potential_jacobian": 1}
+
+
 def curved_spec():
     """Static weak field with an analytic phi_grad, a magnetic field and a rank-3 term."""
     metric = weak_field_metric(
@@ -220,8 +252,9 @@ class TestProperTimeIntegration:
         assert np.max(wlp.gauge_residual) <= 1e-8
 
     def test_singular_bordered_system_raises(self, monkeypatch):
-        monkeypatch.setattr(worldline, "velocity_hessian",
-                            lambda spec, x, v: np.zeros((spec.dim, spec.dim)))
+        el_system = worldline.el_system
+        monkeypatch.setattr(worldline, "el_system", lambda spec, x, v, **kw: (
+            np.zeros((spec.dim, spec.dim)),) + el_system(spec, x, v, **kw)[1:])
         gamma = 1.25
         with pytest.raises(SingularReducedHessian):
             integrate(cyclotron_spec(), GaugeChoice.PROPER_TIME, np.zeros(4),
