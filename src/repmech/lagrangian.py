@@ -17,9 +17,10 @@ costs one numpy call per term. Every field is evaluated once per call, on
 the whole batch. P is the metric's position_dim: N for a particle, dimM
 for a brane whose velocities are its N Jacobian minors.
 
-el_system(spec, x, v) -> (H, F) is the Euler-Lagrange system H a = F of
-one particle point, which the world-line integrators solve at every RK4
-stage: H is velocity_hessian and F is position_gradient minus
+el_system(spec, x, v) -> (H, F, gv, row) is the Euler-Lagrange system H a = F
+of one particle point and the proper-time gauge row (gv, row) that borders
+it, which the world-line integrators solve at every RK4 stage: H is
+velocity_hessian and F is position_gradient minus
 momentum_position_directional along v, from one evaluation of each field.
 The term formulas are private helpers that both it and those three kernels
 call; the kernels stay as the batched forms and as its test oracle.
@@ -419,24 +420,24 @@ def momentum_position_directional(spec: LagrangianSpec, x, v, direction) -> np.n
     return out
 
 
-def el_system(spec: LagrangianSpec, x, v, gauge_row: bool = False):
-    """(H, F) at one point (x, v) of shape (N,): H a = F are the Euler-Lagrange equations.
+def el_system(spec: LagrangianSpec, x, v):
+    """(H, F, gv, row) at one particle point (x, v) of shape (N,).
 
-    H is velocity_hessian and F = position_gradient - (dp/dx).v, the rows
-    that the acceleration must balance, so F - H a is the Euler-Lagrange
-    residual; both come from one evaluation of each field, with the same
-    domain checks. Each tensor is contracted once, down to S(v, ..., v, .^2),
-    which v then contracts to its k = 1 and k = 0 values.
+    H a = F are the Euler-Lagrange equations: H is velocity_hessian and
+    F = position_gradient - (dp/dx).v, the rows that the acceleration must
+    balance, so F - H a is the Euler-Lagrange residual; both come from one
+    evaluation of each field, with the same domain checks. Each tensor is
+    contracted once, down to S(v, ..., v, .^2), which v then contracts to
+    its k = 1 and k = 0 values.
 
-    With gauge_row, also returns g.v and -1/2 d_c g_ab v^c v^a v^b, the
-    differentiated proper-time gauge row that borders H; g.v needs the
-    mass term.
+    gv = g.v (None without a mass term) and row = -1/2 d_c g_ab v^c v^a v^b
+    (0.0 for a constant metric) are the differentiated proper-time gauge
+    row that borders H.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape != (spec.dim,) or v.shape != (spec.dim,):
-        raise DimensionMismatch(f"el_system takes one point (x, v) of shapes ({spec.dim},), "
-                                f"got {x.shape}, {v.shape}")
+    x, v = spec._check_point(x, v)
+    if v.ndim != 1 or x.shape != v.shape:
+        raise DimensionMismatch(f"el_system takes one point (x, v) of a particle, each of "
+                                f"shape ({spec.dim},), got {x.shape}, {v.shape}")
     H = np.zeros((v.size, v.size))
     F = np.zeros(v.size)
     gv, row = None, 0.0
@@ -460,7 +461,7 @@ def el_system(spec: LagrangianSpec, x, v, gauge_row: bool = False):
     if spec._charge_on and not spec.potential.is_constant:
         jac = spec.potential.jacobian(x)
         F += _charge_gradient(spec.charge, jac, v) - _charge_directional(spec.charge, jac, v)
-    return (H, F, gv, row) if gauge_row else (H, F)
+    return H, F, gv, row
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ class Worldline:
 
 def el_residual(spec: LagrangianSpec, x, v, a) -> np.ndarray:
     """Euler-Lagrange residual d/dtau[dL/dv] - dL/dx expanded through (v, a)."""
-    H, F = el_system(spec, x, v)
+    H, F, *_ = el_system(spec, x, v)
     return H @ np.asarray(a, dtype=float) - F
 
 
@@ -107,7 +107,7 @@ def _march(deriv, t0, z, n_steps, h, after_step=None):
 # ---------------------------------------------------------------------------
 
 def _coordinate_accel(spec, t, y, u):
-    H, F = el_system(spec, np.array([t, *y]), np.array([1.0, *u]))
+    H, F, *_ = el_system(spec, np.array([t, *y]), np.array([1.0, *u]))
     try:
         return np.linalg.solve(H[1:, 1:], F[1:])
     except np.linalg.LinAlgError as exc:
@@ -125,7 +125,7 @@ def _coordinate_deriv(spec):
 
 
 def _check_reduced_hessian(spec, x, v):
-    H, _ = el_system(spec, x, v)
+    H, *_ = el_system(spec, x, v)
     if np.linalg.cond(H[1:, 1:]) > _COND_LIMIT:
         raise SingularReducedHessian(
             "reduced velocity Hessian is numerically singular at the initial point"
@@ -209,7 +209,7 @@ def _proper_accel(spec, x, v):
     square, and regular whenever H is nondegenerate on g(v, .)^perp.
     """
     n = spec.dim
-    H, F, gv, row = el_system(spec, x, v, gauge_row=True)
+    H, F, gv, row = el_system(spec, x, v)
     A = np.zeros((n + 1, n + 1))
     A[:n, :n] = H
     A[:n, n] = A[n, :n] = gv

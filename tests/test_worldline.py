@@ -253,8 +253,8 @@ class TestProperTimeIntegration:
 
     def test_singular_bordered_system_raises(self, monkeypatch):
         el_system = worldline.el_system
-        monkeypatch.setattr(worldline, "el_system", lambda spec, x, v, **kw: (
-            np.zeros((spec.dim, spec.dim)),) + el_system(spec, x, v, **kw)[1:])
+        monkeypatch.setattr(worldline, "el_system", lambda spec, x, v: (
+            np.zeros((spec.dim, spec.dim)),) + el_system(spec, x, v)[1:])
         gamma = 1.25
         with pytest.raises(SingularReducedHessian):
             integrate(cyclotron_spec(), GaugeChoice.PROPER_TIME, np.zeros(4),
