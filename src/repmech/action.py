@@ -5,11 +5,13 @@ first-order homogeneous, L(x, dx/dt) * dt = L(x, dx) for any positive dt,
 so no step sizes appear: the discrete functional is parameterization-free
 by construction.
 
-Extremals of timelike actions are typically maxima or saddles, and the
-continuum reparametrization freedom survives discretely as flat directions
-(points sliding along the curve). Stationarity is therefore sought by
-driving the gradient to zero via least squares on grad S rather than by
-descending S itself; flat directions are counted and reported.
+That freedom survives discretely as one flat direction per interior point
+(the point sliding along the curve), and extremals of timelike actions are
+typically maxima or saddles. extremize therefore fixes the coordinate-time
+gauge, freezing each interior x^0, and solves the remaining discrete
+Euler-Lagrange equations (the spatial components of grad S = 0) by Newton's
+method on the action Hessian's spatial block. The time components, which
+the gauge no longer enforces, are reported as the Noether defect.
 
 Each function evaluates the Lagrangian kernels once per path, on the
 (K+1, N) arrays of segment midpoints and segments.
@@ -21,19 +23,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, RepMechError, SpacelikeSegment
-from .geometry import central_difference, quadratic_form
+from .errors import (
+    DimensionMismatch,
+    GaugeViolation,
+    RepMechError,
+    SingularReducedHessian,
+    SpacelikeSegment,
+)
+from .geometry import FD_STEP, central_difference, quadratic_form
 from .lagrangian import (
     LagrangianSpec,
     eval_L,
     momentum,
     position_gradient,
+    position_velocity_hessian,
     velocity_hessian,
 )
 
-# absolute step of the finite-difference Hessian columns; a step that does
-# not scale with |x| keeps extremize exactly translation-equivariant
-HESSIAN_FD_STEP = 1e-6
+# halvings of a Newton step before extremize gives up on it
+MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -142,114 +150,114 @@ def action_gradient(spec: LagrangianSpec, path: DiscretePath) -> np.ndarray:
 def action_hessian(spec: LagrangianSpec, path: DiscretePath) -> np.ndarray:
     """d2 S / d(interior)2 as a (K*N, K*N) matrix (block tridiagonal).
 
-    For constant fields L depends on the segments alone, and the blocks are
-    assembled from the analytic velocity Hessians of the segments. Otherwise
-    every column is a central difference of action_gradient with a fixed
-    absolute step, which keeps the assembly exactly translation-equivariant.
+    Segment k depends on its end points through m_k = (x_k + x_{k+1}) / 2 and
+    dx_k = x_{k+1} - x_k, so by the chain rule its blocks come from
+    A = L_xx, B = L_xv (B[c, a] = d2 L / dx^c dv^a) and C = L_vv at (m_k, dx_k):
+
+        d2/dx_k2 = A/4 - (B + B^T)/2 + C,  d2/dx_{k+1}2 = A/4 + (B + B^T)/2 + C,
+        d2/dx_k dx_{k+1} = A/4 + (B - B^T)/2 - C.
+
+    C is velocity_hessian and B position_velocity_hessian, on all segments at
+    once; A is one central difference of position_gradient per position axis,
+    with the absolute step FD_STEP (a step that does not scale with |x| keeps
+    extremize translation-equivariant). A and B vanish when every field is
+    constant.
     """
     k, n = path.interior.shape
     mids = path.midpoints()
     segs = path.segments()
-    if spec.all_fields_constant:
-        hv = velocity_hessian(spec, mids, segs)
-        hess = np.zeros((k, n, k, n))
-        j = np.arange(k)
-        hess[j, :, j, :] = hv[:-1] + hv[1:]
-        hess[j[1:], :, j[:-1], :] = -hv[1:-1]
-        hess[j[:-1], :, j[1:], :] = -hv[1:-1]
-        return hess.reshape(k * n, k * n)
-    # the columns perturb one point at a time, so check the unperturbed
-    # segments first, with the same errors as the analytic branch
-    momentum(spec, mids, segs)
-    return central_difference(
-        lambda z: action_gradient(spec, path.with_interior(z.reshape(k, n))).ravel(),
-        path.interior.ravel(), np.full(k * n, HESSIAN_FD_STEP))
+    lvv = velocity_hessian(spec, mids, segs)
+    first, last, cross = lvv, lvv, -lvv  # the three blocks above, per segment
+    if not spec.all_fields_constant:
+        lxx = central_difference(lambda m: position_gradient(spec, m, segs), mids,
+                                 np.full(n, FD_STEP))
+        lxv = position_velocity_hessian(spec, mids, segs)
+        sym = 0.5 * (lxv + np.swapaxes(lxv, -1, -2))
+        first = 0.25 * lxx - sym + lvv
+        last = 0.25 * lxx + sym + lvv
+        cross = 0.25 * lxx + (lxv - sym) - lvv
+    hess = np.zeros((k, n, k, n))
+    j = np.arange(k)
+    hess[j, :, j, :] = last[:-1] + first[1:]
+    hess[j[:-1], :, j[1:], :] = cross[1:-1]
+    hess[j[1:], :, j[:-1], :] = np.swapaxes(cross[1:-1], -1, -2)
+    return hess.reshape(k * n, k * n)
 
 
 @dataclass(frozen=True)
 class ExtremizeResult:
     path: DiscretePath
     action: float
-    grad_norm_inf: float
+    grad_norm_inf: float  # of the spatial components, which extremize drives to zero
     iterations: int
-    degenerate_modes: int
+    noether_defect: float  # max |dS/dx^0| over the interior points
     converged: bool
     message: str
 
 
 def extremize(spec: LagrangianSpec, path0: DiscretePath,
               max_iters: int = 200, grad_tol: float = 1e-8) -> ExtremizeResult:
-    """Drive grad S to zero over the interior points.
+    """Drive the spatial components of grad S to zero, with each interior x^0 frozen.
 
-    Levenberg-Marquardt on the residual r = grad S with the action Hessian
-    as its Jacobian: analytic blocks for constant fields, central-difference
-    columns of the gradient otherwise (see action_hessian). The damping and
-    step logic depend only on residuals and Jacobians, never on coordinate
-    magnitudes, so the solve is exactly equivariant under rigid translations
-    of the problem. Trial points that leave the causal domain are rejected
-    like any uphill step.
+    Fixing x^0 at its input value is the coordinate-time gauge: it removes
+    the one flat sliding mode per interior point that the discrete remnant of
+    reparametrization freedom leaves, and what remains is a discrete
+    Euler-Lagrange problem (Marsden & West 2001) in the K*(N-1) spatial
+    unknowns. Each step is a Newton step on the reduced spatial block of
+    action_hessian. It backtracks, halving the step, while a trial path
+    raises a RepMechError (say, a spacelike segment) or does not lower
+    |spatial grad|^2; the step logic reads only gradients and Hessians, so a
+    rigid translation of the problem translates the solve. x^0 must
+    increase strictly along path0 (GaugeViolation otherwise), and a singular
+    reduced Hessian raises SingularReducedHessian.
 
-    Returns the best iterate with diagnostics; converged is False when the
-    gradient tolerance was not reached within max_iters accepted steps.
-    Degenerate modes count the near-null singular directions of the final
-    Jacobian, the discrete remnant of reparametrization freedom.
+    Returns the last iterate with diagnostics. converged is False when the
+    gradient tolerance was not reached within max_iters steps, or when no
+    halving of a Newton step lowered the gradient. noether_defect is
+    max |dS/dx^0| at the returned path: the time-component residual that the
+    gauge no longer enforces, which vanishes where p_0 is conserved exactly.
     """
-    shape = path0.interior.shape
-    z = path0.interior.copy()
-    r = action_gradient(spec, path0).ravel()
-    jac = action_hessian(spec, path0)
-    if float(np.max(np.abs(r))) <= grad_tol:
-        return ExtremizeResult(
-            path=path0, action=discrete_action(spec, path0),
-            grad_norm_inf=float(np.max(np.abs(r))), iterations=0,
-            degenerate_modes=_count_degenerate(jac), converged=True,
-            message="initial path already stationary",
-        )
-
-    lam = 1e-3
-    iterations = 0
-    rejects = 0
-    while iterations < max_iters and float(np.max(np.abs(r))) > grad_tol:
-        jtj = jac.T @ jac
-        damp = np.diag(np.maximum(np.diag(jtj), 1e-30))
+    t = path0.points()[:, 0]
+    back = np.flatnonzero(t[1:] <= t[:-1])
+    if back.size:
+        i = back[0]
+        raise GaugeViolation(f"segment {i}: x^0 goes from {float(t[i])} to {float(t[i + 1])}; "
+                             "the frozen coordinate-time gauge needs it to increase strictly")
+    k, n = path0.interior.shape
+    path, grad = path0, action_gradient(spec, path0)
+    r = grad[:, 1:].ravel()
+    iterations, stalled = 0, False
+    while iterations < max_iters and float(np.max(np.abs(r), initial=0.0)) > grad_tol:
+        hess = action_hessian(spec, path).reshape(k, n, k, n)[:, 1:, :, 1:]
         try:
-            delta = np.linalg.solve(jtj + lam * damp, -jac.T @ r)
+            spatial = np.linalg.solve(hess.reshape(r.size, r.size), -r)
         except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
-        trial = path0.with_interior(z + delta.reshape(shape))
-        try:
-            r_trial = action_gradient(spec, trial).ravel()
-            ok = float(r_trial @ r_trial) < float(r @ r)
-        except RepMechError:
-            ok = False
-        if ok:
-            z = z + delta.reshape(shape)
-            r = r_trial
-            jac = action_hessian(spec, path0.with_interior(z))
-            lam = max(lam / 3.0, 1e-14)
-            iterations += 1
-            rejects = 0
-        else:
-            lam *= 4.0
-            rejects += 1
-            if lam > 1e16 or rejects > 60:
+            raise SingularReducedHessian(
+                f"reduced action Hessian is singular at iteration {iterations}") from None
+        step = np.column_stack([np.zeros(k), spatial.reshape(k, n - 1)])
+        for _ in range(MAX_HALVINGS):
+            trial = path.with_interior(path.interior + step)
+            step = 0.5 * step
+            try:
+                grad_trial = action_gradient(spec, trial)
+            except RepMechError:
+                continue
+            r_trial = grad_trial[:, 1:].ravel()
+            if float(r_trial @ r_trial) < float(r @ r):
                 break
+        else:
+            stalled = True
+            break
+        path, grad, r = trial, grad_trial, r_trial
+        iterations += 1
 
-    path = path0.with_interior(z)
-    grad_inf = float(np.max(np.abs(r)))
+    grad_inf = float(np.max(np.abs(r), initial=0.0))  # 0 in one dimension: no spatial unknowns
     converged = grad_inf <= grad_tol
+    message = "converged" if converged else (
+        f"gradient norm {grad_inf:.3e} above tol after {iterations} steps"
+        + ("; no halving of the next Newton step lowered it" if stalled else ""))
     return ExtremizeResult(
-        path=path, action=discrete_action(spec, path),
-        grad_norm_inf=grad_inf, iterations=iterations,
-        degenerate_modes=_count_degenerate(jac), converged=converged,
-        message=("converged" if converged
-                 else f"gradient norm {grad_inf:.3e} above tol after {iterations} steps"),
+        path=path, action=discrete_action(spec, path), grad_norm_inf=grad_inf,
+        iterations=iterations, noether_defect=float(np.max(np.abs(grad[:, 0]))),
+        converged=converged, message=message,
     )
-
-
-def _count_degenerate(jac, rel_tol: float = 1e-6) -> int:
-    s = np.linalg.svd(np.asarray(jac), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return int(s.size)
-    return int(np.sum(s < rel_tol * s[0]))

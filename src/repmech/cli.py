@@ -654,7 +654,7 @@ def _run_extremize(cfg, out_dir):
         "action": result.action,
         "grad_norm": result.grad_norm_inf,
         "iterations": result.iterations,
-        "degenerate_modes": result.degenerate_modes,
+        "noether_defect": result.noether_defect,
         "converged": result.converged,
         "message": result.message,
         "path_csv": csv_path.name,

@@ -355,7 +355,7 @@ def _tensor_gradient(q_n, tensor, x, v, c):
 
 
 def _tensor_directional(q_n, tensor, x, v, w):
-    """(d p_a / d x^c) w^c of a tensor term at one point.
+    """(d p_a / d x^c) w^c of a tensor term at (x, v) of shape (..., N).
 
     FD of the term's momentum along w, in the parameter t of x + t w with
     the absolute step FD_STEP.
@@ -365,7 +365,8 @@ def _tensor_directional(q_n, tensor, x, v, w):
     def term_p(t):
         xx = x + t[0] * w
         c = _tensor_radicand(tensor, xx, v)
-        return q_n * tensor.partial_contraction(xx, v, 1) / abs(c) ** (1.0 - 1.0 / n)
+        root = np.abs(c) ** (1.0 - 1.0 / n)
+        return _per_point(q_n) * tensor.partial_contraction(xx, v, 1) / root[..., None]
 
     return central_difference(term_p, np.zeros(1), np.full(1, FD_STEP))[..., 0]
 
@@ -400,6 +401,33 @@ def position_gradient(spec: LagrangianSpec, x, v) -> np.ndarray:
     for q_n, tensor in spec.extra_terms:
         if not tensor.is_constant:
             out += _tensor_gradient(q_n, tensor, x, v, _tensor_radicand(tensor, x, v))
+    return out
+
+
+@_first_bad_point
+def position_velocity_hessian(spec: LagrangianSpec, x, v) -> np.ndarray:
+    """d2 L / dx^c dv^a as B[..., c, a], shape (..., P, N): row c is dp/dx^c.
+
+    The batched form of momentum_position_directional (w.B is its value along
+    w): analytic for the charge and mass terms, from one potential Jacobian
+    and one metric gradient per call; a varying tensor term takes the
+    directional FD of its momentum along each position axis.
+    """
+    x, v = spec._check_point(x, v)
+    out = np.zeros(x.shape + v.shape[-1:])
+    if spec._charge_on and not spec.potential.is_constant:
+        out += _per_point(spec.charge, 2) * np.swapaxes(spec.potential.jacobian(x), -1, -2)
+    if spec._mass_on and not spec.metric.is_constant:
+        _, gv, gvv = _mass_term_data(spec, x, v)
+        dg_v = np.matvec(spec.metric.gradient(x), v[..., None, :])  # (d_c g) v
+        v_dg_v = np.vecdot(dg_v, v[..., None, :])
+        s = np.sqrt(gvv)[..., None, None]
+        out += _per_point(spec.mass, 2) * (
+            dg_v / s - v_dg_v[..., :, None] * gv[..., None, :] / (2.0 * s ** 3))
+    for q_n, tensor in spec.extra_terms:
+        if not tensor.is_constant:
+            out += np.stack([_tensor_directional(q_n, tensor, x, v, w)
+                             for w in np.eye(x.shape[-1])], axis=-2)
     return out
 
 

@@ -9,9 +9,11 @@ import repmech.action as action_module
 from oracles import CyclotronOracle, entry_array, fd_gradient, lateral_deviation
 from repmech import (
     DiscretePath,
+    GaugeViolation,
     LagrangianSpec,
     NullVelocity,
     RepMechError,
+    SingularReducedHessian,
     SpacelikeSegment,
     ZeroRadicand,
     action_gradient,
@@ -121,7 +123,7 @@ class TestExtremize:
         assert res.action == pytest.approx(math.sqrt(0.91), abs=1e-6)
         assert lateral_deviation(res.path.interior, START, END) <= 1e-6
         assert res.grad_norm_inf <= 1e-8
-        assert res.degenerate_modes == 9  # longitudinal sliding modes
+        assert res.noether_defect <= 1e-10  # the free chord conserves p_0 exactly
 
     def test_stationary_input_returns_immediately(self):
         res = extremize(MASS_SPEC, straight_chord_path(START, END, 9))
@@ -186,8 +188,34 @@ class TestChargedArc:
         assert abs(order - 2.0) <= 0.3
 
 
-# specs of the derivative checks: analytic Hessian blocks (rank-3 and rank-4
-# terms, constant potential) and central-difference columns (magnetic)
+def _user_potential(x):
+    return np.stack([0.2 * np.sin(x[..., 1]), 0.3 * x[..., 0] * x[..., 2],
+                     -0.1 * x[..., 3] ** 2, 0.25 * np.cos(x[..., 0] + x[..., 1])], axis=-1)
+
+
+def _user_potential_jacobian(x):
+    jac = np.zeros(x.shape + (4,))
+    jac[..., 0, 1] = 0.2 * np.cos(x[..., 1])
+    jac[..., 1, 0] = 0.3 * x[..., 2]
+    jac[..., 1, 2] = 0.3 * x[..., 0]
+    jac[..., 2, 3] = -0.2 * x[..., 3]
+    jac[..., 3, 0] = jac[..., 3, 1] = -0.25 * np.sin(x[..., 0] + x[..., 1])
+    return jac
+
+
+def _phi(x):
+    return 0.05 * np.sin(x[..., 1])
+
+
+def _phi_grad(x):
+    out = np.zeros(x.shape)
+    out[..., 1] = 0.05 * np.cos(x[..., 1])
+    return out
+
+
+# specs of the derivative checks: rank-3 and rank-4 terms and a constant
+# potential (constant fields: velocity Hessians only), and a magnetic, a
+# user and a weak-field spec (varying fields: the mixed and position blocks)
 DERIVATIVE_SPECS = {
     "rank3_rank4": LagrangianSpec(metric=MINK, mass=1.0, extra_terms=(
         (0.4, symmetric_tensor(3, 4, {(0, 0, 0): 0.8, (0, 1, 1): -0.1, (1, 2, 3): 0.05})),
@@ -197,6 +225,9 @@ DERIVATIVE_SPECS = {
                                          potential=constant_potential([0.4, 0.2, -0.1, 0.3])),
     "magnetic": LagrangianSpec(metric=MINK, mass=1.0, charge=1.0,
                                potential=uniform_magnetic_potential(4, 1.0)),
+    "user_potential": LagrangianSpec(metric=MINK, mass=1.0, charge=0.8, potential=(
+        potential_from_function(4, _user_potential, _user_potential_jacobian))),
+    "weak_field": LagrangianSpec(metric=weak_field_metric(4, _phi, _phi_grad), mass=1.0),
 }
 
 
@@ -229,6 +260,62 @@ class TestDerivatives:
         hess = action_hessian(spec, path)
         assert hess.shape == (z0.size, z0.size)
         assert np.max(np.abs(hess - ref)) <= 1e-7 * max(1.0, np.max(np.abs(ref)))
+
+
+class TestGaugeFixedNewton:
+    """Extremals in varying fields: a charge in a uniform magnetic field in
+    2+1 and a particle in a weak static field in 3+1, from a chord whose
+    spatial components are perturbed by up to 0.2/(K+1)."""
+
+    ROWS = {
+        "magnetic": (LagrangianSpec(metric=minkowski_metric(3), mass=1.0, charge=1.0,
+                                    potential=uniform_magnetic_potential(3, 1.0)),
+                     [2.0, 0.5, 0.3]),
+        "weak_field": (DERIVATIVE_SPECS["weak_field"], [2.0, 0.6, 0.2, 0.0]),
+    }
+
+    @pytest.mark.parametrize("k", [9, 33, 65])
+    @pytest.mark.parametrize("row", ROWS)
+    def test_converges_in_a_few_newton_steps(self, row, k):
+        spec, end = self.ROWS[row]
+        n = len(end)
+        pert = np.zeros((k, n))
+        pert[:, 1:] = np.random.default_rng(0).uniform(-1, 1, size=(k, n - 1)) * 0.2 / (k + 1)
+        path0 = straight_chord_path(np.zeros(n), end, k, pert)
+        res = extremize(spec, path0)
+        assert res.converged
+        assert res.grad_norm_inf <= 1e-8
+        assert res.iterations <= 10
+        assert np.array_equal(res.path.interior[:, 0], path0.interior[:, 0])
+        grad = action_gradient(spec, res.path)
+        assert np.max(np.abs(grad[:, 1:])) == res.grad_norm_inf
+        assert np.max(np.abs(grad[:, 0])) == res.noether_defect
+
+    def test_one_dimension_has_no_spatial_unknowns(self):
+        # every point is frozen, and a degree-one L in one dimension is linear
+        # in v > 0, so p_0 is the same on segments of any length
+        path0 = DiscretePath([0.0], [1.0], [[0.1], [0.5], [0.9]])
+        res = extremize(LagrangianSpec(metric=minkowski_metric(1), mass=1.0), path0)
+        assert res.converged and res.iterations == 0
+        assert res.grad_norm_inf == 0.0 and res.noether_defect == 0.0
+
+    def test_x0_that_does_not_increase_is_a_gauge_violation(self):
+        interior = np.array([[0.3, 0.1, 0.0, 0.0], [0.6, 0.2, 0.0, 0.0], [0.6, 0.25, 0.0, 0.0]])
+        with pytest.raises(GaugeViolation, match="^segment 2: x"):
+            extremize(MASS_SPEC, DiscretePath(START, END, interior))
+        with pytest.raises(GaugeViolation, match="^segment 0: x"):
+            extremize(MASS_SPEC, straight_chord_path(END, START, 3))
+
+    def test_singular_reduced_hessian_raises(self):
+        # a massless charge in a uniform magnetic field: L = q A(x).v is linear
+        # in x and v with an antisymmetric dA, so the one interior point's
+        # Hessian vanishes while its gradient does not
+        spec = LagrangianSpec(metric=minkowski_metric(3), charge=1.0,
+                              potential=uniform_magnetic_potential(3, 1.0))
+        path0 = DiscretePath(np.zeros(3), np.array([1.0, 0.5, 0.0]), np.array([[0.5, 0.0, 0.3]]))
+        assert np.max(np.abs(action_gradient(spec, path0)[:, 1:])) > 0.1
+        with pytest.raises(SingularReducedHessian, match="singular"):
+            extremize(spec, path0)
 
 
 def random_spec(rng, n):
@@ -354,3 +441,25 @@ class TestBatchedErrors:
         assert raised and all(isinstance(err, SpacelikeSegment) for err in raised)
         assert res.converged
         assert res.grad_norm_inf <= 1e-8
+
+    def test_extremize_halves_a_step_that_raises_the_gradient_norm(self, monkeypatch):
+        # a strong field bends the K = 1 arc: the first full Newton step is
+        # uphill in |spatial grad|^2, and its half is accepted
+        spec = LagrangianSpec(metric=MINK, mass=1.0, charge=1.0,
+                              potential=uniform_magnetic_potential(4, 7.0))
+        path0 = straight_chord_path(START, np.array([1.0, 0.62, 0.0, 0.0]), 1,
+                                    [[0.095, -0.0095, 0.13, 0.018]])
+        norms = []
+        gradient = action_module.action_gradient
+
+        def spy(spec, path):
+            grad = gradient(spec, path)
+            norms.append(float(np.sum(grad[:, 1:] ** 2)))
+            return grad
+
+        monkeypatch.setattr(action_module, "action_gradient", spy)
+        res = extremize(spec, path0)
+        assert res.converged
+        assert res.grad_norm_inf <= 1e-8
+        assert norms[1] > norms[0] > norms[2]
+        assert res.iterations == len(norms) - 2  # every trial but the first full step

@@ -162,6 +162,27 @@ def test_physics_error_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("GaugeViolation:")
 
 
+EXTREMIZE_ERRORS = {
+    # x^0 runs backwards from start to end, so the frozen gauge has no segment to hold
+    "GaugeViolation": ("spec: {mass: 1.0, metric: {kind: minkowski, dim: 3}}\n"
+                       "start: [1.0, 0.0, 0.0]\nend: [0.0, 0.2, 0.0]\n"),
+    # a massless charge in a uniform field: the reduced Hessian vanishes
+    "SingularReducedHessian": (
+        "spec:\n  mass: 0.0\n  charge: 1.0\n  metric: {kind: minkowski, dim: 3}\n"
+        "  potential: {kind: uniform_magnetic, strength: 1.0, plane: [1, 2]}\n"
+        "start: [0.0, 0.0, 0.0]\nend: [1.0, 0.5, 0.0]\ninterior_points: 1\n"
+        "perturbation: 0.3\n"),
+}
+
+
+@pytest.mark.parametrize("error", EXTREMIZE_ERRORS)
+def test_extremize_solver_errors_exit_1(tmp_path, capsys, error):
+    config = tmp_path / "extremize.yaml"
+    config.write_text(EXTREMIZE_ERRORS[error])
+    assert main(["extremize", "--config", str(config), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"{error}:")
+
+
 def test_seed_flag_overrides_the_config_seed(tmp_path):
     body = "algebra: so3\nperturbation: 0.001\ntrials: 2\ndet_samples: 10\n"
     (tmp_path / "seven.yaml").write_text("seed: 7\n" + body)

@@ -37,6 +37,7 @@ from repmech import (
     velocity_hessian,
     weak_field_metric,
 )
+from repmech.lagrangian import position_velocity_hessian
 from repmech.sweeps import (
     draw_spec_state,
     euler_identity_sweep,
@@ -320,6 +321,28 @@ class TestELSystem:
             assert np.max(np.abs(gv - g @ v)) <= 1e-15
             dgvvv = np.einsum("cab,c,a,b->", spec.metric.gradient(x), v, v, v)
             assert abs(row + 0.5 * dgvvv) <= 1e-15
+
+    @pytest.mark.parametrize("tensors", EL_TENSORS)
+    @pytest.mark.parametrize("potential", EL_POTENTIALS)
+    @pytest.mark.parametrize("metric", EL_METRICS)
+    def test_mixed_block_rows_are_the_directional_derivatives(self, metric, potential, tensors):
+        # position_velocity_hessian on a batch: row c at each point against
+        # momentum_position_directional along e_c, and against FD of momentum in x
+        spec = LagrangianSpec(metric=EL_METRICS[metric], mass=1.2, charge=0.8,
+                              potential=EL_POTENTIALS[potential], extra_terms=EL_TENSORS[tensors])
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.0, 1.0, (5, 4))
+        v = np.hstack([np.ones((5, 1)), rng.uniform(-0.4, 0.4, (5, 3))])
+        mixed = position_velocity_hessian(spec, x, v)
+        assert mixed.shape == (5, 4, 4)
+        # a varying tensor's rows are FD quotients: the batch's rounding over the step
+        tol = 1e-9 if tensors == "varying" else 1e-14
+        for xi, vi, block in zip(x, v, mixed):
+            rows = np.array([momentum_position_directional(spec, xi, vi, e) for e in np.eye(4)])
+            assert np.max(np.abs(block - rows)) <= tol * np.max(np.abs(rows))
+            ref = np.array([fd_gradient(lambda y: momentum(spec, y, vi)[a], xi)
+                            for a in range(4)]).T
+            assert np.max(np.abs(block - ref)) <= 1e-7 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("error,mass,extra,v", [
         (SpacelikeVelocity, 1.0, (), [0.5, 1.0, 0.0, 0.0]),
