@@ -31,7 +31,6 @@ from .brane import (
     gridded_embedding,
     integral_gauge_check,
     minor_indices,
-    multivector_metric,
     nonrelativistic_brane_expansion,
     reparameterized,
     tilted_plane_embedding,
@@ -111,7 +110,6 @@ from .lagrangian import (
     momentum_position_directional,
     nonrelativistic_expansion,
     position_gradient,
-    signed_root,
     velocity_hessian,
 )
 from .worldline import (

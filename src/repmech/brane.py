@@ -139,18 +139,6 @@ def generalized_velocity(emb: BraneEmbedding, z) -> GeneralizedVelocity:
                                indices=minor_indices(emb.dim_m, emb.d))
 
 
-def multivector_metric(g, gamma1, gamma2) -> float:
-    """Gram construction: det of the DxD block g[a_i, b_j] of the target metric."""
-    g = np.asarray(g, dtype=float)
-    g1 = tuple(gamma1)
-    g2 = tuple(gamma2)
-    if len(g1) != len(g2):
-        raise DimensionMismatch("multi-indices must have equal length")
-    if list(g1) != sorted(set(g1)) or list(g2) != sorted(set(g2)):
-        raise DimensionMismatch("multi-indices must be strictly increasing")
-    return float(np.linalg.det(g[np.ix_(g1, g2)]))
-
-
 # ---------------------------------------------------------------------------
 # brane Lagrangian data and action
 # ---------------------------------------------------------------------------

@@ -572,12 +572,15 @@ def _parse_clifford(root: Section, warnings):
 # ---------------------------------------------------------------------------
 
 def _write_csv(path: Path, header, rows):
-    """One line per row of floats, each written with 17 significant digits by one % format."""
-    fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    """One line per row of floats, each written with 17 significant digits.
+
+    Every row goes through one % format of all the rows' floats at once,
+    which costs less than a format per row.
+    """
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(fmt % tuple(row))
+        fh.write(",".join(header) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _run_signature(cfg, out_dir):

@@ -19,9 +19,10 @@ for a brane whose velocities are its N Jacobian minors.
 
 el_system(spec, x, v) -> (H, F, gv, row) is the Euler-Lagrange system H a = F
 of one particle point and the proper-time gauge row (gv, row) that borders
-it, which the world-line integrators solve at every RK4 stage: H is
-velocity_hessian and F is position_gradient minus
-momentum_position_directional along v, from one evaluation of each field.
+it, which the world-line integrators solve at every RK4 stage of a spec
+with a varying field: H is velocity_hessian and F is position_gradient
+minus momentum_position_directional along v, from one evaluation of each
+field.
 The term formulas are private helpers that both it and those three kernels
 call; the kernels stay as the batched forms and as its test oracle.
 

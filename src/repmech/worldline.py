@@ -13,15 +13,19 @@ along v, so dynamics only become well posed after a gauge choice:
   velocity is renormalized onto the constraint surface after every step.
 
 One fixed-step classical RK4 stepper (_rk4_step) serves both gauges; each
-supplies only its derivative and its after-step rule. Each stage of a
-generic derivative solves the Euler-Lagrange system H a = F of
-lagrangian.el_system, which evaluates each field once. For a constant
-diagonal metric with EM coupling only, the coordinate-time derivative is
-written in plain floats: on a 2-vCPU VM (a busy one: each range spans
-medians of repeated timeit runs) an RK4 step costs 16-30 us with it and
-110-235 us with the generic one on the same spec, so it stays while it pays
-for itself. The generic step costs 200-325 us with a constant rank-3 term,
-and the proper-time step 130-235 us with EM coupling only.
+supplies only its derivative and its after-step rule. When a field varies,
+each stage solves the Euler-Lagrange system H a = F of lagrangian.el_system,
+which evaluates each field once. When every field is constant (the metric,
+the field strength and each tensor term; see _constant_fields), one
+plain-float derivative serves both gauges instead, from g, the field
+strength and the tensor entries read once per run. Measured in-process on
+a 2-vCPU VM (integrate over 200 steps, best of 5 timeit repeats, ranges
+over 3-6 runs on a busy host), an RK4 step on the orbits benchmark's specs
+costs, with it against the generic derivative on the same spec:
+
+* coordinate time, EM only: 21-35 us against 174-239 us;
+* coordinate time, a constant rank-3 term: 54-87 us against 256-333 us;
+* proper time, EM only: 21-34 us against 188-226 us.
 
 The per-sample drift log records the mass-shell residual
 pi.g^{-1}.pi - m^2, which is an algebraic identity of the momentum map and
@@ -38,9 +42,22 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, GaugeViolation, SingularReducedHessian
+from .errors import (
+    DimensionMismatch,
+    GaugeViolation,
+    NullVelocity,
+    SingularReducedHessian,
+    SpacelikeVelocity,
+)
 from .geometry import quadratic_form
-from .lagrangian import LagrangianSpec, el_system, eval_L, mass_shell_residual, momentum
+from .lagrangian import (
+    LagrangianSpec,
+    _checked_radicand,
+    el_system,
+    eval_L,
+    mass_shell_residual,
+    momentum,
+)
 
 GAUGE_TOL = 1e-8
 _COND_LIMIT = 1e12
@@ -132,66 +149,10 @@ def _check_reduced_hessian(spec, x, v):
         )
 
 
-def _fast_diag_em_eligible(spec) -> bool:
-    if spec.mass <= 0.0 or spec.extra_terms:
-        return False
-    if not spec.metric.is_constant:
-        return False
-    g = spec.metric(np.zeros(spec.dim))
-    if np.max(np.abs(g - np.diag(np.diag(g)))) != 0.0:
-        return False
-    return spec.potential.kind in ("zero", "constant", "uniform-magnetic")
-
-
-def _diag_em_deriv(spec):
-    """Scalar _coordinate_deriv for constant diagonal metrics with EM coupling only.
-
-    Same equations, in plain floats: at one state per call, numpy's per-call
-    overhead costs more than the arithmetic.
-    """
-    dim = spec.dim
-    nsp = dim - 1
-    g = spec.metric(np.zeros(dim))
-    g00 = float(g[0, 0])
-    d = [float(g[i, i]) for i in range(1, dim)]
-    m = float(spec.mass)
-    q = float(spec.charge)
-    jac = spec.potential.jacobian(np.zeros(dim))
-    # F[i][al] = J[al, i+1] - J[i+1, al] so that rhs_i = q * F[i][al] v^al
-    F = [[float(jac[al, i + 1] - jac[i + 1, al]) for al in range(dim)] for i in range(nsp)]
-    have_force = q != 0.0 and any(any(row) for row in F)
-    no_force = [0.0] * nsp
-
-    def deriv(t, z):
-        u = z[nsp:]
-        s2 = g00
-        for i in range(nsp):
-            s2 += d[i] * u[i] * u[i]
-        if s2 <= 0.0:
-            raise GaugeViolation(f"velocity left the causal cone at t={t}")
-        s = math.sqrt(s2)
-        rhs = no_force
-        if have_force:
-            rhs = []
-            for row in F:
-                acc = row[0]
-                for j in range(nsp):
-                    acc += row[j + 1] * u[j]
-                rhs.append(q * acc)
-        udotr = 0.0
-        for i in range(nsp):
-            udotr += u[i] * rhs[i]
-        # M^{-1} = (s/m) [diag(1/d_i) + u u^T / g00]
-        c = s / m
-        u += [c * (rhs[i] / d[i] + u[i] * udotr / g00) for i in range(nsp)]
-        return u  # (v, a)
-
-    return deriv
-
-
 def _integrate_coordinate(spec, x0, v0, n_steps, h):
     nsp = spec.dim - 1
-    deriv = _diag_em_deriv(spec) if _fast_diag_em_eligible(spec) else _coordinate_deriv(spec)
+    deriv = (_constant_field_deriv(spec, GaugeChoice.COORDINATE_TIME) if _constant_fields(spec)
+             else _coordinate_deriv(spec))
     taus, zs = _march(deriv, float(x0[0]), x0[1:].tolist() + v0[1:].tolist(), n_steps, h)
     xs = np.column_stack([taus, zs[:, :nsp]])
     vs = np.column_stack([np.ones_like(taus), zs[:, nsp:]])
@@ -225,29 +186,263 @@ def _proper_accel(spec, x, v):
 
 def _integrate_proper(spec, x0, v0, n_steps, h):
     n = spec.dim
+    if _constant_fields(spec):
+        deriv = _constant_field_deriv(spec, GaugeChoice.PROPER_TIME)
+        g_rows = _sparse_rows(spec.metric(x0))
 
-    def deriv(_tau, z):
-        v = z[n:]
-        return v + _proper_accel(spec, np.array(z[:n]), np.array(v)).tolist()
+        def norm2(z):
+            return _dot(z[n:], _matvec(g_rows, z[n:]))
+    else:
+        def deriv(_tau, z):
+            v = z[n:]
+            return v + _proper_accel(spec, np.array(z[:n]), np.array(v)).tolist()
+
+        def norm2(z):
+            return quadratic_form(spec.metric(np.array(z[:n])), np.array(z[n:]))
 
     renorm = [abs(np.sqrt(quadratic_form(spec.metric(x0), v0)) - 1.0)]
 
     def renormalize(k, z):
-        v = np.array(z[n:])
-        gvv = quadratic_form(spec.metric(np.array(z[:n])), v)
+        gvv = norm2(z)
         if gvv <= 0.0:
             raise GaugeViolation(f"proper-time velocity left the cone at step {k}")
-        nrm = float(np.sqrt(gvv))
+        nrm = math.sqrt(gvv)
         dev = abs(nrm - 1.0)
         if dev > GAUGE_TOL:
             raise GaugeViolation(
                 f"gauge drift {dev:.3e} exceeded {GAUGE_TOL} at step {k}; reduce the step"
             )
         renorm.append(dev)
-        return z[:n] + (v / nrm).tolist()  # project back onto g(v,v) = 1
+        return z[:n] + [vi / nrm for vi in z[n:]]  # project back onto g(v,v) = 1
 
     taus, zs = _march(deriv, 0.0, x0.tolist() + v0.tolist(), n_steps, h, renormalize)
     return taus, zs[:, :n], zs[:, n:], np.asarray(renorm)
+
+
+# ---------------------------------------------------------------------------
+# constant fields: one plain-float derivative for both gauges
+# ---------------------------------------------------------------------------
+
+def _constant_fields(spec) -> bool:
+    """Whether _constant_field_deriv applies: a massive spec whose metric, field
+    strength and tensor terms do not vary (a uniform magnetic potential varies,
+    but its Jacobian does not)."""
+    return (spec.mass > 0.0 and spec.metric.is_constant
+            and spec.potential.kind in ("zero", "constant", "uniform-magnetic")
+            and all(s.is_constant for _, s in spec.extra_terms))
+
+
+def _outside_cone(gvv):
+    """Raise what lagrangian's mass term raises for g(v, v) <= 0."""
+    if gvv < 0.0:
+        raise SpacelikeVelocity(f"g(v,v) = {gvv} < 0")
+    raise NullVelocity("momentum of the mass term is undefined on the light cone")
+
+
+def _eliminate(A, b):
+    """x with A x = b for a small dense system of float lists, by Gaussian
+    elimination with partial pivoting; A and b are overwritten.
+
+    An exactly zero pivot raises SingularReducedHessian, as the LU
+    factorization behind np.linalg.solve fails on one.
+    """
+    n = len(b)
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(A[i][k]) > abs(A[p][k]):
+                p = i
+        if A[p][k] == 0.0:
+            raise SingularReducedHessian(f"velocity Hessian system singular (column {k})")
+        A[k], A[p] = A[p], A[k]
+        b[k], b[p] = b[p], b[k]
+        row, pivot = A[k], A[k][k]
+        for i in range(k + 1, n):
+            r = A[i][k] / pivot
+            if r != 0.0:
+                other = A[i]
+                for j in range(k + 1, n):
+                    other[j] -= r * row[j]
+                b[i] -= r * b[k]
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        row, acc = A[k], b[k]
+        for j in range(k + 1, n):
+            acc -= row[j] * x[j]
+        x[k] = acc / row[k]
+    return x
+
+
+def _sparse_rows(matrix):
+    """The (column, entry) pairs of each row's nonzero entries, as Python numbers."""
+    return [[(b, x) for b, x in enumerate(row) if x] for row in np.asarray(matrix).tolist()]
+
+
+def _matvec(rows, v):
+    """M.v for the rows of M as _sparse_rows gives them, in plain floats."""
+    out = []
+    for row in rows:
+        acc = 0.0
+        for b, x in row:
+            acc += x * v[b]
+        out.append(acc)
+    return out
+
+
+def _dot(u, v):
+    """u.v of two float lists."""
+    acc = 0.0
+    for x, y in zip(u, v):
+        acc += x * y
+    return acc
+
+
+def _tensor_stencil(q_n, tensor):
+    """A constant tensor term as the floats its Hessian needs at every stage.
+
+    (Q_n (n - 1), 1/n - 1, 1/n - 2, n, pairs): pairs lists (a, b, entries)
+    for each a <= b whose s_ab = S(v, ..., v, .^2)_ab has a nonzero entry;
+    entries are the (S_{ab rest}, rest) of the nonzero dense entries, and
+    s_ab sums S_{ab rest} * v^rest over them.
+    """
+    S, n = tensor.S, tensor.rank
+    pairs = {}
+    for idx in zip(*np.nonzero(S)):
+        a, b, *rest = map(int, idx)
+        if a <= b:
+            pairs.setdefault((a, b), []).append((float(S[idx]), rest))
+    return (q_n * (n - 1), 1.0 / n - 1.0, 1.0 / n - 2.0, n,
+            [(a, b, entries) for (a, b), entries in pairs.items()])
+
+
+def _constant_field_deriv(spec, gauge):
+    """_coordinate_deriv, or the proper-time (v, a), of a spec with _constant_fields.
+
+    Same equations, in plain floats: at one state per call, numpy's per-call
+    overhead costs more than the arithmetic. g, the field strength
+    f = q (J^T - J), for which F = f v, and each tensor's nonzero entries are
+    read once; a constant metric has row = 0.
+
+    * EM only, coordinate time, diagonal g: the closed form of the reduced
+      inverse, M^{-1} = (s/m) [diag(1/d_i) + u u^T / g00], s = sqrt(g(v, v)).
+    * EM only, proper time: the bordered system's exact solution
+      a = (s/m) g^{-1} f v with mu = 0, since f is antisymmetric and so
+      g(v, a) = (s/m) v.f.v = 0.
+    * Otherwise (tensor terms, or a non-diagonal g in coordinate time): the
+      mass and tensor Hessians k1 s_ab - k2 s_a s_b, eliminated on the reduced
+      (N-1)^2 block or the bordered (N+1)^2 system.
+
+    Every domain check raises what el_system raises at the same state.
+    """
+    dim = spec.dim
+    origin = np.zeros(dim)
+    g = spec.metric(origin)
+    m = float(spec.mass)
+    q = float(spec.charge)
+    jac = spec.potential.jacobian(origin)
+    proper = gauge is GaugeChoice.PROPER_TIME
+
+    g_rows = _sparse_rows(g)
+    if not spec.extra_terms and proper:
+        w = _sparse_rows(np.linalg.solve(g, q * (jac.T - jac)))  # g^{-1} f
+
+        def deriv(_tau, z):
+            v = z[dim:]
+            gvv = _dot(v, _matvec(g_rows, v))
+            if gvv <= 0.0:
+                _outside_cone(gvv)
+            c = math.sqrt(gvv) / m
+            return v + [c * x for x in _matvec(w, v)]
+
+        return deriv
+
+    nsp = dim - 1
+    if not spec.extra_terms and np.max(np.abs(g - np.diag(np.diag(g)))) == 0.0:
+        g00 = float(g[0, 0])
+        d = [float(g[i, i]) for i in range(1, dim)]
+        # F[i][al] = J[al, i+1] - J[i+1, al] so that rhs_i = q * F[i][al] v^al
+        F = [[float(jac[al, i + 1] - jac[i + 1, al]) for al in range(dim)] for i in range(nsp)]
+        have_force = q != 0.0 and any(any(row) for row in F)
+        no_force = [0.0] * nsp
+
+        def deriv(t, z):
+            u = z[nsp:]
+            s2 = g00
+            for i in range(nsp):
+                s2 += d[i] * u[i] * u[i]
+            if s2 <= 0.0:
+                _outside_cone(s2)
+            s = math.sqrt(s2)
+            rhs = no_force
+            if have_force:
+                rhs = []
+                for row in F:
+                    acc = row[0]
+                    for j in range(nsp):
+                        acc += row[j + 1] * u[j]
+                    rhs.append(q * acc)
+            udotr = 0.0
+            for i in range(nsp):
+                udotr += u[i] * rhs[i]
+            c = s / m
+            u += [c * (rhs[i] / d[i] + u[i] * udotr / g00) for i in range(nsp)]
+            return u  # (v, a)
+
+        return deriv
+
+    gl = g.tolist()
+    lo = 0 if proper else 1  # H's rows and columns lo..dim-1 are solved
+    rows = range(lo, dim)
+    f_rows = _sparse_rows(q * (jac.T - jac))[lo:]
+    tensors = [_tensor_stencil(q_n, s) for q_n, s in spec.extra_terms]
+
+    def deriv(t, z):
+        v = z[dim:] if proper else [1.0] + z[nsp:]
+        gv = _matvec(g_rows, v)
+        gvv = _dot(v, gv)
+        if gvv <= 0.0:
+            _outside_cone(gvv)
+        s = math.sqrt(gvv)
+        ms, ms3 = m / s, m / (s * gvv)
+        H = [[ms * gl[i][j] - ms3 * gv[i] * gv[j] for j in rows] for i in rows]
+        for qn1, e1, e2, rank, pairs in tensors:
+            sa = [0.0] * dim
+            sab = []
+            for a, b, entries in pairs:
+                acc = 0.0
+                for w, rest in entries:
+                    for r in rest:
+                        w *= v[r]
+                    acc += w
+                sab.append(acc)
+                sa[a] += acc * v[b]
+                if a != b:
+                    sa[b] += acc * v[a]
+            c = _dot(v, sa)
+            if c == 0.0 or (c < 0.0 and rank % 2 == 0):
+                _checked_radicand(rank, c)
+            k1 = qn1 * abs(c) ** e1
+            k2 = qn1 * abs(c) ** e2 if c > 0.0 else -qn1 * abs(c) ** e2
+            for (a, b, _), sx in zip(pairs, sab):
+                if a >= lo:
+                    H[a - lo][b - lo] += k1 * sx
+                    if a != b:
+                        H[b - lo][a - lo] += k1 * sx
+            nz = [(i - lo, k2 * sa[i], sa[i]) for i in rows if sa[i]]
+            for i, k2si, _ in nz:
+                hi = H[i]
+                for j, _, sj in nz:
+                    hi[j] -= k2si * sj
+        rhs = _matvec(f_rows, v)
+        if proper:  # border H with the gauge row (g v)^T a = row = 0
+            for hi, gvi in zip(H, gv):
+                hi.append(gvi)
+            H.append(gv + [0.0])
+            rhs.append(0.0)
+            return v + _eliminate(H, rhs)[:dim]
+        return z[nsp:] + _eliminate(H, rhs)
+
+    return deriv
 
 
 # ---------------------------------------------------------------------------

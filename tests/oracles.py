@@ -142,6 +142,11 @@ def dense_contraction(tensor, v):
     return float(out)
 
 
+def multivector_metric(g, gamma1, gamma2) -> float:
+    """Gram construction: det of the DxD block g[a_i, b_j] of the target metric."""
+    return float(np.linalg.det(np.asarray(g, dtype=float)[np.ix_(tuple(gamma1), tuple(gamma2))]))
+
+
 def lateral_deviation(points, x_start, x_end):
     """Max distance of points from the straight line through the endpoints."""
     chord = np.asarray(x_end, dtype=float) - np.asarray(x_start, dtype=float)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
-from oracles import dense_contraction, dense_symmetric_tensor, entry_array
+from oracles import dense_contraction, dense_symmetric_tensor, entry_array, multivector_metric
 from repmech import (
     BraneEmbedding,
     BraneSpec,
@@ -23,7 +23,6 @@ from repmech import (
     integral_gauge_check,
     minkowski_metric,
     minor_indices,
-    multivector_metric,
     nonrelativistic_brane_expansion,
     potential_from_function,
     reparameterized,

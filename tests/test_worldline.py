@@ -7,8 +7,13 @@ from repmech import (
     GaugeChoice,
     GaugeViolation,
     LagrangianSpec,
+    NegativeEvenRadicand,
+    NullVelocity,
     SingularReducedHessian,
+    SpacelikeVelocity,
+    ZeroRadicand,
     constant_diagonal_metric,
+    constant_metric,
     constant_potential,
     conserved_drift,
     el_residual,
@@ -17,6 +22,7 @@ from repmech import (
     minkowski_metric,
     potential_from_function,
     symmetric_tensor,
+    symmetric_tensor_field,
     uniform_magnetic_potential,
     weak_field_metric,
     zero_potential,
@@ -131,23 +137,139 @@ class TestCoordinateTimeIntegration:
                       np.zeros(4), np.array([1.5, 0.1, 0, 0.0]), 1.0, 0.01)
 
 
-class TestCoordinateDerivatives:
-    @pytest.mark.parametrize("metric", [MINK, constant_diagonal_metric([2, -1, -3, -0.5])],
-                             ids=["minkowski", "diagonal"])
+S3 = symmetric_tensor(3, 4, {(0, 0, 0): 1.0, (0, 1, 1): 0.1, (0, 2, 3): -0.05,
+                             (1, 2, 3): 0.2})
+S3_NEGATIVE = symmetric_tensor(3, 4, {(0, 0, 0): -1.0, (0, 1, 1): 0.1, (1, 2, 3): 0.2})
+S4 = symmetric_tensor(4, 4, {(0, 0, 0, 0): 1.0, (0, 0, 1, 1): 0.1, (1, 2, 2, 3): -0.05})
+
+
+def constant_field_and_generic(spec, gauge):
+    """The constant-field derivative and the generic one, both as deriv(t, z)."""
+    fast = worldline._constant_field_deriv(spec, gauge)
+    if gauge is GaugeChoice.COORDINATE_TIME:
+        return fast, worldline._coordinate_deriv(spec)
+    n = spec.dim
+    return fast, lambda t, z: z[n:] + worldline._proper_accel(
+        spec, np.array(z[:n]), np.array(z[n:])).tolist()
+
+
+def state(gauge, rng):
+    """A random state z of the gauge: (x^i, u^i) or (x^a, v^a), timelike on every metric below."""
+    if gauge is GaugeChoice.COORDINATE_TIME:
+        return rng.uniform(-1.0, 1.0, 3).tolist() + rng.uniform(-0.3, 0.3, 3).tolist()
+    return (rng.uniform(-1.0, 1.0, 4).tolist() + [float(rng.uniform(0.9, 1.3))]
+            + rng.uniform(-0.3, 0.3, 3).tolist())
+
+
+class TestConstantFieldDerivative:
+    @pytest.mark.parametrize("gauge", list(GaugeChoice), ids=lambda g: g.value)
+    @pytest.mark.parametrize("terms", [(), ((0.2, S3),), ((0.2, S3_NEGATIVE),), ((-0.3, S4),)],
+                             ids=["em", "rank3", "rank3-negative", "rank4"])
+    @pytest.mark.parametrize("metric", [MINK, constant_diagonal_metric([2, -1, -3, -0.5]),
+                                        constant_metric([[1.5, 0.2, 0, 0], [0.2, -1, 0.1, 0],
+                                                         [0, 0.1, -2, 0], [0, 0, 0, -1]])],
+                             ids=["minkowski", "diagonal", "full"])
     @pytest.mark.parametrize("potential", [zero_potential(4),
                                            constant_potential([0.3, -0.2, 0.5, 0.1]),
                                            uniform_magnetic_potential(4, 1.1)],
                              ids=["zero", "constant", "magnetic"])
-    def test_scalar_and_generic_derivatives_agree(self, metric, potential):
-        spec = LagrangianSpec(metric=metric, mass=1.3, charge=0.7, potential=potential)
-        assert worldline._fast_diag_em_eligible(spec)
-        scalar = worldline._diag_em_deriv(spec)
-        generic = worldline._coordinate_deriv(spec)
+    def test_constant_field_and_generic_derivatives_agree(self, potential, metric, terms, gauge):
+        spec = LagrangianSpec(metric=metric, mass=1.3, charge=0.7, potential=potential,
+                              extra_terms=terms)
+        assert worldline._constant_fields(spec)
+        fast, generic = constant_field_and_generic(spec, gauge)
         rng = np.random.default_rng(11)
         for _ in range(20):
             t = float(rng.uniform(-2.0, 2.0))
-            z = rng.uniform(-1.0, 1.0, 3).tolist() + rng.uniform(-0.3, 0.3, 3).tolist()
-            assert np.max(np.abs(np.subtract(scalar(t, z), generic(t, z)))) <= 1e-13
+            z = state(gauge, rng)
+            assert np.max(np.abs(np.subtract(fast(t, z), generic(t, z)))) <= 1e-13
+
+    def test_varying_fields_take_the_generic_path(self, monkeypatch):
+        user = potential_from_function(4, lambda x: 0.1 * x)
+        weak = weak_field_metric(4, lambda x: 0.05 * np.sin(x[..., 1]))
+        varying = symmetric_tensor_field(3, 4, lambda x: np.broadcast_to(
+            S3.entries, x.shape[:-1] + S3.entries.shape) * (1.0 + 0.1 * x[..., 1:2]))
+        varying_specs = (LagrangianSpec(metric=MINK, mass=1.0, charge=0.5, potential=user),
+                         LagrangianSpec(metric=weak, mass=1.0),
+                         LagrangianSpec(metric=MINK, mass=1.0, extra_terms=((0.2, varying),)))
+        assert not worldline._constant_fields(
+            LagrangianSpec(metric=MINK, mass=0.0, extra_terms=((0.2, S3),)))
+
+        def refused(*_):
+            raise AssertionError("took the wrong path")
+
+        x0, u = np.array([0.1, 0.2, -0.1, 0.3]), np.array([1.0, 0.3, 0.1, -0.2])
+        for spec, generic in [(s, True) for s in varying_specs] + [(curved_spec(), True),
+                                                                   (cyclotron_spec(), False)]:
+            assert worldline._constant_fields(spec) is not generic
+            with monkeypatch.context() as patch:
+                if generic:
+                    patch.setattr(worldline, "_constant_field_deriv", refused)
+                else:
+                    patch.setattr(worldline, "_coordinate_deriv", refused)
+                    patch.setattr(worldline, "_proper_accel", refused)
+                integrate(spec, GaugeChoice.COORDINATE_TIME, x0, u, 0.1, 0.05)
+                integrate(spec, GaugeChoice.PROPER_TIME, x0,
+                          u / np.sqrt(u @ spec.metric(x0) @ u), 0.1, 0.05)
+
+    @pytest.mark.parametrize("gauge", list(GaugeChoice), ids=lambda g: g.value)
+    @pytest.mark.parametrize("terms, v, error", [
+        ((), [1.0, 1.5, 0.0, 0.0], SpacelikeVelocity),
+        ((), [1.0, 1.0, 0.0, 0.0], NullVelocity),
+        (((0.2, S3),), [1.0, 1.5, 0.0, 0.0], SpacelikeVelocity),
+        (((0.2, S3),), [1.0, 0.0, 1.0, 0.0], NullVelocity),
+        (((0.2, symmetric_tensor(3, 4, {(0, 0, 0): 1.0, (1, 1, 1): -8.0})),),
+         [1.0, 0.5, 0.0, 0.0], ZeroRadicand),
+        (((0.2, symmetric_tensor(4, 4, {(0, 0, 0, 0): 1.0, (1, 1, 1, 1): -32.0})),),
+         [1.0, 0.5, 0.0, 0.0], NegativeEvenRadicand),
+        # the tensor Hessian cancels the mass term's row 1: H_11 = -1 + 2 * 0.5
+        (((1.0, symmetric_tensor(3, 4, {(0, 0, 0): 1.0, (0, 1, 1): 0.5})),),
+         [1.0, 0.0, 0.0, 0.0], SingularReducedHessian),
+    ], ids=["spacelike", "null", "tensor-spacelike", "tensor-null", "zero-radicand",
+            "negative-even-radicand", "singular"])
+    def test_domain_checks_raise_as_the_generic_path_does(self, terms, v, error, gauge):
+        spec = LagrangianSpec(metric=MINK, mass=1.0, charge=0.5,
+                              potential=uniform_magnetic_potential(4, 1.0), extra_terms=terms)
+        x = [0.5, 0.1, -0.2, 0.3]
+        z = x[1:] + v[1:] if gauge is GaugeChoice.COORDINATE_TIME else x + v
+        for deriv in constant_field_and_generic(spec, gauge):
+            with pytest.raises(error):
+                deriv(x[0], z)
+
+    def test_elimination_solves_and_refuses_a_singular_system(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 3, 5):
+            A, b = rng.normal(size=(n, n)), rng.normal(size=n)
+            x = worldline._eliminate(A.tolist(), b.tolist())
+            assert np.max(np.abs(x - np.linalg.solve(A, b))) <= 1e-12
+        with pytest.raises(SingularReducedHessian):
+            worldline._eliminate([[1.0, 2.0], [2.0, 4.0]], [1.0, 0.0])
+        with pytest.raises(SingularReducedHessian):
+            worldline._eliminate([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
+
+    @pytest.mark.parametrize("gauge, v0", [
+        (GaugeChoice.COORDINATE_TIME, [1.0, 0.6, 0.0, 0.0]),
+        (GaugeChoice.PROPER_TIME, [1.25, 0.75, 0.0, 0.0])], ids=["coordinate", "proper"])
+    @pytest.mark.parametrize("terms", [(), ((0.3, symmetric_tensor(3, 4, {(0, 0, 0): 1.3})),),
+                                       ((0.2, S3),)], ids=["em", "linear", "rank3"])
+    def test_orbits_match_the_generic_path(self, terms, gauge, v0):
+        # a user-kind copy of the magnetic potential, with its exact Jacobian,
+        # forces the generic path
+        b = -1.1
+        magnetic = uniform_magnetic_potential(4, b)
+        user = potential_from_function(4, magnetic, magnetic.jacobian)
+        fast = LagrangianSpec(metric=MINK, mass=1.2, charge=0.9,
+                              potential=magnetic, extra_terms=terms)
+        generic = LagrangianSpec(metric=MINK, mass=1.2, charge=0.9, potential=user,
+                                 extra_terms=terms)
+        args = (np.array([2.0, 0.1, -0.2, 0.7]), np.array(v0), 2.0, 0.05)
+        wl_f = integrate(fast, gauge, *args)
+        wl_g = integrate(generic, gauge, *args)
+        assert np.max(np.abs(wl_f.x - wl_g.x)) <= 1e-14
+        assert np.max(np.abs(wl_f.v - wl_g.v)) <= 1e-14
+        if not terms or len(terms[0][1].entries.nonzero()[0]) == 1:
+            # in-plane dynamics: the out-of-plane coordinate never moves
+            assert np.all(wl_f.x[:, 3] == 0.7)
 
 
 class TestStageFieldCalls:
@@ -255,10 +377,12 @@ class TestProperTimeIntegration:
         el_system = worldline.el_system
         monkeypatch.setattr(worldline, "el_system", lambda spec, x, v: (
             np.zeros((spec.dim, spec.dim)),) + el_system(spec, x, v)[1:])
-        gamma = 1.25
+        # curved_spec takes the generic path, the one that calls el_system
+        spec = curved_spec()
+        u = np.array([1.0, 0.6, 0.0, 0.0])
         with pytest.raises(SingularReducedHessian):
-            integrate(cyclotron_spec(), GaugeChoice.PROPER_TIME, np.zeros(4),
-                      gamma * np.array([1, 0.6, 0, 0.0]), 0.1, 0.01)
+            integrate(spec, GaugeChoice.PROPER_TIME, np.zeros(4),
+                      u / np.sqrt(u @ spec.metric(np.zeros(4)) @ u), 0.1, 0.01)
 
     def test_bad_normalization_rejected(self):
         spec = LagrangianSpec(metric=MINK, mass=1.0)
