@@ -715,7 +715,7 @@ def _run_clifford(cfg, out_dir):
             trial_residuals.append(float(np.max(sol.residuals)))
 
     pis, masses = _draw_det_samples(rng, p["det_samples"])
-    mink = build_dirac_gammas("minkowski")
+    mink = gam if p["form"] == "minkowski" else build_dirac_gammas("minkowski")
     target = (np.sum((pis @ np.linalg.inv(mink.form)) * pis, axis=-1) - masses ** 2) ** 2
     res = mass_shell_determinant_residual(0.0, masses, np.zeros(4), pis, mink)
     det_worst = float(np.max(res / np.maximum(1.0, np.abs(target))))

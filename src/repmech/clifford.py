@@ -3,10 +3,11 @@
 Generators of a Lie algebra acting on the gamma vector by
 [X_i, gamma^a] = rho(X_i)^a_b gamma^b are sought inside the real span of
 the 2^N products of the N gammas (the quadratic ansatz X = x_ab gamma^a
-gamma^b and its completion by higher products). For each generator this is
-a linear system; it is solvable precisely when the gammas satisfy the
-Clifford anticommutation relations, which is what the solvability probe
-measures on perturbed sets.
+gamma^b and its completion by higher products). The covariance equations of
+all G generators share one coefficient matrix, so they are one linear
+least-squares problem with G right-hand sides, solved in one call. It is
+solvable precisely when the gammas satisfy the Clifford anticommutation
+relations, which is what the solvability probe measures on perturbed sets.
 
 For the 2- and 4-gamma sets built here the unconstrained system has a
 one-dimensional kernel, the identity direction; the trace-zero constraint
@@ -34,20 +35,33 @@ _SIGMA = (
 )
 
 
+def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (A, B, d, d) stack [a_i, b_j] of two stacks of d x d matrices."""
+    return a[:, None] @ b[None] - b[None] @ a[:, None]
+
+
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes."""
+    return np.linalg.norm(stack, axis=(-2, -1))
+
+
+def _real_columns(stack: np.ndarray, k: int) -> np.ndarray:
+    """A complex stack as k real columns, one per leading entry: real parts over imaginary."""
+    cols = stack.reshape(k, -1).T
+    return np.concatenate([cols.real, cols.imag])
+
+
 # ---------------------------------------------------------------------------
 # gamma sets
 # ---------------------------------------------------------------------------
 
 def anticommutator_residual(matrices: Sequence[np.ndarray], form: np.ndarray) -> float:
     """max_ab || {g^a, g^b} - 2 h^ab I ||_F."""
-    dim = matrices[0].shape[0]
-    eye = np.eye(dim)
-    worst = 0.0
-    for a, ga in enumerate(matrices):
-        for b, gb in enumerate(matrices):
-            res = ga @ gb + gb @ ga - 2.0 * form[a, b] * eye
-            worst = max(worst, float(np.linalg.norm(res)))
-    return worst
+    mats = np.asarray(matrices)
+    prod = mats[:, None] @ mats[None]
+    eye = np.eye(mats.shape[-1])
+    res = prod + prod.swapaxes(0, 1) - 2.0 * form[:, :, None, None] * eye
+    return float(np.max(_frobenius(res)))
 
 
 @dataclass(frozen=True)
@@ -83,17 +97,18 @@ def build_dirac_gammas(form: str = "minkowski") -> GammaSet:
     form="minkowski": h = diag(1,-1,-1,-1). form="euclidean": the spatial
     matrices are multiplied by i, giving h = identity.
     """
-    eye2 = np.eye(2, dtype=complex)
-    g0 = np.block([[eye2, np.zeros((2, 2))], [np.zeros((2, 2)), -eye2]])
-    spatial = [np.block([[np.zeros((2, 2)), s], [-s, np.zeros((2, 2))]]) for s in _SIGMA]
     if form == "minkowski":
-        mats = [g0] + spatial
-        h = np.diag([1.0, -1.0, -1.0, -1.0])
+        spatial_unit, h = 1.0, np.diag([1.0, -1.0, -1.0, -1.0])
     elif form == "euclidean":
-        mats = [g0] + [1j * s for s in spatial]
-        h = np.eye(4)
+        spatial_unit, h = 1j, np.eye(4)
     else:
         raise UnsupportedDimension(f"unknown form {form!r}")
+    mats = np.zeros((4, 4, 4), dtype=complex)
+    mats[0, :2, :2] = np.eye(2)
+    mats[0, 2:, 2:] = -np.eye(2)
+    for k, s in enumerate(_SIGMA, 1):
+        mats[k, :2, 2:] = spatial_unit * s
+        mats[k, 2:, :2] = -spatial_unit * s
     return _make_gamma_set(mats, h, f"dirac-{form}")
 
 
@@ -127,15 +142,10 @@ def _structure_constants_from_rep(rho: np.ndarray) -> Tuple[np.ndarray, float]:
     """Fit [rho_i, rho_j] = C_ij^k rho_k by least squares over the rep span."""
     g, n, _ = rho.shape
     cols = rho.reshape(g, n * n).T
-    c = np.zeros((g, g, g))
-    worst = 0.0
-    for i in range(g):
-        for j in range(g):
-            comm = (rho[i] @ rho[j] - rho[j] @ rho[i]).reshape(n * n)
-            coef, res, *_ = np.linalg.lstsq(cols, comm, rcond=None)
-            c[i, j] = coef
-            worst = max(worst, float(np.linalg.norm(cols @ coef - comm)))
-    return c, worst
+    comm = _commutators(rho, rho).reshape(g * g, n * n).T
+    coef = np.linalg.lstsq(cols, comm, rcond=None)[0]
+    worst = float(np.max(np.linalg.norm(cols @ coef - comm, axis=0)))
+    return coef.T.reshape(g, g, g), worst
 
 
 def _jacobi_residual(c: np.ndarray) -> float:
@@ -166,12 +176,8 @@ class LieAlgebraSpec:
             raise DimensionMismatch("structure constants must be antisymmetric in (i, j)")
         if _jacobi_residual(c) > 1e-12:
             raise DimensionMismatch("structure constants violate the Jacobi identity")
-        cols = rho.reshape(rho.shape[0], -1).T
-        worst = 0.0
-        for i in range(rho.shape[0]):
-            for j in range(rho.shape[0]):
-                comm = (rho[i] @ rho[j] - rho[j] @ rho[i]).ravel()
-                worst = max(worst, float(np.linalg.norm(comm - cols @ c[i, j])))
+        closure = _commutators(rho, rho) - np.einsum("ijk,kab->ijab", c, rho)
+        worst = float(np.max(_frobenius(closure)))
         if worst > 1e-12:
             raise DimensionMismatch(f"representation does not close on C (residual {worst:.2e})")
         object.__setattr__(self, "structure", c)
@@ -233,17 +239,13 @@ def abelian_algebra(rep_dim: int = 4) -> LieAlgebraSpec:
 # ---------------------------------------------------------------------------
 
 def _product_basis(gam: GammaSet):
-    """Ordered gamma products B_s = g^{s1} g^{s2} ... over index subsets s."""
-    dim = gam.matrix_dim
-    subsets = []
-    basis = []
-    for r in range(gam.n + 1):
-        for s in itertools.combinations(range(gam.n), r):
-            mat = np.eye(dim, dtype=complex)
-            for a in s:
-                mat = mat @ gam.matrices[a]
-            subsets.append(s)
-            basis.append(mat)
+    """Ordered gamma products B_s = g^{s1} g^{s2} ... over index subsets s, stacked."""
+    subsets = [s for r in range(gam.n + 1) for s in itertools.combinations(range(gam.n), r)]
+    position = {s: k for k, s in enumerate(subsets)}
+    basis = np.empty((len(subsets), gam.matrix_dim, gam.matrix_dim), dtype=complex)
+    basis[0] = np.eye(gam.matrix_dim)
+    for k, s in enumerate(subsets[1:], 1):
+        basis[k] = basis[position[s[:-1]]] @ gam.matrices[s[-1]]
     return subsets, basis
 
 
@@ -264,118 +266,93 @@ class QuadraticGeneratorSolution:
     kernel_dim: int
     grade_leakage: np.ndarray         # (G,)
     subsets: Tuple[Tuple[int, ...], ...]
-    _generators: Tuple[np.ndarray, ...]
+    _generators: np.ndarray           # (G, d, d)
 
     def generators(self) -> Tuple[np.ndarray, ...]:
         """Reconstructed matrices X_i."""
-        return self._generators
+        return tuple(self._generators)
+
+
+def _vector_targets(rho: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The (G, N, d, d) right-hand sides rho_i[b, a] g^b of [X_i, g^a]."""
+    return np.einsum("iba,bkl->iakl", rho, mats)
 
 
 def solve_quadratic_generators(alg: LieAlgebraSpec, gam: GammaSet,
                                kernel_tol: float = 1e-10) -> QuadraticGeneratorSolution:
-    """Solve [X_i, g^a] = rho_i^a_b g^b for traceless X_i in the product span.
+    """Solve [X_i, g^a] = rho_i[b, a] g^b for traceless X_i in the product span.
 
+    The unknowns are the real coefficients of X_i on the 2^N gamma products
+    B_s. Every generator's equations have the same coefficient matrix, the
+    real and imaginary parts of the commutators [B_s, g^a], so all G
+    generators are one least-squares solve with G right-hand sides. The
+    trace-zero condition drops the identity product from the unknowns.
     Infeasibility (for gamma sets that are not Clifford) is reported through
     the residuals, never raised.
     """
     if alg.rep_dim != gam.n:
         raise DimensionMismatch("representation dimension must match the gamma count")
     subsets, basis = _product_basis(gam)
-    dim = gam.matrix_dim
-    n_eq = gam.n * dim * dim
-
-    cols = np.empty((2 * n_eq, len(basis)))
-    for a_idx, b_mat in enumerate(basis):
-        col = np.concatenate(
-            [(b_mat @ gmu - gmu @ b_mat).ravel() for gmu in gam.matrices]
-        )
-        cols[:n_eq, a_idx] = col.real
-        cols[n_eq:, a_idx] = col.imag
+    mats = np.asarray(gam.matrices)
+    cols = _real_columns(_commutators(basis, mats), len(subsets))
 
     # kernel of the unconstrained system (identity direction for Clifford sets)
     svals = np.linalg.svd(cols, compute_uv=False)
     kernel_dim = int(np.sum(svals < kernel_tol * svals[0]))
 
     # trace(X) = 0 enforced by removing the identity basis element
-    keep = [k for k, s in enumerate(subsets) if s != ()]
-    cols_c = cols[:, keep]
+    targets = _vector_targets(alg.rho, mats)
+    rhs = _real_columns(targets, alg.n_generators)
+    sol = np.linalg.lstsq(cols[:, 1:], rhs, rcond=None)[0]
+    coeffs = np.zeros((alg.n_generators, len(subsets)))
+    coeffs[:, 1:] = sol.T
+    xs = np.tensordot(coeffs, basis, axes=1)
+    residuals = np.max(_frobenius(_commutators(xs, mats) - targets), axis=1)
 
-    g_count = alg.n_generators
-    coeffs = np.zeros((g_count, len(basis)))
-    residuals = np.empty(g_count)
-    xs = []
-    quad = np.zeros((g_count, gam.n, gam.n))
-    leakage = np.empty(g_count)
-    pair_pos = {s: k for k, s in enumerate(subsets) if len(s) == 2}
-    for i in range(g_count):
-        target = np.concatenate(
-            [sum(alg.rho[i][nu, mu] * gam.matrices[nu] for nu in range(gam.n)).ravel()
-             for mu in range(gam.n)]
-        )
-        rhs = np.concatenate([target.real, target.imag])
-        sol, *_ = np.linalg.lstsq(cols_c, rhs, rcond=None)
-        coeffs[i, keep] = sol
-        x_mat = sum(c * b for c, b in zip(coeffs[i], basis))
-        xs.append(x_mat)
-        residuals[i] = max(
-            float(np.linalg.norm((x_mat @ gmu - gmu @ x_mat)
-                                 - sum(alg.rho[i][nu, mu] * gam.matrices[nu]
-                                       for nu in range(gam.n))))
-            for mu, gmu in enumerate(gam.matrices)
-        )
-        for (a, b), k in pair_pos.items():
-            quad[i, a, b] += 0.5 * coeffs[i, k]
-            quad[i, b, a] -= 0.5 * coeffs[i, k]
-        leakage[i] = float(np.linalg.norm(
-            [coeffs[i, k] for k, s in enumerate(subsets) if len(s) in (1, 3, 4)]
-        ))
+    grades = np.array([len(s) for s in subsets])
+    a, b = np.array([s for s in subsets if len(s) == 2], dtype=int).reshape(-1, 2).T
+    quad = np.zeros((alg.n_generators, gam.n, gam.n))
+    quad[:, a, b] = 0.5 * coeffs[:, grades == 2]
+    quad[:, b, a] = -0.5 * coeffs[:, grades == 2]
+    leakage = np.linalg.norm(coeffs[:, (grades != 0) & (grades != 2)], axis=1)
     return QuadraticGeneratorSolution(
         coefficients=quad, basis_coefficients=coeffs, residuals=residuals,
         kernel_dim=kernel_dim, grade_leakage=leakage,
-        subsets=tuple(subsets), _generators=tuple(xs),
+        subsets=tuple(subsets), _generators=xs,
     )
 
 
 def verify_lie_closure(sol: QuadraticGeneratorSolution, alg: LieAlgebraSpec) -> float:
     """max_ij || [X_i, X_j] - C_ij^k X_k ||_F over the reconstructed generators."""
-    xs = sol.generators()
-    worst = 0.0
-    for i, xi in enumerate(xs):
-        for j, xj in enumerate(xs):
-            target = sum(alg.structure[i, j, k] * xs[k] for k in range(len(xs)))
-            worst = max(worst, float(np.linalg.norm(xi @ xj - xj @ xi - target)))
-    return worst
+    xs = sol._generators
+    target = np.einsum("ijk,kab->ijab", alg.structure, xs)
+    return float(np.max(_frobenius(_commutators(xs, xs) - target)))
 
 
 def vector_covariance_check(sol: QuadraticGeneratorSolution, alg: LieAlgebraSpec,
                             gam: GammaSet) -> float:
     """max over (i, a) of || [X_i, g^a] - rho_i[b, a] g^b ||_F."""
-    worst = 0.0
-    for i, xi in enumerate(sol.generators()):
-        for mu, gmu in enumerate(gam.matrices):
-            target = sum(alg.rho[i][nu, mu] * gam.matrices[nu] for nu in range(gam.n))
-            worst = max(worst, float(np.linalg.norm(xi @ gmu - gmu @ xi - target)))
-    return worst
+    mats = np.asarray(gam.matrices)
+    defect = _commutators(sol._generators, mats) - _vector_targets(alg.rho, mats)
+    return float(np.max(_frobenius(defect)))
 
 
 def extract_vector_rep(generators: Sequence[np.ndarray], gam: GammaSet):
     """Recover rho_i from [X_i, g^a] = rho_i[b, a] g^b by projection on the g span.
 
-    Returns (rho, fit_residual); rho uses the homomorphism convention of
-    LieAlgebraSpec, so it can be compared to alg.rho directly.
+    Every commutator is fitted on the same N gamma columns, so the G * N fits
+    are one least-squares solve. Returns (rho, fit_residual); rho uses the
+    homomorphism convention of LieAlgebraSpec, so it can be compared to
+    alg.rho directly.
     """
-    cols = np.stack([g.ravel() for g in gam.matrices], axis=1)
-    cols_r = np.vstack([cols.real, cols.imag])
-    rho = np.zeros((len(generators), gam.n, gam.n))
-    worst = 0.0
-    for i, x in enumerate(generators):
-        for mu, gmu in enumerate(gam.matrices):
-            comm = (x @ gmu - gmu @ x).ravel()
-            rhs = np.concatenate([comm.real, comm.imag])
-            coef, *_ = np.linalg.lstsq(cols_r, rhs, rcond=None)
-            rho[i, :, mu] = coef
-            worst = max(worst, float(np.linalg.norm(cols_r @ coef - rhs)))
-    return rho, worst
+    mats = np.asarray(gam.matrices)
+    xs = np.asarray(generators)
+    cols = _real_columns(mats, gam.n)
+    rhs = _real_columns(_commutators(xs, mats), len(xs) * gam.n)
+    coef = np.linalg.lstsq(cols, rhs, rcond=None)[0]
+    worst = float(np.max(np.linalg.norm(cols @ coef - rhs, axis=0)))
+    # column i * N + a holds rho_i[:, a]
+    return coef.T.reshape(len(xs), gam.n, gam.n).swapaxes(1, 2), worst
 
 
 # ---------------------------------------------------------------------------

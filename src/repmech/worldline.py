@@ -462,6 +462,8 @@ def integrate(spec: LagrangianSpec, gauge: GaugeChoice, x0, v0,
         raise DimensionMismatch(f"initial data must have length {spec.dim}")
     if step <= 0 or tau_end <= 0:
         raise DimensionMismatch("step and tau_end must be positive")
+    if spec._stacked:
+        raise DimensionMismatch("integration takes one spec, not a stack with per-point couplings")
     if spec.mass <= 0.0:
         raise SingularReducedHessian(
             "dynamics require the mass term; specs with only rank>=3 terms are rejected"

@@ -147,6 +147,78 @@ def multivector_metric(g, gamma1, gamma2) -> float:
     return float(np.linalg.det(np.asarray(g, dtype=float)[np.ix_(tuple(gamma1), tuple(gamma2))]))
 
 
+def per_generator_quadratic_solve(alg, gam, kernel_tol=1e-10):
+    """Rund's covariance solve one generator at a time, over a product basis built here.
+
+    For each generator i, one least-squares solve of [X_i, g^a] = rho_i[b, a] g^b
+    for traceless X_i in the real span of the ordered gamma products, with
+    per-generator sums for X_i, its residual, its quadratic coefficients and
+    its grade-(1, 3, 4) leakage. Returns a dict of the fields of
+    QuadraticGeneratorSolution, with "generators" for the X_i.
+    """
+    n, dim = len(gam.matrices), gam.matrices[0].shape[0]
+    subsets, basis = [], []
+    for r in range(n + 1):
+        for s in itertools.combinations(range(n), r):
+            mat = np.eye(dim, dtype=complex)
+            for a in s:
+                mat = mat @ gam.matrices[a]
+            subsets.append(s)
+            basis.append(mat)
+    n_eq = n * dim * dim
+    cols = np.empty((2 * n_eq, len(basis)))
+    for a_idx, b_mat in enumerate(basis):
+        col = np.concatenate([(b_mat @ gmu - gmu @ b_mat).ravel() for gmu in gam.matrices])
+        cols[:n_eq, a_idx] = col.real
+        cols[n_eq:, a_idx] = col.imag
+    svals = np.linalg.svd(cols, compute_uv=False)
+    kernel_dim = int(np.sum(svals < kernel_tol * svals[0]))
+    keep = [k for k, s in enumerate(subsets) if s != ()]
+    cols_c = cols[:, keep]
+
+    g_count = alg.rho.shape[0]
+    coeffs = np.zeros((g_count, len(basis)))
+    residuals = np.empty(g_count)
+    xs = []
+    quad = np.zeros((g_count, n, n))
+    leakage = np.empty(g_count)
+    pair_pos = {s: k for k, s in enumerate(subsets) if len(s) == 2}
+    for i in range(g_count):
+        targets = [sum(alg.rho[i][nu, mu] * gam.matrices[nu] for nu in range(n))
+                   for mu in range(n)]
+        target = np.concatenate([t.ravel() for t in targets])
+        sol, *_ = np.linalg.lstsq(cols_c, np.concatenate([target.real, target.imag]),
+                                  rcond=None)
+        coeffs[i, keep] = sol
+        x_mat = sum(c * b for c, b in zip(coeffs[i], basis))
+        xs.append(x_mat)
+        residuals[i] = max(float(np.linalg.norm(x_mat @ gmu - gmu @ x_mat - t))
+                           for gmu, t in zip(gam.matrices, targets))
+        for (a, b), k in pair_pos.items():
+            quad[i, a, b] += 0.5 * coeffs[i, k]
+            quad[i, b, a] -= 0.5 * coeffs[i, k]
+        leakage[i] = float(np.linalg.norm(
+            [coeffs[i, k] for k, s in enumerate(subsets) if len(s) in (1, 3, 4)]))
+    return {"coefficients": quad, "basis_coefficients": coeffs, "residuals": residuals,
+            "kernel_dim": kernel_dim, "grade_leakage": leakage,
+            "subsets": tuple(subsets), "generators": xs}
+
+
+def per_pair_structure_constants(rho):
+    """Fit [rho_i, rho_j] = C_ij^k rho_k one pair (i, j) at a time; returns (C, worst residual)."""
+    g, n, _ = rho.shape
+    cols = rho.reshape(g, n * n).T
+    c = np.zeros((g, g, g))
+    worst = 0.0
+    for i in range(g):
+        for j in range(g):
+            comm = (rho[i] @ rho[j] - rho[j] @ rho[i]).reshape(n * n)
+            coef, *_ = np.linalg.lstsq(cols, comm, rcond=None)
+            c[i, j] = coef
+            worst = max(worst, float(np.linalg.norm(cols @ coef - comm)))
+    return c, worst
+
+
 def lateral_deviation(points, x_start, x_end):
     """Max distance of points from the straight line through the endpoints."""
     chord = np.asarray(x_end, dtype=float) - np.asarray(x_start, dtype=float)

@@ -154,6 +154,16 @@ def test_every_trial_reports_its_residual(tmp_path, perturbation):
         assert len(set(trials)) == 3
 
 
+def test_determinant_check_takes_the_minkowski_set_for_either_form(tmp_path):
+    checks = []
+    for form in ("minkowski", "euclidean"):
+        text = f"form: {form}\nperturbation: 1e-3\ntrials: 2\ndet_samples: 50\n"
+        summary, _ = run("clifford", parse_config(text, "clifford"), tmp_path / form)
+        checks.append(summary["determinant_check"])
+    assert checks[0] == checks[1]
+    assert checks[0]["max_relative_residual"] <= 1e-12
+
+
 def test_physics_error_exits_1(tmp_path, capsys):
     config = tmp_path / "simulate.yaml"
     config.write_text((CONFIGS / "simulate.yaml").read_text().replace(

@@ -4,6 +4,7 @@ import pytest
 from oracles import CyclotronOracle, fit_circle
 import repmech.worldline as worldline
 from repmech import (
+    DimensionMismatch,
     GaugeChoice,
     GaugeViolation,
     LagrangianSpec,
@@ -65,6 +66,14 @@ class TestCoordinateTimeIntegration:
                        np.zeros(4), np.array([1, 0.3, 0, 0.0]), 10.0, 0.01)
         assert np.max(np.abs(wl.x[-1] - [10, 3, 0, 0])) <= 1e-10
         assert conserved_drift(wl, spec) <= 1e-12
+
+    @pytest.mark.parametrize("couplings", [{"mass": np.array([1.0, 2.0])},
+                                           {"mass": 1.0, "charge": np.array([0.5, 1.0])}])
+    def test_stacked_spec_is_a_dimension_mismatch(self, couplings):
+        spec = LagrangianSpec(metric=minkowski_metric(2), **couplings)
+        with pytest.raises(DimensionMismatch, match="one spec"):
+            integrate(spec, GaugeChoice.COORDINATE_TIME, np.zeros(2), np.array([1.0, 0.3]),
+                      1.0, 0.1)
 
     def test_cyclotron_radius_and_drift(self):
         orbit = CyclotronOracle()
