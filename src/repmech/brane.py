@@ -13,7 +13,7 @@ whose square root integrated over the parameter box is the minimal-surface
 (world-volume) functional. The brane Lagrangian is the point particle's on
 these components: BraneSpec.lagrangian(D) is a LagrangianSpec with metric
 G(x) at the dimM target coordinates and velocities the C minors, so
-brane_action is one batched eval_L over all cells. For D = 1 everything
+brane_action is one batched eval_L per block of cells. For D = 1 everything
 reduces to the point particle: minors are plain derivatives and G = g.
 """
 
@@ -26,11 +26,18 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, GaugeViolation, NegativeRadicand, SpacelikeVelocity
+from .errors import (DimensionMismatch, GaugeViolation, NegativeRadicand, RepMechError,
+                     SpacelikeVelocity)
 from .fields import SymmetricTensorField, VectorPotentialField
 from .geometry import (FD_STEP, MetricField, _minors, central_difference, compound_metric,
                        evaluated, quadratic_form)
 from .lagrangian import LagrangianSpec, eval_L, nonrelativistic_expansion
+
+
+# cells per block of the quadrature: whole first-axis rows, at least one, up
+# to this many cells, so that a block's temporaries stay a few MB whatever
+# the grid size
+BLOCK_CELLS = 2 ** 15
 
 
 def component_count(dim_m: int, d: int) -> int:
@@ -58,6 +65,9 @@ class BraneEmbedding:
     analytic jacobian callable to the (n, dimM, D) Jacobians, which give exact
     minors; otherwise central differences with the step
     FD_STEP * max(1, |box bounds of axis a|) are used, one per parameter axis.
+    The quadrature (brane_action, integral_gauge_check) calls the evaluator
+    and the Jacobian once per block of whole first-axis rows of cells
+    (row_blocks), in row order.
     """
 
     d: int
@@ -96,12 +106,23 @@ class BraneEmbedding:
         return central_difference(self.points, Z, step)
 
     # -- quadrature grid ----------------------------------------------------
+    def center_axes(self) -> Tuple[np.ndarray, ...]:
+        """Cell-centre coordinates along each parameter axis."""
+        return tuple(np.linspace(lo, hi, r, endpoint=False) + 0.5 * (hi - lo) / r
+                     for (lo, hi), r in zip(self.box, self.resolution))
+
     def cell_centers(self) -> np.ndarray:
-        axes = [np.linspace(lo, hi, r, endpoint=False) + 0.5 * (hi - lo) / r
-                for (lo, hi), r in zip(self.box, self.resolution)]
-        # one write pass: stack the broadcast meshgrid views, not raveled copies
-        mesh = np.meshgrid(*axes, indexing="ij", copy=False)
-        return np.stack(mesh, axis=-1).reshape(-1, self.d)
+        """Every cell centre, (n_cells, D), in flat (C-order) cell order."""
+        return _mesh(self.center_axes())
+
+    def row_blocks(self):
+        """(first flat cell index, cell centres) of consecutive blocks of whole
+        first-axis rows, each at most BLOCK_CELLS cells or else one row."""
+        axes = self.center_axes()
+        row = self.n_cells // self.resolution[0]
+        rows = max(1, BLOCK_CELLS // row)
+        for i in range(0, self.resolution[0], rows):
+            yield i * row, _mesh((axes[0][i:i + rows],) + axes[1:])
 
     @property
     def cell_volume(self) -> float:
@@ -113,6 +134,12 @@ class BraneEmbedding:
     @property
     def n_cells(self) -> int:
         return int(np.prod(self.resolution))
+
+
+def _mesh(axes) -> np.ndarray:
+    # one write pass: stack the broadcast meshgrid views, not raveled copies
+    mesh = np.meshgrid(*axes, indexing="ij", copy=False)
+    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
 
 
 @dataclass(frozen=True)
@@ -172,34 +199,57 @@ class BraneSpec:
 def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
     """Midpoint-rule quadrature of the brane Lagrangian over the parameter box.
 
-    One batched eval_L of spec.lagrangian(D) at the cell centres. With a mass
-    term, a negative volume radicand w^T G w = det(J^T g J) fails eval_L's
-    check, raised as NegativeRadicand carrying the first such cell.
+    One batched eval_L of spec.lagrangian(D) per block of cells
+    (emb.row_blocks), each block's densities written into one array of one
+    float per cell, then summed at once: the same sum, bit for bit, as a
+    single batch. Memory: one float per cell, plus one block of temporaries.
+    With a mass term, a negative volume radicand w^T G w = det(J^T g J)
+    fails eval_L's check, raised as NegativeRadicand carrying the first such
+    cell; any other eval_L error names its cell's flat index in the grid.
     details=True also returns the cell and component counts, the smallest
     radicand and the integral-gauge deviation (integral_gauge_check).
     """
     if spec.metric.dim != emb.dim_m:
         raise DimensionMismatch("brane metric dimension differs from target dimension")
     lag = spec.lagrangian(emb.d)
-    Z = emb.cell_centers()
-    X = emb.points(Z)
-    omega = _minors(emb.jacobians(Z))
-    try:
-        action = float(np.sum(eval_L(lag, X, omega)) * emb.cell_volume)
-    except SpacelikeVelocity as err:
-        index = err.batch_index
-        cell = index and tuple(map(int, np.unravel_index(index[0], emb.resolution)))
-        raise NegativeRadicand(f"volume radicand < 0 at cell {cell}: {err}", cell=cell) from None
+    density = np.empty(emb.n_cells)
+    block_mins, block_deviations = [], []
+    for start, Z in emb.row_blocks():
+        X = emb.points(Z)
+        omega = _minors(emb.jacobians(Z))
+        try:
+            density[start:start + len(Z)] = eval_L(lag, X, omega)
+        except RepMechError as err:
+            raise _on_grid(err, start, emb) from None
+        if details:
+            # after eval_L has freed its per-cell arrays, so the two do not add to the peak
+            block_mins.append(np.min(quadratic_form(lag.metric(X), omega)))
+            block_deviations.append(_gauge_deviation(omega))
+    action = float(np.sum(density) * emb.cell_volume)
     if not details:
         return action
-    # after eval_L has freed its per-cell array, so the two do not add to the peak memory
-    radicand = quadratic_form(lag.metric(X), omega)
     return action, {
         "cells": emb.n_cells,
-        "component_count": omega.shape[-1],
-        "min_radicand": float(np.min(radicand)),
-        "gauge_deviation": _gauge_deviation(omega),
+        "component_count": component_count(emb.dim_m, emb.d),
+        "min_radicand": float(np.min(block_mins)),
+        "gauge_deviation": float(np.max(block_deviations)),
     }
+
+
+def _on_grid(err: RepMechError, start: int, emb: BraneEmbedding) -> RepMechError:
+    """A block's eval_L error with its batch index moved to the whole grid.
+
+    A SpacelikeVelocity becomes NegativeRadicand carrying the cell.
+    """
+    index = err.batch_index
+    if index is not None:
+        moved = (start + index[0],)
+        err = type(err)(str(err).replace(f"(batch index {index})", f"(batch index {moved})"))
+        err.batch_index = index = moved
+    if not isinstance(err, SpacelikeVelocity):
+        return err
+    cell = index and tuple(map(int, np.unravel_index(index[0], emb.resolution)))
+    return NegativeRadicand(f"volume radicand < 0 at cell {cell}: {err}", cell=cell)
 
 
 def _gauge_deviation(omega: np.ndarray) -> float:
@@ -210,11 +260,13 @@ def _gauge_deviation(omega: np.ndarray) -> float:
 def integral_gauge_check(emb: BraneEmbedding) -> float:
     """Deviation of the internal minor w^(0..D-1) from 1, maximized over cell centers.
 
-    Reads the first minor (rows 0..D-1) of the Jacobian at each cell centre.
+    Reads the first minor (rows 0..D-1) of the Jacobian at each cell centre,
+    one block of cells at a time (emb.row_blocks).
     Zero exactly when the first D target coordinates restrict to a
     unit-Jacobian chart of the parameters (integral sub-manifold gauge).
     """
-    return _gauge_deviation(_minors(emb.jacobians(emb.cell_centers())))
+    return float(np.max([_gauge_deviation(_minors(emb.jacobians(Z)))
+                         for _, Z in emb.row_blocks()]))
 
 
 def nonrelativistic_brane_expansion(spec: BraneSpec, emb: BraneEmbedding,
@@ -231,9 +283,7 @@ def nonrelativistic_brane_expansion(spec: BraneSpec, emb: BraneEmbedding,
         raise DimensionMismatch(f"cell index must have {emb.d} entries")
     if any(not 0 <= c < r for c, r in zip(cell, emb.resolution)):
         raise DimensionMismatch(f"cell {cell} outside the grid {emb.resolution}")
-    # the same arithmetic as cell_centers(), for this one cell
-    step = (emb.box[:, 1] - emb.box[:, 0]) / np.asarray(emb.resolution)
-    z = emb.box[:, 0] + np.asarray(cell) * step + 0.5 * step
+    z = np.array([axis[c] for axis, c in zip(emb.center_axes(), cell)])
     x = emb.points(z[None, :])[0]
     w = generalized_velocity(emb, z).components
     if abs(w[0] - 1.0) > 1e-8:

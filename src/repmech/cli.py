@@ -19,6 +19,7 @@ import math
 import re
 import sys
 from pathlib import Path
+from warnings import catch_warnings, simplefilter
 
 import numpy as np
 import yaml
@@ -523,32 +524,41 @@ def _parse_brane(root: Section, warnings):
 
 def _load_grid_csv(path: Path, d: int, dim_m: int, esec: Section):
     """CSV rows: z coordinates then x coordinates; nodes on an evenly spaced grid."""
+    where = esec.where("path")
     if not path.exists():
-        raise ConfigError(f"{esec.where('path')}: file '{path}' not found")
+        raise ConfigError(f"{where}: file '{path}' not found")
     try:
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        with catch_warnings():
+            simplefilter("ignore", UserWarning)  # numpy's "input contained no data"
+            rows = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"{esec.where('path')}: cannot read '{path}': {exc}") from None
+        raise ConfigError(f"{where}: cannot read '{path}': {exc}") from None
+    if rows.shape[0] == 0:
+        raise ConfigError(f"{where}: file '{path}' has no rows")
     if rows.shape[1] != d + dim_m:
-        raise ConfigError(
-            f"{esec.where('path')}: expected {d + dim_m} columns (z then x), "
-            f"got {rows.shape[1]}"
-        )
+        raise ConfigError(f"{where}: expected {d + dim_m} columns (z then x), got {rows.shape[1]}")
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"{where}: file '{path}' data row {int(np.argmin(finite)) + 1} "
+                          f"has a non-finite value")
     zs = rows[:, :d]
     xs = rows[:, d:]
     axes = [np.unique(zs[:, a]) for a in range(d)]
     shape = tuple(a.size for a in axes)
     if int(np.prod(shape)) != rows.shape[0]:
-        raise ConfigError(f"{esec.where('path')}: nodes do not form a regular grid")
-    values = np.full(shape + (dim_m,), np.nan)
+        raise ConfigError(f"{where}: nodes do not form a regular grid")
     idx = tuple(np.searchsorted(axes[a], zs[:, a]) for a in range(d))
+    # as many rows as nodes, so a node given twice leaves another one out
+    seen = np.zeros(shape, dtype=bool)
+    seen[idx] = True
+    if np.count_nonzero(seen) != rows.shape[0]:
+        raise ConfigError(f"{where}: grid has missing nodes")
+    values = np.empty(shape + (dim_m,))
     values[idx] = xs
-    if np.any(np.isnan(values)):
-        raise ConfigError(f"{esec.where('path')}: grid has missing nodes")
     try:
         return gridded_embedding(axes, values)
     except DimensionMismatch as exc:
-        raise ConfigError(f"{esec.where('path')}: file '{path}': {exc}") from None
+        raise ConfigError(f"{where}: file '{path}': {exc}") from None
 
 
 def _parse_clifford(root: Section, warnings):

@@ -260,3 +260,38 @@ def brane_action_per_cell(evaluate, jacobian, box, resolution, metric, mass,
             density += q_k * math.copysign(abs(c) ** (1.0 / rank), c)
         densities.append(density)
     return math.fsum(densities) * float(np.prod(steps))
+
+
+def brane_action_single_batch(spec, emb, details=False):
+    """brane_action as one batch over every cell: the reference for the blocked pass.
+
+    The midpoint sum of the brane Lagrangian evaluated once at all cell
+    centres, each centre computed from box and resolution by linspace as
+    the quadrature grid does. It shares eval_L and the minors with the code
+    under test on purpose: the blocked pass must give the same bits as this
+    single batch, not merely the same value to a tolerance.
+    """
+    from repmech.errors import NegativeRadicand, SpacelikeVelocity
+    from repmech.geometry import _minors, quadratic_form
+    from repmech.lagrangian import eval_L
+
+    axes = [np.linspace(lo, hi, r, endpoint=False) + 0.5 * (hi - lo) / r
+            for (lo, hi), r in zip(emb.box, emb.resolution)]
+    Z = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, emb.d)
+    lag = spec.lagrangian(emb.d)
+    X = emb.points(Z)
+    omega = _minors(emb.jacobians(Z))
+    try:
+        action = float(np.sum(eval_L(lag, X, omega)) * emb.cell_volume)
+    except SpacelikeVelocity as err:
+        index = err.batch_index
+        cell = index and tuple(map(int, np.unravel_index(index[0], emb.resolution)))
+        raise NegativeRadicand(f"volume radicand < 0 at cell {cell}: {err}", cell=cell) from None
+    if not details:
+        return action
+    return action, {
+        "cells": emb.n_cells,
+        "component_count": omega.shape[-1],
+        "min_radicand": float(np.min(quadratic_form(lag.metric(X), omega))),
+        "gauge_deviation": float(np.max(np.abs(omega[:, 0] - 1.0))),
+    }

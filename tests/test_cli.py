@@ -239,6 +239,69 @@ def test_unreadable_grid_csv_exits_2_naming_the_path_key(tmp_path, capsys, targe
     assert "'embedding.path' (line 1): cannot read" in capsys.readouterr().err
 
 
+def _write_grid_rows(path, nodes=5):
+    """A nodes x nodes grid of a paraboloid graph: rows z1, z2, x1, x2, x3."""
+    z = np.linspace(-0.5, 0.5, nodes)
+    Z1, Z2 = (a.ravel() for a in np.meshgrid(z, z, indexing="ij"))
+    rows = np.column_stack([Z1, Z2, Z1, Z2, 0.3 * Z1 ** 2 + 0.2 * Z1 * Z2])
+    np.savetxt(path, rows, delimiter=",", fmt="%.17g")
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("row, column, value", [
+    (7, 4, "inf"), (7, 4, "nan"), (1, 2, "-inf"), (25, 0, "nan"),
+])
+def test_non_finite_grid_node_exits_2_naming_its_row(tmp_path, capsys, row, column, value):
+    path = tmp_path / "nodes.csv"
+    lines = _write_grid_rows(path)
+    fields = lines[row - 1].split(",")
+    fields[column] = value
+    lines[row - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "brane.yaml"
+    config.write_text(GRID_CONFIG.format(path=path.as_posix()))
+    assert main(["brane", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"data row {row} has a non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["", "# z1,z2,x1,x2,x3\n\n"])
+def test_empty_grid_csv_exits_2_without_a_numpy_warning(tmp_path, capsys, recwarn, text):
+    path = tmp_path / "nodes.csv"
+    path.write_text(text)
+    config = tmp_path / "brane.yaml"
+    config.write_text(GRID_CONFIG.format(path=path.as_posix()))
+    assert main(["brane", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"file '{path}' has no rows" in capsys.readouterr().err
+    assert not recwarn.list
+
+
+def test_a_repeated_grid_node_is_a_missing_node(tmp_path, capsys):
+    path = tmp_path / "nodes.csv"
+    lines = _write_grid_rows(path)
+    lines[7] = lines[6]  # as many rows as nodes, one node twice and one absent
+    path.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "brane.yaml"
+    config.write_text(GRID_CONFIG.format(path=path.as_posix()))
+    assert main(["brane", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "grid has missing nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["brane.yaml", "grid_csv"])
+def test_brane_summary_is_byte_identical_on_rerun(tmp_path, which):
+    if which == "grid_csv":
+        _write_grid_rows(tmp_path / "nodes.csv", nodes=300)
+        config = tmp_path / "grid.yaml"
+        config.write_text(GRID_CONFIG.format(path=(tmp_path / "nodes.csv").as_posix()))
+    else:
+        config = CONFIGS / which
+    for out in ("first", "second"):
+        assert main(["brane", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+    first = (tmp_path / "first" / "brane_summary.json").read_bytes()
+    assert first == (tmp_path / "second" / "brane_summary.json").read_bytes()
+    assert json.loads(first)["cells"] == (128 ** 2 if which == "brane.yaml" else 299 ** 2)
+
+
 @pytest.mark.parametrize("subcommand,line", [("brane", 12), ("simulate", 4), ("extremize", 4)])
 def test_negative_mass_exits_2_naming_the_key(tmp_path, capsys, subcommand, line):
     text = (CONFIGS / f"{subcommand}.yaml").read_text()
