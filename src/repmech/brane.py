@@ -38,6 +38,11 @@ from .lagrangian import LagrangianSpec, eval_L, nonrelativistic_expansion
 # to this many cells, so that a block's temporaries stay a few MB whatever
 # the grid size
 BLOCK_CELLS = 2 ** 15
+# floats a block costs per cell without position-dependent tensors (about
+# 32: a 256^2 surface in 4 target dimensions peaks at 8.8 MB by tracemalloc); a
+# position-dependent rank-n tensor adds its dense C^n entries per cell, and
+# a block holds at most BLOCK_CELLS * CELL_FLOATS floats
+CELL_FLOATS = 32
 
 
 def component_count(dim_m: int, d: int) -> int:
@@ -115,12 +120,13 @@ class BraneEmbedding:
         """Every cell centre, (n_cells, D), in flat (C-order) cell order."""
         return _mesh(self.center_axes())
 
-    def row_blocks(self):
+    def row_blocks(self, cell_floats: int = CELL_FLOATS):
         """(first flat cell index, cell centres) of consecutive blocks of whole
-        first-axis rows, each at most BLOCK_CELLS cells or else one row."""
+        first-axis rows, each at most BLOCK_CELLS * CELL_FLOATS // cell_floats
+        cells or else one row; cell_floats is what one cell costs."""
         axes = self.center_axes()
         row = self.n_cells // self.resolution[0]
-        rows = max(1, BLOCK_CELLS // row)
+        rows = max(1, BLOCK_CELLS * CELL_FLOATS // cell_floats // row)
         for i in range(0, self.resolution[0], rows):
             yield i * row, _mesh((axes[0][i:i + rows],) + axes[1:])
 
@@ -202,7 +208,9 @@ def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
     One batched eval_L of spec.lagrangian(D) per block of cells
     (emb.row_blocks), each block's densities written into one array of one
     float per cell, then summed at once: the same sum, bit for bit, as a
-    single batch. Memory: one float per cell, plus one block of temporaries.
+    single batch. Memory: one float per cell, plus one block of temporaries;
+    a position-dependent tensor builds its dense C^n entries per cell, so it
+    shrinks the blocks by that many floats per cell.
     With a mass term, a negative volume radicand w^T G w = det(J^T g J)
     fails eval_L's check, raised as NegativeRadicand carrying the first such
     cell; any other eval_L error names its cell's flat index in the grid.
@@ -212,9 +220,11 @@ def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
     if spec.metric.dim != emb.dim_m:
         raise DimensionMismatch("brane metric dimension differs from target dimension")
     lag = spec.lagrangian(emb.d)
+    c = component_count(emb.dim_m, emb.d)
+    cell_floats = CELL_FLOATS + sum(c ** s.rank for _, s in spec.extra_terms if not s.is_constant)
     density = np.empty(emb.n_cells)
     block_mins, block_deviations = [], []
-    for start, Z in emb.row_blocks():
+    for start, Z in emb.row_blocks(cell_floats):
         X = emb.points(Z)
         omega = _minors(emb.jacobians(Z))
         try:

@@ -12,20 +12,33 @@ along v, so dynamics only become well posed after a gauge choice:
   square system is regular whenever H is nondegenerate on g(v, .)^perp; the
   velocity is renormalized onto the constraint surface after every step.
 
-One fixed-step classical RK4 stepper (_rk4_step) serves both gauges; each
-supplies only its derivative and its after-step rule. When a field varies,
-each stage solves the Euler-Lagrange system H a = F of lagrangian.el_system,
-which evaluates each field once. When every field is constant (the metric,
-the field strength and each tensor term; see _constant_fields), one
-plain-float derivative serves both gauges instead, from g, the field
-strength and the tensor entries read once per run. Measured in-process on
-a 2-vCPU VM (integrate over 200 steps, best of 5 timeit repeats, ranges
-over 3-6 runs on a busy host), an RK4 step on the orbits benchmark's specs
-costs, with it against the generic derivative on the same spec:
+One fixed-step classical RK4 stepper serves both gauges; each supplies only
+its derivative and its after-step rule. When a field varies, each stage
+solves the Euler-Lagrange system H a = F of lagrangian.el_system, which
+evaluates each field once. When every field is constant (the metric, the
+field strength and each tensor term; see _constant_fields), one plain-float
+derivative serves both gauges instead, from g, the field strength and the
+tensor entries read once per run.
 
-* coordinate time, EM only: 21-35 us against 174-239 us;
-* coordinate time, a constant rank-3 term: 54-87 us against 256-333 us;
-* proper time, EM only: 21-34 us against 188-226 us.
+The RK4 step and the constant-field derivative are emitted as straight-line
+Python source (no loops, no list indexing) and compiled once per pattern:
+the step per state length, the derivative per gauge, dimension and nonzero
+pattern of g, the field strength and the tensor entries (_kernel). Every
+float enters as an argument of the compiled factory, never as text. The
+kernels do the same float operations in the same order as the list loops
+they replace, less the terms that are exactly zero and the factors that
+are exactly 1 (v^0 in coordinate time). While every value stays finite a
+trajectory therefore keeps its bits: a dropped zero term can change only
+the sign of a zero, which a state that starts without -0.0 never sees.
+
+Measured in-process on a 2-vCPU VM (integrate over 400 steps, best of 5
+timeit repeats, ranges over 4 alternating runs on a busy host), an RK4
+step on the orbits benchmark's specs costs, emitted against the list loops:
+
+* coordinate time, EM only: 5.2-9.8 us against 28-32 us;
+* coordinate time, a constant rank-3 term: 24-42 us against 69-80 us;
+  _eliminate takes 4.5-6.3 us of each 8.5 us derivative call;
+* proper time, EM only: 7.0-12 us against 22-32 us.
 
 The per-sample drift log records the mass-shell residual
 pi.g^{-1}.pi - m^2, which is an algebraic identity of the momentum map and
@@ -36,6 +49,7 @@ instrument.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -97,22 +111,12 @@ def el_residual(spec: LagrangianSpec, x, v, a) -> np.ndarray:
     return H @ np.asarray(a, dtype=float) - F
 
 
-def _rk4_step(deriv, t, z, h):
-    """One classical RK4 step of dz/dt = deriv(t, z) on a flat list state."""
-    hh = 0.5 * h
-    k1 = deriv(t, z)
-    k2 = deriv(t + hh, [zi + hh * ki for zi, ki in zip(z, k1)])
-    k3 = deriv(t + hh, [zi + hh * ki for zi, ki in zip(z, k2)])
-    k4 = deriv(t + h, [zi + h * ki for zi, ki in zip(z, k3)])
-    h6 = h / 6.0
-    return [zi + h6 * (a + 2.0 * b + 2.0 * c + d) for zi, a, b, c, d in zip(z, k1, k2, k3, k4)]
-
-
 def _march(deriv, t0, z, n_steps, h, after_step=None):
     """n_steps RK4 steps from z at t0; after_step(k, z) returns the state kept."""
+    step = _kernel(_emit_rk4, len(z))()
     zs = [z]
     for k in range(n_steps):
-        z = _rk4_step(deriv, t0 + k * h, z, h)
+        z = step(deriv, t0 + k * h, z, h)
         if after_step is not None:
             z = after_step(k, z)
         zs.append(z)
@@ -151,8 +155,8 @@ def _check_reduced_hessian(spec, x, v):
 
 def _integrate_coordinate(spec, x0, v0, n_steps, h):
     nsp = spec.dim - 1
-    deriv = (_constant_field_deriv(spec, GaugeChoice.COORDINATE_TIME) if _constant_fields(spec)
-             else _coordinate_deriv(spec))
+    deriv = (_constant_field_kernels(spec, GaugeChoice.COORDINATE_TIME)[0]
+             if _constant_fields(spec) else _coordinate_deriv(spec))
     taus, zs = _march(deriv, float(x0[0]), x0[1:].tolist() + v0[1:].tolist(), n_steps, h)
     xs = np.column_stack([taus, zs[:, :nsp]])
     vs = np.column_stack([np.ones_like(taus), zs[:, nsp:]])
@@ -187,11 +191,7 @@ def _proper_accel(spec, x, v):
 def _integrate_proper(spec, x0, v0, n_steps, h):
     n = spec.dim
     if _constant_fields(spec):
-        deriv = _constant_field_deriv(spec, GaugeChoice.PROPER_TIME)
-        g_rows = _sparse_rows(spec.metric(x0))
-
-        def norm2(z):
-            return _dot(z[n:], _matvec(g_rows, z[n:]))
+        deriv, norm2 = _constant_field_kernels(spec, GaugeChoice.PROPER_TIME)
     else:
         def deriv(_tau, z):
             v = z[n:]
@@ -224,7 +224,7 @@ def _integrate_proper(spec, x0, v0, n_steps, h):
 # ---------------------------------------------------------------------------
 
 def _constant_fields(spec) -> bool:
-    """Whether _constant_field_deriv applies: a massive spec whose metric, field
+    """Whether _constant_field_kernels applies: a massive spec whose metric, field
     strength and tensor terms do not vary (a uniform magnetic potential varies,
     but its Jacobian does not)."""
     return (spec.mass > 0.0 and spec.metric.is_constant
@@ -273,55 +273,45 @@ def _eliminate(A, b):
     return x
 
 
-def _sparse_rows(matrix):
-    """The (column, entry) pairs of each row's nonzero entries, as Python numbers."""
-    return [[(b, x) for b, x in enumerate(row) if x] for row in np.asarray(matrix).tolist()]
+def _pattern(matrix, first=0):
+    """(pattern, values) of a matrix's nonzero entries, from row `first` on:
+    pattern[i] holds row first+i's nonzero columns, values the entries in
+    that row-major order, as Python floats."""
+    rows = np.asarray(matrix).tolist()[first:]
+    return (tuple(tuple(j for j, x in enumerate(row) if x) for row in rows),
+            [x for row in rows for x in row if x])
 
 
-def _matvec(rows, v):
-    """M.v for the rows of M as _sparse_rows gives them, in plain floats."""
-    out = []
-    for row in rows:
-        acc = 0.0
-        for b, x in row:
-            acc += x * v[b]
-        out.append(acc)
-    return out
+def _tensor_pattern(q_n, tensor):
+    """(pattern, values) of a constant tensor term, for _emit_elimination.
 
-
-def _dot(u, v):
-    """u.v of two float lists."""
-    acc = 0.0
-    for x, y in zip(u, v):
-        acc += x * y
-    return acc
-
-
-def _tensor_stencil(q_n, tensor):
-    """A constant tensor term as the floats its Hessian needs at every stage.
-
-    (Q_n (n - 1), 1/n - 1, 1/n - 2, n, pairs): pairs lists (a, b, entries)
-    for each a <= b whose s_ab = S(v, ..., v, .^2)_ab has a nonzero entry;
-    entries are the (S_{ab rest}, rest) of the nonzero dense entries, and
-    s_ab sums S_{ab rest} * v^rest over them.
+    pattern is (rank, pairs): pairs lists (a, b, rests) for each a <= b whose
+    s_ab = S(v, ..., v, .^2)_ab has a nonzero entry, rests the remaining
+    indices of each nonzero dense entry S_{ab rest}. values are Q_n (n - 1),
+    1/n - 1, 1/n - 2 and the entries in that order.
     """
     S, n = tensor.S, tensor.rank
     pairs = {}
     for idx in zip(*np.nonzero(S)):
         a, b, *rest = map(int, idx)
         if a <= b:
-            pairs.setdefault((a, b), []).append((float(S[idx]), rest))
-    return (q_n * (n - 1), 1.0 / n - 1.0, 1.0 / n - 2.0, n,
-            [(a, b, entries) for (a, b), entries in pairs.items()])
+            pairs.setdefault((a, b), []).append((float(S[idx]), tuple(rest)))
+    pattern = (n, tuple((a, b, tuple(rest for _, rest in entries))
+                        for (a, b), entries in pairs.items()))
+    values = [q_n * (n - 1), 1.0 / n - 1.0, 1.0 / n - 2.0]
+    return pattern, values + [w for entries in pairs.values() for w, _ in entries]
 
 
-def _constant_field_deriv(spec, gauge):
-    """_coordinate_deriv, or the proper-time (v, a), of a spec with _constant_fields.
+def _constant_field_kernels(spec, gauge):
+    """(deriv, norm2) of a spec with _constant_fields: the emitted derivative
+    and, in proper time, g(v, v) of a state (None in coordinate time).
 
-    Same equations, in plain floats: at one state per call, numpy's per-call
-    overhead costs more than the arithmetic. g, the field strength
+    The same equations as _coordinate_deriv and the bordered proper-time
+    solve, as straight-line float code: at one state per call, numpy's
+    per-call overhead costs more than the arithmetic. g, the field strength
     f = q (J^T - J), for which F = f v, and each tensor's nonzero entries are
-    read once; a constant metric has row = 0.
+    read once and passed to the kernel's factory; a constant metric has
+    row = 0.
 
     * EM only, coordinate time, diagonal g: the closed form of the reduced
       inverse, M^{-1} = (s/m) [diag(1/d_i) + u u^T / g00], s = sqrt(g(v, v)).
@@ -341,108 +331,258 @@ def _constant_field_deriv(spec, gauge):
     q = float(spec.charge)
     jac = spec.potential.jacobian(origin)
     proper = gauge is GaugeChoice.PROPER_TIME
-
-    g_rows = _sparse_rows(g)
+    g_pattern, g_values = _pattern(g)
     if not spec.extra_terms and proper:
-        w = _sparse_rows(np.linalg.solve(g, q * (jac.T - jac)))  # g^{-1} f
-
-        def deriv(_tau, z):
-            v = z[dim:]
-            gvv = _dot(v, _matvec(g_rows, v))
-            if gvv <= 0.0:
-                _outside_cone(gvv)
-            c = math.sqrt(gvv) / m
-            return v + [c * x for x in _matvec(w, v)]
-
-        return deriv
-
-    nsp = dim - 1
+        w_pattern, w_values = _pattern(np.linalg.solve(g, q * (jac.T - jac)))  # g^{-1} f
+        return _kernel(_emit_proper_em, g_pattern, w_pattern)([m, *g_values, *w_values])
     if not spec.extra_terms and np.max(np.abs(g - np.diag(np.diag(g)))) == 0.0:
-        g00 = float(g[0, 0])
-        d = [float(g[i, i]) for i in range(1, dim)]
-        # F[i][al] = J[al, i+1] - J[i+1, al] so that rhs_i = q * F[i][al] v^al
-        F = [[float(jac[al, i + 1] - jac[i + 1, al]) for al in range(dim)] for i in range(nsp)]
-        have_force = q != 0.0 and any(any(row) for row in F)
-        no_force = [0.0] * nsp
+        # row a of F is J[:, a] - J[a, :], so that rhs_a = q F_a.v
+        f_pattern, f_values = _pattern(jac.T - jac, 1)
+        if q == 0.0 or not f_values:
+            f_pattern, f_values = None, []
+        diagonal = np.diag(g).tolist()
+        return _kernel(_emit_diagonal_em, dim, f_pattern)([m, q, *diagonal, *f_values])
+    lo = 0 if proper else 1
+    f_pattern, f_values = _pattern(q * (jac.T - jac), lo)
+    values = [m, *g_values, *f_values]
+    t_patterns = []
+    for q_n, tensor in spec.extra_terms:
+        t_pattern, t_values = _tensor_pattern(q_n, tensor)
+        t_patterns.append(t_pattern)
+        values += t_values
+    return _kernel(_emit_elimination, proper, g_pattern, f_pattern, tuple(t_patterns))(values)
 
-        def deriv(t, z):
-            u = z[nsp:]
-            s2 = g00
-            for i in range(nsp):
-                s2 += d[i] * u[i] * u[i]
-            if s2 <= 0.0:
-                _outside_cone(s2)
-            s = math.sqrt(s2)
-            rhs = no_force
-            if have_force:
-                rhs = []
-                for row in F:
-                    acc = row[0]
-                    for j in range(nsp):
-                        acc += row[j + 1] * u[j]
-                    rhs.append(q * acc)
-            udotr = 0.0
-            for i in range(nsp):
-                udotr += u[i] * rhs[i]
-            c = s / m
-            u += [c * (rhs[i] / d[i] + u[i] * udotr / g00) for i in range(nsp)]
-            return u  # (v, a)
 
-        return deriv
+# ---------------------------------------------------------------------------
+# emitted kernels: straight-line float code, compiled once per pattern
+# ---------------------------------------------------------------------------
 
-    gl = g.tolist()
+_KERNELS = {}  # (emitter name, *pattern) -> compiled factory
+
+
+def _kernel(emit, *pattern):
+    """The factory that emit(*pattern) writes, compiled on first use.
+
+    The pattern holds only integers (a state length, index patterns), so
+    every spec of one pattern shares one kernel: the floats enter as the
+    factory's arguments and none is formatted into the source. The source is
+    registered with linecache under a fixed pseudo-filename, so a traceback
+    through a kernel shows its line.
+    """
+    key = (emit.__name__,) + pattern
+    factory = _KERNELS.get(key)
+    if factory is None:
+        source = "\n".join(emit(*pattern)) + "\n"
+        filename = f"<repmech.worldline{key}>"
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        namespace = {"sqrt": math.sqrt, "_outside_cone": _outside_cone,
+                     "_checked_radicand": _checked_radicand, "_eliminate": _eliminate}
+        exec(compile(source, filename, "exec"), namespace)
+        factory = _KERNELS[key] = namespace["factory"]
+    return factory
+
+
+def _unpack(names):
+    """The target list of an unpacking assignment: "a, b, " or "()" for none."""
+    return "".join(f"{n}, " for n in names) or "()"
+
+
+def _sum(terms):
+    """Terms added left to right, or the literal zero for none."""
+    return " + ".join(terms) or "0.0"
+
+
+def _times(*factors):
+    """A left-to-right product; None stands for a factor that is exactly 1."""
+    return " * ".join(f for f in factors if f is not None)
+
+
+def _emit_rk4(n):
+    """The classical RK4 step of an n-float state dz/dt = deriv(t, z), unrolled."""
+    z, a, b, c, d = ([f"{p}{i}" for i in range(n)] for p in "zabcd")
+
+    def stage(h, k):
+        return "[" + ", ".join(f"{zi} + {h} * {ki}" for zi, ki in zip(z, k)) + "]"
+
+    combined = ", ".join(f"{zi} + h6 * ({ai} + 2.0 * {bi} + 2.0 * {ci} + {di})"
+                         for zi, ai, bi, ci, di in zip(z, a, b, c, d))
+    return ["def factory():",
+            "    def step(deriv, t, z, h):",
+            f"        {_unpack(z)}= z",
+            "        hh = 0.5 * h",
+            f"        {_unpack(a)}= deriv(t, z)",
+            f"        {_unpack(b)}= deriv(t + hh, {stage('hh', a)})",
+            f"        {_unpack(c)}= deriv(t + hh, {stage('hh', b)})",
+            f"        {_unpack(d)}= deriv(t + h, {stage('h', c)})",
+            "        h6 = h / 6.0",
+            f"        return [{combined}]",
+            "    return step"]
+
+
+def _matvec_lines(out, matrix, pattern, v, first=0):
+    """Lines setting out{i} = (M v)_i over M's nonzero entries (named
+    {matrix}{i}_{j}), and each row's symbol: out{i}, or 0.0 for an empty row."""
+    lines, symbols = [], []
+    for i, cols in enumerate(pattern, first):
+        if cols:
+            lines.append(f"{out}{i} = " + _sum([_times(f"{matrix}{i}_{j}", v[j]) for j in cols]))
+        symbols.append(f"{out}{i}" if cols else "0.0")
+    return lines, symbols
+
+
+def _inner(u, w):
+    """The expression u.w, over the entries of w that are not the literal zero."""
+    return _sum([_times(ui, wi) for ui, wi in zip(u, w) if wi != "0.0"])
+
+
+def _entry_names(matrix, pattern, first=0):
+    return [f"{matrix}{i}_{j}" for i, cols in enumerate(pattern, first) for j in cols]
+
+
+def _indent(lines, depth):
+    return [" " * (4 * depth) + line for line in lines]
+
+
+def _emit_norm2(state, v, g_pattern):
+    """Lines of norm2(z) = g(v, v) for a proper-time state."""
+    lines, gv = _matvec_lines("gv", "g", g_pattern, v)
+    return ["    def norm2(z):",
+            f"        {_unpack(state)}= z",
+            *_indent(lines, 2),
+            f"        return {_inner(v, gv)}"]
+
+
+def _emit_proper_em(g_pattern, w_pattern):
+    """EM-only proper-time derivative (v, (s/m) g^{-1} f v), and g(v, v)."""
+    dim = len(g_pattern)
+    x = [f"x{a}" for a in range(dim)]
+    v = [f"v{a}" for a in range(dim)]
+    params = ["m"] + _entry_names("g", g_pattern) + _entry_names("w", w_pattern)
+    gv_lines, gv = _matvec_lines("gv", "g", g_pattern, v)
+    fv_lines, fv = _matvec_lines("fv", "w", w_pattern, v)
+    accel = [f"c * {e}" if e != "0.0" else e for e in fv]
+    return ["def factory(consts):",
+            f"    {_unpack(params)}= consts",
+            "    def deriv(_tau, z):",
+            f"        {_unpack(x + v)}= z",
+            *_indent(gv_lines, 2),
+            f"        gvv = {_inner(v, gv)}",
+            "        if gvv <= 0.0:",
+            "            _outside_cone(gvv)",
+            "        c = sqrt(gvv) / m",
+            *_indent(fv_lines, 2),
+            f"        return [{', '.join(v + accel)}]",
+            *_emit_norm2(x + v, v, g_pattern),
+            "    return deriv, norm2"]
+
+
+def _emit_diagonal_em(dim, f_pattern):
+    """EM-only coordinate-time derivative on a diagonal metric, by the closed
+    form of the reduced inverse; f_pattern None means no force."""
+    spatial = range(1, dim)
+    x = [f"x{a}" for a in spatial]
+    u = [f"v{a}" for a in spatial]
+    v = [None] + u  # v^0 = 1
+    params = ["m", "q"] + [f"d{a}" for a in range(dim)] + _entry_names("F", f_pattern or (), 1)
+    lines = ["s2 = " + _sum(["d0"] + [f"d{a} * v{a} * v{a}" for a in spatial]),
+             "if s2 <= 0.0:",
+             "    _outside_cone(s2)"]
+    if f_pattern is None:
+        accel = ["0.0"] * (dim - 1)
+    else:
+        rhs = []
+        lines.append("s = sqrt(s2)")
+        for a, cols in zip(spatial, f_pattern):
+            if cols:
+                force = _sum([_times(f"F{a}_{j}", v[j]) for j in cols])
+                lines.append(f"r{a} = q * ({force})")
+            rhs.append(f"r{a}" if cols else "0.0")
+        lines += [f"ur = {_inner(u, rhs)}", "c = s / m"]
+        accel = [f"c * ({ra} / d{a} + v{a} * ur / d0)" if ra != "0.0" else f"c * (v{a} * ur / d0)"
+                 for a, ra in zip(spatial, rhs)]
+    return ["def factory(consts):",
+            f"    {_unpack(params)}= consts",
+            "    def deriv(t, z):",
+            f"        {_unpack(x + u)}= z",
+            *_indent(lines, 2),
+            f"        return [{', '.join(u + accel)}]",
+            "    return deriv, None"]
+
+
+def _emit_elimination(proper, g_pattern, f_pattern, tensors):
+    """The general derivative: the mass and tensor Hessians and the force,
+    solved by _eliminate on the reduced block (coordinate time) or on the
+    system bordered by the gauge row (proper time)."""
+    dim = len(g_pattern)
     lo = 0 if proper else 1  # H's rows and columns lo..dim-1 are solved
     rows = range(lo, dim)
-    f_rows = _sparse_rows(q * (jac.T - jac))[lo:]
-    tensors = [_tensor_stencil(q_n, s) for q_n, s in spec.extra_terms]
-
-    def deriv(t, z):
-        v = z[dim:] if proper else [1.0] + z[nsp:]
-        gv = _matvec(g_rows, v)
-        gvv = _dot(v, gv)
-        if gvv <= 0.0:
-            _outside_cone(gvv)
-        s = math.sqrt(gvv)
-        ms, ms3 = m / s, m / (s * gvv)
-        H = [[ms * gl[i][j] - ms3 * gv[i] * gv[j] for j in rows] for i in rows]
-        for qn1, e1, e2, rank, pairs in tensors:
-            sa = [0.0] * dim
-            sab = []
-            for a, b, entries in pairs:
-                acc = 0.0
-                for w, rest in entries:
-                    for r in rest:
-                        w *= v[r]
-                    acc += w
-                sab.append(acc)
-                sa[a] += acc * v[b]
+    x = [f"x{a}" for a in range(lo, dim)]
+    v = [f"v{a}" for a in range(dim)]
+    state = v[lo:]
+    if not proper:
+        v[0] = None  # v^0 = 1
+    params = ["m"] + _entry_names("g", g_pattern) + _entry_names("f", f_pattern, lo)
+    lines, gv = _matvec_lines("gv", "g", g_pattern, v)
+    lines += [f"gvv = {_inner(v, gv)}",
+              "if gvv <= 0.0:",
+              "    _outside_cone(gvv)",
+              "s = sqrt(gvv)",
+              "ms, ms3 = m / s, m / (s * gvv)"]
+    for i in rows:
+        for j in rows:
+            mass = f"ms * g{i}_{j}" if j in g_pattern[i] else None
+            outer = None if "0.0" in (gv[i], gv[j]) else f"ms3 * {gv[i]} * {gv[j]}"
+            h = f"{mass} - {outer}" if mass and outer else mass or outer and f"-({outer})"
+            lines.append(f"h{i}_{j} = {h or '0.0'}")
+    for t, (rank, pairs) in enumerate(tensors):
+        params += [f"qn{t}", f"ea{t}", f"eb{t}"]
+        first = len(params)
+        sa_terms = [[] for _ in range(dim)]
+        for p, (a, b, rests) in enumerate(pairs):
+            entries = []
+            for rest in rests:
+                params.append(f"s{t}_{len(params) - first}")
+                entries.append(_times(params[-1], *(v[r] for r in rest)))
+            lines.append(f"p{t}_{p} = {_sum(entries)}")
+            sa_terms[a].append(_times(f"p{t}_{p}", v[b]))
+            if a != b:
+                sa_terms[b].append(_times(f"p{t}_{p}", v[a]))
+        sa = []
+        for i, terms in enumerate(sa_terms):
+            if terms:
+                lines.append(f"sa{t}_{i} = {_sum(terms)}")
+            sa.append(f"sa{t}_{i}" if terms else "0.0")
+        c = f"c{t}"
+        lines += [f"{c} = {_inner(v, sa)}",
+                  f"if {c} {'<=' if rank % 2 == 0 else '=='} 0.0:",
+                  f"    _checked_radicand({rank}, {c})",
+                  f"k1 = qn{t} * abs({c}) ** ea{t}",
+                  f"k2 = qn{t} * abs({c}) ** eb{t} if {c} > 0.0 else -qn{t} * abs({c}) ** eb{t}"]
+        for p, (a, b, _) in enumerate(pairs):
+            if a >= lo:
+                lines.append(f"h{a}_{b} += k1 * p{t}_{p}")
                 if a != b:
-                    sa[b] += acc * v[a]
-            c = _dot(v, sa)
-            if c == 0.0 or (c < 0.0 and rank % 2 == 0):
-                _checked_radicand(rank, c)
-            k1 = qn1 * abs(c) ** e1
-            k2 = qn1 * abs(c) ** e2 if c > 0.0 else -qn1 * abs(c) ** e2
-            for (a, b, _), sx in zip(pairs, sab):
-                if a >= lo:
-                    H[a - lo][b - lo] += k1 * sx
-                    if a != b:
-                        H[b - lo][a - lo] += k1 * sx
-            nz = [(i - lo, k2 * sa[i], sa[i]) for i in rows if sa[i]]
-            for i, k2si, _ in nz:
-                hi = H[i]
-                for j, _, sj in nz:
-                    hi[j] -= k2si * sj
-        rhs = _matvec(f_rows, v)
-        if proper:  # border H with the gauge row (g v)^T a = row = 0
-            for hi, gvi in zip(H, gv):
-                hi.append(gvi)
-            H.append(gv + [0.0])
-            rhs.append(0.0)
-            return v + _eliminate(H, rhs)[:dim]
-        return z[nsp:] + _eliminate(H, rhs)
-
-    return deriv
+                    lines.append(f"h{b}_{a} += k1 * p{t}_{p}")
+        nz = [i for i in rows if sa[i] != "0.0"]
+        lines += [f"k2s{i} = k2 * {sa[i]}" for i in nz]
+        lines += [f"h{i}_{j} -= k2s{i} * {sa[j]}" for i in nz for j in nz]
+    rhs_lines, rhs = _matvec_lines("r", "f", f_pattern, v, lo)
+    lines += rhs_lines
+    A = [[f"h{i}_{j}" for j in rows] for i in rows]
+    if proper:  # border H with the gauge row (g v)^T a = row = 0
+        A = [row + [gi] for row, gi in zip(A, gv)] + [gv + ["0.0"]]
+        rhs = rhs + ["0.0"]
+    matrix = "[" + ", ".join("[" + ", ".join(row) + "]" for row in A) + "]"
+    solved = f"_eliminate({matrix}, [{', '.join(rhs)}])" + (f"[:{dim}]" if proper else "")
+    norm2 = _emit_norm2(x + state, v, g_pattern) if proper else []
+    return ["def factory(consts):",
+            f"    {_unpack(params)}= consts",
+            "    def deriv(t, z):",
+            f"        {_unpack(x + state)}= z",
+            *_indent(lines, 2),
+            f"        return [{', '.join(state)}] + {solved}",
+            *norm2,
+            f"    return deriv, {'norm2' if proper else 'None'}"]
 
 
 # ---------------------------------------------------------------------------

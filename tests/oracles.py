@@ -295,3 +295,239 @@ def brane_action_single_batch(spec, emb, details=False):
         "min_radicand": float(np.min(quadratic_form(lag.metric(X), omega))),
         "gauge_deviation": float(np.max(np.abs(omega[:, 0] - 1.0))),
     }
+
+
+# ---------------------------------------------------------------------------
+# list-form constant-field RK4: the reference for worldline's emitted kernels
+# ---------------------------------------------------------------------------
+
+def rk4_step_lists(deriv, t, z, h):
+    """One classical RK4 step of dz/dt = deriv(t, z) on a flat list state."""
+    hh = 0.5 * h
+    k1 = deriv(t, z)
+    k2 = deriv(t + hh, [zi + hh * ki for zi, ki in zip(z, k1)])
+    k3 = deriv(t + hh, [zi + hh * ki for zi, ki in zip(z, k2)])
+    k4 = deriv(t + h, [zi + h * ki for zi, ki in zip(z, k3)])
+    h6 = h / 6.0
+    return [zi + h6 * (a + 2.0 * b + 2.0 * c + d) for zi, a, b, c, d in zip(z, k1, k2, k3, k4)]
+
+
+def _outside_cone(gvv):
+    from repmech.errors import NullVelocity, SpacelikeVelocity
+
+    if gvv < 0.0:
+        raise SpacelikeVelocity(f"g(v,v) = {gvv} < 0")
+    raise NullVelocity("momentum of the mass term is undefined on the light cone")
+
+
+def eliminate_lists(A, b):
+    """x with A x = b by Gaussian elimination with partial pivoting on float lists."""
+    from repmech.errors import SingularReducedHessian
+
+    n = len(b)
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(A[i][k]) > abs(A[p][k]):
+                p = i
+        if A[p][k] == 0.0:
+            raise SingularReducedHessian(f"velocity Hessian system singular (column {k})")
+        A[k], A[p] = A[p], A[k]
+        b[k], b[p] = b[p], b[k]
+        row, pivot = A[k], A[k][k]
+        for i in range(k + 1, n):
+            r = A[i][k] / pivot
+            if r != 0.0:
+                other = A[i]
+                for j in range(k + 1, n):
+                    other[j] -= r * row[j]
+                b[i] -= r * b[k]
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        row, acc = A[k], b[k]
+        for j in range(k + 1, n):
+            acc -= row[j] * x[j]
+        x[k] = acc / row[k]
+    return x
+
+
+def _sparse_rows(matrix):
+    return [[(b, x) for b, x in enumerate(row) if x] for row in np.asarray(matrix).tolist()]
+
+
+def _matvec(rows, v):
+    out = []
+    for row in rows:
+        acc = 0.0
+        for b, x in row:
+            acc += x * v[b]
+        out.append(acc)
+    return out
+
+
+def _dot(u, v):
+    acc = 0.0
+    for x, y in zip(u, v):
+        acc += x * y
+    return acc
+
+
+def _tensor_stencil(q_n, tensor):
+    S, n = tensor.S, tensor.rank
+    pairs = {}
+    for idx in zip(*np.nonzero(S)):
+        a, b, *rest = map(int, idx)
+        if a <= b:
+            pairs.setdefault((a, b), []).append((float(S[idx]), rest))
+    return (q_n * (n - 1), 1.0 / n - 1.0, 1.0 / n - 2.0, n,
+            [(a, b, entries) for (a, b), entries in pairs.items()])
+
+
+def constant_field_deriv_lists(spec, proper):
+    """deriv(t, z) of a spec with constant fields, in plain-float list loops.
+
+    The coordinate-time state is (x^i, u^i), the proper-time one (x^a, v^a).
+    Three closures: diagonal-g EM in coordinate time (closed-form reduced
+    inverse), EM in proper time (a = (s/m) g^{-1} f v), and otherwise the
+    mass and tensor Hessians eliminated on the reduced or bordered system.
+    """
+    from repmech.lagrangian import _checked_radicand
+
+    dim = spec.dim
+    origin = np.zeros(dim)
+    g = spec.metric(origin)
+    m = float(spec.mass)
+    q = float(spec.charge)
+    jac = spec.potential.jacobian(origin)
+
+    g_rows = _sparse_rows(g)
+    if not spec.extra_terms and proper:
+        w = _sparse_rows(np.linalg.solve(g, q * (jac.T - jac)))
+
+        def deriv(_tau, z):
+            v = z[dim:]
+            gvv = _dot(v, _matvec(g_rows, v))
+            if gvv <= 0.0:
+                _outside_cone(gvv)
+            c = math.sqrt(gvv) / m
+            return v + [c * x for x in _matvec(w, v)]
+
+        return deriv
+
+    nsp = dim - 1
+    if not spec.extra_terms and np.max(np.abs(g - np.diag(np.diag(g)))) == 0.0:
+        g00 = float(g[0, 0])
+        d = [float(g[i, i]) for i in range(1, dim)]
+        F = [[float(jac[al, i + 1] - jac[i + 1, al]) for al in range(dim)] for i in range(nsp)]
+        have_force = q != 0.0 and any(any(row) for row in F)
+        no_force = [0.0] * nsp
+
+        def deriv(t, z):
+            u = z[nsp:]
+            s2 = g00
+            for i in range(nsp):
+                s2 += d[i] * u[i] * u[i]
+            if s2 <= 0.0:
+                _outside_cone(s2)
+            s = math.sqrt(s2)
+            rhs = no_force
+            if have_force:
+                rhs = []
+                for row in F:
+                    acc = row[0]
+                    for j in range(nsp):
+                        acc += row[j + 1] * u[j]
+                    rhs.append(q * acc)
+            udotr = 0.0
+            for i in range(nsp):
+                udotr += u[i] * rhs[i]
+            c = s / m
+            u += [c * (rhs[i] / d[i] + u[i] * udotr / g00) for i in range(nsp)]
+            return u
+
+        return deriv
+
+    gl = g.tolist()
+    lo = 0 if proper else 1
+    rows = range(lo, dim)
+    f_rows = _sparse_rows(q * (jac.T - jac))[lo:]
+    tensors = [_tensor_stencil(q_n, s) for q_n, s in spec.extra_terms]
+
+    def deriv(t, z):
+        v = z[dim:] if proper else [1.0] + z[nsp:]
+        gv = _matvec(g_rows, v)
+        gvv = _dot(v, gv)
+        if gvv <= 0.0:
+            _outside_cone(gvv)
+        s = math.sqrt(gvv)
+        ms, ms3 = m / s, m / (s * gvv)
+        H = [[ms * gl[i][j] - ms3 * gv[i] * gv[j] for j in rows] for i in rows]
+        for qn1, e1, e2, rank, pairs in tensors:
+            sa = [0.0] * dim
+            sab = []
+            for a, b, entries in pairs:
+                acc = 0.0
+                for w, rest in entries:
+                    for r in rest:
+                        w *= v[r]
+                    acc += w
+                sab.append(acc)
+                sa[a] += acc * v[b]
+                if a != b:
+                    sa[b] += acc * v[a]
+            c = _dot(v, sa)
+            if c == 0.0 or (c < 0.0 and rank % 2 == 0):
+                _checked_radicand(rank, c)
+            k1 = qn1 * abs(c) ** e1
+            k2 = qn1 * abs(c) ** e2 if c > 0.0 else -qn1 * abs(c) ** e2
+            for (a, b, _), sx in zip(pairs, sab):
+                if a >= lo:
+                    H[a - lo][b - lo] += k1 * sx
+                    if a != b:
+                        H[b - lo][a - lo] += k1 * sx
+            nz = [(i - lo, k2 * sa[i], sa[i]) for i in rows if sa[i]]
+            for i, k2si, _ in nz:
+                hi = H[i]
+                for j, _, sj in nz:
+                    hi[j] -= k2si * sj
+        rhs = _matvec(f_rows, v)
+        if proper:
+            for hi, gvi in zip(H, gv):
+                hi.append(gvi)
+            H.append(gv + [0.0])
+            rhs.append(0.0)
+            return v + eliminate_lists(H, rhs)[:dim]
+        return z[nsp:] + eliminate_lists(H, rhs)
+
+    return deriv
+
+
+def constant_field_orbit_lists(spec, proper, x0, v0, n_steps, h, gauge_tol=1e-8):
+    """(x, v) samples of n_steps list-form RK4 steps from gauge-snapped (x0, v0).
+
+    Coordinate time marches (x^i, u^i) from t = x0^0; proper time marches
+    (x^a, v^a) and projects v back onto g(v, v) = 1 after every step.
+    """
+    dim = spec.dim
+    deriv = constant_field_deriv_lists(spec, proper)
+    x0, v0 = list(map(float, x0)), list(map(float, v0))
+    if proper:
+        g_rows = _sparse_rows(spec.metric(np.zeros(dim)))
+        z, t = x0 + v0, 0.0
+    else:
+        z, t = x0[1:] + v0[1:], x0[0]
+    zs = [z]
+    for k in range(n_steps):
+        z = rk4_step_lists(deriv, t + k * h, z, h)
+        if proper:
+            gvv = _dot(z[dim:], _matvec(g_rows, z[dim:]))
+            nrm = math.sqrt(gvv)
+            assert gvv > 0.0 and abs(nrm - 1.0) <= gauge_tol
+            z = z[:dim] + [vi / nrm for vi in z[dim:]]
+        zs.append(z)
+    zs = np.asarray(zs)
+    if proper:
+        return zs[:, :dim], zs[:, dim:]
+    taus = t + h * np.arange(n_steps + 1)
+    return (np.column_stack([taus, zs[:, :dim - 1]]),
+            np.column_stack([np.ones_like(taus), zs[:, dim - 1:]]))

@@ -26,6 +26,7 @@ from repmech import (
     integral_gauge_check,
     metric_from_function,
     nonrelativistic_brane_expansion,
+    symmetric_tensor,
     symmetric_tensor_field,
     tilted_plane_embedding,
 )
@@ -207,3 +208,49 @@ def test_memory_is_one_float_per_cell_plus_one_block():
         tracemalloc.stop()
     assert action == pytest.approx(1.25, rel=1e-12)
     assert peak / 2 ** 20 <= PEAK_BOUND_MB
+
+
+def _batch_sizes(emb):
+    """emb with an evaluator that records the size of each batch it is given."""
+    sizes = []
+
+    def evaluate(Z):
+        sizes.append(len(Z))
+        return emb.evaluator(Z)
+
+    return BraneEmbedding(d=emb.d, dim_m=emb.dim_m, box=emb.box, resolution=emb.resolution,
+                          evaluator=evaluate, jacobian=emb.jacobian), sizes
+
+
+def test_a_position_dependent_tensor_shrinks_the_blocks_by_its_dense_entries():
+    emb, sizes = _batch_sizes(_embedding(2, (300, 257)))
+    c = component_count(4, 2)
+    constant = symmetric_tensor(3, c, {(0, 0, 0): 1.0, (1, 2, 3): 0.3})
+    for terms in [(), ((0.25, constant),)]:
+        sizes.clear()
+        brane_action(BraneSpec(euclidean_metric(4), mass=1.3, extra_terms=terms), emb)
+        assert sizes[:-1] == [brane.BLOCK_CELLS // 257 * 257] * (len(sizes) - 1)
+    spec = _full_spec(c)
+    expect = brane_action_single_batch(spec, emb, True)
+    sizes.clear()
+    assert brane_action(spec, emb, details=True) == expect
+    cells = brane.BLOCK_CELLS * brane.CELL_FLOATS // (brane.CELL_FLOATS + c ** 3)
+    assert sizes[:-1] == [cells // 257 * 257] * (len(sizes) - 1) and sum(sizes) == emb.n_cells
+
+
+# tracemalloc peak of brane_action on a 256^2 surface in 4 target dimensions
+# with a position-dependent rank-3 tensor of C = 6 components: 11.2 MB with
+# blocks sized by their floats, 86 MB with 2^15-cell blocks
+TENSOR_PEAK_BOUND_MB = 25.0
+
+
+def test_memory_of_a_position_dependent_tensor_is_bounded_per_block():
+    emb = _embedding(2, (256, 256))
+    spec = _full_spec(component_count(4, 2))
+    tracemalloc.start()
+    try:
+        brane_action(spec, emb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2 ** 20 <= TENSOR_PEAK_BOUND_MB

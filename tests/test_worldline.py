@@ -154,7 +154,7 @@ S4 = symmetric_tensor(4, 4, {(0, 0, 0, 0): 1.0, (0, 0, 1, 1): 0.1, (1, 2, 2, 3):
 
 def constant_field_and_generic(spec, gauge):
     """The constant-field derivative and the generic one, both as deriv(t, z)."""
-    fast = worldline._constant_field_deriv(spec, gauge)
+    fast, _ = worldline._constant_field_kernels(spec, gauge)
     if gauge is GaugeChoice.COORDINATE_TIME:
         return fast, worldline._coordinate_deriv(spec)
     n = spec.dim
@@ -213,7 +213,7 @@ class TestConstantFieldDerivative:
             assert worldline._constant_fields(spec) is not generic
             with monkeypatch.context() as patch:
                 if generic:
-                    patch.setattr(worldline, "_constant_field_deriv", refused)
+                    patch.setattr(worldline, "_constant_field_kernels", refused)
                 else:
                     patch.setattr(worldline, "_coordinate_deriv", refused)
                     patch.setattr(worldline, "_proper_accel", refused)

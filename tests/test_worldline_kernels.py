@@ -1,0 +1,218 @@
+"""The emitted RK4 step and constant-field derivatives of worldline.
+
+oracles.constant_field_orbit_lists marches the list-form RK4 step with the
+three hand-written constant-field derivatives (diagonal-g EM in coordinate
+time, EM in proper time, and the eliminated Hessian) that the emitted
+kernels reproduce. Trajectories are compared on their bytes, so a zero of
+either sign counts; derivatives and error messages with ==.
+"""
+
+import io
+import linecache
+import os
+import subprocess
+import sys
+import tokenize
+import traceback
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from oracles import constant_field_deriv_lists, constant_field_orbit_lists
+import repmech.worldline as worldline
+from repmech import (
+    GaugeChoice,
+    LagrangianSpec,
+    NegativeEvenRadicand,
+    NullVelocity,
+    SingularReducedHessian,
+    SpacelikeVelocity,
+    ZeroRadicand,
+    constant_diagonal_metric,
+    constant_metric,
+    constant_potential,
+    integrate,
+    minkowski_metric,
+    symmetric_tensor,
+    uniform_magnetic_potential,
+    zero_potential,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+GAUGES = list(GaugeChoice)
+
+
+def _metrics(dim):
+    diagonal = [1.5] + [-1.0 - 0.5 * i for i in range(dim - 1)]
+    full = np.diag(diagonal)
+    full[0, 1] = full[1, 0] = 0.2
+    full[-1, -2] = full[-2, -1] = 0.1
+    return {"minkowski": minkowski_metric(dim), "diagonal": constant_diagonal_metric(diagonal),
+            "full": constant_metric(full)}
+
+
+def _potentials(dim):
+    """(potential, charge) pairs: zero, constant, magnetic, and magnetic with q = 0
+    (constant with q = 0 in dimension 2, which has no spatial plane)."""
+    constant = constant_potential(np.linspace(0.3, -0.2, dim))
+    if dim == 2:
+        return [(zero_potential(dim), 0.7), (constant, 0.7), (constant, 0.0)]
+    magnetic = uniform_magnetic_potential(dim, 1.1)
+    return [(zero_potential(dim), 0.7), (constant, 0.7), (magnetic, 0.7), (magnetic, 0.0)]
+
+
+def _terms(dim):
+    """No term, a rank-3 term, a rank-3 term with a negative radicand, a rank-4 term."""
+    last = dim - 1
+    rank3 = {(0, 0, 0): 1.0, (0, 1, 1): 0.1, (0, 1, last): -0.05, (1, 1, last): 0.2}
+    rank4 = {(0, 0, 0, 0): 1.0, (0, 0, 1, 1): 0.1, (0, 1, 1, last): 0.07, (1, 1, 1, last): -0.05}
+    return [(), ((0.2, symmetric_tensor(3, dim, rank3)),),
+            ((0.2, symmetric_tensor(3, dim, {(0, 0, 0): -1.0, (0, 1, 1): 0.1})),),
+            ((-0.3, symmetric_tensor(4, dim, rank4)),)]
+
+
+def _initial(spec, gauge):
+    """A timelike start with one zero velocity component from dim 3 on."""
+    dim = spec.dim
+    x0 = np.linspace(-0.3, 0.4, dim)
+    v0 = np.array([1.0, 0.3, 0.0, -0.2, 0.1][:dim])
+    if gauge is GaugeChoice.PROPER_TIME:
+        v0 = v0 / np.sqrt(v0 @ spec.metric(x0) @ v0)
+    return x0, v0
+
+
+@pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.value)
+@pytest.mark.parametrize("metric", ["minkowski", "diagonal", "full"])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_trajectories_equal_the_list_reference_bit_for_bit(dim, metric, gauge):
+    proper = gauge is GaugeChoice.PROPER_TIME
+    n, h = 20, 0.05
+    for potential, charge in _potentials(dim):
+        for terms in _terms(dim):
+            spec = LagrangianSpec(metric=_metrics(dim)[metric], mass=1.3, charge=charge,
+                                  potential=potential, extra_terms=terms)
+            assert worldline._constant_fields(spec)
+            wl = integrate(spec, gauge, *_initial(spec, gauge), n * h, h)
+            x, v = constant_field_orbit_lists(spec, proper, wl.x[0], wl.v[0], n, h)
+            assert wl.x.tobytes() == x.tobytes()
+            assert wl.v.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.value)
+@pytest.mark.parametrize("dim", [2, 4, 5])
+def test_derivatives_equal_the_list_reference_at_random_states(dim, gauge):
+    proper = gauge is GaugeChoice.PROPER_TIME
+    rng = np.random.default_rng(dim)
+    for metric in _metrics(dim).values():
+        for potential, charge in _potentials(dim):
+            for terms in _terms(dim):
+                spec = LagrangianSpec(metric=metric, mass=0.9, charge=charge,
+                                      potential=potential, extra_terms=terms)
+                fast, _ = worldline._constant_field_kernels(spec, gauge)
+                reference = constant_field_deriv_lists(spec, proper)
+                for _ in range(5):
+                    v = np.concatenate(([rng.uniform(1.0, 1.3)],
+                                        rng.uniform(-0.25, 0.25, dim - 1)))
+                    x = rng.uniform(-1.0, 1.0, dim).tolist()
+                    z = x + v.tolist() if proper else x[1:] + v[1:].tolist()
+                    assert fast(x[0], z) == reference(x[0], z)
+
+
+ERROR_CASES = [
+    ((), [1.0, 1.5, 0.0, 0.0], SpacelikeVelocity, "_outside_cone"),
+    ((), [1.0, 1.0, 0.0, 0.0], NullVelocity, "_outside_cone"),
+    (((0.2, symmetric_tensor(3, 4, {(0, 0, 0): 1.0, (1, 1, 1): -8.0})),),
+     [1.0, 0.5, 0.0, 0.0], ZeroRadicand, "_checked_radicand"),
+    (((0.2, symmetric_tensor(4, 4, {(0, 0, 0, 0): 1.0, (1, 1, 1, 1): -32.0})),),
+     [1.0, 0.5, 0.0, 0.0], NegativeEvenRadicand, "_checked_radicand"),
+    (((1.0, symmetric_tensor(3, 4, {(0, 0, 0): 1.0, (0, 1, 1): 0.5})),),
+     [1.0, 0.0, 0.0, 0.0], SingularReducedHessian, "_eliminate"),
+]
+
+
+@pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.value)
+@pytest.mark.parametrize("terms, v, error, call", ERROR_CASES,
+                         ids=["spacelike", "null", "zero-radicand", "negative-even-radicand",
+                              "singular"])
+def test_kernel_errors_keep_class_message_and_source_line(monkeypatch, terms, v, error, call,
+                                                          gauge):
+    monkeypatch.setattr(worldline, "_KERNELS", {})  # compile afresh: linecache may be cleared
+    spec = LagrangianSpec(metric=minkowski_metric(4), mass=1.0, charge=0.5,
+                          potential=uniform_magnetic_potential(4, 1.0), extra_terms=terms)
+    proper = gauge is GaugeChoice.PROPER_TIME
+    x = [0.5, 0.1, -0.2, 0.3]
+    z = x + v if proper else x[1:] + v[1:]
+    fast, _ = worldline._constant_field_kernels(spec, gauge)
+    with pytest.raises(error) as expected:
+        constant_field_deriv_lists(spec, proper)(x[0], z)
+    with pytest.raises(error) as raised:
+        fast(x[0], z)
+    assert str(raised.value) == str(expected.value)
+    frames = traceback.extract_tb(raised.tb)
+    kernel = [f for f in frames if f.filename.startswith("<repmech.worldline")]
+    assert kernel and call in kernel[-1].line
+
+
+def _numbers(source):
+    """Every number token of a source, and whether it holds a string token."""
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    return ({t.string for t in tokens if t.type == tokenize.NUMBER},
+            any(t.type == tokenize.STRING for t in tokens))
+
+
+def _orbit_specs(rng, count):
+    """Specs drawn as the orbits benchmark draws them: (spec, gauge, x0, v0) per class."""
+    out = []
+    for k in range(count):
+        b = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.8, 1.25))
+        mass = float(rng.uniform(0.5, 2.0))
+        terms = ()
+        if k % 3 == 1:
+            terms = ((float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.5)),
+                      symmetric_tensor(3, 4, {(0, 0, 0): float(rng.uniform(0.5, 2.0))})),)
+        spec = LagrangianSpec(metric=minkowski_metric(4), mass=mass, charge=mass / abs(b),
+                              potential=uniform_magnetic_potential(4, b), extra_terms=terms)
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        v0 = np.array([1.0, 0.6 * np.cos(phi), 0.6 * np.sin(phi), 0.0])
+        gauge = GaugeChoice.PROPER_TIME if k % 3 == 2 else GaugeChoice.COORDINATE_TIME
+        if gauge is GaugeChoice.PROPER_TIME:
+            v0 = 1.25 * v0
+        out.append((spec, gauge, rng.uniform(-1.0, 1.0, 4), v0))
+    return out
+
+
+def test_one_kernel_per_pattern_and_no_value_in_any_source(monkeypatch):
+    monkeypatch.setattr(worldline, "_KERNELS", {})
+    compiled = []
+
+    def counting(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(worldline, "compile", counting, raising=False)
+    specs = _orbit_specs(np.random.default_rng(19), 100)
+    for spec, gauge, x0, v0 in specs:
+        integrate(spec, gauge, x0, v0, 0.1, 0.05)
+    # three derivative patterns (coordinate EM, coordinate tensor, proper EM)
+    # and the RK4 steps of 6- and 8-float states
+    assert len(compiled) == len(set(compiled)) == len(worldline._KERNELS) == 5
+    for key in worldline._KERNELS:
+        source = "".join(linecache.getlines(f"<repmech.worldline{key}>"))
+        assert source == "\n".join(getattr(worldline, key[0])(*key[1:])) + "\n"
+        numbers, strings = _numbers(source)
+        assert not strings
+        assert numbers <= {"0.0", "0.5", "2.0", "6.0"} | {n for n in numbers if n.isdigit()}
+    # specs of one pattern share one factory, whatever their couplings
+    first, second = specs[0][0], specs[3][0]
+    assert first.mass != second.mass
+    assert worldline._constant_field_kernels(first, GaugeChoice.COORDINATE_TIME)[0].__code__ \
+        is worldline._constant_field_kernels(second, GaugeChoice.COORDINATE_TIME)[0].__code__
+
+
+def test_importing_the_cli_compiles_no_kernel():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import repmech.cli, repmech.worldline as w; print(len(w._KERNELS))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "0"
