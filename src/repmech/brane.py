@@ -13,8 +13,12 @@ whose square root integrated over the parameter box is the minimal-surface
 (world-volume) functional. The brane Lagrangian is the point particle's on
 these components: BraneSpec.lagrangian(D) is a LagrangianSpec with metric
 G(x) at the dimM target coordinates and velocities the C minors, so
-brane_action is one batched eval_L per block of cells. For D = 1 everything
-reduces to the point particle: minors are plain derivatives and G = g.
+brane_action is one batched eval_L per block of cells, which also yields the
+volume radicands. Only varying backgrounds make L depend on x: with every
+field constant (a brane that does not alter its background) a cell's density
+depends on its Jacobian alone, and the quadrature evaluates no positions.
+For D = 1 everything reduces to the point particle: minors are plain
+derivatives and G = g.
 """
 
 from __future__ import annotations
@@ -31,12 +35,12 @@ from .errors import (DimensionMismatch, GaugeViolation, NegativeRadicand, RepMec
 from .fields import SymmetricTensorField, VectorPotentialField
 from .geometry import (FD_STEP, MetricField, _minors, central_difference, compound_metric,
                        evaluated, quadratic_form)
-from .lagrangian import LagrangianSpec, eval_L, nonrelativistic_expansion
+from .lagrangian import LagrangianSpec, eval_L_and_radicand, nonrelativistic_expansion
 
 
-# cells per block of the quadrature: whole first-axis rows, at least one, up
-# to this many cells, so that a block's temporaries stay a few MB whatever
-# the grid size
+# cells per block of the quadrature: up to this many, as whole first-axis
+# rows while one fits, so that a block's temporaries stay a few MB whatever
+# the grid size or shape
 BLOCK_CELLS = 2 ** 15
 # floats a block costs per cell without position-dependent tensors (about
 # 32: a 256^2 surface in 4 target dimensions peaks at 8.8 MB by tracemalloc); a
@@ -70,9 +74,10 @@ class BraneEmbedding:
     analytic jacobian callable to the (n, dimM, D) Jacobians, which give exact
     minors; otherwise central differences with the step
     FD_STEP * max(1, |box bounds of axis a|) are used, one per parameter axis.
-    The quadrature (brane_action, integral_gauge_check) calls the evaluator
-    and the Jacobian once per block of whole first-axis rows of cells
-    (row_blocks), in row order.
+    The quadrature (brane_action, integral_gauge_check) calls the Jacobian
+    once per block of cells (row_blocks), in flat cell order; brane_action
+    calls the evaluator once per block only when a background field depends
+    on position (central differences call it for their Jacobians).
     """
 
     d: int
@@ -121,14 +126,22 @@ class BraneEmbedding:
         return _mesh(self.center_axes())
 
     def row_blocks(self, cell_floats: int = CELL_FLOATS):
-        """(first flat cell index, cell centres) of consecutive blocks of whole
-        first-axis rows, each at most BLOCK_CELLS * CELL_FLOATS // cell_floats
-        cells or else one row; cell_floats is what one cell costs."""
+        """(first flat cell index, cell centres) of consecutive blocks of cells,
+        each at most BLOCK_CELLS * CELL_FLOATS // cell_floats cells, where
+        cell_floats is what one cell costs: whole first-axis rows while one
+        row fits, else consecutive ranges of the flat cell order."""
         axes = self.center_axes()
         row = self.n_cells // self.resolution[0]
-        rows = max(1, BLOCK_CELLS * CELL_FLOATS // cell_floats // row)
-        for i in range(0, self.resolution[0], rows):
-            yield i * row, _mesh((axes[0][i:i + rows],) + axes[1:])
+        cells = max(1, BLOCK_CELLS * CELL_FLOATS // cell_floats)
+        if row <= cells:
+            rows = cells // row
+            for i in range(0, self.resolution[0], rows):
+                yield i * row, _mesh((axes[0][i:i + rows],) + axes[1:])
+            return
+        for start in range(0, self.n_cells, cells):
+            index = np.unravel_index(np.arange(start, min(start + cells, self.n_cells)),
+                                     self.resolution)
+            yield start, np.stack([a[i] for a, i in zip(axes, index)], axis=-1)
 
     @property
     def cell_volume(self) -> float:
@@ -205,42 +218,49 @@ class BraneSpec:
 def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
     """Midpoint-rule quadrature of the brane Lagrangian over the parameter box.
 
-    One batched eval_L of spec.lagrangian(D) per block of cells
+    One batched eval_L_and_radicand of spec.lagrangian(D) per block of cells
     (emb.row_blocks), each block's densities written into one array of one
     float per cell, then summed at once: the same sum, bit for bit, as a
-    single batch. Memory: one float per cell, plus one block of temporaries;
-    a position-dependent tensor builds its dense C^n entries per cell, so it
+    single batch. The embedding's evaluator is called only when a field
+    depends on position: with every field constant L reads no position, and
+    each block gets the origin as a read-only zero-stride view over its cells.
+    Memory: one float per cell, plus one block of temporaries; a
+    position-dependent tensor builds its dense C^n entries per cell, so it
     shrinks the blocks by that many floats per cell.
     With a mass term, a negative volume radicand w^T G w = det(J^T g J)
     fails eval_L's check, raised as NegativeRadicand carrying the first such
     cell; any other eval_L error names its cell's flat index in the grid.
     details=True also returns the cell and component counts, the smallest
-    radicand and the integral-gauge deviation (integral_gauge_check).
+    radicand (the one eval_L took the root of, when there is a mass term)
+    and the integral-gauge deviation (integral_gauge_check).
     """
     if spec.metric.dim != emb.dim_m:
         raise DimensionMismatch("brane metric dimension differs from target dimension")
     lag = spec.lagrangian(emb.d)
     c = component_count(emb.dim_m, emb.d)
     cell_floats = CELL_FLOATS + sum(c ** s.rank for _, s in spec.extra_terms if not s.is_constant)
+    # L reads no position when every field is constant: the origin then stands in for each cell
+    origin = np.zeros(emb.dim_m) if lag.all_fields_constant else None
     density = np.empty(emb.n_cells)
     block_mins, block_deviations = [], []
     for start, Z in emb.row_blocks(cell_floats):
-        X = emb.points(Z)
+        X = emb.points(Z) if origin is None else np.broadcast_to(origin, (len(Z), emb.dim_m))
         omega = _minors(emb.jacobians(Z))
         try:
-            density[start:start + len(Z)] = eval_L(lag, X, omega)
+            density[start:start + len(Z)], radicand = eval_L_and_radicand(lag, X, omega)
         except RepMechError as err:
             raise _on_grid(err, start, emb) from None
         if details:
-            # after eval_L has freed its per-cell arrays, so the two do not add to the peak
-            block_mins.append(np.min(quadratic_form(lag.metric(X), omega)))
+            if radicand is None:  # no mass term, so eval_L formed no radicand
+                radicand = quadratic_form(lag.metric(X), omega)
+            block_mins.append(np.min(radicand))
             block_deviations.append(_gauge_deviation(omega))
     action = float(np.sum(density) * emb.cell_volume)
     if not details:
         return action
     return action, {
         "cells": emb.n_cells,
-        "component_count": component_count(emb.dim_m, emb.d),
+        "component_count": c,
         "min_radicand": float(np.min(block_mins)),
         "gauge_deviation": float(np.max(block_deviations)),
     }

@@ -194,11 +194,21 @@ def signed_root(value, n: int):
     return np.copysign(np.abs(value) ** (1.0 / n), value)
 
 
-@_first_bad_point
 def eval_L(spec: LagrangianSpec, x, v):
     """Evaluate the canonical Lagrangian at (x, v); shape (...)."""
+    return eval_L_and_radicand(spec, x, v)[0]
+
+
+@_first_bad_point
+def eval_L_and_radicand(spec: LagrangianSpec, x, v):
+    """(L, g(v,v)) at (x, v), each of shape (...), from one evaluation of each field.
+
+    g(v,v) is the mass term's radicand, None without a mass term (the metric
+    is then not evaluated); a brane reads its smallest volume radicand here.
+    """
     x, v = spec._check_point(x, v)
     total = np.zeros(v.shape[:-1])[()]  # [()]: a single point's zero is a scalar
+    gvv = None
     if spec._charge_on:
         total += spec.charge * np.vecdot(spec.potential(x), v)
     if spec._mass_on:
@@ -208,7 +218,7 @@ def eval_L(spec: LagrangianSpec, x, v):
         total += spec.mass * np.sqrt(gvv)
     for q_n, tensor in spec.extra_terms:
         total += q_n * signed_root(tensor.contraction(x, v), tensor.rank)
-    return total
+    return total, gvv
 
 
 def _mass_term_data(spec, x, v):

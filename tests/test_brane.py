@@ -21,6 +21,7 @@ from repmech import (
     graph_embedding,
     gridded_embedding,
     integral_gauge_check,
+    metric_from_function,
     minkowski_metric,
     minor_indices,
     nonrelativistic_brane_expansion,
@@ -45,6 +46,8 @@ from repmech.geometry import (
 
 EUCLID3 = euclidean_metric(3)
 ONE_TIME3 = constant_diagonal_metric([1.0, 1.0, -1.0])
+# conformally Euclidean and position-dependent, so brane_action evaluates positions
+VARYING4 = metric_from_function(4, lambda x: (1.0 + 0.1 * np.sin(x[..., :1, None])) * np.eye(4))
 
 
 def _dims():
@@ -501,7 +504,10 @@ class TestFiniteDifferenceJacobians:
 
 
 class TestEmbeddingContract:
-    """Evaluators and Jacobians take the (n, D) batch and are called once per batch."""
+    """Evaluators and Jacobians take the (n, D) batch and are called once per batch.
+
+    The metric depends on position, so brane_action calls the evaluator too.
+    """
 
     @staticmethod
     def _with(evaluator=None, jacobian=None):
@@ -515,12 +521,12 @@ class TestEmbeddingContract:
         with pytest.raises(DimensionMismatch, match="embedding evaluator"):
             emb.points(emb.cell_centers())
         with pytest.raises(DimensionMismatch, match="embedding evaluator"):
-            brane_action(BraneSpec(euclidean_metric(4)), emb)
+            brane_action(BraneSpec(VARYING4), emb)
         emb = self._with(jacobian=lambda Z: np.zeros((len(Z), 5, 2)))
         with pytest.raises(DimensionMismatch, match="embedding jacobian"):
             emb.jacobians(emb.cell_centers())
         with pytest.raises(DimensionMismatch, match="embedding jacobian"):
-            brane_action(BraneSpec(euclidean_metric(4)), emb)
+            brane_action(BraneSpec(VARYING4), emb)
 
     @pytest.mark.parametrize("which", ["evaluator", "jacobian"])
     def test_an_evaluators_own_error_propagates_from_its_one_call(self, which):
@@ -535,7 +541,7 @@ class TestEmbeddingContract:
 
         emb = self._with(**{which: failing})
         with pytest.raises(EvaluatorError, match="no batch"):
-            brane_action(BraneSpec(euclidean_metric(4)), emb)
+            brane_action(BraneSpec(VARYING4), emb)
         assert calls == [(emb.n_cells, 2)]
 
 

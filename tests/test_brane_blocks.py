@@ -1,8 +1,9 @@
 """The blocked brane quadrature gives the bits of one batch over every cell.
 
-brane_action evaluates one block of whole first-axis rows of cells at a
-time (BraneEmbedding.row_blocks) and sums the per-cell densities once at
-the end. oracles.brane_action_single_batch is the single-batch reference;
+brane_action evaluates one block of cells at a time
+(BraneEmbedding.row_blocks: whole first-axis rows while one fits, else
+ranges of the flat cell order) and sums the per-cell densities once at the
+end. oracles.brane_action_single_batch is the single-batch reference;
 every comparison is ==, not a tolerance. Small BLOCK_CELLS values make
 small grids span many blocks; the other tests use the shipped block size.
 """
@@ -22,7 +23,9 @@ from repmech import (
     brane_action,
     component_count,
     constant_potential,
+    cylinder_patch_embedding,
     graph_embedding,
+    gridded_embedding,
     integral_gauge_check,
     metric_from_function,
     nonrelativistic_brane_expansion,
@@ -74,7 +77,7 @@ def _full_spec(c):
 @pytest.mark.parametrize("d, resolution, block", [
     (1, (1000,), 64),         # 15 blocks of 64 cells and a last one of 40
     (2, (37, 11), 50),        # 4 rows of 11 per block, a last block of 1 row
-    (2, (9, 70), 50),         # a row longer than a block: one row per block
+    (2, (9, 70), 50),         # a row longer than a block: ranges of 50 cells across rows
     (3, (13, 5, 4), 60),      # 3 rows of 20 per block, a last block of 1 row
 ])
 @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
@@ -108,6 +111,20 @@ def test_blocks_are_consecutive_rows_of_the_cell_centres():
     starts, blocks = zip(*emb.row_blocks())
     assert np.array_equal(np.concatenate(blocks), emb.cell_centers())
     assert list(starts) == list(np.cumsum([0] + [len(Z) for Z in blocks[:-1]]))
+
+
+@pytest.mark.parametrize("emb", [
+    tilted_plane_embedding(0.75, resolution=(2, 100_003)),
+    _embedding(3, (2, 300, 257)),
+], ids=["surface", "volume"])
+def test_a_row_longer_than_a_block_is_split_into_ranges_of_cells(emb):
+    starts, blocks = zip(*emb.row_blocks())
+    counts = [len(Z) for Z in blocks]
+    assert counts[:-1] == [brane.BLOCK_CELLS] * (len(counts) - 1) and len(counts) > 4
+    assert np.array_equal(np.concatenate(blocks), emb.cell_centers())
+    assert list(starts) == list(np.cumsum([0] + counts[:-1]))
+    spec = BraneSpec(euclidean_metric(emb.dim_m), mass=1.7, charge=0.0)
+    assert brane_action(spec, emb, details=True) == brane_action_single_batch(spec, emb, True)
 
 
 def test_one_cell_expansion_reads_the_quadratures_centre():
@@ -187,7 +204,7 @@ def test_a_raising_evaluator_is_called_on_the_first_block_only(which):
     kwargs = {"evaluator": emb.evaluator, "jacobian": emb.jacobian, which: failing}
     emb = BraneEmbedding(d=2, dim_m=4, box=emb.box, resolution=emb.resolution, **kwargs)
     with pytest.raises(EvaluatorError, match="no batch"):
-        brane_action(BraneSpec(euclidean_metric(4)), emb)
+        brane_action(BraneSpec(metric_from_function(4, _g)), emb)  # _g reads positions
     assert calls == [(brane.BLOCK_CELLS // 257 * 257, 2)]
 
 
@@ -238,6 +255,25 @@ def test_a_position_dependent_tensor_shrinks_the_blocks_by_its_dense_entries():
     assert sizes[:-1] == [cells // 257 * 257] * (len(sizes) - 1) and sum(sizes) == emb.n_cells
 
 
+# tracemalloc peak of brane_action(details=True) on a 2 x 200 000 tilted
+# plane, numpy 2.4: 8.3 MB with its rows split into blocks (as on the
+# 200 000 x 2 grid), 27.5 MB with one block per row
+ROW_PEAK_BOUND_MB = 12.0
+
+
+def test_memory_of_rows_longer_than_a_block_is_bounded_per_block():
+    emb = tilted_plane_embedding(0.75, resolution=(2, 200_000))
+    spec = BraneSpec(euclidean_metric(3), mass=1.0, charge=0.0)
+    tracemalloc.start()
+    try:
+        action, _ = brane_action(spec, emb, details=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert action == pytest.approx(1.25, rel=1e-12)
+    assert peak / 2 ** 20 <= ROW_PEAK_BOUND_MB
+
+
 # tracemalloc peak of brane_action on a 256^2 surface in 4 target dimensions
 # with a position-dependent rank-3 tensor of C = 6 components: 11.2 MB with
 # blocks sized by their floats, 86 MB with 2^15-cell blocks
@@ -254,3 +290,78 @@ def test_memory_of_a_position_dependent_tensor_is_bounded_per_block():
     finally:
         tracemalloc.stop()
     assert peak / 2 ** 20 <= TENSOR_PEAK_BOUND_MB
+
+
+# ---------------------------------------------------------------------------
+# constant backgrounds: the quadrature reads no positions
+# ---------------------------------------------------------------------------
+
+def _gridded(resolution):
+    """The interpolant of x3 = 0.3 z1 z2 - 0.2 z2^2 on (resolution + 1) nodes of the unit square."""
+    axes = [np.linspace(0.0, 1.0, r + 1) for r in resolution]
+    Z1, Z2 = np.meshgrid(*axes, indexing="ij")
+    return gridded_embedding(axes, np.stack([Z1, Z2, 0.3 * Z1 * Z2 - 0.2 * Z2 ** 2], axis=-1))
+
+
+# the embedding kinds the brane subcommand builds, each over several blocks
+CLI_EMBEDDINGS = {
+    "tilted_plane": tilted_plane_embedding(0.75, resolution=(300, 257)),
+    "cylinder_patch": cylinder_patch_embedding(1.3, resolution=(300, 257)),
+    "graph": graph_embedding(lambda Z: 0.3 * Z[:, 0] * Z[:, 1], grad=lambda Z: 0.3 * Z[:, ::-1],
+                             resolution=(300, 257)),
+    "gridded": _gridded((300, 257)),
+}
+
+
+def _constant_spec():
+    """Every field constant: metric, potential and a rank-3 tensor on the 3 minors."""
+    return BraneSpec(constant_diagonal_metric([1.0, 1.5, 0.8]), mass=1.2, charge=0.4,
+                     potential=constant_potential([0.2, -0.1, 0.3]),
+                     extra_terms=((0.3, symmetric_tensor(3, 3, {(0, 0, 0): 1.0,
+                                                                (0, 1, 2): 0.2})),))
+
+
+class EvaluatorCalled(Exception):
+    pass
+
+
+def _without_positions(emb):
+    """emb with the same Jacobian and an evaluator that raises EvaluatorCalled."""
+
+    def evaluate(Z):
+        raise EvaluatorCalled(f"evaluator called on {len(Z)} points")
+
+    return BraneEmbedding(d=emb.d, dim_m=emb.dim_m, box=emb.box, resolution=emb.resolution,
+                          evaluator=evaluate, jacobian=emb.jacobian)
+
+
+@pytest.mark.parametrize("kind", list(CLI_EMBEDDINGS))
+def test_constant_fields_never_call_the_evaluator(kind):
+    emb = CLI_EMBEDDINGS[kind]
+    spec = _constant_spec()
+    assert spec.lagrangian(2).all_fields_constant and len(list(emb.row_blocks())) > 2
+    expect = brane_action_single_batch(spec, emb, details=True)
+    assert brane_action(spec, _without_positions(emb), details=True) == expect
+    assert brane_action(spec, _without_positions(emb)) == expect[0]
+
+
+def test_constant_fields_name_the_same_bad_cell_without_positions(monkeypatch):
+    # slope 1.5 in cell (1, 45) of 3 x 70 and 0.5 elsewhere: det(J^T g J) = 1 - slope^2 in
+    # diag(1, 1, -1) is negative there only, in the third 50-cell range of the flat order
+    resolution, bad = (3, 70), (1, 45)
+
+    def grad(Z):
+        inside = np.all(np.floor(Z * resolution) == bad, axis=1)
+        return np.column_stack([np.zeros(len(Z)), np.where(inside, 1.5, 0.5)])
+
+    emb = graph_embedding(lambda Z: 0.5 * Z[:, 1], grad=grad, resolution=resolution)
+    spec = BraneSpec(constant_diagonal_metric([1.0, 1.0, -1.0]), mass=1.0, charge=0.0)
+    with pytest.raises(NegativeRadicand) as oracle:
+        brane_action_single_batch(spec, emb)
+    monkeypatch.setattr(brane, "BLOCK_CELLS", 50)
+    with pytest.raises(NegativeRadicand) as info:
+        brane_action(spec, _without_positions(emb))
+    index = (int(np.ravel_multi_index(bad, resolution)),)
+    assert info.value.cell == oracle.value.cell == bad
+    assert str(info.value) == str(oracle.value)
+    assert f"batch index {index}" in str(info.value)

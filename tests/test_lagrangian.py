@@ -37,7 +37,8 @@ from repmech import (
     velocity_hessian,
     weak_field_metric,
 )
-from repmech.lagrangian import position_velocity_hessian
+from repmech.geometry import quadratic_form
+from repmech.lagrangian import eval_L_and_radicand, position_velocity_hessian
 from repmech.sweeps import (
     draw_spec_state,
     euler_identity_sweep,
@@ -60,6 +61,14 @@ def rich_spec():
     return LagrangianSpec(metric=MINK, mass=1.0, charge=0.7,
                           potential=constant_potential([0.3, 0.1, -0.2, 0.0]),
                           extra_terms=((0.5, s3), (0.4, s4)))
+
+
+def curved_spec():
+    """rich_spec's tensors with a weak-field metric and a linear potential."""
+    metric = weak_field_metric(4, lambda x: 0.05 * np.sin(x[..., 1]) * x[..., 2])
+    return LagrangianSpec(metric=metric, mass=1.3, charge=0.7,
+                          potential=potential_from_function(4, lambda x: 0.1 * x),
+                          extra_terms=rich_spec().extra_terms)
 
 
 class TestEvalL:
@@ -91,6 +100,39 @@ class TestEvalL:
         s3 = symmetric_tensor(3, 4, {(0, 0, 0): -8.0})
         spec = LagrangianSpec(metric=MINK, mass=0.0, extra_terms=((1.0, s3),))
         assert eval_L(spec, X0, [1, 0, 0, 0]) == pytest.approx(-2.0)
+
+
+class TestEvalLAndRadicand:
+    """One pass gives eval_L's value and the mass radicand g(v,v) it took the root of."""
+
+    @pytest.mark.parametrize("spec", [rich_spec(), curved_spec()], ids=["constant", "curved"])
+    @pytest.mark.parametrize("batch", [(), (7,), (3, 5)], ids=["point", "batch", "grid"])
+    def test_l_is_eval_l_and_the_radicand_is_the_quadratic_form(self, spec, batch):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=batch + (4,))
+        v = np.concatenate([np.ones(batch + (1,)), 0.3 * rng.uniform(-1, 1, batch + (3,))], -1)
+        L, gvv = eval_L_and_radicand(spec, x, v)
+        assert np.shape(L) == np.shape(gvv) == batch
+        assert np.array_equal(L, eval_L(spec, x, v))
+        assert np.array_equal(gvv, quadratic_form(spec.metric(x), v))
+
+    def test_without_a_mass_term_there_is_no_radicand(self):
+        spec = LagrangianSpec(metric=MINK, mass=0.0, charge=0.7,
+                              potential=constant_potential([0.3, 0.1, -0.2, 0.0]))
+        v = np.tile([1.0, 0.2, 0.0, 0.0], (3, 1))
+        L, gvv = eval_L_and_radicand(spec, np.zeros((3, 4)), v)
+        assert gvv is None and np.array_equal(L, eval_L(spec, np.zeros((3, 4)), v))
+
+    def test_a_spacelike_point_raises_eval_ls_error(self):
+        v = np.tile([1.0, 0.2, 0.0, 0.0], (9, 1))
+        v[6] = [1.0, 2.0, 0.0, 0.0]
+        errors = []
+        for kernel in (eval_L, eval_L_and_radicand):
+            with pytest.raises(SpacelikeVelocity, match=r"batch index \(6,\)") as info:
+                kernel(em_spec(), np.zeros((9, 4)), v)
+            errors.append(info.value)
+        assert str(errors[0]) == str(errors[1])
+        assert errors[0].batch_index == errors[1].batch_index == (6,)
 
 
 class TestMomentum:
