@@ -189,13 +189,25 @@ class Section:
         val = self.data.get(key, default)
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ConfigError(f"{self.where(key)} must be a number")
-        return self._at_least(key, float(val), minimum)
+        return self._at_least(key, float(self.floats(key, val, "a number")), minimum)
 
     def integer(self, key, default=None, minimum=None):
         val = self.data.get(key, default)
         if not isinstance(val, int) or isinstance(val, bool):
             raise ConfigError(f"{self.where(key)} must be an integer")
         return self._at_least(key, int(val), minimum)
+
+    def floats(self, key, raw, what):
+        """raw as a float array: ConfigError unless it is `what` with no nan or inf entry."""
+        try:
+            val = np.asarray(raw, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{self.where(key)} must be {what}") from None
+        except OverflowError:  # an integer past the float range
+            val = np.inf
+        if not np.isfinite(val).all():
+            raise ConfigError(f"{self.where(key)} must be finite")
+        return val
 
     def _at_least(self, key, val, minimum):
         if minimum is not None and val < minimum:
@@ -215,7 +227,7 @@ class Section:
         if not isinstance(val, list) or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in val):
             raise ConfigError(f"{self.where(key)} must be a list of numbers")
-        return np.asarray(val, dtype=float)
+        return self.floats(key, val, "a list of numbers")
 
 
 class RunConfig:
@@ -244,7 +256,7 @@ def _build_metric(sec: Section):
     matrix = sec.get("matrix")
     if not isinstance(matrix, list):
         raise ConfigError(f"{sec.where('matrix')} must be a list of rows")
-    return constant_metric(np.asarray(matrix, dtype=float))
+    return constant_metric(sec.floats("matrix", matrix, "a list of rows"))
 
 
 def _build_potential(sec: Section, dim: int, metric_where: str):
@@ -296,7 +308,13 @@ def _parse_tensor_entries(sec: Section, rank: int, dim: int, warnings: list):
             raise ConfigError(f"{sec.where('entries')}: duplicate multi-index {canon}")
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ConfigError(f"{sec.where('entries')}: value for '{key}' must be a number")
-        entries[canon] = float(val)
+        try:
+            val = float(val)
+        except OverflowError:  # an integer past the float range
+            val = math.inf
+        if not math.isfinite(val):
+            raise ConfigError(f"{sec.where('entries')}: value for '{key}' must be finite")
+        entries[canon] = val
     return entries
 
 
@@ -438,12 +456,10 @@ def _parse_brane(root: Section, warnings):
     def box_arr(default):
         if box is None:
             return np.asarray(default, dtype=float)
-        try:
-            arr = np.asarray(box, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{esec.where('box')} must be a list of [lo, hi] pairs")
+        pairs = "a list of [lo, hi] pairs"
+        arr = esec.floats("box", box, pairs)
         if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ConfigError(f"{esec.where('box')} must be a list of [lo, hi] pairs")
+            raise ConfigError(f"{esec.where('box')} must be {pairs}")
         return arr
 
     def res_tuple(default, d):
@@ -478,7 +494,7 @@ def _parse_brane(root: Section, warnings):
         quad_raw = esec.get("quadratic")
         quad = np.zeros((d, d))
         if quad_raw is not None:
-            quad = np.asarray(quad_raw, dtype=float)
+            quad = esec.floats("quadratic", quad_raw, f"a {d}x{d} matrix")
             if quad.shape != (d, d):
                 raise ConfigError(f"{esec.where('quadratic')} must be a {d}x{d} matrix")
 
@@ -689,17 +705,11 @@ def _run_brane(cfg, out_dir):
 def _draw_det_samples(rng, n):
     """n momenta with N(0, 1.5^2) components and n masses from U(0, 2).
 
-    Each sample draws its momentum, then its mass: drawing all momenta in one
-    call would change the samples a seed gives. The raw draws are scaled
-    once afterwards, which gives the same numbers as rng.normal(size=4) * 1.5
-    and rng.uniform(0, 2) per sample.
+    All n momenta come from one normal draw, then all n masses from one
+    uniform draw, so a seed's k-th sample is not the one a per-sample draw
+    (momentum, then mass, n times) would give.
     """
-    pis = np.empty((n, 4))
-    masses = np.empty(n)
-    for k in range(n):
-        rng.standard_normal(out=pis[k])
-        masses[k] = rng.random()
-    return pis * 1.5, masses * 2.0
+    return 1.5 * rng.standard_normal((n, 4)), 2.0 * rng.random(n)
 
 
 def _run_clifford(cfg, out_dir):

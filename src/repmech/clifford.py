@@ -13,7 +13,9 @@ For the 2- and 4-gamma sets built here the unconstrained system has a
 one-dimensional kernel, the identity direction; the trace-zero constraint
 removes it and makes the solution unique (the commutator form
 (1/4)[gamma^a, gamma^b] rather than (1/2) gamma^a gamma^b). For odd N the
-product of all N gammas is central too: kernels of 2, 5 and 17 were measured.
+product of all N gammas is central too: the kernel is 2 for sigma_1, sigma_2,
+sigma_3, 5 for an N = 3 set whose product is a real multiple of I, and 17
+for the Dirac set with i*gamma^5.
 """
 
 from __future__ import annotations
@@ -289,6 +291,12 @@ def solve_quadratic_generators(alg: LieAlgebraSpec, gam: GammaSet,
     trace-zero condition drops the identity product from the unknowns.
     Infeasibility (for gamma sets that are not Clifford) is reported through
     the residuals, never raised.
+
+    kernel_dim counts the singular values of the unconstrained system at or
+    below kernel_tol times the largest. Its identity column [I, g^a] is exactly
+    zero in floating point, so it is the identity direction plus the count
+    over the singular values that the solve already returns for the other
+    columns; when every column is zero, every direction counts.
     """
     if alg.rep_dim != gam.n:
         raise DimensionMismatch("representation dimension must match the gamma count")
@@ -296,14 +304,11 @@ def solve_quadratic_generators(alg: LieAlgebraSpec, gam: GammaSet,
     mats = np.asarray(gam.matrices)
     cols = _real_columns(_commutators(basis, mats), len(subsets))
 
-    # kernel of the unconstrained system (identity direction for Clifford sets)
-    svals = np.linalg.svd(cols, compute_uv=False)
-    kernel_dim = int(np.sum(svals < kernel_tol * svals[0]))
-
     # trace(X) = 0 enforced by removing the identity basis element
     targets = _vector_targets(alg.rho, mats)
     rhs = _real_columns(targets, alg.n_generators)
-    sol = np.linalg.lstsq(cols[:, 1:], rhs, rcond=None)[0]
+    sol, _, _, svals = np.linalg.lstsq(cols[:, 1:], rhs, rcond=None)
+    kernel_dim = 1 + int(np.sum(svals <= kernel_tol * svals[0]))
     coeffs = np.zeros((alg.n_generators, len(subsets)))
     coeffs[:, 1:] = sol.T
     xs = np.tensordot(coeffs, basis, axes=1)
@@ -367,9 +372,13 @@ def dirac_operator(q: float, m, a_const, p, gam: GammaSet) -> np.ndarray:
 
     p has shape (4,) or (..., 4) and m is a scalar or has a shape that
     broadcasts against p's leading shape; A is one constant 4-covector. The
-    result has shape (..., 4, 4), one operator per batch entry. Only the
-    electromagnetic and mass terms enter; higher tensor terms have no defined
-    reduction here.
+    result has shape (..., 4, 4), one operator per entry of the broadcast
+    batch shape: pi = p - qA, broadcast to that shape, times the gammas as
+    one (4, 16) matrix in one product, then m subtracted on the diagonal.
+    Every entry of the Dirac set's operator has at most one nonzero gamma
+    term, so the product equals the term-by-term sum up to the signs of
+    zeros. Only the electromagnetic and mass terms enter; higher tensor
+    terms have no defined reduction here.
     """
     if gam.n != 4 or not np.allclose(gam.form, _MINKOWSKI4, atol=1e-12):
         raise FormMismatch("dirac_operator requires the Minkowski 4x4 gamma set")
@@ -379,14 +388,14 @@ def dirac_operator(q: float, m, a_const, p, gam: GammaSet) -> np.ndarray:
     if p.ndim == 0 or p.shape[-1] != 4 or a.shape != (4,):
         raise DimensionMismatch("p and A must be 4-covectors")
     try:
-        np.broadcast_shapes(m.shape, p.shape[:-1])
+        batch = np.broadcast_shapes(m.shape, p.shape[:-1])
     except ValueError:
         raise DimensionMismatch(
             f"mass shape {m.shape} does not broadcast against p shape {p.shape}") from None
-    pi = p - q * a
-    h = -m[..., None, None] * np.eye(4, dtype=complex)
-    for alpha in range(4):
-        h = h + gam.matrices[alpha] * pi[..., alpha, None, None]
+    pi = np.broadcast_to(p - q * a, batch + (4,))
+    h = (pi @ np.reshape(gam.matrices, (4, 16))).reshape(batch + (4, 4))
+    diag = np.arange(4)
+    h[..., diag, diag] -= m[..., None]
     return h
 
 

@@ -593,7 +593,8 @@ def integrate(spec: LagrangianSpec, gauge: GaugeChoice, x0, v0,
               tau_end: float, step: float) -> Worldline:
     """Fixed-step RK4 world line from (x0, v0) in the chosen gauge.
 
-    The number of steps is round(tau_end / step); the initial condition must
+    The number of steps is round(tau_end / step), and a ratio that is not
+    finite is a DimensionMismatch; the initial condition must
     satisfy the gauge condition to 1e-8 and is snapped exactly onto it.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -608,7 +609,10 @@ def integrate(spec: LagrangianSpec, gauge: GaugeChoice, x0, v0,
         raise SingularReducedHessian(
             "dynamics require the mass term; specs with only rank>=3 terms are rejected"
         )
-    n_steps = int(round(tau_end / step))
+    ratio = tau_end / step
+    if not math.isfinite(ratio):
+        raise DimensionMismatch(f"step count tau_end / step = {ratio} is not finite")
+    n_steps = int(round(ratio))
     if n_steps < 1:
         raise DimensionMismatch("tau_end shorter than one step")
 

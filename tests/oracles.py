@@ -153,8 +153,10 @@ def per_generator_quadratic_solve(alg, gam, kernel_tol=1e-10):
     For each generator i, one least-squares solve of [X_i, g^a] = rho_i[b, a] g^b
     for traceless X_i in the real span of the ordered gamma products, with
     per-generator sums for X_i, its residual, its quadratic coefficients and
-    its grade-(1, 3, 4) leakage. Returns a dict of the fields of
-    QuadraticGeneratorSolution, with "generators" for the X_i.
+    its grade-(1, 3, 4) leakage. kernel_dim counts the singular values of
+    the whole unconstrained system, identity column included, at or below
+    kernel_tol times the largest, from its own SVD. Returns a dict of the
+    fields of QuadraticGeneratorSolution, with "generators" for the X_i.
     """
     n, dim = len(gam.matrices), gam.matrices[0].shape[0]
     subsets, basis = [], []
@@ -172,7 +174,7 @@ def per_generator_quadratic_solve(alg, gam, kernel_tol=1e-10):
         cols[:n_eq, a_idx] = col.real
         cols[n_eq:, a_idx] = col.imag
     svals = np.linalg.svd(cols, compute_uv=False)
-    kernel_dim = int(np.sum(svals < kernel_tol * svals[0]))
+    kernel_dim = int(np.sum(svals <= kernel_tol * svals[0]))
     keep = [k for k, s in enumerate(subsets) if s != ()]
     cols_c = cols[:, keep]
 
@@ -202,6 +204,18 @@ def per_generator_quadratic_solve(alg, gam, kernel_tol=1e-10):
     return {"coefficients": quad, "basis_coefficients": coeffs, "residuals": residuals,
             "kernel_dim": kernel_dim, "grade_leakage": leakage,
             "subsets": tuple(subsets), "generators": xs}
+
+
+def dirac_operator_terms(q, m, a_const, p, gam):
+    """H = -m I + g^0 pi_0 + g^1 pi_1 + g^2 pi_2 + g^3 pi_3, one broadcast term at a time.
+
+    pi = p - qA; p is (..., 4) and m broadcasts against p's leading shape.
+    """
+    pi = np.asarray(p, dtype=float) - q * np.asarray(a_const, dtype=float)
+    h = -np.asarray(m, dtype=float)[..., None, None] * np.eye(4, dtype=complex)
+    for alpha in range(4):
+        h = h + gam.matrices[alpha] * pi[..., alpha, None, None]
+    return h
 
 
 def per_pair_structure_constants(rho):

@@ -164,6 +164,100 @@ def test_determinant_check_takes_the_minkowski_set_for_either_form(tmp_path):
     assert checks[0]["max_relative_residual"] <= 1e-12
 
 
+def _float_leaves(node, path=()):
+    """(path, value) of every float in a parsed config; list items add their index."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [(path, node)] if isinstance(node, float) else []
+    return [leaf for key, value in items for leaf in _float_leaves(value, path + (key,))]
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    copy = list(doc) if isinstance(doc, list) else dict(doc)
+    copy[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
+FLOAT_LEAVES = [(config.stem, path) for config in SHIPPED
+                for path, _ in _float_leaves(yaml.safe_load(config.read_text()))]
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize("subcommand, path", FLOAT_LEAVES,
+                         ids=[f"{c}:{'.'.join(map(str, p))}" for c, p in FLOAT_LEAVES])
+def test_a_non_finite_config_number_exits_2_naming_its_key(tmp_path, capsys, subcommand,
+                                                           path, value):
+    doc = _replaced(yaml.safe_load((CONFIGS / f"{subcommand}.yaml").read_text()), path,
+                    "NON_FINITE")
+    text = yaml.safe_dump(doc, sort_keys=False).replace("NON_FINITE", value)
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    # the key that holds the number: a list item is named by its list
+    key = tuple(str(k) for k in path if not isinstance(k, int))
+    line = _key_lines(yaml.compose(text))[key]
+    assert f"'{'.'.join(key)}' (line {line}) must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+NON_FINITE_RAW = {
+    "matrix": ("simulate", "kind: minkowski\n    dim: 4",
+               "kind: constant\n    matrix: [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, .nan],"
+               " [0, 0, .nan, -1]]", "spec.metric.matrix"),
+    "quadratic": ("brane", "kind: tilted_plane\n  slope: 0.75",
+                  "kind: graph\n  quadratic: [[0.5, .inf], [0, 0.5]]", "embedding.quadratic"),
+    "tensor_entry": ("simulate", "gauge:",
+                     "  extra_terms:\n    - coupling: 0.2\n      rank: 3\n"
+                     "      entries: {'0,0,0': .nan}\ngauge:", "spec.extra_terms.0.entries"),
+    "integer_past_floats": ("simulate", "tau_end: 10.0", "tau_end: 1" + "0" * 400, "tau_end"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_RAW)
+def test_non_finite_raw_arrays_exit_2_naming_their_key(tmp_path, capsys, case):
+    subcommand, old, new, key = NON_FINITE_RAW[case]
+    text = (CONFIGS / f"{subcommand}.yaml").read_text()
+    assert old in text
+    text = text.replace(old, new)
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    line = _key_lines(yaml.compose(text))[tuple(key.split("."))]
+    err = capsys.readouterr().err
+    assert f"'{key}' (line {line})" in err and "must be finite" in err
+
+
+@pytest.mark.parametrize("key, old, new", [
+    ("spec.metric.matrix", "kind: minkowski\n    dim: 4",
+     "kind: constant\n    matrix: [[1, 0], [0]]"),
+    ("embedding.quadratic", "kind: tilted_plane\n  slope: 0.75",
+     "kind: graph\n  quadratic: [[0.5], [0, 0.5]]"),
+    ("embedding.box", "box: [[0.0, 1.0], [0.0, 1.0]]", "box: [[0.0, 1.0], [0.0]]"),
+])
+def test_ragged_raw_arrays_exit_2_naming_their_key(tmp_path, capsys, key, old, new):
+    subcommand = "simulate" if key.startswith("spec") else "brane"
+    text = (CONFIGS / f"{subcommand}.yaml").read_text()
+    assert old in text
+    config = tmp_path / "config.yaml"
+    config.write_text(text.replace(old, new))
+    assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"'{key}' (line " in capsys.readouterr().err
+
+
+def test_a_step_count_past_the_float_range_exits_1(tmp_path, capsys):
+    config = tmp_path / "simulate.yaml"
+    config.write_text((CONFIGS / "simulate.yaml").read_text().replace(
+        "tau_end: 10.0", "tau_end: 1.0e300").replace("step: 0.001", "step: 1.0e-300"))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("DimensionMismatch: step count") and "Traceback" not in err
+
+
 def test_physics_error_exits_1(tmp_path, capsys):
     config = tmp_path / "simulate.yaml"
     config.write_text((CONFIGS / "simulate.yaml").read_text().replace(
@@ -214,12 +308,12 @@ def test_seed_flag_overrides_the_config_seed(tmp_path):
 
 
 @pytest.mark.parametrize("seed", [0, 3, 99])
-def test_determinant_samples_equal_the_per_sample_draws(seed):
+def test_determinant_samples_are_one_normal_then_one_uniform_draw(seed):
     pis, masses = _draw_det_samples(np.random.default_rng(seed), 500)
     rng = np.random.default_rng(seed)
-    for k in range(500):
-        assert np.array_equal(pis[k], rng.normal(size=4) * 1.5)
-        assert masses[k] == rng.uniform(0.0, 2.0)
+    assert pis.shape == (500, 4) and masses.shape == (500,)
+    assert pis.tobytes() == (1.5 * rng.standard_normal((500, 4))).tobytes()
+    assert masses.tobytes() == (2.0 * rng.random(500)).tobytes()
 
 
 GRID_CONFIG = ("embedding: {{kind: grid_csv, path: '{path}', d: 2, dim_m: 3}}\n"

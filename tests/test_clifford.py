@@ -3,6 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import dirac_operator_terms
+
 from repmech import (
     DimensionMismatch,
     FormMismatch,
@@ -140,6 +142,23 @@ class TestDeterminantIdentity:
         assert masses.shape == (24,)
         np.testing.assert_allclose(masses, [mass_shell_determinant_residual(
             0.0, float(mk), np.zeros(4), p[0], gam) for mk in m], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("p_shape, m_shape", [
+        ((4,), ()), ((37, 4), (37,)), ((37, 4), ()), ((4,), (9,)),
+        ((6, 1, 4), (5,)), ((1, 4), (3, 1)), ((2, 3, 4), (2, 3)), ((0, 4), (0,)),
+    ])
+    def test_one_product_equals_the_four_terms(self, p_shape, m_shape):
+        gam = build_dirac_gammas("minkowski")
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            p, m = rng.normal(size=p_shape) * 1.5, rng.uniform(0.0, 2.0, size=m_shape)
+            q, a = rng.normal(), rng.normal(size=4)
+            h = dirac_operator(q, m, a, p, gam)
+            ref = dirac_operator_terms(q, m, a, p, gam)
+            assert h.shape == ref.shape == np.broadcast_shapes(m_shape, p_shape[:-1]) + (4, 4)
+            np.testing.assert_array_equal(h, ref)
+            # only the signs of zeros may differ, and the determinants do not see them
+            assert np.linalg.det(h).tobytes() == np.linalg.det(ref).tobytes()
 
     def test_euclidean_set_is_a_form_mismatch(self):
         gam = build_dirac_gammas("euclidean")

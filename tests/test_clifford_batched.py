@@ -18,7 +18,7 @@ from repmech import (
     vector_covariance_check,
     verify_lie_closure,
 )
-from repmech.clifford import _SIGMA, _structure_constants_from_rep
+from repmech.clifford import _SIGMA, _make_gamma_set, _structure_constants_from_rep
 
 FORMS = ("minkowski", "euclidean")
 ALGEBRAS = {
@@ -140,3 +140,34 @@ def test_dirac_gammas_are_the_block_matrices(form, unit):
     expected = [np.block([[eye2, zero], [zero, -eye2]])]
     expected += [unit * np.block([[zero, s], [-s, zero]]) for s in _SIGMA]
     np.testing.assert_array_equal(build_dirac_gammas(form).matrices, expected)
+
+
+
+def _kernel_set(kind):
+    """Sets outside the even Dirac and Pauli ones: odd N = 3 Pauli sets whose volume
+    element is i*I or a real multiple of I, the Dirac set with i*gamma^5 (volume
+    element real), and one gamma alone, whose system is all zeros."""
+    s1, s2, s3 = _SIGMA
+    if kind == "pauli3":
+        return _make_gamma_set([s1, s2, s3], np.eye(3), kind)
+    if kind == "pauli3-real-volume":
+        return _make_gamma_set([s1, s2, 1j * s3], np.diag([1.0, 1.0, -1.0]), kind)
+    if kind == "one-gamma":
+        return _make_gamma_set([s3], np.eye(1), kind)
+    g = build_dirac_gammas("minkowski").matrices
+    g5 = 1j * g[0] @ g[1] @ g[2] @ g[3]
+    return _make_gamma_set([*g, 1j * g5], np.diag([1.0, -1.0, -1.0, -1.0, -1.0]), kind)
+
+
+# the even sets, perturbed or not, are compared with the oracle in _assert_matches_oracle
+KERNELS = {"pauli3": 2, "pauli3-real-volume": 5, "dirac+i*gamma5": 17, "one-gamma": 2}
+
+
+@pytest.mark.parametrize("kind", KERNELS)
+def test_kernel_dim_is_the_svd_count_of_the_whole_system(kind):
+    gam = _kernel_set(kind)
+    assert gam.residual == 0.0
+    alg = abelian_algebra(gam.n)
+    sol = solve_quadratic_generators(alg, gam)
+    assert sol.kernel_dim == per_generator_quadratic_solve(alg, gam)["kernel_dim"]
+    assert sol.kernel_dim == KERNELS[kind]

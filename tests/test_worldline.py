@@ -75,6 +75,15 @@ class TestCoordinateTimeIntegration:
             integrate(spec, GaugeChoice.COORDINATE_TIME, np.zeros(2), np.array([1.0, 0.3]),
                       1.0, 0.1)
 
+    @pytest.mark.parametrize("gauge", list(GaugeChoice))
+    @pytest.mark.parametrize("tau_end, step", [(1.0e300, 1.0e-300), (np.inf, 0.1),
+                                               (1.0, np.nan), (np.nan, 0.1)])
+    def test_a_step_count_that_is_not_finite_is_a_dimension_mismatch(self, gauge, tau_end,
+                                                                     step):
+        spec = LagrangianSpec(metric=MINK, mass=1.0)
+        with pytest.raises(DimensionMismatch, match="is not finite"):
+            integrate(spec, gauge, np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]), tau_end, step)
+
     def test_cyclotron_radius_and_drift(self):
         orbit = CyclotronOracle()
         wl = integrate(cyclotron_spec(), GaugeChoice.COORDINATE_TIME,
