@@ -2,10 +2,16 @@
 
 Subcommands: signature, check, simulate, extremize, brane, clifford.
 Configs are YAML (nested key-value sections); unknown keys are rejected with
-their line number. Every JSON summary carries the subcommand, the sha256
-digest of the config text, the tool version, and the effective seed, and all
-floats are printed with 17 significant digits so identical config + seed
-reproduce byte-identical outputs.
+their line number. Every number in a config is read by one leaf rule: each
+leaf is a YAML int, or a finite float where the key allows non-integers,
+and never a string or a boolean; an array has its key's shape, and a
+key's lower bound holds for every leaf. A config that breaks it exits 2
+with an error naming the key and its line.
+
+Every JSON summary carries the subcommand, the sha256 digest of the config
+text, the tool version, and the effective seed, and all floats are printed
+with 17 significant digits so identical config + seed reproduce
+byte-identical outputs.
 
 Exit codes: 0 success, 1 physics-domain error, 2 config error.
 """
@@ -64,9 +70,6 @@ from .geometry import (
 from .lagrangian import LagrangianSpec
 from .sweeps import standard_sweeps
 from .worldline import GaugeChoice, integrate
-
-SUBCOMMANDS = ("signature", "check", "simulate", "extremize", "brane", "clifford")
-
 
 # ---------------------------------------------------------------------------
 # deterministic JSON with 17 significant digits
@@ -182,37 +185,19 @@ class Section:
     def child(self, key) -> "Section":
         return Section(self.data[key], self.path + (key,), self.lines)
 
-    def get(self, key, default=None):
-        return self.data.get(key, default)
+    def numbers(self, key, default, what, shape, integral=False, minimum=None):
+        """The value at key (default when absent) by the leaf rule; see _numbers."""
+        return _numbers(self.data.get(key, default), self.where(key), what, shape,
+                        integral, minimum)
 
     def number(self, key, default=None, minimum=None):
-        val = self.data.get(key, default)
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"{self.where(key)} must be a number")
-        return self._at_least(key, float(self.floats(key, val, "a number")), minimum)
+        return self.numbers(key, default, "a number", (), minimum=minimum)
 
     def integer(self, key, default=None, minimum=None):
-        val = self.data.get(key, default)
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ConfigError(f"{self.where(key)} must be an integer")
-        return self._at_least(key, int(val), minimum)
+        return self.numbers(key, default, "an integer", (), integral=True, minimum=minimum)
 
-    def floats(self, key, raw, what):
-        """raw as a float array: ConfigError unless it is `what` with no nan or inf entry."""
-        try:
-            val = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{self.where(key)} must be {what}") from None
-        except OverflowError:  # an integer past the float range
-            val = np.inf
-        if not np.isfinite(val).all():
-            raise ConfigError(f"{self.where(key)} must be finite")
-        return val
-
-    def _at_least(self, key, val, minimum):
-        if minimum is not None and val < minimum:
-            raise ConfigError(f"{self.where(key)} must be >= {minimum}")
-        return val
+    def vector(self, key, default=None):
+        return self.numbers(key, default, "a list of numbers", (None,))
 
     def string(self, key, default=None, choices=None):
         val = self.data.get(key, default)
@@ -222,12 +207,44 @@ class Section:
             raise ConfigError(f"{self.where(key)} must be one of {sorted(choices)}")
         return val
 
-    def vector(self, key, default=None):
-        val = self.data.get(key, default)
-        if not isinstance(val, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in val):
-            raise ConfigError(f"{self.where(key)} must be a list of numbers")
-        return self.floats(key, val, "a list of numbers")
+
+def _numbers(raw, where, what, shape=(), integral=False, minimum=None):
+    """raw by the leaf rule (module docstring), or a ConfigError that starts with `where`.
+
+    shape gives each list length, None for any length but 0 (the same for
+    every list at that depth). Returns an int or a float for shape (), else
+    a tuple of the ints, or a float array of that shape.
+    """
+    shape = list(shape)
+    leaves = []
+
+    def walk(node, depth):
+        if depth == len(shape):
+            if isinstance(node, bool) or not isinstance(node, int if integral else (int, float)):
+                raise ConfigError(f"{where} must be {what}")
+            leaves.append(node)
+            return
+        if not isinstance(node, list) or not node or shape[depth] not in (None, len(node)):
+            raise ConfigError(f"{where} must be {what}")
+        shape[depth] = len(node)
+        for item in node:
+            walk(item, depth + 1)
+
+    walk(raw, 0)
+    if not integral:
+        try:
+            leaves = [float(x) for x in leaves]
+        except OverflowError:  # an integer past the float range
+            leaves = [math.inf]
+        if not all(map(math.isfinite, leaves)):
+            raise ConfigError(f"{where} must be finite")
+    if minimum is not None and any(x < minimum for x in leaves):
+        raise ConfigError(f"{where} must be >= {minimum}")
+    if not shape:
+        return leaves[0]
+    if integral:
+        return tuple(leaves)
+    return np.asarray(raw, dtype=float)
 
 
 class RunConfig:
@@ -253,10 +270,7 @@ def _build_metric(sec: Section):
         sec.require_keys({"kind", "diagonal"}, required=("diagonal",))
         return constant_diagonal_metric(sec.vector("diagonal"))
     sec.require_keys({"kind", "matrix"}, required=("matrix",))
-    matrix = sec.get("matrix")
-    if not isinstance(matrix, list):
-        raise ConfigError(f"{sec.where('matrix')} must be a list of rows")
-    return constant_metric(sec.floats("matrix", matrix, "a list of rows"))
+    return constant_metric(sec.numbers("matrix", None, "a list of rows", (None, None)))
 
 
 def _build_potential(sec: Section, dim: int, metric_where: str):
@@ -266,55 +280,42 @@ def _build_potential(sec: Section, dim: int, metric_where: str):
         return zero_potential(dim)
     if kind == "constant":
         sec.require_keys({"kind", "components"}, required=("components",))
-        comp = sec.vector("components")
-        if comp.size != dim:
-            raise ConfigError(
-                f"dimension mismatch: {metric_where} has dim {dim} but "
-                f"{sec.where('components')} has {comp.size} components"
-            )
-        return constant_potential(comp)
+        return constant_potential(_sized(sec, "components", dim, f"{metric_where} has dim {dim}"))
     sec.require_keys({"kind", "strength", "plane"}, required=("strength",))
-    plane = sec.get("plane", [1, 2])
-    if not (isinstance(plane, list) and len(plane) == 2
-            and all(isinstance(p, int) for p in plane)):
-        raise ConfigError(f"{sec.where('plane')} must be two integer indices")
-    return uniform_magnetic_potential(dim, sec.number("strength"), tuple(plane))
+    plane = sec.numbers("plane", [1, 2], "two integer indices", (2,), integral=True)
+    return uniform_magnetic_potential(dim, sec.number("strength"), plane)
+
+
+def _sized(sec: Section, key, n: int, other: str, default=None):
+    """The vector at key, which must have the n components that `other` says it has."""
+    vec = sec.vector(key, default)
+    if vec.size != n:
+        raise ConfigError(f"dimension mismatch: {sec.where(key)} has {vec.size} components "
+                          f"but {other}")
+    return vec
 
 
 def _parse_tensor_entries(sec: Section, rank: int, dim: int, warnings: list):
-    raw = sec.get("entries")
+    where = sec.where("entries")
+    raw = sec.data.get("entries")
     if not isinstance(raw, dict) or not raw:
-        raise ConfigError(f"{sec.where('entries')} must be a non-empty mapping")
+        raise ConfigError(f"{where} must be a non-empty mapping")
     entries = {}
     for key, val in raw.items():
         try:
             idx = tuple(int(p) for p in str(key).split(","))
         except ValueError:
-            raise ConfigError(f"{sec.where('entries')}: bad multi-index '{key}'")
+            raise ConfigError(f"{where}: bad multi-index '{key}'")
         if len(idx) != rank:
-            raise ConfigError(
-                f"{sec.where('entries')}: index '{key}' does not have rank {rank}"
-            )
+            raise ConfigError(f"{where}: index '{key}' does not have rank {rank}")
         if any(i < 0 or i >= dim for i in idx):
-            raise ConfigError(
-                f"{sec.where('entries')}: index '{key}' out of range for dim {dim}"
-            )
+            raise ConfigError(f"{where}: index '{key}' out of range for dim {dim}")
         canon = tuple(sorted(idx))
         if canon != idx:
-            warnings.append(
-                f"tensor entry index {idx} normalized to sorted form {canon}"
-            )
+            warnings.append(f"tensor entry index {idx} normalized to sorted form {canon}")
         if canon in entries:
-            raise ConfigError(f"{sec.where('entries')}: duplicate multi-index {canon}")
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"{sec.where('entries')}: value for '{key}' must be a number")
-        try:
-            val = float(val)
-        except OverflowError:  # an integer past the float range
-            val = math.inf
-        if not math.isfinite(val):
-            raise ConfigError(f"{sec.where('entries')}: value for '{key}' must be finite")
-        entries[canon] = val
+            raise ConfigError(f"{where}: duplicate multi-index {canon}")
+        entries[canon] = _numbers(val, f"{where}: value for '{key}'", "a number")
     return entries
 
 
@@ -327,7 +328,7 @@ def _build_spec(sec: Section, warnings: list) -> LagrangianSpec:
     if "potential" in sec.data:
         potential = _build_potential(sec.child("potential"), dim, sec.where("metric"))
     terms = []
-    raw_terms = sec.get("extra_terms", [])
+    raw_terms = sec.data.get("extra_terms", [])
     if not isinstance(raw_terms, list):
         raise ConfigError(f"{sec.where('extra_terms')} must be a list")
     for i, _ in enumerate(raw_terms):
@@ -363,34 +364,21 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
     root = Section(data, (), lines)
     warnings: list = []
 
-    seed = 0
-    if "seed" in root.data:
-        seed = root.integer("seed", minimum=0)
-
-    parser = {
-        "signature": _parse_signature,
-        "check": _parse_check,
-        "simulate": _parse_simulate,
-        "extremize": _parse_extremize,
-        "brane": _parse_brane,
-        "clifford": _parse_clifford,
-    }[subcommand]
-    payload = parser(root, warnings)
+    seed = root.integer("seed", 0, minimum=0)
+    payload = _SUBCOMMANDS[subcommand][0](root, warnings)
     digest = hashlib.sha256(text.encode()).hexdigest()
     return RunConfig(subcommand, payload, seed, digest, warnings)
 
 
 def _parse_signature(root: Section, warnings):
     root.require_keys({"seed", "metric", "tolerance"}, required=("metric",))
-    metric = _build_metric(root.child("metric"))
-    tol = root.number("tolerance", 1e-10)
-    return {"metric": metric, "tolerance": tol}
+    return {"metric": _build_metric(root.child("metric")),
+            "tolerance": root.number("tolerance", 1e-10)}
 
 
 def _parse_check(root: Section, warnings):
     root.require_keys({"seed", "samples"})
-    samples = root.integer("samples", 1000, minimum=10)
-    return {"samples": samples}
+    return {"samples": root.integer("samples", 1000, minimum=10)}
 
 
 def _parse_simulate(root: Section, warnings):
@@ -401,14 +389,8 @@ def _parse_simulate(root: Section, warnings):
                              choices={"coordinate_time", "proper_time"})
     init = root.child("initial")
     init.require_keys({"position", "velocity"}, required=("position", "velocity"))
-    x0 = init.vector("position")
-    v0 = init.vector("velocity")
-    for name, vec in (("position", x0), ("velocity", v0)):
-        if vec.size != spec.dim:
-            raise ConfigError(
-                f"dimension mismatch: {root.where('spec')} metric has dim {spec.dim} "
-                f"but {init.where(name)} has {vec.size} components"
-            )
+    has_dim = f"{root.where('spec')} metric has dim {spec.dim}"
+    x0, v0 = (_sized(init, key, spec.dim, has_dim) for key in ("position", "velocity"))
     return {
         "spec": spec,
         "gauge": GaugeChoice(gauge_name),
@@ -420,26 +402,16 @@ def _parse_simulate(root: Section, warnings):
 
 
 def _parse_extremize(root: Section, warnings):
-    root.require_keys(
-        {"seed", "spec", "start", "end", "interior_points", "perturbation",
-         "max_iters", "grad_tol"},
-        required=("spec", "start", "end"),
-    )
+    root.require_keys({"seed", "spec", "start", "end", "interior_points", "perturbation",
+                       "max_iters", "grad_tol"}, required=("spec", "start", "end"))
     spec = _build_spec(root.child("spec"), warnings)
-    start = root.vector("start")
-    end = root.vector("end")
-    for name, vec in (("start", start), ("end", end)):
-        if vec.size != spec.dim:
-            raise ConfigError(
-                f"dimension mismatch: {root.where('spec')} metric has dim {spec.dim} "
-                f"but {root.where(name)} has {vec.size} components"
-            )
-    k = root.integer("interior_points", 9, minimum=1)
+    has_dim = f"{root.where('spec')} metric has dim {spec.dim}"
+    start, end = (_sized(root, key, spec.dim, has_dim) for key in ("start", "end"))
     return {
         "spec": spec,
         "start": start,
         "end": end,
-        "K": k,
+        "K": root.integer("interior_points", 9, minimum=1),
         "perturbation": root.number("perturbation", 0.0),
         "max_iters": root.integer("max_iters", 200),
         "grad_tol": root.number("grad_tol", 1e-8),
@@ -450,53 +422,29 @@ def _parse_brane(root: Section, warnings):
     root.require_keys({"seed", "embedding", "spec"}, required=("embedding", "spec"))
     esec = root.child("embedding")
     kind = esec.string("kind", choices={"tilted_plane", "graph", "cylinder_patch", "grid_csv"})
-    box = esec.get("box")
-    resolution = esec.get("resolution")
 
     def box_arr(default):
-        if box is None:
-            return np.asarray(default, dtype=float)
-        pairs = "a list of [lo, hi] pairs"
-        arr = esec.floats("box", box, pairs)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ConfigError(f"{esec.where('box')} must be {pairs}")
-        return arr
+        return esec.numbers("box", default, "a list of [lo, hi] pairs", (None, 2))
 
-    def res_tuple(default, d):
-        if resolution is None:
-            return tuple(default)
-        if not (isinstance(resolution, list) and len(resolution) == d
-                and all(isinstance(r, int) and r >= 2 for r in resolution)):
-            raise ConfigError(
-                f"{esec.where('resolution')} must be {d} integers >= 2"
-            )
-        return tuple(resolution)
+    def res_tuple(cells, d):
+        return esec.numbers("resolution", [cells] * d, f"{d} integers >= 2", (d,),
+                            integral=True, minimum=2)
 
     if kind == "tilted_plane":
         esec.require_keys({"kind", "slope", "box", "resolution"}, required=("slope",))
         emb = tilted_plane_embedding(esec.number("slope"), box_arr([[0, 1], [0, 1]]),
-                                     res_tuple((128, 128), 2))
+                                     res_tuple(128, 2))
     elif kind == "cylinder_patch":
         esec.require_keys({"kind", "radius", "box", "resolution"}, required=("radius",))
         emb = cylinder_patch_embedding(esec.number("radius"),
                                        box_arr([[0, 1], [0, math.pi]]),
-                                       res_tuple((64, 64), 2))
+                                       res_tuple(64, 2))
     elif kind == "graph":
         esec.require_keys({"kind", "linear", "quadratic", "box", "resolution"})
         b = box_arr([[0, 1], [0, 1]])
         d = b.shape[0]
-        lin = esec.vector("linear", [0.0] * d)
-        if lin.size != d:
-            raise ConfigError(
-                f"dimension mismatch: {esec.where('box')} has {d} axes but "
-                f"{esec.where('linear')} has {lin.size} components"
-            )
-        quad_raw = esec.get("quadratic")
-        quad = np.zeros((d, d))
-        if quad_raw is not None:
-            quad = esec.floats("quadratic", quad_raw, f"a {d}x{d} matrix")
-            if quad.shape != (d, d):
-                raise ConfigError(f"{esec.where('quadratic')} must be a {d}x{d} matrix")
+        lin = _sized(esec, "linear", d, f"{esec.where('box')} has {d} axes", [0.0] * d)
+        quad = esec.numbers("quadratic", [[0.0] * d] * d, f"a {d}x{d} matrix", (d, d))
 
         def f(Z, lin=lin, quad=quad):
             Z = np.atleast_2d(Z)
@@ -506,7 +454,7 @@ def _parse_brane(root: Section, warnings):
             Z = np.atleast_2d(Z)
             return lin[None, :] + Z @ (quad + quad.T)
 
-        emb = graph_embedding(f, grad=grad, box=b, resolution=res_tuple((64,) * d, d))
+        emb = graph_embedding(f, grad=grad, box=b, resolution=res_tuple(64, d))
     else:  # grid_csv
         esec.require_keys({"kind", "path", "d", "dim_m"}, required=("path", "d", "dim_m"))
         emb = _load_grid_csv(Path(esec.string("path")), esec.integer("d"),
@@ -525,14 +473,10 @@ def _parse_brane(root: Section, warnings):
         psec = ssec.child("potential")
         psec.require_keys({"kind", "components"}, required=("kind", "components"))
         psec.string("kind", choices={"constant"})
-        comp = psec.vector("components")
         n_comp = component_count(emb.dim_m, emb.d)
-        if comp.size != n_comp:
-            raise ConfigError(
-                f"dimension mismatch: {psec.where('components')} has {comp.size} entries "
-                f"but the embedding has {n_comp} minor components"
-            )
-        potential = constant_potential(comp)
+        potential = constant_potential(_sized(
+            psec, "components", n_comp,
+            f"the {esec.where('kind')} embedding has {n_comp} minor components"))
     spec = BraneSpec(metric=metric, mass=ssec.number("mass", 1.0, minimum=0),
                      charge=ssec.number("charge", 1.0), potential=potential)
     return {"embedding": emb, "spec": spec}
@@ -579,17 +523,12 @@ def _load_grid_csv(path: Path, d: int, dim_m: int, esec: Section):
 
 def _parse_clifford(root: Section, warnings):
     root.require_keys({"seed", "algebra", "form", "perturbation", "trials", "det_samples"})
-    algebra = root.string("algebra", "lorentz", choices={"lorentz", "so3", "abelian"})
-    form = root.string("form", "minkowski", choices={"minkowski", "euclidean"})
-    perturbation = root.number("perturbation", 0.0, minimum=0)
-    trials = root.integer("trials", 1, minimum=1)
-    det_samples = root.integer("det_samples", 1000, minimum=1)
     return {
-        "algebra": algebra,
-        "form": form,
-        "perturbation": perturbation,
-        "trials": trials,
-        "det_samples": det_samples,
+        "algebra": root.string("algebra", "lorentz", choices={"lorentz", "so3", "abelian"}),
+        "form": root.string("form", "minkowski", choices={"minkowski", "euclidean"}),
+        "perturbation": root.number("perturbation", 0.0, minimum=0),
+        "trials": root.integer("trials", 1, minimum=1),
+        "det_samples": root.integer("det_samples", 1000, minimum=1),
     }
 
 
@@ -758,20 +697,22 @@ def _run_clifford(cfg, out_dir):
     }, []
 
 
-_RUNNERS = {
-    "signature": _run_signature,
-    "check": _run_check,
-    "simulate": _run_simulate,
-    "extremize": _run_extremize,
-    "brane": _run_brane,
-    "clifford": _run_clifford,
+# subcommand -> (its config parser, the runner of the parsed config)
+_SUBCOMMANDS = {
+    "signature": (_parse_signature, _run_signature),
+    "check": (_parse_check, _run_check),
+    "simulate": (_parse_simulate, _run_simulate),
+    "extremize": (_parse_extremize, _run_extremize),
+    "brane": (_parse_brane, _run_brane),
+    "clifford": (_parse_clifford, _run_clifford),
 }
+SUBCOMMANDS = tuple(_SUBCOMMANDS)
 
 
 def run(subcommand: str, cfg: RunConfig, out_dir: Path):
     """Execute a parsed config; returns (summary dict, written artifact paths)."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload_summary, artifacts = _RUNNERS[subcommand](cfg, out_dir)
+    payload_summary, artifacts = _SUBCOMMANDS[subcommand][1](cfg, out_dir)
     summary = {
         "subcommand": subcommand,
         "version": __version__,
@@ -815,7 +756,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(text, args.subcommand)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _numbers(args.seed, "'--seed'", "an integer", integral=True, minimum=0)
         for warning in cfg.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         summary, _ = run(args.subcommand, cfg, Path(args.out))

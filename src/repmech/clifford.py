@@ -29,6 +29,8 @@ import numpy as np
 from .errors import DimensionMismatch, FormMismatch, UnsupportedDimension
 
 ANTICOMM_TOL = 1e-12
+KERNEL_TOL = 1e-10  # relative singular value counted in the kernel
+PERTURBED_INDEX = 1  # the gamma matrix perturb_gammas changes
 
 _SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -124,15 +126,14 @@ def build_pauli_gammas(form: str = "euclidean") -> GammaSet:
     raise UnsupportedDimension(f"unknown form {form!r}")
 
 
-def perturb_gammas(gam: GammaSet, magnitude: float, rng: np.random.Generator,
-                   index: int = 1) -> GammaSet:
-    """Add a random Hermitian perturbation of given operator norm to one matrix."""
+def perturb_gammas(gam: GammaSet, magnitude: float, rng: np.random.Generator) -> GammaSet:
+    """Add a random Hermitian perturbation of given operator norm to matrix PERTURBED_INDEX."""
     dim = gam.matrix_dim
     h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = 0.5 * (h + h.conj().T)
     h *= magnitude / np.linalg.norm(h, ord=2)
     mats = list(gam.matrices)
-    mats[index] = mats[index] + h
+    mats[PERTURBED_INDEX] = mats[PERTURBED_INDEX] + h
     return _make_gamma_set(mats, gam.form, f"{gam.label}-perturbed", strict=False)
 
 
@@ -280,8 +281,7 @@ def _vector_targets(rho: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return np.einsum("iba,bkl->iakl", rho, mats)
 
 
-def solve_quadratic_generators(alg: LieAlgebraSpec, gam: GammaSet,
-                               kernel_tol: float = 1e-10) -> QuadraticGeneratorSolution:
+def solve_quadratic_generators(alg: LieAlgebraSpec, gam: GammaSet) -> QuadraticGeneratorSolution:
     """Solve [X_i, g^a] = rho_i[b, a] g^b for traceless X_i in the product span.
 
     The unknowns are the real coefficients of X_i on the 2^N gamma products
@@ -293,7 +293,7 @@ def solve_quadratic_generators(alg: LieAlgebraSpec, gam: GammaSet,
     the residuals, never raised.
 
     kernel_dim counts the singular values of the unconstrained system at or
-    below kernel_tol times the largest. Its identity column [I, g^a] is exactly
+    below KERNEL_TOL times the largest. Its identity column [I, g^a] is exactly
     zero in floating point, so it is the identity direction plus the count
     over the singular values that the solve already returns for the other
     columns; when every column is zero, every direction counts.
@@ -308,7 +308,7 @@ def solve_quadratic_generators(alg: LieAlgebraSpec, gam: GammaSet,
     targets = _vector_targets(alg.rho, mats)
     rhs = _real_columns(targets, alg.n_generators)
     sol, _, _, svals = np.linalg.lstsq(cols[:, 1:], rhs, rcond=None)
-    kernel_dim = 1 + int(np.sum(svals <= kernel_tol * svals[0]))
+    kernel_dim = 1 + int(np.sum(svals <= KERNEL_TOL * svals[0]))
     coeffs = np.zeros((alg.n_generators, len(subsets)))
     coeffs[:, 1:] = sol.T
     xs = np.tensordot(coeffs, basis, axes=1)

@@ -96,9 +96,11 @@ def uniform_magnetic_potential(dim: int, strength: float,
     """Symmetric-gauge potential for a uniform magnetic field in a spatial plane.
 
     With plane = (i, j): A_i = +B/2 * x^j, A_j = -B/2 * x^i, other components 0.
+    i and j are integers (a bool is not), distinct and spatial.
     """
     i, j = plane
-    if not (0 < i < dim and 0 < j < dim and i != j):
+    if not (all(isinstance(p, (int, np.integer)) and not isinstance(p, bool) for p in plane)
+            and 0 < i < dim and 0 < j < dim and i != j):
         raise DimensionMismatch(f"plane indices {plane} invalid for dim {dim}")
     b2 = 0.5 * float(strength)
 

@@ -227,9 +227,7 @@ def _mass_term_data(spec, x, v):
     gv = np.matvec(g, v)
     gvv = np.vecdot(gv, v)
     if _any(gvv <= 0.0):
-        if _any(gvv < 0.0):
-            raise SpacelikeVelocity(f"g(v,v) = {np.min(gvv)} < 0")
-        raise NullVelocity("momentum of the mass term is undefined on the light cone")
+        _outside_cone(np.min(gvv))
     return g, gv, gvv
 
 
@@ -244,6 +242,13 @@ def _checked_radicand(n, c):
     if _any(c == 0.0):
         raise ZeroRadicand(f"rank-{n} contraction vanishes; derivative undefined")
     return c
+
+
+def _outside_cone(gvv):
+    """Raise what the mass term's derivatives raise for a g(v, v) <= 0."""
+    if gvv < 0.0:
+        raise SpacelikeVelocity(f"g(v,v) = {gvv} < 0")
+    raise NullVelocity("momentum of the mass term is undefined on the light cone")
 
 
 @_first_bad_point

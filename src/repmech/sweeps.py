@@ -12,8 +12,8 @@ per-point checks of the batch. States are rejection-sampled so radicands
 stay away from zero, keeping finite-difference oracles inside their
 validity region; the identity claims themselves hold on the whole open
 domain. random_state draws candidates only for the rows not yet accepted,
-at most `attempts` per row, and draw_spec_state gives a row that runs out
-of attempts a fresh spec.
+at most STATE_ATTEMPTS per row, and draw_spec_state gives a row that runs
+out of attempts a fresh spec.
 """
 
 from __future__ import annotations
@@ -48,6 +48,18 @@ from .lagrangian import (
 )
 
 _TINY = 1e-300
+RADICAND_FLOOR = 0.05  # least |tensor radicand| / |v^0|^n of a drawn state
+STATE_ATTEMPTS = 100  # candidate states per row before its spec is redrawn
+# the worst residual each sweep passes with, by sweep name
+TOLERANCES = {
+    "homogeneity": 1e-11,
+    "euler_identity_analytic": 1e-10,
+    "euler_identity_fd": 1e-6,
+    "mass_shell_identity": 1e-9,
+    "momentum_vs_fd": 1e-6,
+    "pi_invariance": 1e-12,
+    "gauge_shift": 1e-10,
+}
 
 
 @dataclass(frozen=True)
@@ -213,23 +225,22 @@ def random_spec(rng: np.random.Generator, samples: int, dim: int = 4,
     )
 
 
-def random_state(rng: np.random.Generator, stack: SpecStack,
-                 radicand_floor: float = 0.05, attempts: int = 100):
+def random_state(rng: np.random.Generator, stack: SpecStack):
     """(x, v, found): per row, x and a timelike v with g(v,v) >= 0.3 (v^0)^2 whose
-    tensor radicands are at least radicand_floor |v^0|^n.
+    tensor radicands are at least RADICAND_FLOOR |v^0|^n.
 
     Each round draws candidates for the rows not yet accepted, about as many
     in all as there are rows, and accepts each row's first candidate that
     passes, which is what drawing them one at a time would accept. found is
-    False on a row none of whose `attempts` candidates passed.
+    False on a row none of whose STATE_ATTEMPTS candidates passed.
     """
     samples, dim = len(stack), stack.dim
     x = np.zeros((samples, dim))
     v = np.zeros((samples, dim))
     todo = np.arange(samples)
     used = 0  # every row not yet accepted has failed this many candidates
-    while todo.size and used < attempts:
-        k = min(samples // todo.size, attempts - used)
+    while todo.size and used < STATE_ATTEMPTS:
+        k = min(samples // todo.size, STATE_ATTEMPTS - used)
         n = todo.size * k
         xs = rng.uniform(-1.0, 1.0, size=(n, dim))
         u = rng.uniform(-1.0, 1.0, size=(n, dim - 1))
@@ -241,7 +252,7 @@ def random_state(rng: np.random.Generator, stack: SpecStack,
         ok = quadratic_form(spec.metric(xs), vs) >= 0.3 * vs[:, 0] ** 2
         for _q, tensor in spec.extra_terms:
             ok &= (np.abs(tensor.contraction(xs, vs))
-                   >= radicand_floor * np.abs(vs[:, 0]) ** tensor.rank)
+                   >= RADICAND_FLOOR * np.abs(vs[:, 0]) ** tensor.rank)
         ok = ok.reshape(todo.size, k)
         hit = ok.any(axis=1)
         first = np.flatnonzero(hit) * k + ok[hit].argmax(axis=1)
@@ -314,8 +325,10 @@ def gauge_shift_residuals(spec, x, v, w, c) -> np.ndarray:
     return np.maximum(np.max(np.abs(dp), axis=-1), np.max(np.abs(dpi), axis=-1))
 
 
-def _run(name, samples, tolerance, seed, residuals, curved=None):
-    """The worst of residuals(rng, spec, x, v) over one stacked draw of `samples` rows."""
+def _run(name, samples, seed, residuals, curved=None):
+    """The worst of residuals(rng, spec, x, v) over one stacked draw of `samples` rows,
+    against TOLERANCES[name]."""
+    tolerance = TOLERANCES[name]
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     stack, x, v = draw_spec_state(rng, samples, curved=curved)
@@ -326,42 +339,36 @@ def _run(name, samples, tolerance, seed, residuals, curved=None):
                        seconds=elapsed)
 
 
-def homogeneity_sweep(samples: int = 1000, seed: int = 0,
-                      tolerance: float = 1e-11) -> SweepResult:
+def homogeneity_sweep(samples: int = 1000, seed: int = 0) -> SweepResult:
     """max relative |L(x, lam v) - lam L(x, v)| over random draws and scales."""
 
     def residuals(rng, spec, x, v):
         lam = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=len(x)))
         return homogeneity_residuals(spec, x, v, lam)
 
-    return _run("homogeneity", samples, tolerance, seed, residuals)
+    return _run("homogeneity", samples, seed, residuals)
 
 
-def euler_identity_sweep(mode: str = "analytic", samples: int = 1000, seed: int = 1,
-                         tolerance: float = None) -> SweepResult:
+def euler_identity_sweep(mode: str = "analytic", samples: int = 1000,
+                         seed: int = 1) -> SweepResult:
     """max relative |p.v - L|, normalized by |p.v| + |L|."""
-    if tolerance is None:
-        tolerance = 1e-10 if mode == "analytic" else 1e-6
-    return _run(f"euler_identity_{mode}", samples, tolerance, seed,
+    return _run(f"euler_identity_{mode}", samples, seed,
                 lambda rng, spec, x, v: euler_residuals(spec, x, v, mode))
 
 
-def mass_shell_sweep(samples: int = 1000, seed: int = 2,
-                     tolerance: float = 1e-9) -> SweepResult:
+def mass_shell_sweep(samples: int = 1000, seed: int = 2) -> SweepResult:
     """max |pi . g^{-1} . pi - m^2| over the draw family."""
-    return _run("mass_shell_identity", samples, tolerance, seed,
+    return _run("mass_shell_identity", samples, seed,
                 lambda rng, spec, x, v: np.abs(mass_shell_residual(spec, x, v)))
 
 
-def momentum_fd_sweep(samples: int = 500, seed: int = 3,
-                      tolerance: float = 1e-6) -> SweepResult:
+def momentum_fd_sweep(samples: int = 500, seed: int = 3) -> SweepResult:
     """Closed-form momentum against central differences of eval_L."""
-    return _run("momentum_vs_fd", samples, tolerance, seed,
+    return _run("momentum_vs_fd", samples, seed,
                 lambda rng, spec, x, v: momentum_fd_residuals(spec, x, v))
 
 
-def pi_invariance_sweep(samples: int = 300, seed: int = 4,
-                        tolerance: float = 1e-12) -> SweepResult:
+def pi_invariance_sweep(samples: int = 300, seed: int = 4) -> SweepResult:
     """pi depends only on (m, g, v): re-randomize q, A, Q_n at fixed (m, g, v)."""
 
     def residuals(rng, spec, x, v):
@@ -372,18 +379,17 @@ def pi_invariance_sweep(samples: int = 300, seed: int = 4,
             potential=rng.uniform(-10.0, 10.0, size=x.shape),
             couplings=rng.uniform(-2.0, 2.0, size=(n, len(spec.extra_terms))))
 
-    return _run("pi_invariance", samples, tolerance, seed, residuals)
+    return _run("pi_invariance", samples, seed, residuals)
 
 
-def gauge_shift_sweep(samples: int = 200, seed: int = 5,
-                      tolerance: float = 1e-10) -> SweepResult:
+def gauge_shift_sweep(samples: int = 200, seed: int = 5) -> SweepResult:
     """A -> A + df shifts p by q df and leaves pi unchanged."""
 
     def residuals(rng, spec, x, v):
         w = rng.uniform(-1.0, 1.0, size=x.shape)
         return gauge_shift_residuals(spec, x, v, w, rng.uniform(0.5, 1.5, size=len(x)))
 
-    return _run("gauge_shift", samples, tolerance, seed, residuals, curved=False)
+    return _run("gauge_shift", samples, seed, residuals, curved=False)
 
 
 def standard_sweeps(seed: int = 0, samples: int = 1000):

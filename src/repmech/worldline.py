@@ -56,17 +56,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    GaugeViolation,
-    NullVelocity,
-    SingularReducedHessian,
-    SpacelikeVelocity,
-)
+from .errors import DimensionMismatch, GaugeViolation, SingularReducedHessian
 from .geometry import quadratic_form
 from .lagrangian import (
     LagrangianSpec,
     _checked_radicand,
+    _outside_cone,
     el_system,
     eval_L,
     mass_shell_residual,
@@ -74,6 +69,9 @@ from .lagrangian import (
 )
 
 GAUGE_TOL = 1e-8
+# most RK4 steps of one integrate call: at dim 4 a step holds about 0.4 kB of
+# march state and output arrays at its peak, so 10^7 steps is about 4 GB
+MAX_STEPS = 10 ** 7
 _COND_LIMIT = 1e12
 
 
@@ -230,13 +228,6 @@ def _constant_fields(spec) -> bool:
     return (spec.mass > 0.0 and spec.metric.is_constant
             and spec.potential.kind in ("zero", "constant", "uniform-magnetic")
             and all(s.is_constant for _, s in spec.extra_terms))
-
-
-def _outside_cone(gvv):
-    """Raise what lagrangian's mass term raises for g(v, v) <= 0."""
-    if gvv < 0.0:
-        raise SpacelikeVelocity(f"g(v,v) = {gvv} < 0")
-    raise NullVelocity("momentum of the mass term is undefined on the light cone")
 
 
 def _eliminate(A, b):
@@ -594,8 +585,9 @@ def integrate(spec: LagrangianSpec, gauge: GaugeChoice, x0, v0,
     """Fixed-step RK4 world line from (x0, v0) in the chosen gauge.
 
     The number of steps is round(tau_end / step), and a ratio that is not
-    finite is a DimensionMismatch; the initial condition must
-    satisfy the gauge condition to 1e-8 and is snapped exactly onto it.
+    finite, or a count above MAX_STEPS, is a DimensionMismatch; the initial
+    condition must satisfy the gauge condition to 1e-8 and is snapped
+    exactly onto it.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -615,6 +607,8 @@ def integrate(spec: LagrangianSpec, gauge: GaugeChoice, x0, v0,
     n_steps = int(round(ratio))
     if n_steps < 1:
         raise DimensionMismatch("tau_end shorter than one step")
+    if n_steps > MAX_STEPS:
+        raise DimensionMismatch(f"step count {n_steps} is above the cap of {MAX_STEPS} steps")
 
     if gauge is GaugeChoice.COORDINATE_TIME:
         if abs(v0[0] - 1.0) > GAUGE_TOL:

@@ -11,6 +11,7 @@ import yaml
 from oracles import CyclotronOracle
 
 from repmech.cli import (
+    Section,
     _ConfigLoader,
     _arg_parser,
     _draw_det_samples,
@@ -21,6 +22,7 @@ from repmech.cli import (
     parse_config,
     run,
 )
+from repmech.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -154,6 +156,14 @@ def test_every_trial_reports_its_residual(tmp_path, perturbation):
         assert len(set(trials)) == 3
 
 
+def test_the_check_summary_reports_each_sweeps_tolerance(tmp_path):
+    summary, _ = run("check", parse_config("samples: 10\n", "check"), tmp_path)
+    assert {p["property"]: p["tolerance"] for p in summary["properties"]} == {
+        "homogeneity": 1e-11, "euler_identity_analytic": 1e-10, "euler_identity_fd": 1e-6,
+        "mass_shell_identity": 1e-9, "momentum_vs_fd": 1e-6, "pi_invariance": 1e-12,
+        "gauge_shift": 1e-10}
+
+
 def test_determinant_check_takes_the_minkowski_set_for_either_form(tmp_path):
     checks = []
     for form in ("minkowski", "euclidean"):
@@ -164,15 +174,16 @@ def test_determinant_check_takes_the_minkowski_set_for_either_form(tmp_path):
     assert checks[0]["max_relative_residual"] <= 1e-12
 
 
-def _float_leaves(node, path=()):
-    """(path, value) of every float in a parsed config; list items add their index."""
+def _number_leaves(node, path=()):
+    """(path, value) of every int or float in a parsed config; list items add their index."""
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):
         items = enumerate(node)
     else:
-        return [(path, node)] if isinstance(node, float) else []
-    return [leaf for key, value in items for leaf in _float_leaves(value, path + (key,))]
+        number = isinstance(node, (int, float)) and not isinstance(node, bool)
+        return [(path, node)] if number else []
+    return [leaf for key, value in items for leaf in _number_leaves(value, path + (key,))]
 
 
 def _replaced(doc, path, value):
@@ -183,8 +194,15 @@ def _replaced(doc, path, value):
     return copy
 
 
-FLOAT_LEAVES = [(config.stem, path) for config in SHIPPED
-                for path, _ in _float_leaves(yaml.safe_load(config.read_text()))]
+NUMBER_LEAVES = [(config.stem, path, value) for config in SHIPPED
+                 for path, value in _number_leaves(yaml.safe_load(config.read_text()))]
+FLOAT_LEAVES = [(c, path) for c, path, value in NUMBER_LEAVES if isinstance(value, float)]
+
+
+def _key_and_line(text, path):
+    """The key that holds the leaf at path, a list item being named by its list, and its line."""
+    key = tuple(str(k) for k in path if not isinstance(k, int))
+    return ".".join(key), _key_lines(yaml.compose(text))[key]
 
 
 @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
@@ -198,11 +216,111 @@ def test_a_non_finite_config_number_exits_2_naming_its_key(tmp_path, capsys, sub
     config = tmp_path / "config.yaml"
     config.write_text(text)
     assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
-    # the key that holds the number: a list item is named by its list
-    key = tuple(str(k) for k in path if not isinstance(k, int))
-    line = _key_lines(yaml.compose(text))[key]
-    assert f"'{'.'.join(key)}' (line {line}) must be finite" in capsys.readouterr().err
+    key, line = _key_and_line(text, path)
+    assert f"'{key}' (line {line}) must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["1", True], ids=["string", "bool"])
+@pytest.mark.parametrize("subcommand, path", [(c, p) for c, p, _ in NUMBER_LEAVES],
+                         ids=[f"{c}:{'.'.join(map(str, p))}" for c, p, _ in NUMBER_LEAVES])
+def test_a_string_or_bool_config_number_exits_2_naming_its_key(tmp_path, capsys, subcommand,
+                                                               path, value):
+    doc = _replaced(yaml.safe_load((CONFIGS / f"{subcommand}.yaml").read_text()), path, value)
+    text = yaml.safe_dump(doc, sort_keys=False)
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    key, line = _key_and_line(text, path)
+    assert f"'{key}' (line {line}) must be " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+DIMENSION_MISMATCHES = {
+    "position": ("simulate", "position: [0.0, 0.0, 0.0, 0.0]", "position: [0.0, 0.0, 0.0]",
+                 ["spec", "initial.position"]),
+    "velocity": ("simulate", "velocity: [1.0, 0.6, 0.0, 0.0]", "velocity: [1.0, 0.6]",
+                 ["spec", "initial.velocity"]),
+    "start": ("extremize", "start: [0.0, 0.0, 0.0, 0.0]", "start: [0.0, 0.0, 0.0, 0.0, 0.0]",
+              ["spec", "start"]),
+    "end": ("extremize", "end: [1.0, 0.3, 0.0, 0.0]", "end: [1.0, 0.3, 0.0]", ["spec", "end"]),
+    "constant_potential": ("simulate", "kind: uniform_magnetic\n    strength: 1.0\n"
+                           "    plane: [1, 2]", "kind: constant\n    components: [0.1, 0.2]",
+                           ["spec.metric", "spec.potential.components"]),
+    "graph_linear": ("brane", "kind: tilted_plane\n  slope: 0.75", "kind: graph\n  linear: [0.5]",
+                     ["embedding.box", "embedding.linear"]),
+    "brane_potential": ("brane", "charge: 0.0", "charge: 0.0\n  potential: "
+                        "{kind: constant, components: [0.1, 0.2]}",
+                        ["spec.potential.components", "embedding.kind"]),
+}
+
+
+@pytest.mark.parametrize("case", DIMENSION_MISMATCHES)
+def test_a_dimension_mismatch_exits_2_naming_both_keys(tmp_path, capsys, case):
+    subcommand, old, new, keys = DIMENSION_MISMATCHES[case]
+    text = (CONFIGS / f"{subcommand}.yaml").read_text()
+    assert old in text
+    text = text.replace(old, new)
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dimension mismatch: ")
+    lines = _key_lines(yaml.compose(text))
+    for key in keys:
+        assert f"'{key}' (line {lines[tuple(key.split('.'))]})" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw, shape, integral, minimum, value", [
+    (2, (), False, None, 2.0),
+    (-0.5, (), False, -1, -0.5),
+    (7, (), True, 0, 7),
+    ([1, 2.5], (None,), False, None, [1.0, 2.5]),
+    ([[0, 1], [0.5, 2]], (None, 2), False, None, [[0.0, 1.0], [0.5, 2.0]]),
+    ([[1, 2, 3]], (None, None), False, None, [[1.0, 2.0, 3.0]]),
+    ([3, 2], (2,), True, 2, (3, 2)),
+])
+def test_the_number_reader_returns_the_values_in_their_shape(raw, shape, integral, minimum,
+                                                              value):
+    got = Section({"key": raw}, (), {}).numbers("key", None, "it", shape, integral, minimum)
+    if integral:
+        assert got == value and type(got) is type(value)
+        assert all(type(v) is int for v in (got if shape else [got]))
+    elif shape:
+        assert got.dtype == float and got.shape == np.shape(value)
+        assert np.array_equal(got, value)
+    else:
+        assert type(got) is float and got == value
+
+
+@pytest.mark.parametrize("raw, shape, integral, minimum, message", [
+    ("1", (), False, None, "must be it"),
+    (True, (), False, None, "must be it"),
+    (None, (), False, None, "must be it"),
+    (1.0, (), True, None, "must be it"),
+    ([1.0], (), False, None, "must be it"),
+    (1.0, (None,), False, None, "must be it"),
+    ([1, "2"], (None,), False, None, "must be it"),
+    ([], (None,), False, None, "must be it"),
+    ([], (None, 2), False, None, "must be it"),
+    ([[]], (None, None), False, None, "must be it"),
+    ([1, False], (2,), True, None, "must be it"),
+    ([1, 2, 3], (2,), True, None, "must be it"),
+    ([[1, 2], [3]], (None, None), False, None, "must be it"),
+    ([[1, 2], 3], (None, None), False, None, "must be it"),
+    ([[0, 1], [0, 1, 2]], (None, 2), False, None, "must be it"),
+    ([0.0, float("nan")], (None,), False, None, "must be finite"),
+    (10 ** 400, (), False, None, "must be finite"),
+    (-1e-9, (), False, 0, "must be >= 0"),
+    ([2, 1], (2,), True, 2, "must be >= 2"),
+])
+def test_the_number_reader_rejects_what_breaks_the_leaf_rule(raw, shape, integral, minimum,
+                                                              message):
+    sec = Section({"key": raw}, ("outer",), {("outer", "key"): 4})
+    with pytest.raises(ConfigError) as err:
+        sec.numbers("key", None, "it", shape, integral, minimum)
+    assert str(err.value) == f"'outer.key' (line 4) {message}"
 
 
 NON_FINITE_RAW = {
@@ -238,6 +356,9 @@ def test_non_finite_raw_arrays_exit_2_naming_their_key(tmp_path, capsys, case):
     ("embedding.quadratic", "kind: tilted_plane\n  slope: 0.75",
      "kind: graph\n  quadratic: [[0.5], [0, 0.5]]"),
     ("embedding.box", "box: [[0.0, 1.0], [0.0, 1.0]]", "box: [[0.0, 1.0], [0.0]]"),
+    # an empty array is not of any shape either
+    ("spec.metric.matrix", "kind: minkowski\n    dim: 4", "kind: constant\n    matrix: []"),
+    ("embedding.box", "box: [[0.0, 1.0], [0.0, 1.0]]", "box: []"),
 ])
 def test_ragged_raw_arrays_exit_2_naming_their_key(tmp_path, capsys, key, old, new):
     subcommand = "simulate" if key.startswith("spec") else "brane"
@@ -247,6 +368,16 @@ def test_ragged_raw_arrays_exit_2_naming_their_key(tmp_path, capsys, key, old, n
     config.write_text(text.replace(old, new))
     assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert f"'{key}' (line " in capsys.readouterr().err
+
+
+def test_a_step_count_above_the_cap_exits_1_at_once(tmp_path, capsys):
+    config = tmp_path / "simulate.yaml"
+    config.write_text((CONFIGS / "simulate.yaml").read_text().replace(
+        "tau_end: 10.0", "tau_end: 1.0e9").replace("step: 0.001", "step: 1.0e-6"))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("DimensionMismatch: step count 1000000000000000 is above the cap of "
+                   "10000000 steps\n")
 
 
 def test_a_step_count_past_the_float_range_exits_1(tmp_path, capsys):
@@ -305,6 +436,13 @@ def test_seed_flag_overrides_the_config_seed(tmp_path):
     assert summaries["zero_as_seven"]["seed"] == 7
     assert summaries["zero_as_seven"] == summaries["seven"]
     assert summaries["zero"]["trial_max_residuals"] != summaries["seven"]["trial_max_residuals"]
+
+
+def test_a_negative_seed_flag_exits_2(tmp_path, capsys):
+    config = str(CONFIGS / "clifford.yaml")
+    assert main(["clifford", "--config", config, "--out", str(tmp_path), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: '--seed' must be >= 0\n"
+    assert not (tmp_path / "clifford_summary.json").exists()
 
 
 @pytest.mark.parametrize("seed", [0, 3, 99])

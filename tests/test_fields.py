@@ -331,3 +331,16 @@ class TestVectorPotential:
     def test_bad_plane_rejected(self):
         with pytest.raises(DimensionMismatch):
             uniform_magnetic_potential(4, 1.0, plane=(0, 2))
+
+    @pytest.mark.parametrize("plane", [(True, 2), (1, np.True_), (1.0, 2), (1, 2.0)])
+    def test_a_bool_or_float_plane_index_is_rejected(self, plane):
+        # True would index the components as a boolean mask
+        with pytest.raises(DimensionMismatch, match="plane indices"):
+            uniform_magnetic_potential(4, 1.0, plane=plane)
+
+    def test_numpy_integer_plane_indices_work(self):
+        x = np.random.default_rng(8).normal(size=(5, 4))
+        ref = uniform_magnetic_potential(4, 1.5, plane=(1, 2))
+        pot = uniform_magnetic_potential(4, 1.5, plane=(np.int64(1), np.int32(2)))
+        assert np.array_equal(pot(x), ref(x))
+        assert np.array_equal(pot.jacobian(x), ref.jacobian(x))

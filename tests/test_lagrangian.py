@@ -505,6 +505,19 @@ class TestFirstBadPoint:
         assert info.value.batch_index is None
         assert len(calls) == 1 + 3 + 1
 
+    @pytest.mark.parametrize("bad, error, message", [
+        ([1.0, 2.0, 0.0, 0.0], SpacelikeVelocity, "g(v,v) = -3.0 < 0"),
+        ([1.0, 1.0, 0.0, 0.0], NullVelocity, "undefined on the light cone"),
+    ], ids=["spacelike", "null"])
+    def test_a_stacked_batch_raises_by_its_least_radicand(self, bad, error, message):
+        # per-point masses keep the batch whole, so its own error must name the worst point
+        spec = LagrangianSpec(metric=MINK, mass=np.linspace(1.0, 2.0, 5))
+        v = np.tile([1.0, 0.2, 0.0, 0.0], (5, 1))
+        v[1] = [1.0, 1.0, 0.0, 0.0]
+        v[3] = bad
+        with pytest.raises(error, match=re.escape(message)):
+            momentum(spec, np.zeros((5, 4)), v)
+
 
 def test_terms_of_one_rank_add():
     a = symmetric_tensor(3, 4, {(0, 0, 0): 1.0, (0, 1, 2): 0.3})

@@ -84,6 +84,25 @@ class TestCoordinateTimeIntegration:
         with pytest.raises(DimensionMismatch, match="is not finite"):
             integrate(spec, gauge, np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]), tau_end, step)
 
+    @pytest.mark.parametrize("gauge", list(GaugeChoice))
+    def test_a_step_count_above_the_cap_fails_before_any_kernel_is_built(self, gauge,
+                                                                          monkeypatch):
+        spec = LagrangianSpec(metric=MINK, mass=1.0)
+        v0 = np.array([1.0, 0.0, 0.0, 0.0])
+
+        def no_kernel(*args):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(worldline, "_kernel", no_kernel)
+        with pytest.raises(DimensionMismatch,
+                           match=r"^step count 10000001 is above the cap of 10000000 steps$"):
+            integrate(spec, gauge, np.zeros(4), v0, 10_000_001 * 0.5, 0.5)
+        monkeypatch.undo()
+        monkeypatch.setattr(worldline, "MAX_STEPS", 5)
+        assert len(integrate(spec, gauge, np.zeros(4), v0, 5.0, 1.0)) == 6
+        with pytest.raises(DimensionMismatch, match="step count 6 is above the cap of 5"):
+            integrate(spec, gauge, np.zeros(4), v0, 6.0, 1.0)
+
     def test_cyclotron_radius_and_drift(self):
         orbit = CyclotronOracle()
         wl = integrate(cyclotron_spec(), GaugeChoice.COORDINATE_TIME,
