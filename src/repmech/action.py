@@ -31,14 +31,7 @@ from .errors import (
     SpacelikeSegment,
 )
 from .geometry import FD_STEP, central_difference, quadratic_form
-from .lagrangian import (
-    LagrangianSpec,
-    eval_L,
-    momentum,
-    position_gradient,
-    position_velocity_hessian,
-    velocity_hessian,
-)
+from .lagrangian import LagrangianSpec, el_system, eval_L, momentum, position_gradient
 
 # halvings of a Newton step before extremize gives up on it
 MAX_HALVINGS = 30
@@ -124,7 +117,7 @@ def reparam_invariance_residual(spec: LagrangianSpec, path: DiscretePath, dtau) 
     if dtau.shape != (path.K + 1,):
         raise DimensionMismatch(f"need {path.K + 1} parameter steps, got {dtau.shape}")
     if np.any(dtau <= 0):
-        raise ValueError("parameter steps must be positive")
+        raise DimensionMismatch("parameter steps must be positive")
     total = np.sum(eval_L(spec, path.midpoints(), path.segments() / dtau[:, None]) * dtau)
     return abs(float(total) - discrete_action(spec, path))
 
@@ -157,8 +150,8 @@ def action_hessian(spec: LagrangianSpec, path: DiscretePath) -> np.ndarray:
         d2/dx_k2 = A/4 - (B + B^T)/2 + C,  d2/dx_{k+1}2 = A/4 + (B + B^T)/2 + C,
         d2/dx_k dx_{k+1} = A/4 + (B - B^T)/2 - C.
 
-    C is velocity_hessian and B position_velocity_hessian, on all segments at
-    once; A is one central difference of position_gradient per position axis,
+    C and B are el_system's H and B, from one call on all segments at once;
+    A is one central difference of position_gradient per position axis,
     with the absolute step FD_STEP (a step that does not scale with |x| keeps
     extremize translation-equivariant). A and B vanish when every field is
     constant.
@@ -166,12 +159,11 @@ def action_hessian(spec: LagrangianSpec, path: DiscretePath) -> np.ndarray:
     k, n = path.interior.shape
     mids = path.midpoints()
     segs = path.segments()
-    lvv = velocity_hessian(spec, mids, segs)
+    lvv, lxv, *_ = el_system(spec, mids, segs)
     first, last, cross = lvv, lvv, -lvv  # the three blocks above, per segment
     if not spec.all_fields_constant:
         lxx = central_difference(lambda m: position_gradient(spec, m, segs), mids,
                                  np.full(n, FD_STEP))
-        lxv = position_velocity_hessian(spec, mids, segs)
         sym = 0.5 * (lxv + np.swapaxes(lxv, -1, -2))
         first = 0.25 * lxx - sym + lvv
         last = 0.25 * lxx + sym + lvv

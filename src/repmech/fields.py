@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Tuple
 
@@ -96,12 +97,13 @@ def uniform_magnetic_potential(dim: int, strength: float,
     """Symmetric-gauge potential for a uniform magnetic field in a spatial plane.
 
     With plane = (i, j): A_i = +B/2 * x^j, A_j = -B/2 * x^i, other components 0.
-    i and j are integers (a bool is not), distinct and spatial.
+    plane is a pair of integers (a bool is not), distinct and spatial.
     """
-    i, j = plane
-    if not (all(isinstance(p, (int, np.integer)) and not isinstance(p, bool) for p in plane)
-            and 0 < i < dim and 0 < j < dim and i != j):
+    if not (isinstance(plane, (Sequence, np.ndarray)) and len(plane) == 2
+            and all(isinstance(p, (int, np.integer)) and not isinstance(p, bool) for p in plane)
+            and all(0 < p < dim for p in plane) and plane[0] != plane[1]):
         raise DimensionMismatch(f"plane indices {plane} invalid for dim {dim}")
+    i, j = plane
     b2 = 0.5 * float(strength)
 
     def evaluate(x):

@@ -17,14 +17,14 @@ costs one numpy call per term. Every field is evaluated once per call, on
 the whole batch. P is the metric's position_dim: N for a particle, dimM
 for a brane whose velocities are its N Jacobian minors.
 
-el_system(spec, x, v) -> (H, F, gv, row) is the Euler-Lagrange system H a = F
-of one particle point and the proper-time gauge row (gv, row) that borders
-it, which the world-line integrators solve at every RK4 stage of a spec
-with a varying field: H is velocity_hessian and F is position_gradient
-minus momentum_position_directional along v, from one evaluation of each
-field.
-The term formulas are private helpers that both it and those three kernels
-call; the kernels stay as the batched forms and as its test oracle.
+el_system(spec, x, v) -> (H, B, gv, row) is the one second-derivative
+kernel, on the same batches: H = L_vv, B = L_xv (row c is dp/dx^c) and the
+proper-time gauge row (gv, row), from one evaluation of each field.
+velocity_hessian is its H, and action_hessian reads H and B from one call.
+By Euler's theorem L = p.v, so dL/dx^c = B[c, a] v^a, and the
+Euler-Lagrange rows H a = F that the world-line integrators solve need no
+position_gradient: F = dL/dx - B^T.v = (B - B^T).v, which for the charge
+term is the Lorentz force q F_ca v^a.
 
 The couplings m, q and Q_n are floats, or arrays of the batch shape that
 give each point its own value; a stack of specs is one spec whose couplings
@@ -346,21 +346,10 @@ def _charge_gradient(charge, jac, v):
     return _per_point(charge) * np.vecmat(v, jac)
 
 
-def _charge_directional(charge, jac, w):
-    """(d p_a / d x^c) w^c of the charge term, at one point: q d_c A_a w^c."""
-    return charge * (jac @ w)
-
-
 def _mass_gradient(mass, dg, v, gvv):
     """d/dx^c of m sqrt(g(v,v)): m d_c g_ab v^a v^b / (2 sqrt(g(v,v)))."""
     return (_per_point(mass) * np.einsum("...cab,...a,...b->...c", dg, v, v)
             / (2.0 * np.sqrt(gvv))[..., None])
-
-
-def _mass_directional(mass, dg_w, v, gv, gvv):
-    """(d p_a / d x^c) w^c of the mass term at one point, from dg_w = d_c g w^c."""
-    s = np.sqrt(gvv)
-    return mass * (dg_w @ v / s - gv * (v @ dg_w @ v) / (2.0 * s ** 3))
 
 
 def _tensor_gradient(q_n, tensor, x, v, c):
@@ -370,35 +359,70 @@ def _tensor_gradient(q_n, tensor, x, v, c):
     return _per_point(q_n) * dc * (np.abs(c) ** (1.0 / n - 1.0))[..., None] / n
 
 
-def _tensor_directional(q_n, tensor, x, v, w):
-    """(d p_a / d x^c) w^c of a tensor term at (x, v) of shape (..., N).
+def _tensor_mixed(q_n, tensor, x, v):
+    """d p_a / d x^c of a tensor term as [..., c, a], shape (..., P, N).
 
-    FD of the term's momentum along w, in the parameter t of x + t w with
-    the absolute step FD_STEP.
+    Central differences of the term's momentum in x, with the absolute step
+    FD_STEP on every position axis.
     """
     n = tensor.rank
 
-    def term_p(t):
-        xx = x + t[0] * w
-        c = _tensor_radicand(tensor, xx, v)
-        root = np.abs(c) ** (1.0 - 1.0 / n)
-        return _per_point(q_n) * tensor.partial_contraction(xx, v, 1) / root[..., None]
+    def term_p(xx):
+        s_a = tensor.partial_contraction(xx, v, 1)
+        c = _checked_radicand(n, np.vecdot(s_a, v))
+        return _per_point(q_n) * s_a / (np.abs(c) ** (1.0 - 1.0 / n))[..., None]
 
-    return central_difference(term_p, np.zeros(1), np.full(1, FD_STEP))[..., 0]
+    return np.swapaxes(central_difference(term_p, x, np.full(x.shape[-1], FD_STEP)), -1, -2)
 
 
 @_first_bad_point
-def velocity_hessian(spec: LagrangianSpec, x, v) -> np.ndarray:
-    """d2 L / dv dv, shape (..., N, N). Singular along v (degree-0 homogeneity of the momentum)."""
+def el_system(spec: LagrangianSpec, x, v):
+    """(H, B, gv, row) at (x, v): L_vv, L_xv and the proper-time gauge row.
+
+    H = d2 L / dv dv has shape (..., N, N) and B[..., c, a] = d2 L / dx^c dv^a
+    shape (..., P, N): row c of B is dp/dx^c. Each field is evaluated once:
+    the metric, its gradient and the potential Jacobian, and each tensor is
+    contracted once, down to S(v, ..., v, .^2), which v then contracts to its
+    k = 1 and k = 0 values. B is analytic for the charge and mass terms; a
+    varying tensor term takes central differences of its momentum in x.
+
+    gv = g.v, shape (..., N) (None without a mass term), and
+    row = -1/2 d_c g_ab v^c v^a v^b, shape (...) (zero for a constant
+    metric; None for a varying one where P != N, as on a brane), are the
+    differentiated proper-time gauge row that borders H.
+    """
     x, v = spec._check_point(x, v)
     H = np.zeros(v.shape + v.shape[-1:])
+    B = np.zeros(x.shape + v.shape[-1:])
+    gv, row = None, np.zeros(v.shape[:-1])[()]
     if spec._mass_on:
-        H += _mass_hessian(spec.mass, *_mass_term_data(spec, x, v))
+        g, gv, gvv = _mass_term_data(spec, x, v)
+        H += _mass_hessian(spec.mass, g, gv, gvv)
+        if not spec.metric.is_constant:
+            dg_v = np.matvec(spec.metric.gradient(x), v[..., None, :])  # (d_c g) v
+            v_dg_v = np.vecdot(dg_v, v[..., None, :])
+            s = np.sqrt(gvv)[..., None, None]
+            B += _per_point(spec.mass, 2) * (
+                dg_v / s - v_dg_v[..., :, None] * gv[..., None, :] / (2.0 * s ** 3))
+            row = -0.5 * np.vecdot(v_dg_v, v) if x.shape == v.shape else None
     for q_n, tensor in spec.extra_terms:
-        c = _tensor_radicand(tensor, x, v)
-        H += _tensor_hessian(q_n, tensor.rank, c, tensor.partial_contraction(x, v, 1),
-                             tensor.partial_contraction(x, v, 2))
-    return H
+        s_ab = tensor.partial_contraction(x, v, 2)
+        s_a = np.matvec(s_ab, v)
+        c = _checked_radicand(tensor.rank, np.vecdot(s_a, v))
+        H += _tensor_hessian(q_n, tensor.rank, c, s_a, s_ab)
+        if not tensor.is_constant:
+            B += _tensor_mixed(q_n, tensor, x, v)
+    if spec._charge_on and not spec.potential.is_constant:
+        B += _per_point(spec.charge, 2) * np.swapaxes(spec.potential.jacobian(x), -1, -2)
+    return H, B, gv, row
+
+
+def velocity_hessian(spec: LagrangianSpec, x, v) -> np.ndarray:
+    """d2 L / dv dv, shape (..., N, N): el_system's H.
+
+    Singular along v (degree-0 homogeneity of the momentum).
+    """
+    return el_system(spec, x, v)[0]
 
 
 @_first_bad_point
@@ -420,92 +444,9 @@ def position_gradient(spec: LagrangianSpec, x, v) -> np.ndarray:
     return out
 
 
-@_first_bad_point
-def position_velocity_hessian(spec: LagrangianSpec, x, v) -> np.ndarray:
-    """d2 L / dx^c dv^a as B[..., c, a], shape (..., P, N): row c is dp/dx^c.
-
-    The batched form of momentum_position_directional (w.B is its value along
-    w): analytic for the charge and mass terms, from one potential Jacobian
-    and one metric gradient per call; a varying tensor term takes the
-    directional FD of its momentum along each position axis.
-    """
-    x, v = spec._check_point(x, v)
-    out = np.zeros(x.shape + v.shape[-1:])
-    if spec._charge_on and not spec.potential.is_constant:
-        out += _per_point(spec.charge, 2) * np.swapaxes(spec.potential.jacobian(x), -1, -2)
-    if spec._mass_on and not spec.metric.is_constant:
-        _, gv, gvv = _mass_term_data(spec, x, v)
-        dg_v = np.matvec(spec.metric.gradient(x), v[..., None, :])  # (d_c g) v
-        v_dg_v = np.vecdot(dg_v, v[..., None, :])
-        s = np.sqrt(gvv)[..., None, None]
-        out += _per_point(spec.mass, 2) * (
-            dg_v / s - v_dg_v[..., :, None] * gv[..., None, :] / (2.0 * s ** 3))
-    for q_n, tensor in spec.extra_terms:
-        if not tensor.is_constant:
-            out += np.stack([_tensor_directional(q_n, tensor, x, v, w)
-                             for w in np.eye(x.shape[-1])], axis=-2)
-    return out
-
-
 def momentum_position_directional(spec: LagrangianSpec, x, v, direction) -> np.ndarray:
-    """(dp_a / dx^c) w^c for a position direction w; used to expand d/dtau p(x, v)."""
-    x, v = spec._check_point(x, v)
-    w = np.asarray(direction, dtype=float)
-    out = np.zeros(spec.dim)
-    if spec._charge_on and not spec.potential.is_constant:
-        out += _charge_directional(spec.charge, spec.potential.jacobian(x), w)
-    if spec._mass_on and not spec.metric.is_constant:
-        _, gv, gvv = _mass_term_data(spec, x, v)
-        dg_w = np.einsum("cab,c->ab", spec.metric.gradient(x), w)
-        out += _mass_directional(spec.mass, dg_w, v, gv, gvv)
-    for q_n, tensor in spec.extra_terms:
-        if not tensor.is_constant:
-            out += _tensor_directional(q_n, tensor, x, v, w)
-    return out
-
-
-def el_system(spec: LagrangianSpec, x, v):
-    """(H, F, gv, row) at one particle point (x, v) of shape (N,).
-
-    H a = F are the Euler-Lagrange equations: H is velocity_hessian and
-    F = position_gradient - (dp/dx).v, the rows that the acceleration must
-    balance, so F - H a is the Euler-Lagrange residual; both come from one
-    evaluation of each field, with the same domain checks. Each tensor is
-    contracted once, down to S(v, ..., v, .^2), which v then contracts to
-    its k = 1 and k = 0 values.
-
-    gv = g.v (None without a mass term) and row = -1/2 d_c g_ab v^c v^a v^b
-    (0.0 for a constant metric) are the differentiated proper-time gauge
-    row that borders H.
-    """
-    x, v = spec._check_point(x, v)
-    if v.ndim != 1 or x.shape != v.shape:
-        raise DimensionMismatch(f"el_system takes one point (x, v) of a particle, each of "
-                                f"shape ({spec.dim},), got {x.shape}, {v.shape}")
-    H = np.zeros((v.size, v.size))
-    F = np.zeros(v.size)
-    gv, row = None, 0.0
-    if spec._mass_on:
-        g, gv, gvv = _mass_term_data(spec, x, v)
-        H += _mass_hessian(spec.mass, g, gv, gvv)
-        if not spec.metric.is_constant:
-            dg = spec.metric.gradient(x)
-            dg_v = np.einsum("cab,c->ab", dg, v)
-            F += (_mass_gradient(spec.mass, dg, v, gvv)
-                  - _mass_directional(spec.mass, dg_v, v, gv, gvv))
-            row = -0.5 * (v @ dg_v @ v)
-    for q_n, tensor in spec.extra_terms:
-        s_ab = tensor.partial_contraction(x, v, 2)
-        s_a = v.dot(s_ab)
-        c = _checked_radicand(tensor.rank, v.dot(s_a))
-        H += _tensor_hessian(q_n, tensor.rank, c, s_a, s_ab)
-        if not tensor.is_constant:
-            F += (_tensor_gradient(q_n, tensor, x, v, c)
-                  - _tensor_directional(q_n, tensor, x, v, v))
-    if spec._charge_on and not spec.potential.is_constant:
-        jac = spec.potential.jacobian(x)
-        F += _charge_gradient(spec.charge, jac, v) - _charge_directional(spec.charge, jac, v)
-    return H, F, gv, row
+    """(dp_a / dx^c) w^c for a position direction w: w contracted with el_system's B."""
+    return np.asarray(direction, dtype=float) @ el_system(spec, x, v)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ along v, so dynamics only become well posed after a gauge choice:
 
 One fixed-step classical RK4 stepper serves both gauges; each supplies only
 its derivative and its after-step rule. When a field varies, each stage
-solves the Euler-Lagrange system H a = F of lagrangian.el_system, which
-evaluates each field once. When every field is constant (the metric, the
-field strength and each tensor term; see _constant_fields), one plain-float
-derivative serves both gauges instead, from g, the field strength and the
-tensor entries read once per run.
+solves the Euler-Lagrange rows H a = F, where H = L_vv and B = L_xv come
+from one lagrangian.el_system call, which evaluates each field once, and
+F = (B - B^T).v by Euler's theorem (see _el_rows). When every field is
+constant (the metric, the field strength and each tensor term; see
+_constant_fields), one plain-float derivative serves both gauges instead,
+from g, the field strength and the tensor entries read once per run.
 
 The RK4 step and the constant-field derivative are emitted as straight-line
 Python source (no loops, no list indexing) and compiled once per pattern:
@@ -66,6 +67,7 @@ from .lagrangian import (
     eval_L,
     mass_shell_residual,
     momentum,
+    velocity_hessian,
 )
 
 GAUGE_TOL = 1e-8
@@ -103,10 +105,20 @@ class Worldline:
         return self.tau.shape[0]
 
 
+def _el_rows(spec, x, v):
+    """(H, F, gv, row) of the Euler-Lagrange rows H a = F at particle points.
+
+    With B = L_xv, Euler's theorem L = p.v gives dL/dx = B.v, so the force
+    F = dL/dx - (dp/dx)^T.v is (B - B^T).v; gv and row are el_system's.
+    """
+    H, B, gv, row = el_system(spec, x, v)
+    return H, np.matvec(B - np.swapaxes(B, -1, -2), v), gv, row
+
+
 def el_residual(spec: LagrangianSpec, x, v, a) -> np.ndarray:
     """Euler-Lagrange residual d/dtau[dL/dv] - dL/dx expanded through (v, a)."""
-    H, F, *_ = el_system(spec, x, v)
-    return H @ np.asarray(a, dtype=float) - F
+    H, F, *_ = _el_rows(spec, x, v)
+    return np.matvec(H, np.asarray(a, dtype=float)) - F
 
 
 def _march(deriv, t0, z, n_steps, h, after_step=None):
@@ -126,7 +138,7 @@ def _march(deriv, t0, z, n_steps, h, after_step=None):
 # ---------------------------------------------------------------------------
 
 def _coordinate_accel(spec, t, y, u):
-    H, F, *_ = el_system(spec, np.array([t, *y]), np.array([1.0, *u]))
+    H, F, *_ = _el_rows(spec, np.array([t, *y]), np.array([1.0, *u]))
     try:
         return np.linalg.solve(H[1:, 1:], F[1:])
     except np.linalg.LinAlgError as exc:
@@ -144,7 +156,7 @@ def _coordinate_deriv(spec):
 
 
 def _check_reduced_hessian(spec, x, v):
-    H, *_ = el_system(spec, x, v)
+    H = velocity_hessian(spec, x, v)
     if np.linalg.cond(H[1:, 1:]) > _COND_LIMIT:
         raise SingularReducedHessian(
             "reduced velocity Hessian is numerically singular at the initial point"
@@ -172,7 +184,7 @@ def _proper_accel(spec, x, v):
     square, and regular whenever H is nondegenerate on g(v, .)^perp.
     """
     n = spec.dim
-    H, F, gv, row = el_system(spec, x, v)
+    H, F, gv, row = _el_rows(spec, x, v)
     A = np.zeros((n + 1, n + 1))
     A[:n, :n] = H
     A[:n, n] = A[n, :n] = gv

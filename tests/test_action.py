@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import repmech.action as action_module
 from oracles import CyclotronOracle, entry_array, fd_gradient, lateral_deviation
 from repmech import (
+    DimensionMismatch,
     DiscretePath,
     GaugeViolation,
     LagrangianSpec,
@@ -107,8 +108,9 @@ class TestReparamInvariance:
 
     def test_nonpositive_steps_rejected(self):
         path = straight_chord_path(START, END, 2)
-        with pytest.raises(ValueError):
-            reparam_invariance_residual(MASS_SPEC, path, [1.0, -1.0, 1.0])
+        for steps in ([1.0, -1.0, 1.0], [1.0, 0.0, 1.0]):
+            with pytest.raises(DimensionMismatch, match="parameter steps must be positive"):
+                reparam_invariance_residual(MASS_SPEC, path, steps)
 
 
 class TestExtremize:

@@ -18,6 +18,7 @@ from repmech import (
     DimensionMismatch,
     SpacelikeVelocity,
     brane_action,
+    el_system,
     eval_L,
     mass_shell_residual,
     metric_from_function,
@@ -188,3 +189,20 @@ def test_brane_without_a_potential_has_no_charge_term():
     assert brane_action(spec, EMB) == pytest.approx(
         brane_action_per_cell(_evaluate, _jacobian, BOX, RESOLUTION, _user_g, 1.3), rel=1e-13)
     assert math.isfinite(brane_action(BraneSpec(USER_METRIC, mass=0.0), EMB))
+
+
+def test_el_system_on_the_minors():
+    # B has one row per target coordinate; Euler's identity dL/dx = B.w holds
+    # there as for a particle, up to the varying tensor's two FD quotients;
+    # the proper-time row needs P = N and is None
+    lag = _spec(True)[0].lagrangian(2)
+    X, w = _cells()
+    H, B, gv, row = el_system(lag, X, w)
+    assert H.shape == (EMB.n_cells, 6, 6) and B.shape == (EMB.n_cells, 4, 6)
+    assert gv.shape == (EMB.n_cells, 6) and row is None
+    grad = position_gradient(lag, X, w)
+    assert np.max(np.abs(np.matvec(B, w) - grad)) <= 1e-9 * np.max(np.abs(grad))
+    for k in (0, 17):
+        ref = np.array([fd_gradient(lambda y: momentum(lag, y, w[k])[a], X[k])
+                        for a in range(6)]).T
+        assert np.max(np.abs(B[k] - ref)) <= 1e-7 * np.max(np.abs(ref))

@@ -38,7 +38,7 @@ from repmech import (
     weak_field_metric,
 )
 from repmech.geometry import quadratic_form
-from repmech.lagrangian import eval_L_and_radicand, position_velocity_hessian
+from repmech.lagrangian import eval_L_and_radicand
 from repmech.sweeps import (
     draw_spec_state,
     euler_identity_sweep,
@@ -338,50 +338,87 @@ EL_TENSORS = {
 }
 
 
+def _el_spec(metric, potential, tensors):
+    return LagrangianSpec(metric=EL_METRICS[metric], mass=1.2, charge=0.8,
+                          potential=EL_POTENTIALS[potential], extra_terms=EL_TENSORS[tensors])
+
+
+def _el_batch(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (5, 4))
+    v = np.hstack([np.ones((5, 1)), rng.uniform(-0.4, 0.4, (5, 3))])
+    return x, v
+
+
 class TestELSystem:
-    """el_system against the three kernels it fuses: H = velocity_hessian and
-    F = position_gradient - momentum_position_directional(v)."""
+    """el_system's H = L_vv and B = L_xv on batches, against finite differences
+    of the momentum, and Euler's identity at second order: dL/dx = B.v."""
 
     @pytest.mark.parametrize("tensors", EL_TENSORS)
     @pytest.mark.parametrize("potential", EL_POTENTIALS)
     @pytest.mark.parametrize("metric", EL_METRICS)
-    def test_matches_the_separate_kernels(self, metric, potential, tensors):
-        spec = LagrangianSpec(metric=EL_METRICS[metric], mass=1.2, charge=0.8,
-                              potential=EL_POTENTIALS[potential], extra_terms=EL_TENSORS[tensors])
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            x = rng.uniform(-1.0, 1.0, 4)
-            v = np.concatenate(([1.0], rng.uniform(-0.4, 0.4, 3)))
-            H, F, gv, row = el_system(spec, x, v)
-            H_ref = velocity_hessian(spec, x, v)
-            grad = position_gradient(spec, x, v)
-            dpv = momentum_position_directional(spec, x, v, v)
-            assert np.max(np.abs(H - H_ref)) <= 1e-14 * np.max(np.abs(H_ref))
-            assert np.max(np.abs(F - (grad - dpv))) <= 1e-14 * max(np.max(np.abs(grad)),
-                                                                   np.max(np.abs(dpv)))
-            g = spec.metric(x)
-            assert np.max(np.abs(gv - g @ v)) <= 1e-15
-            dgvvv = np.einsum("cab,c,a,b->", spec.metric.gradient(x), v, v, v)
-            assert abs(row + 0.5 * dgvvv) <= 1e-15
+    def test_b_contracts_v_to_the_position_gradient(self, metric, potential, tensors):
+        # L = p.v, so dL/dx^c = (dp_a/dx^c) v^a; a varying tensor's B and
+        # position_gradient are different FD quotients, the rest share each field value
+        spec = _el_spec(metric, potential, tensors)
+        x, v = _el_batch(4)
+        _, B, _, _ = el_system(spec, x, v)
+        grad = position_gradient(spec, x, v)
+        tol = 1e-9 if tensors == "varying" else 1e-14
+        assert np.max(np.abs(np.matvec(B, v) - grad)) <= tol * np.max(np.abs(grad))
 
     @pytest.mark.parametrize("tensors", EL_TENSORS)
     @pytest.mark.parametrize("potential", EL_POTENTIALS)
     @pytest.mark.parametrize("metric", EL_METRICS)
-    def test_mixed_block_rows_are_the_directional_derivatives(self, metric, potential, tensors):
-        # position_velocity_hessian on a batch: row c at each point against
-        # momentum_position_directional along e_c, and against FD of momentum in x
-        spec = LagrangianSpec(metric=EL_METRICS[metric], mass=1.2, charge=0.8,
-                              potential=EL_POTENTIALS[potential], extra_terms=EL_TENSORS[tensors])
-        rng = np.random.default_rng(5)
-        x = rng.uniform(-1.0, 1.0, (5, 4))
-        v = np.hstack([np.ones((5, 1)), rng.uniform(-0.4, 0.4, (5, 3))])
-        mixed = position_velocity_hessian(spec, x, v)
+    def test_hessian_and_gauge_row_on_a_batch(self, metric, potential, tensors):
+        spec = _el_spec(metric, potential, tensors)
+        x, v = _el_batch(6)
+        H, _, gv, row = el_system(spec, x, v)
+        assert H.shape == (5, 4, 4) and gv.shape == (5, 4) and row.shape == (5,)
+        assert np.max(np.abs(gv - np.matvec(spec.metric(x), v))) <= 1e-15
+        dgvvv = np.einsum("...cab,...c,...a,...b->...", spec.metric.gradient(x), v, v, v)
+        assert np.max(np.abs(row + 0.5 * dgvvv)) <= 1e-15
+        for xi, vi, h in zip(x, v, H):
+            ref = np.array([fd_gradient(lambda w: momentum(spec, xi, w)[a], vi)
+                            for a in range(4)])
+            assert np.max(np.abs(h - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("tensors", EL_TENSORS)
+    @pytest.mark.parametrize("potential", EL_POTENTIALS)
+    @pytest.mark.parametrize("metric", EL_METRICS)
+    def test_force_is_the_gradient_less_the_transposed_block(self, metric, potential, tensors):
+        # F = (B - B^T).v, the Euler-Lagrange rows at zero acceleration, against
+        # position_gradient - v.B and against FD of eval_L in x and of p along v
+        spec = _el_spec(metric, potential, tensors)
+        x, v = _el_batch(7)
+        _, B, _, _ = el_system(spec, x, v)
+        F = np.matvec(B - np.swapaxes(B, -1, -2), v)
+        ref = position_gradient(spec, x, v) - np.vecmat(v, B)
+        tol = 1e-9 if tensors == "varying" else 1e-14
+        assert np.max(np.abs(F - ref)) <= tol * np.max(np.abs(ref))
+        for xi, vi, f in zip(x, v, F):
+            h = 1e-6
+            dpv = (momentum(spec, xi + h * vi, vi) - momentum(spec, xi - h * vi, vi)) / (2 * h)
+            fd = fd_gradient(lambda y: eval_L(spec, y, vi), xi) - dpv
+            assert np.max(np.abs(f - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("tensors", EL_TENSORS)
+    @pytest.mark.parametrize("potential", EL_POTENTIALS)
+    @pytest.mark.parametrize("metric", EL_METRICS)
+    def test_mixed_block_rows_are_the_position_derivatives_of_the_momentum(
+            self, metric, potential, tensors):
+        # B on a batch: its points' own blocks, and row c is FD of momentum in x^c
+        spec = _el_spec(metric, potential, tensors)
+        x, v = _el_batch(5)
+        mixed = el_system(spec, x, v)[1]
         assert mixed.shape == (5, 4, 4)
         # a varying tensor's rows are FD quotients: the batch's rounding over the step
         tol = 1e-9 if tensors == "varying" else 1e-14
+        w = np.array([0.3, -0.5, 0.2, 0.7])
         for xi, vi, block in zip(x, v, mixed):
-            rows = np.array([momentum_position_directional(spec, xi, vi, e) for e in np.eye(4)])
-            assert np.max(np.abs(block - rows)) <= tol * np.max(np.abs(rows))
+            one = el_system(spec, xi, vi)[1]
+            assert np.max(np.abs(block - one)) <= tol * np.max(np.abs(block))
+            assert np.array_equal(momentum_position_directional(spec, xi, vi, w), w @ one)
             ref = np.array([fd_gradient(lambda y: momentum(spec, y, vi)[a], xi)
                             for a in range(4)]).T
             assert np.max(np.abs(block - ref)) <= 1e-7 * np.max(np.abs(ref))
@@ -413,11 +450,17 @@ class TestELSystem:
         with pytest.raises(error):
             el_system(spec, x, v)
 
-    def test_takes_one_point(self):
-        x = np.zeros((3, 4))
-        v = np.tile([1.0, 0.2, 0.0, 0.0], (3, 1))
-        with pytest.raises(DimensionMismatch, match="one point"):
-            el_system(rich_spec(), x, v)
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 3)], ids=["point", "batch", "grid"])
+    @pytest.mark.parametrize("spec", [rich_spec(), curved_spec()], ids=["constant", "curved"])
+    def test_batch_shapes(self, spec, batch):
+        x = np.zeros(batch + (4,))
+        v = np.broadcast_to([1.0, 0.2, 0.0, 0.1], batch + (4,))
+        H, B, gv, row = el_system(spec, x, v)
+        assert (H.shape, B.shape, gv.shape, np.shape(row)) == (
+            batch + (4, 4), batch + (4, 4), batch + (4,), batch)
+        H0, B0, gv0, row0 = el_system(spec, x.reshape(-1, 4)[0], v.reshape(-1, 4)[0])
+        for got, one in ((H, H0), (B, B0), (gv, gv0), (row, row0)):
+            assert np.max(np.abs(got - one)) <= 1e-14 * max(1.0, np.max(np.abs(one)))
 
 
 class TestNonrelExpansion:

@@ -52,11 +52,11 @@ class TestELResidual:
     def test_cyclotron_solution_satisfies_el(self):
         orbit = CyclotronOracle()
         spec = cyclotron_spec()
-        worst = 0.0
-        for t in np.linspace(0.0, 5.0, 100):
-            x, v, a = orbit.state4(t)
-            worst = max(worst, float(np.max(np.abs(el_residual(spec, x, v, a)))))
-        assert worst <= 1e-8
+        states = [orbit.state4(t) for t in np.linspace(0.0, 5.0, 100)]
+        r = el_residual(spec, *(np.array(s) for s in zip(*states)))
+        assert r.shape == (100, 4) and np.max(np.abs(r)) <= 1e-8
+        # a batch gives each point's own residual
+        assert np.max(np.abs(r - [el_residual(spec, *s) for s in states])) <= 1e-15
 
 
 class TestCoordinateTimeIntegration:
