@@ -99,7 +99,8 @@ def uniform_magnetic_potential(dim: int, strength: float,
     With plane = (i, j): A_i = +B/2 * x^j, A_j = -B/2 * x^i, other components 0.
     plane is a pair of integers (a bool is not), distinct and spatial.
     """
-    if not (isinstance(plane, (Sequence, np.ndarray)) and len(plane) == 2
+    if not ((isinstance(plane, Sequence) or (isinstance(plane, np.ndarray) and plane.ndim == 1))
+            and len(plane) == 2
             and all(isinstance(p, (int, np.integer)) and not isinstance(p, bool) for p in plane)
             and all(0 < p < dim for p in plane) and plane[0] != plane[1]):
         raise DimensionMismatch(f"plane indices {plane} invalid for dim {dim}")

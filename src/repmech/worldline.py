@@ -67,7 +67,6 @@ from .lagrangian import (
     eval_L,
     mass_shell_residual,
     momentum,
-    velocity_hessian,
 )
 
 GAUGE_TOL = 1e-8
@@ -156,7 +155,7 @@ def _coordinate_deriv(spec):
 
 
 def _check_reduced_hessian(spec, x, v):
-    H = velocity_hessian(spec, x, v)
+    H = el_system(spec, x, v)[0]
     if np.linalg.cond(H[1:, 1:]) > _COND_LIMIT:
         raise SingularReducedHessian(
             "reduced velocity Hessian is numerically singular at the initial point"

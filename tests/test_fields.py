@@ -338,15 +338,18 @@ class TestVectorPotential:
         with pytest.raises(DimensionMismatch, match="plane indices"):
             uniform_magnetic_potential(4, 1.0, plane=plane)
 
-    @pytest.mark.parametrize("plane", [(1, 2, 3), (1,), 5], ids=["three", "one", "int"])
+    @pytest.mark.parametrize("plane", [(1, 2, 3), (1,), 5, np.array(5), np.array([[1, 2]])],
+                             ids=["three", "one", "int", "0d-array", "2d-array"])
     def test_a_plane_that_is_not_a_pair_is_rejected(self, plane):
-        # these died unpacking the pair, with a bare ValueError or TypeError
+        # these died unpacking the pair or taking its length, with a bare
+        # ValueError or TypeError
         with pytest.raises(DimensionMismatch, match="plane indices"):
             uniform_magnetic_potential(4, 1.0, plane=plane)
 
     def test_numpy_integer_plane_indices_work(self):
         x = np.random.default_rng(8).normal(size=(5, 4))
         ref = uniform_magnetic_potential(4, 1.5, plane=(1, 2))
-        pot = uniform_magnetic_potential(4, 1.5, plane=(np.int64(1), np.int32(2)))
-        assert np.array_equal(pot(x), ref(x))
-        assert np.array_equal(pot.jacobian(x), ref.jacobian(x))
+        for plane in [(np.int64(1), np.int32(2)), np.array([1, 2])]:
+            pot = uniform_magnetic_potential(4, 1.5, plane=plane)
+            assert np.array_equal(pot(x), ref(x))
+            assert np.array_equal(pot.jacobian(x), ref.jacobian(x))
