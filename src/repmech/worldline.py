@@ -12,34 +12,42 @@ along v, so dynamics only become well posed after a gauge choice:
   square system is regular whenever H is nondegenerate on g(v, .)^perp; the
   velocity is renormalized onto the constraint surface after every step.
 
-One fixed-step classical RK4 stepper serves both gauges; each supplies only
-its derivative and its after-step rule. When a field varies, each stage
-solves the Euler-Lagrange rows H a = F, where H = L_vv and B = L_xv come
-from one lagrangian.el_system call, which evaluates each field once, and
+One fixed-step classical RK4 march serves both gauges and every field;
+each pattern supplies only its acceleration and, in proper time, g(v, v)
+for the after-step projection. When a field varies, each stage solves the
+Euler-Lagrange rows H a = F, where H = L_vv and B = L_xv come from one
+lagrangian.el_system call, which evaluates each field once, and
 F = (B - B^T).v by Euler's theorem (see _el_rows). When every field is
 constant (the metric, the field strength and each tensor term; see
-_constant_fields), one plain-float derivative serves both gauges instead,
+_constant_fields), one plain-float acceleration serves both gauges instead,
 from g, the field strength and the tensor entries read once per run.
 
-The RK4 step and the constant-field derivative are emitted as straight-line
-Python source (no loops, no list indexing) and compiled once per pattern:
-the step per state length, the derivative per gauge, dimension and nonzero
-pattern of g, the field strength and the tensor entries (_kernel). Every
-float enters as an argument of the compiled factory, never as text. The
-kernels do the same float operations in the same order as the list loops
-they replace, less the terms that are exactly zero and the factors that
-are exactly 1 (v^0 in coordinate time). While every value stays finite a
-trajectory therefore keeps its bits: a dropped zero term can change only
-the sign of a zero, which a state that starts without -0.0 never sees.
+The march is emitted as Python source and compiled once per pattern
+(_kernel, _emit_march): its loop holds the four RK4 stages as straight-line
+code, each with its acceleration inline, and in proper time the gauge
+checks and the projection. The varying-field pattern is the gauge and the
+dimension; a constant-field pattern adds the nonzero entries of g, the
+field strength and the tensor terms, whose systems are solved by Gaussian
+elimination unrolled over named entries (_solve_lines). Every float enters
+as an argument of the compiled factory, never as text. The kernels do the
+same float operations in the same order as the list loops they replace,
+less the terms that are exactly zero and the factors that are exactly 1
+(v^0 in coordinate time). While every value stays finite a trajectory
+therefore keeps its bits: a dropped zero term can change only the sign of a
+zero, which a state that starts without -0.0 never sees.
 
-Measured in-process on a 2-vCPU VM (integrate over 400 steps, best of 5
-timeit repeats, ranges over 4 alternating runs on a busy host), an RK4
-step on the orbits benchmark's specs costs, emitted against the list loops:
+Measured in-process on a 2-vCPU VM (the march alone over 400 steps, best
+of 7 timeit repeats, ranges over 6 alternating runs on a busy host), an
+RK4 step on the orbits benchmark's specs costs, one emitted march against
+the emitted step calling an emitted derivative four times:
 
-* coordinate time, EM only: 5.2-9.8 us against 28-32 us;
-* coordinate time, a constant rank-3 term: 24-42 us against 69-80 us;
-  _eliminate takes 4.5-6.3 us of each 8.5 us derivative call;
-* proper time, EM only: 7.0-12 us against 22-32 us.
+* coordinate time, EM only: 4.1-5.8 us against 4.7-8.2 us;
+* coordinate time, a constant rank-3 term: 8.9-12.8 us against 28-39 us;
+* proper time, EM only: 3.8-6.1 us against 8.7-9.6 us.
+
+Emitting and compiling a march costs 1.3-7.5 ms once per pattern (the
+rank-3 pattern the most), against 0.3-1.0 ms for a derivative and about
+0.5 ms for a step before.
 
 The per-sample drift log records the mass-shell residual
 pi.g^{-1}.pi - m^2, which is an algebraic identity of the momentum map and
@@ -52,8 +60,11 @@ from __future__ import annotations
 
 import linecache
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -120,18 +131,6 @@ def el_residual(spec: LagrangianSpec, x, v, a) -> np.ndarray:
     return np.matvec(H, np.asarray(a, dtype=float)) - F
 
 
-def _march(deriv, t0, z, n_steps, h, after_step=None):
-    """n_steps RK4 steps from z at t0; after_step(k, z) returns the state kept."""
-    step = _kernel(_emit_rk4, len(z))()
-    zs = [z]
-    for k in range(n_steps):
-        z = step(deriv, t0 + k * h, z, h)
-        if after_step is not None:
-            z = after_step(k, z)
-        zs.append(z)
-    return t0 + h * np.arange(n_steps + 1), np.asarray(zs)
-
-
 # ---------------------------------------------------------------------------
 # coordinate-time gauge: z = (x^i, v^i), i = 1..N-1
 # ---------------------------------------------------------------------------
@@ -144,16 +143,6 @@ def _coordinate_accel(spec, t, y, u):
         raise SingularReducedHessian(f"reduced Hessian singular at t={t}") from exc
 
 
-def _coordinate_deriv(spec):
-    nsp = spec.dim - 1
-
-    def deriv(t, z):
-        u = z[nsp:]
-        return u + _coordinate_accel(spec, t, z[:nsp], u).tolist()
-
-    return deriv
-
-
 def _check_reduced_hessian(spec, x, v):
     H = el_system(spec, x, v)[0]
     if np.linalg.cond(H[1:, 1:]) > _COND_LIMIT:
@@ -162,14 +151,13 @@ def _check_reduced_hessian(spec, x, v):
         )
 
 
-def _integrate_coordinate(spec, x0, v0, n_steps, h):
+def _integrate_coordinate(spec, x0, v0, taus, h):
     nsp = spec.dim - 1
-    deriv = (_constant_field_kernels(spec, GaugeChoice.COORDINATE_TIME)[0]
-             if _constant_fields(spec) else _coordinate_deriv(spec))
-    taus, zs = _march(deriv, float(x0[0]), x0[1:].tolist() + v0[1:].tolist(), n_steps, h)
+    march = _compiled_march(spec, GaugeChoice.COORDINATE_TIME)
+    zs = np.asarray(march(float(x0[0]), x0[1:].tolist() + v0[1:].tolist(), len(taus) - 1, h))
     xs = np.column_stack([taus, zs[:, :nsp]])
     vs = np.column_stack([np.ones_like(taus), zs[:, nsp:]])
-    return taus, xs, vs
+    return xs, vs
 
 
 # ---------------------------------------------------------------------------
@@ -197,82 +185,34 @@ def _proper_accel(spec, x, v):
             f"bordered velocity Hessian singular at x={x.tolist()}") from exc
 
 
-def _integrate_proper(spec, x0, v0, n_steps, h):
+def _integrate_proper(spec, x0, v0, taus, h):
     n = spec.dim
-    if _constant_fields(spec):
-        deriv, norm2 = _constant_field_kernels(spec, GaugeChoice.PROPER_TIME)
-    else:
-        def deriv(_tau, z):
-            v = z[n:]
-            return v + _proper_accel(spec, np.array(z[:n]), np.array(v)).tolist()
+    march = _compiled_march(spec, GaugeChoice.PROPER_TIME)
+    zs, devs = march(0.0, x0.tolist() + v0.tolist(), len(taus) - 1, h)
+    zs = np.asarray(zs)
+    dev0 = abs(np.sqrt(quadratic_form(spec.metric(x0), v0)) - 1.0)
+    return zs[:, :n], zs[:, n:], np.asarray([dev0] + devs)
 
-        def norm2(z):
-            return quadratic_form(spec.metric(np.array(z[:n])), np.array(z[n:]))
 
-    renorm = [abs(np.sqrt(quadratic_form(spec.metric(x0), v0)) - 1.0)]
+def _left_cone(k):
+    raise GaugeViolation(f"proper-time velocity left the cone at step {k}")
 
-    def renormalize(k, z):
-        gvv = norm2(z)
-        if gvv <= 0.0:
-            raise GaugeViolation(f"proper-time velocity left the cone at step {k}")
-        nrm = math.sqrt(gvv)
-        dev = abs(nrm - 1.0)
-        if dev > GAUGE_TOL:
-            raise GaugeViolation(
-                f"gauge drift {dev:.3e} exceeded {GAUGE_TOL} at step {k}; reduce the step"
-            )
-        renorm.append(dev)
-        return z[:n] + [vi / nrm for vi in z[n:]]  # project back onto g(v,v) = 1
 
-    taus, zs = _march(deriv, 0.0, x0.tolist() + v0.tolist(), n_steps, h, renormalize)
-    return taus, zs[:, :n], zs[:, n:], np.asarray(renorm)
+def _drifted(dev, tol, k):
+    raise GaugeViolation(f"gauge drift {dev:.3e} exceeded {tol} at step {k}; reduce the step")
 
 
 # ---------------------------------------------------------------------------
-# constant fields: one plain-float derivative for both gauges
+# constant fields: one plain-float acceleration for both gauges
 # ---------------------------------------------------------------------------
 
 def _constant_fields(spec) -> bool:
-    """Whether _constant_field_kernels applies: a massive spec whose metric, field
+    """Whether _constant_field_pattern applies: a massive spec whose metric, field
     strength and tensor terms do not vary (a uniform magnetic potential varies,
     but its Jacobian does not)."""
     return (spec.mass > 0.0 and spec.metric.is_constant
             and spec.potential.kind in ("zero", "constant", "uniform-magnetic")
             and all(s.is_constant for _, s in spec.extra_terms))
-
-
-def _eliminate(A, b):
-    """x with A x = b for a small dense system of float lists, by Gaussian
-    elimination with partial pivoting; A and b are overwritten.
-
-    An exactly zero pivot raises SingularReducedHessian, as the LU
-    factorization behind np.linalg.solve fails on one.
-    """
-    n = len(b)
-    for k in range(n):
-        p = k
-        for i in range(k + 1, n):
-            if abs(A[i][k]) > abs(A[p][k]):
-                p = i
-        if A[p][k] == 0.0:
-            raise SingularReducedHessian(f"velocity Hessian system singular (column {k})")
-        A[k], A[p] = A[p], A[k]
-        b[k], b[p] = b[p], b[k]
-        row, pivot = A[k], A[k][k]
-        for i in range(k + 1, n):
-            r = A[i][k] / pivot
-            if r != 0.0:
-                other = A[i]
-                for j in range(k + 1, n):
-                    other[j] -= r * row[j]
-                b[i] -= r * b[k]
-    x = [0.0] * n
-    for k in range(n - 1, -1, -1):
-        row, acc = A[k], b[k]
-        for j in range(k + 1, n):
-            acc -= row[j] * x[j]
-        x[k] = acc / row[k]
-    return x
 
 
 def _pattern(matrix, first=0):
@@ -304,13 +244,12 @@ def _tensor_pattern(q_n, tensor):
     return pattern, values + [w for entries in pairs.values() for w, _ in entries]
 
 
-def _constant_field_kernels(spec, gauge):
-    """(deriv, norm2) of a spec with _constant_fields: the emitted derivative
-    and, in proper time, g(v, v) of a state (None in coordinate time).
+def _constant_field_pattern(spec, proper):
+    """(emitter, pattern, values) of a spec with _constant_fields.
 
-    The same equations as _coordinate_deriv and the bordered proper-time
-    solve, as straight-line float code: at one state per call, numpy's
-    per-call overhead costs more than the arithmetic. g, the field strength
+    The same equations as _coordinate_accel and _proper_accel, as
+    straight-line float code: at one state per call, numpy's per-call
+    overhead costs more than the arithmetic. g, the field strength
     f = q (J^T - J), for which F = f v, and each tensor's nonzero entries are
     read once and passed to the kernel's factory; a constant metric has
     row = 0.
@@ -332,18 +271,16 @@ def _constant_field_kernels(spec, gauge):
     m = float(spec.mass)
     q = float(spec.charge)
     jac = spec.potential.jacobian(origin)
-    proper = gauge is GaugeChoice.PROPER_TIME
     g_pattern, g_values = _pattern(g)
     if not spec.extra_terms and proper:
         w_pattern, w_values = _pattern(np.linalg.solve(g, q * (jac.T - jac)))  # g^{-1} f
-        return _kernel(_emit_proper_em, g_pattern, w_pattern)([m, *g_values, *w_values])
+        return _emit_proper_em, (g_pattern, w_pattern), [m, *g_values, *w_values]
     if not spec.extra_terms and np.max(np.abs(g - np.diag(np.diag(g)))) == 0.0:
         # row a of F is J[:, a] - J[a, :], so that rhs_a = q F_a.v
         f_pattern, f_values = _pattern(jac.T - jac, 1)
         if q == 0.0 or not f_values:
             f_pattern, f_values = None, []
-        diagonal = np.diag(g).tolist()
-        return _kernel(_emit_diagonal_em, dim, f_pattern)([m, q, *diagonal, *f_values])
+        return _emit_diagonal_em, (dim, f_pattern), [m, q, *np.diag(g).tolist(), *f_values]
     lo = 0 if proper else 1
     f_pattern, f_values = _pattern(q * (jac.T - jac), lo)
     values = [m, *g_values, *f_values]
@@ -352,36 +289,141 @@ def _constant_field_kernels(spec, gauge):
         t_pattern, t_values = _tensor_pattern(q_n, tensor)
         t_patterns.append(t_pattern)
         values += t_values
-    return _kernel(_emit_elimination, proper, g_pattern, f_pattern, tuple(t_patterns))(values)
+    return _emit_elimination, (proper, g_pattern, f_pattern, tuple(t_patterns)), values
+
+
+def _compiled_march(spec, gauge):
+    """The RK4 march of spec in gauge: march(t0, z, n_steps, h) returns the
+    n_steps + 1 states, and in proper time the gauge deviation of each step.
+
+    Constant fields take their plain-float pattern; varying fields the
+    generic body, one kernel per gauge and dimension."""
+    proper = gauge is GaugeChoice.PROPER_TIME
+    if _constant_fields(spec):
+        emit, pattern, values = _constant_field_pattern(spec, proper)
+    else:
+        emit, pattern, values = _emit_generic, (proper, spec.dim), [spec]
+    return _kernel(emit, *pattern)(values + [GAUGE_TOL] if proper else values)
 
 
 # ---------------------------------------------------------------------------
-# emitted kernels: straight-line float code, compiled once per pattern
+# emitted kernels: one straight-line RK4 march, compiled once per pattern
 # ---------------------------------------------------------------------------
 
 _KERNELS = {}  # (emitter name, *pattern) -> compiled factory
 
 
 def _kernel(emit, *pattern):
-    """The factory that emit(*pattern) writes, compiled on first use.
+    """The march factory that _emit_march writes around emit(*pattern),
+    compiled on first use.
 
-    The pattern holds only integers (a state length, index patterns), so
-    every spec of one pattern shares one kernel: the floats enter as the
-    factory's arguments and none is formatted into the source. The source is
+    The pattern holds only integers (a gauge flag, a dimension, index
+    patterns), so every spec of one pattern shares one kernel: the floats, and
+    a varying-field spec, enter as the factory's arguments and none is
+    formatted into the source. The source is
     registered with linecache under a fixed pseudo-filename, so a traceback
     through a kernel shows its line.
     """
     key = (emit.__name__,) + pattern
     factory = _KERNELS.get(key)
     if factory is None:
-        source = "\n".join(emit(*pattern)) + "\n"
+        source = "\n".join(_emit_march(emit(*pattern))) + "\n"
         filename = f"<repmech.worldline{key}>"
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-        namespace = {"sqrt": math.sqrt, "_outside_cone": _outside_cone,
-                     "_checked_radicand": _checked_radicand, "_eliminate": _eliminate}
+        namespace = {"sqrt": math.sqrt, "array": np.array, "quadratic_form": quadratic_form,
+                     "_outside_cone": _outside_cone, "_checked_radicand": _checked_radicand,
+                     "_singular": _singular, "_left_cone": _left_cone, "_drifted": _drifted,
+                     "_coordinate_accel": _coordinate_accel, "_proper_accel": _proper_accel}
         exec(compile(source, filename, "exec"), namespace)
         factory = _KERNELS[key] = namespace["factory"]
     return factory
+
+
+class _Body(NamedTuple):
+    """What _emit_march inlines for one pattern.
+
+    The state holds nv positions, then nv velocities; params names the
+    constants, in the order of the factory's list. accel(t, x, v, out) gives
+    the lines that set the names out to the accelerations at the time
+    expression t and the state names x, v. norm2(x, v), in proper time only,
+    gives the lines that set gvv = g(v, v).
+    """
+    params: list
+    nv: int
+    accel: Callable
+    norm2: Callable | None
+
+
+# names of the march itself, which no body or constant may take: every name
+# that starts with z, y or k, and the step's own scalars
+_MARCH_NAMES = re.compile(r"[zyk]|(?:h|hh|h6|t|t0|n_steps|tol|nrm|dev|devs)$")
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _checked_names(body, x, v, out):
+    """The names in a body's lines, after refusing a constant or a name of the
+    body's own that the march uses for its own: a body sees the march's names
+    only as the state, time and outputs it is given."""
+    lines = body.accel("t", x, v, out) + (body.norm2(x, v) if body.norm2 else [])
+    names = set(_IDENTIFIER.findall("\n".join(lines)))
+    own = names - {*x, *v, *out, "t"}
+    clash = sorted(n for n in own | set(body.params) if _MARCH_NAMES.match(n))
+    if clash:
+        raise AssertionError(f"emitted names {clash} clash with the march's own")
+    return names
+
+
+def _emit_march(body):
+    """The classical RK4 march of a body, its four stages as straight-line code.
+
+    Stage s holds the state y{s}_* (the step's start z* for s = 0) and the
+    accelerations k{s}_*; a position's derivative is its stage's velocity.
+    In proper time each step ends by measuring g(v, v), raising
+    GaugeViolation when v has left the cone or drifted from 1 by more than
+    tol, and projecting v back onto g(v, v) = 1. The constants are unpacked
+    into the march's locals once per call.
+    """
+    nv = body.nv
+    proper = body.norm2 is not None
+    z = [f"z{i}" for i in range(2 * nv)]
+    states = [z] + [[f"y{s}_{i}" for i in range(2 * nv)] for s in (1, 2, 3)]
+    outs = [[f"k{s}_{i}" for i in range(nv)] for s in range(4)]
+    derivs = [state[nv:] + out for state, out in zip(states, outs)]
+    timed = "t" in _checked_names(body, z[:nv], z[nv:], outs[0])
+    lines = []
+    for state, out, t, prev, step in zip(states, outs, ("t", "t + hh", "t + hh", "t + h"),
+                                         [None] + derivs, (None, "hh", "hh", "h")):
+        if prev:
+            lines += [f"{y} = {zi} + {step} * {d}" for y, zi, d in zip(state, z, prev)]
+        lines += body.accel(t, state[:nv], state[nv:], out)
+    combined = [f"{zi} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+                for zi, a, b, c, d in zip(z, *derivs)]
+    lines.append(f"{_unpack(z)}= {', '.join(combined)}")
+    if proper:
+        v = z[nv:]
+        lines += [*body.norm2(z[:nv], v),
+                  "if gvv <= 0.0:",
+                  "    _left_cone(k)",
+                  "nrm = sqrt(gvv)",
+                  "dev = abs(nrm - 1.0)",
+                  "if dev > tol:",
+                  "    _drifted(dev, tol, k)",
+                  "devs.append(dev)",
+                  f"{_unpack(v)}= {', '.join(f'{vi} / nrm' for vi in v)}"]
+    lines.append(f"zs.append([{', '.join(z)}])")
+    return ["def factory(consts):",
+            "    def march(t0, z, n_steps, h):",
+            f"        {_unpack(body.params + ['tol'] if proper else body.params)}= consts",
+            f"        {_unpack(z)}= z",
+            "        hh = 0.5 * h",
+            "        h6 = h / 6.0",
+            "        zs = [z]",
+            *(["        devs = []"] if proper else []),
+            "        for k in range(n_steps):",
+            *(["            t = t0 + k * h"] if timed else []),
+            *_indent(lines, 3),
+            f"        return {'zs, devs' if proper else 'zs'}",
+            "    return march"]
 
 
 def _unpack(names):
@@ -397,28 +439,6 @@ def _sum(terms):
 def _times(*factors):
     """A left-to-right product; None stands for a factor that is exactly 1."""
     return " * ".join(f for f in factors if f is not None)
-
-
-def _emit_rk4(n):
-    """The classical RK4 step of an n-float state dz/dt = deriv(t, z), unrolled."""
-    z, a, b, c, d = ([f"{p}{i}" for i in range(n)] for p in "zabcd")
-
-    def stage(h, k):
-        return "[" + ", ".join(f"{zi} + {h} * {ki}" for zi, ki in zip(z, k)) + "]"
-
-    combined = ", ".join(f"{zi} + h6 * ({ai} + 2.0 * {bi} + 2.0 * {ci} + {di})"
-                         for zi, ai, bi, ci, di in zip(z, a, b, c, d))
-    return ["def factory():",
-            "    def step(deriv, t, z, h):",
-            f"        {_unpack(z)}= z",
-            "        hh = 0.5 * h",
-            f"        {_unpack(a)}= deriv(t, z)",
-            f"        {_unpack(b)}= deriv(t + hh, {stage('hh', a)})",
-            f"        {_unpack(c)}= deriv(t + hh, {stage('hh', b)})",
-            f"        {_unpack(d)}= deriv(t + h, {stage('h', c)})",
-            "        h6 = h / 6.0",
-            f"        return [{combined}]",
-            "    return step"]
 
 
 def _matvec_lines(out, matrix, pattern, v, first=0):
@@ -445,53 +465,77 @@ def _indent(lines, depth):
     return [" " * (4 * depth) + line for line in lines]
 
 
-def _emit_norm2(state, v, g_pattern):
-    """Lines of norm2(z) = g(v, v) for a proper-time state."""
+def _norm2_lines(g_pattern, v):
+    """Lines setting gvv = g(v, v) for a constant metric."""
     lines, gv = _matvec_lines("gv", "g", g_pattern, v)
-    return ["    def norm2(z):",
-            f"        {_unpack(state)}= z",
-            *_indent(lines, 2),
-            f"        return {_inner(v, gv)}"]
+    return lines + [f"gvv = {_inner(v, gv)}"]
+
+
+def _singular(k):
+    raise SingularReducedHessian(f"velocity Hessian system singular (column {k})")
+
+
+def _solve_lines(n, x):
+    """Lines solving the n x n system a{i}_{j} x = b{i} in place, by Gaussian
+    elimination with partial pivoting unrolled over the named entries.
+
+    Column k pivots on the first row of largest |a_ik| (strict >) and calls
+    _singular(k) on an exactly zero pivot, as the LU factorization behind
+    np.linalg.solve fails on one; a row whose multiplier is exactly zero is
+    skipped; back substitution runs from the last row, each row's products
+    subtracted left to right. x names the solution.
+    """
+    lines = []
+    for k in range(n):
+        lines.append(f"p, ap = {k}, abs(a{k}_{k})" if k + 1 < n else f"ap = abs(a{k}_{k})")
+        for i in range(k + 1, n):
+            lines += [f"aq = abs(a{i}_{k})", "if aq > ap:", f"    p, ap = {i}, aq"]
+        lines += ["if ap == 0.0:", f"    _singular({k})"]
+        row = [f"a{k}_{j}" for j in range(k, n)] + [f"b{k}"]
+        for i in range(k + 1, n):
+            other = [f"a{i}_{j}" for j in range(k, n)] + [f"b{i}"]
+            lines += [f"{'if' if i == k + 1 else 'elif'} p == {i}:",
+                      f"    {_unpack(row + other)}= {', '.join(other + row)}"]
+        for i in range(k + 1, n):
+            lines += [f"r = a{i}_{k} / a{k}_{k}",
+                      "if r != 0.0:",
+                      *(f"    a{i}_{j} -= r * a{k}_{j}" for j in range(k + 1, n)),
+                      f"    b{i} -= r * b{k}"]
+    for k in reversed(range(n)):
+        acc = " - ".join([f"b{k}"] + [f"a{k}_{j} * {x[j]}" for j in range(k + 1, n)])
+        lines.append(f"{x[k]} = ({acc}) / a{k}_{k}")
+    return lines
 
 
 def _emit_proper_em(g_pattern, w_pattern):
-    """EM-only proper-time derivative (v, (s/m) g^{-1} f v), and g(v, v)."""
-    dim = len(g_pattern)
-    x = [f"x{a}" for a in range(dim)]
-    v = [f"v{a}" for a in range(dim)]
+    """EM-only proper-time acceleration (s/m) g^{-1} f v."""
     params = ["m"] + _entry_names("g", g_pattern) + _entry_names("w", w_pattern)
-    gv_lines, gv = _matvec_lines("gv", "g", g_pattern, v)
-    fv_lines, fv = _matvec_lines("fv", "w", w_pattern, v)
-    accel = [f"c * {e}" if e != "0.0" else e for e in fv]
-    return ["def factory(consts):",
-            f"    {_unpack(params)}= consts",
-            "    def deriv(_tau, z):",
-            f"        {_unpack(x + v)}= z",
-            *_indent(gv_lines, 2),
-            f"        gvv = {_inner(v, gv)}",
-            "        if gvv <= 0.0:",
-            "            _outside_cone(gvv)",
-            "        c = sqrt(gvv) / m",
-            *_indent(fv_lines, 2),
-            f"        return [{', '.join(v + accel)}]",
-            *_emit_norm2(x + v, v, g_pattern),
-            "    return deriv, norm2"]
+
+    def accel(_t, _x, v, out):
+        fv_lines, fv = _matvec_lines("fv", "w", w_pattern, v)
+        return [*_norm2_lines(g_pattern, v),
+                "if gvv <= 0.0:",
+                "    _outside_cone(gvv)",
+                "c = sqrt(gvv) / m",
+                *fv_lines,
+                *(f"{o} = c * {e}" if e != "0.0" else f"{o} = 0.0" for o, e in zip(out, fv))]
+
+    return _Body(params, len(g_pattern), accel, lambda _x, v: _norm2_lines(g_pattern, v))
 
 
 def _emit_diagonal_em(dim, f_pattern):
-    """EM-only coordinate-time derivative on a diagonal metric, by the closed
-    form of the reduced inverse; f_pattern None means no force."""
+    """EM-only coordinate-time acceleration on a diagonal metric, by the
+    closed form of the reduced inverse; f_pattern None means no force."""
     spatial = range(1, dim)
-    x = [f"x{a}" for a in spatial]
-    u = [f"v{a}" for a in spatial]
-    v = [None] + u  # v^0 = 1
     params = ["m", "q"] + [f"d{a}" for a in range(dim)] + _entry_names("F", f_pattern or (), 1)
-    lines = ["s2 = " + _sum(["d0"] + [f"d{a} * v{a} * v{a}" for a in spatial]),
-             "if s2 <= 0.0:",
-             "    _outside_cone(s2)"]
-    if f_pattern is None:
-        accel = ["0.0"] * (dim - 1)
-    else:
+
+    def accel(_t, _x, u, out):
+        v = [None, *u]  # v^0 = 1
+        lines = ["s2 = " + _sum(["d0"] + [f"d{a} * {v[a]} * {v[a]}" for a in spatial]),
+                 "if s2 <= 0.0:",
+                 "    _outside_cone(s2)"]
+        if f_pattern is None:
+            return lines + [f"{o} = 0.0" for o in out]
         rhs = []
         lines.append("s = sqrt(s2)")
         for a, cols in zip(spatial, f_pattern):
@@ -500,91 +544,102 @@ def _emit_diagonal_em(dim, f_pattern):
                 lines.append(f"r{a} = q * ({force})")
             rhs.append(f"r{a}" if cols else "0.0")
         lines += [f"ur = {_inner(u, rhs)}", "c = s / m"]
-        accel = [f"c * ({ra} / d{a} + v{a} * ur / d0)" if ra != "0.0" else f"c * (v{a} * ur / d0)"
-                 for a, ra in zip(spatial, rhs)]
-    return ["def factory(consts):",
-            f"    {_unpack(params)}= consts",
-            "    def deriv(t, z):",
-            f"        {_unpack(x + u)}= z",
-            *_indent(lines, 2),
-            f"        return [{', '.join(u + accel)}]",
-            "    return deriv, None"]
+        return lines + [f"{o} = c * ({ra} / d{a} + {v[a]} * ur / d0)" if ra != "0.0"
+                        else f"{o} = c * ({v[a]} * ur / d0)"
+                        for o, a, ra in zip(out, spatial, rhs)]
+
+    return _Body(params, dim - 1, accel, None)
 
 
 def _emit_elimination(proper, g_pattern, f_pattern, tensors):
-    """The general derivative: the mass and tensor Hessians and the force,
-    solved by _eliminate on the reduced block (coordinate time) or on the
+    """The general acceleration: the mass and tensor Hessians and the force,
+    solved by _solve_lines on the reduced block (coordinate time) or on the
     system bordered by the gauge row (proper time)."""
     dim = len(g_pattern)
     lo = 0 if proper else 1  # H's rows and columns lo..dim-1 are solved
     rows = range(lo, dim)
-    x = [f"x{a}" for a in range(lo, dim)]
-    v = [f"v{a}" for a in range(dim)]
-    state = v[lo:]
-    if not proper:
-        v[0] = None  # v^0 = 1
     params = ["m"] + _entry_names("g", g_pattern) + _entry_names("f", f_pattern, lo)
-    lines, gv = _matvec_lines("gv", "g", g_pattern, v)
-    lines += [f"gvv = {_inner(v, gv)}",
-              "if gvv <= 0.0:",
-              "    _outside_cone(gvv)",
-              "s = sqrt(gvv)",
-              "ms, ms3 = m / s, m / (s * gvv)"]
-    for i in rows:
-        for j in rows:
-            mass = f"ms * g{i}_{j}" if j in g_pattern[i] else None
-            outer = None if "0.0" in (gv[i], gv[j]) else f"ms3 * {gv[i]} * {gv[j]}"
-            h = f"{mass} - {outer}" if mass and outer else mass or outer and f"-({outer})"
-            lines.append(f"h{i}_{j} = {h or '0.0'}")
-    for t, (rank, pairs) in enumerate(tensors):
+    for t, (_, pairs) in enumerate(tensors):
         params += [f"qn{t}", f"ea{t}", f"eb{t}"]
-        first = len(params)
-        sa_terms = [[] for _ in range(dim)]
-        for p, (a, b, rests) in enumerate(pairs):
-            entries = []
-            for rest in rests:
-                params.append(f"s{t}_{len(params) - first}")
-                entries.append(_times(params[-1], *(v[r] for r in rest)))
-            lines.append(f"p{t}_{p} = {_sum(entries)}")
-            sa_terms[a].append(_times(f"p{t}_{p}", v[b]))
-            if a != b:
-                sa_terms[b].append(_times(f"p{t}_{p}", v[a]))
-        sa = []
-        for i, terms in enumerate(sa_terms):
-            if terms:
-                lines.append(f"sa{t}_{i} = {_sum(terms)}")
-            sa.append(f"sa{t}_{i}" if terms else "0.0")
-        c = f"c{t}"
-        lines += [f"{c} = {_inner(v, sa)}",
-                  f"if {c} {'<=' if rank % 2 == 0 else '=='} 0.0:",
-                  f"    _checked_radicand({rank}, {c})",
-                  f"k1 = qn{t} * abs({c}) ** ea{t}",
-                  f"k2 = qn{t} * abs({c}) ** eb{t} if {c} > 0.0 else -qn{t} * abs({c}) ** eb{t}"]
-        for p, (a, b, _) in enumerate(pairs):
-            if a >= lo:
-                lines.append(f"h{a}_{b} += k1 * p{t}_{p}")
+        params += [f"s{t}_{e}" for e in range(sum(len(rests) for _, _, rests in pairs))]
+
+    def h(i, j):
+        """The solved system's entry for H_ij."""
+        return f"a{i - lo}_{j - lo}"
+
+    def accel(_t, _x, state_v, out):
+        v = [*state_v] if proper else [None, *state_v]  # v^0 = 1
+        lines, gv = _matvec_lines("gv", "g", g_pattern, v)
+        lines += [f"gvv = {_inner(v, gv)}",
+                  "if gvv <= 0.0:",
+                  "    _outside_cone(gvv)",
+                  "s = sqrt(gvv)",
+                  "ms, ms3 = m / s, m / (s * gvv)"]
+        for i in rows:
+            for j in rows:
+                mass = f"ms * g{i}_{j}" if j in g_pattern[i] else None
+                outer = None if "0.0" in (gv[i], gv[j]) else f"ms3 * {gv[i]} * {gv[j]}"
+                entry = f"{mass} - {outer}" if mass and outer else mass or outer and f"-({outer})"
+                lines.append(f"{h(i, j)} = {entry or '0.0'}")
+        for t, (rank, pairs) in enumerate(tensors):
+            entries = count()
+            sa_terms = [[] for _ in range(dim)]
+            for p, (a, b, rests) in enumerate(pairs):
+                terms = [_times(f"s{t}_{next(entries)}", *(v[r] for r in rest)) for rest in rests]
+                lines.append(f"p{t}_{p} = {_sum(terms)}")
+                sa_terms[a].append(_times(f"p{t}_{p}", v[b]))
                 if a != b:
-                    lines.append(f"h{b}_{a} += k1 * p{t}_{p}")
-        nz = [i for i in rows if sa[i] != "0.0"]
-        lines += [f"k2s{i} = k2 * {sa[i]}" for i in nz]
-        lines += [f"h{i}_{j} -= k2s{i} * {sa[j]}" for i in nz for j in nz]
-    rhs_lines, rhs = _matvec_lines("r", "f", f_pattern, v, lo)
-    lines += rhs_lines
-    A = [[f"h{i}_{j}" for j in rows] for i in rows]
-    if proper:  # border H with the gauge row (g v)^T a = row = 0
-        A = [row + [gi] for row, gi in zip(A, gv)] + [gv + ["0.0"]]
-        rhs = rhs + ["0.0"]
-    matrix = "[" + ", ".join("[" + ", ".join(row) + "]" for row in A) + "]"
-    solved = f"_eliminate({matrix}, [{', '.join(rhs)}])" + (f"[:{dim}]" if proper else "")
-    norm2 = _emit_norm2(x + state, v, g_pattern) if proper else []
-    return ["def factory(consts):",
-            f"    {_unpack(params)}= consts",
-            "    def deriv(t, z):",
-            f"        {_unpack(x + state)}= z",
-            *_indent(lines, 2),
-            f"        return [{', '.join(state)}] + {solved}",
-            *norm2,
-            f"    return deriv, {'norm2' if proper else 'None'}"]
+                    sa_terms[b].append(_times(f"p{t}_{p}", v[a]))
+            sa = []
+            for i, terms in enumerate(sa_terms):
+                if terms:
+                    lines.append(f"sa{t}_{i} = {_sum(terms)}")
+                sa.append(f"sa{t}_{i}" if terms else "0.0")
+            c = f"c{t}"
+            lines += [f"{c} = {_inner(v, sa)}",
+                      f"if {c} {'<=' if rank % 2 == 0 else '=='} 0.0:",
+                      f"    _checked_radicand({rank}, {c})",
+                      f"q1 = qn{t} * abs({c}) ** ea{t}",
+                      f"q2 = qn{t} * abs({c}) ** eb{t} if {c} > 0.0 else -qn{t} * abs({c}) ** eb{t}"]
+            for p, (a, b, _) in enumerate(pairs):
+                if a >= lo:
+                    lines.append(f"{h(a, b)} += q1 * p{t}_{p}")
+                    if a != b:
+                        lines.append(f"{h(b, a)} += q1 * p{t}_{p}")
+            nz = [i for i in rows if sa[i] != "0.0"]
+            lines += [f"q2s{i} = q2 * {sa[i]}" for i in nz]
+            lines += [f"{h(i, j)} -= q2s{i} * {sa[j]}" for i in nz for j in nz]
+        lines += [f"b{i - lo} = " + _sum([_times(f"f{i}_{j}", v[j]) for j in cols])
+                  for i, cols in enumerate(f_pattern, lo)]
+        if not proper:
+            return lines + _solve_lines(dim - 1, out)
+        # border H with the gauge row (g v)^T a = row = 0
+        lines += [f"a{i}_{dim} = {gi}" for i, gi in enumerate(gv)]
+        lines += [f"a{dim}_{j} = {gj}" for j, gj in enumerate(gv)]
+        lines += [f"a{dim}_{dim} = 0.0", f"b{dim} = 0.0"]
+        return lines + _solve_lines(dim + 1, out + ["mu"])
+
+    norm2 = (lambda _x, v: _norm2_lines(g_pattern, v)) if proper else None
+    return _Body(params, dim - lo, accel, norm2)
+
+
+def _emit_generic(proper, dim):
+    """Varying fields: each stage solves the Euler-Lagrange rows of the spec
+    by _coordinate_accel or _proper_accel, and proper time measures g(v, v)
+    with the spec's metric at the step's end."""
+
+    def accel(t, x, v, out):
+        if proper:
+            call = f"_proper_accel(spec, array([{', '.join(x)}]), array([{', '.join(v)}]))"
+        else:
+            call = f"_coordinate_accel(spec, {t}, [{', '.join(x)}], [{', '.join(v)}])"
+        return [f"{_unpack(out)}= {call}.tolist()"]
+
+    def norm2(x, v):
+        return [f"gvv = quadratic_form(spec.metric(array([{', '.join(x)}])), "
+                f"array([{', '.join(v)}]))"]
+
+    return _Body(["spec"], dim if proper else dim - 1, accel, norm2 if proper else None)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +659,9 @@ def integrate(spec: LagrangianSpec, gauge: GaugeChoice, x0, v0,
     v0 = np.asarray(v0, dtype=float)
     if x0.shape != (spec.dim,) or v0.shape != (spec.dim,):
         raise DimensionMismatch(f"initial data must have length {spec.dim}")
+    if not (np.isfinite(x0).all() and np.isfinite(v0).all()):
+        raise DimensionMismatch(
+            f"initial data must be finite, got x0 = {x0.tolist()}, v0 = {v0.tolist()}")
     if step <= 0 or tau_end <= 0:
         raise DimensionMismatch("step and tau_end must be positive")
     if spec._stacked:
@@ -620,21 +678,29 @@ def integrate(spec: LagrangianSpec, gauge: GaugeChoice, x0, v0,
         raise DimensionMismatch("tau_end shorter than one step")
     if n_steps > MAX_STEPS:
         raise DimensionMismatch(f"step count {n_steps} is above the cap of {MAX_STEPS} steps")
+    h = float(step)
+    coordinate = gauge is GaugeChoice.COORDINATE_TIME
+    t0 = float(x0[0]) if coordinate else 0.0
+    taus = t0 + h * np.arange(n_steps + 1) if math.isfinite(t0 + h * n_steps) else None
+    if taus is None or not np.all(np.diff(taus) > 0.0):
+        raise DimensionMismatch(
+            f"the grid {'x^0' if coordinate else 'tau'} = {t0} + k * {h}, k = 0..{n_steps}, "
+            "does not increase strictly to a finite end")
 
-    if gauge is GaugeChoice.COORDINATE_TIME:
+    if coordinate:
         if abs(v0[0] - 1.0) > GAUGE_TOL:
             raise GaugeViolation(f"coordinate-time gauge needs v^0 = 1, got {v0[0]}")
         v0 = v0.copy()
         v0[0] = 1.0
         _check_reduced_hessian(spec, x0, v0)
-        taus, xs, vs = _integrate_coordinate(spec, x0, v0, n_steps, float(step))
+        xs, vs = _integrate_coordinate(spec, x0, v0, taus, h)
         gauge_res = np.zeros(taus.shape[0])  # v^0 = 1 holds structurally
     elif gauge is GaugeChoice.PROPER_TIME:
         nrm0 = quadratic_form(spec.metric(x0), v0)
         if nrm0 <= 0 or abs(np.sqrt(nrm0) - 1.0) > GAUGE_TOL:
             raise GaugeViolation(f"proper-time gauge needs g(v0,v0) = 1, got {nrm0}")
         v0 = v0 / np.sqrt(nrm0)
-        taus, xs, vs, gauge_res = _integrate_proper(spec, x0, v0, n_steps, float(step))
+        xs, vs, gauge_res = _integrate_proper(spec, x0, v0, taus, h)
     else:
         raise DimensionMismatch(f"unknown gauge {gauge!r}")
 

@@ -334,8 +334,14 @@ def _outside_cone(gvv):
     raise NullVelocity("momentum of the mass term is undefined on the light cone")
 
 
-def eliminate_lists(A, b):
-    """x with A x = b by Gaussian elimination with partial pivoting on float lists."""
+def _eliminate(A, b):
+    """x with A x = b by Gaussian elimination with partial pivoting on float
+    lists; A and b are overwritten. The reference for the unrolled solve that
+    worldline's elimination kernels inline (worldline._solve_lines).
+
+    An exactly zero pivot raises SingularReducedHessian, as the LU
+    factorization behind np.linalg.solve fails on one.
+    """
     from repmech.errors import SingularReducedHessian
 
     n = len(b)
@@ -510,8 +516,8 @@ def constant_field_deriv_lists(spec, proper):
                 hi.append(gvi)
             H.append(gv + [0.0])
             rhs.append(0.0)
-            return v + eliminate_lists(H, rhs)[:dim]
-        return z[nsp:] + eliminate_lists(H, rhs)
+            return v + _eliminate(H, rhs)[:dim]
+        return z[nsp:] + _eliminate(H, rhs)
 
     return deriv
 

@@ -2,7 +2,7 @@
 
 An AST scan of the package: exec, eval and compile, called by name or as
 builtins.<name>, appear only in worldline._kernel, which compiles the
-emitted RK4 and constant-field kernels.
+emitted RK4 marches.
 """
 
 import ast

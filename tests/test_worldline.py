@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,15 @@ class TestELResidual:
         assert np.max(np.abs(r - [el_residual(spec, *s) for s in states])) <= 1e-15
 
 
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Fail the test if integrate builds a kernel."""
+    def refused(*args):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(worldline, "_kernel", refused)
+
+
 class TestCoordinateTimeIntegration:
     def test_free_particle_straight_line(self):
         spec = LagrangianSpec(metric=MINK, mass=1.0)
@@ -102,6 +113,26 @@ class TestCoordinateTimeIntegration:
         assert len(integrate(spec, gauge, np.zeros(4), v0, 5.0, 1.0)) == 6
         with pytest.raises(DimensionMismatch, match="step count 6 is above the cap of 5"):
             integrate(spec, gauge, np.zeros(4), v0, 6.0, 1.0)
+
+    @pytest.mark.parametrize("gauge", list(GaugeChoice))
+    @pytest.mark.parametrize("x0, v0", [([0.0, np.nan, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+                                        ([np.inf, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+                                        ([0.0, 0.0, 0.0, 0.0], [1.0, 0.0, -np.inf, 0.0])],
+                             ids=["nan-position", "infinite-time", "infinite-velocity"])
+    def test_initial_data_that_is_not_finite_fails_before_any_kernel_is_built(
+            self, gauge, x0, v0, no_kernel):
+        with pytest.raises(DimensionMismatch, match=r"^initial data must be finite, got x0 = "):
+            integrate(cyclotron_spec(), gauge, x0, v0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("t0, tau_end, step", [(1.0e16, 2.0, 0.5),
+                                                   (1.7e308, 1.0e308, 0.5e308)],
+                             ids=["below-the-spacing", "overflow"])
+    def test_a_time_grid_that_cannot_increase_fails_before_any_kernel_is_built(
+            self, t0, tau_end, step, no_kernel):
+        grid = re.escape(f"the grid x^0 = {t0} + k * {step}, k = 0..")
+        with pytest.raises(DimensionMismatch, match=rf"^{grid}\d+, does not increase strictly"):
+            integrate(cyclotron_spec(), GaugeChoice.COORDINATE_TIME, [t0, 0.0, 0.0, 0.0],
+                      [1.0, 0.6, 0.0, 0.0], tau_end, step)
 
     def test_cyclotron_radius_and_drift(self):
         orbit = CyclotronOracle()
@@ -180,22 +211,35 @@ S3_NEGATIVE = symmetric_tensor(3, 4, {(0, 0, 0): -1.0, (0, 1, 1): 0.1, (1, 2, 3)
 S4 = symmetric_tensor(4, 4, {(0, 0, 0, 0): 1.0, (0, 0, 1, 1): 0.1, (1, 2, 2, 3): -0.05})
 
 
+STEP = 0.01
+
+
 def constant_field_and_generic(spec, gauge):
-    """The constant-field derivative and the generic one, both as deriv(t, z)."""
-    fast, _ = worldline._constant_field_kernels(spec, gauge)
-    if gauge is GaugeChoice.COORDINATE_TIME:
-        return fast, worldline._coordinate_deriv(spec)
-    n = spec.dim
-    return fast, lambda t, z: z[n:] + worldline._proper_accel(
-        spec, np.array(z[:n]), np.array(z[n:])).tolist()
+    """One RK4 step from a state z at t, as step(t, z), of the constant-field
+    march and of the generic one; a user-kind copy of the potential, with its
+    exact Jacobian, forces the generic path."""
+    potential = potential_from_function(spec.dim, spec.potential, spec.potential.jacobian)
+    generic = LagrangianSpec(metric=spec.metric, mass=spec.mass, charge=spec.charge,
+                             potential=potential, extra_terms=spec.extra_terms)
+    assert not worldline._constant_fields(generic)
+    steps = []
+    for s in (spec, generic):
+        march = worldline._compiled_march(s, gauge)
+        if gauge is GaugeChoice.COORDINATE_TIME:
+            steps.append(lambda t, z, march=march: march(t, z, 1, STEP)[1])
+        else:
+            steps.append(lambda t, z, march=march: march(t, z, 1, STEP)[0][1])
+    return steps
 
 
-def state(gauge, rng):
-    """A random state z of the gauge: (x^i, u^i) or (x^a, v^a), timelike on every metric below."""
+def state(gauge, rng, metric):
+    """A random state z of the gauge: (x^i, u^i), or (x^a, v^a) with g(v, v) = 1
+    on the metric; timelike on every metric below."""
     if gauge is GaugeChoice.COORDINATE_TIME:
         return rng.uniform(-1.0, 1.0, 3).tolist() + rng.uniform(-0.3, 0.3, 3).tolist()
-    return (rng.uniform(-1.0, 1.0, 4).tolist() + [float(rng.uniform(0.9, 1.3))]
-            + rng.uniform(-0.3, 0.3, 3).tolist())
+    x = rng.uniform(-1.0, 1.0, 4)
+    v = np.concatenate(([rng.uniform(0.9, 1.3)], rng.uniform(-0.3, 0.3, 3)))
+    return x.tolist() + (v / np.sqrt(v @ metric(x) @ v)).tolist()
 
 
 class TestConstantFieldDerivative:
@@ -210,7 +254,7 @@ class TestConstantFieldDerivative:
                                            constant_potential([0.3, -0.2, 0.5, 0.1]),
                                            uniform_magnetic_potential(4, 1.1)],
                              ids=["zero", "constant", "magnetic"])
-    def test_constant_field_and_generic_derivatives_agree(self, potential, metric, terms, gauge):
+    def test_constant_field_and_generic_steps_agree(self, potential, metric, terms, gauge):
         spec = LagrangianSpec(metric=metric, mass=1.3, charge=0.7, potential=potential,
                               extra_terms=terms)
         assert worldline._constant_fields(spec)
@@ -218,8 +262,9 @@ class TestConstantFieldDerivative:
         rng = np.random.default_rng(11)
         for _ in range(20):
             t = float(rng.uniform(-2.0, 2.0))
-            z = state(gauge, rng)
-            assert np.max(np.abs(np.subtract(fast(t, z), generic(t, z)))) <= 1e-13
+            z = state(gauge, rng, metric)
+            # the two increments over one step, per unit step
+            assert np.max(np.abs(np.subtract(fast(t, z), generic(t, z)))) / STEP <= 1e-13
 
     def test_varying_fields_take_the_generic_path(self, monkeypatch):
         user = potential_from_function(4, lambda x: 0.1 * x)
@@ -241,10 +286,9 @@ class TestConstantFieldDerivative:
             assert worldline._constant_fields(spec) is not generic
             with monkeypatch.context() as patch:
                 if generic:
-                    patch.setattr(worldline, "_constant_field_kernels", refused)
-                else:
-                    patch.setattr(worldline, "_coordinate_deriv", refused)
-                    patch.setattr(worldline, "_proper_accel", refused)
+                    patch.setattr(worldline, "_constant_field_pattern", refused)
+                else:  # every stage of the generic march calls _el_rows
+                    patch.setattr(worldline, "_el_rows", refused)
                 integrate(spec, GaugeChoice.COORDINATE_TIME, x0, u, 0.1, 0.05)
                 integrate(spec, GaugeChoice.PROPER_TIME, x0,
                           u / np.sqrt(u @ spec.metric(x0) @ u), 0.1, 0.05)
@@ -269,20 +313,9 @@ class TestConstantFieldDerivative:
                               potential=uniform_magnetic_potential(4, 1.0), extra_terms=terms)
         x = [0.5, 0.1, -0.2, 0.3]
         z = x[1:] + v[1:] if gauge is GaugeChoice.COORDINATE_TIME else x + v
-        for deriv in constant_field_and_generic(spec, gauge):
+        for step in constant_field_and_generic(spec, gauge):
             with pytest.raises(error):
-                deriv(x[0], z)
-
-    def test_elimination_solves_and_refuses_a_singular_system(self):
-        rng = np.random.default_rng(3)
-        for n in (1, 3, 5):
-            A, b = rng.normal(size=(n, n)), rng.normal(size=n)
-            x = worldline._eliminate(A.tolist(), b.tolist())
-            assert np.max(np.abs(x - np.linalg.solve(A, b))) <= 1e-12
-        with pytest.raises(SingularReducedHessian):
-            worldline._eliminate([[1.0, 2.0], [2.0, 4.0]], [1.0, 0.0])
-        with pytest.raises(SingularReducedHessian):
-            worldline._eliminate([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
+                step(x[0], z)
 
     @pytest.mark.parametrize("gauge, v0", [
         (GaugeChoice.COORDINATE_TIME, [1.0, 0.6, 0.0, 0.0]),
@@ -333,7 +366,7 @@ class TestStageFieldCalls:
     def test_one_stage_evaluates_each_field_once(self):
         calls = dict.fromkeys(["phi", "phi_grad", "potential", "potential_jacobian"], 0)
         spec = self._counted_spec(calls)
-        worldline._coordinate_deriv(spec)(0.1, [0.2, -0.1, 0.3, 0.3, 0.1, -0.2])
+        worldline._coordinate_accel(spec, 0.1, [0.2, -0.1, 0.3], [0.3, 0.1, -0.2])
         assert calls == {"phi": 1, "phi_grad": 1, "potential": 0, "potential_jacobian": 1}
         calls.update(dict.fromkeys(calls, 0))
         worldline._proper_accel(spec, np.array([0.1, 0.2, -0.1, 0.3]),

@@ -1,10 +1,11 @@
-"""The emitted RK4 step and constant-field derivatives of worldline.
+"""The emitted RK4 marches of worldline and their unrolled elimination.
 
 oracles.constant_field_orbit_lists marches the list-form RK4 step with the
 three hand-written constant-field derivatives (diagonal-g EM in coordinate
 time, EM in proper time, and the eliminated Hessian) that the emitted
-kernels reproduce. Trajectories are compared on their bytes, so a zero of
-either sign counts; derivatives and error messages with ==.
+marches reproduce, and oracles._eliminate is the list loop that the unrolled
+solve reproduces. Trajectories and solutions are compared on their bytes, so
+a zero of either sign counts; error messages with ==.
 """
 
 import io
@@ -18,8 +19,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import constant_field_deriv_lists, constant_field_orbit_lists
+from oracles import _eliminate, constant_field_orbit_lists
 import repmech.worldline as worldline
 from repmech import (
     GaugeChoice,
@@ -99,9 +101,23 @@ def test_trajectories_equal_the_list_reference_bit_for_bit(dim, metric, gauge):
             assert wl.v.tobytes() == v.tobytes()
 
 
+def _one_step(spec, gauge, x, v, h):
+    """One step of the spec's compiled march and of the list reference, from
+    (x, v), as arrays of the (x^i, u^i) or (x^a, v^a) states."""
+    proper = gauge is GaugeChoice.PROPER_TIME
+    march = worldline._compiled_march(spec, gauge)
+    if proper:
+        zs, _ = march(0.0, x + v, 1, h)
+    else:
+        zs = march(x[0], x[1:] + v[1:], 1, h)
+    xs, vs = constant_field_orbit_lists(spec, proper, x, v, 1, h)
+    lo = 0 if proper else 1
+    return np.asarray(zs), np.column_stack([xs[:, lo:], vs[:, lo:]])
+
+
 @pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.value)
 @pytest.mark.parametrize("dim", [2, 4, 5])
-def test_derivatives_equal_the_list_reference_at_random_states(dim, gauge):
+def test_one_step_marches_equal_the_list_reference_at_random_states(dim, gauge):
     proper = gauge is GaugeChoice.PROPER_TIME
     rng = np.random.default_rng(dim)
     for metric in _metrics(dim).values():
@@ -109,14 +125,14 @@ def test_derivatives_equal_the_list_reference_at_random_states(dim, gauge):
             for terms in _terms(dim):
                 spec = LagrangianSpec(metric=metric, mass=0.9, charge=charge,
                                       potential=potential, extra_terms=terms)
-                fast, _ = worldline._constant_field_kernels(spec, gauge)
-                reference = constant_field_deriv_lists(spec, proper)
                 for _ in range(5):
                     v = np.concatenate(([rng.uniform(1.0, 1.3)],
                                         rng.uniform(-0.25, 0.25, dim - 1)))
+                    if proper:
+                        v = v / np.sqrt(v @ spec.metric(np.zeros(dim)) @ v)
                     x = rng.uniform(-1.0, 1.0, dim).tolist()
-                    z = x + v.tolist() if proper else x[1:] + v[1:].tolist()
-                    assert fast(x[0], z) == reference(x[0], z)
+                    fast, reference = _one_step(spec, gauge, x, v.tolist(), 0.01)
+                    assert fast.tobytes() == reference.tobytes()
 
 
 ERROR_CASES = [
@@ -127,7 +143,7 @@ ERROR_CASES = [
     (((0.2, symmetric_tensor(4, 4, {(0, 0, 0, 0): 1.0, (1, 1, 1, 1): -32.0})),),
      [1.0, 0.5, 0.0, 0.0], NegativeEvenRadicand, "_checked_radicand"),
     (((1.0, symmetric_tensor(3, 4, {(0, 0, 0): 1.0, (0, 1, 1): 0.5})),),
-     [1.0, 0.0, 0.0, 0.0], SingularReducedHessian, "_eliminate"),
+     [1.0, 0.0, 0.0, 0.0], SingularReducedHessian, "_singular"),
 ]
 
 
@@ -142,16 +158,100 @@ def test_kernel_errors_keep_class_message_and_source_line(monkeypatch, terms, v,
                           potential=uniform_magnetic_potential(4, 1.0), extra_terms=terms)
     proper = gauge is GaugeChoice.PROPER_TIME
     x = [0.5, 0.1, -0.2, 0.3]
-    z = x + v if proper else x[1:] + v[1:]
-    fast, _ = worldline._constant_field_kernels(spec, gauge)
     with pytest.raises(error) as expected:
-        constant_field_deriv_lists(spec, proper)(x[0], z)
+        constant_field_orbit_lists(spec, proper, x, v, 1, 0.01)
     with pytest.raises(error) as raised:
-        fast(x[0], z)
+        _one_step(spec, gauge, x, v, 0.01)
     assert str(raised.value) == str(expected.value)
     frames = traceback.extract_tb(raised.tb)
     kernel = [f for f in frames if f.filename.startswith("<repmech.worldline")]
     assert kernel and call in kernel[-1].line
+
+
+def emitted_solve(n):
+    """solve(A, b) running the unrolled elimination that the kernels inline."""
+    x = [f"x{i}" for i in range(n)]
+    names = [f"a{i}_{j}" for i in range(n) for j in range(n)] + [f"b{i}" for i in range(n)]
+    source = "\n".join([f"def solve({', '.join(names)}):",
+                        *("    " + line for line in worldline._solve_lines(n, x)),
+                        f"    return [{', '.join(x)}]"])
+    namespace = {"_singular": worldline._singular}
+    exec(source, namespace)
+    return lambda A, b: namespace["solve"](*(a for row in A for a in row), *b)
+
+
+SOLVES = {n: emitted_solve(n) for n in range(1, 6)}
+
+
+def _outcome(solve, A, b):
+    """The solution's bytes, or the class and message of the error raised."""
+    try:
+        return np.array(solve([list(row) for row in A], list(b))).tobytes()
+    except SingularReducedHessian as exc:
+        return type(exc), str(exc)
+
+
+def test_elimination_solves_and_refuses_a_singular_system():
+    rng = np.random.default_rng(3)
+    for n in (1, 3, 5):
+        A, b = rng.normal(size=(n, n)), rng.normal(size=n)
+        x = SOLVES[n](A.tolist(), b.tolist())
+        assert np.max(np.abs(x - np.linalg.solve(A, b))) <= 1e-12
+    with pytest.raises(SingularReducedHessian, match=r"^velocity Hessian system singular "
+                                                     r"\(column 1\)$"):
+        SOLVES[2]([[1.0, 2.0], [2.0, 4.0]], [1.0, 0.0])
+    with pytest.raises(SingularReducedHessian, match=r"\(column 0\)$"):
+        SOLVES[2]([[0.0, 0.0], [0.0, 0.0]], [0.0, 0.0])
+
+
+# entries that tie pivot magnitudes, give exactly zero multipliers and carry
+# both signs of zero, mixed with general floats
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -3.0]),
+                    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    A = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n))
+    return A, draw(st.lists(ENTRIES, min_size=n, max_size=n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(systems())
+def test_the_unrolled_solve_matches_the_list_loop(system):
+    A, b = system
+    assert _outcome(SOLVES[len(b)], A, b) == _outcome(_eliminate, A, b)
+
+
+@pytest.mark.parametrize("A, b", [
+    ([[1.0, 2.0], [-1.0, 0.5]], [1.0, 2.0]),                       # tied pivot: first row kept
+    ([[-0.0, 2.0], [0.0, 1.0]], [1.0, -0.0]),                      # zero column: singular
+    ([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [0.0, -0.0, 4.0]], [1.0, -0.0, 2.0]),  # zero multipliers
+    ([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 3.0]], [1.0, 2.0, 3.0]),    # pivot by a swap
+    ([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]], [1.0, 2.0, 3.0]),    # singular column 1
+])
+def test_the_unrolled_solve_matches_the_list_loop_on_edge_systems(A, b):
+    assert _outcome(SOLVES[len(b)], A, b) == _outcome(_eliminate, A, b)
+
+
+def test_the_march_refuses_a_body_or_constant_that_takes_its_names():
+    def accel(_t, x, _v, out):
+        return [f"{o} = -w * {xi}" for o, xi in zip(out, x)]
+
+    def body(params, extra=(), norm2=None):
+        return worldline._Body(params, 2, lambda *a: [*extra, *accel(*a)], norm2)
+
+    assert worldline._emit_march(body(["w"]))
+    # a constant named like a stage output would be overwritten by the stage
+    with pytest.raises(AssertionError, match=r"\['k1_0'\]"):
+        worldline._emit_march(body(["w", "k1_0"]))
+    with pytest.raises(AssertionError, match=r"\['hh', 'y2_1'\]"):
+        worldline._emit_march(body(["w"], ["hh = 2.0", "y2_1 = hh"]))
+    with pytest.raises(AssertionError, match=r"\['nrm'\]"):
+        worldline._emit_march(body(["w"], norm2=lambda _x, v: ["nrm = 1.0", "gvv = nrm"]))
+    with pytest.raises(AssertionError, match=r"\['tol'\]"):
+        worldline._emit_march(body(["w", "tol"]))
 
 
 def _numbers(source):
@@ -194,20 +294,21 @@ def test_one_kernel_per_pattern_and_no_value_in_any_source(monkeypatch):
     specs = _orbit_specs(np.random.default_rng(19), 100)
     for spec, gauge, x0, v0 in specs:
         integrate(spec, gauge, x0, v0, 0.1, 0.05)
-    # three derivative patterns (coordinate EM, coordinate tensor, proper EM)
-    # and the RK4 steps of 6- and 8-float states
-    assert len(compiled) == len(set(compiled)) == len(worldline._KERNELS) == 5
+    # one march per pattern: coordinate EM, coordinate tensor, proper EM
+    assert len(compiled) == len(set(compiled)) == len(worldline._KERNELS) == 3
     for key in worldline._KERNELS:
         source = "".join(linecache.getlines(f"<repmech.worldline{key}>"))
-        assert source == "\n".join(getattr(worldline, key[0])(*key[1:])) + "\n"
+        body = getattr(worldline, key[0])(*key[1:])
+        assert source == "\n".join(worldline._emit_march(body)) + "\n"
         numbers, strings = _numbers(source)
         assert not strings
-        assert numbers <= {"0.0", "0.5", "2.0", "6.0"} | {n for n in numbers if n.isdigit()}
+        assert numbers <= {"0.0", "0.5", "1.0", "2.0", "6.0"} | {n for n in numbers
+                                                                if n.isdigit()}
     # specs of one pattern share one factory, whatever their couplings
     first, second = specs[0][0], specs[3][0]
     assert first.mass != second.mass
-    assert worldline._constant_field_kernels(first, GaugeChoice.COORDINATE_TIME)[0].__code__ \
-        is worldline._constant_field_kernels(second, GaugeChoice.COORDINATE_TIME)[0].__code__
+    assert worldline._compiled_march(first, GaugeChoice.COORDINATE_TIME).__code__ \
+        is worldline._compiled_march(second, GaugeChoice.COORDINATE_TIME).__code__
 
 
 def test_importing_the_cli_compiles_no_kernel():
