@@ -424,14 +424,22 @@ def gridded_embedding(axes: Sequence[np.ndarray], values: np.ndarray) -> BraneEm
     node count minus one. Unevenly spaced axes raise DimensionMismatch,
     because the uniform quadrature cells would not line up with the data
     cells; the spacing check is relative, so linspace nodes read back from
-    text pass.
+    text pass. An axis of one node raises DimensionMismatch too.
+
+    The interpolation gathers from one C-contiguous (dimM, n1, ..., nD)
+    array. When values is np.moveaxis(nodes, 0, -1) of such an array, it is
+    taken without a copy; any other layout is copied into it once.
     """
     axes = [np.asarray(a, dtype=float) for a in axes]
     values = np.asarray(values, dtype=float)
     d = len(axes)
+    if d == 0:
+        raise DimensionMismatch("need at least one axis")
     if values.ndim != d + 1:
         raise DimensionMismatch("values must have shape (nodes..., dimM)")
     for a, n in zip(axes, values.shape[:d]):
+        if n < 2:
+            raise DimensionMismatch(f"need at least 2 nodes per axis, got {n}")
         if a.ndim != 1 or a.size != n or np.any(np.diff(a) <= 0):
             raise DimensionMismatch("axes must be strictly increasing and match values")
         if not _evenly_spaced(a):

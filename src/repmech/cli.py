@@ -457,8 +457,10 @@ def _parse_brane(root: Section, warnings):
         emb = graph_embedding(f, grad=grad, box=b, resolution=res_tuple(64, d))
     else:  # grid_csv
         esec.require_keys({"kind", "path", "d", "dim_m"}, required=("path", "d", "dim_m"))
-        emb = _load_grid_csv(Path(esec.string("path")), esec.integer("d"),
-                             esec.integer("dim_m"), esec)
+        d, dim_m = esec.integer("d", minimum=1), esec.integer("dim_m", minimum=1)
+        if d > dim_m:
+            raise ConfigError(f"{esec.where('d')} must be <= dim_m = {dim_m}")
+        emb = _load_grid_csv(Path(esec.string("path")), d, dim_m, esec)
 
     ssec = root.child("spec")
     ssec.require_keys({"metric", "mass", "charge", "potential"}, required=("metric",))
@@ -483,7 +485,15 @@ def _parse_brane(root: Section, warnings):
 
 
 def _load_grid_csv(path: Path, d: int, dim_m: int, esec: Section):
-    """CSV rows: z coordinates then x coordinates; nodes on an evenly spaced grid."""
+    """CSV rows: z coordinates then x coordinates; nodes on an evenly spaced grid.
+
+    The rows may come in any order. Each row's x columns are written once,
+    straight into the (dimM, n1, ..., nD) node array that gridded_embedding
+    gathers from, at the row's flat node index. At the peak the row table,
+    that index, the node array and a byte per node are held: about
+    (D + 2 dimM + 1) / (D + dimM) times the row table's bytes, 1.8 for
+    D = 2 and dimM = 3.
+    """
     where = esec.where("path")
     if not path.exists():
         raise ConfigError(f"{where}: file '{path}' not found")
@@ -501,20 +511,25 @@ def _load_grid_csv(path: Path, d: int, dim_m: int, esec: Section):
     if not finite.all():
         raise ConfigError(f"{where}: file '{path}' data row {int(np.argmin(finite)) + 1} "
                           f"has a non-finite value")
-    zs = rows[:, :d]
-    xs = rows[:, d:]
-    axes = [np.unique(zs[:, a]) for a in range(d)]
+    axes = [np.unique(rows[:, a]) for a in range(d)]
     shape = tuple(a.size for a in axes)
-    if int(np.prod(shape)) != rows.shape[0]:
+    n = rows.shape[0]
+    if int(np.prod(shape)) != n:
         raise ConfigError(f"{where}: nodes do not form a regular grid")
-    idx = tuple(np.searchsorted(axes[a], zs[:, a]) for a in range(d))
+    # one flat node index per row, axis 0 slowest, as in a C-order array
+    flat = np.zeros(n, dtype=np.intp)
+    for a in range(d):
+        flat *= shape[a]
+        flat += np.searchsorted(axes[a], rows[:, a])
     # as many rows as nodes, so a node given twice leaves another one out
-    seen = np.zeros(shape, dtype=bool)
-    seen[idx] = True
-    if np.count_nonzero(seen) != rows.shape[0]:
+    seen = np.zeros(n, dtype=bool)
+    seen[flat] = True
+    if np.count_nonzero(seen) != n:
         raise ConfigError(f"{where}: grid has missing nodes")
-    values = np.empty(shape + (dim_m,))
-    values[idx] = xs
+    nodes = np.empty((dim_m, n))
+    for k in range(dim_m):
+        nodes[k, flat] = rows[:, d + k]
+    values = np.moveaxis(nodes.reshape((dim_m,) + shape), 0, -1)
     try:
         return gridded_embedding(axes, values)
     except DimensionMismatch as exc:

@@ -362,13 +362,46 @@ class TestGriddedEmbedding:
         with pytest.raises(DimensionMismatch, match="evenly spaced"):
             gridded_embedding(axes, values)
 
+    def test_an_axis_of_one_node_is_rejected(self):
+        with pytest.raises(DimensionMismatch, match="at least 2 nodes per axis, got 1"):
+            gridded_embedding([np.array([0.5]), np.linspace(0.0, 1.0, 3)], np.zeros((1, 3, 3)))
+        with pytest.raises(DimensionMismatch, match="at least one axis"):
+            gridded_embedding([], np.zeros(3))
+
     def _write_csv(self, path, z1):
-        axes, values = _square_nodes(z1)
-        Z1, Z2 = np.meshgrid(*axes, indexing="ij")
-        rows = np.column_stack([Z1.ravel(), Z2.ravel(), values.reshape(-1, 3)])
-        np.savetxt(path, rows, delimiter=",", fmt="%.17g")
-        return (f"embedding: {{kind: grid_csv, path: '{path.as_posix()}', d: 2, dim_m: 3}}\n"
-                "spec: {metric: {kind: euclidean, dim: 3}, mass: 1.0, charge: 0.0}\n")
+        return self._write_rows(path, *_square_nodes(z1))
+
+    @staticmethod
+    def _write_rows(path, axes, values, order=None):
+        """Rows z then x of every node, in C order or permuted by order; its grid_csv config."""
+        d, dim_m = len(axes), values.shape[-1]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        rows = np.column_stack([m.ravel() for m in mesh] + [values.reshape(-1, dim_m)])
+        np.savetxt(path, rows if order is None else rows[order], delimiter=",", fmt="%.17g")
+        return (f"embedding: {{kind: grid_csv, path: '{path.as_posix()}', d: {d}, "
+                f"dim_m: {dim_m}}}\nspec: {{metric: {{kind: euclidean, dim: {dim_m}}}, "
+                "mass: 1.0, charge: 0.0}\n")
+
+    def test_csv_row_order_does_not_change_the_summary(self, tmp_path):
+        axes, values = _curved_nodes(2)
+        shuffled = np.random.default_rng(5).permutation(values[..., 0].size)
+        keys = ("action", "min_radicand", "gauge_deviation")
+        summaries = []
+        for name, order in (("ordered", None), ("shuffled", shuffled)):
+            text = self._write_rows(tmp_path / f"{name}.csv", axes, values, order)
+            summary, _ = run("brane", parse_config(text, "brane"), tmp_path)
+            summaries.append([float(summary[k]).hex() for k in keys])
+        assert summaries[0] == summaries[1]
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_csv_grid_gives_the_action_of_the_arrays_it_was_written_from(self, tmp_path, d):
+        axes, values = _curved_nodes(d)
+        order = np.random.default_rng(d).permutation(values[..., 0].size)
+        text = self._write_rows(tmp_path / "nodes.csv", axes, values, order)
+        summary, _ = run("brane", parse_config(text, "brane"), tmp_path)
+        spec = BraneSpec(euclidean_metric(d + 2), mass=1.0, charge=0.0)
+        expected = brane_action(spec, gridded_embedding(axes, values))
+        assert float(summary["action"]).hex() == expected.hex()
 
     def test_csv_linspace_nodes_pass_the_spacing_check(self, tmp_path):
         # nodes read back from text differ from an exact spacing in the last bits

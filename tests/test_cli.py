@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -517,6 +518,62 @@ def test_a_repeated_grid_node_is_a_missing_node(tmp_path, capsys):
     config.write_text(GRID_CONFIG.format(path=path.as_posix()))
     assert main(["brane", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert "grid has missing nodes" in capsys.readouterr().err
+
+
+def _grid_config(tmp_path, path, d=2, dim_m=3):
+    """A brane config on the grid file at path, read with the given d and dim_m."""
+    config = tmp_path / "brane.yaml"
+    config.write_text(f"embedding: {{kind: grid_csv, path: '{path.as_posix()}', d: {d}, "
+                      f"dim_m: {dim_m}}}\nspec: {{metric: {{kind: euclidean, dim: 3}}}}\n")
+    return config
+
+
+@pytest.mark.parametrize("d, dim_m, message", [
+    (0, 3, "'embedding.d' (line 1) must be >= 1"),
+    (-1, 3, "'embedding.d' (line 1) must be >= 1"),
+    (1, 0, "'embedding.dim_m' (line 1) must be >= 1"),
+    (4, 3, "'embedding.d' (line 1) must be <= dim_m = 3"),
+])
+def test_grid_csv_d_and_dim_m_are_bounded(tmp_path, capsys, d, dim_m, message):
+    path = tmp_path / "nodes.csv"
+    path.write_text("0.5,1,2,3\n")
+    config = _grid_config(tmp_path, path, d, dim_m)
+    assert main(["brane", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("d, text", [
+    (1, "0.5,1,2,3\n"),
+    (2, "0.5,0,1,0,0\n0.5,0.5,1,0.5,0\n0.5,1,1,1,0\n"),
+])
+def test_an_axis_of_one_node_exits_2_without_a_warning(tmp_path, capsys, recwarn, d, text):
+    path = tmp_path / "nodes.csv"
+    path.write_text(text)
+    config = _grid_config(tmp_path, path, d)
+    assert main(["brane", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"config error: 'embedding.path' (line 1): file "
+                                       f"'{path.as_posix()}': need at least 2 nodes per axis, "
+                                       f"got 1\n")
+    assert not recwarn.list
+
+
+def test_grid_csv_parse_peaks_within_2_1_row_tables(tmp_path):
+    # the row table, one flat node index and the node array make 1.8 times
+    # the table's bytes (1.86 measured); one more node-sized copy of the x
+    # columns on the way, 0.6 times the table, breaks the bound
+    small = _grid_config(tmp_path, tmp_path / "small.csv")
+    _write_grid_rows(tmp_path / "small.csv")
+    parse_config(small.read_text(), "brane")  # first-call imports and caches are not the loader's
+    nodes = 257
+    _write_grid_rows(tmp_path / "nodes.csv", nodes)
+    text = _grid_config(tmp_path, tmp_path / "nodes.csv").read_text()
+    tracemalloc.start()
+    try:
+        parse_config(text, "brane")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * nodes ** 2 * 5 * 8
 
 
 @pytest.mark.parametrize("which", ["brane.yaml", "grid_csv"])
