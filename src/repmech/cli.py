@@ -373,7 +373,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
 def _parse_signature(root: Section, warnings):
     root.require_keys({"seed", "metric", "tolerance"}, required=("metric",))
     return {"metric": _build_metric(root.child("metric")),
-            "tolerance": root.number("tolerance", 1e-10)}
+            "tolerance": root.number("tolerance", 1e-10, minimum=0)}
 
 
 def _parse_check(root: Section, warnings):
@@ -413,8 +413,8 @@ def _parse_extremize(root: Section, warnings):
         "end": end,
         "K": root.integer("interior_points", 9, minimum=1),
         "perturbation": root.number("perturbation", 0.0),
-        "max_iters": root.integer("max_iters", 200),
-        "grad_tol": root.number("grad_tol", 1e-8),
+        "max_iters": root.integer("max_iters", 200, minimum=0),
+        "grad_tol": root.number("grad_tol", 1e-8, minimum=0),
     }
 
 
@@ -726,7 +726,10 @@ SUBCOMMANDS = tuple(_SUBCOMMANDS)
 
 def run(subcommand: str, cfg: RunConfig, out_dir: Path):
     """Execute a parsed config; returns (summary dict, written artifact paths)."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # out_dir, or a parent of it, is a file
+        raise ConfigError(f"'--out' '{out_dir}' is not a directory: {exc.strerror}") from None
     payload_summary, artifacts = _SUBCOMMANDS[subcommand][1](cfg, out_dir)
     summary = {
         "subcommand": subcommand,

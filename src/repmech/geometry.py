@@ -318,7 +318,13 @@ class SignatureReport:
 
 
 def signature(g, tol: float = DEFAULT_EIG_TOL) -> SignatureReport:
-    """Count eigenvalues > tol, < -tol, and within +-tol of a symmetric matrix."""
+    """Count eigenvalues > tol, < -tol, and within +-tol of a symmetric matrix.
+
+    tol must be finite and >= 0: a negative one counts an eigenvalue in
+    (tol, -tol) both as positive and as negative.
+    """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DimensionMismatch(f"signature tolerance must be finite and >= 0, got {tol}")
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {g.shape}")

@@ -26,8 +26,10 @@ The march is emitted as Python source and compiled once per pattern
 (_kernel, _emit_march): its loop holds the four RK4 stages as straight-line
 code, each with its acceleration inline, and in proper time the gauge
 checks and the projection. The varying-field pattern is the gauge and the
-dimension; a constant-field pattern adds the nonzero entries of g, the
-field strength and the tensor terms, whose systems are solved by Gaussian
+dimension; a constant-field pattern adds the nonzero entries of g and of
+the field strength, and of the tensor terms if there are any. Without them
+one body serves both gauges, W = g^{-1} f applied to v and, in coordinate
+time, projected onto x^0; with them the systems are solved by Gaussian
 elimination unrolled over named entries (_solve_lines). Every float enters
 as an argument of the compiled factory, never as text. The kernels do the
 same float operations in the same order as the list loops they replace,
@@ -37,13 +39,13 @@ therefore keeps its bits: a dropped zero term can change only the sign of a
 zero, which a state that starts without -0.0 never sees.
 
 Measured in-process on a 2-vCPU VM (the march alone over 400 steps, best
-of 7 timeit repeats, ranges over 6 alternating runs on a busy host), an
-RK4 step on the orbits benchmark's specs costs, one emitted march against
-the emitted step calling an emitted derivative four times:
+of 9 timeit repeats of 5 calls, ranges over 4 runs on a busy host), an RK4
+step costs, on dim-4 specs in a uniform magnetic field:
 
-* coordinate time, EM only: 4.1-5.8 us against 4.7-8.2 us;
-* coordinate time, a constant rank-3 term: 8.9-12.8 us against 28-39 us;
-* proper time, EM only: 3.8-6.1 us against 8.7-9.6 us.
+* EM only, coordinate time: 1.9-3.1 us on Minkowski, 2.5-3.7 us with
+  g_01 = 0.1;
+* EM only, proper time: 2.7-4.3 us;
+* a constant rank-3 term, coordinate time: 6.4-10.1 us.
 
 Emitting and compiling a march costs 1.3-7.5 ms once per pattern (the
 rank-3 pattern the most), against 0.3-1.0 ms for a derivative and about
@@ -254,14 +256,14 @@ def _constant_field_pattern(spec, proper):
     read once and passed to the kernel's factory; a constant metric has
     row = 0.
 
-    * EM only, coordinate time, diagonal g: the closed form of the reduced
-      inverse, M^{-1} = (s/m) [diag(1/d_i) + u u^T / g00], s = sqrt(g(v, v)).
-    * EM only, proper time: the bordered system's exact solution
-      a = (s/m) g^{-1} f v with mu = 0, since f is antisymmetric and so
-      g(v, a) = (s/m) v.f.v = 0.
-    * Otherwise (tensor terms, or a non-diagonal g in coordinate time): the
-      mass and tensor Hessians k1 s_ab - k2 s_a s_b, eliminated on the reduced
-      (N-1)^2 block or the bordered (N+1)^2 system.
+    * EM only, either gauge, any constant g: W = g^{-1} f, and a = (s/m) W v,
+      s = sqrt(g(v, v)), the bordered system's exact solution with mu = 0
+      (f is antisymmetric, so g(v, a) = (s/m) v.f.v = 0). In coordinate time
+      the same world line reparametrized by x^0 has, with v = (1, u),
+      a^i = (s/m) ((W v)^i - u^i (W v)^0) (Landau & Lifshitz, Classical
+      Theory of Fields, section 17).
+    * With tensor terms: the mass and tensor Hessians k1 s_ab - k2 s_a s_b,
+      eliminated on the reduced (N-1)^2 block or the bordered (N+1)^2 system.
 
     Every domain check raises what el_system raises at the same state.
     """
@@ -272,15 +274,9 @@ def _constant_field_pattern(spec, proper):
     q = float(spec.charge)
     jac = spec.potential.jacobian(origin)
     g_pattern, g_values = _pattern(g)
-    if not spec.extra_terms and proper:
+    if not spec.extra_terms:
         w_pattern, w_values = _pattern(np.linalg.solve(g, q * (jac.T - jac)))  # g^{-1} f
-        return _emit_proper_em, (g_pattern, w_pattern), [m, *g_values, *w_values]
-    if not spec.extra_terms and np.max(np.abs(g - np.diag(np.diag(g)))) == 0.0:
-        # row a of F is J[:, a] - J[a, :], so that rhs_a = q F_a.v
-        f_pattern, f_values = _pattern(jac.T - jac, 1)
-        if q == 0.0 or not f_values:
-            f_pattern, f_values = None, []
-        return _emit_diagonal_em, (dim, f_pattern), [m, q, *np.diag(g).tolist(), *f_values]
+        return _emit_em, (proper, g_pattern, w_pattern), [m, *g_values, *w_values]
     lo = 0 if proper else 1
     f_pattern, f_values = _pattern(q * (jac.T - jac), lo)
     values = [m, *g_values, *f_values]
@@ -507,48 +503,28 @@ def _solve_lines(n, x):
     return lines
 
 
-def _emit_proper_em(g_pattern, w_pattern):
-    """EM-only proper-time acceleration (s/m) g^{-1} f v."""
+def _emit_em(proper, g_pattern, w_pattern):
+    """EM-only acceleration from W = g^{-1} f: (s/m) W v in proper time, and
+    (s/m) ((W v)^i - u^i (W v)^0) in coordinate time, where v = (1, u)."""
     params = ["m"] + _entry_names("g", g_pattern) + _entry_names("w", w_pattern)
 
-    def accel(_t, _x, v, out):
-        fv_lines, fv = _matvec_lines("fv", "w", w_pattern, v)
+    def accel(_t, _x, state_v, out):
+        v = [*state_v] if proper else [None, *state_v]  # v^0 = 1
+        wv_lines, wv = _matvec_lines("wv", "w", w_pattern, v)
+        if not proper:  # project out the time row; an empty one leaves W v as it is
+            wv0, wv = wv[0], wv[1:]
+            if wv0 != "0.0":
+                wv = [f"-({u} * {wv0})" if e == "0.0" else f"({e} - {u} * {wv0})"
+                      for e, u in zip(wv, state_v)]
         return [*_norm2_lines(g_pattern, v),
                 "if gvv <= 0.0:",
                 "    _outside_cone(gvv)",
                 "c = sqrt(gvv) / m",
-                *fv_lines,
-                *(f"{o} = c * {e}" if e != "0.0" else f"{o} = 0.0" for o, e in zip(out, fv))]
+                *wv_lines,
+                *(f"{o} = c * {e}" if e != "0.0" else f"{o} = 0.0" for o, e in zip(out, wv))]
 
-    return _Body(params, len(g_pattern), accel, lambda _x, v: _norm2_lines(g_pattern, v))
-
-
-def _emit_diagonal_em(dim, f_pattern):
-    """EM-only coordinate-time acceleration on a diagonal metric, by the
-    closed form of the reduced inverse; f_pattern None means no force."""
-    spatial = range(1, dim)
-    params = ["m", "q"] + [f"d{a}" for a in range(dim)] + _entry_names("F", f_pattern or (), 1)
-
-    def accel(_t, _x, u, out):
-        v = [None, *u]  # v^0 = 1
-        lines = ["s2 = " + _sum(["d0"] + [f"d{a} * {v[a]} * {v[a]}" for a in spatial]),
-                 "if s2 <= 0.0:",
-                 "    _outside_cone(s2)"]
-        if f_pattern is None:
-            return lines + [f"{o} = 0.0" for o in out]
-        rhs = []
-        lines.append("s = sqrt(s2)")
-        for a, cols in zip(spatial, f_pattern):
-            if cols:
-                force = _sum([_times(f"F{a}_{j}", v[j]) for j in cols])
-                lines.append(f"r{a} = q * ({force})")
-            rhs.append(f"r{a}" if cols else "0.0")
-        lines += [f"ur = {_inner(u, rhs)}", "c = s / m"]
-        return lines + [f"{o} = c * ({ra} / d{a} + {v[a]} * ur / d0)" if ra != "0.0"
-                        else f"{o} = c * ({v[a]} * ur / d0)"
-                        for o, a, ra in zip(out, spatial, rhs)]
-
-    return _Body(params, dim - 1, accel, None)
+    norm2 = (lambda _x, v: _norm2_lines(g_pattern, v)) if proper else None
+    return _Body(params, len(g_pattern) - (0 if proper else 1), accel, norm2)
 
 
 def _emit_elimination(proper, g_pattern, f_pattern, tensors):

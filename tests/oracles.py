@@ -407,13 +407,15 @@ def constant_field_deriv_lists(spec, proper):
     """deriv(t, z) of a spec with constant fields, in plain-float list loops.
 
     The coordinate-time state is (x^i, u^i), the proper-time one (x^a, v^a).
-    Three closures: diagonal-g EM in coordinate time (closed-form reduced
-    inverse), EM in proper time (a = (s/m) g^{-1} f v), and otherwise the
-    mass and tensor Hessians eliminated on the reduced or bordered system.
+    Two closures: EM only in either gauge (a = (s/m) W v with W = g^{-1} f in
+    proper time, and a^i = (s/m) ((W v)^i - u^i (W v)^0) in coordinate time,
+    v = (1, u)), and otherwise the mass and tensor Hessians eliminated on the
+    reduced or bordered system.
     """
     from repmech.lagrangian import _checked_radicand
 
     dim = spec.dim
+    nsp = dim - 1
     origin = np.zeros(dim)
     g = spec.metric(origin)
     m = float(spec.mass)
@@ -421,49 +423,19 @@ def constant_field_deriv_lists(spec, proper):
     jac = spec.potential.jacobian(origin)
 
     g_rows = _sparse_rows(g)
-    if not spec.extra_terms and proper:
+    if not spec.extra_terms:
         w = _sparse_rows(np.linalg.solve(g, q * (jac.T - jac)))
 
-        def deriv(_tau, z):
-            v = z[dim:]
+        def deriv(_t, z):
+            v = z[dim:] if proper else [1.0] + z[nsp:]
             gvv = _dot(v, _matvec(g_rows, v))
             if gvv <= 0.0:
                 _outside_cone(gvv)
             c = math.sqrt(gvv) / m
-            return v + [c * x for x in _matvec(w, v)]
-
-        return deriv
-
-    nsp = dim - 1
-    if not spec.extra_terms and np.max(np.abs(g - np.diag(np.diag(g)))) == 0.0:
-        g00 = float(g[0, 0])
-        d = [float(g[i, i]) for i in range(1, dim)]
-        F = [[float(jac[al, i + 1] - jac[i + 1, al]) for al in range(dim)] for i in range(nsp)]
-        have_force = q != 0.0 and any(any(row) for row in F)
-        no_force = [0.0] * nsp
-
-        def deriv(t, z):
-            u = z[nsp:]
-            s2 = g00
-            for i in range(nsp):
-                s2 += d[i] * u[i] * u[i]
-            if s2 <= 0.0:
-                _outside_cone(s2)
-            s = math.sqrt(s2)
-            rhs = no_force
-            if have_force:
-                rhs = []
-                for row in F:
-                    acc = row[0]
-                    for j in range(nsp):
-                        acc += row[j + 1] * u[j]
-                    rhs.append(q * acc)
-            udotr = 0.0
-            for i in range(nsp):
-                udotr += u[i] * rhs[i]
-            c = s / m
-            u += [c * (rhs[i] / d[i] + u[i] * udotr / g00) for i in range(nsp)]
-            return u
+            wv = _matvec(w, v)
+            if proper:
+                return v + [c * x for x in wv]
+            return z[nsp:] + [c * (x - u * wv[0]) for x, u in zip(wv[1:], z[nsp:])]
 
         return deriv
 

@@ -446,6 +446,35 @@ def test_a_negative_seed_flag_exits_2(tmp_path, capsys):
     assert not (tmp_path / "clifford_summary.json").exists()
 
 
+@pytest.mark.parametrize("subcommand, key, value", [
+    ("signature", "tolerance", "-2.0"),
+    ("extremize", "max_iters", "-5"),
+    ("extremize", "grad_tol", "-1.0"),
+])
+def test_a_negative_solver_bound_exits_2_naming_its_key(tmp_path, capsys, subcommand, key,
+                                                        value):
+    text = (CONFIGS / f"{subcommand}.yaml").read_text()
+    line = next(i for i, row in enumerate(text.splitlines(), 1) if row.startswith(f"{key}:"))
+    config = tmp_path / "config.yaml"
+    config.write_text(text.replace(f"\n{key}:", f"\n{key}: {value}  #"))
+    assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: '{key}' (line {line}) must be >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a_file", "under_a_file"])
+def test_an_out_path_that_cannot_be_a_directory_exits_2_naming_it(tmp_path, capsys, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    config = str(CONFIGS / "signature.yaml")
+    assert main(["signature", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: '--out' '{out}' is not a directory: ")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("seed", [0, 3, 99])
 def test_determinant_samples_are_one_normal_then_one_uniform_draw(seed):
     pis, masses = _draw_det_samples(np.random.default_rng(seed), 500)

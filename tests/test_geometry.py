@@ -78,6 +78,13 @@ class TestSignature:
                 assert (sig.n_plus, sig.n_minus, sig.n_zero) == \
                     (base.n_plus, base.n_minus, base.n_zero)
 
+    @pytest.mark.parametrize("tol", [-2.0, -1e-300, math.nan, math.inf])
+    def test_a_negative_or_non_finite_tolerance_is_refused(self, tol):
+        # a negative tol would count each eigenvalue in (tol, -tol) twice
+        with pytest.raises(DimensionMismatch, match="tolerance must be finite and >= 0"):
+            signature(np.diag([1.0, 1.0, -1.0, -1.0]), tol=tol)
+        assert signature(MINK, tol=0.0).n_zero == 0
+
 
 class TestCausality:
     def test_no_time_infeasible(self):

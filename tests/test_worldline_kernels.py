@@ -1,11 +1,11 @@
 """The emitted RK4 marches of worldline and their unrolled elimination.
 
 oracles.constant_field_orbit_lists marches the list-form RK4 step with the
-three hand-written constant-field derivatives (diagonal-g EM in coordinate
-time, EM in proper time, and the eliminated Hessian) that the emitted
-marches reproduce, and oracles._eliminate is the list loop that the unrolled
-solve reproduces. Trajectories and solutions are compared on their bytes, so
-a zero of either sign counts; error messages with ==.
+two hand-written constant-field derivatives (EM only, in either gauge, and
+the eliminated Hessian) that the emitted marches reproduce, and
+oracles._eliminate is the list loop that the unrolled solve reproduces.
+Trajectories and solutions are compared on their bytes, so a zero of either
+sign counts; error messages with ==.
 """
 
 import io
@@ -99,6 +99,19 @@ def test_trajectories_equal_the_list_reference_bit_for_bit(dim, metric, gauge):
             x, v = constant_field_orbit_lists(spec, proper, wl.x[0], wl.v[0], n, h)
             assert wl.x.tobytes() == x.tobytes()
             assert wl.v.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.value)
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_only_a_tensor_term_takes_the_elimination_body(dim, gauge):
+    proper = gauge is GaugeChoice.PROPER_TIME
+    for metric in _metrics(dim).values():
+        for potential, charge in _potentials(dim):
+            for terms in _terms(dim):
+                spec = LagrangianSpec(metric=metric, mass=1.3, charge=charge,
+                                      potential=potential, extra_terms=terms)
+                emit = worldline._constant_field_pattern(spec, proper)[0]
+                assert emit is (worldline._emit_elimination if terms else worldline._emit_em)
 
 
 def _one_step(spec, gauge, x, v, h):
@@ -294,8 +307,10 @@ def test_one_kernel_per_pattern_and_no_value_in_any_source(monkeypatch):
     specs = _orbit_specs(np.random.default_rng(19), 100)
     for spec, gauge, x0, v0 in specs:
         integrate(spec, gauge, x0, v0, 0.1, 0.05)
-    # one march per pattern: coordinate EM, coordinate tensor, proper EM
+    # one march per pattern: EM in each gauge from one body, and the coordinate tensor
     assert len(compiled) == len(set(compiled)) == len(worldline._KERNELS) == 3
+    assert sorted(key[0] for key in worldline._KERNELS) == ["_emit_elimination", "_emit_em",
+                                                            "_emit_em"]
     for key in worldline._KERNELS:
         source = "".join(linecache.getlines(f"<repmech.worldline{key}>"))
         body = getattr(worldline, key[0])(*key[1:])
