@@ -264,7 +264,7 @@ def _build_metric(sec: Section):
     kind = sec.string("kind", choices={"minkowski", "euclidean", "constant_diagonal", "constant"})
     if kind in ("minkowski", "euclidean"):
         sec.require_keys({"kind", "dim"}, required=("dim",))
-        dim = sec.integer("dim")
+        dim = sec.integer("dim", minimum=1)
         return minkowski_metric(dim) if kind == "minkowski" else euclidean_metric(dim)
     if kind == "constant_diagonal":
         sec.require_keys({"kind", "diagonal"}, required=("diagonal",))
@@ -632,7 +632,7 @@ def _run_extremize(cfg, out_dir):
     pts = result.path.points()
     csv_path = out_dir / "path.csv"
     _write_csv(csv_path, ["k"] + [f"x{i}" for i in range(p["spec"].dim)],
-               [np.concatenate(([k], pt)) for k, pt in enumerate(pts)])
+               np.column_stack([np.arange(len(pts)), pts]))
     return {
         "action": result.action,
         "grad_norm": result.grad_norm_inf,

@@ -134,7 +134,11 @@ def perturb_gammas(gam: GammaSet, magnitude: float, rng: np.random.Generator) ->
     h *= magnitude / np.linalg.norm(h, ord=2)
     mats = list(gam.matrices)
     mats[PERTURBED_INDEX] = mats[PERTURBED_INDEX] + h
-    return _make_gamma_set(mats, gam.form, f"{gam.label}-perturbed", strict=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        perturbed = _make_gamma_set(mats, gam.form, f"{gam.label}-perturbed", strict=False)
+    if not np.isfinite(perturbed.residual):
+        raise FormMismatch(f"perturbation {magnitude} overflows the anticommutator residual")
+    return perturbed
 
 
 # ---------------------------------------------------------------------------

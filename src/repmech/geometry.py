@@ -168,15 +168,21 @@ def constant_diagonal_metric(diagonal) -> MetricField:
     return constant_metric(np.diag(np.asarray(diagonal, dtype=float)))
 
 
+def _ones(dim):
+    if dim < 1:
+        raise DimensionMismatch(f"metric dimension must be >= 1, got {dim}")
+    return np.ones(dim)
+
+
 def minkowski_metric(dim: int = 4) -> MetricField:
     """diag(1, -1, ..., -1)."""
-    d = -np.ones(dim)
+    d = -_ones(dim)
     d[0] = 1.0
     return constant_diagonal_metric(d)
 
 
 def euclidean_metric(dim: int) -> MetricField:
-    return constant_diagonal_metric(np.ones(dim))
+    return constant_diagonal_metric(_ones(dim))
 
 
 def weak_field_metric(dim: int, phi: Callable[[np.ndarray], np.ndarray],

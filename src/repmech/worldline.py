@@ -24,13 +24,14 @@ from g, the field strength and the tensor entries read once per run.
 
 The march is emitted as Python source and compiled once per pattern
 (_kernel, _emit_march): its loop holds the four RK4 stages as straight-line
-code, each with its acceleration inline, and in proper time the gauge
-checks and the projection. The varying-field pattern is the gauge and the
-dimension; a constant-field pattern adds the nonzero entries of g and of
-the field strength, and of the tensor terms if there are any. Without them
-one body serves both gauges, W = g^{-1} f applied to v and, in coordinate
-time, projected onto x^0; with them the systems are solved by Gaussian
-elimination unrolled over named entries (_solve_lines). Every float enters
+code, and in proper time the gauge checks and the projection. The
+varying-field pattern is the gauge and the dimension; a constant-field
+pattern adds the nonzero entries of g and of the field strength, and of the
+tensor terms if there are any. Without them one body serves both gauges,
+W = g^{-1} f applied to v and, in coordinate time, projected onto x^0,
+inline in each stage; with them the systems are solved by Gaussian
+elimination unrolled over named entries (_solve_lines), written once per
+kernel in a local accel(v) that the four stages call. Every float enters
 as an argument of the compiled factory, never as text. The kernels do the
 same float operations in the same order as the list loops they replace,
 less the terms that are exactly zero and the factors that are exactly 1
@@ -45,11 +46,13 @@ step costs, on dim-4 specs in a uniform magnetic field:
 * EM only, coordinate time: 1.9-3.1 us on Minkowski, 2.5-3.7 us with
   g_01 = 0.1;
 * EM only, proper time: 2.7-4.3 us;
-* a constant rank-3 term, coordinate time: 6.4-10.1 us.
+* a constant rank-3 term, coordinate time: 8.0-12.7 us over 10 runs,
+  against 7.0-10.9 us with the elimination pasted into every stage.
 
-Emitting and compiling a march costs 1.3-7.5 ms once per pattern (the
-rank-3 pattern the most), against 0.3-1.0 ms for a derivative and about
-0.5 ms for a step before.
+An elimination march is 105-394 emitted lines and takes 1.5-9.7 ms to
+emit and compile cold, once per pattern (dim 4-5, both gauges, best of 7
+builds, ranges over 10 runs); pasted into every stage it was 306-1381
+lines and 3.7-28.3 ms.
 
 The per-sample drift log records the mass-shell residual
 pi.g^{-1}.pi - m^2, which is an algebraic identity of the momentum map and
@@ -342,12 +345,14 @@ class _Body(NamedTuple):
     constants, in the order of the factory's list. accel(t, x, v, out) gives
     the lines that set the names out to the accelerations at the time
     expression t and the state names x, v. norm2(x, v), in proper time only,
-    gives the lines that set gvv = g(v, v).
+    gives the lines that set gvv = g(v, v). shared holds lines written once,
+    after the constants are unpacked, for the stages to call.
     """
     params: list
     nv: int
     accel: Callable
     norm2: Callable | None
+    shared: list = []
 
 
 # names of the march itself, which no body or constant may take: every name
@@ -360,7 +365,7 @@ def _checked_names(body, x, v, out):
     """The names in a body's lines, after refusing a constant or a name of the
     body's own that the march uses for its own: a body sees the march's names
     only as the state, time and outputs it is given."""
-    lines = body.accel("t", x, v, out) + (body.norm2(x, v) if body.norm2 else [])
+    lines = body.shared + body.accel("t", x, v, out) + (body.norm2(x, v) if body.norm2 else [])
     names = set(_IDENTIFIER.findall("\n".join(lines)))
     own = names - {*x, *v, *out, "t"}
     clash = sorted(n for n in own | set(body.params) if _MARCH_NAMES.match(n))
@@ -410,6 +415,7 @@ def _emit_march(body):
     return ["def factory(consts):",
             "    def march(t0, z, n_steps, h):",
             f"        {_unpack(body.params + ['tol'] if proper else body.params)}= consts",
+            *_indent(body.shared, 2),
             f"        {_unpack(z)}= z",
             "        hh = 0.5 * h",
             "        h6 = h / 6.0",
@@ -527,10 +533,17 @@ def _emit_em(proper, g_pattern, w_pattern):
     return _Body(params, len(g_pattern) - (0 if proper else 1), accel, norm2)
 
 
+def _function(name, args, lines, results):
+    """Lines defining name(*args), which runs lines and returns the tuple of results."""
+    return [f"def {name}({', '.join(args)}):", *_indent(lines, 1),
+            f"    return {', '.join(results)},"]
+
+
 def _emit_elimination(proper, g_pattern, f_pattern, tensors):
     """The general acceleration: the mass and tensor Hessians and the force,
     solved by _solve_lines on the reduced block (coordinate time) or on the
-    system bordered by the gauge row (proper time)."""
+    system bordered by the gauge row (proper time). It is written once, as
+    the function accel(v) that the four stages call."""
     dim = len(g_pattern)
     lo = 0 if proper else 1  # H's rows and columns lo..dim-1 are solved
     rows = range(lo, dim)
@@ -543,7 +556,7 @@ def _emit_elimination(proper, g_pattern, f_pattern, tensors):
         """The solved system's entry for H_ij."""
         return f"a{i - lo}_{j - lo}"
 
-    def accel(_t, _x, state_v, out):
+    def accel_lines(state_v, out):
         v = [*state_v] if proper else [None, *state_v]  # v^0 = 1
         lines, gv = _matvec_lines("gv", "g", g_pattern, v)
         lines += [f"gvv = {_inner(v, gv)}",
@@ -595,8 +608,12 @@ def _emit_elimination(proper, g_pattern, f_pattern, tensors):
         lines += [f"a{dim}_{dim} = 0.0", f"b{dim} = 0.0"]
         return lines + _solve_lines(dim + 1, out + ["mu"])
 
+    def accel(_t, _x, v, out):
+        return [f"{_unpack(out)}= accel({', '.join(v)})"]
+
+    v, acc = [f"v{i}" for i in rows], [f"acc{i}" for i in rows]
     norm2 = (lambda _x, v: _norm2_lines(g_pattern, v)) if proper else None
-    return _Body(params, dim - lo, accel, norm2)
+    return _Body(params, dim - lo, accel, norm2, _function("accel", v, accel_lines(v, acc), acc))
 
 
 def _emit_generic(proper, dim):
@@ -631,6 +648,8 @@ def integrate(spec: LagrangianSpec, gauge: GaugeChoice, x0, v0,
     condition must satisfy the gauge condition to 1e-8 and is snapped
     exactly onto it.
     """
+    if spec.dim < 2:
+        raise DimensionMismatch(f"a world line needs dimension >= 2, got {spec.dim}")
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     if x0.shape != (spec.dim,) or v0.shape != (spec.dim,):

@@ -11,6 +11,8 @@ import yaml
 
 from oracles import CyclotronOracle
 
+import repmech.cli as cli
+from repmech import extremize
 from repmech.cli import (
     Section,
     _ConfigLoader,
@@ -473,6 +475,67 @@ def test_an_out_path_that_cannot_be_a_directory_exits_2_naming_it(tmp_path, caps
     assert err.startswith(f"config error: '--out' '{out}' is not a directory: ")
     assert err.count("\n") == 1
     assert blocker.read_text() == ""
+
+
+def _one_dim_simulate(gauge):
+    return ("seed: 0\nspec:\n  mass: 1.0\n  charge: 0.0\n  metric: {kind: minkowski, dim: 1}\n"
+            "  potential: {kind: zero}\n"
+            f"gauge: {gauge}\ninitial:\n  position: [0.0]\n  velocity: [1.0]\n"
+            "tau_end: 0.1\nstep: 0.01\n")
+
+
+# (subcommand, config text, exit code, stderr); each ended in a traceback before
+MALFORMED = {
+    **{f"signature_{kind}_dim_{dim}": (
+        "signature", f"seed: 0\nmetric: {{kind: {kind}, dim: {dim}}}\n", 2,
+        "config error: 'metric.dim' (line 2) must be >= 1")
+       for kind, dim in [("minkowski", 0), ("euclidean", 0), ("minkowski", -2)]},
+    **{f"{sub}_dim_0": (sub, (CONFIGS / f"{sub}.yaml").read_text().replace("dim: 4", "dim: 0"),
+                        2, "config error: 'spec.metric.dim' (line 8) must be >= 1")
+       for sub in ("simulate", "extremize")},
+    **{f"simulate_1d_{gauge}": ("simulate", _one_dim_simulate(gauge), 1,
+                                "DimensionMismatch: a world line needs dimension >= 2, got 1")
+       for gauge in ("coordinate_time", "proper_time")},
+    **{f"clifford_{algebra}_huge_perturbation": (
+        "clifford", f"seed: 0\nalgebra: {algebra}\nperturbation: 1.0e300\n", 1,
+        "FormMismatch: perturbation 1e+300 overflows the anticommutator residual")
+       for algebra in ("lorentz", "so3", "abelian")},
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_a_malformed_config_exits_with_one_line_and_no_traceback(tmp_path, capsys, recwarn, case):
+    subcommand, text, code, message = MALFORMED[case]
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err == message + "\n"
+    assert "Traceback" not in err
+    assert not recwarn.list
+
+
+RANK3_CHORD = (CONFIGS / "extremize.yaml").read_text().replace(
+    "    dim: 4\n", "    dim: 4\n  extra_terms:\n"
+    "    - {coupling: 0.2, rank: 3, entries: {'0,0,0': 1.0, '0,1,1': 0.1, '1,1,3': 0.05}}\n")
+
+
+@pytest.mark.parametrize("text", [(CONFIGS / "extremize.yaml").read_text(), RANK3_CHORD],
+                         ids=["shipped", "rank3_chord"])
+def test_the_path_csv_holds_k_then_each_point_per_row(tmp_path, monkeypatch, text):
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(extremize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "extremize", recording)
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    assert main(["extremize", "--config", str(config), "--out", str(tmp_path)]) == 0
+    rows = [",".join("%.17g" % x for x in [float(k), *pt]) + "\n"
+            for k, pt in enumerate(results[0].path.points().tolist())]
+    assert (tmp_path / "path.csv").read_text() == "k,x0,x1,x2,x3\n" + "".join(rows)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 99])

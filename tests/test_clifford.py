@@ -74,6 +74,14 @@ class TestDiracGenerators:
         assert leakage[0] <= 1e-15
         assert all(b > a for a, b in zip(leakage, leakage[1:]))
 
+    @pytest.mark.parametrize("build", [build_dirac_gammas, build_pauli_gammas])
+    def test_a_perturbation_that_overflows_the_residual_is_refused(self, build, recwarn):
+        gam = build()
+        with pytest.raises(FormMismatch, match=r"^perturbation 1e\+300 overflows the anticomm"):
+            perturb_gammas(gam, 1e300, np.random.default_rng(3))
+        assert not recwarn.list
+        assert np.isfinite(perturb_gammas(gam, 1e50, np.random.default_rng(3)).residual)
+
     def test_representation_that_does_not_close_is_rejected(self):
         e01 = np.zeros((4, 4))
         e01[0, 1] = 1.0

@@ -45,6 +45,13 @@ class TestQuadraticForm:
             quadratic_form(MINK, [1, 0, 0])
 
 
+@pytest.mark.parametrize("build", [minkowski_metric, euclidean_metric])
+@pytest.mark.parametrize("dim", [0, -2])
+def test_a_metric_dimension_below_1_is_refused(build, dim):
+    with pytest.raises(DimensionMismatch, match=rf"^metric dimension must be >= 1, got {dim}$"):
+        build(dim)
+
+
 class TestSignature:
     def test_minkowski(self):
         sig = signature(MINK)

@@ -124,6 +124,13 @@ class TestCoordinateTimeIntegration:
         with pytest.raises(DimensionMismatch, match=r"^initial data must be finite, got x0 = "):
             integrate(cyclotron_spec(), gauge, x0, v0, 1.0, 0.1)
 
+    @pytest.mark.parametrize("gauge", list(GaugeChoice))
+    def test_a_one_dimensional_spec_fails_before_any_kernel_is_built(self, gauge, no_kernel):
+        spec = LagrangianSpec(metric=minkowski_metric(1), mass=1.0)
+        with pytest.raises(DimensionMismatch,
+                           match=r"^a world line needs dimension >= 2, got 1$"):
+            integrate(spec, gauge, [0.0], [1.0], 1.0, 0.1)
+
     @pytest.mark.parametrize("t0, tau_end, step", [(1.0e16, 2.0, 0.5),
                                                    (1.7e308, 1.0e308, 0.5e308)],
                              ids=["below-the-spacing", "overflow"])

@@ -181,15 +181,25 @@ def test_kernel_errors_keep_class_message_and_source_line(monkeypatch, terms, v,
     assert kernel and call in kernel[-1].line
 
 
+@pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.value)
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_an_elimination_kernel_holds_one_elimination(dim, gauge):
+    proper = gauge is GaugeChoice.PROPER_TIME
+    spec = LagrangianSpec(metric=_metrics(dim)["full"], mass=1.3, charge=0.7,
+                          potential=_potentials(dim)[1][0], extra_terms=_terms(dim)[-1])
+    emit, pattern, _ = worldline._constant_field_pattern(spec, proper)
+    source = "\n".join(worldline._emit_march(emit(*pattern)))
+    # one _singular call per column of the solved system, not one per stage and column
+    assert source.count("_singular(") == (dim + 1 if proper else dim - 1)
+
+
 def emitted_solve(n):
-    """solve(A, b) running the unrolled elimination that the kernels inline."""
+    """solve(A, b) running the unrolled elimination that the kernels call."""
     x = [f"x{i}" for i in range(n)]
     names = [f"a{i}_{j}" for i in range(n) for j in range(n)] + [f"b{i}" for i in range(n)]
-    source = "\n".join([f"def solve({', '.join(names)}):",
-                        *("    " + line for line in worldline._solve_lines(n, x)),
-                        f"    return [{', '.join(x)}]"])
     namespace = {"_singular": worldline._singular}
-    exec(source, namespace)
+    exec("\n".join(worldline._function("solve", names, worldline._solve_lines(n, x), x)),
+         namespace)
     return lambda A, b: namespace["solve"](*(a for row in A for a in row), *b)
 
 
@@ -252,8 +262,8 @@ def test_the_march_refuses_a_body_or_constant_that_takes_its_names():
     def accel(_t, x, _v, out):
         return [f"{o} = -w * {xi}" for o, xi in zip(out, x)]
 
-    def body(params, extra=(), norm2=None):
-        return worldline._Body(params, 2, lambda *a: [*extra, *accel(*a)], norm2)
+    def body(params, extra=(), norm2=None, shared=()):
+        return worldline._Body(params, 2, lambda *a: [*extra, *accel(*a)], norm2, [*shared])
 
     assert worldline._emit_march(body(["w"]))
     # a constant named like a stage output would be overwritten by the stage
@@ -265,6 +275,10 @@ def test_the_march_refuses_a_body_or_constant_that_takes_its_names():
         worldline._emit_march(body(["w"], norm2=lambda _x, v: ["nrm = 1.0", "gvv = nrm"]))
     with pytest.raises(AssertionError, match=r"\['tol'\]"):
         worldline._emit_march(body(["w", "tol"]))
+    # shared lines run inside the march, so a name of theirs would read the march's own
+    assert worldline._emit_march(body(["w"], shared=["def f(u):", "    return w * u"]))
+    with pytest.raises(AssertionError, match=r"\['hh'\]"):
+        worldline._emit_march(body(["w"], shared=["def f(u):", "    return hh * u"]))
 
 
 def _numbers(source):
