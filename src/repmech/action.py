@@ -35,6 +35,10 @@ from .lagrangian import LagrangianSpec, el_system, eval_L, momentum, position_gr
 
 # halvings of a Newton step before extremize gives up on it
 MAX_HALVINGS = 30
+# largest dense action Hessian, (K N)^2 entries: 128 MiB of floats, and
+# extremize's reduced block and its solve copy each add up to as much again;
+# K = 10^5 interior points in dim 4 would ask for 1.28 TB
+MAX_HESSIAN_ENTRIES = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -154,9 +158,13 @@ def action_hessian(spec: LagrangianSpec, path: DiscretePath) -> np.ndarray:
     A is one central difference of position_gradient per position axis,
     with the absolute step FD_STEP (a step that does not scale with |x| keeps
     extremize translation-equivariant). A and B vanish when every field is
-    constant.
+    constant. A path whose Hessian would have more than MAX_HESSIAN_ENTRIES
+    entries is a DimensionMismatch, raised before anything is evaluated.
     """
     k, n = path.interior.shape
+    if (k * n) ** 2 > MAX_HESSIAN_ENTRIES:
+        raise DimensionMismatch(f"K = {k} interior points in dim {n} need a dense action Hessian "
+                                f"of {(k * n) ** 2} entries, more than {MAX_HESSIAN_ENTRIES}")
     mids = path.midpoints()
     segs = path.segments()
     lvv, lxv, *_ = el_system(spec, mids, segs)
@@ -200,8 +208,9 @@ def extremize(spec: LagrangianSpec, path0: DiscretePath,
     raises a RepMechError (say, a spacelike segment) or does not lower
     |spatial grad|^2; the step logic reads only gradients and Hessians, so a
     rigid translation of the problem translates the solve. x^0 must
-    increase strictly along path0 (GaugeViolation otherwise), and a singular
-    reduced Hessian raises SingularReducedHessian.
+    increase strictly along path0 (GaugeViolation otherwise), a singular
+    reduced Hessian raises SingularReducedHessian, and a path too long for a
+    dense Hessian (see action_hessian) raises DimensionMismatch.
 
     Returns the last iterate with diagnostics. converged is False when the
     gradient tolerance was not reached within max_iters steps, or when no

@@ -13,9 +13,9 @@ MAX_DENSE_ENTRIES = 2^24 dense entries raises DimensionMismatch instead.
 
 One partial-contraction kernel contracts S with v until k free axes remain,
 for v of shape (..., N): S(v, ..., v, .^k), the full contraction at k = 0.
-The velocity gradient and Hessian of the full contraction are n and
-n(n - 1) times its k = 1 and k = 2 values; the Lagrangian's kernels, which
-would divide those factors out again, call the bare kernel.
+The Lagrangian's kernels call it bare; contraction_gradient and
+contraction_hessian scale its k = 1 and k = 2 values by n and n(n - 1).
+Derivatives in x are the Lagrangian's (see lagrangian.el_system).
 
 The point particle evaluates these fields on its velocity (N = dim of the
 target); the brane evaluates the same types on its Jacobian minors, with N
@@ -290,19 +290,6 @@ class SymmetricTensorField:
         t = self.partial_contraction(x, v, 2)
         t *= self.rank * (self.rank - 1)
         return t
-
-    def position_gradient_of_contraction(self, x, v) -> np.ndarray:
-        """d/dx of S(x; v, ..., v), shape (..., len(x)).
-
-        Zero for constant tensors, otherwise central differences with the
-        relative step FD_STEP * max(1, |x_c|) of each point.
-        """
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if self.is_constant:
-            return np.zeros(v.shape[:-1] + x.shape[-1:])
-        return central_difference(lambda xx: self.contraction(xx, v), x,
-                                  FD_STEP * np.maximum(1.0, np.abs(x)))
 
 
 def symmetric_tensor(rank: int, dim: int, entries: Mapping[Index, float]) -> SymmetricTensorField:

@@ -7,8 +7,9 @@ Every term is positively homogeneous of degree one in v, which forces the
 Euler identity p.v - L = 0 and makes pi.pi = m^2 an algebraic identity for
 the generalized momentum pi = m g v / sqrt(g(v,v)).
 
-Derivatives come in two modes: closed-form term-wise formulas (primary) and
-central finite differences of eval_L (independent oracle).
+Derivatives are closed-form term-wise formulas in the fields' gradients,
+except a varying tensor's x-derivative: central differences of
+S(x; v, ..., v, .). momentum_fd (FD of eval_L in v) is the oracle.
 
 eval_L, momentum, velocity_hessian and position_gradient take x of shape
 (..., P) and v of shape (..., N) and return shapes (...), (..., N),
@@ -21,10 +22,11 @@ el_system(spec, x, v) -> (H, B, gv, row) is the one second-derivative
 kernel, on the same batches: H = L_vv, B = L_xv (row c is dp/dx^c) and the
 proper-time gauge row (gv, row), from one evaluation of each field.
 velocity_hessian is its H, and action_hessian reads H and B from one call.
-By Euler's theorem L = p.v, so dL/dx^c = B[c, a] v^a, and the
-Euler-Lagrange rows H a = F that the world-line integrators solve need no
-position_gradient: F = dL/dx - B^T.v = (B - B^T).v, which for the charge
-term is the Lorentz force q F_ca v^a.
+By Euler's theorem L = p.v, so dL/dx^c = B[c, a] v^a: position_gradient is
+that product, with B from el_system's own helper, which does not form H.
+The Euler-Lagrange rows H a = F that the world-line integrators solve are
+F = dL/dx - B^T.v = (B - B^T).v, which for the charge term is the Lorentz
+force q F_ca v^a.
 
 The couplings m, q and Q_n are floats, or arrays of the batch shape that
 give each point its own value; a stack of specs is one spec whose couplings
@@ -293,10 +295,11 @@ def generalized_momentum(spec: LagrangianSpec, x, v, mode: str = "analytic") -> 
     return _per_point(spec.mass) * gv / np.sqrt(gvv)[..., None]
 
 
-def hamiltonian_residual(spec: LagrangianSpec, x, v, mode: str = "analytic") -> float:
-    """p.v - L; identically zero by Euler's theorem for degree-1 homogeneity."""
+def hamiltonian_residual(spec: LagrangianSpec, x, v, mode: str = "analytic"):
+    """p.v - L, shape (...) (a float for a single point); zero by Euler's theorem."""
     p = momentum(spec, x, v) if mode == "analytic" else momentum_fd(spec, x, v)
-    return float(p @ np.asarray(v, dtype=float)) - eval_L(spec, x, v)
+    res = np.vecdot(p, np.asarray(v, dtype=float)) - eval_L(spec, x, v)
+    return float(res) if res.ndim == 0 else res
 
 
 def mass_shell_residual(spec: LagrangianSpec, x, v, mode: str = "analytic"):
@@ -341,38 +344,53 @@ def _tensor_hessian(q_n, n, c, s_a, s_ab):
     )
 
 
-def _charge_gradient(charge, jac, v):
-    """d/dx^c of q A_a v^a: q v^a d_c A_a."""
-    return _per_point(charge) * np.vecmat(v, jac)
+def _tensor_contractions(tensor, x, v):
+    """S(v, ..., v, .^2), its k = 1 value s_a = S(v, ..., v, .) and the checked radicand s_a v^a."""
+    s_ab = tensor.partial_contraction(x, v, 2)
+    s_a = np.matvec(s_ab, v)
+    return s_ab, s_a, _checked_radicand(tensor.rank, np.vecdot(s_a, v))
 
 
-def _mass_gradient(mass, dg, v, gvv):
-    """d/dx^c of m sqrt(g(v,v)): m d_c g_ab v^a v^b / (2 sqrt(g(v,v)))."""
-    return (_per_point(mass) * np.einsum("...cab,...a,...b->...c", dg, v, v)
-            / (2.0 * np.sqrt(gvv))[..., None])
-
-
-def _tensor_gradient(q_n, tensor, x, v, c):
-    """d/dx of Q_n c^(1/n) for c = S(x; v, ..., v), through the FD contraction gradient."""
-    n = tensor.rank
-    dc = tensor.position_gradient_of_contraction(x, v)
-    return _per_point(q_n) * dc * (np.abs(c) ** (1.0 / n - 1.0))[..., None] / n
-
-
-def _tensor_mixed(q_n, tensor, x, v):
+def _tensor_mixed(q_n, tensor, x, v, s_a, c):
     """d p_a / d x^c of a tensor term as [..., c, a], shape (..., P, N).
 
-    Central differences of the term's momentum in x, with the absolute step
-    FD_STEP on every position axis.
+    p_a = Q_n s_a |c|^(1/n - 1) for s_a = S(x; v, ..., v, .) and c = s_a v^a.
+    The one finite difference is the central difference ds of s_a in x, with
+    the absolute step FD_STEP on every position axis; dc = ds.v, and the
+    powers of |c| multiply the quotients, so a batch rounds as its points.
     """
     n = tensor.rank
+    ds = np.swapaxes(central_difference(lambda xx: tensor.partial_contraction(xx, v, 1), x,
+                                        np.full(x.shape[-1], FD_STEP)), -1, -2)
+    dc, c = np.matvec(ds, v)[..., :, None], c[..., None, None]
+    return (_per_point(q_n, 2) * np.abs(c) ** (1.0 / n - 1.0)
+            * (ds - (1.0 - 1.0 / n) * dc * s_a[..., None, :] / c))
 
-    def term_p(xx):
-        s_a = tensor.partial_contraction(xx, v, 1)
-        c = _checked_radicand(n, np.vecdot(s_a, v))
-        return _per_point(q_n) * s_a / (np.abs(c) ** (1.0 - 1.0 / n))[..., None]
 
-    return np.swapaxes(central_difference(term_p, x, np.full(x.shape[-1], FD_STEP)), -1, -2)
+def _mixed_block(spec, x, v, mass=None, tensors=None):
+    """el_system's B and row at checked (x, v), without H.
+
+    mass (the mass term's g, gv, gvv) and tensors (each term's
+    _tensor_contractions) are el_system's; without them each varying term
+    computes its own. Constant fields add nothing to B.
+    """
+    B = np.zeros(x.shape + v.shape[-1:])
+    row = np.zeros(v.shape[:-1])[()]
+    if spec._mass_on and not spec.metric.is_constant:
+        _, gv, gvv = _mass_term_data(spec, x, v) if mass is None else mass
+        dg_v = np.matvec(spec.metric.gradient(x), v[..., None, :])  # (d_c g) v
+        v_dg_v = np.vecdot(dg_v, v[..., None, :])
+        s = np.sqrt(gvv)[..., None, None]
+        B += _per_point(spec.mass, 2) * (
+            dg_v / s - v_dg_v[..., :, None] * gv[..., None, :] / (2.0 * s ** 3))
+        row = -0.5 * np.vecdot(v_dg_v, v) if x.shape == v.shape else None
+    for i, (q_n, tensor) in enumerate(spec.extra_terms):
+        if not tensor.is_constant:
+            _, s_a, c = _tensor_contractions(tensor, x, v) if tensors is None else tensors[i]
+            B += _tensor_mixed(q_n, tensor, x, v, s_a, c)
+    if spec._charge_on and not spec.potential.is_constant:
+        B += _per_point(spec.charge, 2) * np.swapaxes(spec.potential.jacobian(x), -1, -2)
+    return B, row
 
 
 @_first_bad_point
@@ -384,7 +402,7 @@ def el_system(spec: LagrangianSpec, x, v):
     the metric, its gradient and the potential Jacobian, and each tensor is
     contracted once, down to S(v, ..., v, .^2), which v then contracts to its
     k = 1 and k = 0 values. B is analytic for the charge and mass terms; a
-    varying tensor term takes central differences of its momentum in x.
+    varying tensor term takes central differences of S(v, ..., v, .) in x.
 
     gv = g.v, shape (..., N) (None without a mass term), and
     row = -1/2 d_c g_ab v^c v^a v^b, shape (...) (zero for a constant
@@ -393,28 +411,15 @@ def el_system(spec: LagrangianSpec, x, v):
     """
     x, v = spec._check_point(x, v)
     H = np.zeros(v.shape + v.shape[-1:])
-    B = np.zeros(x.shape + v.shape[-1:])
-    gv, row = None, np.zeros(v.shape[:-1])[()]
+    mass = None
     if spec._mass_on:
-        g, gv, gvv = _mass_term_data(spec, x, v)
-        H += _mass_hessian(spec.mass, g, gv, gvv)
-        if not spec.metric.is_constant:
-            dg_v = np.matvec(spec.metric.gradient(x), v[..., None, :])  # (d_c g) v
-            v_dg_v = np.vecdot(dg_v, v[..., None, :])
-            s = np.sqrt(gvv)[..., None, None]
-            B += _per_point(spec.mass, 2) * (
-                dg_v / s - v_dg_v[..., :, None] * gv[..., None, :] / (2.0 * s ** 3))
-            row = -0.5 * np.vecdot(v_dg_v, v) if x.shape == v.shape else None
-    for q_n, tensor in spec.extra_terms:
-        s_ab = tensor.partial_contraction(x, v, 2)
-        s_a = np.matvec(s_ab, v)
-        c = _checked_radicand(tensor.rank, np.vecdot(s_a, v))
+        mass = _mass_term_data(spec, x, v)
+        H += _mass_hessian(spec.mass, *mass)
+    tensors = [_tensor_contractions(tensor, x, v) for _, tensor in spec.extra_terms]
+    for (q_n, tensor), (s_ab, s_a, c) in zip(spec.extra_terms, tensors):
         H += _tensor_hessian(q_n, tensor.rank, c, s_a, s_ab)
-        if not tensor.is_constant:
-            B += _tensor_mixed(q_n, tensor, x, v)
-    if spec._charge_on and not spec.potential.is_constant:
-        B += _per_point(spec.charge, 2) * np.swapaxes(spec.potential.jacobian(x), -1, -2)
-    return H, B, gv, row
+    B, row = _mixed_block(spec, x, v, mass, tensors)
+    return H, B, None if mass is None else mass[1], row
 
 
 def velocity_hessian(spec: LagrangianSpec, x, v) -> np.ndarray:
@@ -427,21 +432,12 @@ def velocity_hessian(spec: LagrangianSpec, x, v) -> np.ndarray:
 
 @_first_bad_point
 def position_gradient(spec: LagrangianSpec, x, v) -> np.ndarray:
-    """dL/dx_c at fixed v, shape (..., P).
+    """dL/dx^c at fixed v, shape (..., P): B[c, a] v^a, bit for bit, for el_system's B.
 
-    Exact for constant fields, FD-backed field gradients otherwise.
+    Zero when every field is constant.
     """
     x, v = spec._check_point(x, v)
-    out = np.zeros(x.shape)
-    if spec._charge_on and not spec.potential.is_constant:
-        out += _charge_gradient(spec.charge, spec.potential.jacobian(x), v)
-    if spec._mass_on and not spec.metric.is_constant:
-        _, _, gvv = _mass_term_data(spec, x, v)
-        out += _mass_gradient(spec.mass, spec.metric.gradient(x), v, gvv)
-    for q_n, tensor in spec.extra_terms:
-        if not tensor.is_constant:
-            out += _tensor_gradient(q_n, tensor, x, v, _tensor_radicand(tensor, x, v))
-    return out
+    return np.matvec(_mixed_block(spec, x, v)[0], v)
 
 
 def momentum_position_directional(spec: LagrangianSpec, x, v, direction) -> np.ndarray:

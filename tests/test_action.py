@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repmech.action as action_module
@@ -21,6 +21,7 @@ from repmech import (
     constant_diagonal_metric,
     constant_potential,
     discrete_action,
+    el_system,
     eval_L,
     extremize,
     minkowski_metric,
@@ -319,6 +320,19 @@ class TestGaugeFixedNewton:
         with pytest.raises(SingularReducedHessian, match="singular"):
             extremize(spec, path0)
 
+    def test_a_path_too_long_for_a_dense_hessian_is_a_dimension_mismatch(self):
+        # 10^5 interior points in dim 4 would ask for a 1.28 TB Hessian; only
+        # the (K, N) path and its gradient are built before the error
+        k = 10 ** 5
+        pert = np.zeros((k, 4))
+        pert[:, 1] = 1e-7 * np.random.default_rng(3).normal(size=k)
+        path0 = straight_chord_path(START, END, k, perturbation=pert)
+        assert np.max(np.abs(action_gradient(MASS_SPEC, path0)[:, 1:])) > 1e-8
+        for solve in (action_hessian, extremize):
+            with pytest.raises(DimensionMismatch, match="^K = 100000 interior points in dim 4"):
+                solve(MASS_SPEC, path0)
+        assert (4 * k) ** 2 > action_module.MAX_HESSIAN_ENTRIES
+
 
 def random_spec(rng, n):
     """A timelike-friendly spec in n dimensions, mixing constant and varying fields."""
@@ -360,12 +374,15 @@ def random_spec(rng, n):
 class TestBatchedKernels:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12), st.integers(2, 5), st.integers(0, 2 ** 31 - 1))
+    @example(5, 3, 28)  # a position-dependent rank-3 term
+    @example(7, 3, 28)
     def test_batch_equals_single_point_loop(self, k, n, seed):
         rng = np.random.default_rng(seed)
         spec = random_spec(rng, n)
         x = rng.uniform(-1.0, 1.0, size=(k, n))
         v = np.hstack([np.ones((k, 1)), rng.uniform(-0.3, 0.3, size=(k, n - 1))])
-        for kernel in (eval_L, momentum, velocity_hessian, position_gradient):
+        for kernel in (eval_L, momentum, velocity_hessian, position_gradient,
+                       lambda *point: el_system(*point)[0], lambda *point: el_system(*point)[1]):
             loop = np.array([kernel(spec, xi, vi) for xi, vi in zip(x, v)])
             batch = kernel(spec, x, v)
             assert batch.shape == loop.shape

@@ -193,15 +193,13 @@ def test_brane_without_a_potential_has_no_charge_term():
 
 def test_el_system_on_the_minors():
     # B has one row per target coordinate; Euler's identity dL/dx = B.w holds
-    # there as for a particle, up to the varying tensor's two FD quotients;
-    # the proper-time row needs P = N and is None
+    # there as for a particle, bit for bit; the proper-time row needs P = N and is None
     lag = _spec(True)[0].lagrangian(2)
     X, w = _cells()
     H, B, gv, row = el_system(lag, X, w)
     assert H.shape == (EMB.n_cells, 6, 6) and B.shape == (EMB.n_cells, 4, 6)
     assert gv.shape == (EMB.n_cells, 6) and row is None
-    grad = position_gradient(lag, X, w)
-    assert np.max(np.abs(np.matvec(B, w) - grad)) <= 1e-9 * np.max(np.abs(grad))
+    assert np.array_equal(np.matvec(B, w), position_gradient(lag, X, w))
     for k in (0, 17):
         ref = np.array([fd_gradient(lambda y: momentum(lag, y, w[k])[a], X[k])
                         for a in range(6)]).T

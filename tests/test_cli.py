@@ -410,6 +410,10 @@ EXTREMIZE_ERRORS = {
         "  potential: {kind: uniform_magnetic, strength: 1.0, plane: [1, 2]}\n"
         "start: [0.0, 0.0, 0.0]\nend: [1.0, 0.5, 0.0]\ninterior_points: 1\n"
         "perturbation: 0.3\n"),
+    # 10^5 interior points: a dense action Hessian of 1.6e11 entries
+    "DimensionMismatch": ("spec: {mass: 1.0, metric: {kind: minkowski, dim: 4}}\n"
+                          "start: [0.0, 0.0, 0.0, 0.0]\nend: [1.0, 0.3, 0.0, 0.0]\n"
+                          "interior_points: 100000\nperturbation: 1.0e-7\n"),
 }
 
 
@@ -418,7 +422,8 @@ def test_extremize_solver_errors_exit_1(tmp_path, capsys, error):
     config = tmp_path / "extremize.yaml"
     config.write_text(EXTREMIZE_ERRORS[error])
     assert main(["extremize", "--config", str(config), "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith(f"{error}:")
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error}:") and err.count("\n") == 1
 
 
 def test_seed_flag_overrides_the_config_seed(tmp_path):

@@ -12,7 +12,10 @@ import repmech.fields as fields
 from oracles import dense_contraction, dense_symmetric_tensor, entry_array, fd_gradient, per_point
 from repmech import (
     DimensionMismatch,
+    LagrangianSpec,
+    MetricField,
     constant_potential,
+    el_system,
     potential_from_function,
     symmetric_tensor,
     symmetric_tensor_field,
@@ -61,6 +64,13 @@ def _coefficients(base, x):
     x = np.asarray(x, dtype=float)
     phase = np.arange(1, len(base) + 1) * (x.sum(axis=-1, keepdims=True) + x[..., -1:])
     return np.asarray(base) * (1.0 + 0.5 * np.sin(phase))
+
+
+def _tensor_spec(tensor, position_dim):
+    """L = S(x; v, ..., v)^(1/n) alone, on positions of length position_dim."""
+    metric = MetricField(tensor.dim, "constant", lambda y: np.eye(tensor.dim),
+                         position_dim=position_dim)
+    return LagrangianSpec(metric=metric, extra_terms=((1.0, tensor),))
 
 
 class TestSymmetricTensor:
@@ -167,8 +177,11 @@ class TestSymmetricTensor:
         v = np.array([1.0, 3.0])
         # 2*1 + 3*1*9
         assert field.contraction(x, v) == pytest.approx(29.0)
-        dc = field.position_gradient_of_contraction(x, v)
-        assert dc[0] == pytest.approx(1.0, abs=1e-8)
+        # d/dx^0 of the contraction is v0^3 = 1; el_system's B contracts v to
+        # dL/dx = Q c^(1/n - 1) dc/dx / n for L = Q c^(1/n), here Q = 1 and n = 3
+        B = el_system(_tensor_spec(field, 2), x, v)[1]
+        dc = 3.0 * np.cbrt(29.0) ** 2 * np.matvec(B, v)
+        assert dc == pytest.approx([1.0, 0.0], abs=1e-8)
 
 
 class TestSympyOracle:
@@ -208,8 +221,12 @@ class TestSympyOracle:
         x = np.array([0.3, -0.2, 0.5, 0.1])  # four coordinates, three components
         v = np.random.default_rng(2).uniform(-1.0, 1.0, size=(5, 3))
         for method in (tensor.contraction, tensor.contraction_gradient,
-                       tensor.contraction_hessian, tensor.position_gradient_of_contraction):
+                       tensor.contraction_hessian):
             assert np.array_equal(method(x, v), np.stack([method(x, vk) for vk in v]))
+        # the x-derivative, through el_system's B, at that position for each velocity
+        spec = _tensor_spec(tensor, 4)
+        B = el_system(spec, np.broadcast_to(x, (5, 4)), v)[1]
+        assert np.array_equal(B, np.stack([el_system(spec, x, vk)[1] for vk in v]))
 
 
 class TestPositionDependentBatches:
@@ -225,10 +242,20 @@ class TestPositionDependentBatches:
         x = rng.uniform(-2.0, 2.0, size=(3, 4, dim + 1))
         v = rng.uniform(-1.5, 1.5, size=(3, 4, dim))
         for method in (tensor.contraction, tensor.contraction_gradient,
-                       tensor.contraction_hessian, tensor.position_gradient_of_contraction):
+                       tensor.contraction_hessian):
             batch, ref = method(x, v), per_point(lambda xk, vk: method(xk, vk), x, v)
             assert batch.shape == ref.shape
             assert np.max(np.abs(batch - ref)) <= 1e-15 * np.max(np.abs(ref))
+        # the x-derivative, through el_system's B, where the term's root is
+        # defined: an even rank leaves out the points with S(v, ..., v) < 0
+        c = tensor.contraction(x, v)
+        keep = c > 0.0 if rank % 2 == 0 else c != 0.0
+        x, v = x[keep], v[keep]
+        spec = _tensor_spec(tensor, dim + 1)
+        batch = el_system(spec, x, v)[1]
+        ref = per_point(lambda xk, vk: el_system(spec, xk, vk)[1], x, v)
+        assert batch.shape == ref.shape == (len(v), dim + 1, dim)
+        assert np.max(np.abs(batch - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_an_entry_of_the_wrong_shape_is_a_dimension_mismatch(self):
         # C = 4 entries for rank 3 in dim 2; positions (5, 2) need entries (5, 4)

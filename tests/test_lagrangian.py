@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import entry_array, fd_gradient
+from oracles import entry_array, fd_gradient, per_point
 from repmech import (
     DimensionMismatch,
     GaugeViolation,
@@ -201,6 +201,24 @@ class TestIdentities:
             scale = abs(float(p @ v)) + abs(eval_L(spec, x, v))
             assert abs(res) <= 1e-6 * max(scale, 1e-300)
 
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    @pytest.mark.parametrize("batch", [(2,), (3,), (2, 3)], ids=["b2", "b3", "b2x3"])
+    def test_euler_identity_batch_equals_point_loop(self, batch, mode):
+        # b3 is a square (3, 3) batch, not one point's matrix
+        spec = LagrangianSpec(metric=minkowski_metric(3), mass=1.3, charge=0.4,
+                              potential=uniform_magnetic_potential(3, 1.0),
+                              extra_terms=((0.3, symmetric_tensor(3, 3, {(0, 0, 0): 1.0})),))
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-1, 1, size=batch + (3,))
+        v = np.concatenate((np.ones(batch + (1,)), rng.uniform(-0.4, 0.4, size=batch + (2,))),
+                           axis=-1)
+        res = hamiltonian_residual(spec, x, v, mode=mode)
+        loop = per_point(lambda xi, vi: hamiltonian_residual(spec, xi, vi, mode=mode), x, v)
+        assert res.shape == batch
+        # fd: a batch's last-bit differences in L over the momentum step 1e-5
+        tol = 1e-14 if mode == "analytic" else 1e-10
+        assert np.max(np.abs(res - loop)) <= tol * np.max(np.abs(eval_L(spec, x, v)))
+
     def test_mass_shell_hand_value(self):
         spec = LagrangianSpec(metric=MINK, mass=1.0)
         assert mass_shell_residual(spec, X0, [1, 0.6, 0, 0]) == pytest.approx(0.0, abs=1e-14)
@@ -302,13 +320,16 @@ class TestDerivatives:
             assert np.max(np.abs(h[a] - ref)) < 1e-6
 
     def test_position_gradient_matches_fd(self):
+        # the second spec adds a position-dependent rank-3 term, whose dL/dx
+        # is B.v with B from the one finite difference of a tensor in x
         metric = weak_field_metric(4, lambda x: 0.05 * np.sin(x[..., 0] - 2 * x[..., 2]))
-        spec = LagrangianSpec(metric=metric, mass=1.2, charge=0.8,
-                              potential=uniform_magnetic_potential(4, 1.0))
         x = np.array([0.3, 0.7, -0.2, 0.4])
         v = np.array([1.0, 0.2, -0.1, 0.3])
-        ref = fd_gradient(lambda y: eval_L(spec, y, v), x)
-        assert np.max(np.abs(position_gradient(spec, x, v) - ref)) < 1e-7
+        for terms in ((), EL_TENSORS["varying"][:1]):
+            spec = LagrangianSpec(metric=metric, mass=1.2, charge=0.8,
+                                  potential=uniform_magnetic_potential(4, 1.0), extra_terms=terms)
+            ref = fd_gradient(lambda y: eval_L(spec, y, v), x)
+            assert np.max(np.abs(position_gradient(spec, x, v) - ref)) < 1e-7
 
 
 def _user_potential(x):
@@ -358,14 +379,12 @@ class TestELSystem:
     @pytest.mark.parametrize("potential", EL_POTENTIALS)
     @pytest.mark.parametrize("metric", EL_METRICS)
     def test_b_contracts_v_to_the_position_gradient(self, metric, potential, tensors):
-        # L = p.v, so dL/dx^c = (dp_a/dx^c) v^a; a varying tensor's B and
-        # position_gradient are different FD quotients, the rest share each field value
+        # L = p.v, so dL/dx^c = (dp_a/dx^c) v^a: position_gradient is that
+        # product of the B that el_system returns, bit for bit
         spec = _el_spec(metric, potential, tensors)
         x, v = _el_batch(4)
         _, B, _, _ = el_system(spec, x, v)
-        grad = position_gradient(spec, x, v)
-        tol = 1e-9 if tensors == "varying" else 1e-14
-        assert np.max(np.abs(np.matvec(B, v) - grad)) <= tol * np.max(np.abs(grad))
+        assert np.array_equal(np.matvec(B, v), position_gradient(spec, x, v))
 
     @pytest.mark.parametrize("tensors", EL_TENSORS)
     @pytest.mark.parametrize("potential", EL_POTENTIALS)
@@ -393,9 +412,10 @@ class TestELSystem:
         x, v = _el_batch(7)
         _, B, _, _ = el_system(spec, x, v)
         F = np.matvec(B - np.swapaxes(B, -1, -2), v)
-        ref = position_gradient(spec, x, v) - np.vecmat(v, B)
-        tol = 1e-9 if tensors == "varying" else 1e-14
-        assert np.max(np.abs(F - ref)) <= tol * np.max(np.abs(ref))
+        grad = position_gradient(spec, x, v)
+        assert np.array_equal(grad, np.matvec(B, v))
+        ref = grad - np.vecmat(v, B)
+        assert np.max(np.abs(F - ref)) <= 1e-14 * np.max(np.abs(ref))
         for xi, vi, f in zip(x, v, F):
             h = 1e-6
             dpv = (momentum(spec, xi + h * vi, vi) - momentum(spec, xi - h * vi, vi)) / (2 * h)
@@ -412,12 +432,10 @@ class TestELSystem:
         x, v = _el_batch(5)
         mixed = el_system(spec, x, v)[1]
         assert mixed.shape == (5, 4, 4)
-        # a varying tensor's rows are FD quotients: the batch's rounding over the step
-        tol = 1e-9 if tensors == "varying" else 1e-14
         w = np.array([0.3, -0.5, 0.2, 0.7])
         for xi, vi, block in zip(x, v, mixed):
             one = el_system(spec, xi, vi)[1]
-            assert np.max(np.abs(block - one)) <= tol * np.max(np.abs(block))
+            assert np.max(np.abs(block - one)) <= 1e-14 * np.max(np.abs(block))
             assert np.array_equal(momentum_position_directional(spec, xi, vi, w), w @ one)
             ref = np.array([fd_gradient(lambda y: momentum(spec, y, vi)[a], xi)
                             for a in range(4)]).T

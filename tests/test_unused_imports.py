@@ -1,12 +1,16 @@
-"""Every name a module of the package imports is used in that module, and
-every private helper is used somewhere in the package.
+"""Every name a module of the package imports is used in that module, every
+private helper is used somewhere in the package, and every public function
+or method that the package never reads is on a list that says why it stays.
 
 AST scans, since no linter is a dependency: a name bound by `import` or
 `from ... import` must appear as a name somewhere else in the module.
 `__init__.py` is skipped, because its imports are the package's exports.
 A module-level function or class whose name starts with one underscore
 must be read, as a name or an attribute, somewhere in the package outside
-its own definition.
+its own definition. A public module-level function, or a public method of a
+module-level class, that no package module reads in that way (an export
+from `__init__.py` is not a read, and a method counts as read when any
+attribute of its name is) must be on UNREAD_PUBLIC, and nothing else may be.
 """
 
 import ast
@@ -75,3 +79,68 @@ def test_the_scan_finds_a_dead_helper():
 def test_every_private_helper_is_used():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert _dead_helpers(sources) == []
+
+
+# (module, name) -> why a public name that no package code reads stays
+UNREAD_PUBLIC = {
+    ("action", "reparam_invariance_residual"): "item 11 candidate: read only by tests",
+    ("brane", "BraneEmbedding.cell_centers"): "test-only: the brane tests' cell positions",
+    ("brane", "curve_embedding"): "item 11 candidate: read only by tests",
+    ("brane", "integral_gauge_check"): "perfbench span",
+    ("brane", "nonrelativistic_brane_expansion"): "item 11 candidate: item 6's model",
+    ("brane", "reparameterized"): "item 11 candidate: read only by tests",
+    ("clifford", "build_pauli_gammas"): "item 9 candidate: deleted by its gamma_set",
+    ("clifford", "extract_vector_rep"): "item 11 candidate: read only by tests",
+    ("clifford", "mass_term_trace_identity"): "item 9 candidate: an oracle there",
+    ("fields", "SymmetricTensorField.contraction_gradient"): "perfbench span",
+    ("fields", "SymmetricTensorField.contraction_hessian"): "perfbench span",
+    ("lagrangian", "hamiltonian_residual"): "perfbench span",
+    ("lagrangian", "momentum_position_directional"): "perfbench span",
+    ("lagrangian", "velocity_hessian"): "perfbench span",
+    ("worldline", "conserved_drift"): "perfbench span",
+    ("worldline", "el_residual"): "perfbench span",
+    ("worldline", "energy_drift"): "perfbench span",
+}
+
+
+def _unread_public(sources):
+    """(module, name) of each public module-level function, and each public
+    method of a module-level class as "Class.method", that no module in
+    `sources` reads outside its own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = [(node, node.id if isinstance(node, ast.Name) else node.attr)
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))]
+    unread = []
+    for module, tree in trees.items():
+        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [(f"{node.name}.{method.name}", method)
+                 for node in tree.body if isinstance(node, ast.ClassDef)
+                 for method in node.body if isinstance(method, ast.FunctionDef)]
+        for qualname, node in defs:
+            if node.name.startswith("_"):
+                continue
+            own = {id(inner) for inner in ast.walk(node)}
+            if not any(read == node.name and id(ref) not in own for ref, read in reads):
+                unread.append((module, qualname))
+    return sorted(unread)
+
+
+def test_the_scan_finds_an_unread_public_name():
+    sources = {
+        "a": "def used():\n    pass\n\ndef unread():\n    return unread()\n\n"
+             "def _private():\n    pass\n\n"
+             "class Field:\n    def read(self):\n        pass\n\n"
+             "    def unread_method(self):\n        pass\n\n"
+             "    def __call__(self):\n        pass\n",
+        "b": "from a import used, unread\n\ndef public(f):\n    return used(), f.read()\n",
+        "__init__": "from a import Field\n",
+    }
+    assert _unread_public(sources) == [("a", "Field.unread_method"), ("a", "unread"),
+                                       ("b", "public")]
+
+
+def test_every_unread_public_name_is_listed_with_a_reason():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert _unread_public(sources) == sorted(UNREAD_PUBLIC)
+    assert all(UNREAD_PUBLIC.values())
