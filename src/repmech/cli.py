@@ -21,9 +21,12 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import math
+import os
 import re
 import sys
+import threading
 from pathlib import Path
 from warnings import catch_warnings, simplefilter
 
@@ -484,15 +487,102 @@ def _parse_brane(root: Section, warnings):
     return {"embedding": emb, "spec": spec}
 
 
+# A grid file of at least this many bytes is parsed in two processes (see
+# _split_rows). A fork, exit and reap cost about 3.5 ms. On a 2-vCPU VM, over
+# two sets of 31 alternating calls, the split lost at 0.42 MB (65^2 nodes:
+# medians 7.4-8.7 ms in one process, 12.1-13.7 ms split), broke even at
+# 0.50-0.71 MB, and won from 0.92 MB (96^2 nodes: 26.0-27.9 -> 20.5-20.9 ms).
+SPLIT_BYTES = 1 << 20
+
+
+def _parse_rows(source):
+    return np.loadtxt(source, delimiter=",", ndmin=2)
+
+
+def _grid_rows(path: Path) -> list:
+    """The rows of the CSV file at path as a list of row blocks: two halves, or one table.
+
+    Read in order, the blocks' rows are np.loadtxt's rows of the whole file,
+    bit for bit, because each half is np.loadtxt's own parse of whole lines.
+    If the split is not made or fails, the one table is np.loadtxt of the
+    whole file, so an unreadable file raises what it always has, with the
+    row numbers of the whole file.
+    """
+    try:
+        halves = _split_rows(path)
+    except (OSError, ValueError):  # the whole-file parse below raises it again
+        halves = None
+    return halves or [_parse_rows(path)]
+
+
+def _split_rows(path: Path):
+    """[head, tail]: the rows before and after the first line break past the middle byte.
+
+    A forked child parses head while this process parses tail, each from its
+    own file handle, and the child sends head's shape and float64 bytes down a
+    pipe into an array allocated here. The child always ends in os._exit and
+    is reaped before this returns or raises.
+
+    None, without a fork, when the file is smaller than SPLIT_BYTES, has no
+    line break past its middle, has no second CPU to run the child on, or
+    when another thread is running, because a forked child holds only the
+    thread that forked it. None, after it, when the child fails or the
+    halves differ in width.
+    """
+    size = path.stat().st_size
+    if (size < SPLIT_BYTES or not hasattr(os, "fork") or threading.active_count() != 1
+            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2):
+        return None
+    with open(path, "rb") as fh:
+        fh.seek(size // 2)
+        fh.readline()
+        cut = fh.tell()
+    if cut == size:
+        return None
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as source, open(write_fd, "wb") as sink:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                source.close()
+                with open(path, "rb") as fh, io.TextIOWrapper(io.BytesIO(fh.read(cut))) as text:
+                    head = _parse_rows(text)
+                sink.write(np.array(head.shape, dtype=np.int64).tobytes())
+                sink.write(head)
+                sink.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        sink.close()
+        try:
+            with open(path, "rb") as fh, io.TextIOWrapper(fh) as text:
+                fh.seek(cut)  # before the text layer reads anything
+                tail = _parse_rows(text)
+            head = np.empty(tuple(np.frombuffer(source.read(16), dtype=np.int64)))
+            received = source.readinto(head)
+        finally:
+            source.close()  # a child still writing then fails and exits
+            status = os.waitpid(pid, 0)[1]
+    if status != 0 or received != head.nbytes or head.shape[1:] != tail.shape[1:]:
+        return None
+    return [head, tail]
+
+
 def _load_grid_csv(path: Path, d: int, dim_m: int, esec: Section):
     """CSV rows: z coordinates then x coordinates; nodes on an evenly spaced grid.
 
-    The rows may come in any order. Each row's x columns are written once,
-    straight into the (dimM, n1, ..., nD) node array that gridded_embedding
-    gathers from, at the row's flat node index. At the peak the row table,
-    that index, the node array and a byte per node are held: about
-    (D + 2 dimM + 1) / (D + dimM) times the row table's bytes, 1.8 for
-    D = 2 and dimM = 3.
+    The rows may come in any order. _grid_rows reads them as row blocks: a
+    file of SPLIT_BYTES or more in two halves, the first parsed by a forked
+    child process while this one parses the second, and a smaller file as
+    one table. Every check, the axes, the flat node indices and the scatter
+    run block by block, and the blocks are never joined. Each row's x
+    columns are written once, straight into the (dimM, n1, ..., nD) node
+    array that gridded_embedding gathers from, at the row's flat node index.
+    At the peak the blocks (the row table's bytes in all), the first
+    block's flat index, the node array and a byte per node are held: about
+    (D + 2 dimM + 1) / (D + dimM) times the row table's bytes for one block,
+    1.8 for D = 2 and dimM = 3, and 1.7 for two halves.
     """
     where = esec.where("path")
     if not path.exists():
@@ -500,35 +590,44 @@ def _load_grid_csv(path: Path, d: int, dim_m: int, esec: Section):
     try:
         with catch_warnings():
             simplefilter("ignore", UserWarning)  # numpy's "input contained no data"
-            rows = np.loadtxt(path, delimiter=",", ndmin=2)
+            blocks = _grid_rows(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{where}: cannot read '{path}': {exc}") from None
-    if rows.shape[0] == 0:
+    n = sum(len(rows) for rows in blocks)
+    if n == 0:
         raise ConfigError(f"{where}: file '{path}' has no rows")
-    if rows.shape[1] != d + dim_m:
-        raise ConfigError(f"{where}: expected {d + dim_m} columns (z then x), got {rows.shape[1]}")
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise ConfigError(f"{where}: file '{path}' data row {int(np.argmin(finite)) + 1} "
-                          f"has a non-finite value")
-    axes = [np.unique(rows[:, a]) for a in range(d)]
+    if blocks[0].shape[1] != d + dim_m:
+        raise ConfigError(f"{where}: expected {d + dim_m} columns (z then x), "
+                          f"got {blocks[0].shape[1]}")
+    first = 0
+    for rows in blocks:
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise ConfigError(f"{where}: file '{path}' data row "
+                              f"{first + int(np.argmin(finite)) + 1} has a non-finite value")
+        first += len(rows)
+    axes = [functools.reduce(np.union1d, [np.unique(rows[:, a]) for rows in blocks])
+            for a in range(d)]
     shape = tuple(a.size for a in axes)
-    n = rows.shape[0]
     if int(np.prod(shape)) != n:
         raise ConfigError(f"{where}: nodes do not form a regular grid")
-    # one flat node index per row, axis 0 slowest, as in a C-order array
-    flat = np.zeros(n, dtype=np.intp)
-    for a in range(d):
-        flat *= shape[a]
-        flat += np.searchsorted(axes[a], rows[:, a])
     # as many rows as nodes, so a node given twice leaves another one out
     seen = np.zeros(n, dtype=bool)
-    seen[flat] = True
+    nodes = None
+    while blocks:
+        rows = blocks.pop(0)  # dropped once scattered
+        # one flat node index per row, axis 0 slowest, as in a C-order array
+        flat = np.zeros(len(rows), dtype=np.intp)
+        for a in range(d):
+            flat *= shape[a]
+            flat += np.searchsorted(axes[a], rows[:, a])
+        seen[flat] = True
+        if nodes is None:  # after the first index's temporaries are gone
+            nodes = np.empty((dim_m, n))
+        for k in range(dim_m):
+            nodes[k, flat] = rows[:, d + k]
     if np.count_nonzero(seen) != n:
         raise ConfigError(f"{where}: grid has missing nodes")
-    nodes = np.empty((dim_m, n))
-    for k in range(dim_m):
-        nodes[k, flat] = rows[:, d + k]
     values = np.moveaxis(nodes.reshape((dim_m,) + shape), 0, -1)
     try:
         return gridded_embedding(axes, values)
@@ -551,6 +650,15 @@ def _parse_clifford(root: Section, warnings):
 # runners
 # ---------------------------------------------------------------------------
 
+def _write_out(path: Path, text: str):
+    """Write text to path, a file in the '--out' directory; failing to is a ConfigError."""
+    try:
+        path.write_text(text)
+    except OSError as exc:  # path is a directory, say, or the disk is full
+        raise ConfigError(f"'--out' '{path.parent}': cannot write '{path.name}': "
+                          f"{exc.strerror}") from None
+
+
 def _write_csv(path: Path, header, rows):
     """One line per row of floats, each written with 17 significant digits.
 
@@ -559,8 +667,7 @@ def _write_csv(path: Path, header, rows):
     """
     rows = np.asarray(rows, dtype=float)
     line = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist()))
+    _write_out(path, ",".join(header) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _run_signature(cfg, out_dir):
@@ -739,7 +846,7 @@ def run(subcommand: str, cfg: RunConfig, out_dir: Path):
     }
     summary.update(payload_summary)
     summary_path = out_dir / f"{subcommand}_summary.json"
-    summary_path.write_text(to_json(summary) + "\n")
+    _write_out(summary_path, to_json(summary) + "\n")
     return summary, [summary_path] + artifacts
 
 

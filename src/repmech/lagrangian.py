@@ -367,17 +367,18 @@ def _tensor_mixed(q_n, tensor, x, v, s_a, c):
             * (ds - (1.0 - 1.0 / n) * dc * s_a[..., None, :] / c))
 
 
-def _mixed_block(spec, x, v, mass=None, tensors=None):
+def _mixed_block(spec, x, v, mass, tensors=None):
     """el_system's B and row at checked (x, v), without H.
 
-    mass (the mass term's g, gv, gvv) and tensors (each term's
-    _tensor_contractions) are el_system's; without them each varying term
-    computes its own. Constant fields add nothing to B.
+    mass is the mass term's _mass_term_data (None without a mass term), so
+    its cone check has run, for a constant metric too. tensors (each term's
+    _tensor_contractions) are el_system's; without them each varying tensor
+    term computes its own. Constant fields add nothing to B.
     """
     B = np.zeros(x.shape + v.shape[-1:])
     row = np.zeros(v.shape[:-1])[()]
     if spec._mass_on and not spec.metric.is_constant:
-        _, gv, gvv = _mass_term_data(spec, x, v) if mass is None else mass
+        _, gv, gvv = mass
         dg_v = np.matvec(spec.metric.gradient(x), v[..., None, :])  # (d_c g) v
         v_dg_v = np.vecdot(dg_v, v[..., None, :])
         s = np.sqrt(gvv)[..., None, None]
@@ -431,18 +432,25 @@ def velocity_hessian(spec: LagrangianSpec, x, v) -> np.ndarray:
 
 
 @_first_bad_point
+def _position_block(spec: LagrangianSpec, x, v):
+    """el_system's B at (x, v), after the mass term's cone check."""
+    x, v = spec._check_point(x, v)
+    mass = _mass_term_data(spec, x, v) if spec._mass_on else None
+    return _mixed_block(spec, x, v, mass)[0]
+
+
 def position_gradient(spec: LagrangianSpec, x, v) -> np.ndarray:
     """dL/dx^c at fixed v, shape (..., P): B[c, a] v^a, bit for bit, for el_system's B.
 
-    Zero when every field is constant.
+    Zero when every field is constant. Raises what el_system raises for the
+    mass term: SpacelikeVelocity or NullVelocity outside the open cone.
     """
-    x, v = spec._check_point(x, v)
-    return np.matvec(_mixed_block(spec, x, v)[0], v)
+    return np.matvec(_position_block(spec, x, v), np.asarray(v, dtype=float))
 
 
 def momentum_position_directional(spec: LagrangianSpec, x, v, direction) -> np.ndarray:
     """(dp_a / dx^c) w^c for a position direction w: w contracted with el_system's B."""
-    return np.asarray(direction, dtype=float) @ el_system(spec, x, v)[1]
+    return np.asarray(direction, dtype=float) @ _position_block(spec, x, v)
 
 
 # ---------------------------------------------------------------------------

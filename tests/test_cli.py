@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -482,6 +483,18 @@ def test_an_out_path_that_cannot_be_a_directory_exits_2_naming_it(tmp_path, caps
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("name", ["trajectory.csv", "simulate_summary.json"])
+def test_an_output_file_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    config = tmp_path / "simulate.yaml"
+    config.write_text((CONFIGS / "simulate.yaml").read_text().replace("tau_end: 10.0",
+                                                                      "tau_end: 0.1"))
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: '--out' '{out}': cannot write "
+                                       f"'{name}': Is a directory\n")
+
+
 def _one_dim_simulate(gauge):
     return ("seed: 0\nspec:\n  mass: 1.0\n  charge: 0.0\n  metric: {kind: minkowski, dim: 1}\n"
             "  potential: {kind: zero}\n"
@@ -686,6 +699,157 @@ def test_brane_summary_is_byte_identical_on_rerun(tmp_path, which):
     first = (tmp_path / "first" / "brane_summary.json").read_bytes()
     assert first == (tmp_path / "second" / "brane_summary.json").read_bytes()
     assert json.loads(first)["cells"] == (128 ** 2 if which == "brane.yaml" else 299 ** 2)
+
+
+split = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+
+
+def _cut(path):
+    """Where the split starts the second half: past the first line break after the middle byte."""
+    data = path.read_bytes()
+    return data.index(b"\n", len(data) // 2) + 1
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Split every grid file of at least 1 byte, whatever the host's CPU count."""
+    monkeypatch.setattr(cli, "SPLIT_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _laid_out(lines, newline="\n", every=None, filler="", shuffle=False, final=True):
+    """lines joined by newline, shuffled, or with filler after every every-th line."""
+    if shuffle:
+        lines = [lines[i] for i in np.random.default_rng(5).permutation(len(lines))]
+    if every:
+        lines = [out for i, line in enumerate(lines)
+                 for out in ([line, filler] if i % every == every - 1 else [line])]
+    return newline.join(lines) + (newline if final else "")
+
+
+@split
+@pytest.mark.parametrize("layout", [
+    {}, {"shuffle": True}, {"newline": "\r\n"}, {"final": False},
+    {"every": 1, "filler": "# a comment line"}, {"every": 1, "filler": ""},
+    {"every": 3, "filler": "# z1,z2,x1,x2,x3", "newline": "\r\n"},
+], ids=["sorted", "shuffled", "crlf", "no_final_newline", "comments", "blank_lines",
+        "crlf_comments"])
+def test_the_halves_are_one_process_loadtxt_bit_for_bit(tmp_path, two_cpus, layout):
+    # with a comment or blank line after every row, one sits at the cut
+    path = tmp_path / "nodes.csv"
+    path.write_bytes(_laid_out(_write_grid_rows(path, 9), **layout).encode())
+    blocks = cli._grid_rows(path)
+    assert len(blocks) == 2 and all(len(rows) for rows in blocks)
+    whole = np.loadtxt(path, delimiter=",", ndmin=2)
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
+@split
+@pytest.mark.parametrize("shuffle", [False, True], ids=["sorted", "shuffled"])
+def test_a_split_grid_gives_the_one_table_summary(tmp_path, monkeypatch, shuffle):
+    path = tmp_path / "nodes.csv"
+    path.write_text(_laid_out(_write_grid_rows(path, 40), shuffle=shuffle))
+    config = tmp_path / "grid.yaml"
+    config.write_text(GRID_CONFIG.format(path=path.as_posix()))
+    summaries = []
+    for cpus, out in (({0}, "one"), ({0, 1}, "two")):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        assert main(["brane", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+        summaries.append((tmp_path / out / "brane_summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+
+
+@split
+@pytest.mark.parametrize("half", ["first", "second"])
+@pytest.mark.parametrize("column, value", [(2, "zero"), (4, "inf"), (0, "-nan"), (4, "1,2")],
+                         ids=["bad_token", "inf", "nan", "extra_column"])
+def test_a_bad_value_in_either_half_exits_2_with_the_one_table_message(
+        tmp_path, capsys, monkeypatch, half, column, value):
+    path = tmp_path / "nodes.csv"
+    lines = _write_grid_rows(path, 9)
+    head_rows = path.read_bytes()[:_cut(path)].count(b"\n")
+    row = 3 if half == "first" else head_rows + 4
+    fields = lines[row - 1].split(",")
+    fields[column] = value
+    lines[row - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    assert (row <= path.read_bytes()[:_cut(path)].count(b"\n")) == (half == "first")
+    error = _one_table_and_split_error(tmp_path, capsys, monkeypatch, path)
+    if value in ("inf", "-nan"):
+        assert f"data row {row} has a non-finite value" in error
+    else:
+        assert "cannot read" in error
+
+
+def _one_table_and_split_error(tmp_path, capsys, monkeypatch, path):
+    """The one stderr line of a brane run on the grid at path, alike with and without the split."""
+    config = tmp_path / "grid.yaml"
+    config.write_text(GRID_CONFIG.format(path=path.as_posix()))
+    errors = []
+    for split_bytes in (10 ** 12, 1):
+        monkeypatch.setattr(cli, "SPLIT_BYTES", split_bytes)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main(["brane", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    return errors[0]
+
+
+@split
+def test_halves_of_different_widths_exit_2_with_the_one_table_message(
+        tmp_path, capsys, monkeypatch):
+    # each half parses alone, so only the split's own width check sees this
+    path = tmp_path / "nodes.csv"
+    lines = [line + "\n" for line in _write_grid_rows(path, 9)]
+    for k in range(len(lines)):  # the k rows before the cut keep 5 columns
+        head = "".join(lines[:k])
+        path.write_text(head + "".join(line[:-1] + ",0\n" for line in lines[k:]))
+        if _cut(path) == len(head):
+            break
+    assert _cut(path) == len(head)
+    error = _one_table_and_split_error(tmp_path, capsys, monkeypatch, path)
+    assert "the number of columns changed from 5 to 6" in error
+
+
+@split
+def test_a_child_that_exits_non_zero_leaves_the_one_table(tmp_path, monkeypatch, two_cpus):
+    path = tmp_path / "nodes.csv"
+    _write_grid_rows(path, 9)
+    exit_ = os._exit
+    monkeypatch.setattr(os, "_exit", lambda status: exit_(3))  # only the child calls it
+    assert cli._split_rows(path) is None
+    assert len(cli._grid_rows(path)) == 1
+
+
+@split
+@pytest.mark.parametrize("case", ["one_cpu", "a_thread", "small_file"])
+def test_the_split_forks_only_with_two_cpus_one_thread_and_a_large_file(
+        tmp_path, monkeypatch, two_cpus, case):
+    path = tmp_path / "nodes.csv"
+    _write_grid_rows(path, 9)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    assert len(cli._grid_rows(path)) == 2 and forks == [1]  # the control: it does split
+
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    if case == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    elif case == "a_thread":
+        waiter.start()
+    else:
+        monkeypatch.setattr(cli, "SPLIT_BYTES", path.stat().st_size + 1)
+    try:
+        blocks = cli._grid_rows(path)
+    finally:
+        release.set()
+    if case == "a_thread":
+        waiter.join(timeout=10)
+        assert not waiter.is_alive()
+    assert len(blocks) == 1 and forks == [1]
+    assert blocks[0].tobytes() == np.loadtxt(path, delimiter=",", ndmin=2).tobytes()
 
 
 @pytest.mark.parametrize("subcommand,line", [("brane", 12), ("simulate", 4), ("extremize", 4)])

@@ -437,6 +437,7 @@ class TestELSystem:
             one = el_system(spec, xi, vi)[1]
             assert np.max(np.abs(block - one)) <= 1e-14 * np.max(np.abs(block))
             assert np.array_equal(momentum_position_directional(spec, xi, vi, w), w @ one)
+            assert np.array_equal(momentum_position_directional(spec, x, v, w), w @ mixed)
             ref = np.array([fd_gradient(lambda y: momentum(spec, y, vi)[a], xi)
                             for a in range(4)]).T
             assert np.max(np.abs(block - ref)) <= 1e-7 * np.max(np.abs(ref))
@@ -467,6 +468,23 @@ class TestELSystem:
             velocity_hessian(spec, x, v)
         with pytest.raises(error):
             el_system(spec, x, v)
+        if mass == 1.0 and not extra or varying:  # B contracts no constant tensor
+            with pytest.raises(error):
+                position_gradient(spec, x, v)
+            with pytest.raises(error):
+                momentum_position_directional(spec, x, v, v)
+
+    @pytest.mark.parametrize("batch", [(), (5,)], ids=["point", "batch"])
+    def test_a_spacelike_velocity_raises_in_the_position_derivatives(self, batch):
+        # a constant metric adds nothing to B, yet the mass term is still undefined there
+        spec = LagrangianSpec(metric=minkowski_metric(3), mass=1.0, charge=1.0,
+                              potential=uniform_magnetic_potential(3, 1.0))
+        x = np.zeros(batch + (3,))
+        v = np.broadcast_to([1.0, 2.0, 0.0], batch + (3,))
+        for kernel in (eval_L, momentum, position_gradient,
+                       lambda s, y, w: momentum_position_directional(s, y, w, [1.0, 0.0, 0.0])):
+            with pytest.raises(SpacelikeVelocity, match=re.escape("g(v,v) = -3.0 < 0")):
+                kernel(spec, x, v)
 
     @pytest.mark.parametrize("batch", [(), (3,), (2, 3)], ids=["point", "batch", "grid"])
     @pytest.mark.parametrize("spec", [rich_spec(), curved_spec()], ids=["constant", "curved"])
