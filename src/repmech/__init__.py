@@ -63,6 +63,7 @@ from .errors import (
     GaugeViolation,
     NegativeEvenRadicand,
     NegativeRadicand,
+    NoSpatialDirection,
     NotOneTimeMetric,
     NullVelocity,
     RepMechError,

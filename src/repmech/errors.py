@@ -23,6 +23,10 @@ class NotOneTimeMetric(RepMechError):
     pass
 
 
+class NoSpatialDirection(RepMechError):
+    """Causality class asked of a signature with several time directions and no spatial one."""
+
+
 class SpacelikeVelocity(RepMechError):
     """Mass term requires g(v, v) >= 0."""
 

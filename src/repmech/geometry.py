@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateMetric, DimensionMismatch
+from .errors import DegenerateMetric, DimensionMismatch, NoSpatialDirection
 
 SYMMETRY_TOL = 1e-14
 DEGENERACY_TOL = 1e-12
@@ -382,6 +382,10 @@ def causality_class(sig: SignatureReport) -> CausalityClass:
     n_plus >= 2: builds a witness velocity with g(w,w) >= 0 and spatial
     speed^2 = 1 + s^2/2 > 1 (s = 1.2), demonstrating unbounded speeds.
     n_plus = 1: speeds are bounded by 1.
+    n_plus >= 2 and n_minus = 0 (a Euclidean metric of dim >= 2, say): speed
+    is measured along the negative directions and there are none, so no
+    witness of the multi-time class exists, and with more than one time
+    direction the bounded class does not apply either; NoSpatialDirection.
     """
     if sig.n_zero > 0:
         raise DegenerateMetric(
@@ -391,6 +395,11 @@ def causality_class(sig: SignatureReport) -> CausalityClass:
         return CausalityClass(CausalityKind.NO_TIME_INFEASIBLE)
     if sig.n_plus == 1:
         return CausalityClass(CausalityKind.ONE_TIME_BOUNDED)
+    if sig.n_minus == 0:
+        raise NoSpatialDirection(
+            f"no causality class for signature (n_plus={sig.n_plus}, n_minus=0): "
+            "several time directions and no spatial one, so speed is undefined"
+        )
 
     dim = sig.dim
     s = 1.2

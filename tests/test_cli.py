@@ -518,6 +518,36 @@ MALFORMED = {
         "clifford", f"seed: 0\nalgebra: {algebra}\nperturbation: 1.0e300\n", 1,
         "FormMismatch: perturbation 1e+300 overflows the anticommutator residual")
        for algebra in ("lorentz", "so3", "abelian")},
+    # no negative direction: the multi-time witness had no axis to use
+    **{f"signature_{name}": (
+        "signature", f"seed: 0\nmetric: {metric}\n", 1,
+        f"NoSpatialDirection: no causality class for signature (n_plus={n_plus}, n_minus=0): "
+        "several time directions and no spatial one, so speed is undefined")
+       for name, metric, n_plus in [
+           ("euclidean_dim_3", "{kind: euclidean, dim: 3}", 3),
+           ("all_positive_diagonal", "{kind: constant_diagonal, diagonal: [1, 2, 3, 4, 5]}", 5)]},
+    # a huge metric dimension asked numpy for gibibytes
+    **{f"{sub}_dim_100000": (
+        sub, (CONFIGS / f"{sub}.yaml").read_text().replace(f"dim: {dim}\n", "dim: 100000\n"), 2,
+        f"config error: 'spec.metric.dim' (line {line}): metric dim 100000 is above the cap "
+        "of 1024")
+       for sub, dim, line in [("simulate", 4, 8), ("extremize", 4, 8), ("brane", 3, 11)]},
+    "signature_dim_100000": (
+        "signature", "seed: 0\nmetric: {kind: minkowski, dim: 100000}\n", 2,
+        "config error: 'metric.dim' (line 2): metric dim 100000 is above the cap of 1024"),
+    "signature_diagonal_above_cap": (
+        "signature", f"seed: 0\nmetric: {{kind: constant_diagonal, diagonal: {[1.0] * 1025}}}\n", 2,
+        "config error: 'metric.diagonal' (line 2): metric dim 1025 is above the cap of 1024"),
+    "signature_matrix_above_cap": (
+        "signature", f"seed: 0\nmetric:\n  kind: constant\n  matrix: {[[0.0]] * 1025}\n", 2,
+        "config error: 'metric.matrix' (line 4): metric dim 1025 is above the cap of 1024"),
+    # was a four-line message
+    "invalid_yaml": ("check", "seed: 0\nsamples: [1\n", 2,
+                     "config error: invalid YAML at line 3, column 1: did not find expected ',' "
+                     "or ']'"),
+    "invalid_yaml_character": ("check", "seed: 0\nsamples: \x01\n", 2,
+                               "config error: invalid YAML: unacceptable character #x0001: "
+                               "control characters are not allowed"),
 }
 
 
@@ -531,6 +561,12 @@ def test_a_malformed_config_exits_with_one_line_and_no_traceback(tmp_path, capsy
     assert err == message + "\n"
     assert "Traceback" not in err
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("metric", ["{kind: euclidean, dim: 1024}",
+                                    f"{{kind: constant_diagonal, diagonal: {[1.0] * 1024}}}"])
+def test_a_metric_at_the_dimension_cap_is_accepted(metric):
+    assert parse_config(f"metric: {metric}\n", "signature").payload["metric"].dim == 1024
 
 
 RANK3_CHORD = (CONFIGS / "extremize.yaml").read_text().replace(
@@ -909,14 +945,64 @@ def test_csv_rows_match_the_per_value_format(tmp_path):
     special = [-0.0, 0.0, 5e-324, 1e308, -1e308, np.nan, np.inf, -np.inf, 1.0 / 3.0, -2.5e-7]
     scales = 10.0 ** np.arange(-4, 3)[:, None]
     rows = np.vstack([np.random.default_rng(0).normal(size=(7, len(special))) * scales, special])
-    header = [f"c{i}" for i in range(len(special))]
-    _write_csv(tmp_path / "rows.csv", header, rows)
-    _write_csv(tmp_path / "list.csv", header, list(rows))
-    reference = ",".join(header) + "\n" + "".join(
-        ",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
-    assert (tmp_path / "rows.csv").read_text() == reference
-    assert (tmp_path / "list.csv").read_text() == reference
-    assert "-0,0,4.9406564584124654e-324,1e+308,-1e+308,nan,inf,-inf," in reference
+    n = len(rows)
+    alternate = np.arange(n) % 2 == 1
+    # columns whose bits are all equal are formatted once; the mixed signs of
+    # zero and of nan have equal values or equal text but not equal bits
+    constant = np.column_stack([
+        np.full(n, -0.0), np.where(alternate, 0.0, -0.0), np.full(n, np.nan),
+        np.where(alternate, np.nan, -np.nan), np.full(n, np.inf), np.full(n, 7.0),
+        np.full(n, 1 / 3)])
+    tables = {"rows": rows, "constant": np.hstack([constant[:, :3], rows, constant[:, 3:]]),
+              "one_row": rows[-1:], "one_row_constant": constant[:1], "empty": rows[:0]}
+    for name, table in tables.items():
+        header = [f"c{i}" for i in range(table.shape[1])]
+        _write_csv(tmp_path / f"{name}.csv", header, table)
+        _write_csv(tmp_path / f"{name}_list.csv", header, list(table))
+        reference = ",".join(header) + "\n" + "".join(
+            ",".join(f"{float(v):.17g}" for v in row) + "\n" for row in table)
+        assert (tmp_path / f"{name}.csv").read_text() == reference, name
+        assert (tmp_path / f"{name}_list.csv").read_text() == reference, name
+    text = (tmp_path / "rows.csv").read_text()
+    assert "-0,0,4.9406564584124654e-324,1e+308,-1e+308,nan,inf,-inf," in text
+    lines = (tmp_path / "constant.csv").read_text().splitlines()
+    assert lines[1].startswith("-0,-0,nan,") and lines[2].startswith("-0,0,nan,")
+    assert lines[1].endswith(",nan,inf,7,0.33333333333333331")
+    assert (tmp_path / "one_row_constant.csv").read_text().splitlines()[1] == (
+        "-0,-0,nan,nan,inf,7,0.33333333333333331")
+
+
+def test_rewriting_an_out_directory_leaves_the_bytes_of_a_fresh_one(tmp_path):
+    # outputs are overwritten in place and then cut, so a shorter rewrite must
+    # leave no tail of the longer file before it
+    long = (CONFIGS / "simulate.yaml").read_text().replace("tau_end: 10.0", "tau_end: 0.2")
+    short = long.replace("tau_end: 0.2", "tau_end: 0.1")
+    config, shared = tmp_path / "simulate.yaml", tmp_path / "shared"
+    for i, text in enumerate([long, long, short]):
+        config.write_text(text)
+        fresh = tmp_path / f"fresh{i}"
+        for out in (shared, fresh):
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(p.name for p in shared.iterdir()) == sorted(p.name for p in fresh.iterdir())
+        for path in fresh.iterdir():
+            assert (shared / path.name).read_bytes() == path.read_bytes(), (i, path.name)
+    assert len((shared / "trajectory.csv").read_bytes().splitlines()) == 102
+
+
+def test_every_output_is_written_by_the_one_writer(tmp_path, monkeypatch):
+    written = []
+    write_out = cli._write_out
+
+    def recording(path, text):
+        written.append(path)
+        write_out(path, text)
+
+    monkeypatch.setattr(cli, "_write_out", recording)
+    for config in SHIPPED:
+        written.clear()
+        out = tmp_path / config.stem
+        _, artifacts = run(config.stem, parse_config(config.read_text(), config.stem), out)
+        assert sorted(written) == sorted(artifacts) == sorted(out.iterdir()), config.name
 
 
 def test_repeated_main_calls_each_get_their_own_arguments(tmp_path, capsys):

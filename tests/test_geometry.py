@@ -10,6 +10,7 @@ from repmech import (
     LagrangianSpec,
     DegenerateMetric,
     DimensionMismatch,
+    NoSpatialDirection,
     SignatureReport,
     causality_class,
     constant_diagonal_metric,
@@ -121,6 +122,19 @@ class TestCausality:
             assert cls.kind is CausalityKind.MULTI_TIME_UNBOUNDED
             assert quadratic_form(g, cls.witness) >= -1e-10
             assert cls.spatial_speed_sq > 1.0
+
+    @pytest.mark.parametrize("g", [np.eye(2), np.eye(3), np.diag([1.0, 2.0, 3.0, 4.0, 5.0])],
+                             ids=["euclidean_2", "euclidean_3", "diagonal_5"])
+    def test_no_spatial_direction_has_no_class(self, g):
+        n = len(g)
+        with pytest.raises(NoSpatialDirection, match=rf"\(n_plus={n}, n_minus=0\)"):
+            causality_class(signature(g))
+        with pytest.raises(NoSpatialDirection):
+            causality_class(SignatureReport(n, 0, 0, 1e-10))
+
+    def test_one_positive_direction_alone_is_bounded(self):
+        # dim 1: the one time direction and no spatial one, so every speed is 0
+        assert causality_class(signature(np.eye(1))).kind is CausalityKind.ONE_TIME_BOUNDED
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateMetric):
