@@ -15,7 +15,6 @@ from .action import (
     action_gradient,
     discrete_action,
     extremize,
-    reparam_invariance_residual,
     straight_chord_path,
 )
 from .brane import (
@@ -24,7 +23,6 @@ from .brane import (
     GeneralizedVelocity,
     brane_action,
     component_count,
-    curve_embedding,
     cylinder_patch_embedding,
     generalized_velocity,
     graph_embedding,
@@ -32,7 +30,6 @@ from .brane import (
     integral_gauge_check,
     minor_indices,
     nonrelativistic_brane_expansion,
-    reparameterized,
     tilted_plane_embedding,
 )
 from .clifford import (
@@ -42,12 +39,9 @@ from .clifford import (
     abelian_algebra,
     anticommutator_residual,
     build_dirac_gammas,
-    build_pauli_gammas,
     dirac_operator,
-    extract_vector_rep,
     lorentz_vector_algebra,
     mass_shell_determinant_residual,
-    mass_term_trace_identity,
     pair_vector_algebra,
     perturb_gammas,
     rotation_vector_algebra,

@@ -66,10 +66,6 @@ class DiscretePath:
         object.__setattr__(self, "_points", stacked)
 
     @property
-    def K(self) -> int:
-        return self.interior.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.x_start.shape[0]
 
@@ -113,17 +109,6 @@ def discrete_action(spec: LagrangianSpec, path: DiscretePath) -> float:
     """sum_k L(midpoint_k, dx_k); equals the parameterized sum for any dt_k > 0."""
     _check_segments(spec, path)
     return float(np.sum(eval_L(spec, path.midpoints(), path.segments())))
-
-
-def reparam_invariance_residual(spec: LagrangianSpec, path: DiscretePath, dtau) -> float:
-    """|sum_k L(mid_k, dx_k / dt_k) dt_k - discrete_action|; zero up to round-off."""
-    dtau = np.asarray(dtau, dtype=float)
-    if dtau.shape != (path.K + 1,):
-        raise DimensionMismatch(f"need {path.K + 1} parameter steps, got {dtau.shape}")
-    if np.any(dtau <= 0):
-        raise DimensionMismatch("parameter steps must be positive")
-    total = np.sum(eval_L(spec, path.midpoints(), path.segments() / dtau[:, None]) * dtau)
-    return abs(float(total) - discrete_action(spec, path))
 
 
 def action_gradient(spec: LagrangianSpec, path: DiscretePath) -> np.ndarray:
@@ -208,7 +193,8 @@ def extremize(spec: LagrangianSpec, path0: DiscretePath,
     raises a RepMechError (say, a spacelike segment) or does not lower
     |spatial grad|^2; the step logic reads only gradients and Hessians, so a
     rigid translation of the problem translates the solve. x^0 must
-    increase strictly along path0 (GaugeViolation otherwise), a singular
+    increase strictly along path0 (GaugeViolation otherwise), a g(dx, dx)
+    of path0 past the float range raises DimensionMismatch, a singular
     reduced Hessian raises SingularReducedHessian, and a path too long for a
     dense Hessian (see action_hessian) raises DimensionMismatch.
 
@@ -224,6 +210,11 @@ def extremize(spec: LagrangianSpec, path0: DiscretePath,
         i = back[0]
         raise GaugeViolation(f"segment {i}: x^0 goes from {float(t[i])} to {float(t[i + 1])}; "
                              "the frozen coordinate-time gauge needs it to increase strictly")
+    with np.errstate(over="ignore"):
+        gvv = quadratic_form(spec.metric(path0.midpoints()), path0.segments())
+    big = np.flatnonzero(~np.isfinite(gvv))
+    if big.size:
+        raise DimensionMismatch(f"segment {big[0]}: g(dx, dx) overflows to {gvv[big[0]]}")
     k, n = path0.interior.shape
     path, grad = path0, action_gradient(spec, path0)
     r = grad[:, 1:].ravel()

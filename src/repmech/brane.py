@@ -74,6 +74,9 @@ class BraneEmbedding:
     analytic jacobian callable to the (n, dimM, D) Jacobians, which give exact
     minors; otherwise central differences with the step
     FD_STEP * max(1, |box bounds of axis a|) are used, one per parameter axis.
+    The builders below return each Jacobian batch as the .T view of a filled
+    (D, dimM, n) array (the tilted plane broadcasts one matrix), so every
+    entry J[:, r, k] that _minors reads is contiguous along the cells.
     The quadrature (brane_action, integral_gauge_check) calls the Jacobian
     once per block of cells (row_blocks), in flat cell order; brane_action
     calls the evaluator once per block only when a background field depends
@@ -120,10 +123,6 @@ class BraneEmbedding:
         """Cell-centre coordinates along each parameter axis."""
         return tuple(np.linspace(lo, hi, r, endpoint=False) + 0.5 * (hi - lo) / r
                      for (lo, hi), r in zip(self.box, self.resolution))
-
-    def cell_centers(self) -> np.ndarray:
-        """Every cell centre, (n_cells, D), in flat (C-order) cell order."""
-        return _mesh(self.center_axes())
 
     def row_blocks(self, cell_floats: int = CELL_FLOATS):
         """(first flat cell index, cell centres) of consecutive blocks of cells,
@@ -362,11 +361,11 @@ def graph_embedding(f, grad=None, box=((0.0, 1.0), (0.0, 1.0)),
     jac = None
     if grad is not None:
         def jac(Z):
-            J = np.zeros((Z.shape[0], d + 1, d))
+            J = np.zeros((d, d + 1, Z.shape[0]))
             for a in range(d):
-                J[:, a, a] = 1.0
-            J[:, d, :] = grad(Z)
-            return J
+                J[a, a] = 1.0
+            J[:, d] = grad(Z).T
+            return J.T
 
     return BraneEmbedding(d=d, dim_m=d + 1, box=box, resolution=resolution,
                           evaluator=evaluate, jacobian=jac)
@@ -381,22 +380,14 @@ def cylinder_patch_embedding(radius: float, box=((0.0, 1.0), (0.0, math.pi)),
         return np.column_stack([Z[:, 0], r * np.cos(Z[:, 1]), r * np.sin(Z[:, 1])])
 
     def jac(Z):
-        J = np.zeros((Z.shape[0], 3, 2))
-        J[:, 0, 0] = 1.0
-        J[:, 1, 1] = -r * np.sin(Z[:, 1])
-        J[:, 2, 1] = r * np.cos(Z[:, 1])
-        return J
+        J = np.zeros((2, 3, Z.shape[0]))
+        J[0, 0] = 1.0
+        J[1, 1] = -r * np.sin(Z[:, 1])
+        J[1, 2] = r * np.cos(Z[:, 1])
+        return J.T
 
     return BraneEmbedding(d=2, dim_m=3, box=np.asarray(box), resolution=resolution,
                           evaluator=evaluate, jacobian=jac)
-
-
-def curve_embedding(fn, jacobian=None, box=(0.0, 1.0), resolution=256,
-                    dim_m: int = 4) -> BraneEmbedding:
-    """D = 1 embedding (a world line) from a curve z -> x(z), fn mapping (n, 1) to (n, dimM)."""
-    return BraneEmbedding(d=1, dim_m=dim_m, box=np.asarray([box]),
-                          resolution=(int(resolution),), evaluator=fn,
-                          jacobian=jacobian)
 
 
 def _evenly_spaced(a: np.ndarray) -> bool:
@@ -488,21 +479,3 @@ def gridded_embedding(axes: Sequence[np.ndarray], values: np.ndarray) -> BraneEm
 
     return BraneEmbedding(d=d, dim_m=dim_m, box=box, resolution=tuple(counts - 1),
                           evaluator=evaluate, jacobian=jac)
-
-
-def reparameterized(emb: BraneEmbedding, psi, psi_jacobian=None) -> BraneEmbedding:
-    """Compose an embedding with a parameter diffeomorphism z' -> psi(z') of its box.
-
-    psi maps an (n, D) batch to (n, D), psi_jacobian to the (n, D, D) Jacobians.
-    """
-
-    def evaluate(Z):
-        return emb.points(psi(Z))
-
-    jac = None
-    if psi_jacobian is not None and emb.jacobian is not None:
-        def jac(Z):
-            return np.einsum("nab,nbc->nac", emb.jacobians(psi(Z)), psi_jacobian(Z))
-
-    return BraneEmbedding(d=emb.d, dim_m=emb.dim_m, box=emb.box,
-                          resolution=emb.resolution, evaluator=evaluate, jacobian=jac)

@@ -134,11 +134,23 @@ _ConfigLoader.add_implicit_resolver(
 
 
 def _load_yaml(text: str):
-    """(data, node) of one YAML document, both from a single parse."""
+    """(data, node) of one YAML document, both from a single parse.
+
+    A scalar whose explicit tag cannot build its value (`!!int x`,
+    `!!timestamp x`) raises a ConstructorError at that scalar: the node the
+    constructor was building is the last one it still holds as in progress.
+    """
     loader = _ConfigLoader(text)
     try:
         node = loader.get_single_node()
         data = loader.construct_document(node) if node is not None else None
+    except (AttributeError, LookupError, ValueError):
+        if not loader.recursive_objects:  # raised outside a constructor
+            raise
+        failed = list(loader.recursive_objects)[-1]
+        tag = failed.tag.rsplit(":", 1)[-1]
+        raise yaml.constructor.ConstructorError(
+            None, None, f"cannot read {failed.value!r} as !!{tag}", failed.start_mark) from None
     finally:
         loader.dispose()
     return data, node
@@ -480,7 +492,9 @@ def _parse_brane(root: Section, warnings):
 
         def grad(Z, lin=lin, quad=quad):
             Z = np.atleast_2d(Z)
-            return lin[None, :] + Z @ (quad + quad.T)
+            # summed into a (D, n) array, so that its .T has a contiguous cell axis
+            out = np.empty((lin.size, len(Z)))
+            return np.add(lin[:, None], (Z @ (quad + quad.T)).T, out=out).T
 
         emb = graph_embedding(f, grad=grad, box=b, resolution=res_tuple(64, d))
     else:  # grid_csv

@@ -9,13 +9,13 @@ least-squares problem with G right-hand sides, solved in one call. It is
 solvable precisely when the gammas satisfy the Clifford anticommutation
 relations, which is what the solvability probe measures on perturbed sets.
 
-For the 2- and 4-gamma sets built here the unconstrained system has a
-one-dimensional kernel, the identity direction; the trace-zero constraint
-removes it and makes the solution unique (the commutator form
-(1/4)[gamma^a, gamma^b] rather than (1/2) gamma^a gamma^b). For odd N the
-product of all N gammas is central too: the kernel is 2 for sigma_1, sigma_2,
-sigma_3, 5 for an N = 3 set whose product is a real multiple of I, and 17
-for the Dirac set with i*gamma^5.
+For the 4-gamma Dirac sets built here, and for 2-gamma Pauli sets, the
+unconstrained system has a one-dimensional kernel, the identity direction;
+the trace-zero constraint removes it and makes the solution unique (the
+commutator form (1/4)[gamma^a, gamma^b] rather than (1/2) gamma^a gamma^b).
+For odd N the product of all N gammas is central too: the kernel is 2 for
+sigma_1, sigma_2, sigma_3, 5 for an N = 3 set whose product is a real
+multiple of I, and 17 for the Dirac set with i*gamma^5.
 """
 
 from __future__ import annotations
@@ -114,16 +114,6 @@ def build_dirac_gammas(form: str = "minkowski") -> GammaSet:
         mats[k, :2, 2:] = spatial_unit * s
         mats[k, 2:, :2] = -spatial_unit * s
     return _make_gamma_set(mats, h, f"dirac-{form}")
-
-
-def build_pauli_gammas(form: str = "euclidean") -> GammaSet:
-    """2x2 toy set: sigma_1, sigma_2 (euclidean) or sigma_3, i*sigma_1 (minkowski)."""
-    if form == "euclidean":
-        return _make_gamma_set([_SIGMA[0], _SIGMA[1]], np.eye(2), "pauli-euclidean")
-    if form == "minkowski":
-        return _make_gamma_set([_SIGMA[2], 1j * _SIGMA[0]],
-                               np.diag([1.0, -1.0]), "pauli-minkowski")
-    raise UnsupportedDimension(f"unknown form {form!r}")
 
 
 def perturb_gammas(gam: GammaSet, magnitude: float, rng: np.random.Generator) -> GammaSet:
@@ -273,11 +263,7 @@ class QuadraticGeneratorSolution:
     kernel_dim: int
     grade_leakage: np.ndarray         # (G,)
     subsets: Tuple[Tuple[int, ...], ...]
-    _generators: np.ndarray           # (G, d, d)
-
-    def generators(self) -> Tuple[np.ndarray, ...]:
-        """Reconstructed matrices X_i."""
-        return tuple(self._generators)
+    generators: np.ndarray            # (G, d, d) reconstructed matrices X_i
 
 
 def _vector_targets(rho: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -327,13 +313,13 @@ def solve_quadratic_generators(alg: LieAlgebraSpec, gam: GammaSet) -> QuadraticG
     return QuadraticGeneratorSolution(
         coefficients=quad, basis_coefficients=coeffs, residuals=residuals,
         kernel_dim=kernel_dim, grade_leakage=leakage,
-        subsets=tuple(subsets), _generators=xs,
+        subsets=tuple(subsets), generators=xs,
     )
 
 
 def verify_lie_closure(sol: QuadraticGeneratorSolution, alg: LieAlgebraSpec) -> float:
     """max_ij || [X_i, X_j] - C_ij^k X_k ||_F over the reconstructed generators."""
-    xs = sol._generators
+    xs = sol.generators
     target = np.einsum("ijk,kab->ijab", alg.structure, xs)
     return float(np.max(_frobenius(_commutators(xs, xs) - target)))
 
@@ -342,26 +328,8 @@ def vector_covariance_check(sol: QuadraticGeneratorSolution, alg: LieAlgebraSpec
                             gam: GammaSet) -> float:
     """max over (i, a) of || [X_i, g^a] - rho_i[b, a] g^b ||_F."""
     mats = np.asarray(gam.matrices)
-    defect = _commutators(sol._generators, mats) - _vector_targets(alg.rho, mats)
+    defect = _commutators(sol.generators, mats) - _vector_targets(alg.rho, mats)
     return float(np.max(_frobenius(defect)))
-
-
-def extract_vector_rep(generators: Sequence[np.ndarray], gam: GammaSet):
-    """Recover rho_i from [X_i, g^a] = rho_i[b, a] g^b by projection on the g span.
-
-    Every commutator is fitted on the same N gamma columns, so the G * N fits
-    are one least-squares solve. Returns (rho, fit_residual); rho uses the
-    homomorphism convention of LieAlgebraSpec, so it can be compared to
-    alg.rho directly.
-    """
-    mats = np.asarray(gam.matrices)
-    xs = np.asarray(generators)
-    cols = _real_columns(mats, gam.n)
-    rhs = _real_columns(_commutators(xs, mats), len(xs) * gam.n)
-    coef = np.linalg.lstsq(cols, rhs, rcond=None)[0]
-    worst = float(np.max(np.linalg.norm(cols @ coef - rhs, axis=0)))
-    # column i * N + a holds rho_i[:, a]
-    return coef.T.reshape(len(xs), gam.n, gam.n).swapaxes(1, 2), worst
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +384,3 @@ def mass_shell_determinant_residual(q: float, m, a_const, p, gam: GammaSet):
     m = np.asarray(m, dtype=float)
     res = np.abs(np.linalg.det(h) - (pi_sq - m * m) ** 2)
     return float(res) if res.ndim == 0 else res
-
-
-def mass_term_trace_identity(gam: GammaSet, g) -> float:
-    """|| g_ab g^a g^b - N I ||_F: the symmetric contraction collapses to N times I.
-
-    The quadratic mass term sqrt(g_ab g^a g^b) is therefore sqrt(N) I rather
-    than I; dirac_operator keeps the conventional unit normalization and this
-    function surfaces the alternative number.
-    """
-    g = np.asarray(g, dtype=float)
-    if g.shape != gam.form.shape or not np.allclose(g, gam.form, atol=1e-12):
-        raise FormMismatch("metric must equal the gamma set's bilinear form")
-    contraction = sum(g[a, b] * gam.matrices[a] @ gam.matrices[b]
-                      for a in range(gam.n) for b in range(gam.n))
-    return float(np.linalg.norm(contraction - gam.n * np.eye(gam.matrix_dim)))

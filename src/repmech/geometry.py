@@ -100,8 +100,11 @@ class MetricField:
         asymmetric = (np.abs(g - g.swapaxes(-1, -2)).max(axis=(-2, -1))
                       > SYMMETRY_TOL * np.maximum(scale, 1.0))
         # relative to the largest entry, so that a metric's scale (and the
-        # power of it a compound takes) does not make it read as degenerate
-        bad = asymmetric | (np.abs(np.linalg.det(g)) <= DEGENERACY_TOL * scale ** self.dim)
+        # power of it a compound takes) does not make it read as degenerate;
+        # a power past the float range is inf, and the metric reads as degenerate
+        with np.errstate(over="ignore"):
+            bound = DEGENERACY_TOL * scale ** self.dim
+        bad = asymmetric | (np.abs(np.linalg.det(g)) <= bound)
         if bad.any():
             first = np.unravel_index(np.argmax(bad), bad.shape)
             where = "" if self.is_constant else f" at x={x[first].tolist()}"
@@ -264,8 +267,9 @@ def compound_metric(metric: MetricField, d: int) -> MetricField:
     """G(x) = Lambda^D g(x), the metric g induces on D-vectors, at g's positions.
 
     By Cauchy-Binet w^T G w = det(J^T g J) for w the DxD minors of J. G is
-    built once for a constant g, else by one batched _minors call over the
-    stacked g(x); G is not checked again, since g is. For D = 1, G is g.
+    built once for a constant g, and MetricField's construction checks that
+    G again; else G is one batched _minors call over the stacked g(x), which
+    is not checked again, since g is. For D = 1, G is g.
     """
     if d == 1:
         return metric

@@ -433,9 +433,14 @@ def velocity_hessian(spec: LagrangianSpec, x, v) -> np.ndarray:
 
 @_first_bad_point
 def _position_block(spec: LagrangianSpec, x, v):
-    """el_system's B at (x, v), after the mass term's cone check."""
+    """el_system's B at (x, v), after the mass term's cone check and, since a
+    constant term adds nothing to B, the sign of each constant even-rank
+    contraction (a varying term's radicand is _mixed_block's check)."""
     x, v = spec._check_point(x, v)
     mass = _mass_term_data(spec, x, v) if spec._mass_on else None
+    for _, tensor in spec.extra_terms:
+        if tensor.is_constant and tensor.rank % 2 == 0:
+            signed_root(tensor.contraction(x, v), tensor.rank)  # raises where L is undefined
     return _mixed_block(spec, x, v, mass)[0]
 
 
@@ -443,7 +448,8 @@ def position_gradient(spec: LagrangianSpec, x, v) -> np.ndarray:
     """dL/dx^c at fixed v, shape (..., P): B[c, a] v^a, bit for bit, for el_system's B.
 
     Zero when every field is constant. Raises what el_system raises for the
-    mass term: SpacelikeVelocity or NullVelocity outside the open cone.
+    mass term: SpacelikeVelocity or NullVelocity outside the open cone; a
+    negative even-rank contraction raises NegativeEvenRadicand, as in eval_L.
     """
     return np.matvec(_position_block(spec, x, v), np.asarray(v, dtype=float))
 

@@ -7,13 +7,12 @@ call, and reports the worst residual against its tolerance.
 The draw is a stack. random_spec draws the S specs as arrays, one row per
 sample (a SpecStack); its spec() is one LagrangianSpec whose couplings and
 fields hold one value per sample, so the kernels run on the (S, N) states
-directly, and its row(i) is sample i's ordinary LagrangianSpec, for
-per-point checks of the batch. States are rejection-sampled so radicands
-stay away from zero, keeping finite-difference oracles inside their
-validity region; the identity claims themselves hold on the whole open
-domain. random_state draws candidates only for the rows not yet accepted,
-at most STATE_ATTEMPTS per row, and draw_spec_state gives a row that runs
-out of attempts a fresh spec.
+directly. States are rejection-sampled so radicands stay away from zero,
+keeping finite-difference oracles inside their validity region; the
+identity claims themselves hold on the whole open domain. random_state
+draws candidates only for the rows not yet accepted, at most
+STATE_ATTEMPTS per row, and draw_spec_state gives a row that runs out of
+attempts a fresh spec.
 """
 
 from __future__ import annotations
@@ -24,19 +23,12 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .fields import (
-    SymmetricTensorField,
-    constant_potential,
     potential_from_function,
     symmetric_tensor_field,
     tensor_columns,
     tensor_indices,
 )
-from .geometry import (
-    constant_diagonal_metric,
-    metric_from_function,
-    quadratic_form,
-    weak_field_metric,
-)
+from .geometry import metric_from_function, quadratic_form
 from .lagrangian import (
     LagrangianSpec,
     eval_L,
@@ -116,9 +108,6 @@ class SpecStack:
         for f in fields(self):
             getattr(self, f.name)[rows] = getattr(other, f.name)
 
-    def _tensors(self):
-        return ((3, self.rank3), (4, self.rank4))
-
     def spec(self) -> LagrangianSpec:
         """The stack as one LagrangianSpec on (S, N) points, row i at sample i's point."""
         dim = self.dim
@@ -132,31 +121,10 @@ class SpecStack:
 
         extras = tuple(
             (self.couplings[:, t], symmetric_tensor_field(rank, dim, lambda x, e=entries: e))
-            for t, (rank, entries) in enumerate(self._tensors()))
+            for t, (rank, entries) in enumerate(((3, self.rank3), (4, self.rank4))))
         return LagrangianSpec(metric=metric_from_function(dim, metric), mass=self.mass,
                               charge=self.charge,
                               potential=_per_sample_potential(self.potential),
-                              extra_terms=extras)
-
-    def row(self, i: int) -> LagrangianSpec:
-        """Sample i as an ordinary LagrangianSpec: a constant diagonal or weak-field
-        metric, a constant potential and constant tensors."""
-        dim = self.dim
-        if self.curved[i]:
-            a, b = self.amplitude[i].copy(), float(self.frequency[i])
-            metric = weak_field_metric(
-                dim,
-                phi=lambda x: np.vecdot(np.sin(b * x), a),
-                phi_grad=lambda x: a * b * np.cos(b * x),
-            )
-        else:
-            metric = constant_diagonal_metric(self.diagonal[i])
-        extras = tuple(
-            (float(self.couplings[i, t]), SymmetricTensorField(rank, dim, entries=entries[i]))
-            for t, (rank, entries) in enumerate(self._tensors()))
-        return LagrangianSpec(metric=metric, mass=float(self.mass[i]),
-                              charge=float(self.charge[i]),
-                              potential=constant_potential(self.potential[i]),
                               extra_terms=extras)
 
 

@@ -644,9 +644,9 @@ def integrate(spec: LagrangianSpec, gauge: GaugeChoice, x0, v0,
     """Fixed-step RK4 world line from (x0, v0) in the chosen gauge.
 
     The number of steps is round(tau_end / step), and a ratio that is not
-    finite, or a count above MAX_STEPS, is a DimensionMismatch; the initial
-    condition must satisfy the gauge condition to 1e-8 and is snapped
-    exactly onto it.
+    finite, or a count above MAX_STEPS, is a DimensionMismatch, as is a
+    g(v0, v0) past the float range; the initial condition must satisfy the
+    gauge condition to 1e-8 and is snapped exactly onto it.
     """
     if spec.dim < 2:
         raise DimensionMismatch(f"a world line needs dimension >= 2, got {spec.dim}")
@@ -665,6 +665,10 @@ def integrate(spec: LagrangianSpec, gauge: GaugeChoice, x0, v0,
         raise SingularReducedHessian(
             "dynamics require the mass term; specs with only rank>=3 terms are rejected"
         )
+    with np.errstate(over="ignore"):
+        gvv0 = quadratic_form(spec.metric(x0), v0)
+    if not math.isfinite(gvv0):
+        raise DimensionMismatch(f"g(v0, v0) overflows to {gvv0} at v0 = {v0.tolist()}")
     ratio = tau_end / step
     if not math.isfinite(ratio):
         raise DimensionMismatch(f"step count tau_end / step = {ratio} is not finite")
@@ -691,10 +695,9 @@ def integrate(spec: LagrangianSpec, gauge: GaugeChoice, x0, v0,
         xs, vs = _integrate_coordinate(spec, x0, v0, taus, h)
         gauge_res = np.zeros(taus.shape[0])  # v^0 = 1 holds structurally
     elif gauge is GaugeChoice.PROPER_TIME:
-        nrm0 = quadratic_form(spec.metric(x0), v0)
-        if nrm0 <= 0 or abs(np.sqrt(nrm0) - 1.0) > GAUGE_TOL:
-            raise GaugeViolation(f"proper-time gauge needs g(v0,v0) = 1, got {nrm0}")
-        v0 = v0 / np.sqrt(nrm0)
+        if gvv0 <= 0 or abs(np.sqrt(gvv0) - 1.0) > GAUGE_TOL:
+            raise GaugeViolation(f"proper-time gauge needs g(v0,v0) = 1, got {gvv0}")
+        v0 = v0 / np.sqrt(gvv0)
         xs, vs, gauge_res = _integrate_proper(spec, x0, v0, taus, h)
     else:
         raise DimensionMismatch(f"unknown gauge {gauge!r}")

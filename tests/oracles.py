@@ -2,7 +2,8 @@
 
 Everything here is derived from first principles (closed forms, dense
 enumeration, plain finite differences, generic quadrature) without touching
-the code paths under test.
+the code paths under test. The last section holds builders and checks that
+only the tests need; they take package objects and call the package.
 """
 
 import itertools
@@ -523,3 +524,133 @@ def constant_field_orbit_lists(spec, proper, x0, v0, n_steps, h, gauge_tol=1e-8)
     taus = t + h * np.arange(n_steps + 1)
     return (np.column_stack([taus, zs[:, :dim - 1]]),
             np.column_stack([np.ones_like(taus), zs[:, dim - 1:]]))
+
+
+# ---------------------------------------------------------------------------
+# test-only builders and checks on package objects: the paper's claims that
+# the package itself never needs (reparametrization invariance, Rund's gamma
+# algebra read back through the vector representation, the mass-term trace)
+# ---------------------------------------------------------------------------
+
+def reparam_invariance_residual(spec, path, dtau) -> float:
+    """|sum_k L(mid_k, dx_k / dt_k) dt_k - discrete_action|; zero up to round-off."""
+    from repmech import DimensionMismatch, discrete_action, eval_L
+
+    dtau = np.asarray(dtau, dtype=float)
+    segments = len(path.interior) + 1
+    if dtau.shape != (segments,):
+        raise DimensionMismatch(f"need {segments} parameter steps, got {dtau.shape}")
+    if np.any(dtau <= 0):
+        raise DimensionMismatch("parameter steps must be positive")
+    total = np.sum(eval_L(spec, path.midpoints(), path.segments() / dtau[:, None]) * dtau)
+    return abs(float(total) - discrete_action(spec, path))
+
+
+def cell_centers(emb):
+    """Every cell centre of a BraneEmbedding, (n_cells, D), in flat (C-order) cell order."""
+    return np.stack(np.meshgrid(*emb.center_axes(), indexing="ij"), axis=-1).reshape(-1, emb.d)
+
+
+def curve_embedding(fn, jacobian=None, box=(0.0, 1.0), resolution=256, dim_m=4):
+    """D = 1 embedding (a world line) from a curve z -> x(z), fn mapping (n, 1) to (n, dimM)."""
+    from repmech import BraneEmbedding
+
+    return BraneEmbedding(d=1, dim_m=dim_m, box=np.asarray([box]),
+                          resolution=(int(resolution),), evaluator=fn, jacobian=jacobian)
+
+
+def reparameterized(emb, psi, psi_jacobian=None):
+    """Compose an embedding with a parameter diffeomorphism z' -> psi(z') of its box.
+
+    psi maps an (n, D) batch to (n, D), psi_jacobian to the (n, D, D) Jacobians.
+    """
+    from repmech import BraneEmbedding
+
+    def evaluate(Z):
+        return emb.points(psi(Z))
+
+    jac = None
+    if psi_jacobian is not None and emb.jacobian is not None:
+        def jac(Z):
+            return np.einsum("nab,nbc->nac", emb.jacobians(psi(Z)), psi_jacobian(Z))
+
+    return BraneEmbedding(d=emb.d, dim_m=emb.dim_m, box=emb.box,
+                          resolution=emb.resolution, evaluator=evaluate, jacobian=jac)
+
+
+def spec_row(stack, i):
+    """Sample i of a SpecStack as an ordinary LagrangianSpec: a constant diagonal
+    or weak-field metric, a constant potential and constant tensors."""
+    from repmech import (LagrangianSpec, SymmetricTensorField, constant_diagonal_metric,
+                         constant_potential, weak_field_metric)
+
+    dim = stack.dim
+    if stack.curved[i]:
+        a, b = stack.amplitude[i].copy(), float(stack.frequency[i])
+        metric = weak_field_metric(
+            dim,
+            phi=lambda x: np.vecdot(np.sin(b * x), a),
+            phi_grad=lambda x: a * b * np.cos(b * x),
+        )
+    else:
+        metric = constant_diagonal_metric(stack.diagonal[i])
+    extras = tuple(
+        (float(stack.couplings[i, t]), SymmetricTensorField(rank, dim, entries=entries[i]))
+        for t, (rank, entries) in enumerate(((3, stack.rank3), (4, stack.rank4))))
+    return LagrangianSpec(metric=metric, mass=float(stack.mass[i]),
+                          charge=float(stack.charge[i]),
+                          potential=constant_potential(stack.potential[i]),
+                          extra_terms=extras)
+
+
+def build_pauli_gammas(form="euclidean"):
+    """2x2 toy set: sigma_1, sigma_2 (euclidean) or sigma_3, i*sigma_1 (minkowski)."""
+    from repmech import GammaSet, UnsupportedDimension, anticommutator_residual
+    from repmech.clifford import _SIGMA
+
+    sigma1, sigma2, sigma3 = _SIGMA
+    if form == "euclidean":
+        matrices, h = (sigma1, sigma2), np.eye(2)
+    elif form == "minkowski":
+        matrices, h = (sigma3, 1j * sigma1), np.diag([1.0, -1.0])
+    else:
+        raise UnsupportedDimension(f"unknown form {form!r}")
+    return GammaSet(matrices=matrices, form=h, residual=anticommutator_residual(matrices, h),
+                    label=f"pauli-{form}")
+
+
+def extract_vector_rep(generators, gam):
+    """Recover rho_i from [X_i, g^a] = rho_i[b, a] g^b by projection on the g span.
+
+    Every commutator is fitted on the same N gamma columns, so the G * N fits
+    are one least-squares solve. Returns (rho, fit_residual); rho uses the
+    homomorphism convention of LieAlgebraSpec, so it can be compared to
+    alg.rho directly.
+    """
+    from repmech.clifford import _commutators, _real_columns
+
+    mats = np.asarray(gam.matrices)
+    xs = np.asarray(generators)
+    cols = _real_columns(mats, gam.n)
+    rhs = _real_columns(_commutators(xs, mats), len(xs) * gam.n)
+    coef = np.linalg.lstsq(cols, rhs, rcond=None)[0]
+    worst = float(np.max(np.linalg.norm(cols @ coef - rhs, axis=0)))
+    # column i * N + a holds rho_i[:, a]
+    return coef.T.reshape(len(xs), gam.n, gam.n).swapaxes(1, 2), worst
+
+
+def mass_term_trace_identity(gam, g) -> float:
+    """|| g_ab g^a g^b - N I ||_F: the symmetric contraction collapses to N times I.
+
+    The quadratic mass term sqrt(g_ab g^a g^b) is therefore sqrt(N) I rather
+    than I; dirac_operator keeps the conventional unit normalization and this
+    check surfaces the alternative number.
+    """
+    from repmech import FormMismatch
+
+    g = np.asarray(g, dtype=float)
+    if g.shape != gam.form.shape or not np.allclose(g, gam.form, atol=1e-12):
+        raise FormMismatch("metric must equal the gamma set's bilinear form")
+    contraction = sum(g[a, b] * gam.matrices[a] @ gam.matrices[b]
+                      for a in range(gam.n) for b in range(gam.n))
+    return float(np.linalg.norm(contraction - gam.n * np.eye(gam.matrix_dim)))

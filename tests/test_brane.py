@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
-from oracles import dense_contraction, dense_symmetric_tensor, entry_array, multivector_metric
+from oracles import (cell_centers, curve_embedding, dense_contraction, dense_symmetric_tensor,
+                     entry_array, multivector_metric, reparameterized)
 from repmech import (
     BraneEmbedding,
     BraneSpec,
@@ -14,7 +15,6 @@ from repmech import (
     LagrangianSpec,
     NegativeRadicand,
     brane_action,
-    curve_embedding,
     cylinder_patch_embedding,
     discrete_action,
     generalized_velocity,
@@ -26,7 +26,6 @@ from repmech import (
     minor_indices,
     nonrelativistic_brane_expansion,
     potential_from_function,
-    reparameterized,
     straight_chord_path,
     symmetric_tensor,
     symmetric_tensor_field,
@@ -267,7 +266,7 @@ class TestBraneAction:
         spec = BraneSpec(euclidean_metric(4), mass=1.1, charge=0.7, potential=potential,
                          extra_terms=terms)
         densities = []
-        for z in emb.cell_centers():
+        for z in cell_centers(emb):
             x = emb.points(z[None, :])[0]
             w = generalized_velocity(emb, z).components
             density = 1.1 * math.sqrt(w @ w) + 0.7 * float(potential(x) @ w)
@@ -328,7 +327,7 @@ class TestGauge:
                               resolution=(8, 4))
         spec = BraneSpec(ONE_TIME3, mass=1.2, charge=0.0)
         exact, quadratic = nonrelativistic_brane_expansion(spec, emb, (5, 2))
-        z1 = emb.cell_centers()[np.ravel_multi_index((5, 2), emb.resolution)][0]
+        z1 = cell_centers(emb)[np.ravel_multi_index((5, 2), emb.resolution)][0]
         velocity = 2.0 * slope * z1
         assert exact == pytest.approx(1.2 * math.sqrt(1.0 - velocity ** 2), rel=1e-15)
         assert quadratic == pytest.approx(1.2 * (1.0 - 0.5 * velocity ** 2), rel=1e-15)
@@ -466,7 +465,7 @@ class TestGridInterpolantOracle:
         rng = np.random.default_rng(d)
         inner = np.column_stack([rng.uniform(a[0], a[-1], 200) for a in axes])
         scale = np.max(np.abs(values))
-        for Z in (emb.cell_centers(), inner):
+        for Z in (cell_centers(emb), inner):
             assert np.max(np.abs(emb.points(Z) - oracle(Z))) <= 1e-15 * scale
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -475,7 +474,7 @@ class TestGridInterpolantOracle:
         emb = gridded_embedding(axes, values)
         steps = [a[1] - a[0] for a in axes]
         expected = _cell_centre_jacobians(values, steps)
-        assert np.max(np.abs(emb.jacobians(emb.cell_centers()) - expected)) <= 1e-13
+        assert np.max(np.abs(emb.jacobians(cell_centers(emb)) - expected)) <= 1e-13
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_jacobians_off_centre_are_their_cells_derivative(self, d):
@@ -532,7 +531,7 @@ class TestFiniteDifferenceJacobians:
         emb = make()
         fd = BraneEmbedding(d=emb.d, dim_m=emb.dim_m, box=emb.box, resolution=emb.resolution,
                             evaluator=emb.evaluator)
-        Z = emb.cell_centers()
+        Z = cell_centers(emb)
         assert np.max(np.abs(fd.jacobians(Z) - emb.jacobians(Z))) <= 1e-8
 
 
@@ -552,12 +551,12 @@ class TestEmbeddingContract:
     def test_a_wrongly_shaped_evaluator_or_jacobian_is_a_dimension_mismatch(self):
         emb = self._with(evaluator=lambda Z: np.zeros((len(Z), 5)))
         with pytest.raises(DimensionMismatch, match="embedding evaluator"):
-            emb.points(emb.cell_centers())
+            emb.points(cell_centers(emb))
         with pytest.raises(DimensionMismatch, match="embedding evaluator"):
             brane_action(BraneSpec(VARYING4), emb)
         emb = self._with(jacobian=lambda Z: np.zeros((len(Z), 5, 2)))
         with pytest.raises(DimensionMismatch, match="embedding jacobian"):
-            emb.jacobians(emb.cell_centers())
+            emb.jacobians(cell_centers(emb))
         with pytest.raises(DimensionMismatch, match="embedding jacobian"):
             brane_action(BraneSpec(VARYING4), emb)
 

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import brane_action_single_batch, entry_array
+from oracles import brane_action_single_batch, cell_centers, entry_array
 from repmech import (
     BraneEmbedding,
     BraneSpec,
@@ -33,6 +33,7 @@ from repmech import (
     symmetric_tensor_field,
     tilted_plane_embedding,
 )
+from repmech.cli import parse_config
 from repmech.geometry import constant_diagonal_metric, euclidean_metric
 
 
@@ -106,10 +107,40 @@ def test_shipped_blocks_give_the_bits_of_one_batch(emb):
     assert brane_action(spec, emb, details=True) == brane_action_single_batch(spec, emb, True)
 
 
+def _package_embedding(kind, resolution):
+    """A surface in 3 target coordinates from each Jacobian the package builds."""
+    if kind == "tilted_plane":
+        return tilted_plane_embedding(0.75, resolution=resolution)
+    if kind == "cylinder":
+        return cylinder_patch_embedding(1.5, resolution=resolution)
+    if kind == "graph":  # the config's graph, whose gradient the CLI builds
+        text = ("embedding:\n  kind: graph\n  linear: [0.3, -0.2]\n"
+                f"  quadratic: [[0.1, 0.05], [0.0, -0.2]]\n  resolution: {list(resolution)}\n"
+                "spec:\n  metric: {kind: euclidean, dim: 3}\n")
+        return parse_config(text, "brane").payload["embedding"]
+    axes = [np.linspace(0.0, 1.0, r + 1) for r in resolution]
+    z1, z2 = np.meshgrid(*axes, indexing="ij")
+    return gridded_embedding(axes, np.stack([z1, z2, np.sin(z1) * np.cos(2.0 * z2)], axis=-1))
+
+
+@pytest.mark.parametrize("resolution", [(16, 17), (300, 257)], ids=["one_block", "blocks"])
+@pytest.mark.parametrize("kind", ["tilted_plane", "graph", "cylinder", "gridded"])
+def test_package_jacobians_have_a_contiguous_cell_axis(kind, resolution):
+    emb = _package_embedding(kind, resolution)
+    _, Z = next(emb.row_blocks())
+    J = emb.jacobians(Z)
+    # the tilted plane broadcasts its one matrix: every cell reads the same entry
+    cell_stride = 0 if kind == "tilted_plane" else J.itemsize
+    assert {J[:, r, k].strides for r in range(3) for k in range(2)} == {(cell_stride,)}
+    assert (len(list(emb.row_blocks())) > 1) == (resolution[0] > 16)
+    spec = BraneSpec(euclidean_metric(3), mass=1.7, charge=0.0)
+    assert brane_action(spec, emb, details=True) == brane_action_single_batch(spec, emb, True)
+
+
 def test_blocks_are_consecutive_rows_of_the_cell_centres():
     emb = _embedding(3, (50, 40, 37))
     starts, blocks = zip(*emb.row_blocks())
-    assert np.array_equal(np.concatenate(blocks), emb.cell_centers())
+    assert np.array_equal(np.concatenate(blocks), cell_centers(emb))
     assert list(starts) == list(np.cumsum([0] + [len(Z) for Z in blocks[:-1]]))
 
 
@@ -121,7 +152,7 @@ def test_a_row_longer_than_a_block_is_split_into_ranges_of_cells(emb):
     starts, blocks = zip(*emb.row_blocks())
     counts = [len(Z) for Z in blocks]
     assert counts[:-1] == [brane.BLOCK_CELLS] * (len(counts) - 1) and len(counts) > 4
-    assert np.array_equal(np.concatenate(blocks), emb.cell_centers())
+    assert np.array_equal(np.concatenate(blocks), cell_centers(emb))
     assert list(starts) == list(np.cumsum([0] + counts[:-1]))
     spec = BraneSpec(euclidean_metric(emb.dim_m), mass=1.7, charge=0.0)
     assert brane_action(spec, emb, details=True) == brane_action_single_batch(spec, emb, True)
@@ -138,7 +169,7 @@ def test_one_cell_expansion_reads_the_quadratures_centre():
                           box=((-0.3, 0.8), (0.1, 0.7)), resolution=(300, 257))
     spec = BraneSpec(constant_diagonal_metric([1.0, 1.0, -1.0]), mass=1.2, charge=0.0)
     nonrelativistic_brane_expansion(spec, emb, (201, 38))
-    assert np.array_equal(seen[0][0], emb.cell_centers()[201 * 257 + 38])
+    assert np.array_equal(seen[0][0], cell_centers(emb)[201 * 257 + 38])
 
 
 @pytest.mark.parametrize("bad, first", [
@@ -171,7 +202,7 @@ def test_another_errors_batch_index_names_the_cell_in_the_whole_grid(monkeypatch
     # block of 20 cells: its even root fails there first
     emb = _embedding(2, (12, 7))
     bad = int(np.ravel_multi_index((9, 4), emb.resolution))
-    cut = emb.cell_centers()[bad]
+    cut = cell_centers(emb)[bad]
 
     def entries(x):
         # the first two target coordinates are the parameters

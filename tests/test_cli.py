@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -548,6 +549,11 @@ MALFORMED = {
     "invalid_yaml_character": ("check", "seed: 0\nsamples: \x01\n", 2,
                                "config error: invalid YAML: unacceptable character #x0001: "
                                "control characters are not allowed"),
+    # an explicit tag whose constructor cannot read its scalar
+    **{f"explicit_{tag}_tag": ("check", f"seed: !!{tag} x\nsamples: 10\n", 2,
+                               f"config error: invalid YAML at line 1, column 7: cannot read 'x' "
+                               f"as !!{tag}")
+       for tag in ("int", "float", "bool", "timestamp")},
 }
 
 
@@ -561,6 +567,31 @@ def test_a_malformed_config_exits_with_one_line_and_no_traceback(tmp_path, capsy
     assert err == message + "\n"
     assert "Traceback" not in err
     assert not recwarn.list
+
+
+# (subcommand, config text, stderr); each printed a numpy overflow warning first
+OVERFLOWS = {
+    f"{sub}_{key}": (sub, (CONFIGS / f"{sub}.yaml").read_text().replace(old, new), message)
+    for sub, key, old, new, message in [
+        ("signature", "diagonal", "[1.0, 1.0,", "[1.0e300, 1.0,",
+         "DegenerateMetric: metric is degenerate"),
+        ("simulate", "velocity", "[1.0, 0.6,", "[1.0, 1.0e300,",
+         "DimensionMismatch: g(v0, v0) overflows to -inf at v0 = [1.0, 1e+300, 0.0, 0.0]"),
+        ("extremize", "end", "[1.0, 0.3,", "[1e300, 0.3,",
+         "DimensionMismatch: segment 0: g(dx, dx) overflows to inf"),
+    ]
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWS)
+def test_an_input_past_the_float_range_ends_in_one_line_and_no_warning(tmp_path, capsys, case):
+    subcommand, text, message = OVERFLOWS[case]
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == message + "\n"
 
 
 @pytest.mark.parametrize("metric", ["{kind: euclidean, dim: 1024}",

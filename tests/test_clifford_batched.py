@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from oracles import per_generator_quadratic_solve, per_pair_structure_constants
+from oracles import (build_pauli_gammas, extract_vector_rep, per_generator_quadratic_solve,
+                     per_pair_structure_constants)
 from repmech import (
     abelian_algebra,
     anticommutator_residual,
     build_dirac_gammas,
-    build_pauli_gammas,
-    extract_vector_rep,
     lorentz_vector_algebra,
     pair_vector_algebra,
     perturb_gammas,
@@ -47,7 +46,7 @@ def _assert_matches_oracle(alg, gam):
     for name in ("coefficients", "basis_coefficients", "residuals", "grade_leakage"):
         np.testing.assert_allclose(getattr(sol, name), ref[name], rtol=0, atol=AGREE,
                                    err_msg=name)
-    np.testing.assert_allclose(sol.generators(), ref["generators"], rtol=0, atol=AGREE)
+    np.testing.assert_allclose(sol.generators, ref["generators"], rtol=0, atol=AGREE)
     return sol, ref
 
 
@@ -109,7 +108,7 @@ def test_stacked_structure_constants_match_per_pair_fit(rho):
 @pytest.mark.parametrize("form", FORMS)
 def test_stacked_vector_rep_fit_matches_per_commutator_fit(form, magnitude):
     gam = _gammas(build_dirac_gammas, form, magnitude)
-    xs = solve_quadratic_generators(lorentz_vector_algebra(gam.form), gam).generators()
+    xs = solve_quadratic_generators(lorentz_vector_algebra(gam.form), gam).generators
     rho, worst = extract_vector_rep(xs, gam)
     cols = np.stack([g.ravel() for g in gam.matrices], axis=1)
     cols = np.vstack([cols.real, cols.imag])

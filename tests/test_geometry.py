@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, per_point
+from oracles import fd_gradient, per_point, spec_row
 from repmech import (
     CausalityKind,
     LagrangianSpec,
@@ -267,7 +267,7 @@ class TestBatchAgainstPoints:
 
     @staticmethod
     def _weak_field(seed):
-        return random_spec(np.random.default_rng(seed), 1, curved=True).row(0).metric
+        return spec_row(random_spec(np.random.default_rng(seed), 1, curved=True), 0).metric
 
     @pytest.mark.parametrize("seed", range(5))
     def test_builtin_weak_field_is_bit_identical(self, seed):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import entry_array, fd_gradient, per_point
+from oracles import entry_array, fd_gradient, per_point, spec_row
 from repmech import (
     DimensionMismatch,
     GaugeViolation,
@@ -187,7 +187,7 @@ class TestIdentities:
     def test_euler_identity_random(self):
         stack, xs, vs = draw_spec_state(np.random.default_rng(0), 100)
         for i in range(100):
-            spec, x, v = stack.row(i), xs[i], vs[i]
+            spec, x, v = spec_row(stack, i), xs[i], vs[i]
             p = momentum(spec, x, v)
             scale = abs(float(p @ v)) + abs(eval_L(spec, x, v))
             assert abs(hamiltonian_residual(spec, x, v)) <= 1e-10 * max(scale, 1e-300)
@@ -195,7 +195,7 @@ class TestIdentities:
     def test_euler_identity_fd_mode(self):
         stack, xs, vs = draw_spec_state(np.random.default_rng(1), 50)
         for i in range(50):
-            spec, x, v = stack.row(i), xs[i], vs[i]
+            spec, x, v = spec_row(stack, i), xs[i], vs[i]
             res = hamiltonian_residual(spec, x, v, mode="fd")
             p = momentum_fd(spec, x, v)
             scale = abs(float(p @ v)) + abs(eval_L(spec, x, v))
@@ -265,7 +265,7 @@ class TestIdentities:
     def test_homogeneity_property(self, log_lam, seed):
         lam = math.exp(log_lam)
         stack, xs, vs = draw_spec_state(np.random.default_rng(seed), 1)
-        spec, x, v = stack.row(0), xs[0], vs[0]
+        spec, x, v = spec_row(stack, 0), xs[0], vs[0]
         res = homogeneity_residual(spec, x, v, lam)
         assert abs(res) <= 1e-11 * lam * max(1.0, abs(eval_L(spec, x, v)))
 
@@ -468,11 +468,21 @@ class TestELSystem:
             velocity_hessian(spec, x, v)
         with pytest.raises(error):
             el_system(spec, x, v)
-        if mass == 1.0 and not extra or varying:  # B contracts no constant tensor
+        if extra != "rank3" or varying:  # a constant odd-rank L is defined at c = 0
             with pytest.raises(error):
                 position_gradient(spec, x, v)
             with pytest.raises(error):
                 momentum_position_directional(spec, x, v, v)
+
+    def test_a_negative_constant_even_rank_term_raises_in_the_position_gradient(self):
+        # a constant term adds nothing to B, yet L is undefined where its radicand is negative
+        spec = LagrangianSpec(metric=minkowski_metric(3), mass=0.0, charge=1.0,
+                              potential=uniform_magnetic_potential(3, 1.0),
+                              extra_terms=((1.0, symmetric_tensor(4, 3, {(0, 0, 0, 0): -1.0})),))
+        x, v = np.zeros(3), np.array([1.0, 0.2, 0.0])
+        for kernel in (eval_L, position_gradient):
+            with pytest.raises(NegativeEvenRadicand, match="rank-4 radicand is negative"):
+                kernel(spec, x, v)
 
     @pytest.mark.parametrize("batch", [(), (5,)], ids=["point", "batch"])
     def test_a_spacelike_velocity_raises_in_the_position_derivatives(self, batch):

@@ -7,6 +7,7 @@ import pytest
 
 import repmech.lagrangian as lagrangian
 import repmech.sweeps as sweeps
+from oracles import spec_row
 from repmech import (
     LagrangianSpec,
     constant_potential,
@@ -108,7 +109,7 @@ class TestDraws:
         b = random_spec(np.random.default_rng(5), 3, curved=curved)
         x = np.array([0.1, -0.3, 0.4, 0.2])
         for i in range(3):
-            ra, rb = a.row(i), b.row(i)
+            ra, rb = spec_row(a, i), spec_row(b, i)
             assert (ra.mass, ra.charge) == (rb.mass, rb.charge)
             assert np.array_equal(ra.metric(x), rb.metric(x))
             assert np.array_equal(ra.potential(x), rb.potential(x))
@@ -134,7 +135,7 @@ class TestDraws:
         rng = np.random.default_rng(11)
         stack = random_spec(rng, 1)
         xs, vs, found = random_state(rng, stack)
-        spec, x, v = stack.row(0), xs[0], vs[0]
+        spec, x, v = spec_row(stack, 0), xs[0], vs[0]
         assert found[0]
         assert v[0] > 0.0
         for _q, tensor in spec.extra_terms:
@@ -159,7 +160,7 @@ class TestDrawLaw:
     def test_every_radicand_clears_the_floor(self, draw):
         stack, x, v = draw
         for i in range(len(stack)):
-            for _q, tensor in stack.row(i).extra_terms:
+            for _q, tensor in spec_row(stack, i).extra_terms:
                 assert abs(tensor.contraction(x[i], v[i])) >= 0.05 * abs(v[i, 0]) ** tensor.rank
 
     def test_flat_and_curved_mix(self, draw):
@@ -284,7 +285,7 @@ class TestBatchAgainstPoints:
         more = inputs(rng, x)
         got = batched(stack.spec(), x, v, **more)
         assert got.shape == (100,)
-        ref = np.array([point(stack.row(i), x[i], v[i], **{k: a[i] for k, a in more.items()})
+        ref = np.array([point(spec_row(stack, i), x[i], v[i], **{k: a[i] for k, a in more.items()})
                         for i in range(self.ROWS)])
         assert np.max(np.abs(got[:self.ROWS] - ref)) <= allowed
 
@@ -293,7 +294,7 @@ class TestBatchAgainstPoints:
         spec = stack.spec()
         g, a = spec.metric(x), spec.potential(x)
         for i in range(self.ROWS):
-            row = stack.row(i)
+            row = spec_row(stack, i)
             assert (spec.mass[i], spec.charge[i]) == (row.mass, row.charge)
             assert np.array_equal(g[i], row.metric(x[i]))
             assert np.array_equal(a[i], row.potential(x[i]))

@@ -8,9 +8,11 @@ AST scans, since no linter is a dependency: a name bound by `import` or
 A module-level function or class whose name starts with one underscore
 must be read, as a name or an attribute, somewhere in the package outside
 its own definition. A public module-level function, or a public method of a
-module-level class, that no package module reads in that way (an export
-from `__init__.py` is not a read, and a method counts as read when any
-attribute of its name is) must be on UNREAD_PUBLIC, and nothing else may be.
+module-level class, that no package module reads outside its own definition
+must be on UNREAD_PUBLIC, and nothing else may be. A function is read
+through its name, an import or an attribute of its name; a method only
+through an attribute of its name, so a local variable or a parameter that
+shares the name is not a read. An export from `__init__.py` is not a read.
 """
 
 import ast
@@ -83,17 +85,11 @@ def test_every_private_helper_is_used():
 
 # (module, name) -> why a public name that no package code reads stays
 UNREAD_PUBLIC = {
-    ("action", "reparam_invariance_residual"): "item 11 candidate: read only by tests",
-    ("brane", "BraneEmbedding.cell_centers"): "test-only: the brane tests' cell positions",
-    ("brane", "curve_embedding"): "item 11 candidate: read only by tests",
     ("brane", "integral_gauge_check"): "perfbench span",
     ("brane", "nonrelativistic_brane_expansion"): "item 11 candidate: item 6's model",
-    ("brane", "reparameterized"): "item 11 candidate: read only by tests",
-    ("clifford", "build_pauli_gammas"): "item 9 candidate: deleted by its gamma_set",
-    ("clifford", "extract_vector_rep"): "item 11 candidate: read only by tests",
-    ("clifford", "mass_term_trace_identity"): "item 9 candidate: an oracle there",
     ("fields", "SymmetricTensorField.contraction_gradient"): "perfbench span",
     ("fields", "SymmetricTensorField.contraction_hessian"): "perfbench span",
+    ("geometry", "weak_field_metric"): "item 3 candidate: its weak_field config kind",
     ("lagrangian", "hamiltonian_residual"): "perfbench span",
     ("lagrangian", "momentum_position_directional"): "perfbench span",
     ("lagrangian", "velocity_hessian"): "perfbench span",
@@ -106,18 +102,26 @@ UNREAD_PUBLIC = {
 def _unread_public(sources):
     """(module, name) of each public module-level function, and each public
     method of a module-level class as "Class.method", that no module in
-    `sources` reads outside its own definition."""
+    `sources` reads outside its own definition: a function as a name, an
+    import outside `__init__` or an attribute, a method as an attribute."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    reads = [(node, node.id if isinstance(node, ast.Name) else node.attr)
-             for tree in trees.values() for node in ast.walk(tree)
-             if isinstance(node, (ast.Name, ast.Attribute))]
+    attributes, names = [], []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.append((node, node.attr))
+            elif isinstance(node, ast.Name):
+                names.append((node, node.id))
+            elif isinstance(node, ast.ImportFrom) and module != "__init__":
+                names += [(node, alias.name) for alias in node.names]
     unread = []
     for module, tree in trees.items():
-        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
-        defs += [(f"{node.name}.{method.name}", method)
+        defs = [(node.name, node, attributes + names)
+                for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [(f"{node.name}.{method.name}", method, attributes)
                  for node in tree.body if isinstance(node, ast.ClassDef)
                  for method in node.body if isinstance(method, ast.FunctionDef)]
-        for qualname, node in defs:
+        for qualname, node, reads in defs:
             if node.name.startswith("_"):
                 continue
             own = {id(inner) for inner in ast.walk(node)}
@@ -129,15 +133,19 @@ def _unread_public(sources):
 def test_the_scan_finds_an_unread_public_name():
     sources = {
         "a": "def used():\n    pass\n\ndef unread():\n    return unread()\n\n"
+             "def imported():\n    pass\n\n"
              "def _private():\n    pass\n\n"
              "class Field:\n    def read(self):\n        pass\n\n"
              "    def unread_method(self):\n        pass\n\n"
+             "    def shadowed(self):\n        pass\n\n"
              "    def __call__(self):\n        pass\n",
-        "b": "from a import used, unread\n\ndef public(f):\n    return used(), f.read()\n",
-        "__init__": "from a import Field\n",
+        "b": "from a import imported, used\n\n"
+             "def public(f, shadowed):\n    return used(), f.read(), shadowed\n",
+        "c": "def other():\n    shadowed = 1\n    return shadowed\n",
+        "__init__": "from a import Field, unread\n",
     }
-    assert _unread_public(sources) == [("a", "Field.unread_method"), ("a", "unread"),
-                                       ("b", "public")]
+    assert _unread_public(sources) == [("a", "Field.shadowed"), ("a", "Field.unread_method"),
+                                       ("a", "unread"), ("b", "public"), ("c", "other")]
 
 
 def test_every_unread_public_name_is_listed_with_a_reason():
