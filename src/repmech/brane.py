@@ -228,7 +228,9 @@ def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
     shrinks the blocks by that many floats per cell.
     With a mass term, a negative volume radicand w^T G w = det(J^T g J)
     fails eval_L's check, raised as NegativeRadicand carrying the first such
-    cell; any other eval_L error names its cell's flat index in the grid.
+    cell; any other eval_L error names its cell's flat index in the grid. An
+    action past the float range is a DimensionMismatch naming the first cell
+    whose density is not finite, with no numpy warning.
     details=True also returns the cell and component counts, the smallest
     radicand (the one eval_L took the root of, when there is a mass term)
     and the integral-gauge deviation (integral_gauge_check).
@@ -246,7 +248,8 @@ def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
         X = emb.points(Z) if origin is None else np.broadcast_to(origin, (len(Z), emb.dim_m))
         omega = _minors(emb.jacobians(Z))
         try:
-            density[start:start + len(Z)], radicand = eval_L_and_radicand(lag, X, omega)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below, if not finite
+                density[start:start + len(Z)], radicand = eval_L_and_radicand(lag, X, omega)
         except RepMechError as err:
             raise _on_grid(err, start, emb) from None
         if details:
@@ -254,7 +257,12 @@ def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
                 radicand = quadratic_form(lag.metric(X), omega)
             block_mins.append(np.min(radicand))
             block_deviations.append(_gauge_deviation(omega))
-    action = float(np.sum(density) * emb.cell_volume)
+    with np.errstate(over="ignore", invalid="ignore"):
+        action = float(np.sum(density) * emb.cell_volume)
+    if not math.isfinite(action):
+        bad = np.flatnonzero(~np.isfinite(density))
+        raise DimensionMismatch(f"cell {bad[0]}: the density overflows to {density[bad[0]]}"
+                                if bad.size else f"the action overflows to {action}")
     if not details:
         return action
     return action, {

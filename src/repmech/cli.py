@@ -2,11 +2,12 @@
 
 Subcommands: signature, check, simulate, extremize, brane, clifford.
 Configs are YAML (nested key-value sections); unknown keys are rejected with
-their line number. Every number in a config is read by one leaf rule: each
-leaf is a YAML int, or a finite float where the key allows non-integers,
-and never a string or a boolean; an array has its key's shape, and a
-key's lower bound holds for every leaf. A config that breaks it exits 2
-with an error naming the key and its line.
+their line number, and so is an alias inside the node it names, or aliases
+that expand past MAX_ALIAS_NODES nodes. Every number in a config is read by
+one leaf rule: each leaf is a YAML int, or a finite float where the key
+allows non-integers, and never a string or a boolean; an array has its
+key's shape, and a key's lower bound holds for every leaf. A config that
+breaks it exits 2 with an error naming the key and its line.
 
 Every JSON summary carries the subcommand, the sha256 digest of the config
 text, the tool version, and the effective seed, and all floats are printed
@@ -27,6 +28,7 @@ import os
 import re
 import sys
 import threading
+from collections.abc import Hashable
 from pathlib import Path
 from warnings import catch_warnings, simplefilter
 
@@ -86,7 +88,18 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _quoted(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+# the exact built-in types of most summary values, each checked before the numpy ones
+_PLAIN = {float: _fmt_float, int: str, str: _quoted, bool: lambda b: "true" if b else "false"}
+
+
 def to_json(obj, indent: int = 0) -> str:
+    plain = _PLAIN.get(type(obj))
+    if plain is not None:
+        return plain(obj)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -109,7 +122,7 @@ def to_json(obj, indent: int = 0) -> str:
         return _fmt_float(float(obj))
     if obj is None:
         return "null"
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return _quoted(str(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -133,27 +146,109 @@ _ConfigLoader.add_implicit_resolver(
 )
 
 
-def _load_yaml(text: str):
-    """(data, node) of one YAML document, both from a single parse.
+# The most nodes that aliases may add to the walk of one config: each entry of
+# a collection that an alias reaches again counts once per path to it. A chain
+# of 40 anchors, each a list of two aliases to the one before, stops here
+# after about 0.1 s.
+MAX_ALIAS_NODES = 100_000
 
-    A scalar whose explicit tag cannot build its value (`!!int x`,
-    `!!timestamp x`) raises a ConstructorError at that scalar: the node the
-    constructor was building is the last one it still holds as in progress.
+_TAG = "tag:yaml.org,2002:"
+_SCALAR_TAGS = {_TAG + t for t in ("null", "bool", "int", "float", "binary", "timestamp", "str")}
+_LOADER_BUILT = {_TAG + t for t in ("set", "omap", "pairs")}  # collections the walk does not build
+
+
+def _load_yaml(text: str):
+    """(data, lines) of one YAML document, from one parse and one walk over its nodes.
+
+    lines maps the path of each mapping key (keys and sequence indices as
+    strings) to its 1-based line. The walk builds plain mappings and
+    sequences itself, after the loader's flatten_mapping has resolved their
+    merge keys, and hands each scalar to the loader's own constructor for
+    its tag; a collection of another tag (!!set, !!omap) is walked for its
+    lines and then built by the loader. A node that aliases reach again
+    shares its data, as in yaml.safe_load, and its keys get one line per
+    path. A ConstructorError, at the node's mark, refuses a scalar whose
+    explicit tag cannot build its value (`!!int x`), an alias inside the
+    node it names, and aliases past MAX_ALIAS_NODES.
     """
     loader = _ConfigLoader(text)
     try:
         node = loader.get_single_node()
-        data = loader.construct_document(node) if node is not None else None
-    except (AttributeError, LookupError, ValueError):
-        if not loader.recursive_objects:  # raised outside a constructor
-            raise
-        failed = list(loader.recursive_objects)[-1]
-        tag = failed.tag.rsplit(":", 1)[-1]
+        if node is None:
+            return None, {}
+        return _walk(loader, node)
+    except RecursionError:
         raise yaml.constructor.ConstructorError(
-            None, None, f"cannot read {failed.value!r} as !!{tag}", failed.start_mark) from None
+            None, None, "nested too deeply", None) from None
     finally:
         loader.dispose()
-    return data, node
+
+
+def _walk(loader, root):
+    """(data, lines) of the composed document root; see _load_yaml."""
+    lines = {}
+    built = {}       # id -> data of each collection walked, for the aliases that reach it again
+    walking = set()  # ids of the collections the walk is inside
+    constructors = loader.yaml_constructors
+    again = 0
+
+    def refuse(problem, node):
+        raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark)
+
+    def scalar(node):
+        if node.tag not in _SCALAR_TAGS:
+            return loader.construct_object(node, deep=True)  # raises the loader's error
+        try:
+            return constructors[node.tag](loader, node)
+        except (AttributeError, LookupError, ValueError):
+            refuse(f"cannot read {node.value!r} as !!{node.tag.rsplit(':', 1)[-1]}", node)
+
+    def walk(node, path):
+        """node's data; path, None for a mapping key, is where its keys' lines go."""
+        nonlocal again
+        if isinstance(node, yaml.ScalarNode):
+            return scalar(node)
+        key = id(node)
+        if key in walking:
+            refuse("recursive alias", node)
+        seen = built.get(key)
+        if seen is not None:
+            again += len(node.value)
+            if again > MAX_ALIAS_NODES:
+                refuse(f"aliases expand past {MAX_ALIAS_NODES} nodes", node)
+        plain = node.tag == _TAG + ("map" if isinstance(node, yaml.MappingNode) else "seq")
+        if not plain and node.tag not in _LOADER_BUILT:
+            return loader.construct_object(node, deep=True)  # raises the loader's error
+        walking.add(key)
+        if isinstance(node, yaml.MappingNode):
+            loader.flatten_mapping(node)
+            data = {}
+            for k_node, v_node in node.value:
+                if isinstance(k_node, yaml.ScalarNode):
+                    k = scalar(k_node)
+                else:
+                    k = walk(k_node, None)
+                    if not isinstance(k, Hashable):
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            "found unhashable key", k_node.start_mark)
+                if path is None:
+                    data[k] = walk(v_node, None)
+                else:
+                    k_path = path + (str(k_node.value),)
+                    lines[k_path] = k_node.start_mark.line + 1
+                    data[k] = walk(v_node, k_path)
+        else:
+            data = []
+            for i, item in enumerate(node.value):  # a loop, not a comprehension: one frame a level
+                data.append(walk(item, None if path is None else path + (str(i),)))
+        walking.discard(key)
+        if seen is not None:
+            return seen
+        built[key] = data = data if plain else loader.construct_object(node, deep=True)
+        return data
+
+    return walk(root, ()), lines
 
 
 def _yaml_error(exc: yaml.YAMLError) -> str:
@@ -162,19 +257,6 @@ def _yaml_error(exc: yaml.YAMLError) -> str:
     if mark is None or problem is None:  # a ReaderError, say: its first line names the character
         return f"invalid YAML: {str(exc).splitlines()[0]}"
     return f"invalid YAML at line {mark.line + 1}, column {mark.column + 1}: {problem}"
-
-
-def _key_lines(node, prefix=()):
-    lines = {}
-    if isinstance(node, yaml.MappingNode):
-        for k_node, v_node in node.value:
-            path = prefix + (str(k_node.value),)
-            lines[path] = k_node.start_mark.line + 1
-            lines.update(_key_lines(v_node, path))
-    elif isinstance(node, yaml.SequenceNode):
-        for i, item in enumerate(node.value):
-            lines.update(_key_lines(item, prefix + (str(i),)))
-    return lines
 
 
 class Section:
@@ -395,13 +477,10 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand '{subcommand}'")
     try:
-        data, node = _load_yaml(text)
+        data, lines = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise ConfigError(_yaml_error(exc)) from None
-    if data is None:
-        data = {}
-    lines = _key_lines(node) if node is not None else {}
-    root = Section(data, (), lines)
+    root = Section({} if data is None else data, (), lines)
     warnings: list = []
 
     seed = root.integer("seed", 0, minimum=0)
@@ -917,15 +996,11 @@ def _arg_parser() -> argparse.ArgumentParser:
         prog="repmech",
         description="Reparametrization-invariant mechanics toolkit",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="YAML config path")
-        sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-        sp.add_argument("--json", action="store_true",
-                        help="print the JSON summary to stdout")
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("--config", required=True, help="YAML config path")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--json", action="store_true", help="print the JSON summary to stdout")
     return parser
 
 

@@ -247,7 +247,10 @@ def _checked_radicand(n, c):
 
 
 def _outside_cone(gvv):
-    """Raise what the mass term's derivatives raise for a g(v, v) <= 0."""
+    """Raise what the mass term's derivatives raise for a g(v, v) that is not
+    positive: a DimensionMismatch for one that overflowed to -inf or nan."""
+    if not -np.inf < gvv:
+        raise DimensionMismatch(f"g(v, v) overflows to {gvv}")
     if gvv < 0.0:
         raise SpacelikeVelocity(f"g(v,v) = {gvv} < 0")
     raise NullVelocity("momentum of the mass term is undefined on the light cone")

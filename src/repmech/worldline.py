@@ -39,20 +39,29 @@ less the terms that are exactly zero and the factors that are exactly 1
 therefore keeps its bits: a dropped zero term can change only the sign of a
 zero, which a state that starts without -0.0 never sees.
 
+The march writes only what it reads. A stage position is written only where
+the stage's body reads it, which no constant-field body does. A velocity
+whose acceleration the body writes as the literal 0.0 (v^3 of a magnetic
+field in the (1, 2) plane, and v^0 in proper time) is not carried through
+the stages: it gets one u = z + 0.0 per step, which is each of its three
+stage values and its value at the step's end exactly, since h > 0 makes
+every h * 0.0 the float +0.0. So a start at -0.0 reads +0.0 after one step,
+as in the list loop. The states go into one flat list, read back with
+np.fromiter.
+
 Measured in-process on a 2-vCPU VM (the march alone over 400 steps, best
 of 9 timeit repeats of 5 calls, ranges over 4 runs on a busy host), an RK4
 step costs, on dim-4 specs in a uniform magnetic field:
 
-* EM only, coordinate time: 1.9-3.1 us on Minkowski, 2.5-3.7 us with
-  g_01 = 0.1;
-* EM only, proper time: 2.7-4.3 us;
-* a constant rank-3 term, coordinate time: 8.0-12.7 us over 10 runs,
-  against 7.0-10.9 us with the elimination pasted into every stage.
+* EM only, coordinate time: 1.5-2.1 us on Minkowski (63 emitted lines),
+  2.0-2.7 us with g_01 = 0.1 (77 lines);
+* EM only, proper time: 2.0-3.0 us (82 lines);
+* a constant rank-3 term, coordinate time: 6.3-9.6 us (95 lines).
 
-An elimination march is 105-394 emitted lines and takes 1.5-9.7 ms to
-emit and compile cold, once per pattern (dim 4-5, both gauges, best of 7
-builds, ranges over 10 runs); pasted into every stage it was 306-1381
-lines and 3.7-28.3 ms.
+The elimination marches of dim 4-5 (rank-3 and rank-4 terms, any metric,
+both gauges) are 101-332 emitted lines, and one with a rank-4 term on a
+non-diagonal metric takes 1.5-5.9 ms to emit and compile cold (best of 7
+builds, ranges over 4 runs), once per pattern.
 
 The per-sample drift log records the mass-shell residual
 pi.g^{-1}.pi - m^2, which is an algebraic identity of the momentum map and
@@ -136,6 +145,11 @@ def el_residual(spec: LagrangianSpec, x, v, a) -> np.ndarray:
     return np.matvec(H, np.asarray(a, dtype=float)) - F
 
 
+def _states(flat, width):
+    """The march's flat list of states as rows of width floats."""
+    return np.fromiter(flat, float, len(flat)).reshape(-1, width)
+
+
 # ---------------------------------------------------------------------------
 # coordinate-time gauge: z = (x^i, v^i), i = 1..N-1
 # ---------------------------------------------------------------------------
@@ -159,7 +173,8 @@ def _check_reduced_hessian(spec, x, v):
 def _integrate_coordinate(spec, x0, v0, taus, h):
     nsp = spec.dim - 1
     march = _compiled_march(spec, GaugeChoice.COORDINATE_TIME)
-    zs = np.asarray(march(float(x0[0]), x0[1:].tolist() + v0[1:].tolist(), len(taus) - 1, h))
+    zs = _states(march(float(x0[0]), x0[1:].tolist() + v0[1:].tolist(), len(taus) - 1, h),
+                 2 * nsp)
     xs = np.column_stack([taus, zs[:, :nsp]])
     vs = np.column_stack([np.ones_like(taus), zs[:, nsp:]])
     return xs, vs
@@ -194,12 +209,14 @@ def _integrate_proper(spec, x0, v0, taus, h):
     n = spec.dim
     march = _compiled_march(spec, GaugeChoice.PROPER_TIME)
     zs, devs = march(0.0, x0.tolist() + v0.tolist(), len(taus) - 1, h)
-    zs = np.asarray(zs)
+    zs = _states(zs, 2 * n)
     dev0 = abs(np.sqrt(quadratic_form(spec.metric(x0), v0)) - 1.0)
     return zs[:, :n], zs[:, n:], np.asarray([dev0] + devs)
 
 
-def _left_cone(k):
+def _left_cone(gvv, k):
+    if not -math.inf < gvv:
+        raise DimensionMismatch(f"g(v, v) overflows to {gvv} at step {k}")
     raise GaugeViolation(f"proper-time velocity left the cone at step {k}")
 
 
@@ -344,9 +361,11 @@ class _Body(NamedTuple):
     The state holds nv positions, then nv velocities; params names the
     constants, in the order of the factory's list. accel(t, x, v, out) gives
     the lines that set the names out to the accelerations at the time
-    expression t and the state names x, v. norm2(x, v), in proper time only,
-    gives the lines that set gvv = g(v, v). shared holds lines written once,
-    after the constants are unpacked, for the stages to call.
+    expression t and the state names x, v; an acceleration that is exactly
+    zero is the line "{out} = 0.0", which the march folds. norm2(x, v), in
+    proper time only, gives the lines that set gvv = g(v, v). shared holds
+    lines written once, after the constants are unpacked, for the stages to
+    call.
     """
     params: list
     nv: int
@@ -356,8 +375,8 @@ class _Body(NamedTuple):
 
 
 # names of the march itself, which no body or constant may take: every name
-# that starts with z, y or k, and the step's own scalars
-_MARCH_NAMES = re.compile(r"[zyk]|(?:h|hh|h6|t|t0|n_steps|tol|nrm|dev|devs)$")
+# that starts with z, y or k, u and a number, and the step's own scalars
+_MARCH_NAMES = re.compile(r"[zyk]|u\d+$|(?:h|hh|h6|t|t0|n_steps|tol|nrm|dev|devs)$")
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -379,47 +398,64 @@ def _emit_march(body):
 
     Stage s holds the state y{s}_* (the step's start z* for s = 0) and the
     accelerations k{s}_*; a position's derivative is its stage's velocity.
-    In proper time each step ends by measuring g(v, v), raising
-    GaugeViolation when v has left the cone or drifted from 1 by more than
-    tol, and projecting v back onto g(v, v) = 1. The constants are unpacked
-    into the march's locals once per call.
+    A stage value is written only where it is read: a stage position only
+    where the stage's body reads it, and a velocity whose acceleration the
+    body writes as the literal 0.0 not at all. Such a velocity takes one
+    value u{i} = z{i} + 0.0 for stages 1 to 3 and the step's end, which is
+    each of those values exactly: h > 0, so every h * 0.0 is +0.0. The
+    step appends its end state to one flat list. In proper time each step
+    ends by measuring g(v, v), raising GaugeViolation when v has left the
+    cone or drifted from 1 by more than tol, and projecting v back onto
+    g(v, v) = 1. The constants are unpacked into the march's locals once
+    per call.
     """
     nv = body.nv
     proper = body.norm2 is not None
     z = [f"z{i}" for i in range(2 * nv)]
-    states = [z] + [[f"y{s}_{i}" for i in range(2 * nv)] for s in (1, 2, 3)]
     outs = [[f"k{s}_{i}" for i in range(nv)] for s in range(4)]
-    derivs = [state[nv:] + out for state, out in zip(states, outs)]
     timed = "t" in _checked_names(body, z[:nv], z[nv:], outs[0])
+    first = body.accel("t", z[:nv], z[nv:], outs[0])
+    named = _IDENTIFIER.findall("\n".join(first))
+    u = {nv + i: f"u{nv + i}" for i, k in enumerate(outs[0])
+         if f"{k} = 0.0" in first and named.count(k) == 1}
+    states = [z] + [[u.get(i, f"y{s}_{i}") for i in range(2 * nv)] for s in (1, 2, 3)]
+    derivs = [state[nv:] + out for state, out in zip(states, outs)]
     lines = []
-    for state, out, t, prev, step in zip(states, outs, ("t", "t + hh", "t + hh", "t + h"),
-                                         [None] + derivs, (None, "hh", "hh", "h")):
-        if prev:
-            lines += [f"{y} = {zi} + {step} * {d}" for y, zi, d in zip(state, z, prev)]
-        lines += body.accel(t, state[:nv], state[nv:], out)
-    combined = [f"{zi} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
-                for zi, a, b, c, d in zip(z, *derivs)]
+    for s, (state, out, t, step) in enumerate(zip(states, outs, ("t", "t + hh", "t + hh", "t + h"),
+                                                  (None, "hh", "hh", "h"))):
+        zeros = {f"{out[i - nv]} = 0.0" for i in u}
+        accel = [line for line in body.accel(t, state[:nv], state[nv:], out) if line not in zeros]
+        if s == 1:
+            lines += [f"{u[i]} = {z[i]} + 0.0" for i in u]
+        if s:  # a position where the stage's body reads it; a velocity that u does not carry
+            read = set(_IDENTIFIER.findall("\n".join(accel)))
+            lines += [f"{y} = {zi} + {step} * {d}"
+                      for i, (y, zi, d) in enumerate(zip(state, z, derivs[s - 1]))
+                      if (y in read if i < nv else i not in u)]
+        lines += accel
+    combined = [u.get(i) or f"{zi} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+                for i, (zi, a, b, c, d) in enumerate(zip(z, *derivs))]
     lines.append(f"{_unpack(z)}= {', '.join(combined)}")
     if proper:
         v = z[nv:]
         lines += [*body.norm2(z[:nv], v),
-                  "if gvv <= 0.0:",
-                  "    _left_cone(k)",
+                  "if not gvv > 0.0:",
+                  "    _left_cone(gvv, k)",
                   "nrm = sqrt(gvv)",
                   "dev = abs(nrm - 1.0)",
                   "if dev > tol:",
                   "    _drifted(dev, tol, k)",
                   "devs.append(dev)",
                   f"{_unpack(v)}= {', '.join(f'{vi} / nrm' for vi in v)}"]
-    lines.append(f"zs.append([{', '.join(z)}])")
+    lines.append(f"zs += {', '.join(z)},")
     return ["def factory(consts):",
             "    def march(t0, z, n_steps, h):",
             f"        {_unpack(body.params + ['tol'] if proper else body.params)}= consts",
             *_indent(body.shared, 2),
             f"        {_unpack(z)}= z",
-            "        hh = 0.5 * h",
+            *(["        hh = 0.5 * h"] if "hh" in _IDENTIFIER.findall("\n".join(lines)) else []),
             "        h6 = h / 6.0",
-            "        zs = [z]",
+            "        zs = [*z]",
             *(["        devs = []"] if proper else []),
             "        for k in range(n_steps):",
             *(["            t = t0 + k * h"] if timed else []),
@@ -445,12 +481,16 @@ def _times(*factors):
 
 def _matvec_lines(out, matrix, pattern, v, first=0):
     """Lines setting out{i} = (M v)_i over M's nonzero entries (named
-    {matrix}{i}_{j}), and each row's symbol: out{i}, or 0.0 for an empty row."""
+    {matrix}{i}_{j}), and each row's symbol: out{i}, the entry itself for a
+    row whose one entry multiplies a factor that is exactly 1, or 0.0 for an
+    empty row."""
     lines, symbols = [], []
     for i, cols in enumerate(pattern, first):
-        if cols:
-            lines.append(f"{out}{i} = " + _sum([_times(f"{matrix}{i}_{j}", v[j]) for j in cols]))
-        symbols.append(f"{out}{i}" if cols else "0.0")
+        expr = _sum([_times(f"{matrix}{i}_{j}", v[j]) for j in cols])
+        if " " in expr:  # a product or a sum, not a name or the literal zero
+            lines.append(f"{out}{i} = {expr}")
+            expr = f"{out}{i}"
+        symbols.append(expr)
     return lines, symbols
 
 
@@ -523,9 +563,9 @@ def _emit_em(proper, g_pattern, w_pattern):
                 wv = [f"-({u} * {wv0})" if e == "0.0" else f"({e} - {u} * {wv0})"
                       for e, u in zip(wv, state_v)]
         return [*_norm2_lines(g_pattern, v),
-                "if gvv <= 0.0:",
+                "if not gvv > 0.0:",  # nan too, at no cost
                 "    _outside_cone(gvv)",
-                "c = sqrt(gvv) / m",
+                *(["c = sqrt(gvv) / m"] if any(e != "0.0" for e in wv) else []),
                 *wv_lines,
                 *(f"{o} = c * {e}" if e != "0.0" else f"{o} = 0.0" for o, e in zip(out, wv))]
 
@@ -560,7 +600,7 @@ def _emit_elimination(proper, g_pattern, f_pattern, tensors):
         v = [*state_v] if proper else [None, *state_v]  # v^0 = 1
         lines, gv = _matvec_lines("gv", "g", g_pattern, v)
         lines += [f"gvv = {_inner(v, gv)}",
-                  "if gvv <= 0.0:",
+                  "if not gvv > 0.0:",
                   "    _outside_cone(gvv)",
                   "s = sqrt(gvv)",
                   "ms, ms3 = m / s, m / (s * gvv)"]

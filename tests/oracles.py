@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+import yaml
 
 
 class CyclotronOracle:
@@ -310,6 +311,29 @@ def brane_action_single_batch(spec, emb, details=False):
         "min_radicand": float(np.min(quadratic_form(lag.metric(X), omega))),
         "gauge_deviation": float(np.max(np.abs(omega[:, 0] - 1.0))),
     }
+
+
+# ---------------------------------------------------------------------------
+# config key lines: the reference for the config loader's walk
+# ---------------------------------------------------------------------------
+
+def key_lines(node, prefix=()):
+    """{path: 1-based line} of every mapping key under a composed YAML node,
+    keys and sequence indices as strings, by one recursion per path.
+
+    A later duplicate key overwrites an earlier one's line. Merge keys count
+    as written unless the node was constructed first, which flattens them.
+    """
+    lines = {}
+    if isinstance(node, yaml.MappingNode):
+        for k_node, v_node in node.value:
+            path = prefix + (str(k_node.value),)
+            lines[path] = k_node.start_mark.line + 1
+            lines.update(key_lines(v_node, path))
+    elif isinstance(node, yaml.SequenceNode):
+        for i, item in enumerate(node.value):
+            lines.update(key_lines(item, prefix + (str(i),)))
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import CyclotronOracle
+from oracles import CyclotronOracle, key_lines
 
 import repmech.cli as cli
 from repmech import extremize
@@ -21,7 +22,6 @@ from repmech.cli import (
     _arg_parser,
     _draw_det_samples,
     _write_csv,
-    _key_lines,
     _load_yaml,
     main,
     parse_config,
@@ -132,14 +132,28 @@ EXPONENTS_NESTED = ("a:\n  b: [1e-3, [2E+4, {c: -1.5e2}], 0.5]\n  d:\n"
                     "    - [1, 2.0e-1, [3e0, [-4E-2]]]\n    - e: 5e1\n      f: [[6e-1]]\n")
 
 
-@pytest.mark.parametrize("text", [path.read_text() for path in SHIPPED] + [EXPONENTS_NESTED],
-                         ids=[path.name for path in SHIPPED] + ["exponents_nested"])
+PARSED = {
+    **{path.name: path.read_text() for path in SHIPPED},
+    "exponents_nested": EXPONENTS_NESTED,
+    "merge_key": ("base: &base {kind: minkowski, dim: 4, extra: [1, 2]}\nmetric:\n"
+                  "  <<: *base\n  dim: 3\nboth:\n  <<: [*base, {dim: 5, more: 1}]\n"),
+    "alias": "a: &x\n  p: [1, {q: 2.5e-1}]\n  r: 3\nb: *x\nc: [*x, *x]\n",
+    "set": "s: !!set {a, b, 1}\nt:\n  u: 1\n",
+    "omap": "o: !!omap [a: 1, b: {c: 2}, d: [3]]\nseed: 4\n",
+    "duplicate_key": "a: 1\nb: {x: [1, 2]}\na: {y: 2}\nb: 3\n",
+}
+
+
+@pytest.mark.parametrize("text", PARSED.values(), ids=PARSED)
 def test_one_pass_parse_matches_safe_load(text):
     assert _ConfigLoader.__bases__ == (
         (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader),)
-    data, node = _load_yaml(text)
+    data, lines = _load_yaml(text)
     assert data == yaml.load(text, Loader=_PurePythonConfigLoader)
-    assert _key_lines(node) == _key_lines(yaml.compose(text))
+    loader = _PurePythonConfigLoader(text)
+    node = loader.get_single_node()
+    loader.construct_document(node)  # flattens the merge keys, as the walk does
+    assert lines == key_lines(node)
 
 
 def test_exponents_in_nested_lists_are_floats():
@@ -207,7 +221,7 @@ FLOAT_LEAVES = [(c, path) for c, path, value in NUMBER_LEAVES if isinstance(valu
 def _key_and_line(text, path):
     """The key that holds the leaf at path, a list item being named by its list, and its line."""
     key = tuple(str(k) for k in path if not isinstance(k, int))
-    return ".".join(key), _key_lines(yaml.compose(text))[key]
+    return ".".join(key), key_lines(yaml.compose(text))[key]
 
 
 @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
@@ -271,7 +285,7 @@ def test_a_dimension_mismatch_exits_2_naming_both_keys(tmp_path, capsys, case):
     assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: dimension mismatch: ")
-    lines = _key_lines(yaml.compose(text))
+    lines = key_lines(yaml.compose(text))
     for key in keys:
         assert f"'{key}' (line {lines[tuple(key.split('.'))]})" in err
     assert not (tmp_path / "out").exists()
@@ -350,7 +364,7 @@ def test_non_finite_raw_arrays_exit_2_naming_their_key(tmp_path, capsys, case):
     config = tmp_path / "config.yaml"
     config.write_text(text)
     assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
-    line = _key_lines(yaml.compose(text))[tuple(key.split("."))]
+    line = key_lines(yaml.compose(text))[tuple(key.split("."))]
     err = capsys.readouterr().err
     assert f"'{key}' (line {line})" in err and "must be finite" in err
 
@@ -503,6 +517,10 @@ def _one_dim_simulate(gauge):
             "tau_end: 0.1\nstep: 0.01\n")
 
 
+# forty anchors, each a list of two aliases to the one before: 2^41 nodes expanded
+ALIAS_CHAIN = "seed: 0\na0: &a0 [1, 1]\n" + "".join(f"a{i}: &a{i} [*a{i - 1}, *a{i - 1}]\n"
+                                                    for i in range(1, 41))
+
 # (subcommand, config text, exit code, stderr); each ended in a traceback before
 MALFORMED = {
     **{f"signature_{kind}_dim_{dim}": (
@@ -554,6 +572,14 @@ MALFORMED = {
                                f"config error: invalid YAML at line 1, column 7: cannot read 'x' "
                                f"as !!{tag}")
        for tag in ("int", "float", "bool", "timestamp")},
+    # an alias inside the node it names died in a RecursionError, the alias chain
+    # exhausted memory, and so did nesting past Python's recursion limit
+    "recursive_alias": ("check", "seed: &a [*a]\n", 2,
+                        "config error: invalid YAML at line 1, column 7: recursive alias"),
+    "alias_chain": ("check", ALIAS_CHAIN, 2, "config error: invalid YAML at line 3, column 5: "
+                    "aliases expand past 100000 nodes"),
+    "deep_nesting": ("check", "seed: " + "[" * 5000 + "]" * 5000 + "\n", 2,
+                     "config error: invalid YAML: nested too deeply"),
 }
 
 
@@ -569,6 +595,13 @@ def test_a_malformed_config_exits_with_one_line_and_no_traceback(tmp_path, capsy
     assert not recwarn.list
 
 
+def test_an_alias_chain_stops_at_the_node_budget_in_well_under_a_second():
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="aliases expand past 100000 nodes"):
+        parse_config(ALIAS_CHAIN, "check")
+    assert time.perf_counter() - start < 1.0
+
+
 # (subcommand, config text, stderr); each printed a numpy overflow warning first
 OVERFLOWS = {
     f"{sub}_{key}": (sub, (CONFIGS / f"{sub}.yaml").read_text().replace(old, new), message)
@@ -579,6 +612,12 @@ OVERFLOWS = {
          "DimensionMismatch: g(v0, v0) overflows to -inf at v0 = [1.0, 1e+300, 0.0, 0.0]"),
         ("extremize", "end", "[1.0, 0.3,", "[1e300, 0.3,",
          "DimensionMismatch: segment 0: g(dx, dx) overflows to inf"),
+        # these two ran on: the brane wrote an infinite action and exited 0, and the
+        # march named the overflow a spacelike velocity
+        ("brane", "slope", "slope: 0.75", "slope: 1.0e200",
+         "DimensionMismatch: cell 0: the density overflows to inf"),
+        ("simulate", "strength", "strength: 1.0\n", "strength: 1.0e300\n",
+         "DimensionMismatch: g(v, v) overflows to -inf"),
     ]
 }
 

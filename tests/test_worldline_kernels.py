@@ -8,8 +8,10 @@ Trajectories and solutions are compared on their bytes, so a zero of either
 sign counts; error messages with ==.
 """
 
+import ast
 import io
 import linecache
+import math
 import os
 import subprocess
 import sys
@@ -24,7 +26,9 @@ from hypothesis import given, settings, strategies as st
 from oracles import _eliminate, constant_field_orbit_lists
 import repmech.worldline as worldline
 from repmech import (
+    DimensionMismatch,
     GaugeChoice,
+    GaugeViolation,
     LagrangianSpec,
     NegativeEvenRadicand,
     NullVelocity,
@@ -125,7 +129,8 @@ def _one_step(spec, gauge, x, v, h):
         zs = march(x[0], x[1:] + v[1:], 1, h)
     xs, vs = constant_field_orbit_lists(spec, proper, x, v, 1, h)
     lo = 0 if proper else 1
-    return np.asarray(zs), np.column_stack([xs[:, lo:], vs[:, lo:]])
+    reference = np.column_stack([xs[:, lo:], vs[:, lo:]])
+    return np.asarray(zs).reshape(reference.shape), reference
 
 
 @pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.value)
@@ -146,6 +151,99 @@ def test_one_step_marches_equal_the_list_reference_at_random_states(dim, gauge):
                     x = rng.uniform(-1.0, 1.0, dim).tolist()
                     fast, reference = _one_step(spec, gauge, x, v.tolist(), 0.01)
                     assert fast.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.value)
+@pytest.mark.parametrize("start", [0.0, -0.0, 0.3], ids=["plus_zero", "minus_zero", "nonzero"])
+@pytest.mark.parametrize("metric", ["minkowski", "diagonal"])
+@pytest.mark.parametrize("dim", [4, 5])
+def test_a_force_free_velocity_keeps_the_list_references_bits(dim, metric, start, gauge):
+    """v^3 feels no magnetic force in the (1, 2) plane, so the march carries it as
+    u = z + 0.0; from -0.0 the list reference's stage values read +0.0 too."""
+    proper = gauge is GaugeChoice.PROPER_TIME
+    spec = LagrangianSpec(metric=_metrics(dim)[metric], mass=1.3, charge=0.7,
+                          potential=uniform_magnetic_potential(dim, 1.1))
+    emit, pattern, _ = worldline._constant_field_pattern(spec, proper)
+    source = "\n".join(worldline._emit_march(emit(*pattern)))
+    lo = 0 if proper else 1  # coordinate time leaves x^0 and v^0 out of the state
+    spectator = dim - lo + 3 - lo  # the state index of v^3
+    assert f"u{spectator} = z{spectator} + 0.0" in source
+    x0, v0 = _initial(spec, gauge)
+    v0[3] = start
+    if proper:
+        v0 = v0 / np.sqrt(v0 @ spec.metric(x0) @ v0)
+    n, h = 20, 0.05
+    wl = integrate(spec, gauge, x0, v0, n * h, h)
+    assert np.signbit(wl.v[0, 3]) == np.signbit(start)
+    x, v = constant_field_orbit_lists(spec, proper, wl.x[0], wl.v[0], n, h)
+    assert wl.x.tobytes() == x.tobytes()
+    assert wl.v.tobytes() == v.tobytes()
+
+
+def _dead_stores(source):
+    """The names that an assignment in the march's loop sets and that nothing
+    reads before they are set again, around the loop, nor after it."""
+    march = next(node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.FunctionDef) and node.name == "march")
+    loop = next(node for node in march.body if isinstance(node, ast.For))
+    after = {n.id for stmt in march.body[march.body.index(loop) + 1:] for n in ast.walk(stmt)
+             if isinstance(n, ast.Name)}
+
+    def names(stmt, ctx):
+        found = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)}
+        if ctx is ast.Load and isinstance(stmt, ast.AugAssign):
+            found.add(stmt.target.id)  # x += y reads x
+        return found
+
+    loads = [names(stmt, ast.Load) for stmt in loop.body]
+    stores = [names(stmt, ast.Store) for stmt in loop.body]
+    dead = []
+    for i, stored in enumerate(stores):
+        for name in sorted(stored):
+            # the statements after this one, then the next pass up to this one;
+            # a statement reads before it stores
+            for j in [*range(i + 1, len(stores)), *range(i + 1)]:
+                if name in loads[j]:
+                    break
+                if name in stores[j]:  # set again: live only if the loop ends first
+                    if j > i or name not in after:
+                        dead.append(name)
+                    break
+    return dead
+
+
+def _emitted_patterns():
+    """(emitter, pattern) of each march that these tests compile: every
+    constant-field spec of _metrics, _potentials and _terms, and the
+    varying-field bodies, in both gauges and dimensions 2 to 5."""
+    patterns = {}
+    for dim in (2, 3, 4, 5):
+        for proper in (False, True):
+            for metric in _metrics(dim).values():
+                for potential, charge in _potentials(dim):
+                    for terms in _terms(dim):
+                        spec = LagrangianSpec(metric=metric, mass=1.3, charge=charge,
+                                              potential=potential, extra_terms=terms)
+                        emit, pattern, _ = worldline._constant_field_pattern(spec, proper)
+                        patterns[(emit.__name__,) + pattern] = emit, pattern
+            patterns[("_emit_generic", proper, dim)] = worldline._emit_generic, (proper, dim)
+    return list(patterns.values())
+
+
+def test_every_name_the_march_loop_assigns_is_read():
+    patterns = _emitted_patterns()
+    assert len(patterns) >= 100
+    for emit, pattern in patterns:
+        source = "\n".join(worldline._emit_march(emit(*pattern)))
+        assert _dead_stores(source) == [], (emit.__name__, pattern)
+
+
+def test_the_dead_store_lint_finds_a_dead_store():
+    def accel(_t, _x, v, out):
+        return [f"{o} = -{vi}" for o, vi in zip(out, v)] + ["spare = 2.0"]
+
+    source = "\n".join(worldline._emit_march(worldline._Body(["w"], 2, accel, None)))
+    assert _dead_stores(source) == ["spare"] * 4
 
 
 ERROR_CASES = [
@@ -179,6 +277,29 @@ def test_kernel_errors_keep_class_message_and_source_line(monkeypatch, terms, v,
     frames = traceback.extract_tb(raised.tb)
     kernel = [f for f in frames if f.filename.startswith("<repmech.worldline")]
     assert kernel and call in kernel[-1].line
+
+
+@pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.value)
+@pytest.mark.parametrize("terms", [(), _terms(4)[1]], ids=["em", "tensor"])
+def test_a_march_past_the_float_range_names_the_overflow(terms, gauge):
+    """g(v, v) of a stage overflows to -inf: the kernel's cone check names it
+    instead of calling v spacelike."""
+    spec = LagrangianSpec(metric=minkowski_metric(4), mass=1.0, charge=1.0,
+                          potential=uniform_magnetic_potential(4, 1e300), extra_terms=terms)
+    with pytest.raises(DimensionMismatch, match=r"^g\(v, v\) overflows to -inf$"):
+        integrate(spec, gauge, *_initial(spec, gauge), 0.1, 0.01)
+    # a nan state fails every comparison, so the check reads "not gvv > 0"
+    lo = 0 if gauge is GaugeChoice.PROPER_TIME else 1
+    state = [0.0, 0.1, 0.2, 0.3][lo:] + [1.0, 0.3, math.nan, 0.0][lo:]
+    with pytest.raises(DimensionMismatch, match=r"^g\(v, v\) overflows to nan$"):
+        worldline._compiled_march(spec, gauge)(0.0, state, 1, 0.01)
+
+
+def test_the_step_end_cone_check_names_an_overflow():
+    with pytest.raises(DimensionMismatch, match=r"^g\(v, v\) overflows to nan at step 3$"):
+        worldline._left_cone(math.nan, 3)
+    with pytest.raises(GaugeViolation, match=r"^proper-time velocity left the cone at step 3$"):
+        worldline._left_cone(-0.5, 3)
 
 
 @pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.value)
