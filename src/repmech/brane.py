@@ -230,7 +230,8 @@ def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
     fails eval_L's check, raised as NegativeRadicand carrying the first such
     cell; any other eval_L error names its cell's flat index in the grid. An
     action past the float range is a DimensionMismatch naming the first cell
-    whose density is not finite, with no numpy warning.
+    whose density is not finite, and so, with details, is a smallest radicand
+    past it; neither prints a numpy warning.
     details=True also returns the cell and component counts, the smallest
     radicand (the one eval_L took the root of, when there is a mass term)
     and the integral-gauge deviation (integral_gauge_check).
@@ -247,16 +248,16 @@ def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
     for start, Z in emb.row_blocks(cell_floats):
         X = emb.points(Z) if origin is None else np.broadcast_to(origin, (len(Z), emb.dim_m))
         omega = _minors(emb.jacobians(Z))
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # refused below, if not finite
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, if not finite
+            try:
                 density[start:start + len(Z)], radicand = eval_L_and_radicand(lag, X, omega)
-        except RepMechError as err:
-            raise _on_grid(err, start, emb) from None
-        if details:
-            if radicand is None:  # no mass term, so eval_L formed no radicand
-                radicand = quadratic_form(lag.metric(X), omega)
-            block_mins.append(np.min(radicand))
-            block_deviations.append(_gauge_deviation(omega))
+            except RepMechError as err:
+                raise _on_grid(err, start, emb) from None
+            if details:
+                if radicand is None:  # no mass term, so eval_L formed no radicand
+                    radicand = quadratic_form(lag.metric(X), omega)
+                block_mins.append(np.min(radicand))
+                block_deviations.append(_gauge_deviation(omega))
     with np.errstate(over="ignore", invalid="ignore"):
         action = float(np.sum(density) * emb.cell_volume)
     if not math.isfinite(action):
@@ -265,10 +266,13 @@ def brane_action(spec: BraneSpec, emb: BraneEmbedding, details: bool = False):
                                 if bad.size else f"the action overflows to {action}")
     if not details:
         return action
+    min_radicand = float(np.min(block_mins))
+    if not math.isfinite(min_radicand):
+        raise DimensionMismatch(f"the smallest volume radicand overflows to {min_radicand}")
     return action, {
         "cells": emb.n_cells,
         "component_count": c,
-        "min_radicand": float(np.min(block_mins)),
+        "min_radicand": min_radicand,
         "gauge_deviation": float(np.max(block_deviations)),
     }
 

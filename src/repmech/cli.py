@@ -88,18 +88,15 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _quoted(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-# the exact built-in types of most summary values, each checked before the numpy ones
-_PLAIN = {float: _fmt_float, int: str, str: _quoted, bool: lambda b: "true" if b else "false"}
-
-
 def to_json(obj, indent: int = 0) -> str:
-    plain = _PLAIN.get(type(obj))
-    if plain is not None:
-        return plain(obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float(float(obj))
+    if obj is None:
+        return "null"
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -114,15 +111,7 @@ def to_json(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, np.ndarray):
         return to_json(obj.tolist(), indent)
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if obj is None:
-        return "null"
-    return _quoted(str(obj))
+    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +138,7 @@ _ConfigLoader.add_implicit_resolver(
 # The most nodes that aliases may add to the walk of one config: each entry of
 # a collection that an alias reaches again counts once per path to it. A chain
 # of 40 anchors, each a list of two aliases to the one before, stops here
-# after about 0.1 s.
+# after 0.1 to 0.2 s.
 MAX_ALIAS_NODES = 100_000
 
 _TAG = "tag:yaml.org,2002:"

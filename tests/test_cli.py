@@ -152,7 +152,7 @@ def test_one_pass_parse_matches_safe_load(text):
     assert data == yaml.load(text, Loader=_PurePythonConfigLoader)
     loader = _PurePythonConfigLoader(text)
     node = loader.get_single_node()
-    loader.construct_document(node)  # flattens the merge keys, as the walk does
+    loader.construct_document(node)  # flattens the merge keys, as _load_yaml does
     assert lines == key_lines(node)
 
 
@@ -580,6 +580,8 @@ MALFORMED = {
                     "aliases expand past 100000 nodes"),
     "deep_nesting": ("check", "seed: " + "[" * 5000 + "]" * 5000 + "\n", 2,
                      "config error: invalid YAML: nested too deeply"),
+    "deep_merge_keys": ("check", "a: " + "{<<: " * 3000 + "{b: 1}" + "}" * 3000 + "\n", 2,
+                        "config error: invalid YAML: nested too deeply"),
 }
 
 
@@ -620,6 +622,10 @@ OVERFLOWS = {
          "DimensionMismatch: g(v, v) overflows to -inf"),
     ]
 }
+# with no mass term the action is 0, and the smallest radicand of the details overflows
+OVERFLOWS["brane_slope_massless"] = (
+    "brane", OVERFLOWS["brane_slope"][1].replace("mass: 1.0", "mass: 0"),
+    "DimensionMismatch: the smallest volume radicand overflows to inf")
 
 
 @pytest.mark.parametrize("case", OVERFLOWS)

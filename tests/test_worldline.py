@@ -233,9 +233,9 @@ def constant_field_and_generic(spec, gauge):
     for s in (spec, generic):
         march = worldline._compiled_march(s, gauge)
         if gauge is GaugeChoice.COORDINATE_TIME:
-            steps.append(lambda t, z, march=march: march(t, z, 1, STEP)[1])
+            steps.append(lambda t, z, march=march: march(t, z, 1, STEP)[len(z):])
         else:
-            steps.append(lambda t, z, march=march: march(t, z, 1, STEP)[0][1])
+            steps.append(lambda t, z, march=march: march(t, z, 1, STEP)[0][len(z):])
     return steps
 
 
