@@ -19,6 +19,8 @@ Each function evaluates the Lagrangian kernels once per path, on the
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +31,7 @@ from .errors import (
     RepMechError,
     SingularReducedHessian,
     SpacelikeSegment,
+    SpacelikeVelocity,
 )
 from .geometry import FD_STEP, central_difference, quadratic_form
 from .lagrangian import LagrangianSpec, el_system, eval_L, momentum, position_gradient
@@ -96,21 +99,27 @@ def straight_chord_path(x_start, x_end, K: int, perturbation=None) -> DiscretePa
     return DiscretePath(xs, xe, interior)
 
 
-def _check_segments(spec, path):
-    if spec.mass <= 0.0:
-        return
-    gvv = quadratic_form(spec.metric(path.midpoints()), path.segments())
-    bad = np.flatnonzero(gvv < 0.0)
-    if bad.size:
-        raise SpacelikeSegment(f"segment {bad[0]} is spacelike while the mass term is on")
+def _segments_in_cone(fn):
+    """Make fn(spec, path) raise a kernel's SpacelikeVelocity as a SpacelikeSegment
+    that names the first spacelike segment, the kernel's batch index."""
+    @functools.wraps(fn)
+    def checked(spec, path):
+        try:
+            return fn(spec, path)
+        except SpacelikeVelocity as err:
+            which = f"segment {err.batch_index[0]}" if err.batch_index else "a segment"
+            raise SpacelikeSegment(f"{which} is spacelike while the mass term is on") from None
+
+    return checked
 
 
+@_segments_in_cone
 def discrete_action(spec: LagrangianSpec, path: DiscretePath) -> float:
     """sum_k L(midpoint_k, dx_k); equals the parameterized sum for any dt_k > 0."""
-    _check_segments(spec, path)
     return float(np.sum(eval_L(spec, path.midpoints(), path.segments())))
 
 
+@_segments_in_cone
 def action_gradient(spec: LagrangianSpec, path: DiscretePath) -> np.ndarray:
     """dS/d(interior points), shape (K, N), from the closed-form momenta.
 
@@ -118,7 +127,6 @@ def action_gradient(spec: LagrangianSpec, path: DiscretePath) -> np.ndarray:
     j, j+1 that meet at interior point j; the position term is absent when
     every field is constant.
     """
-    _check_segments(spec, path)
     mids = path.midpoints()
     segs = path.segments()
     p = momentum(spec, mids, segs)
@@ -129,6 +137,7 @@ def action_gradient(spec: LagrangianSpec, path: DiscretePath) -> np.ndarray:
     return grad
 
 
+@_segments_in_cone
 def action_hessian(spec: LagrangianSpec, path: DiscretePath) -> np.ndarray:
     """d2 S / d(interior)2 as a (K*N, K*N) matrix (block tridiagonal).
 
@@ -235,7 +244,10 @@ def extremize(spec: LagrangianSpec, path0: DiscretePath,
             except RepMechError:
                 continue
             r_trial = grad_trial[:, 1:].ravel()
-            if float(r_trial @ r_trial) < float(r @ r):
+            with np.errstate(over="ignore"):
+                trial_sq, r_sq = float(r_trial @ r_trial), float(r @ r)
+            if trial_sq < r_sq or (trial_sq == r_sq == math.inf  # both past the float range
+                                   and math.hypot(*r_trial) < math.hypot(*r)):
                 break
         else:
             stalled = True

@@ -1,13 +1,13 @@
 """Command-line interface: config-driven runs with machine-readable outputs.
 
 Subcommands: signature, check, simulate, extremize, brane, clifford.
-Configs are YAML (nested key-value sections); unknown keys are rejected with
-their line number, and so is an alias inside the node it names, or aliases
-that expand past MAX_ALIAS_NODES nodes. Every number in a config is read by
-one leaf rule: each leaf is a YAML int, or a finite float where the key
-allows non-integers, and never a string or a boolean; an array has its
-key's shape, and a key's lower bound holds for every leaf. A config that
-breaks it exits 2 with an error naming the key and its line.
+Configs are YAML (nested key-value sections). Each mapping keeps the line
+of each of its keys, so unknown keys are rejected with their line number,
+and an alias inside the node it names is refused. Every number in a config
+is read by one leaf rule: each leaf is a YAML int, or a finite float where
+the key allows non-integers, and never a string or a boolean; an array has
+its key's shape, and a key's lower bound holds for every leaf. A config
+that breaks it exits 2 with an error naming the key and its line.
 
 Every JSON summary carries the subcommand, the sha256 digest of the config
 text, the tool version, and the effective seed, and all floats are printed
@@ -28,7 +28,6 @@ import os
 import re
 import sys
 import threading
-from collections.abc import Hashable
 from pathlib import Path
 from warnings import catch_warnings, simplefilter
 
@@ -135,51 +134,34 @@ _ConfigLoader.add_implicit_resolver(
 )
 
 
-# The most nodes that aliases may add to the walk of one config: each entry of
-# a collection that an alias reaches again counts once per path to it. A chain
-# of 40 anchors, each a list of two aliases to the one before, stops here
-# after 0.1 to 0.2 s.
-MAX_ALIAS_NODES = 100_000
+class _Mapping(dict):
+    """A config mapping; lines maps each of its keys to the 1-based line the key is on."""
+
+    def __init__(self):
+        self.lines = {}
+
 
 _TAG = "tag:yaml.org,2002:"
 _SCALAR_TAGS = {_TAG + t for t in ("null", "bool", "int", "float", "binary", "timestamp", "str")}
-_LOADER_BUILT = {_TAG + t for t in ("set", "omap", "pairs")}  # collections the walk does not build
 
 
 def _load_yaml(text: str):
-    """(data, lines) of one YAML document, from one parse and one walk over its nodes.
+    """The data of one YAML document, from one parse and one walk over its nodes.
 
-    lines maps the path of each mapping key (keys and sequence indices as
-    strings) to its 1-based line. The walk builds plain mappings and
-    sequences itself, after the loader's flatten_mapping has resolved their
-    merge keys, and hands each scalar to the loader's own constructor for
-    its tag; a collection of another tag (!!set, !!omap) is walked for its
-    lines and then built by the loader. A node that aliases reach again
-    shares its data, as in yaml.safe_load, and its keys get one line per
-    path. A ConstructorError, at the node's mark, refuses a scalar whose
-    explicit tag cannot build its value (`!!int x`), an alias inside the
-    node it names, and aliases past MAX_ALIAS_NODES.
+    The walk builds each plain mapping as a _Mapping that holds its keys'
+    lines, after the loader's flatten_mapping has resolved its merge keys,
+    builds each plain sequence as a list, and hands each scalar to the
+    loader's own constructor for its tag. A collection of another tag
+    (!!set, !!omap, !!pairs) goes to the loader whole. A node that aliases
+    reach again is walked once, and they share its data, as in
+    yaml.safe_load. A ConstructorError, at the node's mark, refuses a scalar
+    whose explicit tag cannot build its value (`!!int x`), a collection as
+    a mapping key (none is hashable), and an alias inside the node it names.
     """
     loader = _ConfigLoader(text)
-    try:
-        node = loader.get_single_node()
-        if node is None:
-            return None, {}
-        return _walk(loader, node)
-    except RecursionError:
-        raise yaml.constructor.ConstructorError(
-            None, None, "nested too deeply", None) from None
-    finally:
-        loader.dispose()
-
-
-def _walk(loader, root):
-    """(data, lines) of the composed document root; see _load_yaml."""
-    lines = {}
     built = {}       # id -> data of each collection walked, for the aliases that reach it again
     walking = set()  # ids of the collections the walk is inside
     constructors = loader.yaml_constructors
-    again = 0
 
     def refuse(problem, node):
         raise yaml.constructor.ConstructorError(None, None, problem, node.start_mark)
@@ -192,52 +174,45 @@ def _walk(loader, root):
         except (AttributeError, LookupError, ValueError):
             refuse(f"cannot read {node.value!r} as !!{node.tag.rsplit(':', 1)[-1]}", node)
 
-    def walk(node, path):
-        """node's data; path, None for a mapping key, is where its keys' lines go."""
-        nonlocal again
+    def walk(node):
         if isinstance(node, yaml.ScalarNode):
             return scalar(node)
         key = id(node)
+        if key in built:
+            return built[key]
         if key in walking:
             refuse("recursive alias", node)
-        seen = built.get(key)
-        if seen is not None:
-            again += len(node.value)
-            if again > MAX_ALIAS_NODES:
-                refuse(f"aliases expand past {MAX_ALIAS_NODES} nodes", node)
-        plain = node.tag == _TAG + ("map" if isinstance(node, yaml.MappingNode) else "seq")
-        if not plain and node.tag not in _LOADER_BUILT:
-            return loader.construct_object(node, deep=True)  # raises the loader's error
+        mapping = isinstance(node, yaml.MappingNode)
+        if node.tag != _TAG + ("map" if mapping else "seq"):
+            return loader.construct_object(node, deep=True)  # !!set, !!omap, !!pairs, or an error
         walking.add(key)
-        if isinstance(node, yaml.MappingNode):
+        if mapping:
             loader.flatten_mapping(node)
-            data = {}
+            data = _Mapping()
             for k_node, v_node in node.value:
-                if isinstance(k_node, yaml.ScalarNode):
-                    k = scalar(k_node)
-                else:
-                    k = walk(k_node, None)
-                    if not isinstance(k, Hashable):
-                        raise yaml.constructor.ConstructorError(
-                            "while constructing a mapping", node.start_mark,
-                            "found unhashable key", k_node.start_mark)
-                if path is None:
-                    data[k] = walk(v_node, None)
-                else:
-                    k_path = path + (str(k_node.value),)
-                    lines[k_path] = k_node.start_mark.line + 1
-                    data[k] = walk(v_node, k_path)
+                if not isinstance(k_node, yaml.ScalarNode):
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        "found unhashable key", k_node.start_mark)
+                k = scalar(k_node)
+                data.lines[k] = k_node.start_mark.line + 1
+                data[k] = walk(v_node)
         else:
             data = []
-            for i, item in enumerate(node.value):  # a loop, not a comprehension: one frame a level
-                data.append(walk(item, None if path is None else path + (str(i),)))
+            for item in node.value:  # a loop, not a comprehension: one frame a level
+                data.append(walk(item))
         walking.discard(key)
-        if seen is not None:
-            return seen
-        built[key] = data = data if plain else loader.construct_object(node, deep=True)
+        built[key] = data
         return data
 
-    return walk(root, ()), lines
+    try:
+        node = loader.get_single_node()
+        return None if node is None else walk(node)
+    except RecursionError:
+        raise yaml.constructor.ConstructorError(
+            None, None, "nested too deeply", None) from None
+    finally:
+        loader.dispose()
 
 
 def _yaml_error(exc: yaml.YAMLError) -> str:
@@ -249,22 +224,18 @@ def _yaml_error(exc: yaml.YAMLError) -> str:
 
 
 class Section:
-    """A config mapping with its path and source lines, for precise errors."""
+    """A config mapping (a _Mapping, with its keys' lines) and its path, for precise errors."""
 
-    def __init__(self, data, path, lines):
+    def __init__(self, data, path):
         if not isinstance(data, dict):
             raise ConfigError(f"section '{'.'.join(path) or '<root>'}' must be a mapping")
         self.data = data
         self.path = path
-        self.lines = lines
-
-    def _line(self, key):
-        return self.lines.get(self.path + (key,))
 
     def where(self, key) -> str:
-        line = self._line(key)
+        line = self.data.lines.get(key)
         loc = f" (line {line})" if line is not None else ""
-        name = ".".join(self.path + (key,))
+        name = ".".join(self.path + (str(key),))
         return f"'{name}'{loc}"
 
     def require_keys(self, allowed, required=()):
@@ -277,7 +248,7 @@ class Section:
                 raise ConfigError(f"missing required key '{name}'")
 
     def child(self, key) -> "Section":
-        return Section(self.data[key], self.path + (key,), self.lines)
+        return Section(self.data[key], self.path + (key,))
 
     def numbers(self, key, default, what, shape, integral=False, minimum=None):
         """The value at key (default when absent) by the leaf rule; see _numbers."""
@@ -379,9 +350,10 @@ def _build_metric(sec: Section):
         capped("diagonal", diagonal.size)
         return constant_diagonal_metric(diagonal)
     sec.require_keys({"kind", "matrix"}, required=("matrix",))
-    matrix = sec.numbers("matrix", None, "a list of rows", (None, None))
-    capped("matrix", len(matrix))
-    return constant_metric(matrix)
+    rows = sec.data["matrix"]
+    if isinstance(rows, list):  # before the leaves are read: aliases can repeat one long row
+        capped("matrix", max(len(rows), len(rows[0]) if rows and isinstance(rows[0], list) else 0))
+    return constant_metric(sec.numbers("matrix", None, "a list of rows", (None, None)))
 
 
 def _build_potential(sec: Section, dim: int, metric_where: str):
@@ -443,7 +415,7 @@ def _build_spec(sec: Section, warnings: list) -> LagrangianSpec:
     if not isinstance(raw_terms, list):
         raise ConfigError(f"{sec.where('extra_terms')} must be a list")
     for i, _ in enumerate(raw_terms):
-        tsec = Section(raw_terms[i], sec.path + ("extra_terms", str(i)), sec.lines)
+        tsec = Section(raw_terms[i], sec.path + ("extra_terms", str(i)))
         tsec.require_keys({"coupling", "rank", "entries"}, required=("coupling", "rank", "entries"))
         rank = tsec.integer("rank", minimum=3)
         entries = _parse_tensor_entries(tsec, rank, dim, warnings)
@@ -466,10 +438,10 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand '{subcommand}'")
     try:
-        data, lines = _load_yaml(text)
+        data = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise ConfigError(_yaml_error(exc)) from None
-    root = Section({} if data is None else data, (), lines)
+    root = Section(_Mapping() if data is None else data, ())
     warnings: list = []
 
     seed = root.integer("seed", 0, minimum=0)

@@ -101,10 +101,10 @@ class MetricField:
                       > SYMMETRY_TOL * np.maximum(scale, 1.0))
         # relative to the largest entry, so that a metric's scale (and the
         # power of it a compound takes) does not make it read as degenerate;
-        # a power past the float range is inf, and the metric reads as degenerate
-        with np.errstate(over="ignore"):
+        # a power or a determinant past the float range reads as degenerate
+        with np.errstate(over="ignore", invalid="ignore"):
             bound = DEGENERACY_TOL * scale ** self.dim
-        bad = asymmetric | (np.abs(np.linalg.det(g)) <= bound)
+            bad = asymmetric | ~(np.abs(np.linalg.det(g)) > bound)
         if bad.any():
             first = np.unravel_index(np.argmax(bad), bad.shape)
             where = "" if self.is_constant else f" at x={x[first].tolist()}"

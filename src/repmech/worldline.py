@@ -685,8 +685,9 @@ def integrate(spec: LagrangianSpec, gauge: GaugeChoice, x0, v0,
 
     The number of steps is round(tau_end / step), and a ratio that is not
     finite, or a count above MAX_STEPS, is a DimensionMismatch, as is a
-    g(v0, v0) past the float range; the initial condition must satisfy the
-    gauge condition to 1e-8 and is snapped exactly onto it.
+    g(v0, v0), an m^2 or a field strength at x0 past the float range; the
+    initial condition must satisfy the gauge condition to 1e-8 and is
+    snapped exactly onto it.
     """
     if spec.dim < 2:
         raise DimensionMismatch(f"a world line needs dimension >= 2, got {spec.dim}")
@@ -709,6 +710,15 @@ def integrate(spec: LagrangianSpec, gauge: GaugeChoice, x0, v0,
         gvv0 = quadratic_form(spec.metric(x0), v0)
     if not math.isfinite(gvv0):
         raise DimensionMismatch(f"g(v0, v0) overflows to {gvv0} at v0 = {v0.tolist()}")
+    if float(spec.mass) * float(spec.mass) == math.inf:  # mass_shell_residual's m^2
+        raise DimensionMismatch(f"m^2 overflows to inf at m = {spec.mass}")
+    if spec._charge_on:
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = spec.potential.jacobian(x0)
+            qf = spec.charge * (jac.T - jac)
+        if not np.isfinite(qf).all():
+            raise DimensionMismatch(
+                f"the field strength q (J^T - J) overflows at x0 = {x0.tolist()}")
     ratio = tau_end / step
     if not math.isfinite(ratio):
         raise DimensionMismatch(f"step count tau_end / step = {ratio} is not finite")

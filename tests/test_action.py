@@ -147,6 +147,32 @@ class TestExtremize:
         res2 = extremize(MASS_SPEC, straight_chord_path(START + shift, END + shift, 5, pert))
         assert np.max(np.abs(res2.path.interior - res1.path.interior - shift)) <= 1e-8
 
+    def test_a_mass_past_the_squared_norm_range_takes_the_same_newton_steps(self):
+        # at m = 2^996 every gradient, Hessian and action is 2^996 times the
+        # one at m = 1, bit for bit, but |spatial grad|^2 overflows; the step
+        # comparison must keep each outcome
+        scale = 2.0 ** 996
+        pert = 0.02 * np.random.default_rng(4).normal(size=(5, 4))
+        pert[:, 0] = 0.0
+        path0 = straight_chord_path(START, END, 5, pert)
+        unit = extremize(MASS_SPEC, path0)
+        big = extremize(LagrangianSpec(metric=MINK, mass=scale), path0, grad_tol=scale * 1e-8)
+        assert unit.converged and unit.iterations >= 2
+        assert (big.converged, big.iterations) == (True, unit.iterations)
+        assert big.path.interior.tobytes() == unit.path.interior.tobytes()
+        assert big.action == scale * unit.action
+
+    def test_a_gradient_at_its_rounding_floor_stalls_with_its_message(self):
+        # no tolerance is reachable, so the Newton steps run until no halving lowers
+        # the gradient, which happens at its rounding level
+        pert = 0.02 * np.random.default_rng(0).normal(size=(5, 4))
+        pert[:, 0] = 0.0
+        res = extremize(MASS_SPEC, straight_chord_path(START, END, 5, pert), grad_tol=0.0)
+        assert not res.converged and 0 < res.grad_norm_inf <= 1e-15
+        assert res.message == (f"gradient norm {res.grad_norm_inf:.3e} above tol after "
+                               f"{res.iterations} steps; no halving of the next Newton step "
+                               "lowered it")
+
     def test_constant_potential_leaves_extremals_unchanged(self):
         a = np.array([0.4, 0.2, -0.1, 0.3])
         spec_a = LagrangianSpec(metric=MINK, mass=1.0, charge=1.0,
@@ -404,9 +430,19 @@ class TestBatchedErrors:
         # segments 1, 3 and 4 are spacelike
         interior = [[0.2, 0.0, 0, 0], [0.25, 0.5, 0, 0], [0.6, 0.5, 0, 0], [0.65, 1.0, 0, 0]]
         path = DiscretePath(START, END, np.array(interior))
-        for fn in (discrete_action, action_gradient):
+        for fn in (discrete_action, action_gradient, action_hessian):
             with pytest.raises(SpacelikeSegment, match="segment 1 is spacelike"):
                 fn(MASS_SPEC, path)
+
+    def test_the_three_action_functions_raise_one_spacelike_segment_error(self):
+        # the Hessian raised the kernel's SpacelikeVelocity here, naming g(v, v)
+        spec = LagrangianSpec(metric=minkowski_metric(3), mass=1.0)
+        path = DiscretePath(np.zeros(3), np.array([3.0, 0.0, 0.0]),
+                            np.array([[1.0, 0.0, 0.0], [1.2, 2.0, 0.0]]))
+        for fn in (discrete_action, action_gradient, action_hessian):
+            with pytest.raises(SpacelikeSegment) as err:
+                fn(spec, path)
+            assert str(err.value) == "segment 1 is spacelike while the mass term is on"
 
     @pytest.mark.parametrize("name", ["mass", "magnetic"])
     def test_null_segment_raises_null_velocity(self, name):

@@ -144,20 +144,62 @@ PARSED = {
 }
 
 
-@pytest.mark.parametrize("text", PARSED.values(), ids=PARSED)
-def test_one_pass_parse_matches_safe_load(text):
-    assert _ConfigLoader.__bases__ == (
-        (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader),)
-    data, lines = _load_yaml(text)
+def _data_lines(data, path=()):
+    """{path: line} of every key of every mapping in parsed config data, path parts as strings."""
+    lines = {}
+    if isinstance(data, dict):
+        for key, value in data.items():
+            lines[path + (str(key),)] = data.lines[key]
+            lines.update(_data_lines(value, path + (str(key),)))
+    elif isinstance(data, list):
+        for i, item in enumerate(data):
+            lines.update(_data_lines(item, path + (str(i),)))
+    return lines
+
+
+def _assert_parsed_as_safe_load(text):
+    """_load_yaml's data is the pure-Python loader's, and the line of each key that the
+    data holds is the one key_lines gives its path."""
+    data = _load_yaml(text)
     assert data == yaml.load(text, Loader=_PurePythonConfigLoader)
     loader = _PurePythonConfigLoader(text)
     node = loader.get_single_node()
     loader.construct_document(node)  # flattens the merge keys, as _load_yaml does
-    assert lines == key_lines(node)
+    want, got = key_lines(node), _data_lines(data)
+    assert got == {path: want[path] for path in got}
+    return got
+
+
+@pytest.mark.parametrize("text", PARSED.values(), ids=PARSED)
+def test_one_pass_parse_matches_safe_load(text):
+    assert _ConfigLoader.__bases__ == (
+        (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader),)
+    assert _assert_parsed_as_safe_load(text)
+
+
+@pytest.fixture(scope="module")
+def perfbench_configs(tmp_path_factory):
+    """{workload: texts} of every config perfbench writes at seed 5; no grid file is written."""
+    work = tmp_path_factory.mktemp("perfbench")
+    code = ("import sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
+            "import workloads; workloads._write_graph_nodes = lambda *args: None; "
+            "[workloads.build(name, 5, Path(sys.argv[2]) / name) for name in workloads.WORKLOADS]")
+    subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench"), str(work)],
+                   env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    return {workload.name: [p.read_text() for p in sorted(workload.glob("configs/*.yaml"))]
+            for workload in work.iterdir()}
+
+
+@pytest.mark.parametrize("workload", ["orbits", "extremals", "identities", "surfaces"])
+def test_every_perfbench_config_parses_as_safe_load(perfbench_configs, workload):
+    texts = perfbench_configs[workload]
+    assert len(texts) >= 50
+    for text in texts:
+        assert _assert_parsed_as_safe_load(text)
 
 
 def test_exponents_in_nested_lists_are_floats():
-    data, _ = _load_yaml(EXPONENTS_NESTED)
+    data = _load_yaml(EXPONENTS_NESTED)
     assert data == {"a": {"b": [1e-3, [2e4, {"c": -150.0}], 0.5],
                           "d": [[1, 0.2, [3.0, [-0.04]]], {"e": 50.0, "f": [[0.6]]}]}}
 
@@ -291,6 +333,15 @@ def test_a_dimension_mismatch_exits_2_naming_both_keys(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+def _one_key_section(raw, path=(), line=None):
+    """A Section at path whose mapping holds raw under "key", written on line."""
+    data = cli._Mapping()
+    data["key"] = raw
+    if line is not None:
+        data.lines["key"] = line
+    return Section(data, path)
+
+
 @pytest.mark.parametrize("raw, shape, integral, minimum, value", [
     (2, (), False, None, 2.0),
     (-0.5, (), False, -1, -0.5),
@@ -302,7 +353,7 @@ def test_a_dimension_mismatch_exits_2_naming_both_keys(tmp_path, capsys, case):
 ])
 def test_the_number_reader_returns_the_values_in_their_shape(raw, shape, integral, minimum,
                                                               value):
-    got = Section({"key": raw}, (), {}).numbers("key", None, "it", shape, integral, minimum)
+    got = _one_key_section(raw).numbers("key", None, "it", shape, integral, minimum)
     if integral:
         assert got == value and type(got) is type(value)
         assert all(type(v) is int for v in (got if shape else [got]))
@@ -336,7 +387,7 @@ def test_the_number_reader_returns_the_values_in_their_shape(raw, shape, integra
 ])
 def test_the_number_reader_rejects_what_breaks_the_leaf_rule(raw, shape, integral, minimum,
                                                               message):
-    sec = Section({"key": raw}, ("outer",), {("outer", "key"): 4})
+    sec = _one_key_section(raw, ("outer",), line=4)
     with pytest.raises(ConfigError) as err:
         sec.numbers("key", None, "it", shape, integral, minimum)
     assert str(err.value) == f"'outer.key' (line 4) {message}"
@@ -517,7 +568,7 @@ def _one_dim_simulate(gauge):
             "tau_end: 0.1\nstep: 0.01\n")
 
 
-# forty anchors, each a list of two aliases to the one before: 2^41 nodes expanded
+# forty anchors, each a list of two aliases to the one before: 2^41 nodes if expanded
 ALIAS_CHAIN = "seed: 0\na0: &a0 [1, 1]\n" + "".join(f"a{i}: &a{i} [*a{i - 1}, *a{i - 1}]\n"
                                                     for i in range(1, 41))
 
@@ -557,6 +608,12 @@ MALFORMED = {
     "signature_diagonal_above_cap": (
         "signature", f"seed: 0\nmetric: {{kind: constant_diagonal, diagonal: {[1.0] * 1025}}}\n", 2,
         "config error: 'metric.diagonal' (line 2): metric dim 1025 is above the cap of 1024"),
+    # a thousand aliases of one row of 2000 entries: read before the cap, the
+    # leaves would number 2 million
+    "signature_aliased_matrix_rows": (
+        "signature", "metric:\n  kind: constant\n  matrix: [&r [" + ", ".join(["0"] * 2000)
+        + "]" + ", *r" * 999 + "]\n", 2,
+        "config error: 'metric.matrix' (line 3): metric dim 2000 is above the cap of 1024"),
     "signature_matrix_above_cap": (
         "signature", f"seed: 0\nmetric:\n  kind: constant\n  matrix: {[[0.0]] * 1025}\n", 2,
         "config error: 'metric.matrix' (line 4): metric dim 1025 is above the cap of 1024"),
@@ -576,8 +633,26 @@ MALFORMED = {
     # exhausted memory, and so did nesting past Python's recursion limit
     "recursive_alias": ("check", "seed: &a [*a]\n", 2,
                         "config error: invalid YAML at line 1, column 7: recursive alias"),
-    "alias_chain": ("check", ALIAS_CHAIN, 2, "config error: invalid YAML at line 3, column 5: "
-                    "aliases expand past 100000 nodes"),
+    "alias_chain": ("check", ALIAS_CHAIN, 2, "config error: unknown key 'a0' (line 2)"),
+    # no collection is hashable, and a !!set, !!omap or !!pairs is the loader's to build
+    "collection_key": ("check", "? !foo [1]\n: 2\n", 2,
+                       "config error: invalid YAML at line 1, column 3: found unhashable key"),
+    "recursive_alias_in_omap": ("check", "a: &x {o: !!omap [k: *x]}\n", 2,
+                                "config error: invalid YAML at line 1, column 11: found "
+                                "unconstructable recursive node"),
+    # a key that is not a string died in a TypeError from Section.where
+    **{f"{kind}_key_at_the_root": ("check", f"seed: 0\n{key}: 2\n", 2,
+                                   f"config error: unknown key '{name}' (line 2)")
+       for kind, key, name in [("int", "1", "1"), ("float", "2.5", "2.5"),
+                               ("bool", "true", "True"), ("null", "null", "None")]},
+    **{f"{kind}_key_nested": ("signature", f"seed: 0\nmetric: {{kind: minkowski, dim: 4, "
+                              f"{key}: 1}}\n", 2,
+                              f"config error: unknown key 'metric.{name}' (line 2)")
+       for kind, key, name in [("int", "3", "3"), ("float", "-0.5", "-0.5"),
+                               ("bool", "false", "False"), ("null", "~", "None")]},
+    "null_key_in_extremize": (
+        "extremize", (CONFIGS / "extremize.yaml").read_text() + "null: 1\n", 2,
+        "config error: unknown key 'None' (line 15)"),
     "deep_nesting": ("check", "seed: " + "[" * 5000 + "]" * 5000 + "\n", 2,
                      "config error: invalid YAML: nested too deeply"),
     "deep_merge_keys": ("check", "a: " + "{<<: " * 3000 + "{b: 1}" + "}" * 3000 + "\n", 2,
@@ -597,14 +672,17 @@ def test_a_malformed_config_exits_with_one_line_and_no_traceback(tmp_path, capsy
     assert not recwarn.list
 
 
-def test_an_alias_chain_stops_at_the_node_budget_in_well_under_a_second():
+def test_an_alias_chain_is_walked_once_and_shares_its_data():
     start = time.perf_counter()
-    with pytest.raises(ConfigError, match="aliases expand past 100000 nodes"):
-        parse_config(ALIAS_CHAIN, "check")
+    data = _load_yaml(ALIAS_CHAIN)
     assert time.perf_counter() - start < 1.0
+    for i in range(1, 41):
+        assert data[f"a{i}"][0] is data[f"a{i}"][1] is data[f"a{i - 1}"]
+    assert data.lines["a40"] == 42
 
 
-# (subcommand, config text, stderr); each printed a numpy overflow warning first
+# (subcommand, config text, stderr); each printed a numpy overflow warning first,
+# or a traceback
 OVERFLOWS = {
     f"{sub}_{key}": (sub, (CONFIGS / f"{sub}.yaml").read_text().replace(old, new), message)
     for sub, key, old, new, message in [
@@ -620,12 +698,30 @@ OVERFLOWS = {
          "DimensionMismatch: cell 0: the density overflows to inf"),
         ("simulate", "strength", "strength: 1.0\n", "strength: 1.0e300\n",
          "DimensionMismatch: g(v, v) overflows to -inf"),
+        # an OverflowError traceback from the mass shell's m^2
+        ("simulate", "mass", "mass: 1.0", "mass: 1.0e+300",
+         "DimensionMismatch: m^2 overflows to inf at m = 1e+300"),
+        ("simulate", "charge", "charge: 1.0\n", "charge: 1.0e+300\n",
+         "DimensionMismatch: the field strength q (J^T - J) overflows at x0 = "
+         "[0.0, 0.0, 0.0, 0.0]"),
+        ("signature", "diagonal_det", "[1.0, 1.0, -1.0, -1.0]",
+         "[1.0, 1.0, 1.0e+300, -1.0e+300]", "DegenerateMetric: metric is degenerate"),
     ]
 }
+OVERFLOWS["simulate_charge"] = (
+    "simulate", OVERFLOWS["simulate_charge"][1].replace("strength: 1.0", "strength: -1.0e+300"),
+    OVERFLOWS["simulate_charge"][2])
 # with no mass term the action is 0, and the smallest radicand of the details overflows
 OVERFLOWS["brane_slope_massless"] = (
     "brane", OVERFLOWS["brane_slope"][1].replace("mass: 1.0", "mass: 0"),
     "DimensionMismatch: the smallest volume radicand overflows to inf")
+
+
+# extremize's |spatial grad|^2 overflows at this mass, and Newton stopped at
+# iteration 0; its steps now run until the rounding of the gradient stalls them
+OVERFLOWS["extremize_mass"] = (
+    "extremize", (CONFIGS / "extremize.yaml").read_text().replace("mass: 1.0", "mass: 1.0e+300"),
+    "")
 
 
 @pytest.mark.parametrize("case", OVERFLOWS)
@@ -633,10 +729,102 @@ def test_an_input_past_the_float_range_ends_in_one_line_and_no_warning(tmp_path,
     subcommand, text, message = OVERFLOWS[case]
     config = tmp_path / "config.yaml"
     config.write_text(text)
+    out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == message + "\n"
+        assert main([subcommand, "--config", str(config), "--out", str(out)]) == (
+            1 if message else 0)
+    assert capsys.readouterr().err == (message + "\n" if message else "")
+    if not message:
+        summary = json.loads((out / f"{subcommand}_summary.json").read_text())
+        assert summary["iterations"] > 10 and summary["action"] > 9e299
+
+
+# (subcommand, config text, stderr) of config errors that no other test reaches
+CONFIG_ERRORS = {
+    "section_not_a_mapping": ("signature", "metric: 5\n",
+                              "section 'metric' must be a mapping"),
+    "missing_required_key": ("signature", "seed: 0\n", "missing required key 'metric'"),
+    "empty_file": ("signature", "", "missing required key 'metric'"),
+    "string_key_given_a_number": ("clifford", "algebra: 5\n",
+                                  "'algebra' (line 1) must be a string"),
+    "outside_the_choices": ("clifford", "seed: 0\nalgebra: su2\n",
+                            "'algebra' (line 2) must be one of ['abelian', 'lorentz', 'so3']"),
+    "extra_terms_not_a_list": (
+        "simulate", (CONFIGS / "simulate.yaml").read_text().replace(
+            "  metric:", "  extra_terms: {coupling: 0.2}\n  metric:"),
+        "'spec.extra_terms' (line 6) must be a list"),
+    "brane_metric_dim": (
+        "brane", (CONFIGS / "brane.yaml").read_text().replace("dim: 3", "dim: 4"),
+        "dimension mismatch: 'spec.metric' (line 9) has dim 4 but 'embedding.kind' (line 4) "
+        "embedding targets dim 3"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_a_config_error_exits_2_with_its_one_line(tmp_path, capsys, case):
+    subcommand, text, message = CONFIG_ERRORS[case]
+    config = tmp_path / "config.yaml"
+    config.write_text(text)
+    assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_unreadable_config_path_exits_2_naming_it(tmp_path, capsys):
+    missing = tmp_path / "missing.yaml"
+    assert main(["check", "--config", str(missing), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"config error: cannot read '{missing}': [Errno 2] No such "
+                                       f"file or directory: '{missing}'\n")
+
+
+def test_an_empty_config_takes_every_default():
+    assert parse_config("", "check").payload == {"samples": 1000}
+    assert parse_config("# nothing but a comment\n", "clifford").payload == {
+        "algebra": "lorentz", "form": "minkowski", "perturbation": 0.0, "trials": 1,
+        "det_samples": 1000}
+
+
+def test_a_constant_metric_matrix_reads_as_its_diagonal(tmp_path):
+    summaries = []
+    for name, metric in [
+            ("diagonal", "{kind: constant_diagonal, diagonal: [1.0, 1.0, -1.0, -1.0]}"),
+            ("matrix", "{kind: constant, matrix: [[1, 0, 0, 0], [0, 1.0, 0, 0], "
+                       "[0, 0, -1, 0], [0, 0, 0, -1.0]]}")]:
+        summary, _ = run("signature", parse_config(f"metric: {metric}\n", "signature"),
+                         tmp_path / name)
+        summary.pop("config_digest")
+        summaries.append(cli.to_json(summary))
+    assert summaries[0] == summaries[1]
+    assert json.loads(summaries[0])["signature"]["n_minus"] == 2
+
+
+def test_a_cylinder_patch_has_the_area_of_its_unrolled_rectangle(tmp_path):
+    text = ("embedding: {kind: cylinder_patch, radius: 2.0, resolution: [8, 8]}\n"
+            "spec: {metric: {kind: euclidean, dim: 3}, mass: 1.5}\n")
+    summary, _ = run("brane", parse_config(text, "brane"), tmp_path)
+    # radius 2 over the default box, z in [0, 1] and theta in [0, pi]
+    assert summary["action"] == pytest.approx(1.5 * 2.0 * np.pi, rel=1e-14)
+    assert (summary["cells"], summary["component_count"], summary["min_radicand"]) == (64, 3, 4.0)
+
+
+def test_json_writes_non_finite_floats_as_strings_and_empty_containers_inline():
+    value = {"nan": float("nan"), "inf": np.inf, "minus_inf": -np.inf, "none": None,
+             "list": [], "tuple": (), "array": np.zeros(0), "dict": {}}
+    assert cli.to_json(value) == (
+        '{\n  "array": [],\n  "dict": {},\n  "inf": "inf",\n  "list": [],\n'
+        '  "minus_inf": "-inf",\n  "nan": "nan",\n  "none": null,\n  "tuple": []\n}')
+
+
+def test_a_proper_time_step_too_large_for_the_gauge_exits_1(tmp_path, capsys):
+    config = tmp_path / "simulate.yaml"
+    config.write_text((CONFIGS / "simulate.yaml").read_text().replace(
+        "gauge: coordinate_time", "gauge: proper_time").replace(
+        "velocity: [1.0, 0.6, 0.0, 0.0]", "velocity: [1.25, 0.75, 0.0, 0.0]").replace(
+        "step: 0.001", "step: 0.5"))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("GaugeViolation: gauge drift 5.109e-05 exceeded 1e-08 at "
+                                       "step 0; reduce the step\n")
 
 
 @pytest.mark.parametrize("metric", ["{kind: euclidean, dim: 1024}",
@@ -701,6 +889,23 @@ def _write_grid_rows(path, nodes=5):
     rows = np.column_stack([Z1, Z2, Z1, Z2, 0.3 * Z1 ** 2 + 0.2 * Z1 * Z2])
     np.savetxt(path, rows, delimiter=",", fmt="%.17g")
     return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "file '{path}' not found"),
+    ("0,0,1,2\n0,1,1,2\n", "expected 5 columns (z then x), got 4"),
+    # four nodes on axes of three and two values
+    ("0,0,0,0,0\n0,1,0,1,0\n1,0,1,0,0\n2,1,2,1,0\n", "nodes do not form a regular grid"),
+], ids=["not_found", "wrong_column_count", "off_a_regular_grid"])
+def test_a_bad_grid_csv_exits_2_with_its_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "nodes.csv"
+    if text is not None:
+        path.write_text(text)
+    config = tmp_path / "brane.yaml"
+    config.write_text(GRID_CONFIG.format(path=path.as_posix()))
+    assert main(["brane", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"config error: 'embedding.path' (line 1): "
+                                       f"{message.format(path=path.as_posix())}\n")
 
 
 @pytest.mark.parametrize("row, column, value", [

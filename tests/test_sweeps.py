@@ -18,6 +18,7 @@ from repmech import (
     momentum,
     momentum_fd,
     potential_from_function,
+    quadratic_form,
     symmetric_tensor_field,
 )
 from repmech.cli import main
@@ -140,6 +141,27 @@ class TestDraws:
         assert v[0] > 0.0
         for _q, tensor in spec.extra_terms:
             assert abs(tensor.contraction(x, v)) >= 0.05 * v[0] ** tensor.rank
+
+
+def test_a_row_out_of_state_attempts_gets_a_fresh_spec(monkeypatch):
+    # one candidate state per row: some rows run out of attempts and are redrawn
+    monkeypatch.setattr(sweeps, "STATE_ATTEMPTS", 1)
+    puts = []
+    put = sweeps.SpecStack.put
+
+    def recording(stack, rows, other):
+        puts.append((rows.copy(), other))
+        put(stack, rows, other)
+
+    monkeypatch.setattr(sweeps.SpecStack, "put", recording)
+    stack, x, v = draw_spec_state(np.random.default_rng(21), 40)
+    assert puts
+    rows, fresh = puts[-1]  # the last redraw's rows keep its specs
+    for f in dataclasses.fields(stack):
+        assert np.array_equal(getattr(stack, f.name)[rows], getattr(fresh, f.name))
+    # every row's state passes the draw's test under the spec it ends with
+    spec = stack.spec()
+    assert np.all(quadratic_form(spec.metric(x), v) >= 0.3 * v[:, 0] ** 2)
 
 
 class TestDrawLaw:
