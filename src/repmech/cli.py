@@ -73,7 +73,7 @@ from .geometry import (
 )
 from .lagrangian import LagrangianSpec
 from .sweeps import standard_sweeps
-from .worldline import GaugeChoice, integrate
+from .worldline import GaugeChoice, energy_drift, integrate
 
 # ---------------------------------------------------------------------------
 # deterministic JSON with 17 significant digits
@@ -510,6 +510,15 @@ def _parse_brane(root: Section, warnings):
         return esec.numbers("resolution", [cells] * d, f"{d} integers >= 2", (d,),
                             integral=True, minimum=2)
 
+    ssec = root.child("spec")
+    ssec.require_keys({"metric", "mass", "charge", "potential"}, required=("metric",))
+    metric = _build_metric(ssec.child("metric"))
+
+    def check_target(dim_m):
+        if metric.dim != dim_m:
+            raise ConfigError(f"dimension mismatch: {ssec.where('metric')} has dim {metric.dim} "
+                              f"but {esec.where('kind')} embedding targets dim {dim_m}")
+
     if kind == "tilted_plane":
         esec.require_keys({"kind", "slope", "box", "resolution"}, required=("slope",))
         emb = tilted_plane_embedding(esec.number("slope"), box_arr([[0, 1], [0, 1]]),
@@ -523,6 +532,7 @@ def _parse_brane(root: Section, warnings):
         esec.require_keys({"kind", "linear", "quadratic", "box", "resolution"})
         b = box_arr([[0, 1], [0, 1]])
         d = b.shape[0]
+        check_target(d + 1)  # before the d x d quadratic is read
         lin = _sized(esec, "linear", d, f"{esec.where('box')} has {d} axes", [0.0] * d)
         quad = esec.numbers("quadratic", [[0.0] * d] * d, f"a {d}x{d} matrix", (d, d))
 
@@ -544,14 +554,7 @@ def _parse_brane(root: Section, warnings):
             raise ConfigError(f"{esec.where('d')} must be <= dim_m = {dim_m}")
         emb = _load_grid_csv(Path(esec.string("path")), d, dim_m, esec)
 
-    ssec = root.child("spec")
-    ssec.require_keys({"metric", "mass", "charge", "potential"}, required=("metric",))
-    metric = _build_metric(ssec.child("metric"))
-    if metric.dim != emb.dim_m:
-        raise ConfigError(
-            f"dimension mismatch: {ssec.where('metric')} has dim {metric.dim} but "
-            f"{esec.where('kind')} embedding targets dim {emb.dim_m}"
-        )
+    check_target(emb.dim_m)
     potential = None
     if "potential" in ssec.data:
         psec = ssec.child("potential")
@@ -809,9 +812,8 @@ def _run_simulate(cfg, out_dir):
     p = cfg.payload
     wl = integrate(p["spec"], p["gauge"], p["x0"], p["v0"], p["tau_end"], p["step"])
     dim = p["spec"].dim
-    header = (["tau"] + [f"x{i}" for i in range(dim)] + [f"v{i}" for i in range(dim)]
-              + ["mass_shell_residual"])
-    rows = np.column_stack([wl.tau, wl.x, wl.v, wl.drift])
+    header = ["tau"] + [f"x{i}" for i in range(dim)] + [f"v{i}" for i in range(dim)]
+    rows = np.column_stack([wl.tau, wl.x, wl.v])
     csv_path = out_dir / "trajectory.csv"
     _write_csv(csv_path, header, rows)
     return {
@@ -820,7 +822,7 @@ def _run_simulate(cfg, out_dir):
         "tau_end": float(wl.tau[-1]),
         "final_position": wl.x[-1],
         "final_velocity": wl.v[-1],
-        "max_mass_shell_residual": float(np.max(np.abs(wl.drift))),
+        "max_energy_drift": energy_drift(wl, p["spec"]),
         "max_gauge_residual": float(np.max(wl.gauge_residual)),
         "trajectory_csv": csv_path.name,
     }, [csv_path]

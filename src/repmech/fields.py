@@ -132,6 +132,7 @@ def potential_from_function(dim: int, fn, jacobian=None) -> VectorPotentialField
 
 # largest dense tensor, dim ** rank entries (128 MiB of floats)
 MAX_DENSE_ENTRIES = 2 ** 24
+_COLUMN_CHUNK = 2 ** 16  # flat indices per sort in tensor_columns
 
 
 @functools.lru_cache(maxsize=16)
@@ -159,8 +160,11 @@ def tensor_columns(rank: int, dim: int) -> np.ndarray:
     shape = (dim,) * rank
     # in combinations order the sorted multi-indices have increasing flat indices
     keys = np.ravel_multi_index(tuple(tensor_indices(rank, dim).T), shape)
-    idx = np.sort(np.indices(shape).reshape(rank, -1), axis=0)
-    out = np.searchsorted(keys, np.ravel_multi_index(idx, shape))
+    out = np.empty(dim ** rank, dtype=np.intp)
+    for start in range(0, out.size, _COLUMN_CHUNK):  # so the columns set the peak, not the sort
+        flat = np.arange(start, min(start + _COLUMN_CHUNK, out.size))
+        idx = np.sort(np.unravel_index(flat, shape), axis=0)
+        out[start:start + flat.size] = np.searchsorted(keys, np.ravel_multi_index(idx, shape))
     out.setflags(write=False)
     return out
 

@@ -550,6 +550,49 @@ def constant_field_orbit_lists(spec, proper, x0, v0, n_steps, h, gauge_tol=1e-8)
             np.column_stack([np.ones_like(taus), zs[:, dim - 1:]]))
 
 
+def hamiltonian_orbit(g, dg, A, dA, charge, mass, x0, p0, n_steps, h):
+    """(x, p, H) at the n_steps + 1 samples of RK4 over the phase space (x, p).
+
+    The super-Hamiltonian H = 1/2 (g^{ab} pi_a pi_b - m^2), pi = p - q A,
+    generates the world line in lambda = tau / m. In proper time, with
+    w = g^{-1} pi and d_a g^{bc} = -g^{bd} d_a g_de g^{ec}:
+        dx^a/dtau = w^a / m,
+        dp_a/dtau = (1/2 d_a g_bc w^b w^c + q d_a A_b w^b) / m.
+    The exact flow keeps H = 0, RK4 only to its order. g, dg, A and dA map
+    one position to g_ab, d_c g_ab as [c, a, b], A_a and d_c A_a as [a, c].
+    Nothing here solves Euler-Lagrange rows or projects onto a gauge.
+    """
+    n = len(x0)
+
+    def parts(z):
+        x = np.array(z[:n])
+        pi = np.array(z[n:]) - charge * A(x)
+        return x, pi, np.linalg.solve(g(x), pi)
+
+    def deriv(_t, z):
+        x, _, w = parts(z)
+        force = 0.5 * np.einsum("abc,b,c->a", dg(x), w, w) + charge * (w @ dA(x))
+        return (np.concatenate([w, force]) / mass).tolist()
+
+    zs = [[float(c) for c in (*x0, *p0)]]
+    for k in range(n_steps):
+        zs.append(rk4_step_lists(deriv, k * h, zs[-1], h))
+    H = [0.5 * (pi @ w - mass * mass) for _, pi, w in map(parts, zs)]
+    zs = np.array(zs)
+    return zs[:, :n], zs[:, n:], np.array(H)
+
+
+def tensor_columns_reference(rank, dim):
+    """fields.tensor_columns by enumeration: each flat index's multi-index from
+    np.indices, sorted, then looked up among the sorted multi-indices in
+    combinations_with_replacement order."""
+    shape = (dim,) * rank
+    keys = [np.ravel_multi_index(c, shape)
+            for c in itertools.combinations_with_replacement(range(dim), rank)]
+    idx = np.sort(np.indices(shape).reshape(rank, -1), axis=0)
+    return np.searchsorted(keys, np.ravel_multi_index(idx, shape))
+
+
 # ---------------------------------------------------------------------------
 # test-only builders and checks on package objects: the paper's claims that
 # the package itself never needs (reparametrization invariance, Rund's gamma

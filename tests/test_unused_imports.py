@@ -95,7 +95,6 @@ UNREAD_PUBLIC = {
     ("lagrangian", "velocity_hessian"): "perfbench span",
     ("worldline", "conserved_drift"): "perfbench span",
     ("worldline", "el_residual"): "perfbench span",
-    ("worldline", "energy_drift"): "perfbench span",
 }
 
 

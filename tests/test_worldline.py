@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import CyclotronOracle, fit_circle
+from oracles import CyclotronOracle, fit_circle, hamiltonian_orbit
 import repmech.worldline as worldline
 from repmech import (
     DimensionMismatch,
@@ -21,8 +21,11 @@ from repmech import (
     conserved_drift,
     el_residual,
     energy_drift,
+    eval_L,
     integrate,
+    metric_from_function,
     minkowski_metric,
+    momentum,
     potential_from_function,
     symmetric_tensor,
     symmetric_tensor_field,
@@ -149,7 +152,6 @@ class TestCoordinateTimeIntegration:
         assert abs(radius - 0.75) <= 1e-6
         assert orbit.radius == pytest.approx(0.75)
         assert conserved_drift(wl, cyclotron_spec()) <= 1e-8
-        assert np.max(np.abs(wl.drift)) <= 1e-8
 
     def test_cyclotron_positions_match_analytic(self):
         orbit = CyclotronOracle()
@@ -478,17 +480,23 @@ class TestDriftInstruments:
                            np.zeros(4), np.array([1, 0.6, 0, 0.0]), 4.0, h)
             assert conserved_drift(wl, spec) < 1e-12
 
-    def test_energy_drift_converges_at_fourth_order(self):
-        # the reduced Hamiltonian is the step-sensitive conserved quantity;
-        # RK4 bounds its drift by h^4, and a pure rotation does better
-        steps = [0.4, 0.2, 0.1, 0.05]
-        T = 8.0
+    # (steps, duration) of the cyclotron drift law per gauge. In proper time
+    # one step of h = 0.15 already drifts from g(v, v) = 1 by more than
+    # GAUGE_TOL, and at h = 0.0025 the drift, 1.4e-14, is at the rounding floor.
+    CYCLOTRON_STEPS = {GaugeChoice.COORDINATE_TIME: ([0.4, 0.2, 0.1, 0.05], 8.0),
+                       GaugeChoice.PROPER_TIME: ([0.08, 0.04, 0.02, 0.01], 20.0)}
 
-        def drift_law(spec, v0):
+    @pytest.mark.parametrize("gauge", list(GaugeChoice), ids=lambda g: g.value)
+    def test_energy_drift_converges_at_fourth_order(self, gauge):
+        # p_0 is the step-sensitive conserved quantity of x^0-independent
+        # fields; RK4 bounds its drift by h^4, and a pure rotation does better
+        def drift_law(spec, u, steps, T):
             drifts = []
             for h in steps:
-                wl = integrate(spec, GaugeChoice.COORDINATE_TIME,
-                               np.zeros(4), np.asarray(v0, dtype=float), T, h)
+                v0 = np.asarray(u, dtype=float)
+                if gauge is GaugeChoice.PROPER_TIME:
+                    v0 = v0 / np.sqrt(v0 @ spec.metric(np.zeros(4)) @ v0)
+                wl = integrate(spec, gauge, np.zeros(4), v0, T, h)
                 drifts.append(energy_drift(wl, spec))
             slope = np.polyfit(np.log(steps), np.log(drifts), 1)[0]
             ratios = [drifts[i] / drifts[i + 1] for i in range(len(drifts) - 1)]
@@ -496,15 +504,21 @@ class TestDriftInstruments:
 
         # Cyclotron orbit: each RK4 step rotates the velocity with amplitude
         # |R(iz)| = 1 - z^6/144 + O(z^8), z = omega*h, so the speed, and with
-        # it gamma*m, decays at order h^5: halving the step cuts drift ~32x.
+        # it p_0 = gamma*m, decays at order h^5: halving the step cuts drift ~32x.
+        # Per unit proper time omega is qB/m, and each step's projection onto
+        # g(v, v) = 1 turns the lost spatial speed gamma*u into a p_0 change
+        # u times as large, which gives the same law.
         q, m, b, u = 1.0, 1.0, 1.0, 0.6
-        drifts, slope, ratios = drift_law(cyclotron_spec(q, m, b), [1, u, 0, 0])
+        steps, T = self.CYCLOTRON_STEPS[gauge]
+        drifts, slope, ratios = drift_law(cyclotron_spec(q, m, b), [1, u, 0, 0], steps, T)
         assert abs(slope - 5.0) <= 0.3
         assert all(r > 24.0 for r in ratios)
         gamma = 1.0 / np.sqrt(1.0 - u * u)
-        omega = q * b / (gamma * m)
-        predicted = T * steps[-1] ** 5 * omega ** 6 * gamma ** 3 * m * u * u / 144.0
-        assert 0.5 < drifts[-1] / predicted < 2.0
+        if gauge is GaugeChoice.COORDINATE_TIME:
+            predicted = T * steps[-1] ** 5 * (q * b / (gamma * m)) ** 6 * gamma ** 3 * m * u * u
+        else:
+            predicted = T * steps[-1] ** 5 * (q * b / m) ** 6 * gamma * m * u * u
+        assert 0.5 < drifts[-1] / (predicted / 144.0) < 2.0
 
         # Static weak field: no rotational cancellation, so the drift keeps
         # RK4's global h^4 error: halving the step cuts drift ~16x. The metric
@@ -517,9 +531,19 @@ class TestDriftInstruments:
                                                          np.zeros(x.shape[:-1]),
                                                          np.zeros(x.shape[:-1])], axis=-1)),
             mass=1.0)
-        drifts, slope, ratios = drift_law(spec, [1, 0.3, 0.1, 0])
+        drifts, slope, ratios = drift_law(spec, [1, 0.3, 0.1, 0], [0.4, 0.2, 0.1, 0.05], 8.0)
         assert abs(slope - 4.0) <= 0.1
         assert all(r > 14.0 for r in ratios)
+
+    @pytest.mark.parametrize("h", [0.2, 0.1, 0.05, 0.025])
+    def test_energy_drift_is_the_reduced_hamiltonian_drift_in_coordinate_time(self, h):
+        # Euler's theorem L = p.v with v^0 = 1 makes p_i u^i - L = -p_0
+        spec = cyclotron_spec()
+        wl = integrate(spec, GaugeChoice.COORDINATE_TIME,
+                       np.zeros(4), np.array([1, 0.6, 0, 0.0]), 8.0, h)
+        p = momentum(spec, wl.x, wl.v)
+        energies = np.vecdot(p[:, 1:], wl.v[:, 1:]) - eval_L(spec, wl.x, wl.v)
+        assert abs(np.max(np.abs(energies - energies[0])) - energy_drift(wl, spec)) <= 1e-15
 
     def test_exact_samples_have_tiny_drift(self):
         spec = cyclotron_spec()
@@ -531,6 +555,76 @@ class TestDriftInstruments:
             vs.append(v)
         from repmech.worldline import Worldline
         wl = Worldline(tau=np.linspace(0, 3, 50), x=np.array(xs), v=np.array(vs),
-                       gauge=GaugeChoice.COORDINATE_TIME,
-                       drift=np.zeros(50), gauge_residual=np.zeros(50))
+                       gauge=GaugeChoice.COORDINATE_TIME, gauge_residual=np.zeros(50))
         assert conserved_drift(wl, spec) <= 1e-10
+
+
+def schwarzschild_fields(M=1.0):
+    """g, d_c g_ab, A and d_c A_a of Schwarzschild in (t, r, theta, phi), with
+    A_0 = 0.5 / r: the maps that hamiltonian_orbit takes, each closed form."""
+    def g(x):
+        r, th = x[..., 1], x[..., 2]
+        f = 1.0 - 2.0 * M / r
+        out = np.zeros(x.shape[:-1] + (4, 4))
+        out[..., 0, 0], out[..., 1, 1] = f, -1.0 / f
+        out[..., 2, 2], out[..., 3, 3] = -r * r, -(r * np.sin(th)) ** 2
+        return out
+
+    def dg(x):
+        r, th = x[..., 1], x[..., 2]
+        out = np.zeros(x.shape[:-1] + (4, 4, 4))
+        out[..., 1, 0, 0] = 2.0 * M / r ** 2
+        out[..., 1, 1, 1] = 2.0 * M / (r - 2.0 * M) ** 2
+        out[..., 1, 2, 2] = -2.0 * r
+        out[..., 1, 3, 3] = -2.0 * r * np.sin(th) ** 2
+        out[..., 2, 3, 3] = -2.0 * r * r * np.sin(th) * np.cos(th)
+        return out
+
+    def A(x):
+        out = np.zeros(x.shape)
+        out[..., 0] = 0.5 / x[..., 1]
+        return out
+
+    def dA(x):
+        out = np.zeros(x.shape + (4,))
+        out[..., 0, 1] = -0.5 / x[..., 1] ** 2
+        return out
+
+    return g, dg, A, dA
+
+
+class TestHamiltonianRoute:
+    def test_integrate_and_the_mass_shell_hamiltonian_agree_at_fourth_order(self):
+        # A charged orbit in Schwarzschild (M = 1, q = 0.3, m = 1) from r = 10
+        # at 1.1x the circular angular velocity, marched by integrate in proper
+        # time and by RK4 over (x, p) of H = 1/2 (g^{ab} pi_a pi_b - m^2). The
+        # two share the fields and the start's momentum, no kernel. Measured at
+        # T = 40: end-position errors 8.0e-10 -> 3.2e-12 (integrate) and
+        # 1.5e-9 -> 5.8e-12 (route), max |H| 1.3e-12 -> 5.3e-15, each ratio 16.
+        g, dg, A, dA = schwarzschild_fields()
+        q, m, T = 0.3, 1.0, 40.0
+        spec = LagrangianSpec(metric=metric_from_function(4, g, dg), mass=m, charge=q,
+                              potential=potential_from_function(4, A, dA))
+        x0 = np.array([0.0, 10.0, np.pi / 2, 0.0])
+        u = np.array([1.0, 0.02, 0.0, 1.1 * 10.0 ** -1.5])
+        v0 = u / np.sqrt(u @ g(x0) @ u)
+        p0 = momentum(spec, x0, v0)
+
+        def route(h):
+            return hamiltonian_orbit(g, dg, A, dA, q, m, x0, p0, round(T / h), h)
+
+        x_ref = route(0.025)[0][-1]
+        steps = [0.4, 0.2, 0.1]
+        errors = {"integrate": [], "route": [], "H": [], "p(T)": [], "p_0 drift": []}
+        for h in steps:
+            wl = integrate(spec, GaugeChoice.PROPER_TIME, x0, v0, T, h)
+            xs, ps, H = route(h)
+            errors["integrate"].append(np.max(np.abs(wl.x[-1] - x_ref)))
+            errors["route"].append(np.max(np.abs(xs[-1] - x_ref)))
+            errors["H"].append(np.max(np.abs(H)))
+            errors["p(T)"].append(np.max(np.abs(ps[-1] - momentum(spec, wl.x[-1], wl.v[-1]))))
+            errors["p_0 drift"].append(energy_drift(wl, spec))
+        assert errors["integrate"][-1] <= 1e-11 and errors["route"][-1] <= 1e-11
+        for name, errs in errors.items():
+            slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
+            assert abs(slope - 4.0) <= 0.2, (name, errs)
