@@ -164,7 +164,6 @@ class LieAlgebraSpec:
     structure: np.ndarray   # (G, G, G), [X_i, X_j] = C_ij^k X_k
     rho: np.ndarray         # (G, N, N) real matrices
     label: str = ""
-    pairs: Tuple[Tuple[int, int], ...] = ()  # index pairs for pair-built algebras
 
     def __post_init__(self):
         c = np.asarray(self.structure, dtype=float)
@@ -205,8 +204,7 @@ def pair_vector_algebra(form: np.ndarray, pairs: Sequence[Tuple[int, int]],
     c, res = _structure_constants_from_rep(rho)
     if res > 1e-12:
         raise DimensionMismatch("pair generators failed to close")
-    return LieAlgebraSpec(structure=c, rho=rho, label=label,
-                          pairs=tuple((int(a), int(b)) for a, b in pairs))
+    return LieAlgebraSpec(structure=c, rho=rho, label=label)
 
 
 def lorentz_vector_algebra(form: np.ndarray = None) -> LieAlgebraSpec:
@@ -372,7 +370,7 @@ def dirac_operator(q: float, m, a_const, p, gam: GammaSet) -> np.ndarray:
 
 
 def mass_shell_determinant_residual(q: float, m, a_const, p, gam: GammaSet):
-    """|det(g.pi - m I) - (pi.pi - m^2)^2| with pi = p - qA raised by the form.
+    """|det(g.pi - m I) - r| / max(1, |r|), r = (pi.pi - m^2)^2, pi = p - qA raised by the form.
 
     Takes the shapes of dirac_operator. A scalar m with p of shape (4,)
     gives a float; otherwise the result is an array of the broadcast batch
@@ -382,5 +380,6 @@ def mass_shell_determinant_residual(q: float, m, a_const, p, gam: GammaSet):
     pi = np.asarray(p, dtype=float) - q * np.asarray(a_const, dtype=float)
     pi_sq = np.sum((pi @ np.linalg.inv(gam.form)) * pi, axis=-1)
     m = np.asarray(m, dtype=float)
-    res = np.abs(np.linalg.det(h) - (pi_sq - m * m) ** 2)
+    r = (pi_sq - m * m) ** 2
+    res = np.abs(np.linalg.det(h) - r) / np.maximum(1.0, np.abs(r))
     return float(res) if res.ndim == 0 else res

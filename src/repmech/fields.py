@@ -132,7 +132,6 @@ def potential_from_function(dim: int, fn, jacobian=None) -> VectorPotentialField
 
 # largest dense tensor, dim ** rank entries (128 MiB of floats)
 MAX_DENSE_ENTRIES = 2 ** 24
-_COLUMN_CHUNK = 2 ** 16  # flat indices per sort in tensor_columns
 
 
 @functools.lru_cache(maxsize=16)
@@ -156,17 +155,26 @@ def tensor_indices(rank: int, dim: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)  # each holds dim ** rank columns, as many as S has entries
 def tensor_columns(rank: int, dim: int) -> np.ndarray:
-    """For each flat index of a (dim,) * rank array, the entry column of its sorted multi-index."""
-    shape = (dim,) * rank
-    # in combinations order the sorted multi-indices have increasing flat indices
-    keys = np.ravel_multi_index(tuple(tensor_indices(rank, dim).T), shape)
-    out = np.empty(dim ** rank, dtype=np.intp)
-    for start in range(0, out.size, _COLUMN_CHUNK):  # so the columns set the peak, not the sort
-        flat = np.arange(start, min(start + _COLUMN_CHUNK, out.size))
-        idx = np.sort(np.unravel_index(flat, shape), axis=0)
-        out[start:start + flat.size] = np.searchsorted(keys, np.ravel_multi_index(idx, shape))
-    out.setflags(write=False)
-    return out
+    """For each flat index of a (dim,) * rank array, the entry column of its sorted multi-index.
+
+    Built by gathers, one rank at a time from rank 1's arange(dim): flat index
+    f * dim + i of rank r has column grow[columns[f], i], where grow[c, i] is
+    the column of sorted (r - 1)-index c with i added, and each (c, i) is a
+    sorted r-index with one of its entries taken out.
+    """
+    indices = [tensor_indices(rank, dim)]  # refuses rank < 3 and oversized S
+    for _ in range(rank - 2):  # rank r - 1's sorted indices: rank r's ending in dim - 1, less it
+        indices.append(indices[-1][indices[-1][:, -1] == dim - 1, :-1])
+    columns = np.arange(dim)
+    for idx in reversed(indices):  # ranks 2 to rank
+        r = idx.shape[1]
+        grow = np.empty((columns.max() + 1, dim), dtype=np.intp)
+        weights = dim ** np.arange(r - 2, -1, -1)  # flat index of an (r - 1)-index
+        for j in range(r):
+            grow[columns[np.delete(idx, j, axis=1) @ weights], idx[:, j]] = np.arange(len(idx))
+        columns = grow[columns].ravel()
+    columns.setflags(write=False)
+    return columns
 
 
 def _canonical_entries(rank: int, dim: int, entries: Mapping[Index, float]) -> np.ndarray:
@@ -212,7 +220,7 @@ class SymmetricTensorField:
     dim: int
     entries: Optional[np.ndarray] = field(default=None, compare=False)
     evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    S: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    S: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         count = len(tensor_indices(self.rank, self.dim))  # refuses rank < 3 and oversized S

@@ -9,7 +9,9 @@ the generalized momentum pi = m g v / sqrt(g(v,v)).
 
 Derivatives are closed-form term-wise formulas in the fields' gradients,
 except a varying tensor's x-derivative: central differences of
-S(x; v, ..., v, .). momentum_fd (FD of eval_L in v) is the oracle.
+S(x; v, ..., v, .). momentum_fd (FD of eval_L in v) is the oracle. The
+identities' residuals (homogeneity, Euler's p.v = L and the mass shell) are
+the values the `check` battery reports.
 
 eval_L, momentum, velocity_hessian and position_gradient take x of shape
 (..., P) and v of shape (..., N) and return shapes (...), (..., N),
@@ -281,50 +283,57 @@ def momentum_fd(spec: LagrangianSpec, x, v) -> np.ndarray:
                               MOMENTUM_FD_STEP * np.maximum(1.0, np.abs(v)))
 
 
-def generalized_momentum(spec: LagrangianSpec, x, v, mode: str = "analytic") -> np.ndarray:
+def generalized_momentum(spec: LagrangianSpec, x, v) -> np.ndarray:
     """pi_a = p_a minus the potential and tensor contributions = m g v / sqrt(g(v,v)).
 
-    Takes x and v of shape (..., N) in either mode. mode="fd" recomputes pi,
-    for the whole batch, as the finite-difference momentum of the stripped
-    (mass-only) Lagrangian, keeping the oracle route independent.
+    Takes x and v of shape (..., N); its oracle is momentum_fd of the mass-only spec.
     """
     x, v = spec._check_point(x, v)
     if not spec._mass_on:
         return np.zeros(v.shape)
-    if mode == "fd":
-        stripped = LagrangianSpec(metric=spec.metric, mass=spec.mass)
-        return momentum_fd(stripped, x, v)
     _, gv, gvv = _mass_term_data(spec, x, v)
     return _per_point(spec.mass) * gv / np.sqrt(gvv)[..., None]
 
 
 def hamiltonian_residual(spec: LagrangianSpec, x, v, mode: str = "analytic"):
-    """p.v - L, shape (...) (a float for a single point); zero by Euler's theorem."""
+    """|p.v - L| / max(|p.v| + |L|, 1e-300), shape (...) (a float for a single point).
+
+    Zero by Euler's theorem; p is momentum, or momentum_fd for mode="fd".
+    """
     p = momentum(spec, x, v) if mode == "analytic" else momentum_fd(spec, x, v)
-    res = np.vecdot(p, np.asarray(v, dtype=float)) - eval_L(spec, x, v)
+    pv = np.vecdot(p, np.asarray(v, dtype=float))
+    lag = eval_L(spec, x, v)
+    res = np.abs(pv - lag) / np.maximum(np.abs(pv) + np.abs(lag), 1e-300)
     return float(res) if res.ndim == 0 else res
 
 
-def mass_shell_residual(spec: LagrangianSpec, x, v, mode: str = "analytic"):
+def mass_shell_residual(spec: LagrangianSpec, x, v):
     """pi . g^{-1} . pi - m^2; an algebraic identity whenever the mass term is on.
 
     x and v have shape (..., N); the result has shape (...), a float for a
     single point.
     """
     x, v = spec._check_point(x, v)
-    pi = generalized_momentum(spec, x, v, mode=mode)
+    pi = generalized_momentum(spec, x, v)
     g = spec.metric(x)
     res = np.vecdot(pi, np.linalg.solve(g, pi[..., None])[..., 0]) - spec.mass ** 2
     return float(res) if res.ndim == 0 else res
 
 
 def homogeneity_residual(spec: LagrangianSpec, x, v, lam):
-    """L(x, lam*v) - lam*L(x, v) for lam > 0, a float or one scale per point."""
+    """|L(x, lam v) - lam L(x, v)| / (lam max(|L(x, v)|, 1)) for lam > 0.
+
+    lam is a float or one scale per point; shape (...), a float for a single
+    point. A scale that is not positive, nan included, raises DimensionMismatch.
+    """
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0):
+    if not np.all(lam > 0):
         raise DimensionMismatch("homogeneity scale must be positive")
     x, v = spec._check_point(x, v)
-    return eval_L(spec, x, lam[..., None] * v) - lam * eval_L(spec, x, v)
+    lag = eval_L(spec, x, v)
+    res = np.abs(eval_L(spec, x, lam[..., None] * v) - lam * lag) / (
+        lam * np.maximum(np.abs(lag), 1.0))
+    return float(res) if res.ndim == 0 else res
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Seeded random-spec property sweeps over the homogeneous-Lagrangian identities.
 
-Each sweep draws S samples (spec, x, v) spanning EM + metric + rank-3/4
-tensor terms, evaluates one identity on all of them in one batched kernel
-call, and reports the worst residual against its tolerance.
+SWEEPS is the battery behind `check`, one row per sweep. A sweep draws S
+samples (spec, x, v) spanning EM + metric + rank-3/4 tensor terms, evaluates
+one residual on all of them in one batched kernel call (an identity's is the
+Lagrangian's own), and reports the worst against its tolerance.
 
 The draw is a stack. random_spec draws the S specs as arrays, one row per
 sample (a SpecStack); its spec() is one LagrangianSpec whose couplings and
@@ -17,7 +18,6 @@ attempts a fresh spec.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -31,27 +31,16 @@ from .fields import (
 from .geometry import metric_from_function, quadratic_form
 from .lagrangian import (
     LagrangianSpec,
-    eval_L,
     generalized_momentum,
+    hamiltonian_residual,
     homogeneity_residual,
     mass_shell_residual,
     momentum,
     momentum_fd,
 )
 
-_TINY = 1e-300
 RADICAND_FLOOR = 0.05  # least |tensor radicand| / |v^0|^n of a drawn state
 STATE_ATTEMPTS = 100  # candidate states per row before its spec is redrawn
-# the worst residual each sweep passes with, by sweep name
-TOLERANCES = {
-    "homogeneity": 1e-11,
-    "euler_identity_analytic": 1e-10,
-    "euler_identity_fd": 1e-6,
-    "mass_shell_identity": 1e-9,
-    "momentum_vs_fd": 1e-6,
-    "pi_invariance": 1e-12,
-    "gauge_shift": 1e-10,
-}
 
 
 @dataclass(frozen=True)
@@ -61,7 +50,6 @@ class SweepResult:
     max_residual: float
     tolerance: float
     passed: bool
-    seconds: float
 
 
 def _per_sample_potential(values):
@@ -246,22 +234,8 @@ def draw_spec_state(rng: np.random.Generator, samples: int, curved=None):
 
 
 # ---------------------------------------------------------------------------
-# per-sample residuals of each identity, one batched kernel call each
+# the battery: each sweep's residuals per sample, one batched kernel call each
 # ---------------------------------------------------------------------------
-
-def homogeneity_residuals(spec, x, v, lam) -> np.ndarray:
-    """|L(x, lam v) - lam L(x, v)| / (lam max(|L(x, v)|, 1)) per sample."""
-    res = homogeneity_residual(spec, x, v, lam)
-    return np.abs(res) / (lam * np.maximum(np.abs(eval_L(spec, x, v)), 1.0))
-
-
-def euler_residuals(spec, x, v, mode: str = "analytic") -> np.ndarray:
-    """|p.v - L| / (|p.v| + |L|) per sample, p closed-form or finite-difference."""
-    p = momentum(spec, x, v) if mode == "analytic" else momentum_fd(spec, x, v)
-    pv = np.vecdot(p, v)
-    lag = eval_L(spec, x, v)
-    return np.abs(pv - lag) / np.maximum(np.abs(pv) + np.abs(lag), _TINY)
-
 
 def momentum_fd_residuals(spec, x, v) -> np.ndarray:
     """max |p - p_fd| / max(1, max |p|) per sample."""
@@ -293,81 +267,45 @@ def gauge_shift_residuals(spec, x, v, w, c) -> np.ndarray:
     return np.maximum(np.max(np.abs(dp), axis=-1), np.max(np.abs(dpi), axis=-1))
 
 
-def _run(name, samples, seed, residuals, curved=None):
-    """The worst of residuals(rng, spec, x, v) over one stacked draw of `samples` rows,
-    against TOLERANCES[name]."""
-    tolerance = TOLERANCES[name]
+# sweep name -> (the worst residual it passes with, the divisor of the battery's
+# sample count, residuals(rng, spec, x, v) drawing any further inputs from rng,
+# curved: None draws flat and weak-field rows, False flat ones only), in battery order
+SWEEPS = {
+    # |L(x, lam v) - lam L(x, v)| relative, at log-uniform scales in [1e-3, 1e3]
+    "homogeneity": (1e-11, 1, lambda rng, spec, x, v: homogeneity_residual(
+        spec, x, v, np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=len(x)))), None),
+    # |p.v - L| relative, p closed-form or central differences of eval_L
+    "euler_identity_analytic": (
+        1e-10, 1, lambda rng, spec, x, v: hamiltonian_residual(spec, x, v), None),
+    "euler_identity_fd": (
+        1e-6, 2, lambda rng, spec, x, v: hamiltonian_residual(spec, x, v, mode="fd"), None),
+    # |pi . g^{-1} . pi - m^2|
+    "mass_shell_identity": (
+        1e-9, 1, lambda rng, spec, x, v: np.abs(mass_shell_residual(spec, x, v)), None),
+    "momentum_vs_fd": (1e-6, 2, lambda rng, spec, x, v: momentum_fd_residuals(spec, x, v), None),
+    # pi depends only on (m, g, v): re-randomize q, A, Q_n at fixed (m, g, v)
+    "pi_invariance": (1e-12, 3, lambda rng, spec, x, v: pi_invariance_residuals(
+        spec, x, v, charge=rng.uniform(-5.0, 5.0, size=len(x)),
+        potential=rng.uniform(-10.0, 10.0, size=x.shape),
+        couplings=rng.uniform(-2.0, 2.0, size=(len(x), len(spec.extra_terms)))), None),
+    # A -> A + df shifts p by q df and leaves pi unchanged
+    "gauge_shift": (1e-10, 5, lambda rng, spec, x, v: gauge_shift_residuals(
+        spec, x, v, rng.uniform(-1.0, 1.0, size=x.shape),
+        rng.uniform(0.5, 1.5, size=len(x))), False),
+}
+
+
+def run_sweep(name: str, samples: int, seed: int) -> SweepResult:
+    """The worst of SWEEPS[name]'s residuals over one stacked draw of `samples` rows."""
+    tolerance, _divisor, residuals, curved = SWEEPS[name]
     rng = np.random.default_rng(seed)
-    start = time.perf_counter()
     stack, x, v = draw_spec_state(rng, samples, curved=curved)
     worst = float(np.max(residuals(rng, stack.spec(), x, v)))
-    elapsed = time.perf_counter() - start
-    return SweepResult(name=name, samples=samples, max_residual=worst,
-                       tolerance=tolerance, passed=worst <= tolerance,
-                       seconds=elapsed)
-
-
-def homogeneity_sweep(samples: int = 1000, seed: int = 0) -> SweepResult:
-    """max relative |L(x, lam v) - lam L(x, v)| over random draws and scales."""
-
-    def residuals(rng, spec, x, v):
-        lam = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=len(x)))
-        return homogeneity_residuals(spec, x, v, lam)
-
-    return _run("homogeneity", samples, seed, residuals)
-
-
-def euler_identity_sweep(mode: str = "analytic", samples: int = 1000,
-                         seed: int = 1) -> SweepResult:
-    """max relative |p.v - L|, normalized by |p.v| + |L|."""
-    return _run(f"euler_identity_{mode}", samples, seed,
-                lambda rng, spec, x, v: euler_residuals(spec, x, v, mode))
-
-
-def mass_shell_sweep(samples: int = 1000, seed: int = 2) -> SweepResult:
-    """max |pi . g^{-1} . pi - m^2| over the draw family."""
-    return _run("mass_shell_identity", samples, seed,
-                lambda rng, spec, x, v: np.abs(mass_shell_residual(spec, x, v)))
-
-
-def momentum_fd_sweep(samples: int = 500, seed: int = 3) -> SweepResult:
-    """Closed-form momentum against central differences of eval_L."""
-    return _run("momentum_vs_fd", samples, seed,
-                lambda rng, spec, x, v: momentum_fd_residuals(spec, x, v))
-
-
-def pi_invariance_sweep(samples: int = 300, seed: int = 4) -> SweepResult:
-    """pi depends only on (m, g, v): re-randomize q, A, Q_n at fixed (m, g, v)."""
-
-    def residuals(rng, spec, x, v):
-        n = len(x)
-        return pi_invariance_residuals(
-            spec, x, v,
-            charge=rng.uniform(-5.0, 5.0, size=n),
-            potential=rng.uniform(-10.0, 10.0, size=x.shape),
-            couplings=rng.uniform(-2.0, 2.0, size=(n, len(spec.extra_terms))))
-
-    return _run("pi_invariance", samples, seed, residuals)
-
-
-def gauge_shift_sweep(samples: int = 200, seed: int = 5) -> SweepResult:
-    """A -> A + df shifts p by q df and leaves pi unchanged."""
-
-    def residuals(rng, spec, x, v):
-        w = rng.uniform(-1.0, 1.0, size=x.shape)
-        return gauge_shift_residuals(spec, x, v, w, rng.uniform(0.5, 1.5, size=len(x)))
-
-    return _run("gauge_shift", samples, seed, residuals, curved=False)
+    return SweepResult(name, samples, worst, tolerance, worst <= tolerance)
 
 
 def standard_sweeps(seed: int = 0, samples: int = 1000):
-    """The sweep battery behind the `check` subcommand."""
-    return [
-        homogeneity_sweep(samples=samples, seed=seed),
-        euler_identity_sweep("analytic", samples=samples, seed=seed + 1),
-        euler_identity_sweep("fd", samples=max(100, samples // 2), seed=seed + 2),
-        mass_shell_sweep(samples=samples, seed=seed + 3),
-        momentum_fd_sweep(samples=max(100, samples // 2), seed=seed + 4),
-        pi_invariance_sweep(samples=max(100, samples // 3), seed=seed + 5),
-        gauge_shift_sweep(samples=max(100, samples // 5), seed=seed + 6),
-    ]
+    """The sweep battery behind the `check` subcommand: sweep k of SWEEPS at seed + k,
+    on samples // divisor rows, at least 100, or on all samples where the divisor is 1."""
+    return [run_sweep(name, samples if divisor == 1 else max(100, samples // divisor), seed + k)
+            for k, (name, (_tolerance, divisor, _residuals, _curved)) in enumerate(SWEEPS.items())]

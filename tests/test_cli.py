@@ -774,6 +774,12 @@ CONFIG_ERRORS = {
         ).replace("box: [[0.0, 1.0], [0.0, 1.0]]", "box: [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]"),
         "dimension mismatch: 'spec.metric' (line 9) has dim 3 but 'embedding.kind' (line 4) "
         "embedding targets dim 4"),
+    # a grid_csv dim_m is checked against the metric before its file is read
+    "grid_csv_dim_m_before_its_file": (
+        "brane", "embedding: {kind: grid_csv, path: missing.csv, d: 2, dim_m: 4}\n"
+                 "spec: {metric: {kind: euclidean, dim: 3}}\n",
+        "dimension mismatch: 'spec.metric' (line 2) has dim 3 but 'embedding.kind' (line 1) "
+        "embedding targets dim 4"),
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repmech.lagrangian as lagrangian
 from oracles import entry_array, fd_gradient, per_point, spec_row
 from repmech import (
     DimensionMismatch,
@@ -39,12 +40,7 @@ from repmech import (
 )
 from repmech.geometry import quadratic_form
 from repmech.lagrangian import eval_L_and_radicand
-from repmech.sweeps import (
-    draw_spec_state,
-    euler_identity_sweep,
-    mass_shell_sweep,
-    momentum_fd_sweep,
-)
+from repmech.sweeps import draw_spec_state, run_sweep
 
 MINK = minkowski_metric(4)
 X0 = np.zeros(4)
@@ -168,13 +164,13 @@ class TestGeneralizedMomentum:
         pi2 = generalized_momentum(LagrangianSpec(metric=MINK, mass=1.0), X0, v)
         assert np.max(np.abs(pi1 - pi2)) == 0.0
 
-    def test_fd_mode(self):
+    def test_equals_the_fd_momentum_of_the_mass_term(self):
         stack, xs, vs = draw_spec_state(np.random.default_rng(2), 50)
         # one point, and a stacked draw of 50 rows in one call
         for spec, x, v in ((rich_spec(), X0, np.array([1.0, 0.3, 0.1, -0.2])),
                            (stack.spec(), xs, vs)):
             pi_a = generalized_momentum(spec, x, v)
-            pi_f = generalized_momentum(spec, x, v, mode="fd")
+            pi_f = momentum_fd(LagrangianSpec(metric=spec.metric, mass=spec.mass), x, v)
             assert pi_f.shape == v.shape
             assert np.max(np.abs(pi_a - pi_f)) < 1e-7
 
@@ -187,19 +183,13 @@ class TestIdentities:
     def test_euler_identity_random(self):
         stack, xs, vs = draw_spec_state(np.random.default_rng(0), 100)
         for i in range(100):
-            spec, x, v = spec_row(stack, i), xs[i], vs[i]
-            p = momentum(spec, x, v)
-            scale = abs(float(p @ v)) + abs(eval_L(spec, x, v))
-            assert abs(hamiltonian_residual(spec, x, v)) <= 1e-10 * max(scale, 1e-300)
+            # relative to |p.v| + |L|
+            assert hamiltonian_residual(spec_row(stack, i), xs[i], vs[i]) <= 1e-10
 
     def test_euler_identity_fd_mode(self):
         stack, xs, vs = draw_spec_state(np.random.default_rng(1), 50)
         for i in range(50):
-            spec, x, v = spec_row(stack, i), xs[i], vs[i]
-            res = hamiltonian_residual(spec, x, v, mode="fd")
-            p = momentum_fd(spec, x, v)
-            scale = abs(float(p @ v)) + abs(eval_L(spec, x, v))
-            assert abs(res) <= 1e-6 * max(scale, 1e-300)
+            assert hamiltonian_residual(spec_row(stack, i), xs[i], vs[i], mode="fd") <= 1e-6
 
     @pytest.mark.parametrize("mode", ["analytic", "fd"])
     @pytest.mark.parametrize("batch", [(2,), (3,), (2, 3)], ids=["b2", "b3", "b2x3"])
@@ -217,7 +207,7 @@ class TestIdentities:
         assert res.shape == batch
         # fd: a batch's last-bit differences in L over the momentum step 1e-5
         tol = 1e-14 if mode == "analytic" else 1e-10
-        assert np.max(np.abs(res - loop)) <= tol * np.max(np.abs(eval_L(spec, x, v)))
+        assert np.max(np.abs(res - loop)) <= tol
 
     def test_mass_shell_hand_value(self):
         spec = LagrangianSpec(metric=MINK, mass=1.0)
@@ -235,7 +225,9 @@ class TestIdentities:
             x = rng.uniform(-1, 1, size=4)
             v = np.concatenate(([1.0], rng.uniform(-0.3, 0.3, size=3)))
             assert abs(mass_shell_residual(spec, x, v)) <= 1e-9
-            assert abs(mass_shell_residual(spec, x, v, mode="fd")) <= 1e-9
+            # the same identity for the finite-difference momentum of the mass term
+            pi = momentum_fd(LagrangianSpec(metric=metric, mass=1.3), x, v)
+            assert abs(pi @ np.linalg.solve(metric(x), pi) - 1.3 ** 2) <= 1e-9
 
     @pytest.mark.parametrize("curved", [False, True])
     def test_mass_shell_batch_equals_point_loop(self, curved):
@@ -255,9 +247,9 @@ class TestIdentities:
         assert np.all(batch == 0.0)  # no mass term: zeros of the batch shape
 
     def test_finite_difference_sweeps_pass(self):
-        for result in (euler_identity_sweep("fd", samples=30, seed=2),
-                       mass_shell_sweep(samples=30, seed=3),
-                       momentum_fd_sweep(samples=30, seed=4)):
+        for result in (run_sweep("euler_identity_fd", 30, 2),
+                       run_sweep("mass_shell_identity", 30, 3),
+                       run_sweep("momentum_vs_fd", 30, 4)):
             assert result.passed, result
 
     @settings(max_examples=50, deadline=None)
@@ -266,15 +258,31 @@ class TestIdentities:
         lam = math.exp(log_lam)
         stack, xs, vs = draw_spec_state(np.random.default_rng(seed), 1)
         spec, x, v = spec_row(stack, 0), xs[0], vs[0]
-        res = homogeneity_residual(spec, x, v, lam)
-        assert abs(res) <= 1e-11 * lam * max(1.0, abs(eval_L(spec, x, v)))
+        # relative to lam max(|L(x, v)|, 1)
+        assert homogeneity_residual(spec, x, v, lam) <= 1e-11
 
     def test_homogeneity_small_scale(self):
         spec = rich_spec()
         v = np.array([1.0, 0.25, -0.1, 0.05])
         for lam in (2.0, 1e-3):
-            assert abs(homogeneity_residual(spec, X0, v, lam)) <= 1e-12 * max(
-                1.0, lam * abs(eval_L(spec, X0, v)))
+            assert homogeneity_residual(spec, X0, v, lam) <= 1e-12
+
+    def test_homogeneity_value(self, monkeypatch):
+        # L = 2 sqrt(g(v, v)) = 1.6 at v = (1, 0.6). L + 0.01 is not homogeneous:
+        # at lam = 2 it is off by 0.01, relative to lam max(|L + 0.01|, 1) = 3.22
+        spec = LagrangianSpec(metric=MINK, mass=2.0)
+        v = np.array([1.0, 0.6, 0.0, 0.0])
+        assert homogeneity_residual(spec, X0, v, 2.0) == 0.0
+        original = lagrangian.eval_L
+        monkeypatch.setattr(lagrangian, "eval_L", lambda *args: original(*args) + 0.01)
+        assert homogeneity_residual(spec, X0, v, 2.0) == pytest.approx(0.01 / 3.22, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, [1.0, np.nan]],
+                             ids=["zero", "negative", "nan", "nan_in_batch"])
+    def test_homogeneity_scale_must_be_positive(self, lam):
+        v = np.array([[1.0, 0.25, -0.1, 0.05]] * 2)
+        with pytest.raises(DimensionMismatch, match="scale must be positive"):
+            homogeneity_residual(rich_spec(), np.zeros((2, 4)), v, lam)
 
 
 class TestGaugeShift:

@@ -13,6 +13,7 @@ from repmech import (
     constant_potential,
     eval_L,
     generalized_momentum,
+    hamiltonian_residual,
     homogeneity_residual,
     mass_shell_residual,
     momentum,
@@ -23,15 +24,11 @@ from repmech import (
 )
 from repmech.cli import main
 from repmech.sweeps import (
+    SWEEPS,
     draw_spec_state,
-    euler_identity_sweep,
-    gauge_shift_sweep,
-    homogeneity_sweep,
-    mass_shell_sweep,
-    momentum_fd_sweep,
-    pi_invariance_sweep,
     random_spec,
     random_state,
+    run_sweep,
     standard_sweeps,
 )
 
@@ -53,22 +50,21 @@ def _by(size):
     return lambda spec, x, v, value: size
 
 
-# sweep -> the kernel it checks, and a defect in that kernel it must catch. The
+# sweep -> the kernel it checks, in the module whose namespace the sweep's
+# residual looks it up in, and a defect in that kernel it must catch. The
 # finite-difference sweeps allow 1e-6, so their defects are 1e-4.
-SWEEPS = {
-    "homogeneity": (homogeneity_sweep, lagrangian, "eval_L", _by(1e-6)),
-    "euler_analytic": (lambda **kw: euler_identity_sweep("analytic", **kw),
-                       sweeps, "momentum", _by(1e-6)),
-    "euler_fd": (lambda **kw: euler_identity_sweep("fd", **kw), sweeps, "momentum_fd", _by(1e-4)),
-    "mass_shell": (mass_shell_sweep, lagrangian, "generalized_momentum", _by(1e-6)),
-    "momentum_vs_fd": (momentum_fd_sweep, sweeps, "momentum", _by(1e-4)),
+DEFECTS = {
+    "homogeneity": (lagrangian, "eval_L", _by(1e-6)),
+    "euler_identity_analytic": (lagrangian, "momentum", _by(1e-6)),
+    "euler_identity_fd": (lagrangian, "momentum_fd", _by(1e-4)),
+    "mass_shell_identity": (lagrangian, "generalized_momentum", _by(1e-6)),
+    "momentum_vs_fd": (sweeps, "momentum", _by(1e-4)),
     # pi must not see the charge; a 1e-6 leak of it into each component is the
     # defect (each point's charge, when the spec holds one per point)
-    "pi_invariance": (pi_invariance_sweep, sweeps, "generalized_momentum",
+    "pi_invariance": (sweeps, "generalized_momentum",
                       lambda spec, x, v, value: 1e-6 * np.expand_dims(spec.charge, -1)),
     # a momentum that reads A beyond q A breaks p -> p + q df under A -> A + df
-    "gauge_shift": (gauge_shift_sweep, sweeps, "momentum",
-                    lambda spec, x, v, value: 1e-6 * spec.potential(x)),
+    "gauge_shift": (sweeps, "momentum", lambda spec, x, v, value: 1e-6 * spec.potential(x)),
 }
 
 
@@ -212,11 +208,12 @@ class TestDrawLaw:
 
 
 # Each sweep's residual as it was computed one sample at a time, on ordinary
-# single-point specs: the oracle of the batched residuals.
+# single-point specs, from eval_L and the momenta: the oracle of the batched
+# residuals.
 
 def _point_homogeneity(spec, x, v, lam):
-    res = homogeneity_residual(spec, x, v, lam)
-    return abs(res) / (lam * max(abs(eval_L(spec, x, v)), 1.0))
+    lag = eval_L(spec, x, v)
+    return abs(eval_L(spec, x, lam * v) - lam * lag) / (lam * max(abs(lag), 1.0))
 
 
 def _point_euler(spec, x, v, mode):
@@ -282,10 +279,10 @@ def _abs_mass_shell(spec, x, v):
 # tolerance, and none where no tensor term enters (the per-sample metric and
 # pi kernels equal their points bit for bit)
 BATCH_VS_POINTS = {
-    "homogeneity": (sweeps.homogeneity_residuals, _point_homogeneity, _scales, 1e-14),
-    "euler_analytic": (partial(sweeps.euler_residuals, mode="analytic"),
+    "homogeneity": (homogeneity_residual, _point_homogeneity, _scales, 1e-14),
+    "euler_analytic": (partial(hamiltonian_residual, mode="analytic"),
                        partial(_point_euler, mode="analytic"), _no_inputs, 1e-13),
-    "euler_fd": (partial(sweeps.euler_residuals, mode="fd"), partial(_point_euler, mode="fd"),
+    "euler_fd": (partial(hamiltonian_residual, mode="fd"), partial(_point_euler, mode="fd"),
                  _no_inputs, 1e-9),
     "mass_shell": (_abs_mass_shell, _abs_mass_shell, _no_inputs, 0.0),
     "momentum_vs_fd": (sweeps.momentum_fd_residuals, _point_momentum_fd, _no_inputs, 1e-9),
@@ -347,19 +344,30 @@ def test_spec_constructions_do_not_grow_with_samples(monkeypatch):
 
 
 class TestSweeps:
-    @pytest.mark.parametrize("name", sorted(SWEEPS))
-    def test_passes_at_30_samples(self, name):
-        result = SWEEPS[name][0](samples=30, seed=0)
-        assert result.samples == 30
-        assert result.passed, result
+    def test_every_sweep_has_a_planted_defect(self):
+        assert sorted(DEFECTS) == sorted(SWEEPS)
 
     @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_passes_at_30_samples(self, name):
+        result = run_sweep(name, 30, 0)
+        assert (result.name, result.samples) == (name, 30)
+        assert result.passed, result
+
+    @pytest.mark.parametrize("name", sorted(DEFECTS))
     def test_fails_on_a_planted_defect(self, name, monkeypatch):
-        sweep, module, attr, shift = SWEEPS[name]
+        module, attr, shift = DEFECTS[name]
         monkeypatch.setattr(module, attr, _shifted(module, attr, shift))
-        result = sweep(samples=30, seed=0)
+        result = run_sweep(name, 30, 0)
         assert not result.passed
         assert result.max_residual > result.tolerance
+
+    def test_the_battery_runs_sweep_k_at_seed_plus_k(self):
+        # 10 samples: the sweeps whose divisor is above 1 take at least 100
+        battery = standard_sweeps(seed=3, samples=10)
+        assert [r.name for r in battery] == list(SWEEPS)
+        assert [r.samples for r in battery] == [10, 10, 100, 10, 100, 100, 100]
+        for k, result in enumerate(battery):
+            assert result == run_sweep(result.name, result.samples, 3 + k)
 
 
 CHECK_10 = "seed: 0\nsamples: 10\n"
