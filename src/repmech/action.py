@@ -68,10 +68,6 @@ class DiscretePath:
         stacked.setflags(write=False)
         object.__setattr__(self, "_points", stacked)
 
-    @property
-    def dim(self) -> int:
-        return self.x_start.shape[0]
-
     def points(self) -> np.ndarray:
         """The K + 2 points, endpoints included, as a read-only (K + 2, N) array."""
         return self._points

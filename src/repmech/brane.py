@@ -165,7 +165,6 @@ class GeneralizedVelocity:
     """Minor components at a parameter point, indexed like minor_indices()."""
 
     components: np.ndarray
-    z: np.ndarray
     indices: Tuple[Tuple[int, ...], ...]
 
     def __getitem__(self, gamma):
@@ -180,8 +179,7 @@ def generalized_velocity(emb: BraneEmbedding, z) -> GeneralizedVelocity:
     if not emb.contains(z):
         raise DimensionMismatch(f"parameter point {z.tolist()} outside the box")
     J = emb.jacobians(z[None, :])
-    return GeneralizedVelocity(components=_minors(J)[0], z=z,
-                               indices=minor_indices(emb.dim_m, emb.d))
+    return GeneralizedVelocity(components=_minors(J)[0], indices=minor_indices(emb.dim_m, emb.d))
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from .clifford import (
 )
 from .errors import ConfigError, DimensionMismatch, RepMechError
 from .fields import (
+    check_tensor_size,
     constant_potential,
     symmetric_tensor,
     uniform_magnetic_potential,
@@ -353,7 +354,8 @@ def _build_metric(sec: Section):
     rows = sec.data["matrix"]
     if isinstance(rows, list):  # before the leaves are read: aliases can repeat one long row
         capped("matrix", max(len(rows), len(rows[0]) if rows and isinstance(rows[0], list) else 0))
-    return constant_metric(sec.numbers("matrix", None, "a list of rows", (None, None)))
+    matrix = sec.numbers("matrix", None, "a list of rows", (None, None))
+    return _built(sec.where("matrix"), constant_metric, matrix)
 
 
 def _build_potential(sec: Section, dim: int, metric_where: str):
@@ -366,7 +368,8 @@ def _build_potential(sec: Section, dim: int, metric_where: str):
         return constant_potential(_sized(sec, "components", dim, f"{metric_where} has dim {dim}"))
     sec.require_keys({"kind", "strength", "plane"}, required=("strength",))
     plane = sec.numbers("plane", [1, 2], "two integer indices", (2,), integral=True)
-    return uniform_magnetic_potential(dim, sec.number("strength"), plane)
+    return _built(sec.where("plane"), uniform_magnetic_potential, dim, sec.number("strength"),
+                  plane)
 
 
 def _sized(sec: Section, key, n: int, other: str, default=None):
@@ -378,27 +381,33 @@ def _sized(sec: Section, key, n: int, other: str, default=None):
     return vec
 
 
-def _parse_tensor_entries(sec: Section, rank: int, dim: int, warnings: list):
+def _built(where: str, build, *args):
+    """build(*args), its DimensionMismatch refusal a ConfigError that starts with `where`."""
+    try:
+        return build(*args)
+    except DimensionMismatch as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _parse_tensor_entries(sec: Section, warnings: list):
+    """The entries keyed as written; symmetric_tensor sorts each index and checks its range."""
     where = sec.where("entries")
     raw = sec.data.get("entries")
     if not isinstance(raw, dict) or not raw:
         raise ConfigError(f"{where} must be a non-empty mapping")
-    entries = {}
+    entries, seen = {}, set()
     for key, val in raw.items():
         try:
             idx = tuple(int(p) for p in str(key).split(","))
         except ValueError:
             raise ConfigError(f"{where}: bad multi-index '{key}'")
-        if len(idx) != rank:
-            raise ConfigError(f"{where}: index '{key}' does not have rank {rank}")
-        if any(i < 0 or i >= dim for i in idx):
-            raise ConfigError(f"{where}: index '{key}' out of range for dim {dim}")
         canon = tuple(sorted(idx))
         if canon != idx:
             warnings.append(f"tensor entry index {idx} normalized to sorted form {canon}")
-        if canon in entries:
+        if canon in seen:
             raise ConfigError(f"{where}: duplicate multi-index {canon}")
-        entries[canon] = _numbers(val, f"{where}: value for '{key}'", "a number")
+        seen.add(canon)
+        entries[idx] = _numbers(val, f"{where}: value for '{key}'", "a number")
     return entries
 
 
@@ -418,8 +427,10 @@ def _build_spec(sec: Section, warnings: list) -> LagrangianSpec:
         tsec = Section(raw_terms[i], sec.path + ("extra_terms", str(i)))
         tsec.require_keys({"coupling", "rank", "entries"}, required=("coupling", "rank", "entries"))
         rank = tsec.integer("rank", minimum=3)
-        entries = _parse_tensor_entries(tsec, rank, dim, warnings)
-        terms.append((tsec.number("coupling"), symmetric_tensor(rank, dim, entries)))
+        _built(tsec.where("rank"), check_tensor_size, rank, dim)
+        entries = _parse_tensor_entries(tsec, warnings)
+        terms.append((tsec.number("coupling"),
+                      _built(tsec.where("entries"), symmetric_tensor, rank, dim, entries)))
     return LagrangianSpec(
         metric=metric,
         mass=sec.number("mass", 0.0, minimum=0),
@@ -712,10 +723,7 @@ def _load_grid_csv(path: Path, d: int, dim_m: int, esec: Section):
     if np.count_nonzero(seen) != n:
         raise ConfigError(f"{where}: grid has missing nodes")
     values = np.moveaxis(nodes.reshape((dim_m,) + shape), 0, -1)
-    try:
-        return gridded_embedding(axes, values)
-    except DimensionMismatch as exc:
-        raise ConfigError(f"{where}: file '{path}': {exc}") from None
+    return _built(f"{where}: file '{path}'", gridded_embedding, axes, values)
 
 
 def _parse_clifford(root: Section, warnings):
@@ -933,21 +941,21 @@ _SUBCOMMANDS = {
 SUBCOMMANDS = tuple(_SUBCOMMANDS)
 
 
-def run(subcommand: str, cfg: RunConfig, out_dir: Path):
-    """Execute a parsed config; returns (summary dict, written artifact paths)."""
+def run(cfg: RunConfig, out_dir: Path):
+    """Execute a parsed config as its subcommand; returns (summary, written artifact paths)."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # out_dir, or a parent of it, is a file
         raise ConfigError(f"'--out' '{out_dir}' is not a directory: {exc.strerror}") from None
-    payload_summary, artifacts = _SUBCOMMANDS[subcommand][1](cfg, out_dir)
+    payload_summary, artifacts = _SUBCOMMANDS[cfg.subcommand][1](cfg, out_dir)
     summary = {
-        "subcommand": subcommand,
+        "subcommand": cfg.subcommand,
         "version": __version__,
         "config_digest": cfg.digest,
         "seed": cfg.seed,
     }
     summary.update(payload_summary)
-    summary_path = out_dir / f"{subcommand}_summary.json"
+    summary_path = out_dir / f"{cfg.subcommand}_summary.json"
     _write_out(summary_path, to_json(summary) + "\n")
     return summary, [summary_path] + artifacts
 
@@ -982,7 +990,7 @@ def main(argv=None) -> int:
             cfg.seed = _numbers(args.seed, "'--seed'", "an integer", integral=True, minimum=0)
         for warning in cfg.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        summary, _ = run(args.subcommand, cfg, Path(args.out))
+        summary, _ = run(cfg, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

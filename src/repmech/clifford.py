@@ -8,6 +8,8 @@ all G generators share one coefficient matrix, so they are one linear
 least-squares problem with G right-hand sides, solved in one call. It is
 solvable precisely when the gammas satisfy the Clifford anticommutation
 relations, which is what the solvability probe measures on perturbed sets.
+The solution keeps what the clifford run reports: each X_i as a matrix, its
+covariance residual, its grade leakage, and the kernel count.
 
 For the 4-gamma Dirac sets built here, and for 2-gamma Pauli sets, the
 unconstrained system has a one-dimensional kernel, the identity direction;
@@ -75,7 +77,6 @@ class GammaSet:
     matrices: Tuple[np.ndarray, ...]
     form: np.ndarray
     residual: float
-    label: str = ""
 
     @property
     def n(self) -> int:
@@ -86,13 +87,13 @@ class GammaSet:
         return self.matrices[0].shape[0]
 
 
-def _make_gamma_set(matrices, form, label, strict=True) -> GammaSet:
+def _make_gamma_set(matrices, form, strict=True) -> GammaSet:
     matrices = tuple(np.asarray(m, dtype=complex) for m in matrices)
     form = np.asarray(form, dtype=float)
     res = anticommutator_residual(matrices, form)
     if strict and res > ANTICOMM_TOL:
         raise FormMismatch(f"anticommutator residual {res:.3e} exceeds {ANTICOMM_TOL}")
-    return GammaSet(matrices=matrices, form=form, residual=res, label=label)
+    return GammaSet(matrices=matrices, form=form, residual=res)
 
 
 def build_dirac_gammas(form: str = "minkowski") -> GammaSet:
@@ -113,7 +114,7 @@ def build_dirac_gammas(form: str = "minkowski") -> GammaSet:
     for k, s in enumerate(_SIGMA, 1):
         mats[k, :2, 2:] = spatial_unit * s
         mats[k, 2:, :2] = -spatial_unit * s
-    return _make_gamma_set(mats, h, f"dirac-{form}")
+    return _make_gamma_set(mats, h)
 
 
 def perturb_gammas(gam: GammaSet, magnitude: float, rng: np.random.Generator) -> GammaSet:
@@ -125,7 +126,7 @@ def perturb_gammas(gam: GammaSet, magnitude: float, rng: np.random.Generator) ->
     mats = list(gam.matrices)
     mats[PERTURBED_INDEX] = mats[PERTURBED_INDEX] + h
     with np.errstate(over="ignore", invalid="ignore"):
-        perturbed = _make_gamma_set(mats, gam.form, f"{gam.label}-perturbed", strict=False)
+        perturbed = _make_gamma_set(mats, gam.form, strict=False)
     if not np.isfinite(perturbed.residual):
         raise FormMismatch(f"perturbation {magnitude} overflows the anticommutator residual")
     return perturbed
@@ -135,14 +136,12 @@ def perturb_gammas(gam: GammaSet, magnitude: float, rng: np.random.Generator) ->
 # Lie algebra specifications
 # ---------------------------------------------------------------------------
 
-def _structure_constants_from_rep(rho: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Fit [rho_i, rho_j] = C_ij^k rho_k by least squares over the rep span."""
+def _structure_constants_from_rep(rho: np.ndarray) -> np.ndarray:
+    """Fit [rho_i, rho_j] = C_ij^k rho_k by least squares; LieAlgebraSpec checks the closure."""
     g, n, _ = rho.shape
     cols = rho.reshape(g, n * n).T
     comm = _commutators(rho, rho).reshape(g * g, n * n).T
-    coef = np.linalg.lstsq(cols, comm, rcond=None)[0]
-    worst = float(np.max(np.linalg.norm(cols @ coef - comm, axis=0)))
-    return coef.T.reshape(g, g, g), worst
+    return np.linalg.lstsq(cols, comm, rcond=None)[0].T.reshape(g, g, g)
 
 
 def _jacobi_residual(c: np.ndarray) -> float:
@@ -163,7 +162,6 @@ class LieAlgebraSpec:
 
     structure: np.ndarray   # (G, G, G), [X_i, X_j] = C_ij^k X_k
     rho: np.ndarray         # (G, N, N) real matrices
-    label: str = ""
 
     def __post_init__(self):
         c = np.asarray(self.structure, dtype=float)
@@ -197,36 +195,25 @@ def _pair_generator(form: np.ndarray, mu: int, nu: int) -> np.ndarray:
     return rho
 
 
-def pair_vector_algebra(form: np.ndarray, pairs: Sequence[Tuple[int, int]],
-                        label: str) -> LieAlgebraSpec:
+def pair_vector_algebra(form: np.ndarray, pairs: Sequence[Tuple[int, int]]) -> LieAlgebraSpec:
     form = np.asarray(form, dtype=float)
     rho = np.stack([_pair_generator(form, mu, nu) for mu, nu in pairs])
-    c, res = _structure_constants_from_rep(rho)
-    if res > 1e-12:
-        raise DimensionMismatch("pair generators failed to close")
-    return LieAlgebraSpec(structure=c, rho=rho, label=label)
+    return LieAlgebraSpec(structure=_structure_constants_from_rep(rho), rho=rho)
 
 
-def lorentz_vector_algebra(form: np.ndarray = None) -> LieAlgebraSpec:
+def lorentz_vector_algebra(form: np.ndarray) -> LieAlgebraSpec:
     """so(1,3) in the vector representation, generators indexed by pairs mu < nu."""
-    if form is None:
-        form = np.diag([1.0, -1.0, -1.0, -1.0])
-    pairs = list(itertools.combinations(range(form.shape[0]), 2))
-    return pair_vector_algebra(form, pairs, "lorentz")
+    return pair_vector_algebra(form, list(itertools.combinations(range(form.shape[0]), 2)))
 
 
-def rotation_vector_algebra(form: np.ndarray = None) -> LieAlgebraSpec:
+def rotation_vector_algebra(form: np.ndarray) -> LieAlgebraSpec:
     """so(3) embedded in the spatial sector of the 4-dim vector representation."""
-    if form is None:
-        form = np.diag([1.0, -1.0, -1.0, -1.0])
-    pairs = [(1, 2), (1, 3), (2, 3)]
-    return pair_vector_algebra(form, pairs, "so3")
+    return pair_vector_algebra(form, [(1, 2), (1, 3), (2, 3)])
 
 
-def abelian_algebra(rep_dim: int = 4) -> LieAlgebraSpec:
+def abelian_algebra(rep_dim: int) -> LieAlgebraSpec:
     """Single generator, C = 0, acting trivially on the gamma vector."""
-    return LieAlgebraSpec(structure=np.zeros((1, 1, 1)),
-                          rho=np.zeros((1, rep_dim, rep_dim)), label="abelian")
+    return LieAlgebraSpec(structure=np.zeros((1, 1, 1)), rho=np.zeros((1, rep_dim, rep_dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +233,17 @@ def _product_basis(gam: GammaSet):
 
 @dataclass(frozen=True)
 class QuadraticGeneratorSolution:
-    """Solved generator coefficients with per-generator diagnostics.
+    """The solved generators X_i with per-generator diagnostics.
 
-    coefficients holds the quadratic-ansatz arrays (x_i)_ab (antisymmetric
-    placement of the grade-2 product coefficients); grade_leakage is the
-    coefficient mass outside grades {0, 2}, nonzero only for defective
-    (perturbed) gamma sets. residuals are covariance-equation residuals;
-    kernel_dim counts the near-null directions of the unconstrained system.
+    residuals are covariance-equation residuals; kernel_dim counts the
+    near-null directions of the unconstrained system; grade_leakage is the
+    norm of each X_i's product-basis coefficients outside grades {0, 2},
+    nonzero only for defective (perturbed) gamma sets.
     """
 
-    coefficients: np.ndarray          # (G, N, N)
-    basis_coefficients: np.ndarray    # (G, 2**N) in the product basis
     residuals: np.ndarray             # (G,)
     kernel_dim: int
     grade_leakage: np.ndarray         # (G,)
-    subsets: Tuple[Tuple[int, ...], ...]
     generators: np.ndarray            # (G, d, d) reconstructed matrices X_i
 
 
@@ -297,22 +280,13 @@ def solve_quadratic_generators(alg: LieAlgebraSpec, gam: GammaSet) -> QuadraticG
     rhs = _real_columns(targets, alg.n_generators)
     sol, _, _, svals = np.linalg.lstsq(cols[:, 1:], rhs, rcond=None)
     kernel_dim = 1 + int(np.sum(svals <= KERNEL_TOL * svals[0]))
-    coeffs = np.zeros((alg.n_generators, len(subsets)))
-    coeffs[:, 1:] = sol.T
-    xs = np.tensordot(coeffs, basis, axes=1)
+    xs = np.tensordot(sol.T, basis[1:], axes=1)
     residuals = np.max(_frobenius(_commutators(xs, mats) - targets), axis=1)
 
-    grades = np.array([len(s) for s in subsets])
-    a, b = np.array([s for s in subsets if len(s) == 2], dtype=int).reshape(-1, 2).T
-    quad = np.zeros((alg.n_generators, gam.n, gam.n))
-    quad[:, a, b] = 0.5 * coeffs[:, grades == 2]
-    quad[:, b, a] = -0.5 * coeffs[:, grades == 2]
-    leakage = np.linalg.norm(coeffs[:, (grades != 0) & (grades != 2)], axis=1)
-    return QuadraticGeneratorSolution(
-        coefficients=quad, basis_coefficients=coeffs, residuals=residuals,
-        kernel_dim=kernel_dim, grade_leakage=leakage,
-        subsets=tuple(subsets), generators=xs,
-    )
+    grades = np.array([len(s) for s in subsets[1:]])
+    leakage = np.linalg.norm(sol[grades != 2], axis=0)
+    return QuadraticGeneratorSolution(residuals=residuals, kernel_dim=kernel_dim,
+                                      grade_leakage=leakage, generators=xs)
 
 
 def verify_lie_closure(sol: QuadraticGeneratorSolution, alg: LieAlgebraSpec) -> float:

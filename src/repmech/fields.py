@@ -134,19 +134,24 @@ def potential_from_function(dim: int, fn, jacobian=None) -> VectorPotentialField
 MAX_DENSE_ENTRIES = 2 ** 24
 
 
-@functools.lru_cache(maxsize=16)
-def tensor_indices(rank: int, dim: int) -> np.ndarray:
-    """The sorted multi-indices, shape (C, rank): row c is the index of entry column c.
-
-    The order is itertools.combinations_with_replacement(range(dim), rank). A rank
-    below 3 or more than MAX_DENSE_ENTRIES dense entries raises DimensionMismatch.
-    """
+def check_tensor_size(rank: int, dim: int) -> None:
+    """Raise DimensionMismatch for a rank below 3 or over MAX_DENSE_ENTRIES dense entries."""
     if rank < 3:
         raise DimensionMismatch("extra tensor terms start at rank 3")
     if dim ** rank > MAX_DENSE_ENTRIES:
         raise DimensionMismatch(
             f"a rank-{rank} tensor in dim {dim} has {dim ** rank} "
             f"dense entries, more than {MAX_DENSE_ENTRIES}")
+
+
+@functools.lru_cache(maxsize=16)
+def tensor_indices(rank: int, dim: int) -> np.ndarray:
+    """The sorted multi-indices, shape (C, rank): row c is the index of entry column c.
+
+    The order is itertools.combinations_with_replacement(range(dim), rank). A size
+    that check_tensor_size refuses raises DimensionMismatch.
+    """
+    check_tensor_size(rank, dim)
     idx = np.array(list(itertools.combinations_with_replacement(range(dim), rank)),
                    dtype=np.intp).reshape(-1, rank)
     idx.setflags(write=False)
@@ -179,9 +184,7 @@ def tensor_columns(rank: int, dim: int) -> np.ndarray:
 
 def _canonical_entries(rank: int, dim: int, entries: Mapping[Index, float]) -> np.ndarray:
     """The (C,) entry array of {multi-index: value}, each index sorted; absent entries are 0."""
-    column = tensor_columns(rank, dim)
-    values = np.zeros(len(tensor_indices(rank, dim)))
-    seen = set()
+    sorted_entries = {}  # checked in full before the index tables, which can be large, are built
     for idx, val in entries.items():
         idx = tuple(int(i) for i in idx)
         if len(idx) != rank:
@@ -189,10 +192,13 @@ def _canonical_entries(rank: int, dim: int, entries: Mapping[Index, float]) -> n
         if any(i < 0 or i >= dim for i in idx):
             raise DimensionMismatch(f"multi-index {idx} out of range for dim {dim}")
         key = tuple(sorted(idx))
-        if key in seen:
+        if key in sorted_entries:
             raise DimensionMismatch(f"duplicate entry for multi-index {key}")
-        seen.add(key)
-        values[column[np.ravel_multi_index(key, (dim,) * rank)]] = float(val)
+        sorted_entries[key] = float(val)
+    column = tensor_columns(rank, dim)
+    values = np.zeros(len(tensor_indices(rank, dim)))
+    for key, val in sorted_entries.items():
+        values[column[np.ravel_multi_index(key, (dim,) * rank)]] = val
     return values
 
 

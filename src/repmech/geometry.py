@@ -367,14 +367,12 @@ class CausalityClass:
     The witness w satisfies g(w, w) >= 0 while its spatial speed (measured in
     the orthogonally diagonalized, unit-normalized frame, relative to the
     leading time direction) exceeds 1. witness_model holds the same vector in
-    that diagonal frame; basis maps model coordinates back to the original
-    ones (witness = basis @ witness_model).
+    that diagonal frame.
     """
 
     kind: CausalityKind
     witness: Optional[np.ndarray] = None
     witness_model: Optional[np.ndarray] = None
-    basis: Optional[np.ndarray] = None
     spatial_speed_sq: Optional[float] = None
     timelike_norm: Optional[float] = None
 
@@ -425,7 +423,6 @@ def causality_class(sig: SignatureReport) -> CausalityClass:
         kind=CausalityKind.MULTI_TIME_UNBOUNDED,
         witness=witness,
         witness_model=model,
-        basis=basis,
         spatial_speed_sq=speed_sq,
         timelike_norm=eps,
     )

@@ -295,12 +295,12 @@ def generalized_momentum(spec: LagrangianSpec, x, v) -> np.ndarray:
     return _per_point(spec.mass) * gv / np.sqrt(gvv)[..., None]
 
 
-def hamiltonian_residual(spec: LagrangianSpec, x, v, mode: str = "analytic"):
+def hamiltonian_residual(spec: LagrangianSpec, x, v, fd: bool = False):
     """|p.v - L| / max(|p.v| + |L|, 1e-300), shape (...) (a float for a single point).
 
-    Zero by Euler's theorem; p is momentum, or momentum_fd for mode="fd".
+    Zero by Euler's theorem; p is momentum, or momentum_fd for fd=True.
     """
-    p = momentum(spec, x, v) if mode == "analytic" else momentum_fd(spec, x, v)
+    p = momentum_fd(spec, x, v) if fd else momentum(spec, x, v)
     pv = np.vecdot(p, np.asarray(v, dtype=float))
     lag = eval_L(spec, x, v)
     res = np.abs(pv - lag) / np.maximum(np.abs(pv) + np.abs(lag), 1e-300)

@@ -278,7 +278,7 @@ SWEEPS = {
     "euler_identity_analytic": (
         1e-10, 1, lambda rng, spec, x, v: hamiltonian_residual(spec, x, v), None),
     "euler_identity_fd": (
-        1e-6, 2, lambda rng, spec, x, v: hamiltonian_residual(spec, x, v, mode="fd"), None),
+        1e-6, 2, lambda rng, spec, x, v: hamiltonian_residual(spec, x, v, fd=True), None),
     # |pi . g^{-1} . pi - m^2|
     "mass_shell_identity": (
         1e-9, 1, lambda rng, spec, x, v: np.abs(mass_shell_residual(spec, x, v)), None),

@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 import yaml
 
 
@@ -154,11 +155,12 @@ def per_generator_quadratic_solve(alg, gam, kernel_tol=1e-10):
 
     For each generator i, one least-squares solve of [X_i, g^a] = rho_i[b, a] g^b
     for traceless X_i in the real span of the ordered gamma products, with
-    per-generator sums for X_i, its residual, its quadratic coefficients and
-    its grade-(1, 3, 4) leakage. kernel_dim counts the singular values of
-    the whole unconstrained system, identity column included, at or below
-    kernel_tol times the largest, from its own SVD. Returns a dict of the
-    fields of QuadraticGeneratorSolution, with "generators" for the X_i.
+    per-generator sums for X_i, its residual and its grade-(1, 3, 4) leakage.
+    kernel_dim counts the singular values of the whole unconstrained system,
+    identity column included, at or below kernel_tol times the largest, from
+    its own SVD. Returns a dict of the fields of QuadraticGeneratorSolution,
+    plus each X_i's product-basis coefficients, "basis_coefficients", on the
+    index subsets "subsets" in column order.
     """
     n, dim = len(gam.matrices), gam.matrices[0].shape[0]
     subsets, basis = [], []
@@ -184,9 +186,7 @@ def per_generator_quadratic_solve(alg, gam, kernel_tol=1e-10):
     coeffs = np.zeros((g_count, len(basis)))
     residuals = np.empty(g_count)
     xs = []
-    quad = np.zeros((g_count, n, n))
     leakage = np.empty(g_count)
-    pair_pos = {s: k for k, s in enumerate(subsets) if len(s) == 2}
     for i in range(g_count):
         targets = [sum(alg.rho[i][nu, mu] * gam.matrices[nu] for nu in range(n))
                    for mu in range(n)]
@@ -198,12 +198,9 @@ def per_generator_quadratic_solve(alg, gam, kernel_tol=1e-10):
         xs.append(x_mat)
         residuals[i] = max(float(np.linalg.norm(x_mat @ gmu - gmu @ x_mat - t))
                            for gmu, t in zip(gam.matrices, targets))
-        for (a, b), k in pair_pos.items():
-            quad[i, a, b] += 0.5 * coeffs[i, k]
-            quad[i, b, a] -= 0.5 * coeffs[i, k]
         leakage[i] = float(np.linalg.norm(
             [coeffs[i, k] for k, s in enumerate(subsets) if len(s) in (1, 3, 4)]))
-    return {"coefficients": quad, "basis_coefficients": coeffs, "residuals": residuals,
+    return {"basis_coefficients": coeffs, "residuals": residuals,
             "kernel_dim": kernel_dim, "grade_leakage": leakage,
             "subsets": tuple(subsets), "generators": xs}
 
@@ -221,18 +218,15 @@ def dirac_operator_terms(q, m, a_const, p, gam):
 
 
 def per_pair_structure_constants(rho):
-    """Fit [rho_i, rho_j] = C_ij^k rho_k one pair (i, j) at a time; returns (C, worst residual)."""
+    """Fit [rho_i, rho_j] = C_ij^k rho_k one pair (i, j) at a time; returns C."""
     g, n, _ = rho.shape
     cols = rho.reshape(g, n * n).T
     c = np.zeros((g, g, g))
-    worst = 0.0
     for i in range(g):
         for j in range(g):
             comm = (rho[i] @ rho[j] - rho[j] @ rho[i]).reshape(n * n)
-            coef, *_ = np.linalg.lstsq(cols, comm, rcond=None)
-            c[i, j] = coef
-            worst = max(worst, float(np.linalg.norm(cols @ coef - comm)))
-    return c, worst
+            c[i, j] = np.linalg.lstsq(cols, comm, rcond=None)[0]
+    return c
 
 
 def lateral_deviation(points, x_start, x_end):
@@ -682,8 +676,7 @@ def build_pauli_gammas(form="euclidean"):
         matrices, h = (sigma3, 1j * sigma1), np.diag([1.0, -1.0])
     else:
         raise UnsupportedDimension(f"unknown form {form!r}")
-    return GammaSet(matrices=matrices, form=h, residual=anticommutator_residual(matrices, h),
-                    label=f"pauli-{form}")
+    return GammaSet(matrices=matrices, form=h, residual=anticommutator_residual(matrices, h))
 
 
 def extract_vector_rep(generators, gam):
@@ -721,3 +714,11 @@ def mass_term_trace_identity(gam, g) -> float:
     contraction = sum(g[a, b] * gam.matrices[a] @ gam.matrices[b]
                       for a in range(gam.n) for b in range(gam.n))
     return float(np.linalg.norm(contraction - gam.n * np.eye(gam.matrix_dim)))
+
+
+def assert_guard(guards, name):
+    """guards[name] is (call, error class, message): call() raises that error with that message."""
+    call, error, message = guards[name]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repmech.action as action_module
-from oracles import (CyclotronOracle, entry_array, fd_gradient, lateral_deviation,
+from oracles import (CyclotronOracle, assert_guard, entry_array, fd_gradient, lateral_deviation,
                      reparam_invariance_residual, spec_row)
 from repmech import (
     DimensionMismatch,
@@ -518,3 +518,29 @@ class TestBatchedErrors:
         assert res.grad_norm_inf <= 1e-8
         assert norms[1] > norms[0] > norms[2]
         assert res.iterations == len(norms) - 2  # every trial but the first full step
+
+
+# guard -> (call, error, message): input checks that no other test reaches
+GUARDS = {
+    "endpoints_of_two_lengths": (
+        lambda: DiscretePath(x_start=np.zeros(4), x_end=np.zeros(3), interior=np.zeros((1, 4))),
+        DimensionMismatch, "endpoints must be equal-length vectors"),
+    "endpoints_not_vectors": (
+        lambda: DiscretePath(x_start=np.zeros((2, 2)), x_end=np.zeros((2, 2)),
+                             interior=np.zeros((1, 4))),
+        DimensionMismatch, "endpoints must be equal-length vectors"),
+    "no_interior_point": (
+        lambda: DiscretePath(x_start=np.zeros(4), x_end=np.zeros(4), interior=np.zeros((0, 4))),
+        DimensionMismatch, "interior must be a (K >= 1, N) array"),
+    "interior_of_another_dim": (
+        lambda: DiscretePath(x_start=np.zeros(4), x_end=np.zeros(4), interior=np.zeros((2, 3))),
+        DimensionMismatch, "interior must be a (K >= 1, N) array"),
+    "interior_one_point_flat": (
+        lambda: DiscretePath(x_start=np.zeros(4), x_end=np.zeros(4), interior=np.zeros(4)),
+        DimensionMismatch, "interior must be a (K >= 1, N) array"),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_each_guard_raises_its_error(guard):
+    assert_guard(GUARDS, guard)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
-from oracles import (cell_centers, curve_embedding, dense_contraction, dense_symmetric_tensor,
-                     entry_array, multivector_metric, reparameterized)
+from oracles import (assert_guard, cell_centers, curve_embedding, dense_contraction,
+                     dense_symmetric_tensor, entry_array, multivector_metric, reparameterized)
 from repmech import (
     BraneEmbedding,
     BraneSpec,
@@ -388,7 +388,7 @@ class TestGriddedEmbedding:
         summaries = []
         for name, order in (("ordered", None), ("shuffled", shuffled)):
             text = self._write_rows(tmp_path / f"{name}.csv", axes, values, order)
-            summary, _ = run("brane", parse_config(text, "brane"), tmp_path)
+            summary, _ = run(parse_config(text, "brane"), tmp_path)
             summaries.append([float(summary[k]).hex() for k in keys])
         assert summaries[0] == summaries[1]
 
@@ -397,7 +397,7 @@ class TestGriddedEmbedding:
         axes, values = _curved_nodes(d)
         order = np.random.default_rng(d).permutation(values[..., 0].size)
         text = self._write_rows(tmp_path / "nodes.csv", axes, values, order)
-        summary, _ = run("brane", parse_config(text, "brane"), tmp_path)
+        summary, _ = run(parse_config(text, "brane"), tmp_path)
         spec = BraneSpec(euclidean_metric(d + 2), mass=1.0, charge=0.0)
         expected = brane_action(spec, gridded_embedding(axes, values))
         assert float(summary["action"]).hex() == expected.hex()
@@ -406,7 +406,7 @@ class TestGriddedEmbedding:
         # nodes read back from text differ from an exact spacing in the last bits
         z1 = np.linspace(-0.7, 0.3, 129)
         text = self._write_csv(tmp_path / "nodes.csv", z1)
-        summary, _ = run("brane", parse_config(text, "brane"), tmp_path)
+        summary, _ = run(parse_config(text, "brane"), tmp_path)
         assert summary["action"] == pytest.approx(_interpolant_area(z1), rel=1e-13)
         assert summary["gauge_deviation"] <= 1e-12
 
@@ -582,3 +582,36 @@ def test_a_small_spatial_scale_builds_the_compound_metric():
     g = constant_diagonal_metric([1.0, -0.03, -0.03, -0.03])
     lag = BraneSpec(g).lagrangian(2)
     assert np.array_equal(lag.metric(np.zeros(4)), _multivector_metric_matrix(g(np.zeros(4)), 2))
+
+
+def _embedding(d=2, box=((0.0, 1.0), (0.0, 1.0)), resolution=(4, 4)):
+    return BraneEmbedding(d=d, dim_m=3, box=box, resolution=resolution, evaluator=None)
+
+
+# guard -> (call, error, message): input checks that no other test reaches
+GUARDS = {
+    "empty_box_interval": (lambda: _embedding(box=((0.0, 1.0), (1.0, 1.0))), DimensionMismatch,
+                           "parameter box must be D non-empty intervals"),
+    "box_of_another_d": (lambda: _embedding(box=((0.0, 1.0),)), DimensionMismatch,
+                         "parameter box must be D non-empty intervals"),
+    "one_cell_axis": (lambda: _embedding(resolution=(4, 1)), DimensionMismatch,
+                      "grid needs at least 2 cells per axis"),
+    "resolution_of_another_d": (lambda: _embedding(resolution=(4,)), DimensionMismatch,
+                                "grid needs at least 2 cells per axis"),
+    "d_above_target": (lambda: _embedding(d=4, box=((0.0, 1.0),) * 4, resolution=(2,) * 4),
+                       DimensionMismatch, "need 1 <= D <= dimM, got D=4, dimM=3"),
+    "metric_of_another_target": (
+        lambda: brane_action(BraneSpec(minkowski_metric(4), mass=1.0), tilted_plane_embedding(0.5)),
+        DimensionMismatch, "brane metric dimension differs from target dimension"),
+    "grid_values_shape": (lambda: gridded_embedding([np.linspace(0.0, 1.0, 3)], np.zeros(3)),
+                          DimensionMismatch, "values must have shape (nodes..., dimM)"),
+    "grid_axis_length": (lambda: gridded_embedding([np.linspace(0.0, 1.0, 3)], np.zeros((4, 2))),
+                         DimensionMismatch, "axes must be strictly increasing and match values"),
+    "grid_no_axis": (lambda: gridded_embedding([], np.zeros((4, 2))), DimensionMismatch,
+                     "need at least one axis"),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_each_guard_raises_its_error(guard):
+    assert_guard(GUARDS, guard)

@@ -210,7 +210,7 @@ def test_exponents_in_nested_lists_are_floats():
 @pytest.mark.parametrize("perturbation", [0.0, 1e-3])
 def test_every_trial_reports_its_residual(tmp_path, perturbation):
     text = f"algebra: so3\nperturbation: {perturbation}\ntrials: 3\ndet_samples: 10\n"
-    summary, _ = run("clifford", parse_config(text, "clifford"), tmp_path)
+    summary, _ = run(parse_config(text, "clifford"), tmp_path)
     trials = summary["trial_max_residuals"]
     assert len(trials) == 3
     assert trials[-1] == max(summary["residuals"])
@@ -221,7 +221,7 @@ def test_every_trial_reports_its_residual(tmp_path, perturbation):
 
 
 def test_the_check_summary_reports_each_sweeps_tolerance(tmp_path):
-    summary, _ = run("check", parse_config("samples: 10\n", "check"), tmp_path)
+    summary, _ = run(parse_config("samples: 10\n", "check"), tmp_path)
     assert {p["property"]: p["tolerance"] for p in summary["properties"]} == {
         "homogeneity": 1e-11, "euler_identity_analytic": 1e-10, "euler_identity_fd": 1e-6,
         "mass_shell_identity": 1e-9, "momentum_vs_fd": 1e-6, "pi_invariance": 1e-12,
@@ -232,7 +232,7 @@ def test_determinant_check_takes_the_minkowski_set_for_either_form(tmp_path):
     checks = []
     for form in ("minkowski", "euclidean"):
         text = f"form: {form}\nperturbation: 1e-3\ntrials: 2\ndet_samples: 50\n"
-        summary, _ = run("clifford", parse_config(text, "clifford"), tmp_path / form)
+        summary, _ = run(parse_config(text, "clifford"), tmp_path / form)
         checks.append(summary["determinant_check"])
     assert checks[0] == checks[1]
     assert checks[0]["max_relative_residual"] <= 1e-12
@@ -780,6 +780,13 @@ CONFIG_ERRORS = {
                  "spec: {metric: {kind: euclidean, dim: 3}}\n",
         "dimension mismatch: 'spec.metric' (line 2) has dim 3 but 'embedding.kind' (line 1) "
         "embedding targets dim 4"),
+    # a constructor's refusal while the config is read names the key it was built from
+    "plane_not_spatial": (
+        "simulate", (CONFIGS / "simulate.yaml").read_text().replace("[1, 2]", "[0, 1]"),
+        "'spec.potential.plane' (line 12): plane indices (0, 1) invalid for dim 4"),
+    "constant_metric_not_square": (
+        "signature", "metric: {kind: constant, matrix: [[1, 0, 0], [0, -1, 0]]}\n",
+        "'metric.matrix' (line 1): constant metric needs a square matrix"),
 }
 
 
@@ -813,8 +820,7 @@ def test_a_constant_metric_matrix_reads_as_its_diagonal(tmp_path):
             ("diagonal", "{kind: constant_diagonal, diagonal: [1.0, 1.0, -1.0, -1.0]}"),
             ("matrix", "{kind: constant, matrix: [[1, 0, 0, 0], [0, 1.0, 0, 0], "
                        "[0, 0, -1, 0], [0, 0, 0, -1.0]]}")]:
-        summary, _ = run("signature", parse_config(f"metric: {metric}\n", "signature"),
-                         tmp_path / name)
+        summary, _ = run(parse_config(f"metric: {metric}\n", "signature"), tmp_path / name)
         summary.pop("config_digest")
         summaries.append(cli.to_json(summary))
     assert summaries[0] == summaries[1]
@@ -824,7 +830,7 @@ def test_a_constant_metric_matrix_reads_as_its_diagonal(tmp_path):
 def test_a_cylinder_patch_has_the_area_of_its_unrolled_rectangle(tmp_path):
     text = ("embedding: {kind: cylinder_patch, radius: 2.0, resolution: [8, 8]}\n"
             "spec: {metric: {kind: euclidean, dim: 3}, mass: 1.5}\n")
-    summary, _ = run("brane", parse_config(text, "brane"), tmp_path)
+    summary, _ = run(parse_config(text, "brane"), tmp_path)
     # radius 2 over the default box, z in [0, 1] and theta in [0, pi]
     assert summary["action"] == pytest.approx(1.5 * 2.0 * np.pi, rel=1e-14)
     assert (summary["cells"], summary["component_count"], summary["min_radicand"]) == (64, 3, 4.0)
@@ -1216,13 +1222,14 @@ def _tensor_config(tmp_path, entries):
     ("{}", "must be a non-empty mapping"),
     ("[1.0]", "must be a non-empty mapping"),
     ("{'0,x,1': 1.0}", "bad multi-index '0,x,1'"),
-    ("{'0,0': 1.0}", "index '0,0' does not have rank 3"),
-    ("{'0,0,4': 1.0}", "index '0,0,4' out of range for dim 4"),
+    ("{'0,0': 1.0}", "multi-index (0, 0) does not have rank 3"),
+    ("{'0,0,4': 1.0}", "multi-index (0, 0, 4) out of range for dim 4"),
+    ("{'4,0,0': 1.0}", "multi-index (4, 0, 0) out of range for dim 4"),
     ("{'0,0,1': 1.0, '1,0,0': 2.0}", "duplicate multi-index (0, 0, 1)"),
     ("{'0,0,0': big}", "value for '0,0,0' must be a number"),
     ("{'0,0,0': true}", "value for '0,0,0' must be a number"),
-], ids=["empty", "not_a_mapping", "bad_index", "wrong_rank", "out_of_range", "duplicate",
-        "not_a_number", "boolean"])
+], ids=["empty", "not_a_mapping", "bad_index", "wrong_rank", "out_of_range",
+        "out_of_range_as_written", "duplicate", "not_a_number", "boolean"])
 def test_bad_tensor_entries_exit_2_naming_the_key(tmp_path, capsys, entries, message):
     config, line = _tensor_config(tmp_path, entries)
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
@@ -1304,7 +1311,7 @@ def test_every_output_is_written_by_the_one_writer(tmp_path, monkeypatch):
     for config in SHIPPED:
         written.clear()
         out = tmp_path / config.stem
-        _, artifacts = run(config.stem, parse_config(config.read_text(), config.stem), out)
+        _, artifacts = run(parse_config(config.read_text(), config.stem), out)
         assert sorted(written) == sorted(artifacts) == sorted(out.iterdir()), config.name
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (build_pauli_gammas, dirac_operator_terms, extract_vector_rep,
+from oracles import (assert_guard, build_pauli_gammas, dirac_operator_terms, extract_vector_rep,
                      mass_term_trace_identity)
 
 from repmech import (
@@ -217,3 +217,16 @@ def test_mass_term_trace_identity_is_the_closed_form(build, form):
     assert mass_term_trace_identity(gam, gam.form) == 0.0
     with pytest.raises(FormMismatch):
         mass_term_trace_identity(gam, -gam.form)
+
+
+# guard -> (call, error, message): input checks that no other test reaches
+GUARDS = {
+    "rep_of_another_dim": (
+        lambda: solve_quadratic_generators(abelian_algebra(3), build_dirac_gammas("minkowski")),
+        DimensionMismatch, "representation dimension must match the gamma count"),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_each_guard_raises_its_error(guard):
+    assert_guard(GUARDS, guard)

@@ -42,11 +42,10 @@ def _assert_matches_oracle(alg, gam):
     sol = solve_quadratic_generators(alg, gam)
     ref = per_generator_quadratic_solve(alg, gam)
     assert sol.kernel_dim == ref["kernel_dim"]
-    assert sol.subsets == ref["subsets"]
-    for name in ("coefficients", "basis_coefficients", "residuals", "grade_leakage"):
+    # the generators are the coefficients times the product basis: this pins the coefficients
+    for name in ("residuals", "grade_leakage", "generators"):
         np.testing.assert_allclose(getattr(sol, name), ref[name], rtol=0, atol=AGREE,
                                    err_msg=name)
-    np.testing.assert_allclose(sol.generators, ref["generators"], rtol=0, atol=AGREE)
     return sol, ref
 
 
@@ -71,10 +70,11 @@ def test_stacked_solve_matches_per_generator_solve(algebra, form, magnitude):
                                      ("minkowski", np.diag([1.0, -1.0]))])
 def test_two_gamma_leakage_is_the_grade_one_mass(form, h, magnitude):
     gam = _gammas(build_pauli_gammas, form, magnitude)
-    sol, _ = _assert_matches_oracle(pair_vector_algebra(h, [(0, 1)], "so2"), gam)
-    grade_one = [k for k, s in enumerate(sol.subsets) if len(s) == 1]
-    np.testing.assert_array_equal(
-        sol.grade_leakage, np.linalg.norm(sol.basis_coefficients[:, grade_one], axis=1))
+    sol, ref = _assert_matches_oracle(pair_vector_algebra(h, [(0, 1)]), gam)
+    grade_one = [k for k, s in enumerate(ref["subsets"]) if len(s) == 1]
+    np.testing.assert_allclose(
+        sol.grade_leakage, np.linalg.norm(ref["basis_coefficients"][:, grade_one], axis=1),
+        rtol=0, atol=AGREE)
 
 
 @pytest.mark.parametrize("magnitude", MAGNITUDES)
@@ -84,8 +84,7 @@ def test_batching_keeps_each_right_hand_side_apart(form, magnitude):
     alone = solve_quadratic_generators(rotation_vector_algebra(gam.form), gam)
     lorentz = solve_quadratic_generators(lorentz_vector_algebra(gam.form), gam)
     # so(3) is the pairs (1, 2), (1, 3), (2, 3): the last three Lorentz generators
-    np.testing.assert_allclose(lorentz.basis_coefficients[3:], alone.basis_coefficients,
-                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(lorentz.generators[3:], alone.generators, rtol=0, atol=1e-14)
     np.testing.assert_allclose(lorentz.residuals[3:], alone.residuals, rtol=0, atol=1e-14)
 
 
@@ -98,10 +97,8 @@ def _random_rep(seed):
                                  for a in sorted(ALGEBRAS) for f in FORMS]
                          + [_random_rep(seed) for seed in range(3)])
 def test_stacked_structure_constants_match_per_pair_fit(rho):
-    c, worst = _structure_constants_from_rep(rho)
-    c_ref, worst_ref = per_pair_structure_constants(rho)
-    np.testing.assert_allclose(c, c_ref, rtol=0, atol=AGREE)
-    assert abs(worst - worst_ref) <= AGREE * max(1.0, worst_ref)
+    c_ref = per_pair_structure_constants(rho)
+    np.testing.assert_allclose(_structure_constants_from_rep(rho), c_ref, rtol=0, atol=AGREE)
 
 
 @pytest.mark.parametrize("magnitude", MAGNITUDES)
@@ -148,14 +145,14 @@ def _kernel_set(kind):
     element real), and one gamma alone, whose system is all zeros."""
     s1, s2, s3 = _SIGMA
     if kind == "pauli3":
-        return _make_gamma_set([s1, s2, s3], np.eye(3), kind)
+        return _make_gamma_set([s1, s2, s3], np.eye(3))
     if kind == "pauli3-real-volume":
-        return _make_gamma_set([s1, s2, 1j * s3], np.diag([1.0, 1.0, -1.0]), kind)
+        return _make_gamma_set([s1, s2, 1j * s3], np.diag([1.0, 1.0, -1.0]))
     if kind == "one-gamma":
-        return _make_gamma_set([s3], np.eye(1), kind)
+        return _make_gamma_set([s3], np.eye(1))
     g = build_dirac_gammas("minkowski").matrices
     g5 = 1j * g[0] @ g[1] @ g[2] @ g[3]
-    return _make_gamma_set([*g, 1j * g5], np.diag([1.0, -1.0, -1.0, -1.0, -1.0]), kind)
+    return _make_gamma_set([*g, 1j * g5], np.diag([1.0, -1.0, -1.0, -1.0, -1.0]))
 
 
 # the even sets, perturbed or not, are compared with the oracle in _assert_matches_oracle

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import repmech.fields as fields
 from oracles import (
+    assert_guard,
     dense_contraction,
     dense_symmetric_tensor,
     entry_array,
@@ -114,7 +115,25 @@ class TestSymmetricTensor:
         with pytest.raises(DimensionMismatch):
             symmetric_tensor(3, 2, {(0, 1, 2): 1.0})
 
-    @pytest.mark.parametrize("rank,dim", [(3, 2), (3, 4), (4, 4), (5, 3)])
+    @pytest.mark.parametrize("entries, message", [
+        ({(0, 0): 1.0}, "multi-index (0, 0) does not have rank 3"),
+        ({(0, 0, 0): 1.0, (256, 0, 0): 1.0}, "multi-index (256, 0, 0) out of range for dim 256"),
+        ({(0, 0, 1): 1.0, (1, 0, 0): 2.0}, "duplicate entry for multi-index (0, 0, 1)"),
+    ], ids=["wrong_rank", "out_of_range", "duplicate"])
+    def test_a_bad_index_is_refused_before_the_index_tables_are_built(self, monkeypatch,
+                                                                      entries, message):
+        # in dim 256 the rank-3 tables hold 16.7 million columns and 2.8 million rows
+        def refuse(*args):
+            raise AssertionError("index tables built before the indices were checked")
+
+        monkeypatch.setattr(fields, "tensor_columns", refuse)
+        monkeypatch.setattr(fields, "tensor_indices", refuse)
+        with pytest.raises(DimensionMismatch) as info:
+            symmetric_tensor(3, 256, entries)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rank,dim", [(3, 2), (3, 4), (4, 4), (5, 3), (6, 3), (8, 4),
+                                          (10, 2)])
     def test_entries_are_one_read_only_array_in_combinations_order(self, rank, dim):
         keys = list(itertools.combinations_with_replacement(range(dim), rank))
         assert tensor_indices(rank, dim).tolist() == [list(k) for k in keys]
@@ -323,14 +342,16 @@ class TestDenseSize:
         with pytest.raises(DimensionMismatch, match="dense entries"):
             symmetric_tensor_field(5, 40, lambda x: {})
 
-    def test_oversized_config_tensor_exits_1(self, tmp_path, capsys):
+    def test_oversized_config_tensor_is_a_config_error_at_its_rank(self, tmp_path, capsys):
         config = tmp_path / "simulate.yaml"
         index = ",".join(["0"] * 13)  # 4^13 dense entries
         config.write_text((CONFIGS / "simulate.yaml").read_text().replace(
             "gauge:", f"  extra_terms: [{{coupling: 0.1, rank: 13, entries: {{'{index}': 1.0}}}}]\n"
                       "gauge:"))
-        assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith("DimensionMismatch:")
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: 'spec.extra_terms.0.rank' (line 13): a rank-13 tensor in dim 4 has "
+            "67108864 dense entries, more than 16777216\n")
 
     def test_empty_entries_give_the_zero_tensor(self):
         s = symmetric_tensor(3, 2, {})
@@ -428,3 +449,22 @@ class TestVectorPotential:
             pot = uniform_magnetic_potential(4, 1.5, plane=plane)
             assert np.array_equal(pot(x), ref(x))
             assert np.array_equal(pot.jacobian(x), ref.jacobian(x))
+
+
+# guard -> (call, error, message): input checks that no other test reaches
+GUARDS = {
+    "entries_and_evaluator": (
+        lambda: SymmetricTensorField(3, 2, entries=np.zeros(4), evaluator=lambda x: x),
+        DimensionMismatch, "provide exactly one of entries / evaluator"),
+    "neither_entries_nor_evaluator": (lambda: SymmetricTensorField(3, 2), DimensionMismatch,
+                                      "provide exactly one of entries / evaluator"),
+    "velocity_of_another_dim": (
+        lambda: symmetric_tensor(3, 2, {(0, 0, 0): 1.0}).partial_contraction(
+            np.zeros(2), np.zeros(3), 0),
+        DimensionMismatch, "velocity shape (3,) vs tensor dim 2"),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_each_guard_raises_its_error(guard):
+    assert_guard(GUARDS, guard)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, per_point, spec_row
+from oracles import assert_guard, fd_gradient, per_point, spec_row
 from repmech import (
     CausalityKind,
     LagrangianSpec,
@@ -406,3 +406,23 @@ class TestCentralDifference:
     def test_one_step_per_axis_required(self):
         with pytest.raises(DimensionMismatch):
             central_difference(np.sum, np.zeros(3), np.full(2, 1e-6))
+
+
+# guard -> (call, error, message): input checks that no other test reaches
+GUARDS = {
+    "constant_metric_not_square": (lambda: constant_metric(np.zeros((2, 3))), DimensionMismatch,
+                                   "constant metric needs a square matrix"),
+    "quadratic_form_not_square": (lambda: quadratic_form(np.zeros((2, 3)), np.zeros(3)),
+                                  DimensionMismatch, "expected a square matrix, got shape (2, 3)"),
+    "quadratic_form_of_a_vector": (lambda: quadratic_form(np.zeros(3), np.zeros(3)),
+                                   DimensionMismatch, "expected a square matrix, got shape (3,)"),
+    "signature_not_square": (lambda: signature(np.zeros((2, 3))), DimensionMismatch,
+                             "expected a square matrix, got shape (2, 3)"),
+    "signature_not_symmetric": (lambda: signature(np.array([[1.0, 1.0], [0.0, -1.0]])),
+                                DimensionMismatch, "signature expects a symmetric matrix"),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_each_guard_raises_its_error(guard):
+    assert_guard(GUARDS, guard)

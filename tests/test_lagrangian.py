@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repmech.lagrangian as lagrangian
-from oracles import entry_array, fd_gradient, per_point, spec_row
+from oracles import assert_guard, entry_array, fd_gradient, per_point, spec_row
 from repmech import (
     DimensionMismatch,
     GaugeViolation,
@@ -189,11 +189,17 @@ class TestIdentities:
     def test_euler_identity_fd_mode(self):
         stack, xs, vs = draw_spec_state(np.random.default_rng(1), 50)
         for i in range(50):
-            assert hamiltonian_residual(spec_row(stack, i), xs[i], vs[i], mode="fd") <= 1e-6
+            assert hamiltonian_residual(spec_row(stack, i), xs[i], vs[i], fd=True) <= 1e-6
 
-    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    def test_euler_identity_refuses_a_mode_string(self):
+        # a mode string sent every value but "analytic", misspellings too, to the FD route
+        with pytest.raises(TypeError, match="'mode'"):
+            hamiltonian_residual(LagrangianSpec(metric=MINK, mass=2.0), X0, [1, 0, 0, 0],
+                                 mode="FD")
+
+    @pytest.mark.parametrize("fd", [False, True], ids=["analytic", "fd"])
     @pytest.mark.parametrize("batch", [(2,), (3,), (2, 3)], ids=["b2", "b3", "b2x3"])
-    def test_euler_identity_batch_equals_point_loop(self, batch, mode):
+    def test_euler_identity_batch_equals_point_loop(self, batch, fd):
         # b3 is a square (3, 3) batch, not one point's matrix
         spec = LagrangianSpec(metric=minkowski_metric(3), mass=1.3, charge=0.4,
                               potential=uniform_magnetic_potential(3, 1.0),
@@ -202,11 +208,11 @@ class TestIdentities:
         x = rng.uniform(-1, 1, size=batch + (3,))
         v = np.concatenate((np.ones(batch + (1,)), rng.uniform(-0.4, 0.4, size=batch + (2,))),
                            axis=-1)
-        res = hamiltonian_residual(spec, x, v, mode=mode)
-        loop = per_point(lambda xi, vi: hamiltonian_residual(spec, xi, vi, mode=mode), x, v)
+        res = hamiltonian_residual(spec, x, v, fd=fd)
+        loop = per_point(lambda xi, vi: hamiltonian_residual(spec, xi, vi, fd=fd), x, v)
         assert res.shape == batch
         # fd: a batch's last-bit differences in L over the momentum step 1e-5
-        tol = 1e-14 if mode == "analytic" else 1e-10
+        tol = 1e-10 if fd else 1e-14
         assert np.max(np.abs(res - loop)) <= tol
 
     def test_mass_shell_hand_value(self):
@@ -627,3 +633,22 @@ def test_terms_of_one_rank_add():
     assert eval_L(both, x, v) == pytest.approx(sum(eval_L(p, x, v) for p in parts), rel=1e-15)
     assert np.allclose(momentum(both, x, v), sum(momentum(p, x, v) for p in parts),
                        rtol=1e-14, atol=1e-15)
+
+
+# guard -> (call, error, message): input checks that no other test reaches
+GUARDS = {
+    "negative_mass": (lambda: LagrangianSpec(metric=MINK, mass=-1.0), DimensionMismatch,
+                      "mass must be nonnegative"),
+    "potential_of_another_dim": (
+        lambda: LagrangianSpec(metric=MINK, mass=1.0, potential=constant_potential(np.zeros(3))),
+        DimensionMismatch, "potential and metric dimensions differ"),
+    "tensor_of_another_dim": (
+        lambda: LagrangianSpec(metric=MINK, mass=1.0, extra_terms=(
+            (0.1, symmetric_tensor(3, 3, {(0, 0, 0): 1.0})),)),
+        DimensionMismatch, "tensor term dimension differs from metric"),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_each_guard_raises_its_error(guard):
+    assert_guard(GUARDS, guard)

@@ -280,9 +280,9 @@ def _abs_mass_shell(spec, x, v):
 # pi kernels equal their points bit for bit)
 BATCH_VS_POINTS = {
     "homogeneity": (homogeneity_residual, _point_homogeneity, _scales, 1e-14),
-    "euler_analytic": (partial(hamiltonian_residual, mode="analytic"),
+    "euler_analytic": (partial(hamiltonian_residual, fd=False),
                        partial(_point_euler, mode="analytic"), _no_inputs, 1e-13),
-    "euler_fd": (partial(hamiltonian_residual, mode="fd"), partial(_point_euler, mode="fd"),
+    "euler_fd": (partial(hamiltonian_residual, fd=True), partial(_point_euler, mode="fd"),
                  _no_inputs, 1e-9),
     "mass_shell": (_abs_mass_shell, _abs_mass_shell, _no_inputs, 0.0),
     "momentum_vs_fd": (sweeps.momentum_fd_residuals, _point_momentum_fd, _no_inputs, 1e-9),

@@ -13,8 +13,9 @@ must be on UNREAD_PUBLIC, and nothing else may be. A function is read
 through its name, an import or an attribute of its name; a method only
 through an attribute of its name, so a local variable or a parameter that
 shares the name is not a read. An export from `__init__.py` is not a read.
-Likewise a public field of a module-level dataclass that no package module
-reads as an attribute (a field written and never read) must be on
+Likewise a public field of a module-level dataclass, or a public attribute
+that a module-level plain class assigns as `self.<name> = ...`, that no
+package module reads as an attribute (written and never read) must be on
 WRITE_ONLY_FIELDS, and nothing else may be.
 """
 
@@ -155,40 +156,37 @@ def test_every_unread_public_name_is_listed_with_a_reason():
     assert all(UNREAD_PUBLIC.values())
 
 
-# (module, "Class.field") -> why a public dataclass field that no package code
-# reads as an attribute stays
+# (module, "Class.field") -> why a public field or attribute that no package
+# code reads as an attribute stays
 WRITE_ONLY_FIELDS = {
-    ("brane", "GeneralizedVelocity.z"): "public result: the parameter point of the minors",
-    ("clifford", "QuadraticGeneratorSolution.basis_coefficients"):
-        "public result: the product-basis solution, checked against the reference solve",
-    ("clifford", "QuadraticGeneratorSolution.coefficients"):
-        "public result: the quadratic-ansatz x_ab, checked against the reference solve",
-    ("clifford", "QuadraticGeneratorSolution.subsets"):
-        "public result: the product basis's index subsets, in column order",
-    ("geometry", "CausalityClass.basis"):
-        "public result: the frame of the witness, witness = basis @ witness_model",
+    ("errors", "NegativeRadicand.cell"): "read by callers that catch it, and by the tests",
     ("sweeps", "SpecStack.curved"): "read through dataclasses.fields by take and put",
 }
 
 
 def _write_only_fields(sources):
-    """(module, "Class.field") of each public field of a module-level
-    @dataclass class that no module in `sources` reads as an attribute."""
+    """(module, "Class.field") of each public field of a module-level @dataclass
+    class, and each public attribute that a module-level plain class assigns as
+    `self.<name> = ...`, that no module in `sources` reads as an attribute."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = {node.attr for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not (isinstance(node, ast.ClassDef) and any(
-                    getattr(d, "id", None) == "dataclass"
-                    or getattr(getattr(d, "func", None), "id", None) == "dataclass"
-                    for d in node.decorator_list)):
+            if not isinstance(node, ast.ClassDef):
                 continue
-            for item in node.body:
-                if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-                        and not item.target.id.startswith("_") and item.target.id not in read):
-                    unread.append((module, f"{node.name}.{item.target.id}"))
+            if any(getattr(d, "id", None) == "dataclass"
+                   or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+                   for d in node.decorator_list):
+                fields = [item.target.id for item in node.body
+                          if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            else:
+                fields = [target.attr for item in ast.walk(node) if isinstance(item, ast.Assign)
+                          for target in item.targets if isinstance(target, ast.Attribute)
+                          and getattr(target.value, "id", None) == "self"]
+            unread += [(module, f"{node.name}.{name}") for name in dict.fromkeys(fields)
+                       if not name.startswith("_") and name not in read]
     return sorted(unread)
 
 
@@ -198,11 +196,14 @@ def test_the_scan_finds_a_write_only_field():
              "@dataclass(frozen=True)\nclass Result:\n    used: int\n    unread: int\n"
              "    stored: int\n    _private: int\n\n"
              "@dataclass\nclass Plain:\n    dropped: int\n\n"
-             "class NotData:\n    ignored: int\n",
-        "b": "def f(r, unread):\n    r.stored = 1\n    return r.used, unread\n",
+             "class NotData:\n    ignored: int\n\n"
+             "class Holder:\n    def __init__(self, x):\n        self.kept = x\n"
+             "        self.lost = x\n        self._own = x\n        other.lost_too = x\n\n"
+             "    def reset(self):\n        self.lost = None\n",
+        "b": "def f(r, unread):\n    r.stored = 1\n    return r.used, unread, r.kept\n",
     }
-    assert _write_only_fields(sources) == [("a", "Plain.dropped"), ("a", "Result.stored"),
-                                           ("a", "Result.unread")]
+    assert _write_only_fields(sources) == [("a", "Holder.lost"), ("a", "Plain.dropped"),
+                                           ("a", "Result.stored"), ("a", "Result.unread")]
 
 
 def test_every_write_only_field_is_listed_with_a_reason():

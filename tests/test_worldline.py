@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import CyclotronOracle, fit_circle, hamiltonian_orbit
+from oracles import CyclotronOracle, assert_guard, fit_circle, hamiltonian_orbit
 import repmech.worldline as worldline
 from repmech import (
     DimensionMismatch,
@@ -628,3 +628,45 @@ class TestHamiltonianRoute:
         for name, errs in errors.items():
             slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
             assert abs(slope - 4.0) <= 0.2, (name, errs)
+
+
+def _worldline(tau, rows=3):
+    return worldline.Worldline(tau=np.asarray(tau, dtype=float), x=np.zeros((rows, 4)),
+                               v=np.zeros((3, 4)), gauge=GaugeChoice.COORDINATE_TIME,
+                               gauge_residual=np.zeros(3))
+
+
+def _integrate(spec=None, gauge=GaugeChoice.COORDINATE_TIME, x0=np.zeros(4), tau_end=1.0,
+               step=0.1):
+    return integrate(spec or LagrangianSpec(metric=MINK, mass=1.0), gauge, x0,
+                     np.array([1.0, 0.0, 0.0, 0.0]), tau_end, step)
+
+
+# guard -> (call, error, message): input checks that no other test reaches
+GUARDS = {
+    "initial_data_length": (lambda: _integrate(x0=np.zeros(3)), DimensionMismatch,
+                            "initial data must have length 4"),
+    "step_zero": (lambda: _integrate(step=0.0), DimensionMismatch,
+                  "step and tau_end must be positive"),
+    "tau_end_negative": (lambda: _integrate(tau_end=-1.0), DimensionMismatch,
+                         "step and tau_end must be positive"),
+    "tau_end_under_one_step": (lambda: _integrate(tau_end=0.04), DimensionMismatch,
+                               "tau_end shorter than one step"),
+    "unknown_gauge": (lambda: _integrate(gauge="bogus"), DimensionMismatch,
+                      "unknown gauge 'bogus'"),
+    # the tensor Hessian cancels the mass term's row 1 at v0 = (1, 0, 0, 0)
+    "singular_start": (
+        lambda: _integrate(LagrangianSpec(metric=MINK, mass=1.0, extra_terms=(
+            (1.0, symmetric_tensor(3, 4, {(0, 0, 0): 1.0, (0, 1, 1): 0.5})),))),
+        SingularReducedHessian,
+        "reduced velocity Hessian is numerically singular at the initial point"),
+    "worldline_lengths": (lambda: _worldline([0.0, 1.0, 2.0], rows=2), DimensionMismatch,
+                          "worldline sample arrays must share their length"),
+    "worldline_not_increasing": (lambda: _worldline([0.0, 1.0, 1.0]), DimensionMismatch,
+                                 "worldline parameter must be strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_each_guard_raises_its_error(guard):
+    assert_guard(GUARDS, guard)
