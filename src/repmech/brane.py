@@ -402,8 +402,6 @@ def cylinder_patch_embedding(radius: float, box=((0.0, 1.0), (0.0, math.pi)),
 
 def _evenly_spaced(a: np.ndarray) -> bool:
     """Every node spacing equals the mean to a relative 1e-9, plus node-value rounding."""
-    if a.size < 3:
-        return True
     step = (a[-1] - a[0]) / (a.size - 1)
     slack = 1e-9 * step + 8.0 * np.finfo(float).eps * float(np.max(np.abs(a)))
     return bool(np.all(np.abs(np.diff(a) - step) <= slack))

@@ -53,10 +53,9 @@ from .clifford import (
     perturb_gammas,
     rotation_vector_algebra,
     solve_quadratic_generators,
-    vector_covariance_check,
     verify_lie_closure,
 )
-from .errors import ConfigError, DimensionMismatch, RepMechError
+from .errors import ConfigError, DegenerateMetric, DimensionMismatch, RepMechError
 from .fields import (
     check_tensor_size,
     constant_potential,
@@ -349,7 +348,7 @@ def _build_metric(sec: Section):
         sec.require_keys({"kind", "diagonal"}, required=("diagonal",))
         diagonal = sec.vector("diagonal")
         capped("diagonal", diagonal.size)
-        return constant_diagonal_metric(diagonal)
+        return _built(sec.where("diagonal"), constant_diagonal_metric, diagonal)
     sec.require_keys({"kind", "matrix"}, required=("matrix",))
     rows = sec.data["matrix"]
     if isinstance(rows, list):  # before the leaves are read: aliases can repeat one long row
@@ -382,10 +381,10 @@ def _sized(sec: Section, key, n: int, other: str, default=None):
 
 
 def _built(where: str, build, *args):
-    """build(*args), its DimensionMismatch refusal a ConfigError that starts with `where`."""
+    """build(*args), its refusal of a bad size or metric a ConfigError that starts with `where`."""
     try:
         return build(*args)
-    except DimensionMismatch as exc:
+    except (DimensionMismatch, DegenerateMetric) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -874,14 +873,14 @@ def _run_brane(cfg, out_dir):
     }, []
 
 
-def _draw_det_samples(rng, n):
-    """n momenta with N(0, 1.5^2) components and n masses from U(0, 2).
+def _draw_det_samples(rng, n, dim):
+    """n momenta with dim N(0, 1.5^2) components, one per gamma, and n masses from U(0, 2).
 
     All n momenta come from one normal draw, then all n masses from one
     uniform draw, so a seed's k-th sample is not the one a per-sample draw
     (momentum, then mass, n times) would give.
     """
-    return 1.5 * rng.standard_normal((n, 4)), 2.0 * rng.random(n)
+    return 1.5 * rng.standard_normal((n, dim)), 2.0 * rng.random(n)
 
 
 def _run_clifford(cfg, out_dir):
@@ -892,7 +891,7 @@ def _run_clifford(cfg, out_dir):
     elif p["algebra"] == "so3":
         alg = rotation_vector_algebra(gam.form)
     else:
-        alg = abelian_algebra(4)
+        alg = abelian_algebra(gam.n)
     rng = np.random.default_rng(cfg.seed)
 
     if p["perturbation"] == 0.0:
@@ -906,10 +905,10 @@ def _run_clifford(cfg, out_dir):
             sol = solve_quadratic_generators(alg, gam_t)
             trial_residuals.append(float(np.max(sol.residuals)))
 
-    pis, masses = _draw_det_samples(rng, p["det_samples"])
-    mink = gam if p["form"] == "minkowski" else build_dirac_gammas("minkowski")
+    # the identity is checked on the unperturbed set
+    pis, masses = _draw_det_samples(rng, p["det_samples"], gam.n)
     det_worst = float(np.max(
-        mass_shell_determinant_residual(0.0, masses, np.zeros(4), pis, mink)))
+        mass_shell_determinant_residual(0.0, masses, np.zeros(gam.n), pis, gam)))
 
     return {
         "algebra": p["algebra"],
@@ -920,7 +919,7 @@ def _run_clifford(cfg, out_dir):
         "kernel_dims": [sol.kernel_dim] * alg.n_generators,
         "grade_leakage": sol.grade_leakage,
         "closure_residual": verify_lie_closure(sol, alg),
-        "covariance_residual": vector_covariance_check(sol, alg, gam_t),
+        "covariance_residual": trial_residuals[-1],
         "trial_max_residuals": trial_residuals,
         "determinant_check": {
             "samples": p["det_samples"],

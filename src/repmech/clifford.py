@@ -17,7 +17,8 @@ the trace-zero constraint removes it and makes the solution unique (the
 commutator form (1/4)[gamma^a, gamma^b] rather than (1/2) gamma^a gamma^b).
 For odd N the product of all N gammas is central too: the kernel is 2 for
 sigma_1, sigma_2, sigma_3, 5 for an N = 3 set whose product is a real
-multiple of I, and 17 for the Dirac set with i*gamma^5.
+multiple of I, and 17 for the Dirac set with i*gamma^5. The operator
+H = g.pi - m I and its determinant identity take any set, of any N and d.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, FormMismatch, UnsupportedDimension
 
-ANTICOMM_TOL = 1e-12
 KERNEL_TOL = 1e-10  # relative singular value counted in the kernel
 PERTURBED_INDEX = 1  # the gamma matrix perturb_gammas changes
 
@@ -87,20 +87,17 @@ class GammaSet:
         return self.matrices[0].shape[0]
 
 
-def _make_gamma_set(matrices, form, strict=True) -> GammaSet:
+def _make_gamma_set(matrices, form) -> GammaSet:
     matrices = tuple(np.asarray(m, dtype=complex) for m in matrices)
     form = np.asarray(form, dtype=float)
-    res = anticommutator_residual(matrices, form)
-    if strict and res > ANTICOMM_TOL:
-        raise FormMismatch(f"anticommutator residual {res:.3e} exceeds {ANTICOMM_TOL}")
-    return GammaSet(matrices=matrices, form=form, residual=res)
+    return GammaSet(matrices=matrices, form=form, residual=anticommutator_residual(matrices, form))
 
 
 def build_dirac_gammas(form: str = "minkowski") -> GammaSet:
-    """Standard 4x4 Dirac-representation matrices for {g^a, g^b} = 2 h^ab I.
+    """The 4x4 Dirac matrices g^0 = sigma_3 (x) I and g^k = (i sigma_2) (x) sigma_k.
 
-    form="minkowski": h = diag(1,-1,-1,-1). form="euclidean": the spatial
-    matrices are multiplied by i, giving h = identity.
+    {g^a, g^b} = 2 h^ab I with h = diag(1,-1,-1,-1) for form="minkowski";
+    form="euclidean" multiplies the g^k by i, giving h = identity.
     """
     if form == "minkowski":
         spatial_unit, h = 1.0, np.diag([1.0, -1.0, -1.0, -1.0])
@@ -108,12 +105,8 @@ def build_dirac_gammas(form: str = "minkowski") -> GammaSet:
         spatial_unit, h = 1j, np.eye(4)
     else:
         raise UnsupportedDimension(f"unknown form {form!r}")
-    mats = np.zeros((4, 4, 4), dtype=complex)
-    mats[0, :2, :2] = np.eye(2)
-    mats[0, 2:, 2:] = -np.eye(2)
-    for k, s in enumerate(_SIGMA, 1):
-        mats[k, :2, 2:] = spatial_unit * s
-        mats[k, 2:, :2] = -spatial_unit * s
+    mats = [np.kron(_SIGMA[2], np.eye(2))]
+    mats += [spatial_unit * np.kron(1j * _SIGMA[1], s) for s in _SIGMA]
     return _make_gamma_set(mats, h)
 
 
@@ -126,7 +119,7 @@ def perturb_gammas(gam: GammaSet, magnitude: float, rng: np.random.Generator) ->
     mats = list(gam.matrices)
     mats[PERTURBED_INDEX] = mats[PERTURBED_INDEX] + h
     with np.errstate(over="ignore", invalid="ignore"):
-        perturbed = _make_gamma_set(mats, gam.form, strict=False)
+        perturbed = _make_gamma_set(mats, gam.form)
     if not np.isfinite(perturbed.residual):
         raise FormMismatch(f"perturbation {magnitude} overflows the anticommutator residual")
     return perturbed
@@ -308,52 +301,49 @@ def vector_covariance_check(sol: QuadraticGeneratorSolution, alg: LieAlgebraSpec
 # the H = 0 operator and its determinant identity
 # ---------------------------------------------------------------------------
 
-_MINKOWSKI4 = np.diag([1.0, -1.0, -1.0, -1.0])
-
-
 def dirac_operator(q: float, m, a_const, p, gam: GammaSet) -> np.ndarray:
-    """H = g^a (p_a - q A_a) - m I for a Minkowski 4x4 gamma set.
+    """H = g^a (p_a - q A_a) - m I for a set of N gammas of size d x d.
 
-    p has shape (4,) or (..., 4) and m is a scalar or has a shape that
-    broadcasts against p's leading shape; A is one constant 4-covector. The
-    result has shape (..., 4, 4), one operator per entry of the broadcast
+    p has shape (N,) or (..., N) and m is a scalar or has a shape that
+    broadcasts against p's leading shape; A is one constant N-covector. The
+    result has shape (..., d, d), one operator per entry of the broadcast
     batch shape: pi = p - qA, broadcast to that shape, times the gammas as
-    one (4, 16) matrix in one product, then m subtracted on the diagonal.
-    Every entry of the Dirac set's operator has at most one nonzero gamma
-    term, so the product equals the term-by-term sum up to the signs of
-    zeros. Only the electromagnetic and mass terms enter; higher tensor
-    terms have no defined reduction here.
+    one (N, d^2) matrix in one product, then m subtracted on the diagonal.
+    Where no real or imaginary part of an entry has two nonzero gamma terms,
+    as in the Dirac and Pauli sets, the product equals the term-by-term sum
+    up to the signs of zeros. Only the electromagnetic and mass terms enter.
     """
-    if gam.n != 4 or not np.allclose(gam.form, _MINKOWSKI4, atol=1e-12):
-        raise FormMismatch("dirac_operator requires the Minkowski 4x4 gamma set")
+    n, d = gam.n, gam.matrix_dim
     p = np.asarray(p, dtype=float)
     a = np.asarray(a_const, dtype=float)
     m = np.asarray(m, dtype=float)
-    if p.ndim == 0 or p.shape[-1] != 4 or a.shape != (4,):
-        raise DimensionMismatch("p and A must be 4-covectors")
+    if p.ndim == 0 or p.shape[-1] != n or a.shape != (n,):
+        raise DimensionMismatch(f"p and A must be {n}-covectors")
     try:
         batch = np.broadcast_shapes(m.shape, p.shape[:-1])
     except ValueError:
         raise DimensionMismatch(
             f"mass shape {m.shape} does not broadcast against p shape {p.shape}") from None
-    pi = np.broadcast_to(p - q * a, batch + (4,))
-    h = (pi @ np.reshape(gam.matrices, (4, 16))).reshape(batch + (4, 4))
-    diag = np.arange(4)
+    pi = np.broadcast_to(p - q * a, batch + (n,))
+    h = (pi @ np.reshape(gam.matrices, (n, d * d))).reshape(batch + (d, d))
+    diag = np.arange(d)
     h[..., diag, diag] -= m[..., None]
     return h
 
 
 def mass_shell_determinant_residual(q: float, m, a_const, p, gam: GammaSet):
-    """|det(g.pi - m I) - r| / max(1, |r|), r = (pi.pi - m^2)^2, pi = p - qA raised by the form.
+    """|det(g.pi - m I) - r| / max(1, |r|), r = (m^2 - pi.pi)^(d/2), pi = p - qA.
 
-    Takes the shapes of dirac_operator. A scalar m with p of shape (4,)
-    gives a float; otherwise the result is an array of the broadcast batch
-    shape (...), from one stacked determinant.
+    pi.pi = h^ab pi_a pi_b with the set's form. For N >= 2 Clifford gammas,
+    g.pi is traceless and squares to (pi.pi) I, so its eigenvalues are
+    +-sqrt(pi.pi), d/2 times each; one gamma alone need not be traceless.
+    Takes the shapes of dirac_operator: a scalar m with p of shape (N,)
+    gives a float, else an array of the batch shape from one determinant.
     """
     h = dirac_operator(q, m, a_const, p, gam)
     pi = np.asarray(p, dtype=float) - q * np.asarray(a_const, dtype=float)
-    pi_sq = np.sum((pi @ np.linalg.inv(gam.form)) * pi, axis=-1)
+    pi_sq = np.sum((pi @ gam.form) * pi, axis=-1)
     m = np.asarray(m, dtype=float)
-    r = (pi_sq - m * m) ** 2
+    r = (m * m - pi_sq) ** (gam.matrix_dim // 2)
     res = np.abs(np.linalg.det(h) - r) / np.maximum(1.0, np.abs(r))
     return float(res) if res.ndim == 0 else res

@@ -206,13 +206,13 @@ def per_generator_quadratic_solve(alg, gam, kernel_tol=1e-10):
 
 
 def dirac_operator_terms(q, m, a_const, p, gam):
-    """H = -m I + g^0 pi_0 + g^1 pi_1 + g^2 pi_2 + g^3 pi_3, one broadcast term at a time.
+    """H = -m I + g^0 pi_0 + ... + g^(N-1) pi_(N-1), one broadcast term at a time.
 
-    pi = p - qA; p is (..., 4) and m broadcasts against p's leading shape.
+    pi = p - qA; p is (..., N) and m broadcasts against p's leading shape.
     """
     pi = np.asarray(p, dtype=float) - q * np.asarray(a_const, dtype=float)
-    h = -np.asarray(m, dtype=float)[..., None, None] * np.eye(4, dtype=complex)
-    for alpha in range(4):
+    h = -np.asarray(m, dtype=float)[..., None, None] * np.eye(gam.matrix_dim, dtype=complex)
+    for alpha in range(gam.n):
         h = h + gam.matrices[alpha] * pi[..., alpha, None, None]
     return h
 
@@ -677,6 +677,53 @@ def build_pauli_gammas(form="euclidean"):
     else:
         raise UnsupportedDimension(f"unknown form {form!r}")
     return GammaSet(matrices=matrices, form=h, residual=anticommutator_residual(matrices, h))
+
+
+def gamma_set(kind):
+    """A gamma set other than the Dirac and Pauli ones, with its measured residual.
+
+    "pauli3" and "pauli3-real-volume" are odd N = 3 Pauli sets whose volume
+    element is i*I or a real multiple of I; "dirac+i*gamma5" is the Dirac
+    set with i*gamma^5 (volume element real); "pauli-scaled" is sigma_1 and
+    2 sigma_2 with h = diag(1, 4), a form with an entry other than +-1;
+    "one-gamma" is sigma_3 alone, whose covariance system is all zeros.
+    """
+    from repmech import build_dirac_gammas
+    from repmech.clifford import _SIGMA, _make_gamma_set
+
+    s1, s2, s3 = _SIGMA
+    if kind == "pauli3":
+        return _make_gamma_set([s1, s2, s3], np.eye(3))
+    if kind == "pauli3-real-volume":
+        return _make_gamma_set([s1, s2, 1j * s3], np.diag([1.0, 1.0, -1.0]))
+    if kind == "pauli-scaled":
+        return _make_gamma_set([s1, 2.0 * s2], np.diag([1.0, 4.0]))
+    if kind == "one-gamma":
+        return _make_gamma_set([s3], np.eye(1))
+    if kind != "dirac+i*gamma5":
+        raise ValueError(f"unknown gamma set {kind!r}")
+    g = build_dirac_gammas("minkowski").matrices
+    g5 = 1j * g[0] @ g[1] @ g[2] @ g[3]
+    return _make_gamma_set([*g, 1j * g5], np.diag([1.0, -1.0, -1.0, -1.0, -1.0]))
+
+
+def perfbench_trace_targets():
+    """The FUNCTIONS and METHODS tables of perfbench/tracing.py, read with `ast`.
+
+    perfbench is not imported: the tables are literals in its source.
+    """
+    import ast
+    from pathlib import Path
+
+    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tables = {}
+    for node in ast.parse(tracing.read_text()).body:
+        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+            continue
+        name = getattr(node.targets[0], "id", None)
+        if name in ("FUNCTIONS", "METHODS"):
+            tables[name] = ast.literal_eval(node.value)
+    return tables
 
 
 def extract_vector_rep(generators, gam):

@@ -12,9 +12,11 @@ from repmech import (
     BraneEmbedding,
     BraneSpec,
     DimensionMismatch,
+    GaugeViolation,
     LagrangianSpec,
     NegativeRadicand,
     brane_action,
+    component_count,
     cylinder_patch_embedding,
     discrete_action,
     generalized_velocity,
@@ -609,6 +611,30 @@ GUARDS = {
                          DimensionMismatch, "axes must be strictly increasing and match values"),
     "grid_no_axis": (lambda: gridded_embedding([], np.zeros((4, 2))), DimensionMismatch,
                      "need at least one axis"),
+    # two nodes pass the spacing check, but make one cell on that axis
+    "grid_two_node_axis": (
+        lambda: gridded_embedding([np.array([0.0, 0.5]), np.linspace(0.0, 1.0, 4)],
+                                  np.zeros((2, 4, 3))),
+        DimensionMismatch, "grid needs at least 2 cells per axis"),
+    "d_below_one": (lambda: component_count(3, 0), DimensionMismatch,
+                    "need 1 <= D <= dimM, got D=0, dimM=3"),
+    "point_of_another_d": (lambda: generalized_velocity(tilted_plane_embedding(0.5), [0.5]),
+                           DimensionMismatch, "parameter point must have length 2"),
+    "point_outside_the_box": (
+        lambda: generalized_velocity(tilted_plane_embedding(0.5), [0.5, 1.5]),
+        DimensionMismatch, "parameter point [0.5, 1.5] outside the box"),
+    "cell_of_another_d": (
+        lambda: nonrelativistic_brane_expansion(BraneSpec(ONE_TIME3, mass=1.0),
+                                                tilted_plane_embedding(0.5), (1,)),
+        DimensionMismatch, "cell index must have 2 entries"),
+    # x(z) = (2 z, 0.1 z): the internal minor dx^0/dz is 2 everywhere
+    "off_the_integral_gauge": (
+        lambda: nonrelativistic_brane_expansion(
+            BraneSpec(minkowski_metric(2), mass=1.0),
+            curve_embedding(lambda Z: Z * [2.0, 0.1],
+                            lambda Z: np.broadcast_to([[2.0], [0.1]], (len(Z), 2, 1)),
+                            resolution=4, dim_m=2), (0,)),
+        GaugeViolation, "internal minor 2.0 != 1; not in the integral gauge"),
 }
 
 

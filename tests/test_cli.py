@@ -12,10 +12,15 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import CyclotronOracle, key_lines
+from oracles import CyclotronOracle, assert_guard, key_lines
 
 import repmech.cli as cli
-from repmech import extremize
+from repmech import (
+    build_dirac_gammas,
+    extremize,
+    mass_shell_determinant_residual,
+    perturb_gammas,
+)
 from repmech.cli import (
     Section,
     _ConfigLoader,
@@ -228,14 +233,25 @@ def test_the_check_summary_reports_each_sweeps_tolerance(tmp_path):
         "gauge_shift": 1e-10}
 
 
-def test_determinant_check_takes_the_minkowski_set_for_either_form(tmp_path):
-    checks = []
+@pytest.mark.parametrize("perturbation", [0.0, 1e-3])
+def test_each_forms_determinant_check_runs_on_its_unperturbed_set(tmp_path, perturbation):
+    worst = {}
     for form in ("minkowski", "euclidean"):
-        text = f"form: {form}\nperturbation: 1e-3\ntrials: 2\ndet_samples: 50\n"
+        text = f"seed: 5\nform: {form}\nperturbation: {perturbation}\ntrials: 2\ndet_samples: 50\n"
         summary, _ = run(parse_config(text, "clifford"), tmp_path / form)
-        checks.append(summary["determinant_check"])
-    assert checks[0] == checks[1]
-    assert checks[0]["max_relative_residual"] <= 1e-12
+        worst[form] = summary["determinant_check"]["max_relative_residual"]
+        # the samples are drawn after the trials' perturbations, if any
+        gam, rng = build_dirac_gammas(form), np.random.default_rng(5)
+        trials = range(2) if perturbation else []
+        perturbed = [perturb_gammas(gam, perturbation, rng) for _ in trials]
+        pis, masses = _draw_det_samples(rng, 50, 4)
+        own = mass_shell_determinant_residual(0.0, masses, np.zeros(4), pis, gam)
+        assert worst[form] == float(np.max(own)) <= 1e-12
+        for gam_t in perturbed:
+            # the identity on a trial's perturbed set is far off, so the check is not on it
+            assert np.max(mass_shell_determinant_residual(0.0, masses, np.zeros(4), pis,
+                                                          gam_t)) > 1e-6
+    assert worst["minkowski"] != worst["euclidean"]
 
 
 def _number_leaves(node, path=()):
@@ -690,7 +706,7 @@ OVERFLOWS = {
     f"{sub}_{key}": (sub, (CONFIGS / f"{sub}.yaml").read_text().replace(old, new), message)
     for sub, key, old, new, message in [
         ("signature", "diagonal", "[1.0, 1.0,", "[1.0e300, 1.0,",
-         "DegenerateMetric: metric is degenerate"),
+         "config error: 'metric.diagonal' (line 5): metric is degenerate"),
         ("simulate", "velocity", "[1.0, 0.6,", "[1.0, 1.0e300,",
          "DimensionMismatch: g(v0, v0) overflows to -inf at v0 = [1.0, 1e+300, 0.0, 0.0]"),
         ("extremize", "end", "[1.0, 0.3,", "[1e300, 0.3,",
@@ -705,7 +721,8 @@ OVERFLOWS = {
          "DimensionMismatch: the field strength q (J^T - J) overflows at x0 = "
          "[0.0, 0.0, 0.0, 0.0]"),
         ("signature", "diagonal_det", "[1.0, 1.0, -1.0, -1.0]",
-         "[1.0, 1.0, 1.0e+300, -1.0e+300]", "DegenerateMetric: metric is degenerate"),
+         "[1.0, 1.0, 1.0e+300, -1.0e+300]",
+         "config error: 'metric.diagonal' (line 5): metric is degenerate"),
     ]
 }
 OVERFLOWS["simulate_charge"] = (
@@ -737,7 +754,7 @@ def test_an_input_past_the_float_range_ends_in_one_line_and_no_warning(tmp_path,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([subcommand, "--config", str(config), "--out", str(out)]) == (
-            1 if message else 0)
+            2 if message.startswith("config error") else 1 if message else 0)
     assert capsys.readouterr().err == (message + "\n" if message else "")
     if not message:
         summary = json.loads((out / f"{subcommand}_summary.json").read_text())
@@ -787,6 +804,21 @@ CONFIG_ERRORS = {
     "constant_metric_not_square": (
         "signature", "metric: {kind: constant, matrix: [[1, 0, 0], [0, -1, 0]]}\n",
         "'metric.matrix' (line 1): constant metric needs a square matrix"),
+    # MetricField's refusal of a constant metric names its key too
+    "constant_metric_not_symmetric": (
+        "signature", "metric: {kind: constant, matrix: [[1, 0.5], [0, -1]]}\n",
+        "'metric.matrix' (line 1): metric is not symmetric"),
+    "constant_metric_degenerate": (
+        "signature", "metric: {kind: constant, matrix: [[1, 0], [0, 0]]}\n",
+        "'metric.matrix' (line 1): metric is degenerate"),
+    "constant_diagonal_degenerate": (
+        "signature", "metric: {kind: constant_diagonal, diagonal: [1, 0, -1]}\n",
+        "'metric.diagonal' (line 1): metric is degenerate"),
+    "spec_metric_degenerate": (
+        "simulate", (CONFIGS / "simulate.yaml").read_text().replace(
+            "kind: minkowski\n    dim: 4",
+            "kind: constant_diagonal\n    diagonal: [1, -1, 0, -1]"),
+        "'spec.metric.diagonal' (line 8): metric is degenerate"),
 }
 
 
@@ -798,6 +830,19 @@ def test_a_config_error_exits_2_with_its_one_line(tmp_path, capsys, case):
     assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# guard -> (call, error, message): input checks that no other test reaches; main's
+# argument parser offers only the known subcommands
+GUARDS = {
+    "unknown_subcommand": (lambda: parse_config("seed: 0\n", "orbit"), ConfigError,
+                           "unknown subcommand 'orbit'"),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_each_guard_raises_its_error(guard):
+    assert_guard(GUARDS, guard)
 
 
 def test_an_unreadable_config_path_exits_2_naming_it(tmp_path, capsys):
@@ -886,11 +931,12 @@ def test_the_path_csv_holds_k_then_each_point_per_row(tmp_path, monkeypatch, tex
 
 @pytest.mark.parametrize("seed", [0, 3, 99])
 def test_determinant_samples_are_one_normal_then_one_uniform_draw(seed):
-    pis, masses = _draw_det_samples(np.random.default_rng(seed), 500)
-    rng = np.random.default_rng(seed)
-    assert pis.shape == (500, 4) and masses.shape == (500,)
-    assert pis.tobytes() == (1.5 * rng.standard_normal((500, 4))).tobytes()
-    assert masses.tobytes() == (2.0 * rng.random(500)).tobytes()
+    for dim in (2, 4):
+        pis, masses = _draw_det_samples(np.random.default_rng(seed), 500, dim)
+        rng = np.random.default_rng(seed)
+        assert pis.shape == (500, dim) and masses.shape == (500,)
+        assert pis.tobytes() == (1.5 * rng.standard_normal((500, dim))).tobytes()
+        assert masses.tobytes() == (2.0 * rng.random(500)).tobytes()
 
 
 GRID_CONFIG = ("embedding: {{kind: grid_csv, path: '{path}', d: 2, dim_m: 3}}\n"

@@ -4,12 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (assert_guard, build_pauli_gammas, dirac_operator_terms, extract_vector_rep,
-                     mass_term_trace_identity)
+                     gamma_set, mass_term_trace_identity)
 
 from repmech import (
     DimensionMismatch,
     FormMismatch,
     LieAlgebraSpec,
+    UnsupportedDimension,
     abelian_algebra,
     build_dirac_gammas,
     dirac_operator,
@@ -21,6 +22,7 @@ from repmech import (
     vector_covariance_check,
     verify_lie_closure,
 )
+from repmech.clifford import _make_gamma_set
 
 FORMS = ("minkowski", "euclidean")
 ALGEBRAS = {
@@ -30,13 +32,26 @@ ALGEBRAS = {
 }
 
 
-def _samples(rng, n):
-    """Momenta and masses drawn like the CLI's determinant check."""
-    return rng.normal(size=(n, 4)) * 1.5, rng.uniform(0.0, 2.0, size=n)
+# Clifford sets of N >= 2 gammas: the Dirac and Pauli sets in both forms, and four others
+CLIFFORD_SETS = {
+    **{f"dirac-{form}": lambda form=form: build_dirac_gammas(form) for form in FORMS},
+    **{f"pauli-{form}": lambda form=form: build_pauli_gammas(form) for form in FORMS},
+    **{kind: lambda kind=kind: gamma_set(kind)
+       for kind in ("pauli3", "pauli3-real-volume", "dirac+i*gamma5", "pauli-scaled")},
+}
 
 
-def _minkowski_square(p):
-    return p[..., 0] ** 2 - np.sum(p[..., 1:] ** 2, axis=-1)
+def _samples(rng, n, dim=4):
+    """Momenta of dim components and masses drawn like the CLI's determinant check."""
+    return rng.normal(size=(n, dim)) * 1.5, rng.uniform(0.0, 2.0, size=n)
+
+
+def _square(p, form):
+    """pi.pi = h^ab p_a p_b, one sample and one (a, b) term at a time."""
+    n = form.shape[0]
+    flat = [sum(form[a, b] * pk[a] * pk[b] for a in range(n) for b in range(n))
+            for pk in np.reshape(p, (-1, n))]
+    return np.reshape(flat, np.shape(p)[:-1])
 
 
 class TestDiracGenerators:
@@ -137,7 +152,7 @@ class TestDeterminantIdentity:
     def test_identity_holds_and_broadcasts(self):
         gam = build_dirac_gammas("minkowski")
         p, m = _samples(np.random.default_rng(0), 24)
-        target = (_minkowski_square(p) - m * m) ** 2
+        target = (m * m - _square(p, gam.form)) ** 2
         res = mass_shell_determinant_residual(0.0, m, np.zeros(4), p, gam)
         assert np.max(res) <= 1e-12
         # relative to max(1, |(pi.pi - m^2)^2|)
@@ -170,12 +185,44 @@ class TestDeterminantIdentity:
             # only the signs of zeros may differ, and the determinants do not see them
             assert np.linalg.det(h).tobytes() == np.linalg.det(ref).tobytes()
 
-    def test_euclidean_set_is_a_form_mismatch(self):
-        gam = build_dirac_gammas("euclidean")
-        with pytest.raises(FormMismatch):
-            dirac_operator(0.0, 1.0, np.zeros(4), np.ones(4), gam)
-        with pytest.raises(FormMismatch):
-            mass_shell_determinant_residual(0.0, 1.0, np.zeros(4), np.ones((3, 4)), gam)
+    @pytest.mark.parametrize("kind", CLIFFORD_SETS)
+    def test_identity_holds_on_every_set(self, kind):
+        # (g.pi)^2 = (pi.pi) I and tr(g.pi) = 0, so det(g.pi - m) = (m^2 - pi.pi)^(d/2)
+        gam, q = CLIFFORD_SETS[kind](), 0.3
+        rng = np.random.default_rng(1)
+        p, m = _samples(rng, 2000, gam.n)
+        a = rng.normal(size=gam.n)
+        pi_sq, eye = _square(p - q * a, gam.form), np.eye(gam.matrix_dim)
+        slash = dirac_operator(q, 0.0, a, p, gam)
+        scale = np.maximum(1.0, np.abs(pi_sq))[:, None, None]
+        assert np.max(np.abs(slash @ slash - pi_sq[:, None, None] * eye) / scale) <= 1e-14
+        assert np.max(np.abs(np.trace(slash, axis1=1, axis2=2))) <= 1e-14
+        target = (m * m - pi_sq) ** (gam.matrix_dim // 2)
+        det = np.linalg.det(dirac_operator(q, m, a, p, gam))
+        res = mass_shell_determinant_residual(q, m, a, p, gam)
+        assert np.max(res) <= 1e-12
+        np.testing.assert_allclose(res, np.abs(det - target) / np.maximum(1.0, np.abs(target)),
+                                   rtol=0, atol=1e-15)
+        single = [mass_shell_determinant_residual(q, float(mk), a, pk, gam)
+                  for mk, pk in zip(m[:50], p[:50])]
+        assert np.all(_rounding_excess(res[:50], single) <= 1.0)
+
+    def test_a_single_gamma_that_is_not_traceless_breaks_the_identity(self):
+        # g = I squares to h I with h = 1, but det(pi I - m) = (pi - m)^2, not m^2 - pi^2
+        gam = _make_gamma_set([np.eye(2)], np.eye(1))
+        assert gam.residual == 0.0
+        res = mass_shell_determinant_residual(0.0, 1.0, np.zeros(1), np.array([2.0]), gam)
+        assert res == pytest.approx(4.0 / 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("kind", CLIFFORD_SETS)
+    def test_one_product_equals_the_terms_on_every_set(self, kind):
+        gam = CLIFFORD_SETS[kind]()
+        rng = np.random.default_rng(2)
+        p, m = _samples(rng, 40, gam.n)
+        q, a = rng.normal(), rng.normal(size=gam.n)
+        h = dirac_operator(q, m, a, p, gam)
+        assert h.shape == (40, gam.matrix_dim, gam.matrix_dim)
+        np.testing.assert_array_equal(h, dirac_operator_terms(q, m, a, p, gam))
 
     @pytest.mark.parametrize("p, m, a", [
         (np.ones(3), 1.0, np.zeros(4)),
@@ -195,14 +242,23 @@ class TestDeterminantIdentity:
 PAULI_FORMS = {"euclidean": np.eye(2), "minkowski": np.diag([1.0, -1.0])}
 
 
-@pytest.mark.parametrize("form", PAULI_FORMS)
-def test_pauli_anticommutators_are_twice_the_form(form):
-    gam = build_pauli_gammas(form)
-    g = PAULI_FORMS[form]
-    assert np.array_equal(gam.form, g)
+@pytest.mark.parametrize("build, form", [(build_dirac_gammas, f) for f in FORMS]
+                         + [(build_pauli_gammas, f) for f in PAULI_FORMS])
+def test_anticommutators_are_exactly_twice_the_form(build, form):
+    gam = build(form)
+    assert gam.residual == 0.0
+    if build is build_pauli_gammas:
+        assert np.array_equal(gam.form, PAULI_FORMS[form])
     for a, ga in enumerate(gam.matrices):
         for b, gb in enumerate(gam.matrices):
-            assert np.array_equal(ga @ gb + gb @ ga, 2.0 * g[a, b] * np.eye(2))
+            assert np.array_equal(ga @ gb + gb @ ga,
+                                  2.0 * gam.form[a, b] * np.eye(gam.matrix_dim))
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_a_perturbed_set_is_built_and_reports_its_residual(form):
+    gam = perturb_gammas(build_dirac_gammas(form), 1e-3, np.random.default_rng(3))
+    assert gam.residual > 1e-6
 
 
 @pytest.mark.parametrize("build, form", [(build_dirac_gammas, f) for f in FORMS]
@@ -219,11 +275,24 @@ def test_mass_term_trace_identity_is_the_closed_form(build, form):
         mass_term_trace_identity(gam, -gam.form)
 
 
+# [X0, X1] = X1, [X0, X2] = X2, [X1, X2] = X0: antisymmetric, but the Jacobi
+# sum [X0, [X1, X2]] + [X1, [X2, X0]] + [X2, [X0, X1]] is -2 X0
+_NOT_JACOBI = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 1), (0, 2, 2), (1, 2, 0)):
+    _NOT_JACOBI[_i, _j, _k], _NOT_JACOBI[_j, _i, _k] = 1.0, -1.0
+
 # guard -> (call, error, message): input checks that no other test reaches
 GUARDS = {
     "rep_of_another_dim": (
         lambda: solve_quadratic_generators(abelian_algebra(3), build_dirac_gammas("minkowski")),
         DimensionMismatch, "representation dimension must match the gamma count"),
+    "unknown_form": (lambda: build_dirac_gammas("lorentzian"), UnsupportedDimension,
+                     "unknown form 'lorentzian'"),
+    "structure_not_antisymmetric": (
+        lambda: LieAlgebraSpec(structure=np.ones((1, 1, 1)), rho=np.zeros((1, 2, 2))),
+        DimensionMismatch, "structure constants must be antisymmetric in (i, j)"),
+    "structure_not_jacobi": (lambda: LieAlgebraSpec(structure=_NOT_JACOBI, rho=np.zeros((3, 2, 2))),
+                             DimensionMismatch, "structure constants violate the Jacobi identity"),
 }
 
 

@@ -646,6 +646,9 @@ GUARDS = {
         lambda: LagrangianSpec(metric=MINK, mass=1.0, extra_terms=(
             (0.1, symmetric_tensor(3, 3, {(0, 0, 0): 1.0})),)),
         DimensionMismatch, "tensor term dimension differs from metric"),
+    "omega_of_another_length": (
+        lambda: nonrelativistic_expansion(LagrangianSpec(metric=MINK, mass=1.0), X0, [0.1, 0.0]),
+        DimensionMismatch, "expected 3 spatial velocity components"),
 }
 
 

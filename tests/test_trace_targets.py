@@ -5,27 +5,13 @@ renamed or deleted target would otherwise go unnoticed by the test suite. The
 target tables are read from the source with `ast`; perfbench is not imported.
 """
 
-import ast
 import importlib
-from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from oracles import perfbench_trace_targets
 
-
-def _tables():
-    tables = {}
-    for node in ast.parse(TRACING.read_text()).body:
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            continue
-        name = getattr(node.targets[0], "id", None)
-        if name in ("FUNCTIONS", "METHODS"):
-            tables[name] = ast.literal_eval(node.value)
-    return tables
-
-
-TABLES = _tables()
+TABLES = perfbench_trace_targets()
 
 
 def test_both_tables_are_found():

@@ -13,6 +13,9 @@ must be on UNREAD_PUBLIC, and nothing else may be. A function is read
 through its name, an import or an attribute of its name; a method only
 through an attribute of its name, so a local variable or a parameter that
 shares the name is not a read. An export from `__init__.py` is not a read.
+An UNREAD_PUBLIC entry whose reason is "perfbench span" must name a target
+of perfbench/tracing.py's FUNCTIONS or METHODS table, so that those entries
+are the exact list of what goes when the spans do.
 Likewise a public field of a module-level dataclass, or a public attribute
 that a module-level plain class assigns as `self.<name> = ...`, that no
 package module reads as an attribute (written and never read) must be on
@@ -23,6 +26,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from oracles import perfbench_trace_targets
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repmech"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -91,6 +96,7 @@ def test_every_private_helper_is_used():
 UNREAD_PUBLIC = {
     ("brane", "integral_gauge_check"): "perfbench span",
     ("brane", "nonrelativistic_brane_expansion"): "item 11 candidate: item 6's model",
+    ("clifford", "vector_covariance_check"): "perfbench span",
     ("fields", "SymmetricTensorField.contraction_gradient"): "perfbench span",
     ("fields", "SymmetricTensorField.contraction_hessian"): "perfbench span",
     ("geometry", "weak_field_metric"): "item 3 candidate: its weak_field config kind",
@@ -154,6 +160,30 @@ def test_every_unread_public_name_is_listed_with_a_reason():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert _unread_public(sources) == sorted(UNREAD_PUBLIC)
     assert all(UNREAD_PUBLIC.values())
+
+
+def _stale_spans(unread, tables):
+    """(module, name) of each `unread` entry whose reason is "perfbench span" but
+    that no FUNCTIONS or METHODS target of the tracing `tables` names."""
+    targets = {(module.removeprefix("repmech."), attr)
+               for module, attr in tables["FUNCTIONS"].values()}
+    targets |= {(module.removeprefix("repmech."), f"{cls}.{attr}")
+                for module, cls, attr in tables["METHODS"].values()}
+    return sorted(key for key, reason in unread.items()
+                  if reason == "perfbench span" and key not in targets)
+
+
+def test_the_span_check_finds_a_stale_entry():
+    tables = {"FUNCTIONS": {"a.f": ("repmech.a", "f")},
+              "METHODS": {"a.C.m": ("repmech.a", "C", "m")}}
+    unread = {("a", "f"): "perfbench span", ("a", "C.m"): "perfbench span",
+              ("a", "gone"): "perfbench span", ("b", "f"): "perfbench span",
+              ("a", "other"): "kept for another reason"}
+    assert _stale_spans(unread, tables) == [("a", "gone"), ("b", "f")]
+
+
+def test_every_perfbench_span_reason_names_a_traced_target():
+    assert _stale_spans(UNREAD_PUBLIC, perfbench_trace_targets()) == []
 
 
 # (module, "Class.field") -> why a public field or attribute that no package
