@@ -11,6 +11,13 @@ relations, which is what the solvability probe measures on perturbed sets.
 The solution keeps what the clifford run reports: each X_i as a matrix, its
 covariance residual, its grade leakage, and the kernel count.
 
+Perturbed sets come as stacks along a leading trial axis: perturb_gammas
+draws T perturbations in one call, trial by trial, the stream of T single
+draws, and the solve builds the product bases, the commutator columns, the
+right-hand sides, the X_i and their residuals for all T sets at once. Only
+the least-squares call runs once per trial, as numpy has no stacked form of
+it. A single set is the same code without the trial axis.
+
 For the 4-gamma Dirac sets built here, and for 2-gamma Pauli sets, the
 unconstrained system has a one-dimensional kernel, the identity direction;
 the trace-zero constraint removes it and makes the solution unique (the
@@ -25,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,8 +49,20 @@ _SIGMA = (
 
 
 def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (A, B, d, d) stack [a_i, b_j] of two stacks of d x d matrices."""
-    return a[:, None] @ b[None] - b[None] @ a[:, None]
+    """The (..., A, B, d, d) stack [a_i, b_j] of (..., A, d, d) and (..., B, d, d) stacks.
+
+    The two leading shapes are equal. Each b_j meets all the a_i in two
+    matrix products, the a_i stacked as an (A d, d) column and laid side by
+    side as a (d, A d) row: one BLAS call per b_j and side in place of one
+    per pair, with the bits of the d x d products taken one by one (every
+    entry is the same length-d sum).
+    """
+    lead, (n_a, d), n_b = a.shape[:-3], a.shape[-3:-1], b.shape[-3]
+    column = a.reshape(lead + (1, n_a * d, d))
+    row = np.swapaxes(a, -3, -2).reshape(lead + (1, d, n_a * d))
+    ab = np.swapaxes((column @ b).reshape(lead + (n_b, n_a, d, d)), -3, -4)
+    ba = np.moveaxis((b @ row).reshape(lead + (n_b, d, n_a, d)), -2, -4)
+    return ab - ba
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
@@ -51,44 +70,49 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     return np.linalg.norm(stack, axis=(-2, -1))
 
 
-def _real_columns(stack: np.ndarray, k: int) -> np.ndarray:
-    """A complex stack as k real columns, one per leading entry: real parts over imaginary."""
-    cols = stack.reshape(k, -1).T
-    return np.concatenate([cols.real, cols.imag])
+def _real_columns(stack: np.ndarray) -> np.ndarray:
+    """A complex (..., k, N, d, d) stack as (..., 2 N d^2, k) real columns, real over imaginary."""
+    cols = np.swapaxes(stack.reshape(stack.shape[:-3] + (-1,)), -1, -2)
+    return np.concatenate([cols.real, cols.imag], axis=-2)
 
 
 # ---------------------------------------------------------------------------
 # gamma sets
 # ---------------------------------------------------------------------------
 
-def anticommutator_residual(matrices: Sequence[np.ndarray], form: np.ndarray) -> float:
-    """max_ab || {g^a, g^b} - 2 h^ab I ||_F."""
+def anticommutator_residual(matrices: Sequence[np.ndarray], form: np.ndarray):
+    """max_ab || {g^a, g^b} - 2 h^ab I ||_F: a float for one set, an array for a stack of sets."""
     mats = np.asarray(matrices)
-    prod = mats[:, None] @ mats[None]
+    prod = mats[..., :, None, :, :] @ mats[..., None, :, :, :]
     eye = np.eye(mats.shape[-1])
-    res = prod + prod.swapaxes(0, 1) - 2.0 * form[:, :, None, None] * eye
-    return float(np.max(_frobenius(res)))
+    res = prod + np.swapaxes(prod, -3, -4) - 2.0 * form[:, :, None, None] * eye
+    worst = np.max(_frobenius(res), axis=(-2, -1))
+    return float(worst) if worst.ndim == 0 else worst
 
 
 @dataclass(frozen=True)
 class GammaSet:
-    """Concrete gamma matrices with their bilinear form and measured residual."""
+    """Concrete gamma matrices with their bilinear form and measured residual.
 
-    matrices: Tuple[np.ndarray, ...]
+    matrices is one set, (N, d, d) with residual a float, or a stack of T
+    sets along a leading trial axis, (T, N, d, d) with residual of shape (T,).
+    """
+
+    matrices: np.ndarray
     form: np.ndarray
     residual: float
 
     @property
     def n(self) -> int:
-        return len(self.matrices)
+        return np.shape(self.matrices)[-3]
 
     @property
     def matrix_dim(self) -> int:
-        return self.matrices[0].shape[0]
+        return np.shape(self.matrices)[-1]
 
 
 def _make_gamma_set(matrices, form) -> GammaSet:
-    matrices = tuple(np.asarray(m, dtype=complex) for m in matrices)
+    matrices = np.asarray(matrices, dtype=complex)
     form = np.asarray(form, dtype=float)
     return GammaSet(matrices=matrices, form=form, residual=anticommutator_residual(matrices, form))
 
@@ -110,17 +134,26 @@ def build_dirac_gammas(form: str = "minkowski") -> GammaSet:
     return _make_gamma_set(mats, h)
 
 
-def perturb_gammas(gam: GammaSet, magnitude: float, rng: np.random.Generator) -> GammaSet:
-    """Add a random Hermitian perturbation of given operator norm to matrix PERTURBED_INDEX."""
+def perturb_gammas(gam: GammaSet, magnitude: float, rng: np.random.Generator,
+                   trials: Optional[int] = None) -> GammaSet:
+    """Add a random Hermitian perturbation of given operator norm to matrix PERTURBED_INDEX.
+
+    trials=None perturbs one set. trials=T gives a stack of T perturbed sets
+    along a leading trial axis, each with its own perturbation. All draws are
+    one rng.normal call of shape (T, 2, d, d): trial by trial, the real part
+    before the imaginary part, the stream that T calls of one set each take.
+    """
     dim = gam.matrix_dim
-    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = 0.5 * (h + h.conj().T)
-    h *= magnitude / np.linalg.norm(h, ord=2)
-    mats = list(gam.matrices)
-    mats[PERTURBED_INDEX] = mats[PERTURBED_INDEX] + h
+    lead = () if trials is None else (trials,)
+    draws = rng.normal(size=lead + (2, dim, dim))
+    h = draws[..., 0, :, :] + 1j * draws[..., 1, :, :]
+    h = 0.5 * (h + np.swapaxes(h.conj(), -1, -2))
+    h *= magnitude / np.linalg.norm(h, ord=2, axis=(-2, -1))[..., None, None]
+    mats = np.broadcast_to(gam.matrices, lead + np.shape(gam.matrices)).copy()
+    mats[..., PERTURBED_INDEX, :, :] += h
     with np.errstate(over="ignore", invalid="ignore"):
         perturbed = _make_gamma_set(mats, gam.form)
-    if not np.isfinite(perturbed.residual):
+    if not np.all(np.isfinite(perturbed.residual)):
         raise FormMismatch(f"perturbation {magnitude} overflows the anticommutator residual")
     return perturbed
 
@@ -213,14 +246,16 @@ def abelian_algebra(rep_dim: int) -> LieAlgebraSpec:
 # the linear solve for quadratic generators
 # ---------------------------------------------------------------------------
 
-def _product_basis(gam: GammaSet):
-    """Ordered gamma products B_s = g^{s1} g^{s2} ... over index subsets s, stacked."""
-    subsets = [s for r in range(gam.n + 1) for s in itertools.combinations(range(gam.n), r)]
+def _product_basis(mats: np.ndarray):
+    """Ordered gamma products B_s = g^{s1} g^{s2} ... over index subsets s, as a
+    (..., 2^N, d, d) stack for a (..., N, d, d) stack of sets."""
+    n, dim = mats.shape[-3], mats.shape[-1]
+    subsets = [s for r in range(n + 1) for s in itertools.combinations(range(n), r)]
     position = {s: k for k, s in enumerate(subsets)}
-    basis = np.empty((len(subsets), gam.matrix_dim, gam.matrix_dim), dtype=complex)
-    basis[0] = np.eye(gam.matrix_dim)
+    basis = np.empty(mats.shape[:-3] + (len(subsets), dim, dim), dtype=complex)
+    basis[..., 0, :, :] = np.eye(dim)
     for k, s in enumerate(subsets[1:], 1):
-        basis[k] = basis[position[s[:-1]]] @ gam.matrices[s[-1]]
+        basis[..., k, :, :] = basis[..., position[s[:-1]], :, :] @ mats[..., s[-1], :, :]
     return subsets, basis
 
 
@@ -234,15 +269,20 @@ class QuadraticGeneratorSolution:
     nonzero only for defective (perturbed) gamma sets.
     """
 
-    residuals: np.ndarray             # (G,)
-    kernel_dim: int
-    grade_leakage: np.ndarray         # (G,)
-    generators: np.ndarray            # (G, d, d) reconstructed matrices X_i
+    residuals: np.ndarray             # (G,), or (T, G) for a stack of T sets
+    kernel_dim: int                   # or a (T,) integer array for a stack
+    grade_leakage: np.ndarray         # (G,), or (T, G)
+    generators: np.ndarray            # (G, d, d), or (T, G, d, d): the matrices X_i
+
+    def trial(self, k: int) -> "QuadraticGeneratorSolution":
+        """Trial k of a stacked solution, whose fields have a leading trial axis."""
+        return QuadraticGeneratorSolution(self.residuals[k], int(self.kernel_dim[k]),
+                                          self.grade_leakage[k], self.generators[k])
 
 
 def _vector_targets(rho: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """The (G, N, d, d) right-hand sides rho_i[b, a] g^b of [X_i, g^a]."""
-    return np.einsum("iba,bkl->iakl", rho, mats)
+    """The (..., G, N, d, d) right-hand sides rho_i[b, a] g^b of [X_i, g^a]."""
+    return np.einsum("iba,...bkl->...iakl", rho, mats)
 
 
 def solve_quadratic_generators(alg: LieAlgebraSpec, gam: GammaSet) -> QuadraticGeneratorSolution:
@@ -256,6 +296,10 @@ def solve_quadratic_generators(alg: LieAlgebraSpec, gam: GammaSet) -> QuadraticG
     Infeasibility (for gamma sets that are not Clifford) is reported through
     the residuals, never raised.
 
+    For a stack of T sets every field gains a leading trial axis, kernel_dim
+    becoming an integer array of shape (T,); each trial is its own
+    least-squares call, with the same bits as the set solved alone.
+
     kernel_dim counts the singular values of the unconstrained system at or
     below KERNEL_TOL times the largest. Its identity column [I, g^a] is exactly
     zero in floating point, so it is the identity direction plus the count
@@ -264,21 +308,27 @@ def solve_quadratic_generators(alg: LieAlgebraSpec, gam: GammaSet) -> QuadraticG
     """
     if alg.rep_dim != gam.n:
         raise DimensionMismatch("representation dimension must match the gamma count")
-    subsets, basis = _product_basis(gam)
     mats = np.asarray(gam.matrices)
-    cols = _real_columns(_commutators(basis, mats), len(subsets))
+    lead, dim = mats.shape[:-3], mats.shape[-1]
+    subsets, basis = _product_basis(mats)
+    cols = _real_columns(_commutators(basis, mats))
 
     # trace(X) = 0 enforced by removing the identity basis element
     targets = _vector_targets(alg.rho, mats)
-    rhs = _real_columns(targets, alg.n_generators)
-    sol, _, _, svals = np.linalg.lstsq(cols[:, 1:], rhs, rcond=None)
-    kernel_dim = 1 + int(np.sum(svals <= KERNEL_TOL * svals[0]))
-    xs = np.tensordot(sol.T, basis[1:], axes=1)
-    residuals = np.max(_frobenius(_commutators(xs, mats) - targets), axis=1)
+    rhs = _real_columns(targets)
+    sol = np.empty(lead + (len(subsets) - 1, alg.n_generators))
+    kernel_dim = np.empty(lead, dtype=int)
+    for t in np.ndindex(lead):  # numpy has no stacked least squares
+        sol[t], _, _, svals = np.linalg.lstsq(cols[t][:, 1:], rhs[t], rcond=None)
+        kernel_dim[t] = 1 + np.sum(svals <= KERNEL_TOL * svals[0])
+    xs = np.swapaxes(sol, -1, -2) @ basis[..., 1:, :, :].reshape(lead + (-1, dim * dim))
+    xs = xs.reshape(lead + (alg.n_generators, dim, dim))
+    residuals = np.max(_frobenius(_commutators(xs, mats) - targets), axis=-1)
 
     grades = np.array([len(s) for s in subsets[1:]])
-    leakage = np.linalg.norm(sol[grades != 2], axis=0)
-    return QuadraticGeneratorSolution(residuals=residuals, kernel_dim=kernel_dim,
+    leakage = np.linalg.norm(sol[..., grades != 2, :], axis=-2)
+    return QuadraticGeneratorSolution(residuals=residuals,
+                                      kernel_dim=kernel_dim if lead else int(kernel_dim),
                                       grade_leakage=leakage, generators=xs)
 
 

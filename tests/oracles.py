@@ -707,6 +707,100 @@ def gamma_set(kind):
     return _make_gamma_set([*g, 1j * g5], np.diag([1.0, -1.0, -1.0, -1.0, -1.0]))
 
 
+def per_trial_clifford_summary(payload, seed):
+    """A clifford run's summary fields from a loop that perturbs and solves one trial at a time.
+
+    Each trial draws its real, then its imaginary (d, d) normal block,
+    perturbs gamma 1 of the Dirac set, checks the anticommutator residual
+    for overflow and solves that set alone over its own product basis; an
+    unperturbed run solves the Dirac set once for all its trials. The
+    algebras, the Dirac set, the determinant samples and their check come
+    from the package.
+    """
+    from repmech import (FormMismatch, abelian_algebra, build_dirac_gammas,
+                         lorentz_vector_algebra, mass_shell_determinant_residual,
+                         rotation_vector_algebra)
+    from repmech.cli import _draw_det_samples
+
+    gam = build_dirac_gammas(payload["form"])
+    alg = {"lorentz": lorentz_vector_algebra, "so3": rotation_vector_algebra,
+           "abelian": lambda h: abelian_algebra(4)}[payload["algebra"]](gam.form)
+    dirac = np.asarray(gam.matrices)
+    n, dim = dirac.shape[0], dirac.shape[-1]
+    subsets = [s for r in range(n + 1) for s in itertools.combinations(range(n), r)]
+    grades = np.array([len(s) for s in subsets[1:]])
+
+    def commutators(a, b):
+        return a[:, None] @ b[None] - b[None] @ a[:, None]
+
+    def frobenius(stack):
+        return np.linalg.norm(stack, axis=(-2, -1))
+
+    def real_columns(stack, k):
+        cols = stack.reshape(k, -1).T
+        return np.concatenate([cols.real, cols.imag])
+
+    def anticommutator_residual(mats):
+        prod = mats[:, None] @ mats[None]
+        res = prod + prod.swapaxes(0, 1) - 2.0 * gam.form[:, :, None, None] * np.eye(dim)
+        return float(np.max(frobenius(res)))
+
+    def solve(mats):
+        basis = np.empty((len(subsets), dim, dim), dtype=complex)
+        basis[0] = np.eye(dim)
+        for k, s in enumerate(subsets[1:], 1):
+            basis[k] = basis[subsets.index(s[:-1])] @ mats[s[-1]]
+        cols = real_columns(commutators(basis, mats), len(subsets))
+        targets = np.einsum("iba,bkl->iakl", alg.rho, mats)
+        sol, _, _, svals = np.linalg.lstsq(cols[:, 1:], real_columns(targets, len(alg.rho)),
+                                           rcond=None)
+        xs = np.tensordot(sol.T, basis[1:], axes=1)
+        return (np.max(frobenius(commutators(xs, mats) - targets), axis=1),
+                1 + int(np.sum(svals <= 1e-10 * svals[0])),
+                np.linalg.norm(sol[grades != 2], axis=0), xs)
+
+    rng = np.random.default_rng(seed)
+    magnitude = payload["perturbation"]
+    if magnitude == 0.0:
+        residual, (residuals, kernel_dim, leakage, xs) = gam.residual, solve(dirac)
+        trial_residuals = [float(np.max(residuals))] * payload["trials"]
+    else:
+        trial_residuals = []
+        for _ in range(payload["trials"]):
+            h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            h = 0.5 * (h + h.conj().T)
+            h *= magnitude / np.linalg.norm(h, ord=2)
+            mats = dirac.copy()
+            mats[1] = mats[1] + h
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual = anticommutator_residual(mats)
+            if not np.isfinite(residual):
+                raise FormMismatch(f"perturbation {magnitude} overflows the anticommutator "
+                                   "residual")
+            residuals, kernel_dim, leakage, xs = solve(mats)
+            trial_residuals.append(float(np.max(residuals)))
+
+    pis, masses = _draw_det_samples(rng, payload["det_samples"], n)
+    closure = commutators(xs, xs) - np.einsum("ijk,kab->ijab", alg.structure, xs)
+    return {
+        "algebra": payload["algebra"],
+        "form": payload["form"],
+        "perturbation": magnitude,
+        "anticommutator_residual": residual,
+        "residuals": residuals,
+        "kernel_dims": [kernel_dim] * len(alg.rho),
+        "grade_leakage": leakage,
+        "closure_residual": float(np.max(frobenius(closure))),
+        "covariance_residual": trial_residuals[-1],
+        "trial_max_residuals": trial_residuals,
+        "determinant_check": {
+            "samples": payload["det_samples"],
+            "max_relative_residual": float(np.max(mass_shell_determinant_residual(
+                0.0, masses, np.zeros(n), pis, gam))),
+        },
+    }
+
+
 def perfbench_trace_targets():
     """The FUNCTIONS and METHODS tables of perfbench/tracing.py, read with `ast`.
 
@@ -738,8 +832,9 @@ def extract_vector_rep(generators, gam):
 
     mats = np.asarray(gam.matrices)
     xs = np.asarray(generators)
-    cols = _real_columns(mats, gam.n)
-    rhs = _real_columns(_commutators(xs, mats), len(xs) * gam.n)
+    # one column per gamma, and one per commutator [X_i, g^a]
+    cols = _real_columns(mats[:, None])
+    rhs = _real_columns(_commutators(xs, mats).reshape((-1, 1) + mats.shape[1:]))
     coef = np.linalg.lstsq(cols, rhs, rcond=None)[0]
     worst = float(np.max(np.linalg.norm(cols @ coef - rhs, axis=0)))
     # column i * N + a holds rho_i[:, a]

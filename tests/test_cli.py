@@ -776,6 +776,10 @@ CONFIG_ERRORS = {
                                   "'algebra' (line 1) must be a string"),
     "outside_the_choices": ("clifford", "seed: 0\nalgebra: su2\n",
                             "'algebra' (line 2) must be one of ['abelian', 'lorentz', 'so3']"),
+    # refused before any sample is drawn
+    "det_samples_above_the_cap": ("clifford", "seed: 0\ndet_samples: 1000001\n",
+                                  "'det_samples' (line 2): 1000001 samples is above the cap "
+                                  "of 1000000"),
     "extra_terms_not_a_list": (
         "simulate", (CONFIGS / "simulate.yaml").read_text().replace(
             "  metric:", "  extra_terms: {coupling: 0.2}\n  metric:"),
